@@ -105,8 +105,19 @@ impl<'m> Asm<'m> {
     /// An `at` past the buffer write cursor would patch bytes that were
     /// never emitted; it latches [`Error::FixupOutOfRange`] (and a
     /// verifier diagnostic) instead of recording a silent bad patch.
+    ///
+    /// Once the buffer has overflowed the cursor is frozen while the
+    /// backends' offsets keep advancing, so *every* later fixup lands
+    /// past it: that is the overflow's doing, not a client bug, and it
+    /// latches [`Error::Overflow`] — the error `end()` would report, and
+    /// the one the clients' grow-and-retry ladders key on.
     pub fn fixup_at(&mut self, at: usize, target: FixupTarget, kind: u8) {
         if at > self.buf.len() {
+            if self.buf.overflowed() {
+                let capacity = self.buf.capacity();
+                self.record_err(Error::Overflow { capacity });
+                return;
+            }
             let len = self.buf.len();
             self.record_err(Error::FixupOutOfRange { at, len });
             if let Some(vs) = self.verifier.as_mut() {

@@ -68,6 +68,17 @@ pub enum EmitPath {
 /// encoder's 16-byte instruction bound.
 pub const WIN_MAX: usize = 32;
 
+/// The most a [`CodeBuffer`] can have stored *past* its final cursor.
+/// [`put_word`](CodeBuffer::put_word) stores 8 bytes and advances by
+/// fewer; a direct [`window`](CodeBuffer::window) stores only inside its
+/// reservation, at most [`WIN_MAX`] bytes from where the cursor stood;
+/// every other append stores exactly what it advances by, patches land
+/// below the cursor, and the cursor never moves back. So when emission
+/// ends at `len`, every byte at or past `len + MAX_OVERSTORE` is as the
+/// client handed it over — which is what lets pooled executable memory
+/// scrub a finished lambda's dirty prefix instead of its whole mapping.
+pub const MAX_OVERSTORE: usize = WIN_MAX;
+
 /// A byte buffer with a cursor, backing in-place code emission.
 ///
 /// The buffer borrows client storage, exactly like the paper's
@@ -757,5 +768,55 @@ mod tests {
         assert!(b.overflowed());
         assert_eq!(b.len(), 6, "bytewise mode keeps the bytes that fit");
         assert_eq!(b.as_slice(), &[1, 2, 3, 4, 5, 6]);
+    }
+    /// `MAX_OVERSTORE` is what pooled executable memory scrubs past a
+    /// finished lambda: after any mix of appends, stopped anywhere —
+    /// mid-buffer, near capacity, overflowed — no byte at or past
+    /// `len + MAX_OVERSTORE` may have been stored to. (And the bound is
+    /// not vacuous: packed-word stores do reach past the cursor.)
+    #[test]
+    fn nothing_is_stored_past_len_plus_max_overstore() {
+        let mut rng = crate::regress::XorShift::new(0x0e57_07e5);
+        let mut overstored = false;
+        for cap in [40usize, 64, 257, 1024] {
+            for _ in 0..200 {
+                let mut mem = vec![0u8; cap];
+                let mut b = CodeBuffer::new(&mut mem);
+                for _ in 0..rng.below(2 * cap as u64 / 3) {
+                    let n = rng.range(1, 8) as usize;
+                    match rng.below(6) {
+                        0 => b.put_u8(0xff),
+                        1 => b.put_u32(u32::MAX),
+                        2 => b.put_word(u64::MAX, n),
+                        3 => {
+                            let mut w = b.window(16);
+                            w.word(u64::MAX, n);
+                            w.u32(u32::MAX);
+                        }
+                        4 => {
+                            let mut w = b.window(WIN_MAX);
+                            for _ in 0..rng.below(3) {
+                                w.word(u64::MAX, n);
+                            }
+                        }
+                        _ => {
+                            let at = b.reserve(n, 0xff);
+                            b.patch_u8(at, 0xfe);
+                        }
+                    }
+                }
+                let len = b.len();
+                let dirty_end = mem.iter().rposition(|&x| x != 0).map_or(0, |i| i + 1);
+                assert!(
+                    dirty_end <= len + MAX_OVERSTORE,
+                    "cap {cap}: stored up to {dirty_end}, cursor at {len}"
+                );
+                overstored |= dirty_end > len;
+            }
+        }
+        assert!(
+            overstored,
+            "no append over-stored: the corpus lost its point"
+        );
     }
 }

@@ -8,9 +8,10 @@
 //!
 //! - **Content-addressed.** A [`CacheKey`] is (target id, key bytes):
 //!   either the serialized vcode stream (`Program::encode`) or a client
-//!   key (DPF filter shape, ASH pipeline shape). The stored FNV-1a hash
-//!   only *routes* (shard choice, bucket probe); equality is decided on
-//!   the full bytes, so hash collisions can never alias two programs.
+//!   key (DPF filter shape, ASH pipeline shape). The stored hash
+//!   (`content_hash`, in-process only) just *routes* (shard choice,
+//!   bucket probe); equality is decided on the full bytes, so hash
+//!   collisions can never alias two programs.
 //! - **Sharded.** Entries spread over `min(8, capacity)` mutexed shards
 //!   by key hash; concurrent compiles of different programs do not
 //!   contend.
@@ -44,7 +45,7 @@
 //!   the crate-internal [`LambdaCache::begin_build`] / [`BuildTicket`]
 //!   surface, so compilation can leave the request path entirely.
 
-use crate::engine::{fnv1a, TargetId};
+use crate::engine::TargetId;
 use crate::obs;
 use std::collections::HashMap;
 // Synchronization comes from the `vsync` facade (std in production,
@@ -75,13 +76,39 @@ fn route_hash(target: TargetId, content: u64) -> u64 {
     content ^ (target.index() as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15)
 }
 
+/// The content hash every in-crate key constructor feeds [`route_hash`]:
+/// two multiply-rotate lanes over little-endian words, length-seeded,
+/// zero-padded tail, high half folded down (the shard index is taken
+/// from the low bits). It only *routes* — shard choice here, then the
+/// shard map's own SipHash over the result — and lives only in this
+/// process, so it is free to be a word-at-a-time hash where on-disk
+/// identity ([`crate::engine::fnv1a`]: artifact names, checksums) has
+/// to stay what the files already carry.
+pub(crate) fn content_hash(bytes: &[u8]) -> u64 {
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
+    let word = |c: &[u8]| u64::from_le_bytes(c.try_into().expect("8-byte chunk"));
+    let mix = |h: u64, w: u64| (h.rotate_left(5) ^ w).wrapping_mul(K);
+    let (mut a, mut b) = (bytes.len() as u64, K);
+    let mut pairs = bytes.chunks_exact(16);
+    for c in &mut pairs {
+        a = mix(a, word(&c[..8]));
+        b = mix(b, word(&c[8..]));
+    }
+    let mut tail = [0u8; 16];
+    tail[..pairs.remainder().len()].copy_from_slice(pairs.remainder());
+    a = mix(a, word(&tail[..8]));
+    b = mix(b, word(&tail[8..]));
+    let h = mix(a, b);
+    h ^ (h >> 32)
+}
+
 impl CacheKey {
     /// Content-addressed key: `bytes` is the program identity (e.g.
-    /// `Program::encode()`); the hash mixes FNV-1a of the bytes with the
-    /// target id, so the same stream on two backends routes — and keys —
-    /// differently.
+    /// `Program::encode()`); the hash mixes the content hash of the bytes
+    /// with the target id, so the same stream on two backends routes —
+    /// and keys — differently.
     pub fn new(target: TargetId, bytes: Vec<u8>) -> CacheKey {
-        let hash = route_hash(target, fnv1a(&bytes));
+        let hash = route_hash(target, content_hash(&bytes));
         CacheKey {
             target,
             bytes: bytes.into(),
@@ -91,8 +118,12 @@ impl CacheKey {
 
     /// Key from an already-serialized, already-hashed identity (the
     /// memoized `Program::encoded` fast path): no byte scan, no copy.
-    /// `content_hash` MUST be FNV-1a of `bytes` — the constructors must
-    /// agree so equal keys hash equally.
+    /// `content_hash` must be the same function of `bytes` for every key
+    /// of one cache — equal keys must hash equally. `Program::encoded`
+    /// supplies the hash that [`new`](Self::new) and
+    /// [`tiered`](Self::tiered) compute, so those three mix freely; a
+    /// cache keyed with some other hash (FNV-1a, say) must use it for all
+    /// of its keys.
     pub fn from_encoded(target: TargetId, bytes: Arc<[u8]>, content_hash: u64) -> CacheKey {
         CacheKey {
             target,
@@ -117,7 +148,7 @@ impl CacheKey {
         bytes.extend_from_slice(&self.bytes);
         CacheKey {
             target: self.target,
-            hash: route_hash(self.target, fnv1a(&bytes)),
+            hash: route_hash(self.target, content_hash(&bytes)),
             bytes: bytes.into(),
         }
     }
@@ -241,15 +272,25 @@ impl<E: std::fmt::Display> std::fmt::Display for CacheError<E> {
 
 impl<E: std::fmt::Debug + std::fmt::Display> std::error::Error for CacheError<E> {}
 
-/// In-flight compile slot: `done` flips under the mutex, waiters sleep
-/// on the condvar, and the result (or its absence, on failure) lives in
-/// the shard map itself. The `Arc<Build>` pointer identity doubles as
-/// the build's *generation*: vacate/insert decisions compare pointers so
-/// a stale builder can never clobber a successor's slot.
+/// In-flight compile slot: `done` flips under the mutex, waiters
+/// register and sleep on the condvar under that same mutex, and the
+/// result (or its absence, on failure) lives in the shard map itself.
+/// The `Arc<Build>` pointer identity doubles as the build's
+/// *generation*: vacate/insert decisions compare pointers so a stale
+/// builder can never clobber a successor's slot.
 #[derive(Debug, Default)]
 pub(crate) struct Build {
-    done: Mutex<bool>,
+    state: Mutex<BuildState>,
     cv: Condvar,
+}
+
+#[derive(Debug, Default)]
+struct BuildState {
+    done: bool,
+    /// Set by a thread about to wait. [`Build::wake`] notifies only when
+    /// it is: the common build has no waiter, and a notify nobody hears
+    /// is still a futex syscall.
+    awaited: bool,
 }
 
 #[derive(Debug)]
@@ -258,7 +299,45 @@ enum Slot<V: ?Sized> {
     Building(Arc<Build>),
 }
 
-type Shard<V> = Mutex<HashMap<CacheKey, Slot<V>>>;
+/// One shard under its lock: the slots, and how many of them are
+/// `Building` — kept by every transition ([`claim`](Self::claim),
+/// [`vacate`](Self::vacate), publication in `install_if`) so the miss
+/// path's build-cap test never scans the shard.
+#[derive(Debug)]
+struct ShardState<V: ?Sized> {
+    map: HashMap<CacheKey, Slot<V>>,
+    building: usize,
+}
+
+type Shard<V> = Mutex<ShardState<V>>;
+
+impl<V: ?Sized> ShardState<V> {
+    /// Installs a fresh `Building` slot under `key` (which must be
+    /// vacant) and returns its generation.
+    fn claim(&mut self, key: CacheKey) -> Arc<Build> {
+        let b = Arc::new(Build::default());
+        let old = self.map.insert(key, Slot::Building(Arc::clone(&b)));
+        debug_assert!(old.is_none(), "claimed an occupied slot");
+        self.building += 1;
+        self.check();
+        b
+    }
+
+    /// Removes `key`'s `Building` slot if it still belongs to `build`.
+    fn vacate(&mut self, key: &CacheKey, build: &Arc<Build>) -> bool {
+        let ours = matches!(self.map.get(key), Some(Slot::Building(b)) if Arc::ptr_eq(b, build));
+        if ours {
+            self.map.remove(key);
+            self.building -= 1;
+            self.check();
+        }
+        ours
+    }
+
+    fn check(&self) {
+        debug_assert_eq!(self.building, count_building(&self.map));
+    }
+}
 
 /// Default bound on any one condvar wait for an in-flight build: long
 /// enough that no real compile in this workspace comes near it, short
@@ -293,30 +372,41 @@ impl<V: ?Sized> std::fmt::Debug for LambdaCache<V> {
     }
 }
 
-/// Clears a `Building` slot if the builder unwinds, so a panicking
-/// compile never wedges the key. Removal is pointer-checked: if a
-/// stall-recovery path already vacated this build and a successor moved
-/// in, the successor's slot is left untouched.
+/// Clears a `Building` slot if the builder fails or unwinds, so a
+/// panicking compile never wedges the key. Removal is pointer-checked:
+/// if a stall-recovery path already vacated this build and a successor
+/// moved in, the successor's slot is left untouched.
+///
+/// The guard also wakes the build's waiters, on every path: a published
+/// result disarms the vacate and leaves only the wake.
 struct BuildGuard<'c, V: ?Sized> {
     cache: &'c LambdaCache<V>,
-    key: Option<CacheKey>,
+    key: &'c CacheKey,
     build: Arc<Build>,
+    vacate: bool,
 }
 
 impl<V: ?Sized> Drop for BuildGuard<'_, V> {
     fn drop(&mut self) {
-        if let Some(key) = self.key.take() {
-            self.cache.vacate_if(&key, &self.build);
-            self.build.wake();
+        if self.vacate {
+            self.cache.vacate_if(self.key, &self.build);
         }
+        self.build.wake();
     }
 }
 
 impl Build {
+    /// Marks the build resolved and wakes whoever registered as waiting
+    /// for it. A waiter registers under `state`'s mutex before its first
+    /// wait and `done` flips under that mutex, so either the waiter saw
+    /// `done` and never sleeps, or `wake` sees it registered and
+    /// notifies: skipping the notify when nobody registered loses no
+    /// wakeup.
     pub(crate) fn wake(&self) {
-        let mut done = self.done.lock().unwrap_or_else(|e| e.into_inner());
-        *done = true;
-        drop(done);
+        let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        st.done = true;
+        let awaited = st.awaited;
+        drop(st);
         if vsync::injected(vsync::Injection::DropCacheNotify) {
             // Mutation under test (model checker only): the builder
             // "forgets" to notify. Waiters must then limp home on the
@@ -325,7 +415,9 @@ impl Build {
             // model program. Proves lost notifies are catchable.
             return;
         }
-        self.cv.notify_all();
+        if awaited {
+            self.cv.notify_all();
+        }
     }
 }
 
@@ -336,7 +428,14 @@ impl<V: ?Sized> LambdaCache<V> {
         let nshards = capacity.clamp(1, 8);
         let per_shard = capacity.div_ceil(nshards);
         LambdaCache {
-            shards: (0..nshards).map(|_| Mutex::new(HashMap::new())).collect(),
+            shards: (0..nshards)
+                .map(|_| {
+                    Mutex::new(ShardState {
+                        map: HashMap::new(),
+                        building: 0,
+                    })
+                })
+                .collect(),
             per_shard,
             // At least one build must always be admitted or a cold
             // zero-capacity cache could never compile at all.
@@ -361,7 +460,7 @@ impl<V: ?Sized> LambdaCache<V> {
         self.stall
     }
 
-    fn shard(&self, key: &CacheKey) -> MutexGuard<'_, HashMap<CacheKey, Slot<V>>> {
+    fn shard(&self, key: &CacheKey) -> MutexGuard<'_, ShardState<V>> {
         let idx = (key.hash as usize) % self.shards.len();
         self.shards[idx].lock().unwrap_or_else(|e| e.into_inner())
     }
@@ -373,7 +472,7 @@ impl<V: ?Sized> LambdaCache<V> {
     /// Looks up `key`, counting a hit or miss.
     pub fn get(&self, key: &CacheKey) -> Option<Arc<V>> {
         let mut shard = self.shard(key);
-        match shard.get_mut(key) {
+        match shard.map.get_mut(key) {
             Some(Slot::Ready { val, stamp }) => {
                 *stamp = self.tick();
                 self.stats.hits.fetch_add(1, Ordering::Relaxed);
@@ -394,7 +493,7 @@ impl<V: ?Sized> LambdaCache<V> {
     /// hit/miss signal. The LRU stamp *is* refreshed on success.
     pub fn peek(&self, key: &CacheKey) -> Option<Arc<V>> {
         let mut shard = self.shard(key);
-        match shard.get_mut(key) {
+        match shard.map.get_mut(key) {
             Some(Slot::Ready { val, stamp }) => {
                 *stamp = self.tick();
                 Some(Arc::clone(val))
@@ -409,15 +508,11 @@ impl<V: ?Sized> LambdaCache<V> {
     /// successors: a new builder's slot under the same key is a
     /// different `Arc` and is never touched.
     pub(crate) fn vacate_if(&self, key: &CacheKey, build: &Arc<Build>) -> bool {
-        let mut shard = self.shard(key);
-        if matches!(shard.get(key), Some(Slot::Building(b)) if Arc::ptr_eq(b, build)) {
-            shard.remove(key);
-            drop(shard);
+        let vacated = self.shard(key).vacate(key, build);
+        if vacated {
             build.wake();
-            true
-        } else {
-            false
         }
+        vacated
     }
 
     /// Returns the cached value for `key`, or runs `build` to produce
@@ -492,7 +587,7 @@ impl<V: ?Sized> LambdaCache<V> {
             let wait_on: Arc<Build>;
             {
                 let mut shard = self.shard(key);
-                match shard.get_mut(key) {
+                match shard.map.get_mut(key) {
                     Some(Slot::Ready { val, stamp }) => {
                         *stamp = self.tick();
                         // A herd waiter that finds the result ready still
@@ -510,8 +605,7 @@ impl<V: ?Sized> LambdaCache<V> {
                         wait_on = Arc::clone(b);
                     }
                     None => {
-                        let building = count_building(&shard);
-                        if building >= self.max_builds {
+                        if shard.building >= self.max_builds {
                             // The shard is saturated with in-flight
                             // builds: compile uncached rather than grow
                             // past the configured capacity.
@@ -523,13 +617,14 @@ impl<V: ?Sized> LambdaCache<V> {
                             let build = build.take().expect("builder reused");
                             return Attempt::Done(build());
                         }
-                        let b = Arc::new(Build::default());
-                        shard.insert(key.clone(), Slot::Building(Arc::clone(&b)));
+                        // The miss's one key clone: the map owns it,
+                        // the builder keeps borrowing the caller's.
+                        let b = shard.claim(key.clone());
                         drop(shard);
                         self.stats.misses.fetch_add(1, Ordering::Relaxed);
                         obs::note_lambda_cache_miss();
                         let build = build.take().expect("builder reused");
-                        return Attempt::Done(self.run_build(key.clone(), b, build));
+                        return Attempt::Done(self.run_build(key, b, build));
                     }
                 }
             }
@@ -538,14 +633,15 @@ impl<V: ?Sized> LambdaCache<V> {
             // stall means *this* builder made no progress for `stall`.
             let start = Instant::now();
             let deadline = start + stall;
-            let mut done = wait_on.done.lock().unwrap_or_else(|e| e.into_inner());
+            let mut st = wait_on.state.lock().unwrap_or_else(|e| e.into_inner());
+            st.awaited = true;
             loop {
-                if *done {
+                if st.done {
                     break;
                 }
                 let now = Instant::now();
                 if now >= deadline {
-                    drop(done);
+                    drop(st);
                     // Only counts as a stall if the slot really was
                     // still this build; otherwise the builder finished
                     // between our timeout and the vacate — re-probe.
@@ -560,9 +656,9 @@ impl<V: ?Sized> LambdaCache<V> {
                 }
                 let (guard, _) = wait_on
                     .cv
-                    .wait_timeout(done, deadline - now)
+                    .wait_timeout(st, deadline - now)
                     .unwrap_or_else(|e| e.into_inner());
-                done = guard;
+                st = guard;
             }
             // Re-probe: either Ready (success) or vacant (failed build →
             // this thread becomes the next builder).
@@ -571,32 +667,25 @@ impl<V: ?Sized> LambdaCache<V> {
 
     fn run_build<E>(
         &self,
-        key: CacheKey,
+        key: &CacheKey,
         build_slot: Arc<Build>,
         build: impl FnOnce() -> Result<Arc<V>, E>,
     ) -> Result<Arc<V>, E> {
         let mut guard = BuildGuard {
             cache: self,
-            key: Some(key),
-            build: Arc::clone(&build_slot),
+            key,
+            build: build_slot,
+            vacate: true,
         };
         let result = build();
-        let key = guard.key.take().expect("build key consumed");
-        match result {
-            Ok(val) => {
-                // If the slot was vacated by stall recovery the value is
-                // still returned to this caller, just not published —
-                // the successor builder owns the key now.
-                self.install_if(&key, &build_slot, Arc::clone(&val));
-                build_slot.wake();
-                Ok(val)
-            }
-            Err(e) => {
-                self.vacate_if(&key, &build_slot);
-                build_slot.wake();
-                Err(e)
-            }
+        if let Ok(val) = &result {
+            // If the slot was vacated by stall recovery the value is
+            // still returned to this caller, just not published — the
+            // successor builder owns the key now.
+            self.install_if(key, &guard.build, Arc::clone(val));
+            guard.vacate = false;
         }
+        result
     }
 
     /// Publishes `val` under `key` if the `Building` slot still belongs
@@ -604,55 +693,51 @@ impl<V: ?Sized> LambdaCache<V> {
     /// whether the value was published.
     fn install_if(&self, key: &CacheKey, build: &Arc<Build>, val: Arc<V>) -> bool {
         let mut shard = self.shard(key);
-        if matches!(shard.get(key), Some(Slot::Building(b)) if Arc::ptr_eq(b, build)) {
-            shard.insert(
-                key.clone(),
-                Slot::Ready {
+        match shard.map.get_mut(key) {
+            Some(slot) if matches!(&*slot, Slot::Building(b) if Arc::ptr_eq(b, build)) => {
+                *slot = Slot::Ready {
                     val,
                     stamp: self.tick(),
-                },
-            );
-            self.stats.inserts.fetch_add(1, Ordering::Relaxed);
-            obs::note_lambda_cache_insert();
-            self.evict_to(&mut shard, key);
-            true
-        } else {
-            false
+                };
+            }
+            _ => return false,
         }
+        shard.building -= 1;
+        shard.check();
+        self.stats.inserts.fetch_add(1, Ordering::Relaxed);
+        obs::note_lambda_cache_insert();
+        self.evict_to(&mut shard);
+        true
     }
 
     /// Evicts least-recently-used `Ready` entries (never `Building`
-    /// slots, never `just_inserted`) until the shard is within its cap.
-    /// In-flight `Building` slots count against the cap — capacity is a
-    /// bound on the shard's footprint, not just its finished entries —
-    /// but they are never victims; they vacate on completion.
-    fn evict_to(&self, shard: &mut HashMap<CacheKey, Slot<V>>, just_inserted: &CacheKey) {
-        loop {
-            let occupied = shard.len(); // ready + building
-            if occupied <= self.per_shard {
-                return;
-            }
+    /// slots) until the shard is within its cap. In-flight `Building`
+    /// slots count against the cap — capacity is a bound on the shard's
+    /// footprint, not just its finished entries — but they are never
+    /// victims; they vacate on completion.
+    ///
+    /// Runs right after a publication, under the same lock hold, so the
+    /// entry just published carries the newest stamp in the shard: it is
+    /// the victim only when every other slot is an in-flight build (or
+    /// `per_shard == 0`), and dropping it then is right — its result was
+    /// already handed to its callers, it just isn't shared.
+    fn evict_to(&self, shard: &mut ShardState<V>) {
+        while shard.map.len() > self.per_shard {
             let victim = shard
+                .map
                 .iter()
-                .filter(|(k, _)| *k != just_inserted)
                 .filter_map(|(k, s)| match s {
-                    Slot::Ready { stamp, .. } => Some((*stamp, k.clone())),
+                    Slot::Ready { stamp, .. } => Some((*stamp, k)),
                     Slot::Building(_) => None,
                 })
-                .min_by_key(|(stamp, _)| *stamp);
-            let Some((_, victim)) = victim else {
-                // No victim but still over cap: every other slot is an
-                // in-flight build (or per_shard == 0). Drop the
-                // just-inserted entry — the result was already handed to
-                // its callers, it just isn't shared.
-                if matches!(shard.get(just_inserted), Some(Slot::Ready { .. })) {
-                    shard.remove(just_inserted);
-                    self.stats.evictions.fetch_add(1, Ordering::Relaxed);
-                    obs::note_lambda_cache_eviction();
-                }
-                return;
+                .min_by_key(|&(stamp, _)| stamp)
+                // Candidates are compared by reference; only the victim
+                // is cloned, to end the borrow its removal needs.
+                .map(|(_, k)| k.clone());
+            let Some(victim) = victim else {
+                return; // only in-flight builds left
             };
-            shard.remove(&victim);
+            shard.map.remove(&victim);
             self.stats.evictions.fetch_add(1, Ordering::Relaxed);
             obs::note_lambda_cache_eviction();
         }
@@ -664,7 +749,7 @@ impl<V: ?Sized> LambdaCache<V> {
     /// [`BuildTicket`] must resolve it (finish, abandon, or drop).
     pub(crate) fn begin_build(self: &Arc<Self>, key: &CacheKey) -> Probe<V> {
         let mut shard = self.shard(key);
-        match shard.get_mut(key) {
+        match shard.map.get_mut(key) {
             Some(Slot::Ready { val, stamp }) => {
                 *stamp = self.tick();
                 self.stats.hits.fetch_add(1, Ordering::Relaxed);
@@ -673,11 +758,10 @@ impl<V: ?Sized> LambdaCache<V> {
             }
             Some(Slot::Building(_)) => Probe::InFlight,
             None => {
-                if count_building(&shard) >= self.max_builds {
+                if shard.building >= self.max_builds {
                     return Probe::Busy;
                 }
-                let b = Arc::new(Build::default());
-                shard.insert(key.clone(), Slot::Building(Arc::clone(&b)));
+                let b = shard.claim(key.clone());
                 self.stats.misses.fetch_add(1, Ordering::Relaxed);
                 obs::note_lambda_cache_miss();
                 Probe::Claimed(BuildTicket {
@@ -695,11 +779,8 @@ impl<V: ?Sized> LambdaCache<V> {
         self.shards
             .iter()
             .map(|s| {
-                s.lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .values()
-                    .filter(|slot| matches!(slot, Slot::Ready { .. }))
-                    .count()
+                let s = s.lock().unwrap_or_else(|e| e.into_inner());
+                s.map.len() - s.building
             })
             .sum()
     }
@@ -715,6 +796,7 @@ impl<V: ?Sized> LambdaCache<V> {
         for s in &self.shards {
             s.lock()
                 .unwrap_or_else(|e| e.into_inner())
+                .map
                 .retain(|_, slot| matches!(slot, Slot::Building(_)));
         }
     }
@@ -732,7 +814,8 @@ impl<V: ?Sized> LambdaCache<V> {
     }
 }
 
-/// `Building` slots currently in flight in one locked shard.
+/// `Building` slots in one locked shard, counted the slow way: what
+/// [`ShardState::building`] must always equal.
 fn count_building<V: ?Sized>(shard: &HashMap<CacheKey, Slot<V>>) -> usize {
     shard
         .values()
@@ -972,9 +1055,109 @@ mod tests {
     /// "builder thread died without unwinding" scenario. Returns the
     /// build generation so the test can assert vacate semantics.
     fn wedge(c: &LambdaCache<u32>, k: &CacheKey) -> Arc<Build> {
-        let b = Arc::new(Build::default());
-        c.shard(k).insert(k.clone(), Slot::Building(Arc::clone(&b)));
-        b
+        c.shard(k).claim(k.clone())
+    }
+
+    /// Asserts, shard by shard, that the O(1) `building` counter equals
+    /// a scan of the slots (in release builds too, where the debug
+    /// assertion inside every transition is compiled out), and returns
+    /// the total.
+    fn building(c: &LambdaCache<u32>) -> usize {
+        c.shards
+            .iter()
+            .map(|s| {
+                let s = s.lock().unwrap();
+                assert_eq!(s.building, count_building(&s.map));
+                s.building
+            })
+            .sum()
+    }
+
+    #[test]
+    fn building_counter_tracks_every_transition() {
+        let c: Arc<LambdaCache<u32>> = Arc::new(LambdaCache::new(16));
+        assert_eq!(building(&c), 0);
+        // Claim -> publish, observed from inside the builder.
+        c.get_or_insert_with::<Infallible>(key(1), || {
+            assert_eq!(building(&c), 1);
+            Ok(Arc::new(1))
+        })
+        .unwrap();
+        assert_eq!(building(&c), 0);
+        // Claim -> failed build.
+        let _ = c.get_or_insert_with(key(2), || {
+            assert_eq!(building(&c), 1);
+            Err::<Arc<u32>, _>("boom")
+        });
+        assert_eq!(building(&c), 0);
+        // Claim -> panicking build (the guard vacates on unwind).
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _ = c.get_or_insert_with::<Infallible>(key(3), || panic!("compile exploded"));
+        }));
+        assert!(r.is_err());
+        assert_eq!(building(&c), 0);
+        // Wedged slot -> stall-vacate by a bounded waiter.
+        wedge(&c, &key(4));
+        assert_eq!(building(&c), 1);
+        let err = c.get_or_build::<&str>(key(4), || Ok(Arc::new(4)), Duration::from_millis(10));
+        assert!(matches!(err, Err(CacheError::Stalled { .. })));
+        assert_eq!(building(&c), 0);
+        // A stale generation resolving late moves nothing.
+        let stale = wedge(&c, &key(5));
+        assert!(c.vacate_if(&key(5), &stale));
+        assert!(!c.vacate_if(&key(5), &stale));
+        assert!(!c.install_if(&key(5), &stale, Arc::new(5)));
+        assert_eq!(building(&c), 0);
+        // Async tickets: finish, abandon, drop.
+        for resolve in 0..3 {
+            let Probe::Claimed(t) = c.begin_build(&key(6)) else {
+                panic!("vacant key must be claimable");
+            };
+            assert_eq!(building(&c), 1);
+            match resolve {
+                0 => drop(t),
+                1 => t.abandon(),
+                _ => assert!(t.finish(Arc::new(6))),
+            }
+            assert_eq!(building(&c), 0);
+        }
+        // `clear` keeps in-flight builds, and their count.
+        wedge(&c, &key(7));
+        c.clear();
+        assert_eq!((building(&c), c.len()), (1, 0));
+    }
+
+    #[test]
+    fn eviction_order_is_lru_among_ready_entries_only() {
+        // One shard of four slots (hashes ≡ 0 mod 8 at capacity 32).
+        let c: LambdaCache<u32> = LambdaCache::new(32);
+        let k = |n: u8| CacheKey::with_hash(TargetId::Mips, vec![n], u64::from(n) * 8);
+        for n in 0..4 {
+            c.get_or_insert_with::<Infallible>(k(n), || Ok(Arc::new(u32::from(n))))
+                .unwrap();
+        }
+        // Recency now: 2, 0, 3, 1 (oldest first).
+        for n in [2, 0, 3, 1] {
+            assert!(c.peek(&k(n)).is_some());
+        }
+        // Each publication evicts exactly the least recently used.
+        // (Survivors are not peeked: that would refresh their stamps.)
+        for (insert, evicted) in [(4u8, 2u8), (5, 0), (6, 3), (7, 1)] {
+            let before = c.stats().evictions;
+            c.get_or_insert_with::<Infallible>(k(insert), || Ok(Arc::new(0)))
+                .unwrap();
+            assert_eq!((c.len(), c.stats().evictions), (4, before + 1));
+            assert!(c.peek(&k(evicted)).is_none(), "{evicted} was the LRU");
+        }
+        assert_eq!(c.stats().evictions, 4);
+        // An in-flight build holds a slot but is never the victim: with
+        // one wedged, a publication evicts the oldest *ready* entry.
+        wedge(&c, &k(8));
+        c.get_or_insert_with::<Infallible>(k(9), || Ok(Arc::new(9)))
+            .unwrap();
+        assert_eq!(building(&c), 1);
+        assert_eq!(c.len(), 3);
+        assert!(c.peek(&k(9)).is_some());
     }
 
     #[test]

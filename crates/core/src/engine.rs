@@ -289,13 +289,13 @@ pub enum POp {
 /// Virtual registers `0..args` are the incoming arguments; higher
 /// indices are temporaries allocated from the target's register file at
 /// replay time. The serialized form ([`encode`](Self::encode)) is the
-/// content-addressed identity of the program: [`stream_hash`](Self::
-/// stream_hash) over it keys the lambda cache.
+/// content-addressed identity of the program: it (with the target id)
+/// keys the lambda cache.
 pub struct Program {
     args: usize,
     labels: u16,
     ops: Vec<POp>,
-    /// Memoized (serialized form, FNV-1a hash): computing the cache key
+    /// Memoized (serialized form, routing hash): computing the cache key
     /// must not cost O(program) on every warm lookup. Invalidated by
     /// every mutator; excluded from equality and cloning.
     encoded: OnceLock<(Arc<[u8]>, u64)>,
@@ -667,21 +667,23 @@ impl Program {
         })
     }
 
-    /// The memoized serialized form and its FNV-1a hash. First call
-    /// serializes; subsequent calls (until the next mutation) are O(1) —
-    /// this is what keeps warm cache lookups free of emission-scale work.
+    /// The memoized serialized form and its content hash, ready for
+    /// [`CacheKey::from_encoded`]. First call serializes and hashes (a
+    /// word at a time); subsequent calls (until the next mutation) are
+    /// O(1) — this is what keeps warm cache lookups free of
+    /// emission-scale work.
+    ///
+    /// The hash is the cache's *in-process routing* hash
+    /// (`cache::content_hash`): it picks a shard and a bucket
+    /// and is never written anywhere. On-disk identity (artifact names,
+    /// checksums) is [`fnv1a`] over the bytes, computed by the
+    /// persistent tier itself.
     pub fn encoded(&self) -> &(Arc<[u8]>, u64) {
         self.encoded.get_or_init(|| {
             let bytes: Arc<[u8]> = self.encode().into();
-            let hash = fnv1a(&bytes);
+            let hash = crate::cache::content_hash(&bytes);
             (bytes, hash)
         })
-    }
-
-    /// FNV-1a 64 hash of [`encode`](Self::encode) — the "vcode-stream
-    /// hash" that (with the target id) keys the lambda cache. Memoized.
-    pub fn stream_hash(&self) -> u64 {
-        self.encoded().1
     }
 
     /// A generous code-buffer size for replaying this program on any
@@ -1757,23 +1759,22 @@ impl Engine {
                     // the exact regression the cache_amortize fence
                     // caught once before (encoded() is memoized, so
                     // this costs nothing beyond the miss itself).
+                    let Some(l2) = self.l2.get() else {
+                        return Ok(self.tier_wrap(backend, prog, backend.compile(prog)?));
+                    };
                     let (bytes, hash) = prog.encoded();
                     let l2_key = CacheKey::from_encoded(id, Arc::clone(bytes), *hash);
                     // Probe the persistent tier first: a valid artifact
                     // skips compilation entirely; any PersistError is a
                     // counted, silent fallback to a fresh compile (a
                     // bad cache dir costs time, never correctness).
-                    if let Some(l2) = self.l2.get() {
-                        if let Ok(Some(base)) = crate::persist::CacheTier::load(&**l2, &l2_key) {
-                            return Ok(self.tier_wrap(backend, prog, base));
-                        }
+                    if let Ok(Some(base)) = crate::persist::CacheTier::load(&**l2, &l2_key) {
+                        return Ok(self.tier_wrap(backend, prog, base));
                     }
                     let base = backend.compile(prog)?;
-                    if let Some(l2) = self.l2.get() {
-                        // Store-through is best-effort: failure to
-                        // persist must never fail the compile.
-                        let _ = crate::persist::CacheTier::store(&**l2, &l2_key, &base);
-                    }
+                    // Store-through is best-effort: failure to persist
+                    // must never fail the compile.
+                    let _ = crate::persist::CacheTier::store(&**l2, &l2_key, &base);
                     Ok(self.tier_wrap(backend, prog, base))
                 },
                 self.cache.stall_timeout(),
@@ -2006,10 +2007,10 @@ mod tests {
     fn encode_is_deterministic_and_hash_content_addressed() {
         let p = sample();
         assert_eq!(p.encode(), p.encode());
-        assert_eq!(p.stream_hash(), p.stream_hash());
+        assert_eq!(p.encoded().1, p.clone().encoded().1);
         let mut q = sample();
         q.bin_imm(BinOp::Add, 4, 4, 0); // different stream
-        assert_ne!(p.stream_hash(), q.stream_hash());
+        assert_ne!(p.encoded().1, q.encoded().1);
     }
 
     #[test]

@@ -374,15 +374,23 @@ impl Artifact {
 /// emitters use it for fallthrough-shaped epilogue jumps). Returns the
 /// instruction count.
 ///
+/// This is most of an L2 load, so the walk keeps its bookkeeping
+/// proportional to the work: boundaries are one bit per code offset
+/// (offsets are dense and bounded by `code.len()`), and the decoder is a
+/// type parameter, so a caller holding a concrete decoder gets it
+/// inlined into the loop (`&dyn InsnDecoder` still works: `D` is then
+/// the trait object).
+///
 /// # Errors
 ///
 /// [`PersistError::Revalidation`] describing the first offset at which
 /// the bytes stop looking like code this build's emitters produce.
-pub fn redecode(code: &[u8], dec: &dyn InsnDecoder) -> Result<u64, PersistError> {
+pub fn redecode<D: InsnDecoder + ?Sized>(code: &[u8], dec: &D) -> Result<u64, PersistError> {
     if code.is_empty() {
         return Err(PersistError::Revalidation("empty code buffer".into()));
     }
-    let mut boundaries = std::collections::HashSet::new();
+    // Bit `o` set: offset `o` starts an instruction (or is the buffer end).
+    let mut boundaries = vec![0u64; code.len() / 64 + 1];
     let mut targets: Vec<(usize, i64)> = Vec::new();
     let mut at = 0usize;
     let mut n = 0u64;
@@ -395,7 +403,7 @@ pub fn redecode(code: &[u8], dec: &dyn InsnDecoder) -> Result<u64, PersistError>
                 "zero-length decode at offset {at}"
             )));
         }
-        boundaries.insert(at as i64);
+        boundaries[at / 64] |= 1 << (at % 64);
         if d.control {
             if let Some(t) = d.target {
                 targets.push((at, t));
@@ -410,9 +418,14 @@ pub fn redecode(code: &[u8], dec: &dyn InsnDecoder) -> Result<u64, PersistError>
         }
         n += 1;
     }
-    boundaries.insert(code.len() as i64);
+    boundaries[code.len() / 64] |= 1 << (code.len() % 64);
     for (from, t) in targets {
-        if t < 0 || !boundaries.contains(&t) {
+        let on_boundary = usize::try_from(t).is_ok_and(|t| {
+            boundaries
+                .get(t / 64)
+                .is_some_and(|w| w >> (t % 64) & 1 == 1)
+        });
+        if !on_boundary {
             return Err(PersistError::Revalidation(format!(
                 "branch at offset {from} targets non-boundary offset {t}"
             )));

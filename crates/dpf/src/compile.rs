@@ -38,6 +38,8 @@ const LINEAR_MAX: usize = 4;
 /// Above this arm count a sparse set uses hashing instead of a branch
 /// tree.
 const HASH_MIN: usize = 16;
+/// Multipliers [`Cg::gen_hash`] draws before giving up on a perfect hash.
+const HASH_TRIES: u32 = 10_000;
 
 /// Dispatch-strategy usage counts (for tests and the ablation bench).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -507,27 +509,24 @@ impl<'m> Cg<'m> {
         let bits = usize::BITS - (2 * n - 1).leading_zeros();
         let slots = 1usize << bits;
         // Select a multiplier that is collision-free on the key set.
-        let mult = 'found: {
-            for _ in 0..10_000 {
-                let m = (self.rng.next_u64() as u32) | 1;
-                let mut seen = vec![false; slots];
-                let mut ok = true;
-                for &(v, _) in vals {
-                    let slot = (v.wrapping_mul(m) >> (32 - bits)) as usize;
-                    if seen[slot] {
-                        ok = false;
-                        break;
-                    }
-                    seen[slot] = true;
-                }
-                if ok {
-                    break 'found Some(m);
-                }
-            }
+        let mult = if perfect_hash_is_hopeless(n, slots) {
             None
+        } else {
+            let mut seen = vec![false; slots];
+            (0..HASH_TRIES).find_map(|_| {
+                let m = (self.rng.next_u64() as u32) | 1;
+                seen.fill(false);
+                vals.iter()
+                    .all(|&(v, _)| {
+                        let slot = (v.wrapping_mul(m) >> (32 - bits)) as usize;
+                        !std::mem::replace(&mut seen[slot], true)
+                    })
+                    .then_some(m)
+            })
         };
         let Some(mult) = mult else {
-            // No perfect hash found (vanishingly unlikely): fall back.
+            // No perfect multiplier (none looked for, or an unlucky
+            // search near the bound): dispatch through the branch tree.
             self.strategies.hash -= 1;
             self.strategies.bst += 1;
             let mut sw: Vec<(u32, Label)> =
@@ -593,15 +592,30 @@ impl<'m> Cg<'m> {
     }
 }
 
+/// Whether [`Cg::gen_hash`] should not even look for a perfect
+/// multiplier. A random multiplier scatters `n` keys over `slots` cells
+/// without a collision with probability about exp(-n²/(2·slots)) (the
+/// birthday bound): ~2 % at 16 keys in 32 slots, e⁻¹⁶ at 64 keys in 128.
+/// When not even one of [`HASH_TRIES`] draws is expected to succeed, the
+/// search is skipped instead of run to exhaustion.
+fn perfect_hash_is_hopeless(n: usize, slots: usize) -> bool {
+    (n * n) as f64 / (2 * slots) as f64 > f64::from(HASH_TRIES).ln()
+}
+
 /// Compiles a merged trie into native code.
 ///
 /// # Errors
 ///
 /// [`CompileError`] on code-generation or mapping failure.
 pub fn compile(root: &Level, opts: Options) -> Result<CompiledSet, CompileError> {
-    // Size the mapping generously: trie nodes each cost tens of bytes.
+    // Size the mapping generously: a node's field load and bounds check
+    // cost tens of bytes, and so does each arm (a dispatch compare plus
+    // its leaf: 35-40 bytes through the branch tree, measured up to 4096
+    // arms). Counting arms matters: a 1024-port set is five nodes.
     // An explicit code_capacity overrides the estimate (harness knob).
-    let est = opts.code_capacity.unwrap_or(4096 + root.node_count() * 512);
+    let est = opts
+        .code_capacity
+        .unwrap_or(4096 + root.node_count() * 512 + root.arm_count() * 64);
     let mut mem = ExecMem::new(est).map_err(CompileError::Exec)?;
     // The mapping rounds up to whole pages; honor a sub-page capacity
     // override by handing the assembler only the requested prefix.
@@ -656,7 +670,10 @@ pub fn compile(root: &Level, opts: Options) -> Result<CompiledSet, CompileError>
     } = cg;
     let vcode_insns = a.insn_count();
     let fin = a.end()?;
-    let code = mem.finalize().map_err(CompileError::Exec)?;
+    // Everything stored into `mem` went through the assembler.
+    let code = mem
+        .finalize_written(fin.len + vcode::buf::MAX_OVERSTORE)
+        .map_err(CompileError::Exec)?;
     // Resolve dispatch-table entries now that label addresses are known.
     for (ti, idx, label) in table_fills {
         let off = fin
@@ -683,4 +700,28 @@ pub fn compile(root: &Level, opts: Options) -> Result<CompiledSet, CompileError>
         code_len: fin.len,
         vcode_insns,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn slots_for(n: usize) -> usize {
+        1 << (usize::BITS - (2 * n - 1).leading_zeros())
+    }
+
+    #[test]
+    fn hash_search_is_skipped_only_where_it_cannot_succeed() {
+        // Every key count the 33-filter workloads (and anything up to 40
+        // keys) can present keeps its search: their code must not change.
+        for n in HASH_MIN..=40 {
+            assert!(!perfect_hash_is_hopeless(n, slots_for(n)), "n = {n}");
+        }
+        // 64 keys in 128 slots: e⁻¹⁶ per draw, 10 000 draws.
+        assert!(perfect_hash_is_hopeless(64, slots_for(64)));
+        // Right above a power of two the table doubles and the search
+        // is worth running again.
+        assert!(!perfect_hash_is_hopeless(65, slots_for(65)));
+        assert!(perfect_hash_is_hopeless(1024, slots_for(1024)));
+    }
 }

@@ -182,6 +182,21 @@ impl Level {
             })
             .sum()
     }
+
+    /// Number of dispatch arms in the (sub)trie. A wide node is one node
+    /// however many arms it has, and an arm that ends in an accepting
+    /// leaf adds no node at all — but each arm is a compare in its
+    /// node's dispatch plus a leaf body in the generated code.
+    pub fn arm_count(&self) -> usize {
+        self.nodes
+            .iter()
+            .map(|n| {
+                n.arms.len()
+                    + n.arms.iter().map(|a| a.next.arm_count()).sum::<usize>()
+                    + n.next.as_ref().map_or(0, |l| l.arm_count())
+            })
+            .sum()
+    }
 }
 
 /// Builds the merged trie for a resident filter set.
@@ -210,6 +225,7 @@ mod tests {
         // 4 shared prefix nodes + 1 port-dispatch node = 5 nodes total,
         // not 10 × 5.
         assert_eq!(trie.node_count(), 5);
+        assert_eq!(trie.arm_count(), 4 + 10);
         // The port node has 10 arms.
         fn port_node_arms(l: &Level) -> Option<usize> {
             for n in &l.nodes {

@@ -632,3 +632,99 @@ fn async_herd_compiles_once_and_everyone_serves() {
         );
     }
 }
+
+/// Seeded sparse port sets of the sizes the benchmark sweeps, compiled
+/// the way it compiles them: `compile` itself, default options, no
+/// retry ladder behind it.
+fn sparse_port_set(n: usize) -> (Vec<u16>, Vec<(u32, Filter)>) {
+    let mut rng = XorShift::new(0x5eeb_0000 + n as u64);
+    let mut ports = std::collections::BTreeSet::new();
+    while ports.len() < n {
+        ports.insert(rng.range(1024, 65_000) as u16);
+    }
+    let ports: Vec<u16> = ports.into_iter().collect();
+    let filters = ports
+        .iter()
+        .enumerate()
+        .map(|(i, &p)| (i as u32, packet::tcp_port_filter(0x0a00_0002, p).unwrap()))
+        .collect();
+    (ports, filters)
+}
+
+/// Sets of 256 filters and more never compiled natively: five trie
+/// nodes sized a 6.5 KB buffer for 9-36 KB of code, and the overflow
+/// then reported itself as `FixupOutOfRange`, which no retry ladder
+/// keys on. The estimate counts arms now, so the first attempt fits.
+#[test]
+fn large_sparse_sets_compile_native_on_the_first_attempt() {
+    for n in [256usize, 512, 1024] {
+        let (ports, filters) = sparse_port_set(n);
+        let set = dpf::compile::compile(&dpf::trie::build(&filters), dpf::Options::default())
+            .unwrap_or_else(|e| panic!("f{n} must compile native: {e}"));
+        for (i, &p) in ports.iter().enumerate() {
+            let msg = packet::build(&PacketSpec {
+                dst_port: p,
+                ..PacketSpec::default()
+            });
+            assert_eq!(set.classify(&msg), Some(i as u32), "f{n} port {p}");
+        }
+    }
+}
+
+/// A buffer too small for the set must fail as `Overflow` (what
+/// `compile_with_retry` doubles on), whatever the assembler was doing
+/// when it ran out — including recording a fixup past the frozen cursor.
+#[test]
+fn undersized_buffer_reports_overflow_not_a_fixup_error() {
+    let (_, filters) = sparse_port_set(256);
+    let root = dpf::trie::build(&filters);
+    for cap in [64usize, 1024, 4096, 6656] {
+        let opts = dpf::Options {
+            code_capacity: Some(cap),
+            ..dpf::Options::default()
+        };
+        match dpf::compile::compile(&root, opts) {
+            Err(dpf::CompileError::Codegen(vcode::Error::Overflow { capacity })) => {
+                assert_eq!(capacity, cap);
+            }
+            other => panic!("capacity {cap}: expected Overflow, got {other:?}"),
+        }
+    }
+    // And the ladder then fires: a Dpf pinned to half the needed room
+    // comes back native from the doubled retry.
+    let mut dpf = Dpf::with_options(dpf::Options {
+        code_capacity: Some(8192),
+        ..dpf::Options::default()
+    });
+    for (_, f) in &filters {
+        dpf.insert(f.clone());
+    }
+    dpf.compile().unwrap();
+    assert_eq!(dpf.engine(), Some(dpf::EngineKind::Native));
+}
+
+/// The perfect-hash search is skipped only where it is hopeless: up to
+/// 40 keys it runs as before (same draws, so the same multiplier and the
+/// same code); at 64 keys in 128 slots the set takes the branch tree it
+/// always ended up with (without the 10 000 futile tries first — the
+/// policy itself is unit-tested beside `gen_hash`).
+#[test]
+fn perfect_hash_search_runs_where_it_can_succeed() {
+    for n in [16usize, 33, 40] {
+        let (_, filters) = sparse_port_set(n);
+        let set =
+            dpf::compile::compile(&dpf::trie::build(&filters), dpf::Options::default()).unwrap();
+        assert_eq!(set.strategies.hash, 1, "f{n}: {:?}", set.strategies);
+    }
+    let (ports, filters) = sparse_port_set(64);
+    let root = dpf::trie::build(&filters);
+    let set = dpf::compile::compile(&root, dpf::Options::default()).unwrap();
+    assert_eq!((set.strategies.hash, set.strategies.bst), (0, 1));
+    for (i, &p) in ports.iter().enumerate() {
+        let msg = packet::build(&PacketSpec {
+            dst_port: p,
+            ..PacketSpec::default()
+        });
+        assert_eq!(set.classify(&msg), Some(i as u32), "port {p}");
+    }
+}

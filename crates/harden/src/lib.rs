@@ -22,6 +22,53 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+/// Engine programs over the regression corpus' operand values
+/// ([`vcode::regress`]): every binary op in register and immediate
+/// form, every unary op, and every condition as a register branch and an
+/// immediate branch inside a counted loop — the images an engine stores
+/// through to its L2, for tests that need real code on all four
+/// backends.
+pub fn regress_programs() -> Vec<vcode::engine::Program> {
+    use vcode::engine::Program;
+    use vcode::{regress, BinOp, Cond, Ty, UnOp};
+    let mut out = Vec::new();
+    let new = |args| Program::new(args).expect("at most four arguments");
+    let cases = regress::binop_cases(32, 1, 0x7ed0);
+    for c in cases.iter().filter(|c| c.ty == Ty::I) {
+        let mut p = new(2);
+        p.bin(c.op, 2, 0, 1);
+        if !matches!(c.op, BinOp::Div | BinOp::Mod) || c.b as i32 != 0 {
+            p.bin_imm(c.op, 2, 2, c.b as i32);
+        }
+        p.ret(2);
+        out.push(p);
+    }
+    for c in regress::unop_cases(32).iter().filter(|c| c.ty == Ty::I) {
+        let mut p = new(1);
+        p.un(c.op, 1, 0);
+        p.un(UnOp::Mov, 2, 1);
+        p.ret(2);
+        out.push(p);
+    }
+    for c in regress::branch_cases(32).iter().filter(|c| c.ty == Ty::I) {
+        let mut p = new(2);
+        let (top, taken, join) = (p.genlabel(), p.genlabel(), p.genlabel());
+        p.set(2, 3);
+        p.label(top);
+        p.br(c.cond, 0, 1, taken);
+        p.br_imm(c.cond, 0, c.b as i32, taken);
+        p.bin_imm(BinOp::Sub, 2, 2, 1);
+        p.br_imm(Cond::Gt, 2, 0, top);
+        p.jmp(join);
+        p.label(taken);
+        p.set(2, 1);
+        p.label(join);
+        p.ret(2);
+        out.push(p);
+    }
+    out
+}
+
 /// One injected behavior for a background build attempt (the compile
 /// service's fault corpus).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

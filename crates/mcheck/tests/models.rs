@@ -100,6 +100,35 @@ fn mutation_targets_are_clean_on_trunk() {
         .assert_ok();
 }
 
+/// `Build::wake` notifies only when a waiter registered (under the
+/// mutex `done` flips under). If that gate could lose a wakeup — a
+/// waiter that checked `done`, was not yet counted, and then slept —
+/// some interleaving here would park it until its stall timeout
+/// (`cache_notify_wakes_waiters` turns that into a violation) or let a
+/// second builder in (`cache_exactly_one_build`). The three cache
+/// programs are small enough to explore *to completion*, so "no
+/// violation" covers every interleaving, not a budget's worth.
+#[test]
+fn cache_models_explore_to_completion_with_waiter_gated_notify() {
+    let cache_programs: [(&str, fn()); 3] = [
+        ("cache_exactly_one_build", programs::cache_exactly_one_build),
+        ("cache_stalled_path", programs::cache_stalled_path),
+        (
+            "cache_notify_wakes_waiters",
+            programs::cache_notify_wakes_waiters,
+        ),
+    ];
+    for (name, f) in cache_programs {
+        let report = Explorer::new().exhaustive(50_000, f);
+        assert!(
+            report.complete,
+            "{name}: {} interleavings and still not exhausted",
+            report.executions
+        );
+        report.assert_ok();
+    }
+}
+
 /// Checker teeth, mutation 3: handing out a persistence claim without
 /// recording it ([`Injection::PersistClaimRace`]) lets both racing
 /// writers win the single-writer slot and publish — the model must

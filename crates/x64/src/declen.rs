@@ -51,6 +51,7 @@ fn rel32_target(code: &[u8], field: usize, next: usize) -> Option<i64> {
 }
 
 impl InsnDecoder for Decoder {
+    #[inline]
     fn decode(&self, code: &[u8], at: usize) -> Option<DecodedInsn> {
         let bytes = code.get(at..)?;
         let mut i = 0;

@@ -28,6 +28,15 @@
 //! list. [`ExecMem::new`] adopts a parked mapping with *no syscalls at
 //! all*, and only maps fresh memory on a pool miss.
 //!
+//! The invariant is **a parked mapping is all zero**. Storage is handed
+//! out zeroed, so restoring it means zeroing what was stored since: the
+//! whole region, unless the owner can bound its writes. A caller that
+//! emitted through an assembler can ([`ExecMem::finalize_written`]: the
+//! finished length plus [`vcode::buf::MAX_OVERSTORE`]) and parks by
+//! scrubbing that dirty prefix alone — a 1 KB lambda in an 8 KB mapping
+//! never touches the second page. Everyone else ([`ExecMem::finalize`],
+//! an `ExecMem` dropped unfinished) keeps the full scrub.
+//!
 //! The dual mapping is what makes the whole steady-state lifecycle
 //! (adopt → emit → finalize → execute → park) syscall-free, and that is
 //! a multi-core scaling fact, not just a latency one: the classic
@@ -327,16 +336,29 @@ fn pool_take(len: usize) -> Option<(*mut u8, *mut u8, *mut u8)> {
 /// (`add [rax], al`) and faults rather than running old code — and
 /// costs no syscall. Never fails.
 ///
+/// `dirty` bounds what was stored into the region since it was handed
+/// out zeroed: bytes at or past it are still zero, so zeroing
+/// `..dirty` leaves the whole region zero (`len` when the owner cannot
+/// say; debug builds check the claim).
+///
 /// # Safety
 ///
 /// `map`/`rw`/`len` must describe a region from [`map_dual`] owned by
 /// the caller, with no live references into either view.
-unsafe fn pool_put(map: *mut u8, rw: *mut u8, len: usize) {
+unsafe fn pool_put(map: *mut u8, rw: *mut u8, len: usize, dirty: usize) {
     if pooled(len) {
+        let dirty = dirty.min(len);
         // SAFETY: the caller owns the region; the write alias is always
-        // read+write. Scrub the stale code now so adoption can hand the
-        // region out as-is.
-        unsafe { rw.write_bytes(0, len) };
+        // read+write and `dirty <= len`. Scrub the stale code now so
+        // adoption can hand the region out as-is.
+        unsafe { rw.write_bytes(0, dirty) };
+        debug_assert!(
+            // SAFETY: same region, read through the alias we just wrote.
+            unsafe { std::slice::from_raw_parts(rw, len) }
+                .iter()
+                .all(|&b| b == 0),
+            "a parked mapping must be all zero: writes went past the claimed {dirty} bytes"
+        );
         let mut shard = POOL[my_shard()].lock().unwrap_or_else(|e| e.into_inner());
         let class = &mut shard.classes[class_of(len / PAGE)];
         if class.len() < RETAIN_PER_CLASS {
@@ -535,17 +557,42 @@ impl ExecMem {
     /// written through the alias are fetchable at [`addr`](Self::addr)
     /// with no explicit flush.
     ///
+    /// The caller may have written anywhere in the region, so the code
+    /// parks with a scrub of all of it; see
+    /// [`finalize_written`](Self::finalize_written).
+    ///
     /// # Errors
     ///
     /// Infallible today; the `Result` is kept so a future target (or a
     /// hardening mode that seals the alias) can fail here without an API
     /// break.
     pub fn finalize(self) -> io::Result<ExecCode> {
+        let len = self.len;
+        self.finalize_written(len)
+    }
+
+    /// [`finalize`](Self::finalize) for a caller that can bound its
+    /// writes: nothing was stored through
+    /// [`as_mut_slice`](Self::as_mut_slice) at or past offset `written`
+    /// since this storage was obtained. When the code is dropped, parking
+    /// scrubs only that dirty prefix (see the module docs). For code
+    /// emitted by an assembler the bound is the finished length plus
+    /// [`vcode::buf::MAX_OVERSTORE`]; after
+    /// [`adopt_bytes`](Self::adopt_bytes) it is the image length. A
+    /// bound that is too low leaves stale bytes in a parked mapping (a
+    /// debug build panics at the drop that would have parked them); one
+    /// that is too high only costs scrub time.
+    ///
+    /// # Errors
+    ///
+    /// As [`finalize`](Self::finalize).
+    pub fn finalize_written(self, written: usize) -> io::Result<ExecCode> {
         let code = ExecCode {
             map: self.map,
             ptr: self.ptr,
             rw: self.rw,
             len: self.len,
+            dirty: written,
             pins: Arc::new(Mutex::new(PinInner {
                 count: 0,
                 orphaned: false,
@@ -560,8 +607,9 @@ impl Drop for ExecMem {
     fn drop(&mut self) {
         // SAFETY: releasing a region we own (both views) with no
         // outstanding references; errors are ignorable here
-        // (C-DTOR-FAIL) — `pool_put` degrades to unmapping.
-        unsafe { pool_put(self.map, self.rw, self.len) };
+        // (C-DTOR-FAIL) — `pool_put` degrades to unmapping. Whoever held
+        // `as_mut_slice` may have written anywhere: scrub it all.
+        unsafe { pool_put(self.map, self.rw, self.len, self.len) };
     }
 }
 
@@ -601,6 +649,9 @@ pub struct ExecCode {
     rw: *mut u8,
     /// Length of the executable region (guards excluded).
     len: usize,
+    /// Nothing at or past this offset was written since the region was
+    /// handed out zeroed: what parking has to scrub.
+    dirty: usize,
     /// Shared pin state; release of the mapping is deferred to the last
     /// pin when any are outstanding at drop.
     pins: Arc<Mutex<PinInner>>,
@@ -632,6 +683,8 @@ pub struct CodePin {
     addr: u64,
     /// Executable-region length (guards excluded).
     len: usize,
+    /// The owning `ExecCode`'s dirty bound, for the release.
+    dirty: usize,
     state: Arc<Mutex<PinInner>>,
 }
 
@@ -663,6 +716,7 @@ impl Clone for CodePin {
             rw: self.rw,
             addr: self.addr,
             len: self.len,
+            dirty: self.dirty,
             state: Arc::clone(&self.state),
         }
     }
@@ -678,7 +732,14 @@ impl Drop for CodePin {
         if release {
             // SAFETY: the owning `ExecCode` is gone (orphaned) and this
             // was the last pin, so nothing references the region.
-            unsafe { pool_put(self.map as *mut u8, self.rw as *mut u8, self.len) };
+            unsafe {
+                pool_put(
+                    self.map as *mut u8,
+                    self.rw as *mut u8,
+                    self.len,
+                    self.dirty,
+                )
+            };
         }
     }
 }
@@ -803,6 +864,7 @@ impl ExecCode {
             rw: self.rw as usize,
             addr: self.ptr as u64,
             len: self.len,
+            dirty: self.dirty,
             state: Arc::clone(&self.pins),
         }
     }
@@ -825,7 +887,7 @@ impl Drop for ExecCode {
             // through the write alias, so a use-after-drop call runs
             // into zeros and faults (see `pool_put`) rather than
             // executing stale code.
-            unsafe { pool_put(self.map, self.rw, self.len) };
+            unsafe { pool_put(self.map, self.rw, self.len, self.dirty) };
         }
         // Otherwise the last CodePin releases the mapping.
     }
@@ -917,6 +979,25 @@ mod tests {
         assert_eq!(mem.addr(), first_addr);
         assert!(after.hits > before.hits);
         assert!(after.parked > before.parked);
+        assert!(mem.as_mut_slice().iter().all(|&b| b == 0));
+        // Finalized code parks the same way whatever it says it wrote:
+        // a bounded claim scrubs that prefix, no claim scrubs it all,
+        // and either way the whole mapping comes back zero.
+        for written in [0, 1, 100, PAGE - 1, PAGE, PAGE + 1, 4 * PAGE, usize::MAX] {
+            let dirtied = written.min(4 * PAGE);
+            mem.as_mut_slice()[..dirtied].fill(0xcc);
+            drop(mem.finalize_written(written).unwrap());
+            mem = ExecMem::new(4 * PAGE).unwrap();
+            assert_eq!(mem.addr(), first_addr);
+            assert!(
+                mem.as_mut_slice().iter().all(|&b| b == 0),
+                "stale bytes survived parking after finalize_written({written})"
+            );
+        }
+        mem.as_mut_slice().fill(0xcc);
+        drop(mem.finalize().unwrap());
+        let mut mem = ExecMem::new(4 * PAGE).unwrap();
+        assert_eq!(mem.addr(), first_addr);
         assert!(mem.as_mut_slice().iter().all(|&b| b == 0));
     }
 

@@ -964,7 +964,7 @@ impl Backend for X64Backend {
             .map_err(|e| EngineError::Exec(format!("exec mmap: {e}")))?;
         let fin = vcode::engine::replay::<X64>(prog, mem.as_mut_slice())?;
         let code = mem
-            .finalize()
+            .finalize_written(fin.len + vcode::buf::MAX_OVERSTORE)
             .map_err(|e| EngineError::Exec(format!("exec seal: {e}")))?;
         Ok(std::sync::Arc::new(NativeLambda {
             code,
@@ -980,7 +980,7 @@ impl Backend for X64Backend {
             .map_err(|e| EngineError::Exec(format!("exec mmap: {e}")))?;
         let fin = vcode::tier2::replay_opt::<X64>(&opt, mem.as_mut_slice())?;
         let code = mem
-            .finalize()
+            .finalize_written(fin.len + vcode::buf::MAX_OVERSTORE)
             .map_err(|e| EngineError::Exec(format!("exec seal: {e}")))?;
         Ok(std::sync::Arc::new(NativeLambda {
             code,
@@ -1002,7 +1002,7 @@ impl Backend for X64Backend {
         let mem = ExecMem::adopt_bytes(&artifact.code)
             .map_err(|e| EngineError::Exec(format!("exec mmap: {e}")))?;
         let code = mem
-            .finalize()
+            .finalize_written(artifact.code.len())
             .map_err(|e| EngineError::Exec(format!("exec seal: {e}")))?;
         Ok(std::sync::Arc::new(NativeLambda {
             code,

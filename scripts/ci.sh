@@ -17,6 +17,17 @@ cargo build --release --offline
 echo "== tests =="
 cargo test -q --workspace --offline
 
+echo "== benchmark smoke (frozen stable surface) =="
+# benchmark/ is a package of its own (not a workspace member) that calls
+# the product through its public surface — persist::redecode,
+# CacheKey::from_encoded, engine::fnv1a, ExecMem::{new,adopt_bytes,
+# finalize}, LambdaCache::{get,peek,get_or_insert_with}, ... — and a PR
+# that claims a gain may not edit it. Its smoke test runs every workload
+# for 50 ms, traced and untraced, and checks every declared metric, so a
+# product change that breaks that surface fails here, not in the
+# pipeline that measures the PR.
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+
 echo "== unsafe audit (SAFETY-comment gate) =="
 # Every `unsafe` block/fn/impl in the workspace must carry a written
 # justification; see scripts/unsafe_audit.sh.
