@@ -12,38 +12,36 @@ use std::fmt;
 use std::sync::{Arc, OnceLock};
 use vcode::target::Leaf;
 use vcode::{
-    Assembler, CacheError, CacheKey, CacheStats, CompileService, LambdaCache, RegClass, ServeMode,
-    ServiceConfig, Submit, TargetId,
+    Assembler, CacheError, CacheKey, CacheStats, CodeStack, CompileService, RegClass, ServeMode,
+    TargetId, L2,
 };
 use vcode_x64::{ExecCode, ExecMem, X64};
 
-/// The process-wide cache of fused kernels, keyed by the pipeline
+/// The process-wide [`CodeStack`] of fused kernels, keyed by the pipeline
 /// *shape*: the generated loop depends only on which steps are present
 /// and the unroll factor, so layers composing the same shape across many
 /// message flows share one compiled kernel.
-fn kernel_cache() -> &'static Arc<LambdaCache<NativeCode>> {
-    static CACHE: OnceLock<Arc<LambdaCache<NativeCode>>> = OnceLock::new();
-    CACHE.get_or_init(|| Arc::new(LambdaCache::new(16)))
+fn stack() -> &'static CodeStack<NativeCode> {
+    static STACK: OnceLock<CodeStack<NativeCode>> = OnceLock::new();
+    STACK.get_or_init(|| CodeStack::new(16))
 }
 
 /// The process-wide background compile service over the kernel cache:
 /// [`Pipeline::compile_async`] hands codegen to it and runs the scalar
 /// interpreter until the fused kernel publishes.
 pub fn kernel_service() -> &'static CompileService<NativeCode> {
-    static SERVICE: OnceLock<CompileService<NativeCode>> = OnceLock::new();
-    SERVICE
-        .get_or_init(|| CompileService::new(Arc::clone(kernel_cache()), ServiceConfig::default()))
+    stack().service()
 }
 
 /// Counters for the process-wide kernel cache.
 pub fn cache_stats() -> CacheStats {
-    kernel_cache().stats()
+    stack().cache().stats()
 }
 
 /// Drops every cached kernel (live pipelines keep theirs). Benchmarks
 /// use this to measure cold compiles.
 pub fn clear_cache() {
-    kernel_cache().clear();
+    stack().cache().clear();
 }
 
 impl NativeCode {
@@ -56,9 +54,12 @@ impl NativeCode {
     /// pooled dual-mapped executable memory and are sealed before the
     /// entry pointer is formed. Callers must have revalidated `bytes`
     /// (differential re-decode) first.
-    fn adopt(bytes: &[u8], vcode_insns: u64) -> Result<NativeCode, PipelineError> {
-        let mem = ExecMem::adopt_bytes(bytes).map_err(PipelineError::Exec)?;
-        let code = mem.finalize().map_err(PipelineError::Exec)?;
+    ///
+    /// Fails only for want of executable memory — an `io::Error`, never
+    /// the artifact's fault.
+    fn adopt(bytes: &[u8], vcode_insns: u64) -> std::io::Result<NativeCode> {
+        let mem = ExecMem::adopt_bytes(bytes)?;
+        let code = mem.finalize()?;
         // SAFETY: the bytes round-tripped through the artifact envelope
         // (checksum + differential re-decode) from a kernel this same
         // generator produced, so the entry has the declared C ABI.
@@ -100,47 +101,37 @@ impl vcode::ArtifactCodec<NativeCode> for KernelCodec {
         artifact: &vcode::Artifact,
     ) -> Result<Arc<NativeCode>, vcode::PersistError> {
         vcode::persist::redecode(&artifact.code, &vcode_x64::declen::Decoder)?;
-        let native = NativeCode::adopt(&artifact.code, artifact.insns)
-            .map_err(|e| vcode::PersistError::Revalidation(e.to_string()))?;
-        Ok(Arc::new(native))
+        // An `io::Error` here is `PersistError::Io`: the artifact is kept.
+        Ok(Arc::new(NativeCode::adopt(&artifact.code, artifact.insns)?))
     }
 }
 
-fn persist_slot() -> &'static OnceLock<Arc<vcode::DiskTier<NativeCode>>> {
-    static TIER: OnceLock<Arc<vcode::DiskTier<NativeCode>>> = OnceLock::new();
-    &TIER
-}
-
 /// Attaches a persistent L2 tier for fused kernels under `dir`: cache
-/// misses in [`Pipeline::compile`] probe the disk tier before
-/// generating code, and successful compiles store through. First call
-/// wins (`false` afterwards).
+/// misses — [`Pipeline::compile`] on the calling thread,
+/// [`Pipeline::compile_async`] on a service worker — probe the disk
+/// tier before generating code, and successful compiles store through.
+/// First call wins (`false` afterwards).
 ///
 /// # Errors
 ///
 /// [`vcode::PersistError::Io`] when the directory cannot be created.
 pub fn enable_persist(dir: impl Into<std::path::PathBuf>) -> Result<bool, vcode::PersistError> {
-    let tier = vcode::DiskTier::new(dir, Box::new(KernelCodec))?;
-    Ok(persist_slot().set(Arc::new(tier)).is_ok())
+    stack().enable_persist(dir, Box::new(KernelCodec))
 }
 
 /// The kernel persistent tier, if [`enable_persist`] was called.
 pub fn persist_tier() -> Option<&'static Arc<vcode::DiskTier<NativeCode>>> {
-    persist_slot().get()
+    stack().persist_tier()
 }
 
-/// Probes the persistent tier for `key`; any [`vcode::PersistError`] is
-/// a counted, silent miss (fresh codegen follows).
-fn l2_load(key: &CacheKey) -> Option<Arc<NativeCode>> {
-    let tier = persist_tier()?;
-    vcode::CacheTier::load(&**tier, key).ok().flatten()
-}
-
-/// Best-effort store-through to the persistent tier.
-fn l2_store(key: &CacheKey, native: &Arc<NativeCode>) {
-    if let Some(tier) = persist_tier() {
-        let _ = vcode::CacheTier::store(&**tier, key, native);
-    }
+/// The one miss function every kernel build hands the stack (lent the
+/// steps by [`Pipeline::compile`], a copy by the async path): a valid
+/// persisted artifact skips codegen; fresh kernels store through.
+fn kernel_miss(
+    steps: impl AsRef<[Step]>,
+    opts: PipelineOptions,
+) -> impl FnOnce(L2<'_, NativeCode>) -> Result<Arc<NativeCode>, PipelineError> {
+    move |l2| l2.or_build(|| Pipeline::native_with_retry(steps.as_ref(), opts).map(Arc::new))
 }
 
 /// Which engine a [`Pipeline`] runs on.
@@ -332,24 +323,8 @@ impl Pipeline {
         let native = if opts.code_capacity.is_some() {
             Self::native_with_retry(steps, opts).map(Arc::new)
         } else {
-            let key = Self::cache_key(steps, opts);
-            let l2_key = key.clone();
-            kernel_cache()
-                .get_or_build(
-                    key,
-                    || {
-                        // L1 missed: a valid persisted artifact (L2)
-                        // skips codegen entirely; fresh kernels store
-                        // through best-effort.
-                        if let Some(native) = l2_load(&l2_key) {
-                            return Ok(native);
-                        }
-                        let native = Self::native_with_retry(steps, opts).map(Arc::new)?;
-                        l2_store(&l2_key, &native);
-                        Ok(native)
-                    },
-                    kernel_cache().stall_timeout(),
-                )
+            stack()
+                .get_or_build(&Self::cache_key(steps, opts), kernel_miss(steps, opts))
                 .map_err(|e| match e {
                     CacheError::Build(e) => e,
                     CacheError::Stalled { .. } => PipelineError::Stalled,
@@ -398,19 +373,11 @@ impl Pipeline {
             return (Self::from_native(native, steps), mode);
         }
         let key = Self::cache_key(steps, opts);
+        // The worker outlives this call: it gets its own copy of the steps.
         let to_build = steps.to_vec();
-        let submit = kernel_service().submit(key.clone(), move || {
-            Self::native_with_retry(&to_build, opts)
-                .map(Arc::new)
-                .map_err(|e| e.to_string())
-        });
-        let mode = match submit {
-            Submit::Ready(nc) => return (Self::from_native(Ok(nc), steps), ServeMode::Native),
-            Submit::Queued | Submit::InFlight => ServeMode::Building,
-            Submit::Shed => ServeMode::Shed,
-            Submit::Quarantined { retry_in, failures } => {
-                ServeMode::Quarantined { retry_in, failures }
-            }
+        let mode = match stack().submit(&key, kernel_miss(to_build, opts)).served() {
+            Ok(nc) => return (Self::from_native(Ok(nc), steps), ServeMode::Native),
+            Err(mode) => mode,
         };
         let pipeline = Pipeline {
             engine: Engine::Interpreter,
@@ -433,7 +400,7 @@ impl Pipeline {
         let Some(key) = self.pending.as_ref() else {
             return false;
         };
-        match kernel_cache().peek(key) {
+        match stack().poll(key) {
             Some(nc) => {
                 self.code_len = nc.code_len;
                 self.vcode_insns = nc.vcode_insns;

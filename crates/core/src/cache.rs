@@ -555,6 +555,8 @@ impl<V: ?Sized> LambdaCache<V> {
     /// point. On [`CacheError::Stalled`] the stuck `Building` slot has
     /// already been vacated, so a later retry can compile.
     ///
+    /// Pass the key by reference and a hit clones nothing.
+    ///
     /// # Errors
     ///
     /// [`CacheError::Build`] wraps the builder's typed error;
@@ -562,12 +564,12 @@ impl<V: ?Sized> LambdaCache<V> {
     /// for the whole `stall` window.
     pub fn get_or_build<E>(
         &self,
-        key: CacheKey,
+        key: impl std::borrow::Borrow<CacheKey>,
         build: impl FnOnce() -> Result<Arc<V>, E>,
         stall: Duration,
     ) -> Result<Arc<V>, CacheError<E>> {
         let mut build = Some(build);
-        match self.attempt(&key, &mut build, stall) {
+        match self.attempt(key.borrow(), &mut build, stall) {
             Attempt::Done(result) => result.map_err(CacheError::Build),
             Attempt::Stalled { waited } => Err(CacheError::Stalled { waited }),
         }

@@ -39,7 +39,9 @@
 
 use crate::cache::{CacheError, CacheKey, CacheStats, LambdaCache};
 use crate::op::{BinOp, Cond, UnOp};
-use crate::service::{CompileService, ServiceConfig, Submit};
+use crate::persist::{Artifact, DiskTier, PersistError};
+use crate::service::{CompileService, ServiceConfig};
+use crate::stack::{CodeStack, L2};
 use crate::target::{Finished, Leaf, Target};
 use crate::tier2::TierConfig;
 use crate::ty::{Sig, Ty};
@@ -1145,14 +1147,13 @@ pub trait Backend: Send + Sync + fmt::Debug {
     ///
     /// # Errors
     ///
-    /// [`EngineError::Exec`] when the bytes fail revalidation or the
-    /// backend has no adoption path.
-    fn adopt(&self, artifact: &crate::persist::Artifact) -> Result<Arc<dyn Lambda>, EngineError> {
-        Err(EngineError::Exec(format!(
-            "backend {} has no artifact-adoption path (artifact for {})",
-            self.name(),
-            artifact.target.name(),
-        )))
+    /// Typed by what failed — the tier evicts an artifact only when its
+    /// *bytes* were refused: [`PersistError::Revalidation`] when they
+    /// fail the re-decode, [`PersistError::NoDecoder`] when this process
+    /// has no decoder (or this backend no adoption path) for them,
+    /// [`PersistError::Io`] when executable memory cannot be obtained.
+    fn adopt(&self, artifact: &Artifact) -> Result<Arc<dyn Lambda>, PersistError> {
+        Err(PersistError::NoDecoder(artifact.target))
     }
 }
 
@@ -1221,15 +1222,11 @@ macro_rules! code_backend {
                 artifact: &$crate::persist::Artifact,
             ) -> Result<
                 ::std::sync::Arc<dyn $crate::engine::Lambda>,
-                $crate::engine::EngineError,
+                $crate::persist::PersistError,
             > {
                 let dec = $crate::persist::decoder($id)
-                    .ok_or($crate::engine::EngineError::NoExecutor($id))?;
-                $crate::persist::redecode(&artifact.code, &*dec).map_err(|e| {
-                    $crate::engine::EngineError::Exec(
-                        format!("artifact revalidation: {e}"),
-                    )
-                })?;
+                    .ok_or($crate::persist::PersistError::NoDecoder($id))?;
+                $crate::persist::redecode(&artifact.code, &*dec)?;
                 Ok(::std::sync::Arc::new($crate::engine::CodeImage::new(
                     $id,
                     artifact.args as usize,
@@ -1250,26 +1247,25 @@ macro_rules! code_backend {
 /// publishes, then upgrade — permanently and race-free — to the native
 /// [`Lambda`].
 ///
-/// The upgrade check is a cache [`peek`](LambdaCache::peek) (no stats
-/// pollution, no emission work) plus a `OnceLock` publish, so a warm
-/// degraded handle costs one atomic load per call once upgraded.
+/// The upgrade check is a stack [`poll`](CodeStack::poll) (no emission
+/// work, never waits) plus a `OnceLock` publish, so a warm degraded
+/// handle costs one atomic load per call once upgraded.
 #[derive(Debug)]
 pub struct DegradedLambda {
     program: Program,
     key: CacheKey,
-    cache: Arc<LambdaCache<dyn Lambda>>,
-    target: TargetId,
+    stack: Arc<CodeStack<dyn Lambda>>,
     native: OnceLock<Arc<dyn Lambda>>,
 }
 
 impl DegradedLambda {
     /// The native lambda, if the background build has published it.
-    /// First success latches: later calls never re-probe the cache.
+    /// First success latches: later calls never re-probe the stack.
     pub fn native(&self) -> Option<&Arc<dyn Lambda>> {
         if let Some(n) = self.native.get() {
             return Some(n);
         }
-        let fetched = self.cache.peek(&self.key)?;
+        let fetched = self.stack.poll(&self.key)?;
         Some(self.native.get_or_init(|| fetched))
     }
 
@@ -1281,7 +1277,7 @@ impl DegradedLambda {
 
 impl Lambda for DegradedLambda {
     fn target(&self) -> TargetId {
-        self.target
+        self.key.target()
     }
 
     /// Native code size once upgraded; `0` while interpreting.
@@ -1319,9 +1315,10 @@ impl Lambda for DegradedLambda {
 /// never observe a torn swap (they run either whole-tier-1 or
 /// whole-tier-2 code, both semantically identical).
 ///
-/// The wrapper holds the cache and service [`Weak`]ly: the cache stores
-/// the wrapper, so strong references here would leak the whole engine
-/// through a reference cycle. A dropped engine simply stops upgrading.
+/// The wrapper holds the engine's [`CodeStack`] [`Weak`]ly: the stack's
+/// cache stores the wrapper, so a strong reference here would leak the
+/// whole engine through a reference cycle. A dropped engine simply
+/// stops upgrading.
 ///
 /// Failure containment comes from the service for free: a panicking or
 /// deadline-missing tier-2 build quarantines the *tier-2* key, the
@@ -1333,8 +1330,7 @@ pub struct TieredLambda {
     program: Program,
     key2: CacheKey,
     backend: Arc<dyn Backend>,
-    cache: Weak<LambdaCache<dyn Lambda>>,
-    service: Weak<CompileService<dyn Lambda>>,
+    stack: Weak<CodeStack<dyn Lambda>>,
     threshold: u64,
     /// Weight heat by reported execution cycles instead of 1 per call
     /// (see [`TierConfig::cycle_weighted`]).
@@ -1348,33 +1344,6 @@ pub struct TieredLambda {
 }
 
 impl TieredLambda {
-    /// Wraps a freshly built tier-1 lambda for heat-tracked serving.
-    /// Called from inside cache builders so the cached (Ready) slot
-    /// holds the wrapper — every caller shares one call counter.
-    fn wrap(
-        base: Arc<dyn Lambda>,
-        program: Program,
-        key2: CacheKey,
-        backend: Arc<dyn Backend>,
-        cache: Weak<LambdaCache<dyn Lambda>>,
-        service: Weak<CompileService<dyn Lambda>>,
-        cfg: TierConfig,
-    ) -> Arc<dyn Lambda> {
-        Arc::new(TieredLambda {
-            base,
-            program,
-            key2,
-            backend,
-            cache,
-            service,
-            threshold: cfg.hot_threshold.max(1),
-            cycle_weighted: cfg.cycle_weighted,
-            calls: AtomicU64::new(0),
-            heat: AtomicU64::new(0),
-            tier2: OnceLock::new(),
-        })
-    }
-
     /// Calls served so far (all tiers).
     pub fn calls(&self) -> u64 {
         self.calls.load(Ordering::Relaxed)
@@ -1408,16 +1377,25 @@ impl TieredLambda {
         if let Some(t2) = self.tier2.get() {
             return t2;
         }
-        let Some(cache) = self.cache.upgrade() else {
+        // Tier-2 code lives in L1 only (see `schedule`), so this is a
+        // cache peek, not a stack poll: there is no artifact to find.
+        let Some(found) = self
+            .stack
+            .upgrade()
+            .and_then(|s| s.cache().peek(&self.key2))
+        else {
             return &self.base;
         };
-        let Some(found) = cache.peek(&self.key2) else {
-            return &self.base;
-        };
+        self.latch(found)
+    }
+
+    /// Latches `t2` as the serving tier unless a racer already latched
+    /// one; the upgrade is counted once, by whoever won.
+    fn latch(&self, t2: Arc<dyn Lambda>) -> &Arc<dyn Lambda> {
         let mut fresh = false;
         let t2 = self.tier2.get_or_init(|| {
             fresh = true;
-            found
+            t2
         });
         if fresh {
             obs::note_tier2_upgraded();
@@ -1427,26 +1405,18 @@ impl TieredLambda {
 
     /// Hands the tier-2 build to the compile service (non-blocking). A
     /// `Ready` response (another wrapper already built it) latches
-    /// immediately.
+    /// immediately. The miss ignores its [`L2`] handle: optimized code
+    /// is derived, rebuilt from heat, never read from or stored to disk.
     fn schedule(&self) {
-        let Some(service) = self.service.upgrade() else {
+        let Some(stack) = self.stack.upgrade() else {
             return;
         };
         obs::note_tier2_scheduled();
         let backend = Arc::clone(&self.backend);
         let prog = self.program.clone();
-        let submit = service.submit(self.key2.clone(), move || {
-            backend.compile_tier2(&prog).map_err(|e| e.to_string())
-        });
-        if let Submit::Ready(t2) = submit {
-            let mut fresh = false;
-            self.tier2.get_or_init(|| {
-                fresh = true;
-                t2
-            });
-            if fresh {
-                obs::note_tier2_upgraded();
-            }
+        let submit = stack.submit(&self.key2, move |_| backend.compile_tier2(&prog));
+        if let Ok(t2) = submit.served() {
+            self.latch(t2);
         }
     }
 }
@@ -1594,12 +1564,6 @@ struct LambdaCodec {
     backends: [Option<Arc<dyn Backend>>; 4],
 }
 
-impl fmt::Debug for LambdaCodec {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("LambdaCodec").finish()
-    }
-}
-
 impl crate::persist::ArtifactCodec<dyn Lambda> for LambdaCodec {
     fn to_artifact(
         &self,
@@ -1639,13 +1603,45 @@ impl crate::persist::ArtifactCodec<dyn Lambda> for LambdaCodec {
                 "embedded IR does not round-trip to the key bytes".into(),
             ));
         }
-        let backend = self.backends[artifact.target.index()]
+        // The backend types its own refusals (these bytes, or this
+        // process), so its error passes through unclassified.
+        self.backends[artifact.target.index()]
             .as_ref()
-            .ok_or(crate::persist::PersistError::NoDecoder(artifact.target))?;
-        backend
+            .ok_or(crate::persist::PersistError::NoDecoder(artifact.target))?
             .adopt(artifact)
-            .map_err(|e| crate::persist::PersistError::Revalidation(e.to_string()))
     }
+}
+
+/// The engine's one miss function — [`Engine::compile_cached`] runs it
+/// on the calling thread, [`Engine::compile_async`] on a service worker:
+/// tier-1 code through the persistent tier, then, with tiering on,
+/// wrapped for heat-tracked upgrade. The wrap sits outside
+/// [`L2::or_build`]: loaded and fresh lambdas are wrapped alike, the
+/// artifact holds the bare tier-1 image, and the cached slot holds the
+/// wrapper, so every caller shares one heat counter.
+fn tier1_miss(
+    backend: &Arc<dyn Backend>,
+    prog: &Program,
+    tier: Option<TierConfig>,
+    stack: Weak<CodeStack<dyn Lambda>>,
+    l2: L2<'_, dyn Lambda>,
+) -> Result<Arc<dyn Lambda>, EngineError> {
+    let base = l2.or_build(|| backend.compile(prog))?;
+    Ok(match tier {
+        Some(cfg) => Arc::new(TieredLambda {
+            base,
+            program: prog.clone(),
+            key2: l2.key().tiered(2),
+            backend: Arc::clone(backend),
+            stack,
+            threshold: cfg.hot_threshold.max(1),
+            cycle_weighted: cfg.cycle_weighted,
+            calls: AtomicU64::new(0),
+            heat: AtomicU64::new(0),
+            tier2: OnceLock::new(),
+        }),
+        None => base,
+    })
 }
 
 /// A registry of runtime-selectable backends fronted by a sharded
@@ -1669,11 +1665,10 @@ impl crate::persist::ArtifactCodec<dyn Lambda> for LambdaCodec {
 #[derive(Debug)]
 pub struct Engine {
     backends: [Option<Arc<dyn Backend>>; 4],
-    cache: Arc<LambdaCache<dyn Lambda>>,
-    service: OnceLock<Arc<CompileService<dyn Lambda>>>,
+    /// L1 cache, compile service and optional persistent tier (see
+    /// [`crate::stack`]); shared so degraded handles can poll it.
+    stack: Arc<CodeStack<dyn Lambda>>,
     tiering: OnceLock<TierConfig>,
-    /// Optional persistent L2 tier (see [`enable_persist`](Self::enable_persist)).
-    l2: OnceLock<Arc<crate::persist::DiskTier<dyn Lambda>>>,
 }
 
 impl Engine {
@@ -1682,10 +1677,8 @@ impl Engine {
     pub fn new(capacity: usize) -> Engine {
         Engine {
             backends: [const { None }; 4],
-            cache: Arc::new(LambdaCache::new(capacity)),
-            service: OnceLock::new(),
+            stack: Arc::new(CodeStack::new(capacity)),
             tiering: OnceLock::new(),
-            l2: OnceLock::new(),
         }
     }
 
@@ -1749,36 +1742,16 @@ impl Engine {
             .ok_or(EngineError::UnregisteredBackend(id))?;
         let (bytes, hash) = prog.encoded();
         let key = CacheKey::from_encoded(id, Arc::clone(bytes), *hash);
-        self.cache
-            .get_or_build(
-                key,
-                || {
-                    // L1 missed. The L2 key is re-derived *here*, not
-                    // cloned from the lookup key — a clone on the hot
-                    // path is an Arc refcount round-trip per warm hit,
-                    // the exact regression the cache_amortize fence
-                    // caught once before (encoded() is memoized, so
-                    // this costs nothing beyond the miss itself).
-                    let Some(l2) = self.l2.get() else {
-                        return Ok(self.tier_wrap(backend, prog, backend.compile(prog)?));
-                    };
-                    let (bytes, hash) = prog.encoded();
-                    let l2_key = CacheKey::from_encoded(id, Arc::clone(bytes), *hash);
-                    // Probe the persistent tier first: a valid artifact
-                    // skips compilation entirely; any PersistError is a
-                    // counted, silent fallback to a fresh compile (a
-                    // bad cache dir costs time, never correctness).
-                    if let Ok(Some(base)) = crate::persist::CacheTier::load(&**l2, &l2_key) {
-                        return Ok(self.tier_wrap(backend, prog, base));
-                    }
-                    let base = backend.compile(prog)?;
-                    // Store-through is best-effort: failure to persist
-                    // must never fail the compile.
-                    let _ = crate::persist::CacheTier::store(&**l2, &l2_key, &base);
-                    Ok(self.tier_wrap(backend, prog, base))
-                },
-                self.cache.stall_timeout(),
-            )
+        self.stack
+            .get_or_build(&key, |l2| {
+                let tier = self.tiering.get().copied();
+                if tier.is_some() {
+                    // Workers spawn now, not in the hot call that first
+                    // schedules a tier-2 rebuild.
+                    self.stack.service();
+                }
+                tier1_miss(backend, prog, tier, Arc::downgrade(&self.stack), l2)
+            })
             .map_err(|e| match e {
                 CacheError::Build(e) => e,
                 CacheError::Stalled { waited } => EngineError::BuildStalled { waited },
@@ -1806,33 +1779,6 @@ impl Engine {
             .compile_tier2(prog)
     }
 
-    /// Wraps a tier-1 build for heat-tracked tier-2 upgrade when tiering
-    /// is enabled; the identity otherwise. Runs on the cache's miss path
-    /// only, so the tier-2 key derivation costs warm hits nothing.
-    fn tier_wrap(
-        &self,
-        backend: &Arc<dyn Backend>,
-        prog: &Program,
-        base: Arc<dyn Lambda>,
-    ) -> Arc<dyn Lambda> {
-        match self.tiering.get() {
-            Some(cfg) => {
-                let (bytes, hash) = prog.encoded();
-                let key2 = CacheKey::from_encoded(backend.id(), Arc::clone(bytes), *hash).tiered(2);
-                TieredLambda::wrap(
-                    base,
-                    prog.clone(),
-                    key2,
-                    Arc::clone(backend),
-                    Arc::downgrade(&self.cache),
-                    Arc::downgrade(self.service_handle()),
-                    *cfg,
-                )
-            }
-            None => base,
-        }
-    }
-
     /// Non-blocking compile: never generates code and never waits on
     /// the calling thread. A warm key returns native code
     /// ([`ServeMode::Native`]); otherwise the build is handed to the
@@ -1851,46 +1797,29 @@ impl Engine {
             .ok_or(EngineError::UnregisteredBackend(id))?;
         let (bytes, hash) = prog.encoded();
         let key = CacheKey::from_encoded(id, Arc::clone(bytes), *hash);
-        let backend = Arc::clone(backend);
-        let to_build = prog.clone();
+        let (backend, to_build) = (Arc::clone(backend), prog.clone());
         let tier = self.tiering.get().copied();
-        let cache_weak = Arc::downgrade(&self.cache);
-        let service_weak = Arc::downgrade(self.service_handle());
-        let wrap_key = key.clone();
-        let submit = self.service().submit(key.clone(), move || {
-            let base = backend.compile(&to_build).map_err(|e| e.to_string())?;
-            Ok(match tier {
-                Some(cfg) => TieredLambda::wrap(
-                    base,
-                    to_build,
-                    wrap_key.tiered(2),
-                    backend,
-                    cache_weak,
-                    service_weak,
-                    cfg,
-                ),
-                None => base,
+        let stack = Arc::downgrade(&self.stack);
+        let served = self
+            .stack
+            .submit(&key, move |l2| {
+                tier1_miss(&backend, &to_build, tier, stack, l2)
             })
-        });
-        let mode = match submit {
-            Submit::Ready(lambda) => {
+            .served();
+        let mode = match served {
+            Ok(lambda) => {
                 return Ok(AsyncCompile {
                     lambda,
                     degraded: None,
                     mode: ServeMode::Native,
                 })
             }
-            Submit::Queued | Submit::InFlight => ServeMode::Building,
-            Submit::Shed => ServeMode::Shed,
-            Submit::Quarantined { retry_in, failures } => {
-                ServeMode::Quarantined { retry_in, failures }
-            }
+            Err(mode) => mode,
         };
         let degraded = Arc::new(DegradedLambda {
             program: prog.clone(),
             key,
-            cache: Arc::clone(&self.cache),
-            target: id,
+            stack: Arc::clone(&self.stack),
             native: OnceLock::new(),
         });
         Ok(AsyncCompile {
@@ -1904,25 +1833,14 @@ impl Engine {
     /// with [`ServiceConfig::default`] (or the configuration installed
     /// by [`configure_service`](Self::configure_service)).
     pub fn service(&self) -> &CompileService<dyn Lambda> {
-        self.service_handle()
-    }
-
-    fn service_handle(&self) -> &Arc<CompileService<dyn Lambda>> {
-        self.service.get_or_init(|| {
-            Arc::new(CompileService::new(
-                Arc::clone(&self.cache),
-                ServiceConfig::default(),
-            ))
-        })
+        self.stack.service()
     }
 
     /// Installs a non-default service configuration. Returns `false` if
     /// the service already started (first [`compile_async`](Self::
     /// compile_async) wins); the running service is then unchanged.
     pub fn configure_service(&self, cfg: ServiceConfig) -> bool {
-        self.service
-            .set(Arc::new(CompileService::new(Arc::clone(&self.cache), cfg)))
-            .is_ok()
+        self.stack.configure_service(cfg)
     }
 
     /// Turns on tiered recompilation: every lambda built through
@@ -1943,46 +1861,41 @@ impl Engine {
         self.tiering.get().copied()
     }
 
-    /// Attaches a persistent L2 tier under `dir`: subsequent
-    /// [`compile_cached`](Self::compile_cached) misses probe the disk
-    /// tier before compiling and store-through after. First call wins
-    /// (`false` afterwards, like [`enable_tiering`](Self::enable_tiering)).
+    /// Attaches a persistent L2 tier under `dir`: subsequent misses —
+    /// [`compile_cached`](Self::compile_cached) on the calling thread,
+    /// [`compile_async`](Self::compile_async) on a service worker —
+    /// probe the disk tier before compiling and store through after.
+    /// First call wins (`false` afterwards, like
+    /// [`enable_tiering`](Self::enable_tiering)).
     ///
     /// Register every backend *before* enabling persistence — the tier
     /// captures the backend set it revalidates and adopts with.
     ///
     /// # Errors
     ///
-    /// [`PersistError::Io`](crate::persist::PersistError::Io) when the
-    /// directory cannot be created.
-    pub fn enable_persist(
-        &self,
-        dir: impl Into<std::path::PathBuf>,
-    ) -> Result<bool, crate::persist::PersistError> {
-        let tier = crate::persist::DiskTier::new(
-            dir,
-            Box::new(LambdaCodec {
-                backends: self.backends.clone(),
-            }),
-        )?;
-        Ok(self.l2.set(Arc::new(tier)).is_ok())
+    /// [`PersistError::Io`] when the directory cannot be created.
+    pub fn enable_persist(&self, dir: impl Into<std::path::PathBuf>) -> Result<bool, PersistError> {
+        let codec = LambdaCodec {
+            backends: self.backends.clone(),
+        };
+        self.stack.enable_persist(dir, Box::new(codec))
     }
 
     /// The persistent L2 tier, if [`enable_persist`](Self::enable_persist)
     /// was called.
-    pub fn persist_tier(&self) -> Option<&Arc<crate::persist::DiskTier<dyn Lambda>>> {
-        self.l2.get()
+    pub fn persist_tier(&self) -> Option<&Arc<DiskTier<dyn Lambda>>> {
+        self.stack.persist_tier()
     }
 
     /// The engine's lambda cache (for direct keying, invalidation and
     /// inspection).
     pub fn cache(&self) -> &LambdaCache<dyn Lambda> {
-        &self.cache
+        self.stack.cache()
     }
 
     /// Hit/miss/eviction/insert counters of the engine's cache.
     pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
+        self.stack.cache().stats()
     }
 }
 

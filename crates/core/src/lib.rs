@@ -65,6 +65,7 @@ pub mod regalloc;
 pub mod regress;
 pub mod service;
 pub mod spec;
+pub mod stack;
 pub mod target;
 pub mod tier2;
 pub mod trap;
@@ -86,6 +87,7 @@ pub use op::{BinOp, Cond, Imm, UnOp};
 pub use persist::{Artifact, ArtifactCodec, CacheTier, DiskTier, PersistError};
 pub use reg::{Bank, Reg, RegClass, RegDesc, RegFile, RegKind};
 pub use service::{CompileService, QuarantineInfo, ServiceConfig, ServiceStats, Submit};
+pub use stack::{CodeStack, L2};
 pub use target::{
     BrOperand, CallFrame, Finished, JumpTarget, Leaf, Off, StackSlot, Target, TargetScratch,
 };

@@ -1,7 +1,7 @@
 //! Persistent (L2) code cache: verified on-disk artifacts behind the
 //! [`CacheTier`] seam.
 //!
-//! The in-memory [`LambdaCache`] is fast but process-local: every cold
+//! The in-memory `LambdaCache` is fast but process-local: every cold
 //! start pays full compile cost for every lambda, which is exactly
 //! where the paper's "dynamic compilation must be cheap" argument bites
 //! hardest. This module adds a second tier — one artifact file per
@@ -59,7 +59,7 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::RwLock;
 
-use crate::cache::{Build, CacheKey, LambdaCache};
+use crate::cache::{Build, CacheKey};
 use crate::engine::{fnv1a, TargetId};
 use crate::obs;
 use crate::verify::InsnDecoder;
@@ -103,7 +103,9 @@ pub fn abi_fingerprint() -> u64 {
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum PersistError {
-    /// Filesystem failure (permissions, disk full, unreadable file).
+    /// Filesystem failure (permissions, disk full, unreadable file) or,
+    /// on a load, no executable memory to adopt the code into: nothing
+    /// about the artifact's bytes, so the load keeps its file.
     Io(String),
     /// The file is shorter than its own bookkeeping claims.
     Truncated {
@@ -150,8 +152,9 @@ pub enum PersistError {
     /// The native bytes failed revalidation: the differential re-decode
     /// or the client codec rejected them before mapping.
     Revalidation(String),
-    /// No differential decoder is registered for the artifact's target,
-    /// so its bytes cannot be revalidated (and are therefore refused).
+    /// No differential decoder (or backend) is registered in this
+    /// process for the artifact's target, so its bytes cannot be
+    /// revalidated and are refused; the file is kept for one that has.
     NoDecoder(TargetId),
     /// The value cannot be serialized (e.g. position-dependent code
     /// holding absolute jump-table addresses). Store paths treat this
@@ -464,11 +467,11 @@ pub fn decoder(target: TargetId) -> Option<Arc<dyn InsnDecoder + Send + Sync>> {
 // Tier seam
 // ---------------------------------------------------------------------
 
-/// One tier of the lambda store. The in-memory [`LambdaCache`] is the
-/// L1 implementation; [`DiskTier`] is L2. `load` answers `Ok(None)` on
-/// a clean miss; `store` answers `Ok(false)` when the value was already
-/// present (or is not persistable) — both are expected outcomes, not
-/// failures.
+/// One tier of the lambda store below the in-memory cache; [`DiskTier`]
+/// is the implementation, [`crate::stack`] the caller.
+/// `load` answers `Ok(None)` on a clean miss; `store` answers
+/// `Ok(false)` when the value was already present (or is not
+/// persistable) — both are expected outcomes, not failures.
 pub trait CacheTier<V: ?Sized>: Send + Sync + fmt::Debug {
     /// Looks `key` up in this tier.
     ///
@@ -486,21 +489,6 @@ pub trait CacheTier<V: ?Sized>: Send + Sync + fmt::Debug {
     ///
     /// [`PersistError`] on an I/O or serialization failure.
     fn store(&self, key: &CacheKey, val: &Arc<V>) -> Result<bool, PersistError>;
-}
-
-impl<V: ?Sized + Send + Sync> CacheTier<V> for LambdaCache<V> {
-    fn load(&self, key: &CacheKey) -> Result<Option<Arc<V>>, PersistError> {
-        Ok(self.peek(key))
-    }
-
-    fn store(&self, key: &CacheKey, val: &Arc<V>) -> Result<bool, PersistError> {
-        let got = self
-            .get_or_insert_with(key.clone(), || {
-                Ok::<_, std::convert::Infallible>(Arc::clone(val))
-            })
-            .unwrap_or_else(|e| match e {});
-        Ok(Arc::ptr_eq(&got, val))
-    }
 }
 
 /// Translates between a cached value and its on-disk [`Artifact`].
@@ -523,8 +511,9 @@ pub trait ArtifactCodec<V: ?Sized>: Send + Sync {
     ///
     /// # Errors
     ///
-    /// [`PersistError::Revalidation`] (or `NoDecoder`) when the bytes
-    /// fail the differential re-decode or client-level checks.
+    /// [`PersistError::Revalidation`] when the bytes fail the re-decode
+    /// or client-level checks (the artifact is then evicted);
+    /// `NoDecoder` or `Io` when this process cannot adopt them (it is not).
     ///
     /// (`from_*` with `&self` is deliberate: the codec is a translator
     /// object, not the value's own constructor.)
@@ -747,10 +736,14 @@ impl<V: ?Sized> DiskTier<V> {
     /// file has no other legitimate reader. (The one exception is a
     /// full 64-bit content-fingerprint collision between two different
     /// programs, where the colliding keys thrash one path — correct
-    /// either way, since each loser recompiles.) `Io` rejects are
-    /// exempt: a transient read failure says nothing about the bytes.
+    /// either way, since each loser recompiles.)
+    ///
+    /// Rejections that describe *this process*, not the bytes, are
+    /// exempt: `Io` (a transient read failure, or no executable memory
+    /// for the codec) and `NoDecoder` (no decoder or backend registered
+    /// here). A better-equipped load still gets the file.
     fn evict_rejected(&self, key: &CacheKey, err: &PersistError) {
-        if !matches!(err, PersistError::Io(_)) {
+        if !matches!(err, PersistError::Io(_) | PersistError::NoDecoder(_)) {
             let _ = fs::remove_file(self.path_for(key));
         }
     }
@@ -758,29 +751,20 @@ impl<V: ?Sized> DiskTier<V> {
 
 impl<V: ?Sized + Send + Sync> CacheTier<V> for DiskTier<V> {
     fn load(&self, key: &CacheKey) -> Result<Option<Arc<V>>, PersistError> {
-        let artifact = match self.load_artifact(key) {
-            Ok(Some(a)) => a,
-            Ok(None) => {
-                obs::note_persist_miss();
-                return Ok(None);
-            }
+        // Envelope checks, then the codec's revalidation: a refusal
+        // from either is counted and classified the same way.
+        let loaded = self
+            .load_artifact(key)
+            .and_then(|a| a.map(|a| self.codec.from_artifact(&a)).transpose());
+        match &loaded {
+            Ok(Some(_)) => obs::note_persist_hit(),
+            Ok(None) => obs::note_persist_miss(),
             Err(e) => {
                 obs::note_persist_reject();
-                self.evict_rejected(key, &e);
-                return Err(e);
-            }
-        };
-        match self.codec.from_artifact(&artifact) {
-            Ok(v) => {
-                obs::note_persist_hit();
-                Ok(Some(v))
-            }
-            Err(e) => {
-                obs::note_persist_reject();
-                self.evict_rejected(key, &e);
-                Err(e)
+                self.evict_rejected(key, e);
             }
         }
+        loaded
     }
 
     fn store(&self, key: &CacheKey, val: &Arc<V>) -> Result<bool, PersistError> {

@@ -157,6 +157,10 @@ impl<T: Send + Sync + 'static> Rcu<T> {
         // Any reader that enters after this scan starts sees an epoch
         // >= every already-retired entry's epoch (the bump happens
         // before the entry is pushed), so scanning slots first is safe.
+        // Entries retired after this point wait for a later scan: a reader
+        // can enter, and its generation retire, between the slot scan and
+        // the retire-list lock, and "nobody active" predates that reader.
+        let horizon = self.epoch.load(Ordering::SeqCst);
         let min_active = lock(&self.slots)
             .iter()
             .map(|s| s.load(Ordering::SeqCst))
@@ -165,10 +169,11 @@ impl<T: Send + Sync + 'static> Rcu<T> {
         let mut r = lock(&self.retired);
         let mut freed = 0u64;
         r.retain(|&(e, p)| {
-            let quiet = match min_active {
-                None => true,
-                Some(m) => m >= e,
-            };
+            let quiet = e <= horizon
+                && match min_active {
+                    None => true,
+                    Some(m) => m >= e,
+                };
             if quiet {
                 // SAFETY: no active reader entered before epoch `e`, so
                 // none can still hold this pointer; it is removed from

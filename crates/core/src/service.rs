@@ -45,6 +45,7 @@
 //! engine's `dyn Lambda`, DPF's compiled classifiers, ASH's kernels.
 
 use crate::cache::{CacheKey, LambdaCache};
+use crate::engine::ServeMode;
 use crate::obs;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
@@ -118,12 +119,22 @@ pub enum Submit<V: ?Sized> {
 }
 
 impl<V: ?Sized> Submit<V> {
-    /// Whether the build will (or did) run: `Ready`, `Queued` and
-    /// `InFlight` all end with finished code under the key, while `Shed`
-    /// and `Quarantined` dropped the request. Heat-triggered rebuilds use
-    /// this to decide whether to try again on a later crossing.
-    pub fn accepted(&self) -> bool {
-        matches!(self, Submit::Ready(_) | Submit::Queued | Submit::InFlight)
+    /// The finished code, or — the one mapping from a submit outcome to
+    /// what every serve-while-compiling client reports — how its
+    /// fallback is being served.
+    ///
+    /// # Errors
+    ///
+    /// The [`ServeMode`] of every outcome but [`Submit::Ready`].
+    pub fn served(self) -> Result<Arc<V>, ServeMode> {
+        match self {
+            Submit::Ready(val) => Ok(val),
+            Submit::Queued | Submit::InFlight => Err(ServeMode::Building),
+            Submit::Shed => Err(ServeMode::Shed),
+            Submit::Quarantined { retry_in, failures } => {
+                Err(ServeMode::Quarantined { retry_in, failures })
+            }
+        }
     }
 }
 
@@ -189,7 +200,9 @@ struct QEntry {
     last_error: String,
 }
 
-type Builder<V> = Box<dyn FnOnce() -> Result<Arc<V>, String> + Send + 'static>;
+/// A queued build, lent the key by the job's ticket (which owns the one
+/// clone a miss makes).
+type Builder<V> = Box<dyn FnOnce(&CacheKey) -> Result<Arc<V>, String> + Send + 'static>;
 
 struct Job<V: ?Sized> {
     ticket: crate::cache::BuildTicket<V>,
@@ -294,13 +307,22 @@ impl<V: ?Sized + Send + Sync + 'static> CompileService<V> {
     where
         F: FnOnce() -> Result<Arc<V>, String> + Send + 'static,
     {
+        self.submit_keyed(&key, move |_| builder())
+    }
+
+    /// [`submit`](Self::submit) with the key borrowed from the caller (a
+    /// warm submit clones nothing) and lent to the builder.
+    pub(crate) fn submit_keyed<F>(&self, key: &CacheKey, builder: F) -> Submit<V>
+    where
+        F: FnOnce(&CacheKey) -> Result<Arc<V>, String> + Send + 'static,
+    {
         let s = &*self.shared;
         // Quarantine gate first: a poisoned key must not even probe the
         // cache's build cap until its backoff expires.
         let now = Instant::now();
         {
             let q = s.quarantine.lock().unwrap_or_else(|e| e.into_inner());
-            if let Some(entry) = q.get(&key) {
+            if let Some(entry) = q.get(key) {
                 if entry.probing {
                     // A rebuild probe is already in flight.
                     return Submit::InFlight;
@@ -320,14 +342,14 @@ impl<V: ?Sized + Send + Sync + 'static> CompileService<V> {
             obs::note_service_shed();
             return Submit::Shed;
         }
-        match s.cache.begin_build(&key) {
+        match s.cache.begin_build(key) {
             crate::cache::Probe::Ready(val) => {
                 // Someone (a sync path, another service) already built
                 // it — a stale quarantine entry is moot.
                 s.quarantine
                     .lock()
                     .unwrap_or_else(|e| e.into_inner())
-                    .remove(&key);
+                    .remove(key);
                 Submit::Ready(val)
             }
             crate::cache::Probe::InFlight => Submit::InFlight,
@@ -341,7 +363,7 @@ impl<V: ?Sized + Send + Sync + 'static> CompileService<V> {
                 // submits keep serving their fallback meanwhile.
                 {
                     let mut q = s.quarantine.lock().unwrap_or_else(|e| e.into_inner());
-                    if let Some(entry) = q.get_mut(&key) {
+                    if let Some(entry) = q.get_mut(key) {
                         entry.probing = true;
                     }
                 }
@@ -350,12 +372,14 @@ impl<V: ?Sized + Send + Sync + 'static> CompileService<V> {
                     builder: Box::new(builder),
                     deadline: Instant::now() + s.cfg.deadline,
                 };
+                // Counted before it can be popped: a worker taking the job
+                // first would drive `depth` below zero (shedding every submit).
+                let depth = s.depth.fetch_add(1, Ordering::SeqCst) + 1;
                 let slot = s.cursor.fetch_add(1, Ordering::Relaxed) % s.queues.len();
                 s.queues[slot]
                     .lock()
                     .unwrap_or_else(|e| e.into_inner())
                     .push_back(job);
-                let depth = s.depth.fetch_add(1, Ordering::SeqCst) + 1;
                 s.stats.enqueued.fetch_add(1, Ordering::Relaxed);
                 s.stats.depth_peak.fetch_max(depth, Ordering::Relaxed);
                 obs::note_service_enqueued(depth as u64);
@@ -512,7 +536,7 @@ fn run_job<V: ?Sized + Send + Sync + 'static>(s: &Shared<V>, job: Job<V>) {
     // decrementing before the bookkeeping lets a drain-then-inspect
     // caller read the quarantine map a beat too early.
     s.active.fetch_add(1, Ordering::SeqCst);
-    let outcome = catch_unwind(AssertUnwindSafe(builder));
+    let outcome = catch_unwind(AssertUnwindSafe(|| builder(&key)));
     let elapsed = start.elapsed();
     let now = Instant::now();
     match outcome {

@@ -230,14 +230,15 @@ impl CompiledSet {
     ///
     /// # Errors
     ///
-    /// [`CompileError::Exec`] when executable memory cannot be obtained.
+    /// The `io::Error` of an executable-memory request that failed —
+    /// the only way adoption fails, and never the artifact's fault.
     pub(crate) fn adopt(
         bytes: &[u8],
         strategies: Strategies,
         vcode_insns: u64,
-    ) -> Result<CompiledSet, CompileError> {
-        let mem = ExecMem::adopt_bytes(bytes).map_err(CompileError::Exec)?;
-        let code = mem.finalize().map_err(CompileError::Exec)?;
+    ) -> std::io::Result<CompiledSet> {
+        let mem = ExecMem::adopt_bytes(bytes)?;
+        let code = mem.finalize()?;
         // SAFETY: the adopted bytes passed the differential re-decode
         // and were originally emitted by `compile` for exactly this C
         // ABI: (ptr, len) -> i64, reads bounded by `len`.

@@ -51,40 +51,34 @@ pub use service::{DpfReader, DpfService, ServiceSnapshot};
 use mpf::Mpf;
 use std::sync::{Arc, OnceLock};
 use trie::Level;
-use vcode::{
-    CacheError, CacheKey, CacheStats, CompileService, LambdaCache, ServeMode, ServiceConfig,
-    Submit, TargetId,
-};
+use vcode::{CacheKey, CacheStats, CodeStack, CompileService, ServeMode, TargetId, L2};
 
-/// The process-wide cache of compiled classifiers, keyed by the exact
-/// resident filter set (ids included — generated code returns them) and
-/// the dispatch-strategy options. Re-installing the same filters — the
-/// common case when identical flows come and go — reuses the finished
-/// code instead of re-running codegen.
-fn classifier_cache() -> &'static Arc<LambdaCache<CompiledSet>> {
-    static CACHE: OnceLock<Arc<LambdaCache<CompiledSet>>> = OnceLock::new();
-    CACHE.get_or_init(|| Arc::new(LambdaCache::new(64)))
+/// The process-wide [`CodeStack`] of compiled classifiers, keyed by the
+/// exact resident filter set (ids included — generated code returns
+/// them) and the dispatch-strategy options. Re-installing the same
+/// filters — the common case when identical flows come and go — reuses
+/// the finished code instead of re-running codegen.
+pub(crate) fn stack() -> &'static CodeStack<CompiledSet> {
+    static STACK: OnceLock<CodeStack<CompiledSet>> = OnceLock::new();
+    STACK.get_or_init(|| CodeStack::new(64))
 }
 
-/// The process-wide background compile service over
-/// [`classifier_cache`]: [`Dpf::compile_async`] hands codegen to it and
-/// serves the MPF interpreter until the native classifier publishes.
+/// The process-wide background compile service over the classifier
+/// cache: [`Dpf::compile_async`] hands codegen to it and serves the MPF
+/// interpreter until the native classifier publishes.
 pub fn classifier_service() -> &'static CompileService<CompiledSet> {
-    static SERVICE: OnceLock<CompileService<CompiledSet>> = OnceLock::new();
-    SERVICE.get_or_init(|| {
-        CompileService::new(Arc::clone(classifier_cache()), ServiceConfig::default())
-    })
+    stack().service()
 }
 
 /// Counters for the process-wide classifier cache.
 pub fn cache_stats() -> CacheStats {
-    classifier_cache().stats()
+    stack().cache().stats()
 }
 
 /// Drops every cached classifier (callers holding compiled sets keep
 /// them). Benchmarks use this to measure cold compiles.
 pub fn clear_cache() {
-    classifier_cache().clear();
+    stack().cache().clear();
 }
 
 /// The [`ArtifactCodec`](vcode::ArtifactCodec) for compiled classifier
@@ -126,60 +120,47 @@ impl vcode::ArtifactCodec<CompiledSet> for SetCodec {
         let strategies = CompiledSet::meta_parse(&artifact.meta).ok_or(
             vcode::PersistError::Malformed("classifier strategy meta blob"),
         )?;
-        let set = CompiledSet::adopt(&artifact.code, strategies, artifact.insns)
-            .map_err(|e| vcode::PersistError::Revalidation(e.to_string()))?;
+        // Adoption fails only for want of executable memory: an
+        // `io::Error`, so `PersistError::Io` — the artifact is kept.
+        let set = CompiledSet::adopt(&artifact.code, strategies, artifact.insns)?;
         Ok(Arc::new(set))
     }
 }
 
-fn persist_slot() -> &'static OnceLock<Arc<vcode::DiskTier<CompiledSet>>> {
-    static TIER: OnceLock<Arc<vcode::DiskTier<CompiledSet>>> = OnceLock::new();
-    &TIER
-}
-
 /// Attaches a persistent L2 tier for compiled classifiers under `dir`:
-/// cache misses in [`Dpf::compile`] and the [`DpfService`] warm path
-/// probe the disk tier before compiling, and successful compiles
-/// store through. First call wins (`false` afterwards).
+/// every cache miss — [`Dpf::compile`] on the calling thread,
+/// [`Dpf::compile_async`] and [`DpfService`] installs on a service
+/// worker — probes the disk tier before compiling and stores through
+/// after, and a warm key republishes native straight from disk. First
+/// call wins (`false` afterwards).
 ///
 /// # Errors
 ///
 /// [`vcode::PersistError::Io`] when the directory cannot be created.
 pub fn enable_persist(dir: impl Into<std::path::PathBuf>) -> Result<bool, vcode::PersistError> {
-    let tier = vcode::DiskTier::new(dir, Box::new(SetCodec))?;
-    Ok(persist_slot().set(Arc::new(tier)).is_ok())
+    stack().enable_persist(dir, Box::new(SetCodec))
 }
 
 /// The classifier persistent tier, if [`enable_persist`] was called.
 pub fn persist_tier() -> Option<&'static Arc<vcode::DiskTier<CompiledSet>>> {
-    persist_slot().get()
+    stack().persist_tier()
 }
 
-/// Probes the persistent tier for `key`; any [`vcode::PersistError`] is
-/// a counted, silent miss (fresh compile follows).
-fn l2_load(key: &CacheKey) -> Option<Arc<CompiledSet>> {
-    let tier = persist_tier()?;
-    vcode::CacheTier::load(&**tier, key).ok().flatten()
+/// The one miss function every classifier build hands the stack
+/// ([`Dpf::compile`] lends its filters, the async paths move a copy to
+/// the worker): a valid persisted artifact skips trie construction and
+/// codegen entirely; otherwise build, and store the result through.
+pub(crate) fn set_miss(
+    filters: impl AsRef<[(u32, Filter)]>,
+    opts: Options,
+) -> impl FnOnce(L2<'_, CompiledSet>) -> Result<Arc<CompiledSet>, CompileError> {
+    move |l2| l2.or_build(|| build_set(filters.as_ref(), opts))
 }
 
-/// Best-effort store-through to the persistent tier.
-fn l2_store(key: &CacheKey, set: &Arc<CompiledSet>) {
-    if let Some(tier) = persist_tier() {
-        let _ = vcode::CacheTier::store(&**tier, key, set);
-    }
-}
-
-/// L2 probe that also installs the loaded set into the in-memory cache
-/// (so subsequent peeks hit L1). The service's warm-key republish path
-/// uses this: a process restart with a populated artifact directory
-/// then serves native code without ever compiling.
-pub(crate) fn l2_fetch_into_l1(key: &CacheKey) -> Option<Arc<CompiledSet>> {
-    let set = l2_load(key)?;
-    classifier_cache()
-        .get_or_insert_with(key.clone(), || {
-            Ok::<_, std::convert::Infallible>(Arc::clone(&set))
-        })
-        .ok()
+/// The one classifier build: merge `filters` into a trie, compile it
+/// (with the overflow retry), share the result.
+fn build_set(filters: &[(u32, Filter)], opts: Options) -> Result<Arc<CompiledSet>, CompileError> {
+    compile_with_retry(&trie::build(filters), opts).map(Arc::new)
 }
 
 /// Which engine a [`Dpf`] is classifying with after
@@ -342,7 +323,6 @@ impl Dpf {
     /// which cannot currently happen, so callers may treat `Ok` as
     /// "classification is available".
     pub fn compile(&mut self) -> Result<(), CompileError> {
-        self.pending = None;
         // An explicit code_capacity is a harness knob (fault injection /
         // overflow drills): those compiles are bespoke, never cached.
         // The cached path waits boundedly on a racing build: a stalled
@@ -350,48 +330,14 @@ impl Dpf {
         // the interpreter like any other generation failure instead of
         // blocking the caller forever.
         let compiled = if self.opts.code_capacity.is_some() {
-            let root = trie::build(&self.filters);
-            compile_with_retry(&root, self.opts)
-                .map(Arc::new)
-                .map_err(CacheError::Build)
+            build_set(&self.filters, self.opts).ok()
         } else {
-            let cache = classifier_cache();
-            let key = self.cache_key();
-            let l2_key = key.clone();
-            cache.get_or_build(
-                key,
-                || {
-                    // L1 missed: a valid persisted artifact (L2) skips
-                    // trie construction and codegen entirely; errors
-                    // fall through to a fresh compile.
-                    if let Some(set) = l2_load(&l2_key) {
-                        return Ok(set);
-                    }
-                    let root = trie::build(&self.filters);
-                    let set = compile_with_retry(&root, self.opts).map(Arc::new)?;
-                    l2_store(&l2_key, &set);
-                    Ok(set)
-                },
-                cache.stall_timeout(),
-            )
+            stack()
+                .get_or_build(&self.cache_key(), set_miss(&self.filters, self.opts))
+                .ok()
         };
-        self.ever_compiled = true;
-        self.stale_inserts = 0;
-        self.stale_removes = 0;
-        match compiled {
-            Ok(set) => {
-                self.compiled = Some(set);
-                self.degraded = false;
-                Ok(())
-            }
-            Err(_) => {
-                // Degrade: the resident interpreter already holds the
-                // same filters, preserving ids.
-                self.compiled = None;
-                self.degraded = true;
-                Ok(())
-            }
-        }
+        self.adopt(compiled);
+        Ok(())
     }
 
     /// Compiles the resident filters bypassing the process-wide cache
@@ -404,23 +350,21 @@ impl Dpf {
     /// [`CompileError`] only if even the interpreter cannot be built —
     /// which cannot currently happen (see [`compile`](Self::compile)).
     pub fn compile_uncached(&mut self) -> Result<(), CompileError> {
+        self.adopt(build_set(&self.filters, self.opts).ok());
+        Ok(())
+    }
+
+    /// Records the outcome of a compile attempt over the current
+    /// filters: staleness resets, and `None` (generation failed, or the
+    /// build is still in flight) degrades to the resident interpreter,
+    /// which already holds the same filters under the same ids.
+    fn adopt(&mut self, compiled: Option<Arc<CompiledSet>>) {
         self.pending = None;
         self.ever_compiled = true;
         self.stale_inserts = 0;
         self.stale_removes = 0;
-        let root = trie::build(&self.filters);
-        match compile_with_retry(&root, self.opts) {
-            Ok(set) => {
-                self.compiled = Some(Arc::new(set));
-                self.degraded = false;
-                Ok(())
-            }
-            Err(_) => {
-                self.compiled = None;
-                self.degraded = true;
-                Ok(())
-            }
-        }
+        self.degraded = compiled.is_none();
+        self.compiled = compiled;
     }
 
     /// Serve-while-compiling: classification is available the moment
@@ -447,36 +391,21 @@ impl Dpf {
                 ServeMode::Shed
             };
         }
-        self.pending = None;
-        self.ever_compiled = true;
-        self.stale_inserts = 0;
-        self.stale_removes = 0;
         let key = self.cache_key();
-        let filters = self.filters.clone();
-        let opts = self.opts;
-        let submit = classifier_service().submit(key.clone(), move || {
-            let root = trie::build(&filters);
-            compile_with_retry(&root, opts)
-                .map(Arc::new)
-                .map_err(|e| e.to_string())
-        });
-        let mode = match submit {
-            Submit::Ready(set) => {
-                self.compiled = Some(set);
-                self.degraded = false;
-                return ServeMode::Native;
+        let miss = set_miss(self.filters.clone(), self.opts);
+        match stack().submit(&key, miss).served() {
+            Ok(set) => {
+                self.adopt(Some(set));
+                ServeMode::Native
             }
-            Submit::Queued | Submit::InFlight => ServeMode::Building,
-            Submit::Shed => ServeMode::Shed,
-            Submit::Quarantined { retry_in, failures } => {
-                ServeMode::Quarantined { retry_in, failures }
+            Err(mode) => {
+                // Serve the resident interpreter until the build
+                // publishes.
+                self.adopt(None);
+                self.pending = Some(key);
+                mode
             }
-        };
-        // Serve the resident interpreter until the build publishes.
-        self.compiled = None;
-        self.degraded = true;
-        self.pending = Some(key);
-        mode
+        }
     }
 
     /// Adopts the native classifier if the background build from
@@ -494,7 +423,7 @@ impl Dpf {
         let Some(key) = self.pending.as_ref() else {
             return false;
         };
-        match classifier_cache().peek(key) {
+        match stack().poll(key) {
             Some(set) => {
                 self.compiled = Some(set);
                 self.degraded = false;
@@ -640,7 +569,7 @@ pub(crate) fn cache_key(filters: &[(u32, Filter)], opts: Options) -> CacheKey {
 /// Compiles a trie with the storage-overflow retry ladder: on a
 /// [`vcode::Error::Overflow`] the compile is retried once with a doubled
 /// buffer.
-pub(crate) fn compile_with_retry(root: &Level, opts: Options) -> Result<CompiledSet, CompileError> {
+fn compile_with_retry(root: &Level, opts: Options) -> Result<CompiledSet, CompileError> {
     match compile::compile(root, opts) {
         Ok(set) => Ok(set),
         Err(CompileError::Codegen(vcode::Error::Overflow { capacity })) => {

@@ -50,7 +50,7 @@
 use crate::compile::CompiledSet;
 use crate::lang::Filter;
 use crate::mpf::Mpf;
-use crate::{cache_key, classifier_cache, classifier_service, compile_with_retry, trie, Options};
+use crate::{cache_key, set_miss, stack, Options};
 use std::cell::Cell;
 use std::marker::PhantomData;
 // Synchronization via vcode's `vsync` facade, and the epoch-RCU cell
@@ -62,7 +62,7 @@ use vcode::rcu::Rcu;
 use vcode::vsync::{
     self, Arc, AtomicBool, AtomicU64, Duration, Instant, Mutex, MutexGuard, Ordering,
 };
-use vcode::{obs, CacheKey, QuarantineInfo, Submit};
+use vcode::{obs, CacheKey, QuarantineInfo};
 use vcode_x64::CodePin;
 
 /// One published classifier generation: an immutable snapshot serving
@@ -180,26 +180,19 @@ impl Shared {
     /// process-wide compile service; publishes immediately when the
     /// result is already at hand.
     fn submit_build(&self, w: &mut Writer, key: CacheKey) {
-        let filters = w.filters.clone();
-        let opts = w.opts;
-        let submit = classifier_service().submit(key.clone(), move || {
-            let root = trie::build(&filters);
-            compile_with_retry(&root, opts)
-                .map(Arc::new)
-                .map_err(|e| e.to_string())
-        });
-        match submit {
-            Submit::Ready(set) => {
+        let miss = set_miss(w.filters.clone(), w.opts);
+        match stack().submit(&key, miss).served() {
+            Ok(set) => {
                 self.publish_generation(w, Some(set));
                 w.pending = None;
                 self.pending.store(false, Ordering::SeqCst);
             }
-            // Queued/InFlight: the poll path publishes on completion.
+            // Building: the poll path publishes on completion.
             // Shed/Quarantined: nothing enqueued now; the poll path
             // keeps re-offering the key (quarantine backoff applies),
             // so an update storm degrades to the interpreter instead of
             // wedging the service.
-            Submit::Queued | Submit::InFlight | Submit::Shed | Submit::Quarantined { .. } => {
+            Err(_) => {
                 w.pending = Some(key);
                 self.pending.store(true, Ordering::SeqCst);
             }
@@ -217,10 +210,7 @@ impl Shared {
         // Warm key — the same filter set compiled before, process-wide
         // (L1) or in a previous process with a persistent tier (L2) —
         // publishes native directly: no interpreter window at all.
-        if let Some(set) = classifier_cache()
-            .peek(&key)
-            .or_else(|| crate::l2_fetch_into_l1(&key))
-        {
+        if let Some(set) = stack().poll(&key) {
             self.publish_generation(w, Some(set));
             return;
         }
@@ -236,10 +226,7 @@ impl Shared {
             self.pending.store(false, Ordering::SeqCst);
             return self.native.load(Ordering::SeqCst);
         };
-        if let Some(set) = classifier_cache()
-            .peek(&key)
-            .or_else(|| crate::l2_fetch_into_l1(&key))
-        {
+        if let Some(set) = stack().poll(&key) {
             self.publish_generation(w, Some(set));
             self.upgrades.fetch_add(1, Ordering::Relaxed);
             obs::note_generation_upgraded();
@@ -481,7 +468,7 @@ impl DpfService {
                 .clone()
                 .unwrap_or_else(|| cache_key(&w.filters, w.opts))
         };
-        classifier_service().quarantine(&key)
+        stack().service().quarantine(&key)
     }
 
     /// Counter snapshot.

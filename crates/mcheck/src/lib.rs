@@ -64,6 +64,39 @@ pub mod programs {
         assert!(v <= 1, "reader saw a value never published: {v}");
     }
 
+    /// **No use-after-retire with a concurrent reclaimer.** In
+    /// `DpfService` the thread that reclaims is often not the one that
+    /// publishes: every reader's `classify_batch` runs a best-effort
+    /// `reclaim`. Here a third thread reclaims while a reader enters and
+    /// the writer publishes. A reclaim whose slot scan ran *before* the
+    /// reader announced itself must not judge a generation retired
+    /// *after* that scan — it proves nothing about that reader.
+    pub fn rcu_concurrent_reclaim_no_use_after_retire() {
+        let rcu: Arc<Rcu<u64>> = Arc::new(Rcu::new(0));
+        let slot = rcu.register_slot();
+        let touch = Arc::new(AtomicU64::new(0));
+        let reader = {
+            let rcu = Arc::clone(&rcu);
+            vsync::thread::spawn(move || {
+                let g = rcu.enter(&slot);
+                // The critical section spans a schedule point, as in
+                // `rcu_no_use_after_retire`.
+                touch.fetch_add(1, Ordering::Relaxed);
+                *g
+            })
+        };
+        let reclaimer = {
+            let rcu = Arc::clone(&rcu);
+            vsync::thread::spawn(move || {
+                rcu.reclaim();
+            })
+        };
+        rcu.publish(1);
+        let v = reader.join().expect("reader panicked");
+        assert!(v <= 1, "reader saw a value never published: {v}");
+        reclaimer.join().expect("reclaimer panicked");
+    }
+
     /// **Removed ids are unmatchable after `remove` returns.** Models
     /// `DpfService::remove`: the writer publishes a generation without
     /// the filter (here: `false`), then sets a "remove returned" flag.
@@ -202,6 +235,69 @@ pub mod programs {
         let a = call(&cache, &step);
         let b = racer.join().expect("racer panicked");
         assert_eq!((a, b), (3, 3));
+    }
+
+    /// **One build per key across the sync and async entry points.**
+    /// One thread calls `CodeStack::get_or_build`, another
+    /// `CodeStack::submit`, on the same cold key — the production stack,
+    /// service worker included. Whichever claims the `Building` slot
+    /// runs the one miss function (on its own thread, or on the worker);
+    /// the other waits for it or is told `InFlight`, and the sync caller
+    /// always ends on the one built value. Its wait must end by the
+    /// build-completion notify, not the stall clock, so
+    /// [`Injection::DropCacheNotify`] is caught on this path too.
+    ///
+    /// Three threads through the whole service do not fit an exhaustive
+    /// budget (every stats counter is a schedule point): this program is
+    /// swept to a bound and walked at random, not explored to completion.
+    /// The model sleep parks the worker in its idle wait first, so the
+    /// budget goes to the claim race rather than to worker start-up.
+    pub fn stack_sync_vs_async_one_build() {
+        use vcode::{CodeStack, ServiceConfig, Submit, L2};
+        const STALL: Duration = Duration::from_secs(10);
+        let stack: Arc<CodeStack<u64>> = Arc::new(CodeStack::new(4));
+        assert!(stack.configure_service(ServiceConfig {
+            workers: 1,
+            ..ServiceConfig::default()
+        }));
+        vsync::thread::sleep(Duration::from_millis(1));
+        let built = Arc::new(AtomicU64::new(0));
+        let miss = |built: Arc<AtomicU64>| {
+            move |l2: L2<'_, u64>| {
+                l2.or_build(|| {
+                    built.fetch_add(1, Ordering::SeqCst);
+                    Ok::<_, String>(Arc::new(7u64))
+                })
+            }
+        };
+        let submitter = {
+            let stack = Arc::clone(&stack);
+            let miss = miss(Arc::clone(&built));
+            vsync::thread::spawn(move || {
+                let submit = stack.submit(&key(0xCAFE), miss);
+                assert!(
+                    matches!(submit, Submit::Ready(_) | Submit::Queued | Submit::InFlight),
+                    "idle service refused: {submit:?}"
+                );
+            })
+        };
+        let before = Instant::now();
+        let v = stack
+            .get_or_build(&key(0xCAFE), miss(Arc::clone(&built)))
+            .expect("infallible miss");
+        assert!(
+            before.elapsed() < STALL,
+            "sync caller only woke via the stall timeout: the build-completion notify was lost"
+        );
+        assert_eq!(*v, 7);
+        submitter.join().expect("submitter panicked");
+        // Dropping the last handle stops and joins the worker.
+        drop(stack);
+        assert_eq!(
+            built.load(Ordering::SeqCst),
+            1,
+            "sync and async entry points both ran the miss for one key"
+        );
     }
 
     /// **No torn tier-up swap, and the latch fires once.** Mirrors
@@ -375,10 +471,18 @@ pub mod programs {
     pub fn all() -> &'static [(&'static str, fn())] {
         &[
             ("rcu_no_use_after_retire", rcu_no_use_after_retire),
+            (
+                "rcu_concurrent_reclaim_no_use_after_retire",
+                rcu_concurrent_reclaim_no_use_after_retire,
+            ),
             ("rcu_removed_id_unmatchable", rcu_removed_id_unmatchable),
             ("cache_exactly_one_build", cache_exactly_one_build),
             ("cache_stalled_path", cache_stalled_path),
             ("cache_notify_wakes_waiters", cache_notify_wakes_waiters),
+            (
+                "stack_sync_vs_async_one_build",
+                stack_sync_vs_async_one_build,
+            ),
             ("tier_latch_no_torn_swap", tier_latch_no_torn_swap),
             ("quarantine_single_probe", quarantine_single_probe),
             ("persist_single_writer", persist_single_writer),

@@ -33,11 +33,45 @@ echo "== unsafe audit (SAFETY-comment gate) =="
 # justification; see scripts/unsafe_audit.sh.
 ./scripts/unsafe_audit.sh
 
+echo "== one stack (no hand-wired cache + service + disk tier) =="
+# `vcode::stack::CodeStack` owns the L1 cache, the compile service and
+# the persistent tier, and `L2::or_build` is the one function that
+# probes and stores through (DESIGN.md "Code stack"). Product source
+# that constructs a tier or a service itself, or calls the tier seam
+# directly, is a second stack in the making: fail on it. Looked at:
+# code lines (not comments) of crates/*/src and src before each file's
+# first `#[cfg(test)]`. Exempt: the stack module and the two modules
+# that define the names; crates/bench, tests and benchmark/ (they
+# measure and test the parts on their own).
+second_stack=$(git ls-files --cached --others --exclude-standard \
+        'crates/*/src/*.rs' 'crates/*/src/**/*.rs' 'src/*.rs' |
+    grep -v -e '^crates/bench/' \
+        -e '^crates/core/src/stack\.rs$' \
+        -e '^crates/core/src/persist\.rs$' \
+        -e '^crates/core/src/service\.rs$' |
+    while IFS= read -r f; do
+        [ -f "$f" ] || continue
+        awk -v FILE="$f" '
+            /^[ \t]*#\[cfg\(test\)\]/ { exit }
+            /^[ \t]*\/\// { next }
+            /DiskTier::new|CompileService::new|CacheTier::load|CacheTier::store/ {
+                printf "%s:%d: %s\n", FILE, NR, $0
+            }' "$f"
+    done)
+if [ -n "$second_stack" ]; then
+    echo "one-stack gate: product source wires its own tier or service:" >&2
+    echo "$second_stack" >&2
+    exit 1
+fi
+echo "one stack ok"
+
 echo "== model checker: exhaustive concurrency sweeps =="
 # The bounded RCU / cache / tier-latch / quarantine model programs,
 # explored to completion under the vsync deterministic scheduler (the
 # seeded random smoke already ran inside the workspace tests above;
-# this is the full DFS sweep). Any violation prints a replayable
+# this is the full DFS sweep; the three-thread programs — persist,
+# concurrent reclaim, the code stack's sync-vs-async race — are swept
+# to a bound, not exhausted). Any violation prints a replayable
 # schedule.
 cargo test -q -p mcheck --offline --test models -- --ignored
 
