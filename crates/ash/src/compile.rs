@@ -98,11 +98,11 @@ impl vcode::ArtifactCodec<NativeCode> for KernelCodec {
 
     fn from_artifact(
         &self,
-        artifact: &vcode::Artifact,
+        artifact: &vcode::ArtifactView<'_>,
     ) -> Result<Arc<NativeCode>, vcode::PersistError> {
-        vcode::persist::redecode(&artifact.code, &vcode_x64::declen::Decoder)?;
+        vcode::persist::redecode(artifact.code, &vcode_x64::declen::Decoder)?;
         // An `io::Error` here is `PersistError::Io`: the artifact is kept.
-        Ok(Arc::new(NativeCode::adopt(&artifact.code, artifact.insns)?))
+        Ok(Arc::new(NativeCode::adopt(artifact.code, artifact.insns)?))
     }
 }
 

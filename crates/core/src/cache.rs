@@ -9,9 +9,10 @@
 //! - **Content-addressed.** A [`CacheKey`] is (target id, key bytes):
 //!   either the serialized vcode stream (`Program::encode`) or a client
 //!   key (DPF filter shape, ASH pipeline shape). The stored hash
-//!   (`content_hash`, in-process only) just *routes* (shard choice,
-//!   bucket probe); equality is decided on the full bytes, so hash
-//!   collisions can never alias two programs.
+//!   ([`digest64`](crate::persist::digest64) of the bytes, mixed with
+//!   the target) just *routes* (shard choice, bucket probe); equality is
+//!   decided on the full bytes, so hash collisions can never alias two
+//!   programs.
 //! - **Sharded.** Entries spread over `min(8, capacity)` mutexed shards
 //!   by key hash; concurrent compiles of different programs do not
 //!   contend.
@@ -47,6 +48,7 @@
 
 use crate::engine::TargetId;
 use crate::obs;
+use crate::persist::digest64;
 use std::collections::HashMap;
 // Synchronization comes from the `vsync` facade (std in production,
 // model-checked scheduler under the `mcheck` feature) so the Building-
@@ -76,39 +78,13 @@ fn route_hash(target: TargetId, content: u64) -> u64 {
     content ^ (target.index() as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15)
 }
 
-/// The content hash every in-crate key constructor feeds [`route_hash`]:
-/// two multiply-rotate lanes over little-endian words, length-seeded,
-/// zero-padded tail, high half folded down (the shard index is taken
-/// from the low bits). It only *routes* — shard choice here, then the
-/// shard map's own SipHash over the result — and lives only in this
-/// process, so it is free to be a word-at-a-time hash where on-disk
-/// identity ([`crate::engine::fnv1a`]: artifact names, checksums) has
-/// to stay what the files already carry.
-pub(crate) fn content_hash(bytes: &[u8]) -> u64 {
-    const K: u64 = 0x9e37_79b9_7f4a_7c15;
-    let word = |c: &[u8]| u64::from_le_bytes(c.try_into().expect("8-byte chunk"));
-    let mix = |h: u64, w: u64| (h.rotate_left(5) ^ w).wrapping_mul(K);
-    let (mut a, mut b) = (bytes.len() as u64, K);
-    let mut pairs = bytes.chunks_exact(16);
-    for c in &mut pairs {
-        a = mix(a, word(&c[..8]));
-        b = mix(b, word(&c[8..]));
-    }
-    let mut tail = [0u8; 16];
-    tail[..pairs.remainder().len()].copy_from_slice(pairs.remainder());
-    a = mix(a, word(&tail[..8]));
-    b = mix(b, word(&tail[8..]));
-    let h = mix(a, b);
-    h ^ (h >> 32)
-}
-
 impl CacheKey {
     /// Content-addressed key: `bytes` is the program identity (e.g.
-    /// `Program::encode()`); the hash mixes the content hash of the bytes
+    /// `Program::encode()`); the hash mixes the [`digest64`] of the bytes
     /// with the target id, so the same stream on two backends routes —
     /// and keys — differently.
     pub fn new(target: TargetId, bytes: Vec<u8>) -> CacheKey {
-        let hash = route_hash(target, content_hash(&bytes));
+        let hash = route_hash(target, digest64(&bytes));
         CacheKey {
             target,
             bytes: bytes.into(),
@@ -148,7 +124,7 @@ impl CacheKey {
         bytes.extend_from_slice(&self.bytes);
         CacheKey {
             target: self.target,
-            hash: route_hash(self.target, content_hash(&bytes)),
+            hash: route_hash(self.target, digest64(&bytes)),
             bytes: bytes.into(),
         }
     }
@@ -184,9 +160,9 @@ impl CacheKey {
 
     /// The content bytes — the serialized program identity. The
     /// persistent tier embeds these verbatim in each artifact and
-    /// fingerprints them (plain FNV-1a, no process-local routing salt)
-    /// to name the artifact file, so the same program maps to the same
-    /// file across processes.
+    /// fingerprints them (plain [`digest64`], whatever routing hash the
+    /// key carries) to name the artifact file, so the same program maps
+    /// to the same file across processes.
     pub fn content(&self) -> &[u8] {
         &self.bytes
     }

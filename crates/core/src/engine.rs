@@ -39,7 +39,7 @@
 
 use crate::cache::{CacheError, CacheKey, CacheStats, LambdaCache};
 use crate::op::{BinOp, Cond, UnOp};
-use crate::persist::{Artifact, DiskTier, PersistError};
+use crate::persist::{ArtifactView, DiskTier, PersistError};
 use crate::service::{CompileService, ServiceConfig};
 use crate::stack::{CodeStack, L2};
 use crate::target::{Finished, Leaf, Target};
@@ -470,42 +470,43 @@ impl Program {
                 Cond::Ne => 5,
             }
         }
-        let mut out = Vec::with_capacity(self.ops.len() * 8 + 4);
-        out.push(self.args as u8);
-        out.extend_from_slice(&self.labels.to_le_bytes());
+        // Worst case 9 bytes an op; one append of one fixed-size array
+        // per op, so each op costs a single capacity check.
+        let mut out = Vec::with_capacity(self.ops.len() * 9 + 3);
+        let [l0, l1] = self.labels.to_le_bytes();
+        out.extend_from_slice(&[self.args as u8, l0, l1]);
         for op in &self.ops {
             match *op {
                 POp::Set { dst, imm } => {
-                    out.push(0);
-                    out.push(dst);
-                    out.extend_from_slice(&imm.to_le_bytes());
+                    let [i0, i1, i2, i3] = imm.to_le_bytes();
+                    out.extend_from_slice(&[0, dst, i0, i1, i2, i3]);
                 }
                 POp::Bin { op, dst, a, b } => {
                     out.extend_from_slice(&[1, op_tag(op), dst, a, b]);
                 }
                 POp::BinImm { op, dst, a, imm } => {
-                    out.extend_from_slice(&[2, op_tag(op), dst, a]);
-                    out.extend_from_slice(&imm.to_le_bytes());
+                    let [i0, i1, i2, i3] = imm.to_le_bytes();
+                    out.extend_from_slice(&[2, op_tag(op), dst, a, i0, i1, i2, i3]);
                 }
                 POp::Un { op, dst, a } => {
                     out.extend_from_slice(&[3, un_tag(op), dst, a]);
                 }
                 POp::Label { l } => {
-                    out.push(4);
-                    out.extend_from_slice(&l.to_le_bytes());
+                    let [l0, l1] = l.to_le_bytes();
+                    out.extend_from_slice(&[4, l0, l1]);
                 }
                 POp::Br { cond, a, b, l } => {
-                    out.extend_from_slice(&[5, cond_tag(cond), a, b]);
-                    out.extend_from_slice(&l.to_le_bytes());
+                    let [l0, l1] = l.to_le_bytes();
+                    out.extend_from_slice(&[5, cond_tag(cond), a, b, l0, l1]);
                 }
                 POp::BrImm { cond, a, imm, l } => {
-                    out.extend_from_slice(&[6, cond_tag(cond), a]);
-                    out.extend_from_slice(&imm.to_le_bytes());
-                    out.extend_from_slice(&l.to_le_bytes());
+                    let [i0, i1, i2, i3] = imm.to_le_bytes();
+                    let [l0, l1] = l.to_le_bytes();
+                    out.extend_from_slice(&[6, cond_tag(cond), a, i0, i1, i2, i3, l0, l1]);
                 }
                 POp::Jmp { l } => {
-                    out.push(7);
-                    out.extend_from_slice(&l.to_le_bytes());
+                    let [l0, l1] = l.to_le_bytes();
+                    out.extend_from_slice(&[7, l0, l1]);
                 }
                 POp::Ret { src } => {
                     out.extend_from_slice(&[8, src]);
@@ -515,10 +516,69 @@ impl Program {
         out
     }
 
-    /// Reconstructs a program from its [`encode`](Self::encode) stream —
-    /// the persistent cache's differential IR check: an artifact's
-    /// embedded key bytes must decode, and re-encode to the same bytes,
-    /// before its native code is trusted.
+    /// Checks that `bytes` is a well-formed [`encode`](Self::encode)
+    /// stream and returns its declared argument count — the persistent
+    /// cache's IR check on an artifact's embedded key, in one pass and
+    /// without building anything.
+    ///
+    /// It accepts exactly what [`decode`](Self::decode) accepts. The
+    /// stream is fixed-width per tag and `decode` copies every non-tag
+    /// byte verbatim, so a stream that decodes also re-encodes to
+    /// itself: `check_encoded(b).is_ok()` ⇔ `decode(b).is_ok()` ⇔
+    /// `decode(b)?.encode() == b`.
+    ///
+    /// # Errors
+    ///
+    /// As [`decode`](Self::decode): [`EngineError::TooManyArgs`], or
+    /// [`EngineError::Exec`] naming the first malformed offset.
+    pub fn check_encoded(bytes: &[u8]) -> Result<usize, EngineError> {
+        /// Per op tag: encoded length, tag included, and the largest
+        /// value the byte after the tag may take — a sub-tag's last
+        /// variant, or 255 where a plain operand follows.
+        const SHAPE: [(usize, u8); 9] = [
+            (6, 255), // Set    dst imm32
+            (5, 9),   // Bin    BinOp dst a b
+            (8, 9),   // BinImm BinOp dst a imm32
+            (4, 3),   // Un     UnOp dst a
+            (3, 255), // Label  l16
+            (6, 5),   // Br     Cond a b l16
+            (9, 5),   // BrImm  Cond a imm32 l16
+            (3, 255), // Jmp    l16
+            (2, 255), // Ret    src
+        ];
+        let malformed = |what: &str, at: usize| {
+            EngineError::Exec(format!("program check: {what} at offset {at}"))
+        };
+        let args = usize::from(
+            *bytes
+                .first()
+                .ok_or_else(|| malformed("missing arg count", 0))?,
+        );
+        if args > MAX_PROGRAM_ARGS {
+            return Err(EngineError::TooManyArgs { requested: args });
+        }
+        if bytes.len() < 3 {
+            return Err(malformed("missing label count", 1));
+        }
+        let mut at = 3;
+        while at < bytes.len() {
+            let &(len, second_max) = SHAPE
+                .get(usize::from(bytes[at]))
+                .ok_or_else(|| malformed("unknown op tag", at))?;
+            let op = bytes
+                .get(at..at + len)
+                .ok_or_else(|| malformed("truncated op", at))?;
+            if op[1] > second_max {
+                return Err(malformed("bad sub-tag", at));
+            }
+            at += len;
+        }
+        Ok(args)
+    }
+
+    /// Reconstructs a program from its [`encode`](Self::encode) stream.
+    /// ([`check_encoded`](Self::check_encoded) answers whether this
+    /// would succeed without building the program.)
     ///
     /// # Errors
     ///
@@ -675,15 +735,14 @@ impl Program {
     /// O(1) — this is what keeps warm cache lookups free of
     /// emission-scale work.
     ///
-    /// The hash is the cache's *in-process routing* hash
-    /// (`cache::content_hash`): it picks a shard and a bucket
-    /// and is never written anywhere. On-disk identity (artifact names,
-    /// checksums) is [`fnv1a`] over the bytes, computed by the
-    /// persistent tier itself.
+    /// The hash is [`digest64`](crate::persist::digest64) of the bytes:
+    /// the cache routes by it (shard, bucket), and the persistent tier
+    /// computes the same function itself, from the key's bytes, for
+    /// artifact names and checksums — it trusts no caller's hash.
     pub fn encoded(&self) -> &(Arc<[u8]>, u64) {
         self.encoded.get_or_init(|| {
             let bytes: Arc<[u8]> = self.encode().into();
-            let hash = crate::cache::content_hash(&bytes);
+            let hash = crate::persist::digest64(&bytes);
             (bytes, hash)
         })
     }
@@ -839,6 +898,9 @@ impl Program {
 }
 
 /// FNV-1a 64-bit hash (no external dependencies; stable across runs).
+/// The hash artifact format v1 was named and sealed with; nothing in the
+/// product calls it since v2 ([`crate::persist::digest64`]). It stays
+/// for callers outside the workspace that key their own caches with it.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -1152,7 +1214,7 @@ pub trait Backend: Send + Sync + fmt::Debug {
     /// fail the re-decode, [`PersistError::NoDecoder`] when this process
     /// has no decoder (or this backend no adoption path) for them,
     /// [`PersistError::Io`] when executable memory cannot be obtained.
-    fn adopt(&self, artifact: &Artifact) -> Result<Arc<dyn Lambda>, PersistError> {
+    fn adopt(&self, artifact: &ArtifactView<'_>) -> Result<Arc<dyn Lambda>, PersistError> {
         Err(PersistError::NoDecoder(artifact.target))
     }
 }
@@ -1219,18 +1281,18 @@ macro_rules! code_backend {
 
             fn adopt(
                 &self,
-                artifact: &$crate::persist::Artifact,
+                artifact: &$crate::persist::ArtifactView<'_>,
             ) -> Result<
                 ::std::sync::Arc<dyn $crate::engine::Lambda>,
                 $crate::persist::PersistError,
             > {
                 let dec = $crate::persist::decoder($id)
                     .ok_or($crate::persist::PersistError::NoDecoder($id))?;
-                $crate::persist::redecode(&artifact.code, &*dec)?;
+                $crate::persist::redecode(artifact.code, &*dec)?;
                 Ok(::std::sync::Arc::new($crate::engine::CodeImage::new(
                     $id,
                     artifact.args as usize,
-                    artifact.code.clone(),
+                    artifact.code.to_vec(),
                     artifact.insns,
                 )))
             }
@@ -1556,9 +1618,9 @@ impl AsyncCompile {
 
 /// The engine's [`ArtifactCodec`](crate::persist::ArtifactCodec):
 /// serializes any lambda exposing a [`Lambda::persist_image`] and
-/// re-materializes artifacts through [`Backend::adopt`], with a
-/// differential IR check on the embedded key bytes (they must decode as
-/// a [`Program`] and re-encode to themselves) before any native byte is
+/// re-materializes artifacts through [`Backend::adopt`], with an IR
+/// check on the embedded key bytes (they must be a well-formed
+/// [`Program`] stream of the recorded arity) before any native byte is
 /// trusted.
 struct LambdaCodec {
     backends: [Option<Arc<dyn Backend>>; 4],
@@ -1587,20 +1649,15 @@ impl crate::persist::ArtifactCodec<dyn Lambda> for LambdaCodec {
 
     fn from_artifact(
         &self,
-        artifact: &crate::persist::Artifact,
+        artifact: &crate::persist::ArtifactView<'_>,
     ) -> Result<Arc<dyn Lambda>, crate::persist::PersistError> {
-        // Differential IR check: the artifact's identity bytes must be
-        // a well-formed Program stream naming the recorded arity.
-        let prog = Program::decode(&artifact.key)
+        // IR check: the artifact's identity bytes must be a well-formed
+        // Program stream naming the recorded arity.
+        let args = Program::check_encoded(artifact.key)
             .map_err(|e| crate::persist::PersistError::Revalidation(format!("embedded IR: {e}")))?;
-        if prog.args() != artifact.args as usize {
+        if args != usize::from(artifact.args) {
             return Err(crate::persist::PersistError::Revalidation(
                 "artifact arity disagrees with its embedded IR".into(),
-            ));
-        }
-        if prog.encode() != artifact.key {
-            return Err(crate::persist::PersistError::Revalidation(
-                "embedded IR does not round-trip to the key bytes".into(),
             ));
         }
         // The backend types its own refusals (these bytes, or this
@@ -1924,6 +1981,149 @@ mod tests {
         let mut q = sample();
         q.bin_imm(BinOp::Add, 4, 4, 0); // different stream
         assert_ne!(p.encoded().1, q.encoded().1);
+    }
+
+    /// A program of `ops` random instructions over every op, every
+    /// sub-tag and arbitrary operands (well-formed as a stream; not
+    /// meant to run).
+    fn generated(rng: &mut crate::regress::XorShift, ops: usize) -> Program {
+        const BIN: [BinOp; 10] = [
+            BinOp::Add,
+            BinOp::Sub,
+            BinOp::Mul,
+            BinOp::Div,
+            BinOp::Mod,
+            BinOp::And,
+            BinOp::Or,
+            BinOp::Xor,
+            BinOp::Lsh,
+            BinOp::Rsh,
+        ];
+        const UN: [UnOp; 4] = [UnOp::Com, UnOp::Not, UnOp::Mov, UnOp::Neg];
+        const COND: [Cond; 6] = [Cond::Lt, Cond::Le, Cond::Gt, Cond::Ge, Cond::Eq, Cond::Ne];
+        let mut p = Program::new(rng.below(MAX_PROGRAM_ARGS as u64 + 1) as usize).unwrap();
+        for _ in 0..rng.below(4) {
+            p.genlabel();
+        }
+        for _ in 0..ops {
+            let (x, y, z) = (
+                rng.next_u64() as u8,
+                rng.next_u64() as u8,
+                rng.next_u64() as u8,
+            );
+            let (imm, l) = (rng.next_u64() as i32, rng.next_u64() as u16);
+            let (bin, un, cond) = (
+                BIN[rng.below(10) as usize],
+                UN[rng.below(4) as usize],
+                COND[rng.below(6) as usize],
+            );
+            match rng.below(9) {
+                0 => p.set(x, imm),
+                1 => p.bin(bin, x, y, z),
+                2 => p.bin_imm(bin, x, y, imm),
+                3 => p.un(un, x, y),
+                4 => p.label(l),
+                5 => p.br(cond, x, y, l),
+                6 => p.br_imm(cond, x, imm, l),
+                7 => p.jmp(l),
+                _ => p.ret(x),
+            }
+        }
+        p
+    }
+
+    /// The stream one field at a time, as `encode` wrote it before it
+    /// appended one array per op.
+    fn encode_by_field(p: &Program) -> Vec<u8> {
+        let mut out = vec![p.args() as u8];
+        out.extend_from_slice(&p.labels().to_le_bytes());
+        for op in p.ops() {
+            match *op {
+                POp::Set { dst, imm } => {
+                    out.extend_from_slice(&[0, dst]);
+                    out.extend_from_slice(&imm.to_le_bytes());
+                }
+                POp::Bin { op, dst, a, b } => out.extend_from_slice(&[1, op as u8, dst, a, b]),
+                POp::BinImm { op, dst, a, imm } => {
+                    out.extend_from_slice(&[2, op as u8, dst, a]);
+                    out.extend_from_slice(&imm.to_le_bytes());
+                }
+                POp::Un { op, dst, a } => out.extend_from_slice(&[3, op as u8, dst, a]),
+                POp::Label { l } => {
+                    out.push(4);
+                    out.extend_from_slice(&l.to_le_bytes());
+                }
+                POp::Br { cond, a, b, l } => {
+                    out.extend_from_slice(&[5, cond as u8, a, b]);
+                    out.extend_from_slice(&l.to_le_bytes());
+                }
+                POp::BrImm { cond, a, imm, l } => {
+                    out.extend_from_slice(&[6, cond as u8, a]);
+                    out.extend_from_slice(&imm.to_le_bytes());
+                    out.extend_from_slice(&l.to_le_bytes());
+                }
+                POp::Jmp { l } => {
+                    out.push(7);
+                    out.extend_from_slice(&l.to_le_bytes());
+                }
+                POp::Ret { src } => out.extend_from_slice(&[8, src]),
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn encode_is_the_field_by_field_stream_and_decodes_back() {
+        let mut rng = crate::regress::XorShift::new(0xe4c0de);
+        for n in 0..512 {
+            let p = generated(&mut rng, n % 97);
+            let bytes = p.encode();
+            assert_eq!(bytes, encode_by_field(&p), "program {n}");
+            assert_eq!(Program::decode(&bytes).expect("decodes"), p, "program {n}");
+            assert_eq!(Program::check_encoded(&bytes).expect("checks"), p.args());
+        }
+    }
+
+    /// `check_encoded(b).is_ok()` ⇔ `decode(b).is_ok()` ⇔
+    /// `decode(b)?.encode() == b`, with the same arity and the same
+    /// error class.
+    #[track_caller]
+    fn check_agrees_with_decode(bytes: &[u8]) {
+        match (Program::check_encoded(bytes), Program::decode(bytes)) {
+            (Ok(args), Ok(p)) => {
+                assert_eq!(args, p.args(), "{bytes:02x?}");
+                assert_eq!(p.encode(), bytes, "decoded stream must re-encode to itself");
+            }
+            (
+                Err(EngineError::TooManyArgs { requested: c }),
+                Err(EngineError::TooManyArgs { requested: d }),
+            ) => {
+                assert_eq!(c, d);
+            }
+            (Err(EngineError::Exec(_)), Err(EngineError::Exec(_))) => {}
+            (c, d) => panic!("check {c:?} but decode {d:?} on {bytes:02x?}"),
+        }
+    }
+
+    /// Exhaustive over 64 generated programs: every truncation, and
+    /// every value of every byte.
+    #[test]
+    fn check_encoded_agrees_with_decode_on_every_mutation() {
+        let mut rng = crate::regress::XorShift::new(0xc4ec4ed);
+        for n in 0..64 {
+            let mut bytes = generated(&mut rng, 4 + n % 20).encode();
+            for cut in 0..=bytes.len() {
+                check_agrees_with_decode(&bytes[..cut]);
+            }
+            for at in 0..bytes.len() {
+                let pristine = bytes[at];
+                for v in 0..=255u8 {
+                    bytes[at] = v;
+                    check_agrees_with_decode(&bytes);
+                }
+                bytes[at] = pristine;
+            }
+        }
     }
 
     #[test]

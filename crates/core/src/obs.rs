@@ -574,6 +574,7 @@ static PERSIST_HITS: AtomicU64 = AtomicU64::new(0);
 static PERSIST_MISSES: AtomicU64 = AtomicU64::new(0);
 static PERSIST_STORES: AtomicU64 = AtomicU64::new(0);
 static PERSIST_REJECTS: AtomicU64 = AtomicU64::new(0);
+static PERSIST_SWEPT: AtomicU64 = AtomicU64::new(0);
 
 /// Process-wide persistent-cache counter snapshot.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -587,6 +588,9 @@ pub struct PersistCounters {
     /// Artifacts refused by validation (each one a silent fallback to
     /// a fresh compile).
     pub rejects: u64,
+    /// Artifact files of superseded formats removed when a tier opened
+    /// its directory.
+    pub swept: u64,
 }
 
 /// Records one adopted artifact load.
@@ -613,6 +617,12 @@ pub fn note_persist_reject() {
     PERSIST_REJECTS.fetch_add(1, Ordering::Relaxed);
 }
 
+/// Records `n` superseded-format artifact files removed.
+#[inline]
+pub fn note_persist_swept(n: u64) {
+    PERSIST_SWEPT.fetch_add(n, Ordering::Relaxed);
+}
+
 /// Snapshot of the process-wide persistent-cache counters.
 pub fn persist_counters() -> PersistCounters {
     PersistCounters {
@@ -620,6 +630,7 @@ pub fn persist_counters() -> PersistCounters {
         misses: PERSIST_MISSES.load(Ordering::Relaxed),
         stores: PERSIST_STORES.load(Ordering::Relaxed),
         rejects: PERSIST_REJECTS.load(Ordering::Relaxed),
+        swept: PERSIST_SWEPT.load(Ordering::Relaxed),
     }
 }
 

@@ -184,7 +184,7 @@ impl<V: ?Sized + Send + Sync + 'static> CodeStack<V> {
 mod tests {
     use super::*;
     use crate::engine::TargetId;
-    use crate::persist::Artifact;
+    use crate::persist::{Artifact, ArtifactView};
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Barrier;
@@ -216,9 +216,9 @@ mod tests {
             })
         }
 
-        fn from_artifact(&self, artifact: &Artifact) -> Result<Arc<Vec<u8>>, PersistError> {
+        fn from_artifact(&self, artifact: &ArtifactView<'_>) -> Result<Arc<Vec<u8>>, PersistError> {
             self.loaded.fetch_add(1, Ordering::SeqCst);
-            Ok(Arc::new(artifact.code.clone()))
+            Ok(Arc::new(artifact.code.to_vec()))
         }
     }
 

@@ -114,15 +114,15 @@ impl vcode::ArtifactCodec<CompiledSet> for SetCodec {
 
     fn from_artifact(
         &self,
-        artifact: &vcode::Artifact,
+        artifact: &vcode::ArtifactView<'_>,
     ) -> Result<Arc<CompiledSet>, vcode::PersistError> {
-        vcode::persist::redecode(&artifact.code, &vcode_x64::declen::Decoder)?;
-        let strategies = CompiledSet::meta_parse(&artifact.meta).ok_or(
+        vcode::persist::redecode(artifact.code, &vcode_x64::declen::Decoder)?;
+        let strategies = CompiledSet::meta_parse(artifact.meta).ok_or(
             vcode::PersistError::Malformed("classifier strategy meta blob"),
         )?;
         // Adoption fails only for want of executable memory: an
         // `io::Error`, so `PersistError::Io` — the artifact is kept.
-        let set = CompiledSet::adopt(&artifact.code, strategies, artifact.insns)?;
+        let set = CompiledSet::adopt(artifact.code, strategies, artifact.insns)?;
         Ok(Arc::new(set))
     }
 }

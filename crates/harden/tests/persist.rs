@@ -10,8 +10,8 @@
 use harden::XorShift;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use vcode::engine::{fnv1a, Backend, Engine, Program, TargetId};
-use vcode::persist::{FOOTER_LEN, HEADER_LEN, OFF_ABI, OFF_FORMAT, OFF_TARGET};
+use vcode::engine::{Backend, Engine, Program, TargetId};
+use vcode::persist::{digest64, FOOTER_LEN, HEADER_LEN, OFF_ABI, OFF_FORMAT, OFF_TARGET};
 use vcode::{BinOp, CacheKey, CacheTier, PersistError};
 
 fn scratch_dir(tag: &str) -> PathBuf {
@@ -96,7 +96,7 @@ fn patch_and_reseal(bytes: &[u8], off: usize, field: &[u8]) -> Vec<u8> {
     let mut b = bytes.to_vec();
     b[off..off + field.len()].copy_from_slice(field);
     let body = b.len() - FOOTER_LEN;
-    let sum = fnv1a(&b[..body]);
+    let sum = digest64(&b[..body]);
     b[body..].copy_from_slice(&sum.to_le_bytes());
     b
 }
@@ -263,7 +263,7 @@ fn resealed_payload_damage_never_crashes() {
             let bit = HEADER_LEN * 8 + rng.below(payload as u64 * 8) as usize;
             b[bit / 8] ^= 1 << (bit % 8);
             let body = b.len() - FOOTER_LEN;
-            let sum = fnv1a(&b[..body]);
+            let sum = digest64(&b[..body]);
             b[body..].copy_from_slice(&sum.to_le_bytes());
             std::fs::write(&path, &b).unwrap();
             let e = engine(&dir);

@@ -92,7 +92,7 @@ fn parked_mappings_read_zero_whatever_parked_them() {
             &format!("program {i}, adopted"),
             artifact.code.len(),
             || {
-                drop(X64Backend.adopt(&artifact).unwrap());
+                drop(X64Backend.adopt(&artifact.view()).unwrap());
             },
         );
     }

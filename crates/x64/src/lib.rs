@@ -992,16 +992,16 @@ impl Backend for X64Backend {
 
     fn adopt(
         &self,
-        artifact: &vcode::persist::Artifact,
+        artifact: &vcode::ArtifactView<'_>,
     ) -> Result<std::sync::Arc<dyn Lambda>, vcode::PersistError> {
         // Differential re-decode *before* anything lands in executable
         // memory: every instruction must decode, the walk must end on
         // the buffer boundary, every branch target must be a boundary.
-        vcode::persist::redecode(&artifact.code, &declen::Decoder)?;
+        vcode::persist::redecode(artifact.code, &declen::Decoder)?;
         // Failing to obtain executable memory says nothing about the
         // artifact: the `io::Error` converts to `PersistError::Io`,
         // which the disk tier does not evict on.
-        let mem = ExecMem::adopt_bytes(&artifact.code)?;
+        let mem = ExecMem::adopt_bytes(artifact.code)?;
         let code = mem.finalize_written(artifact.code.len())?;
         Ok(std::sync::Arc::new(NativeLambda {
             code,

@@ -65,6 +65,25 @@ if [ -n "$second_stack" ]; then
 fi
 echo "one stack ok"
 
+echo "== one digest (no byte-serial hash in the persistent tier) =="
+# `persist::digest64` names artifact files and fills their key hashes
+# and checksums a word at a time; `engine::fnv1a` walks a byte at a
+# time and cost a third of an L2 load when the tier used it (DESIGN.md
+# "Persistent code cache"). Product code of the tier must not call it
+# again. Looked at: code lines (not comments) of persist.rs before its
+# first `#[cfg(test)]`; tests may use whatever they like.
+byte_serial=$(awk '
+    /^[ \t]*#\[cfg\(test\)\]/ { exit }
+    /^[ \t]*\/\// { next }
+    /fnv1a/ { printf "crates/core/src/persist.rs:%d: %s\n", NR, $0 }
+    ' crates/core/src/persist.rs)
+if [ -n "$byte_serial" ]; then
+    echo "one-digest gate: the persistent tier hashes a byte at a time:" >&2
+    echo "$byte_serial" >&2
+    exit 1
+fi
+echo "one digest ok"
+
 echo "== model checker: exhaustive concurrency sweeps =="
 # The bounded RCU / cache / tier-latch / quarantine model programs,
 # explored to completion under the vsync deterministic scheduler (the
