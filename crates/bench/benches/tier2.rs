@@ -1,33 +1,35 @@
-//! Tier-2 recompilation: what the optimizing tier costs and what it
-//! buys, measured over the DPF/ASH hot-loop corpus (the recorded-IR
-//! kernels a demux/transfer server actually runs hot).
+//! Tier-2, the record of a measured experiment: what optimizing the
+//! recorded IR costs and what it buys, over the DPF/ASH hot-loop corpus
+//! (the recorded-IR kernels a demux/transfer server actually runs hot).
+//! Nothing serves from this path — the engine hands out tier-1 code only
+//! (DESIGN.md "Tier-2: a measured experiment") — so what is *gated* here
+//! is what is exact, and wall-clock readings are recorded beside it.
 //!
-//! Three questions, three metrics:
+//! Exact, gated (CI runs this binary; either failure exits 1):
 //!
-//! - **Cost** — `tier2/compile_ns_per_insn`: optimize + linear-scan
-//!   replay time per source instruction. Tier-2 runs on a background
-//!   worker, so this is latency-to-upgrade, not caller stall; it is
-//!   still held to the snapshot's 20% fence so the optimizer cannot
-//!   quietly become a second DCG.
-//! - **Static win** — `tier2/insns_eliminated_pct`: executable
-//!   instructions removed from the recorded IR by peephole + layout.
-//! - **Dynamic win** — `tier2/sim_cycle_reduction_pct`: executed-cycle
-//!   reduction tier-1 vs tier-2 on the MIPS simulator (deterministic
-//!   machine model, so this number is exact, not a timing). CI runs
-//!   this binary as a gate: aggregate reduction below 10% — the tier
-//!   stopped paying for itself — fails the run with exit 1, as does any
-//!   cross-tier result divergence.
+//! - every kernel agrees across interpreter / tier-1 / tier-2, on the
+//!   MIPS simulator and natively on x86-64;
+//! - `tier2/sim_cycle_reduction_pct`: executed-cycle reduction tier-1 vs
+//!   tier-2 on the MIPS simulator (a deterministic machine model, so the
+//!   number is a count, not a timing) stays at or above 10 % in
+//!   aggregate, and no kernel executes more cycles optimized.
 //!
-//! A native x86-64 wall-clock comparison of the same corpus is printed
-//! and recorded (`tier2/x64_speedup`) but not gated: on a shared 1-core
-//! host the sim cycle counts are the trustworthy signal.
+//! Recorded, not fenced:
+//!
+//! - `tier2/insns_eliminated_pct`: executable instructions removed from
+//!   the recorded IR by peephole + layout (exact, but not a goal);
+//! - `tier2/compile_ns_per_insn` / `tier2/tier1_compile_ns_per_insn`:
+//!   optimize + linear-scan replay, and plain replay, per source
+//!   instruction;
+//! - `tier2/x64_speedup`: native wall clock, tier-1 over tier-2 — the
+//!   number that decided the experiment (under the 1.2× bar).
 
 use std::time::Instant;
 use vcode::engine::{replay, Backend, Program};
 use vcode::tier2;
 use vcode_bench::snapshot;
 use vcode_mips::Mips;
-use vcode_x64::X64Backend;
+use vcode_x64::{X64Backend, X64};
 
 /// Simulator step budget per corpus run (largest kernel: ~256
 /// iterations of a ~40-instruction body).
@@ -83,9 +85,9 @@ fn main() {
         .chain(ash::hotloop::corpus())
         .collect();
 
-    println!("=== Tier-2 recompilation over the DPF/ASH hot-loop corpus ===");
+    println!("=== Tier-2 over the DPF/ASH hot-loop corpus ===");
     println!(
-        "{:14} {:>8} {:>8} {:>7} {:>10} {:>10} {:>7} {:>12} {:>12}",
+        "{:14} {:>8} {:>8} {:>7} {:>10} {:>10} {:>7} {:>12} {:>12} {:>10} {:>10}",
         "kernel",
         "insns",
         "t2 insns",
@@ -94,7 +96,9 @@ fn main() {
         "t2 cycles",
         "cyc-%",
         "t1 comp ns",
-        "t2 comp ns"
+        "t2 comp ns",
+        "t1 x64 ns",
+        "t2 x64 ns"
     );
 
     let x64 = X64Backend;
@@ -149,7 +153,9 @@ fn main() {
         // Native x86-64 wall clock for the same kernels (recorded, not
         // gated; see module docs).
         let l1 = x64.compile(prog).expect("x64 tier-1");
-        let l2 = x64.compile_tier2(prog).expect("x64 tier-2");
+        let l2 = x64
+            .compile_with(&tier2::optimize(prog).0, tier2::replay_opt::<X64>)
+            .expect("x64 tier-2");
         for (l, tier) in [(&l1, 1), (&l2, 2)] {
             let got = l.call(input).unwrap_or_else(|e| panic!("{name}: x64: {e}"));
             if got != want {
@@ -174,7 +180,7 @@ fn main() {
         );
 
         println!(
-            "{:14} {:>8} {:>8} {:>6.1}% {:>10} {:>10} {:>6.1}% {:>12.0} {:>12.0}",
+            "{:14} {:>8} {:>8} {:>6.1}% {:>10} {:>10} {:>6.1}% {:>12.0} {:>12.0} {:>10.0} {:>10.0}",
             name,
             stats.insns_in,
             stats.insns_out,
@@ -184,6 +190,8 @@ fn main() {
             (1.0 - c2 as f64 / c1 as f64) * 100.0,
             n1,
             n2,
+            w1,
+            w2,
         );
 
         insns_in += stats.insns_in as u64;
@@ -206,19 +214,16 @@ fn main() {
          compile {t1_per_insn:.1} -> {t2_per_insn:.1} ns/insn, x64 calls {x64_speedup:.2}x"
     );
 
-    // Snapshot + gates. Cycle counts are deterministic; the 10% floor is
+    // Snapshot + gate. Cycle counts are deterministic; the 10% floor is
     // a hard invariant, not a noise fence.
-    for (name, value, fence) in [
-        ("tier2/compile_ns_per_insn", t2_per_insn, true),
-        ("tier2/tier1_compile_ns_per_insn", t1_per_insn, true),
-        ("tier2/insns_eliminated_pct", elim_pct, false),
-        ("tier2/sim_cycle_reduction_pct", cycle_pct, false),
-        ("tier2/x64_speedup", x64_speedup, false),
+    for (name, value) in [
+        ("tier2/compile_ns_per_insn", t2_per_insn),
+        ("tier2/tier1_compile_ns_per_insn", t1_per_insn),
+        ("tier2/insns_eliminated_pct", elim_pct),
+        ("tier2/sim_cycle_reduction_pct", cycle_pct),
+        ("tier2/x64_speedup", x64_speedup),
     ] {
         snapshot::record(name, value);
-        if fence {
-            failures.extend(snapshot::check(name, value));
-        }
     }
     if cycle_pct < 10.0 {
         failures.push(format!(

@@ -96,36 +96,14 @@ impl CacheKey {
     /// memoized `Program::encoded` fast path): no byte scan, no copy.
     /// `content_hash` must be the same function of `bytes` for every key
     /// of one cache — equal keys must hash equally. `Program::encoded`
-    /// supplies the hash that [`new`](Self::new) and
-    /// [`tiered`](Self::tiered) compute, so those three mix freely; a
-    /// cache keyed with some other hash (FNV-1a, say) must use it for all
-    /// of its keys.
+    /// supplies the hash that [`new`](Self::new) computes, so those two
+    /// mix freely; a cache keyed with some other hash (FNV-1a, say) must
+    /// use it for all of its keys.
     pub fn from_encoded(target: TargetId, bytes: Arc<[u8]>, content_hash: u64) -> CacheKey {
         CacheKey {
             target,
             hash: route_hash(target, content_hash),
             bytes,
-        }
-    }
-
-    /// Derives the cache identity of a higher compilation *tier* of the
-    /// same program: same target, content bytes prefixed with a tier tag.
-    ///
-    /// The tag byte is `0xF0 | tier`, which no base key can start with —
-    /// a `Program::encode()` stream begins with its argument count
-    /// (≤ `MAX_PROGRAM_ARGS`) — so tiered keys can never alias a tier-0
-    /// entry, and distinct tiers never alias each other. Tier-2
-    /// recompilation publishes optimized code under `self.tiered(2)`
-    /// while the baseline entry stays resident under `self`.
-    pub fn tiered(&self, tier: u8) -> CacheKey {
-        debug_assert!(tier < 0x10, "tier tag must fit the 0xF0 prefix");
-        let mut bytes = Vec::with_capacity(self.bytes.len() + 1);
-        bytes.push(0xF0 | (tier & 0x0F));
-        bytes.extend_from_slice(&self.bytes);
-        CacheKey {
-            target: self.target,
-            hash: route_hash(self.target, digest64(&bytes)),
-            bytes: bytes.into(),
         }
     }
 

@@ -41,18 +41,16 @@ use crate::cache::{CacheError, CacheKey, CacheStats, LambdaCache};
 use crate::op::{BinOp, Cond, UnOp};
 use crate::persist::{ArtifactView, DiskTier, PersistError};
 use crate::service::{CompileService, ServiceConfig};
-use crate::stack::{CodeStack, L2};
+use crate::stack::CodeStack;
 use crate::target::{Finished, Leaf, Target};
-use crate::tier2::TierConfig;
 use crate::ty::{Sig, Ty};
 use crate::{obs, Assembler, Error, Label, Reg, RegClass};
 use std::fmt;
-// Tiering state (the heat counter and the tier-2/native publish
-// latches) synchronizes via the `vsync` facade so `crates/mcheck` can
-// explore upgrade races; the executor registry below stays on
-// `std::sync::RwLock` (const-initialized static, never touched by model
-// programs).
-use crate::vsync::{Arc, AtomicU64, OnceLock, Ordering, Weak};
+// The degraded handle's native latch synchronizes via the `vsync` facade
+// so `crates/mcheck` can explore the upgrade race; the executor registry
+// below stays on `std::sync::RwLock` (const-initialized static, never
+// touched by model programs).
+use crate::vsync::{Arc, OnceLock};
 use std::sync::RwLock;
 use std::time::Duration;
 
@@ -923,25 +921,67 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 /// Typed [`EngineError`]: codegen failures ([`Error`]) and virtual
 /// registers the target's allocator cannot supply.
 pub fn replay<T: Target>(prog: &Program, mem: &mut [u8]) -> Result<Finished, EngineError> {
-    let sig = Sig::new(vec![Ty::I; prog.args], Ty::I);
-    let mut a = Assembler::<T>::lambda_sig(mem, sig, Leaf::Yes)?;
-    let mut vregs: Vec<Reg> = a.args().to_vec();
-    let mut labels: Vec<Label> = (0..prog.labels).map(|_| a.genlabel()).collect();
-    // Labels may also be referenced without pre-allocation in hand-built
-    // programs; genlabel above covers every declared index.
-    fn vreg<T: Target>(
-        a: &mut Assembler<'_, T>,
-        vregs: &mut Vec<Reg>,
-        v: u8,
-    ) -> Result<Reg, EngineError> {
-        while vregs.len() <= usize::from(v) {
+    lower::<T, FirstTouch>(prog, mem)
+}
+
+/// How the lowering loop finds the register that holds a virtual
+/// register — the one thing [`replay`] and
+/// [`tier2::replay_opt`](crate::tier2::replay_opt) do differently. The
+/// policy is a type parameter of [`lower`], so each caller gets its own
+/// copy of the loop with its policy inlined.
+pub(crate) trait VregMap: Sized {
+    /// Starts a lambda of `prog` whose arguments arrived in `args`.
+    fn new(prog: &Program, args: &[Reg]) -> Self;
+
+    /// The register holding `v`, taken from `a`'s allocator on first
+    /// need.
+    ///
+    /// # Errors
+    ///
+    /// [`EngineError::TooManyTemps`] when the allocator has none left.
+    fn reg<T: Target>(&mut self, a: &mut Assembler<'_, T>, v: u8) -> Result<Reg, EngineError>;
+
+    /// The op at stream position `pos` has been emitted: registers whose
+    /// vreg is dead from here on may go back to `a`'s allocator.
+    fn retire<T: Target>(&mut self, a: &mut Assembler<'_, T>, pos: usize);
+}
+
+/// [`replay`]'s policy: a vreg takes the first free temporary when it
+/// (or any higher-numbered vreg) is first touched and keeps it for the
+/// whole lambda, so a program with more vregs than the target has
+/// temporaries dies at `TooManyTemps` however short their lives.
+struct FirstTouch(Vec<Reg>);
+
+impl VregMap for FirstTouch {
+    fn new(_prog: &Program, args: &[Reg]) -> FirstTouch {
+        FirstTouch(args.to_vec())
+    }
+
+    fn reg<T: Target>(&mut self, a: &mut Assembler<'_, T>, v: u8) -> Result<Reg, EngineError> {
+        while self.0.len() <= usize::from(v) {
             match a.getreg(RegClass::Temp) {
-                Some(r) => vregs.push(r),
+                Some(r) => self.0.push(r),
                 None => return Err(EngineError::TooManyTemps { vreg: v }),
             }
         }
-        Ok(vregs[usize::from(v)])
+        Ok(self.0[usize::from(v)])
     }
+
+    fn retire<T: Target>(&mut self, _a: &mut Assembler<'_, T>, _pos: usize) {}
+}
+
+/// The one lowering from [`POp`] to `Assembler<T>` emitter calls, over
+/// the vreg policy `M`.
+pub(crate) fn lower<T: Target, M: VregMap>(
+    prog: &Program,
+    mem: &mut [u8],
+) -> Result<Finished, EngineError> {
+    let sig = Sig::new(vec![Ty::I; prog.args], Ty::I);
+    let mut a = Assembler::<T>::lambda_sig(mem, sig, Leaf::Yes)?;
+    let mut map = M::new(prog, a.args());
+    let mut labels: Vec<Label> = (0..prog.labels).map(|_| a.genlabel()).collect();
+    // Labels may also be referenced without pre-allocation in hand-built
+    // programs; genlabel above covers every declared index.
     fn lab<T: Target>(a: &mut Assembler<'_, T>, labels: &mut Vec<Label>, l: u16) -> Label {
         while labels.len() <= usize::from(l) {
             let fresh = a.genlabel();
@@ -949,15 +989,15 @@ pub fn replay<T: Target>(prog: &Program, mem: &mut [u8]) -> Result<Finished, Eng
         }
         labels[usize::from(l)]
     }
-    for op in &prog.ops {
+    for (pos, op) in prog.ops.iter().enumerate() {
         match *op {
             POp::Set { dst, imm } => {
-                let d = vreg(&mut a, &mut vregs, dst)?;
+                let d = map.reg(&mut a, dst)?;
                 a.seti(d, imm);
             }
             POp::Bin { op, dst, a: x, b } => {
-                let (rx, rb) = (vreg(&mut a, &mut vregs, x)?, vreg(&mut a, &mut vregs, b)?);
-                let d = vreg(&mut a, &mut vregs, dst)?;
+                let (rx, rb) = (map.reg(&mut a, x)?, map.reg(&mut a, b)?);
+                let d = map.reg(&mut a, dst)?;
                 match op {
                     BinOp::Add => a.addi(d, rx, rb),
                     BinOp::Sub => a.subi(d, rx, rb),
@@ -972,8 +1012,8 @@ pub fn replay<T: Target>(prog: &Program, mem: &mut [u8]) -> Result<Finished, Eng
                 }
             }
             POp::BinImm { op, dst, a: x, imm } => {
-                let rx = vreg(&mut a, &mut vregs, x)?;
-                let d = vreg(&mut a, &mut vregs, dst)?;
+                let rx = map.reg(&mut a, x)?;
+                let d = map.reg(&mut a, dst)?;
                 let imm = i64::from(imm);
                 match op {
                     BinOp::Add => a.addii(d, rx, imm),
@@ -989,8 +1029,8 @@ pub fn replay<T: Target>(prog: &Program, mem: &mut [u8]) -> Result<Finished, Eng
                 }
             }
             POp::Un { op, dst, a: x } => {
-                let rx = vreg(&mut a, &mut vregs, x)?;
-                let d = vreg(&mut a, &mut vregs, dst)?;
+                let rx = map.reg(&mut a, x)?;
+                let d = map.reg(&mut a, dst)?;
                 match op {
                     UnOp::Com => a.comi(d, rx),
                     UnOp::Not => a.noti(d, rx),
@@ -1003,7 +1043,7 @@ pub fn replay<T: Target>(prog: &Program, mem: &mut [u8]) -> Result<Finished, Eng
                 a.label(lbl);
             }
             POp::Br { cond, a: x, b, l } => {
-                let (rx, rb) = (vreg(&mut a, &mut vregs, x)?, vreg(&mut a, &mut vregs, b)?);
+                let (rx, rb) = (map.reg(&mut a, x)?, map.reg(&mut a, b)?);
                 let lbl = lab(&mut a, &mut labels, l);
                 match cond {
                     Cond::Lt => a.blti(rx, rb, lbl),
@@ -1015,7 +1055,7 @@ pub fn replay<T: Target>(prog: &Program, mem: &mut [u8]) -> Result<Finished, Eng
                 }
             }
             POp::BrImm { cond, a: x, imm, l } => {
-                let rx = vreg(&mut a, &mut vregs, x)?;
+                let rx = map.reg(&mut a, x)?;
                 let lbl = lab(&mut a, &mut labels, l);
                 let imm = i64::from(imm);
                 match cond {
@@ -1032,10 +1072,11 @@ pub fn replay<T: Target>(prog: &Program, mem: &mut [u8]) -> Result<Finished, Eng
                 a.jmp(lbl);
             }
             POp::Ret { src } => {
-                let r = vreg(&mut a, &mut vregs, src)?;
+                let r = map.reg(&mut a, src)?;
                 a.reti(r);
             }
         }
+        map.retire(&mut a, pos);
     }
     a.end().map_err(EngineError::Codegen)
 }
@@ -1063,12 +1104,6 @@ pub trait Lambda: Send + Sync + fmt::Debug {
     /// [`EngineError::BadArgs`] on arity mismatch; simulated targets
     /// also surface executor absence and runtime traps.
     fn call(&self, args: &[i32]) -> Result<i64, EngineError>;
-
-    /// Downcast hook for the tiering wrapper (see [`TieredLambda`]);
-    /// plain lambdas return `None`.
-    fn as_tiered(&self) -> Option<&TieredLambda> {
-        None
-    }
 
     /// The `(args, code bytes)` image the persistent cache serializes,
     /// or `None` when this lambda cannot leave the process (degraded
@@ -1191,17 +1226,6 @@ pub trait Backend: Send + Sync + fmt::Debug {
     /// Typed [`EngineError`] — codegen failure, executable-memory
     /// exhaustion, register exhaustion.
     fn compile(&self, prog: &Program) -> Result<Arc<dyn Lambda>, EngineError>;
-    /// Compiles through the tier-2 optimizing pipeline
-    /// ([`tier2::optimize`](crate::tier2::optimize) then linear-scan
-    /// replay). The default falls back to the baseline translation so a
-    /// backend without a tier-2 path still satisfies upgrade requests.
-    ///
-    /// # Errors
-    ///
-    /// As [`compile`](Self::compile).
-    fn compile_tier2(&self, prog: &Program) -> Result<Arc<dyn Lambda>, EngineError> {
-        self.compile(prog)
-    }
     /// Re-materializes a lambda from a persisted artifact's code bytes,
     /// revalidating them (differential re-decode) before anything is
     /// mapped or run. The default refuses: a backend must opt in to
@@ -1255,25 +1279,6 @@ macro_rules! code_backend {
                 Ok(::std::sync::Arc::new($crate::engine::CodeImage::new(
                     $id,
                     prog.args(),
-                    mem,
-                    fin.insns,
-                )))
-            }
-
-            fn compile_tier2(
-                &self,
-                prog: &$crate::engine::Program,
-            ) -> Result<
-                ::std::sync::Arc<dyn $crate::engine::Lambda>,
-                $crate::engine::EngineError,
-            > {
-                let (opt, _stats) = $crate::tier2::optimize(prog);
-                let mut mem = vec![0u8; opt.code_capacity()];
-                let fin = $crate::tier2::replay_opt::<$target>(&opt, &mut mem)?;
-                mem.truncate(fin.len);
-                Ok(::std::sync::Arc::new($crate::engine::CodeImage::new(
-                    $id,
-                    opt.args(),
                     mem,
                     fin.insns,
                 )))
@@ -1360,195 +1365,6 @@ impl Lambda for DegradedLambda {
         }
         obs::note_degraded_call();
         self.program.interpret(args, SIM_FUEL)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Tiered serving: heat-triggered optimizing recompilation
-// ---------------------------------------------------------------------------
-
-/// A cached lambda that counts its own calls and upgrades itself in
-/// place: it serves tier-1 baseline code immediately, and when the call
-/// count crosses [`TierConfig::hot_threshold`] it schedules a tier-2
-/// rebuild ([`Backend::compile_tier2`]) on the engine's
-/// [`CompileService`] under the [tier-tagged](CacheKey::tiered) cache
-/// key. When the optimized build publishes, the very next call latches
-/// it through a `OnceLock` — callers never stall on the rebuild and can
-/// never observe a torn swap (they run either whole-tier-1 or
-/// whole-tier-2 code, both semantically identical).
-///
-/// The wrapper holds the engine's [`CodeStack`] [`Weak`]ly: the stack's
-/// cache stores the wrapper, so a strong reference here would leak the
-/// whole engine through a reference cycle. A dropped engine simply
-/// stops upgrading.
-///
-/// Failure containment comes from the service for free: a panicking or
-/// deadline-missing tier-2 build quarantines the *tier-2* key, the
-/// wrapper keeps serving tier-1 code, and re-submission (every
-/// `hot_threshold` further calls) respects the quarantine backoff.
-#[derive(Debug)]
-pub struct TieredLambda {
-    base: Arc<dyn Lambda>,
-    program: Program,
-    key2: CacheKey,
-    backend: Arc<dyn Backend>,
-    stack: Weak<CodeStack<dyn Lambda>>,
-    threshold: u64,
-    /// Weight heat by reported execution cycles instead of 1 per call
-    /// (see [`TierConfig::cycle_weighted`]).
-    cycle_weighted: bool,
-    calls: AtomicU64,
-    /// Accumulated heat: call count, or total reported cycles when
-    /// cycle-weighted. Crossing a multiple of `threshold` (re)submits
-    /// the tier-2 build.
-    heat: AtomicU64,
-    tier2: OnceLock<Arc<dyn Lambda>>,
-}
-
-impl TieredLambda {
-    /// Calls served so far (all tiers).
-    pub fn calls(&self) -> u64 {
-        self.calls.load(Ordering::Relaxed)
-    }
-
-    /// Accumulated heat: equal to [`calls`](Self::calls) under the
-    /// default policy, total reported execution cycles when
-    /// [`TierConfig::cycle_weighted`] is set.
-    pub fn heat(&self) -> u64 {
-        self.heat.load(Ordering::Relaxed)
-    }
-
-    /// Whether calls are now served by tier-2 optimized code.
-    pub fn upgraded(&self) -> bool {
-        self.tier2.get().is_some()
-    }
-
-    /// The tier-1 lambda this wrapper started with.
-    pub fn baseline(&self) -> &Arc<dyn Lambda> {
-        &self.base
-    }
-
-    /// The tier-2 lambda, if the upgrade has latched.
-    pub fn optimized(&self) -> Option<&Arc<dyn Lambda>> {
-        self.tier2.get()
-    }
-
-    /// Probes the cache for a published tier-2 build and latches it.
-    /// Returns the serving lambda either way.
-    fn poll_upgrade(&self) -> &Arc<dyn Lambda> {
-        if let Some(t2) = self.tier2.get() {
-            return t2;
-        }
-        // Tier-2 code lives in L1 only (see `schedule`), so this is a
-        // cache peek, not a stack poll: there is no artifact to find.
-        let Some(found) = self
-            .stack
-            .upgrade()
-            .and_then(|s| s.cache().peek(&self.key2))
-        else {
-            return &self.base;
-        };
-        self.latch(found)
-    }
-
-    /// Latches `t2` as the serving tier unless a racer already latched
-    /// one; the upgrade is counted once, by whoever won.
-    fn latch(&self, t2: Arc<dyn Lambda>) -> &Arc<dyn Lambda> {
-        let mut fresh = false;
-        let t2 = self.tier2.get_or_init(|| {
-            fresh = true;
-            t2
-        });
-        if fresh {
-            obs::note_tier2_upgraded();
-        }
-        t2
-    }
-
-    /// Hands the tier-2 build to the compile service (non-blocking). A
-    /// `Ready` response (another wrapper already built it) latches
-    /// immediately. The miss ignores its [`L2`] handle: optimized code
-    /// is derived, rebuilt from heat, never read from or stored to disk.
-    fn schedule(&self) {
-        let Some(stack) = self.stack.upgrade() else {
-            return;
-        };
-        obs::note_tier2_scheduled();
-        let backend = Arc::clone(&self.backend);
-        let prog = self.program.clone();
-        let submit = stack.submit(&self.key2, move |_| backend.compile_tier2(&prog));
-        if let Ok(t2) = submit.served() {
-            self.latch(t2);
-        }
-    }
-}
-
-impl Lambda for TieredLambda {
-    fn target(&self) -> TargetId {
-        self.base.target()
-    }
-
-    /// Code size of the currently-serving tier.
-    fn code_len(&self) -> usize {
-        self.tier2
-            .get()
-            .map_or_else(|| self.base.code_len(), |t| t.code_len())
-    }
-
-    /// Instruction count of the currently-serving tier.
-    fn insns(&self) -> u64 {
-        self.tier2
-            .get()
-            .map_or_else(|| self.base.insns(), |t| t.insns())
-    }
-
-    fn call(&self, args: &[i32]) -> Result<i64, EngineError> {
-        if let Some(t2) = self.tier2.get() {
-            return t2.call(args);
-        }
-        self.calls.fetch_add(1, Ordering::Relaxed);
-        // Serve tier-1 first: under cycle weighting the heat of this
-        // call is its measured cost, which only exists afterwards. (A
-        // same-call t2 latch would have produced the identical result —
-        // the tiers are differentially checked — so serving order does
-        // not change observable behavior.)
-        if self.cycle_weighted {
-            obs::take_last_call_cycles();
-        }
-        let out = self.base.call(args);
-        let w = if self.cycle_weighted {
-            // Cost-weighted heat: a 10k-cycle callee is hot after a
-            // handful of calls; a 5-cycle one needs thousands. Backends
-            // without a cycle model (native x86-64) report nothing and
-            // fall back to 1 per call.
-            obs::take_last_call_cycles().max(1)
-        } else {
-            1
-        };
-        let prev = self.heat.fetch_add(w, Ordering::Relaxed);
-        let h = prev + w;
-        if h >= self.threshold {
-            if prev < self.threshold {
-                obs::note_tier2_hot();
-            }
-            self.poll_upgrade();
-            // Still on tier-1: (re)submit every `threshold` heat units
-            // so shed or quarantined builds eventually retry.
-            if self.tier2.get().is_none() && (prev / self.threshold) != (h / self.threshold) {
-                self.schedule();
-            }
-        }
-        out
-    }
-
-    fn as_tiered(&self) -> Option<&TieredLambda> {
-        Some(self)
-    }
-
-    /// The *baseline* tier's image: tier-2 code is a derived product
-    /// the warm-start path rebuilds from heat, not from disk.
-    fn persist_image(&self) -> Option<(usize, Vec<u8>)> {
-        self.base.persist_image()
     }
 }
 
@@ -1669,38 +1485,6 @@ impl crate::persist::ArtifactCodec<dyn Lambda> for LambdaCodec {
     }
 }
 
-/// The engine's one miss function — [`Engine::compile_cached`] runs it
-/// on the calling thread, [`Engine::compile_async`] on a service worker:
-/// tier-1 code through the persistent tier, then, with tiering on,
-/// wrapped for heat-tracked upgrade. The wrap sits outside
-/// [`L2::or_build`]: loaded and fresh lambdas are wrapped alike, the
-/// artifact holds the bare tier-1 image, and the cached slot holds the
-/// wrapper, so every caller shares one heat counter.
-fn tier1_miss(
-    backend: &Arc<dyn Backend>,
-    prog: &Program,
-    tier: Option<TierConfig>,
-    stack: Weak<CodeStack<dyn Lambda>>,
-    l2: L2<'_, dyn Lambda>,
-) -> Result<Arc<dyn Lambda>, EngineError> {
-    let base = l2.or_build(|| backend.compile(prog))?;
-    Ok(match tier {
-        Some(cfg) => Arc::new(TieredLambda {
-            base,
-            program: prog.clone(),
-            key2: l2.key().tiered(2),
-            backend: Arc::clone(backend),
-            stack,
-            threshold: cfg.hot_threshold.max(1),
-            cycle_weighted: cfg.cycle_weighted,
-            calls: AtomicU64::new(0),
-            heat: AtomicU64::new(0),
-            tier2: OnceLock::new(),
-        }),
-        None => base,
-    })
-}
-
 /// A registry of runtime-selectable backends fronted by a sharded
 /// compiled-lambda cache.
 ///
@@ -1725,7 +1509,6 @@ pub struct Engine {
     /// L1 cache, compile service and optional persistent tier (see
     /// [`crate::stack`]); shared so degraded handles can poll it.
     stack: Arc<CodeStack<dyn Lambda>>,
-    tiering: OnceLock<TierConfig>,
 }
 
 impl Engine {
@@ -1735,7 +1518,6 @@ impl Engine {
         Engine {
             backends: [const { None }; 4],
             stack: Arc::new(CodeStack::new(capacity)),
-            tiering: OnceLock::new(),
         }
     }
 
@@ -1800,40 +1582,11 @@ impl Engine {
         let (bytes, hash) = prog.encoded();
         let key = CacheKey::from_encoded(id, Arc::clone(bytes), *hash);
         self.stack
-            .get_or_build(&key, |l2| {
-                let tier = self.tiering.get().copied();
-                if tier.is_some() {
-                    // Workers spawn now, not in the hot call that first
-                    // schedules a tier-2 rebuild.
-                    self.stack.service();
-                }
-                tier1_miss(backend, prog, tier, Arc::downgrade(&self.stack), l2)
-            })
+            .get_or_build(&key, |l2| l2.or_build(|| backend.compile(prog)))
             .map_err(|e| match e {
                 CacheError::Build(e) => e,
                 CacheError::Stalled { waited } => EngineError::BuildStalled { waited },
             })
-    }
-
-    /// Compiles `prog` on `id` through the tier-2 optimizing pipeline
-    /// directly (no cache, no heat gating): peephole over the recorded
-    /// IR, then linear-scan replay. This is the synchronous inspection
-    /// entry; production serving reaches tier-2 through
-    /// [`enable_tiering`](Self::enable_tiering) instead.
-    ///
-    /// # Errors
-    ///
-    /// See [`Backend::compile_tier2`]; plus
-    /// [`EngineError::UnregisteredBackend`].
-    pub fn compile_tier2(
-        &self,
-        id: TargetId,
-        prog: &Program,
-    ) -> Result<Arc<dyn Lambda>, EngineError> {
-        self.backends[id.index()]
-            .as_ref()
-            .ok_or(EngineError::UnregisteredBackend(id))?
-            .compile_tier2(prog)
     }
 
     /// Non-blocking compile: never generates code and never waits on
@@ -1855,13 +1608,9 @@ impl Engine {
         let (bytes, hash) = prog.encoded();
         let key = CacheKey::from_encoded(id, Arc::clone(bytes), *hash);
         let (backend, to_build) = (Arc::clone(backend), prog.clone());
-        let tier = self.tiering.get().copied();
-        let stack = Arc::downgrade(&self.stack);
         let served = self
             .stack
-            .submit(&key, move |l2| {
-                tier1_miss(&backend, &to_build, tier, stack, l2)
-            })
+            .submit(&key, move |l2| l2.or_build(|| backend.compile(&to_build)))
             .served();
         let mode = match served {
             Ok(lambda) => {
@@ -1900,30 +1649,11 @@ impl Engine {
         self.stack.configure_service(cfg)
     }
 
-    /// Turns on tiered recompilation: every lambda built through
-    /// [`compile_cached`](Self::compile_cached) or
-    /// [`compile_async`](Self::compile_async) from here on is wrapped in
-    /// a [`TieredLambda`] that schedules a background tier-2 rebuild
-    /// once its call count crosses `cfg.hot_threshold`, then swaps to
-    /// the optimized code in place. Returns `false` if tiering was
-    /// already enabled (first configuration wins). Already-cached
-    /// lambdas are unaffected.
-    pub fn enable_tiering(&self, cfg: TierConfig) -> bool {
-        self.tiering.set(cfg).is_ok()
-    }
-
-    /// The tiering configuration, if [`enable_tiering`](Self::
-    /// enable_tiering) was called.
-    pub fn tiering(&self) -> Option<TierConfig> {
-        self.tiering.get().copied()
-    }
-
     /// Attaches a persistent L2 tier under `dir`: subsequent misses —
     /// [`compile_cached`](Self::compile_cached) on the calling thread,
     /// [`compile_async`](Self::compile_async) on a service worker —
     /// probe the disk tier before compiling and store through after.
-    /// First call wins (`false` afterwards, like
-    /// [`enable_tiering`](Self::enable_tiering)).
+    /// First call wins (`false` afterwards).
     ///
     /// Register every backend *before* enabling persistence — the tier
     /// captures the backend set it revalidates and adopts with.

@@ -78,7 +78,7 @@ pub use buf::EmitPath;
 pub use cache::{CacheError, CacheKey, CacheStats, LambdaCache};
 pub use engine::{
     AsyncCompile, Backend, DegradedLambda, Engine, EngineError, Lambda, Program, ServeMode,
-    TargetId, TieredLambda,
+    TargetId,
 };
 pub use error::Error;
 pub use label::Label;
@@ -91,7 +91,7 @@ pub use stack::{CodeStack, L2};
 pub use target::{
     BrOperand, CallFrame, Finished, JumpTarget, Leaf, Off, StackSlot, Target, TargetScratch,
 };
-pub use tier2::{OptStats, TierConfig};
+pub use tier2::OptStats;
 pub use trap::{ExecError, Fuel, Trap, TrapKind};
 pub use ty::{Sig, SigParseError, Ty};
 pub use verify::{

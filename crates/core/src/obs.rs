@@ -425,80 +425,6 @@ pub fn service_counters() -> ServiceCounters {
     }
 }
 
-// ---- tier-2 recompilation counters -----------------------------------------
-//
-// Process-wide totals for heat-triggered optimizing recompilation
-// (`vcode::tier2`): how often cached lambdas crossed their hot
-// threshold, how many rebuilds were scheduled and published, and the
-// cumulative instruction-count effect of the optimizer. Build failures
-// and deadline misses are already covered by the service counters above.
-
-static T2_HOT: AtomicU64 = AtomicU64::new(0);
-static T2_SCHEDULED: AtomicU64 = AtomicU64::new(0);
-static T2_UPGRADED: AtomicU64 = AtomicU64::new(0);
-static T2_INSNS_IN: AtomicU64 = AtomicU64::new(0);
-static T2_INSNS_OUT: AtomicU64 = AtomicU64::new(0);
-
-/// Process-wide tier-2 recompilation counter snapshot.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Tier2Counters {
-    /// Cached lambdas whose call count crossed the hot threshold.
-    pub hot: u64,
-    /// Tier-2 rebuilds handed to a compile service.
-    pub scheduled: u64,
-    /// Lambdas now serving tier-2 code (the in-place swap happened).
-    pub upgraded: u64,
-    /// Executable instructions entering the optimizer, cumulative.
-    pub insns_in: u64,
-    /// Executable instructions surviving the optimizer, cumulative.
-    pub insns_out: u64,
-}
-
-impl Tier2Counters {
-    /// Fraction of optimizer input instructions eliminated, if any ran.
-    pub fn eliminated_ratio(&self) -> Option<f64> {
-        (self.insns_in > 0).then(|| {
-            (self.insns_in - self.insns_in.min(self.insns_out)) as f64 / self.insns_in as f64
-        })
-    }
-}
-
-/// Records a cached lambda crossing its hot-call threshold.
-#[inline]
-pub fn note_tier2_hot() {
-    T2_HOT.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Records a tier-2 rebuild handed to a compile service.
-#[inline]
-pub fn note_tier2_scheduled() {
-    T2_SCHEDULED.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Records a lambda swapping to tier-2 code in place.
-#[inline]
-pub fn note_tier2_upgraded() {
-    T2_UPGRADED.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Records one optimizer run: executable instructions in and out.
-#[inline]
-pub fn note_tier2_optimized(insns_in: u64, insns_out: u64) {
-    T2_INSNS_IN.fetch_add(insns_in, Ordering::Relaxed);
-    T2_INSNS_OUT.fetch_add(insns_out, Ordering::Relaxed);
-}
-
-/// Snapshot of the process-wide tier-2 recompilation counters.
-pub fn tier2_counters() -> Tier2Counters {
-    Tier2Counters {
-        hot: T2_HOT.load(Ordering::Relaxed),
-        scheduled: T2_SCHEDULED.load(Ordering::Relaxed),
-        upgraded: T2_UPGRADED.load(Ordering::Relaxed),
-        insns_in: T2_INSNS_IN.load(Ordering::Relaxed),
-        insns_out: T2_INSNS_OUT.load(Ordering::Relaxed),
-    }
-}
-
 // ---- generation-swap counters ----------------------------------------------
 //
 // Process-wide totals for RCU-style hot-swap publication (the DPF
@@ -632,42 +558,6 @@ pub fn persist_counters() -> PersistCounters {
         rejects: PERSIST_REJECTS.load(Ordering::Relaxed),
         swept: PERSIST_SWEPT.load(Ordering::Relaxed),
     }
-}
-
-// Execution-cycle feed: the simulators report each call's simulated
-// cycle count here, giving the tiering policy a cost-weighted heat
-// signal (a callee that burns 10k cycles per call is "hotter" after 3
-// calls than a 5-cycle one after 100). The per-call value is
-// thread-local — a lambda call runs synchronously on the caller's
-// thread — while the total is a process-wide tally.
-
-static EXEC_CYCLES_TOTAL: AtomicU64 = AtomicU64::new(0);
-
-thread_local! {
-    static LAST_CALL_CYCLES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-}
-
-/// Records the simulated cycle cost of one completed lambda call on
-/// this thread (the simulators call this; native code has no cycle
-/// model and reports nothing).
-#[inline]
-pub fn note_exec_cycles(cycles: u64) {
-    EXEC_CYCLES_TOTAL.fetch_add(cycles, Ordering::Relaxed);
-    LAST_CALL_CYCLES.with(|c| c.set(cycles));
-}
-
-/// Takes (and clears) the cycle cost the most recent call reported on
-/// this thread; 0 when the last call had no cycle model. The tiering
-/// heat policy clears before and takes after a call so a native call
-/// can never inherit a stale simulator reading.
-#[inline]
-pub fn take_last_call_cycles() -> u64 {
-    LAST_CALL_CYCLES.with(|c| c.replace(0))
-}
-
-/// Process-wide total of simulated cycles reported by all backends.
-pub fn exec_cycles_total() -> u64 {
-    EXEC_CYCLES_TOTAL.load(Ordering::Relaxed)
 }
 
 #[cfg(test)]

@@ -259,7 +259,7 @@ impl RegAlloc {
 // ---------------------------------------------------------------------------
 
 /// One value's live range over a linear instruction stream, as inclusive
-/// `[start, end]` positions. Tier-2 recompilation
+/// `[start, end]` positions. The tier-2 replay
 /// ([`tier2`](crate::tier2)) computes one interval per virtual register
 /// from the recorded stream and frees each physical register at its
 /// interval's end — the linear-scan discipline — instead of pinning every

@@ -8,11 +8,8 @@
 //! build with it: `|l2| l2.or_build(|| compile(..))`. [`L2::or_build`] is
 //! the only code in the workspace that probes the artifact directory and
 //! stores through, on whichever thread the miss runs, so the blocking
-//! and the background path cannot drift apart. What is *not* persisted
-//! is said by composition too: the engine wraps `or_build`'s result for
-//! tier-up (a loaded and a fresh lambda are wrapped alike) and its tier-2
-//! rebuilds ignore the handle (derived code, rebuilt from heat, L1 only).
-//! DESIGN.md "Code stack" has the whole picture.
+//! and the background path cannot drift apart. DESIGN.md "Code stack"
+//! has the whole picture.
 
 use crate::cache::{CacheError, CacheKey, LambdaCache, Probe};
 use crate::persist::{ArtifactCodec, CacheTier, DiskTier, PersistError};
@@ -30,12 +27,6 @@ pub struct L2<'a, V: ?Sized> {
 }
 
 impl<V: ?Sized + Send + Sync> L2<'_, V> {
-    /// The key being missed — lent, so a worker-side miss derives
-    /// sibling keys from it instead of capturing a clone.
-    pub fn key(&self) -> &CacheKey {
-        self.key
-    }
-
     /// The miss order below L1: probe the tier; on a disk miss run
     /// `build` and store its result through. A rejected artifact is a
     /// counted miss (a bad directory costs time, never correctness); a

@@ -1,12 +1,11 @@
-//! Tier-2 optimizing recompilation over the recorded [`Program`] IR.
+//! Tier-2: an optimizer over the recorded [`Program`] IR, kept as a
+//! library-level experiment.
 //!
 //! The paper's one-pass transliteration compiles in a handful of host
 //! instructions per generated instruction, but concedes the output is
 //! naive: every virtual register is pinned to a physical register for
 //! the whole lambda, and redundant moves survive into the code. This
-//! module is the optimizing tier a serving system applies only where
-//! execution heat proves it pays (the Deegen/TPDE shape: baseline-fast
-//! first, optimized-on-heat second):
+//! module measures what undoing that buys:
 //!
 //! 1. **Peephole + constant folding** ([`optimize`]) — removes
 //!    `mov d,d` and collapses move chains, folds `add 0`/`mul 1`-style
@@ -29,44 +28,20 @@
 //! tier-2 output equal to tier-1 and to the interpreter on every
 //! backend.
 //!
-//! Heat detection and the in-place swap of cached lambdas live in
-//! [`engine::TieredLambda`](crate::engine::TieredLambda); [`TierConfig`]
-//! carries the threshold.
+//! Nothing serves traffic from here. The result that counts is exact:
+//! 27 % fewer simulated cycles on the DPF/ASH hot loops, for 7× the
+//! compile cost per instruction and 1.07–1.13× on the one target that
+//! runs natively — under the 1.2× bar set for keeping a second serving
+//! tier, so the engine hands out tier-1 code only (DESIGN.md "Tier-2: a
+//! measured experiment"). Callers that want optimized code build it from
+//! the two functions themselves: `replay_opt::<T>(&optimize(p).0, mem)`.
 
-use crate::engine::{EngineError, POp, Program};
+use crate::engine::{lower, EngineError, POp, Program, VregMap};
 use crate::op::{BinOp, Cond, UnOp};
 use crate::regalloc::LiveIntervals;
-use crate::target::{Finished, Leaf, Target};
-use crate::ty::{Sig, Ty};
-use crate::{obs, Assembler, Label, Reg, RegClass};
+use crate::target::{Finished, Target};
+use crate::{Assembler, Reg, RegClass};
 use std::collections::{HashMap, HashSet};
-
-/// Heat configuration for tiered recompilation (see
-/// [`Engine::enable_tiering`](crate::engine::Engine::enable_tiering)).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TierConfig {
-    /// Heat at which a cached lambda's tier-2 rebuild is scheduled:
-    /// call count by default, accumulated execution cycles when
-    /// [`cycle_weighted`](Self::cycle_weighted) is set. Clamped to at
-    /// least 1.
-    pub hot_threshold: u64,
-    /// Weight heat by each call's reported execution cost (the
-    /// simulators' cycle counters, fed through
-    /// [`obs::note_exec_cycles`](crate::obs::note_exec_cycles)) instead
-    /// of 1 per call — so a long-running cold callee tiers up before a
-    /// cheap hot one. Backends without a cycle model (native x86-64)
-    /// fall back to 1 per call.
-    pub cycle_weighted: bool,
-}
-
-impl Default for TierConfig {
-    fn default() -> TierConfig {
-        TierConfig {
-            hot_threshold: 1024,
-            cycle_weighted: false,
-        }
-    }
-}
 
 /// What one [`optimize`] run did, in executable (non-label) instruction
 /// counts.
@@ -632,7 +607,6 @@ pub fn optimize(prog: &Program) -> (Program, OptStats) {
         }
     }
     stats.insns_out = count_exec(&ops);
-    obs::note_tier2_optimized(stats.insns_in as u64, stats.insns_out as u64);
     let mut out = Program::new(prog.args()).expect("arity was already validated");
     for _ in 0..prog.labels() {
         out.genlabel();
@@ -713,154 +687,62 @@ fn intervals(prog: &Program) -> LiveIntervals {
 /// last use — so register pressure is the stream's *simultaneous* live
 /// count, not its total vreg count.
 ///
-/// This is the tier-2 counterpart of [`replay`](crate::engine::replay);
-/// run [`optimize`] first for the full pipeline (the [`Backend::
-/// compile_tier2`](crate::engine::Backend::compile_tier2) adapters do).
+/// This is the tier-2 counterpart of [`replay`](crate::engine::replay) —
+/// the same lowering loop under a different vreg policy; run
+/// [`optimize`] first for the full pipeline.
 ///
 /// # Errors
 ///
 /// Typed [`EngineError`], as [`replay`](crate::engine::replay) — but
 /// `TooManyTemps` only when true pressure exceeds the register file.
 pub fn replay_opt<T: Target>(prog: &Program, mem: &mut [u8]) -> Result<Finished, EngineError> {
-    let sig = Sig::new(vec![Ty::I; prog.args()], Ty::I);
-    let mut a = Assembler::<T>::lambda_sig(mem, sig, Leaf::Yes)?;
-    let ops = prog.ops();
-    let iv = intervals(prog);
-    // Registers to free after each position: one bucket per op.
-    let mut ends: Vec<Vec<u8>> = vec![Vec::new(); ops.len()];
-    for slot in 0..iv.slots() {
-        if let Some(r) = iv.get(slot) {
-            let pos = (r.end as usize).min(ops.len().saturating_sub(1));
-            if !ops.is_empty() {
-                ends[pos].push(slot as u8);
+    lower::<T, LinearScan>(prog, mem)
+}
+
+/// [`replay_opt`]'s vreg policy: a vreg takes a register at its first
+/// mention and gives it back after the last position of its live
+/// interval.
+struct LinearScan {
+    phys: Vec<Option<Reg>>,
+    /// Per stream position, the vregs whose interval ends there.
+    ends: Vec<Vec<u8>>,
+}
+
+impl VregMap for LinearScan {
+    fn new(prog: &Program, args: &[Reg]) -> LinearScan {
+        let ops = prog.ops();
+        let iv = intervals(prog);
+        let mut ends: Vec<Vec<u8>> = vec![Vec::new(); ops.len()];
+        for slot in 0..iv.slots() {
+            if let Some(r) = iv.get(slot) {
+                let pos = (r.end as usize).min(ops.len().saturating_sub(1));
+                if !ops.is_empty() {
+                    ends[pos].push(slot as u8);
+                }
             }
         }
-    }
-    let mut phys: Vec<Option<Reg>> = vec![None; 256];
-    for (v, &r) in a.args().iter().enumerate() {
-        phys[v] = Some(r);
-    }
-    let mut labels: Vec<Label> = (0..prog.labels()).map(|_| a.genlabel()).collect();
-    fn lab<T: Target>(a: &mut Assembler<'_, T>, labels: &mut Vec<Label>, l: u16) -> Label {
-        while labels.len() <= usize::from(l) {
-            let fresh = a.genlabel();
-            labels.push(fresh);
+        let mut phys: Vec<Option<Reg>> = vec![None; 256];
+        for (v, &r) in args.iter().enumerate() {
+            phys[v] = Some(r);
         }
-        labels[usize::from(l)]
+        LinearScan { phys, ends }
     }
-    fn ensure<T: Target>(
-        a: &mut Assembler<'_, T>,
-        phys: &mut [Option<Reg>],
-        v: u8,
-    ) -> Result<Reg, EngineError> {
-        match phys[usize::from(v)] {
-            Some(r) => Ok(r),
-            None => match a.getreg(RegClass::Temp) {
-                Some(r) => {
-                    phys[usize::from(v)] = Some(r);
-                    Ok(r)
-                }
-                None => Err(EngineError::TooManyTemps { vreg: v }),
-            },
+
+    fn reg<T: Target>(&mut self, a: &mut Assembler<'_, T>, v: u8) -> Result<Reg, EngineError> {
+        let slot = &mut self.phys[usize::from(v)];
+        if slot.is_none() {
+            *slot = a.getreg(RegClass::Temp);
         }
+        slot.ok_or(EngineError::TooManyTemps { vreg: v })
     }
-    for (i, op) in ops.iter().enumerate() {
-        match *op {
-            POp::Set { dst, imm } => {
-                let d = ensure(&mut a, &mut phys, dst)?;
-                a.seti(d, imm);
-            }
-            POp::Bin { op, dst, a: x, b } => {
-                let rx = ensure(&mut a, &mut phys, x)?;
-                let rb = ensure(&mut a, &mut phys, b)?;
-                let d = ensure(&mut a, &mut phys, dst)?;
-                match op {
-                    BinOp::Add => a.addi(d, rx, rb),
-                    BinOp::Sub => a.subi(d, rx, rb),
-                    BinOp::Mul => a.muli(d, rx, rb),
-                    BinOp::Div => a.divi(d, rx, rb),
-                    BinOp::Mod => a.modi(d, rx, rb),
-                    BinOp::And => a.andi(d, rx, rb),
-                    BinOp::Or => a.ori(d, rx, rb),
-                    BinOp::Xor => a.xori(d, rx, rb),
-                    BinOp::Lsh => a.lshi(d, rx, rb),
-                    BinOp::Rsh => a.rshi(d, rx, rb),
-                }
-            }
-            POp::BinImm { op, dst, a: x, imm } => {
-                let rx = ensure(&mut a, &mut phys, x)?;
-                let d = ensure(&mut a, &mut phys, dst)?;
-                let imm = i64::from(imm);
-                match op {
-                    BinOp::Add => a.addii(d, rx, imm),
-                    BinOp::Sub => a.subii(d, rx, imm),
-                    BinOp::Mul => a.mulii(d, rx, imm),
-                    BinOp::Div => a.divii(d, rx, imm),
-                    BinOp::Mod => a.modii(d, rx, imm),
-                    BinOp::And => a.andii(d, rx, imm),
-                    BinOp::Or => a.orii(d, rx, imm),
-                    BinOp::Xor => a.xorii(d, rx, imm),
-                    BinOp::Lsh => a.lshii(d, rx, imm),
-                    BinOp::Rsh => a.rshii(d, rx, imm),
-                }
-            }
-            POp::Un { op, dst, a: x } => {
-                let rx = ensure(&mut a, &mut phys, x)?;
-                let d = ensure(&mut a, &mut phys, dst)?;
-                match op {
-                    UnOp::Com => a.comi(d, rx),
-                    UnOp::Not => a.noti(d, rx),
-                    UnOp::Mov => a.movi(d, rx),
-                    UnOp::Neg => a.negi(d, rx),
-                }
-            }
-            POp::Label { l } => {
-                let lbl = lab(&mut a, &mut labels, l);
-                a.label(lbl);
-            }
-            POp::Br { cond, a: x, b, l } => {
-                let rx = ensure(&mut a, &mut phys, x)?;
-                let rb = ensure(&mut a, &mut phys, b)?;
-                let lbl = lab(&mut a, &mut labels, l);
-                match cond {
-                    Cond::Lt => a.blti(rx, rb, lbl),
-                    Cond::Le => a.blei(rx, rb, lbl),
-                    Cond::Gt => a.bgti(rx, rb, lbl),
-                    Cond::Ge => a.bgei(rx, rb, lbl),
-                    Cond::Eq => a.beqi(rx, rb, lbl),
-                    Cond::Ne => a.bnei(rx, rb, lbl),
-                }
-            }
-            POp::BrImm { cond, a: x, imm, l } => {
-                let rx = ensure(&mut a, &mut phys, x)?;
-                let lbl = lab(&mut a, &mut labels, l);
-                let imm = i64::from(imm);
-                match cond {
-                    Cond::Lt => a.bltii(rx, imm, lbl),
-                    Cond::Le => a.bleii(rx, imm, lbl),
-                    Cond::Gt => a.bgtii(rx, imm, lbl),
-                    Cond::Ge => a.bgeii(rx, imm, lbl),
-                    Cond::Eq => a.beqii(rx, imm, lbl),
-                    Cond::Ne => a.bneii(rx, imm, lbl),
-                }
-            }
-            POp::Jmp { l } => {
-                let lbl = lab(&mut a, &mut labels, l);
-                a.jmp(lbl);
-            }
-            POp::Ret { src } => {
-                let r = ensure(&mut a, &mut phys, src)?;
-                a.reti(r);
-            }
-        }
-        // Linear scan: every interval ending here returns its register.
-        for &v in &ends[i] {
-            if let Some(r) = phys[usize::from(v)].take() {
+
+    fn retire<T: Target>(&mut self, a: &mut Assembler<'_, T>, pos: usize) {
+        for &v in &self.ends[pos] {
+            if let Some(r) = self.phys[usize::from(v)].take() {
                 a.putreg(r);
             }
         }
     }
-    a.end().map_err(EngineError::Codegen)
 }
 
 #[cfg(test)]

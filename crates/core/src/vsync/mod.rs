@@ -3,12 +3,13 @@
 //!
 //! The workspace's concurrency protocols — the cache's `Building`-slot
 //! condvar handshake, the compile service's work queue and quarantine
-//! table, the tiering latch, DPF's epoch-RCU cell — are exactly the kind
-//! of hand-rolled lock-free plumbing the paper's §6 concession ("misuse
-//! generates bad code with no warning") warns about, except here the
-//! misuse would be *ours*, not a client's. Stress tests on a 1-core CI
-//! box explore almost no interleavings; `vsync` exists so the same
-//! production code can be driven by a deterministic scheduler instead.
+//! table, the degraded handle's latch, DPF's epoch-RCU cell — are
+//! exactly the kind of hand-rolled lock-free plumbing the paper's §6
+//! concession ("misuse generates bad code with no warning") warns about,
+//! except here the misuse would be *ours*, not a client's. Stress tests
+//! on a 1-core CI box explore almost no interleavings; `vsync` exists so
+//! the same production code can be driven by a deterministic scheduler
+//! instead.
 //!
 //! - **Normal builds** (no `mcheck` feature): every name in this module
 //!   is a re-export of the `std` type. Zero cost, zero behavior change —
@@ -25,7 +26,7 @@
 //!   whole workspace test build) never changes the semantics of
 //!   ordinary tests.
 //!
-//! Ported modules (`cache`, `service`, the tiering half of `engine`,
+//! Ported modules (`cache`, `service`, the serving half of `engine`,
 //! `rcu`, `dpf::service`) import their primitives from here and only
 //! here — `scripts/unsafe_audit.sh` and DESIGN.md "Model-checked
 //! concurrency" document the rule: no raw `std::sync` in ported

@@ -51,7 +51,7 @@ pub fn arm_key(k: u8) -> i32 {
 /// A per-packet classification loop: classify `count` synthetic headers
 /// (derived from a rolling seed) through an `arms`-deep inline ladder
 /// and accumulate matched ids. This is the steady-state demux loop a
-/// server runs per batch — the heat that triggers tier-2.
+/// server runs per batch — the code a second tier would be for.
 pub fn demux_loop(arms: u8) -> Program {
     // args: v0 = count, v1 = seed
     let mut p = Program::new(2).unwrap();

@@ -3,8 +3,8 @@
 //! Each function in [`programs`] is a small, bounded concurrent program
 //! written against the *production* types (`vcode::rcu::Rcu`,
 //! `vcode::cache::LambdaCache`) or a faithful protocol mirror
-//! (tier-latch, quarantine gate), with its core invariant expressed as
-//! an in-program `assert!`. Running one under
+//! (degraded-handle latch, quarantine gate), with its core invariant
+//! expressed as an in-program `assert!`. Running one under
 //! [`Explorer::exhaustive`]/[`Explorer::random`] explores its
 //! interleavings deterministically; any assertion failure, deadlock or
 //! livelock comes back as a [`Violation`] carrying a replayable
@@ -300,43 +300,52 @@ pub mod programs {
         );
     }
 
-    /// **No torn tier-up swap, and the latch fires once.** Mirrors
-    /// `TieredLambda`: a shared heat counter plus a `OnceLock` latch
-    /// holding a two-field payload whose halves must always agree.
-    /// Every caller re-checks the latch before bumping heat; the caller
-    /// that crosses the threshold installs tier 2.
-    pub fn tier_latch_no_torn_swap() {
-        let calls = Arc::new(AtomicU64::new(0));
-        let tier2: Arc<OnceLock<Arc<(u64, u64)>>> = Arc::new(OnceLock::new());
-        let builds = Arc::new(AtomicU64::new(0));
-        let body = |calls: &AtomicU64, tier2: &OnceLock<Arc<(u64, u64)>>, builds: &AtomicU64| {
-            for _ in 0..2 {
-                if let Some(t) = tier2.get() {
-                    assert_eq!(t.0, t.1, "torn tier-2 swap: payload halves disagree");
+    /// **No torn degraded → native swap, and the latch fires once.**
+    /// Mirrors `DegradedLambda::native`, the one latch left on a handle:
+    /// check the `OnceLock`; else poll the stack (here one cell the
+    /// build publishes a two-field payload into, whose halves must
+    /// always agree); else `get_or_init` with what the poll found.
+    pub fn degraded_latch_no_torn_swap() {
+        type Code = Arc<(u64, u64)>;
+        let published: Arc<Mutex<Option<Code>>> = Arc::new(Mutex::new(None));
+        let native: Arc<OnceLock<Code>> = Arc::new(OnceLock::new());
+        let installs = Arc::new(AtomicU64::new(0));
+        let calls =
+            |published: &Mutex<Option<Code>>, native: &OnceLock<Code>, installs: &AtomicU64| {
+                for _ in 0..2 {
+                    if let Some(n) = native.get() {
+                        assert_eq!(n.0, n.1, "torn native swap: payload halves disagree");
+                        continue;
+                    }
+                    let polled = published.lock().unwrap_or_else(|e| e.into_inner()).clone();
+                    if let Some(found) = polled {
+                        native.get_or_init(|| {
+                            installs.fetch_add(1, Ordering::SeqCst);
+                            found
+                        });
+                    } // else nothing is published yet: this call interprets
                 }
-                let c = calls.fetch_add(1, Ordering::SeqCst) + 1;
-                if c == 2 {
-                    tier2.get_or_init(|| {
-                        builds.fetch_add(1, Ordering::SeqCst);
-                        Arc::new((42, 42))
-                    });
-                }
-            }
-        };
+            };
         let racer = {
-            let calls = Arc::clone(&calls);
-            let tier2 = Arc::clone(&tier2);
-            let builds = Arc::clone(&builds);
-            vsync::thread::spawn(move || body(&calls, &tier2, &builds))
+            let published = Arc::clone(&published);
+            let native = Arc::clone(&native);
+            let installs = Arc::clone(&installs);
+            vsync::thread::spawn(move || {
+                // The build publishes; then a second caller.
+                *published.lock().unwrap_or_else(|e| e.into_inner()) = Some(Arc::new((42, 42)));
+                calls(&published, &native, &installs)
+            })
         };
-        body(&calls, &tier2, &builds);
+        calls(&published, &native, &installs);
         racer.join().expect("racer panicked");
-        let t = tier2.get().expect("threshold crossed but latch empty");
-        assert_eq!(t.0, t.1);
+        let n = native
+            .get()
+            .expect("published and called, yet never latched");
+        assert_eq!(n.0, n.1);
         assert_eq!(
-            builds.load(Ordering::SeqCst),
+            installs.load(Ordering::SeqCst),
             1,
-            "tier-2 built more than once"
+            "native code latched more than once"
         );
     }
 
@@ -483,7 +492,7 @@ pub mod programs {
                 "stack_sync_vs_async_one_build",
                 stack_sync_vs_async_one_build,
             ),
-            ("tier_latch_no_torn_swap", tier_latch_no_torn_swap),
+            ("degraded_latch_no_torn_swap", degraded_latch_no_torn_swap),
             ("quarantine_single_probe", quarantine_single_probe),
             ("persist_single_writer", persist_single_writer),
         ]

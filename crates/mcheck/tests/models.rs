@@ -273,8 +273,11 @@ fn bounded_stack_model() {
 
 #[test]
 #[ignore = "full exhaustive sweep; run via scripts/ci.sh (cargo test -p mcheck -- --ignored)"]
-fn exhaustive_tier_and_quarantine_models() {
-    sweep("tier_latch_no_torn_swap", programs::tier_latch_no_torn_swap);
+fn exhaustive_latch_and_quarantine_models() {
+    sweep(
+        "degraded_latch_no_torn_swap",
+        programs::degraded_latch_no_torn_swap,
+    );
     sweep("quarantine_single_probe", programs::quarantine_single_probe);
 }
 

@@ -9,10 +9,6 @@
 //! artifacts for simulated targets can be revalidated on load — after
 //! which `Lambda::call` on a MIPS/SPARC/Alpha [`CodeImage`] loads the
 //! code into a fresh machine and executes it.
-//!
-//! Each successful call also reports the machine's simulated cycle
-//! count through [`vcode::obs::note_exec_cycles`], feeding the tiering
-//! policy's cycle-weighted heat mode.
 
 use vcode::engine::{self, EngineError, SimExecutor, TargetId};
 
@@ -36,7 +32,6 @@ impl SimRunner {
         let r = m
             .call(entry, &args, fuel)
             .map_err(|t| EngineError::Exec(format!("mips trap: {t}")))?;
-        vcode::obs::note_exec_cycles(m.cycles());
         Ok(i64::from(r as i32))
     }
 
@@ -49,7 +44,6 @@ impl SimRunner {
         let r = m
             .call(entry, &args, fuel)
             .map_err(|t| EngineError::Exec(format!("sparc trap: {t}")))?;
-        vcode::obs::note_exec_cycles(m.cycles());
         Ok(i64::from(r as i32))
     }
 
@@ -64,7 +58,6 @@ impl SimRunner {
         let r = m
             .call(entry, &args, fuel)
             .map_err(|t| EngineError::Exec(format!("alpha trap: {t}")))?;
-        vcode::obs::note_exec_cycles(m.cycles());
         Ok(i64::from(r as u32 as i32))
     }
 }

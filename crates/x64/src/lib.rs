@@ -872,6 +872,7 @@ impl Target for X64 {
 // ---------------------------------------------------------------------------
 
 use vcode::engine::{Backend, EngineError, Lambda, Program, TargetId};
+use vcode::target::Finished;
 
 /// Finished native code held for the engine: the live [`ExecCode`]
 /// mapping plus the arity recorded at compile time.
@@ -950,19 +951,25 @@ impl Lambda for NativeLambda {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct X64Backend;
 
-impl Backend for X64Backend {
-    fn id(&self) -> TargetId {
-        TargetId::X64
-    }
-
-    fn word_bits(&self) -> u32 {
-        X64::WORD_BITS
-    }
-
-    fn compile(&self, prog: &Program) -> Result<std::sync::Arc<dyn Lambda>, EngineError> {
+impl X64Backend {
+    /// Compiles `prog` into executable memory with `replay` as the
+    /// lowering. [`Backend::compile`] is this with
+    /// [`vcode::engine::replay`]; tests and benches that want a callable
+    /// tier-2 lambda pass `vcode::tier2::replay_opt` (over an
+    /// [`optimize`](vcode::tier2::optimize)d program).
+    ///
+    /// # Errors
+    ///
+    /// `replay`'s error, or [`EngineError::Exec`] when executable memory
+    /// cannot be mapped or sealed.
+    pub fn compile_with(
+        &self,
+        prog: &Program,
+        replay: impl FnOnce(&Program, &mut [u8]) -> Result<Finished, EngineError>,
+    ) -> Result<std::sync::Arc<dyn Lambda>, EngineError> {
         let mut mem = ExecMem::new(prog.code_capacity())
             .map_err(|e| EngineError::Exec(format!("exec mmap: {e}")))?;
-        let fin = vcode::engine::replay::<X64>(prog, mem.as_mut_slice())?;
+        let fin = replay(prog, mem.as_mut_slice())?;
         let code = mem
             .finalize_written(fin.len + vcode::buf::MAX_OVERSTORE)
             .map_err(|e| EngineError::Exec(format!("exec seal: {e}")))?;
@@ -973,21 +980,19 @@ impl Backend for X64Backend {
             insns: fin.insns,
         }))
     }
+}
 
-    fn compile_tier2(&self, prog: &Program) -> Result<std::sync::Arc<dyn Lambda>, EngineError> {
-        let (opt, _stats) = vcode::tier2::optimize(prog);
-        let mut mem = ExecMem::new(opt.code_capacity())
-            .map_err(|e| EngineError::Exec(format!("exec mmap: {e}")))?;
-        let fin = vcode::tier2::replay_opt::<X64>(&opt, mem.as_mut_slice())?;
-        let code = mem
-            .finalize_written(fin.len + vcode::buf::MAX_OVERSTORE)
-            .map_err(|e| EngineError::Exec(format!("exec seal: {e}")))?;
-        Ok(std::sync::Arc::new(NativeLambda {
-            code,
-            args: opt.args(),
-            len: fin.len,
-            insns: fin.insns,
-        }))
+impl Backend for X64Backend {
+    fn id(&self) -> TargetId {
+        TargetId::X64
+    }
+
+    fn word_bits(&self) -> u32 {
+        X64::WORD_BITS
+    }
+
+    fn compile(&self, prog: &Program) -> Result<std::sync::Arc<dyn Lambda>, EngineError> {
+        self.compile_with(prog, vcode::engine::replay::<X64>)
     }
 
     fn adopt(

@@ -12,13 +12,16 @@
 #
 # Exits 0 with a notice when the toolchain lacks the miri component
 # (e.g. offline dev boxes); CI images with the component installed get
-# the real run.
+# the real run, and a red run fails this script — and scripts/ci.sh,
+# which calls it — through `set -e`. The last line of output is
+# machine-readable, `lane miri: ran` or `lane miri: skipped (<reason>)`;
+# scripts/ci.sh repeats it above `CI green.`.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 if ! cargo +nightly miri --version >/dev/null 2>&1; then
-    echo "miri: cargo-miri not installed for the nightly toolchain; skipping (advisory lane)"
     echo "miri: install with: rustup component add --toolchain nightly miri"
+    echo "lane miri: skipped (cargo-miri not installed for the nightly toolchain)"
     exit 0
 fi
 
@@ -28,3 +31,4 @@ export MIRIFLAGS="${MIRIFLAGS:--Zmiri-strict-provenance}"
 echo "== miri: pure-IR suites (interpret / tier2 / verify / cache / rcu passthrough) =="
 cargo +nightly miri test --offline -p vcode --lib -- \
     op:: tier2:: verify:: cache:: rcu:: regalloc:: ty::
+echo "lane miri: ran"

@@ -10,19 +10,23 @@
 # the tests link must itself be instrumented via -Zbuild-std, or TSan
 # reports false positives inside std's own synchronization). Exits 0
 # with a notice when the prerequisites are missing; CI images with the
-# components installed get the real run.
+# components installed get the real run, and a red run fails this
+# script — and scripts/ci.sh, which calls it — through `set -e`. The
+# last line of output is machine-readable, `lane tsan: ran` or
+# `lane tsan: skipped (<reason>)`; scripts/ci.sh repeats it above
+# `CI green.`.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 host="x86_64-unknown-linux-gnu"
 if ! rustup toolchain list 2>/dev/null | grep -q '^nightly'; then
-    echo "tsan: nightly toolchain not installed; skipping (advisory lane)"
+    echo "lane tsan: skipped (nightly toolchain not installed)"
     exit 0
 fi
 src="$(rustc +nightly --print sysroot)/lib/rustlib/src/rust/library"
 if [ ! -d "$src" ]; then
-    echo "tsan: rust-src not installed for nightly (needed for -Zbuild-std); skipping (advisory lane)"
     echo "tsan: install with: rustup component add --toolchain nightly rust-src"
+    echo "lane tsan: skipped (rust-src not installed for nightly, needed for -Zbuild-std)"
     exit 0
 fi
 
@@ -37,3 +41,4 @@ cargo +nightly test --offline -Zbuild-std --target "$host" -p dpf
 echo "== tsan: cache + compile-service suites =="
 cargo +nightly test --offline -Zbuild-std --target "$host" -p vcode --lib -- cache:: service::
 cargo +nightly test --offline -Zbuild-std --target "$host" -p vcode-repro --test service
+echo "lane tsan: ran"

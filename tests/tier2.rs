@@ -1,12 +1,16 @@
-//! Workspace integration: tier-2 optimizing recompilation.
+//! Workspace integration: tier-2 as a library (`vcode::tier2`).
 //!
-//! Differential contract — tier-2 output must be semantically identical
-//! to tier-1 output and to `Program::interpret` on every backend
-//! (x86-64 natively, MIPS/SPARC/Alpha on their simulators), across a
-//! corpus of fixed kernels, loops and randomly generated programs. On
-//! top of that, the heat machinery: a cached lambda past its call
-//! threshold upgrades to tier-2 code in place, concurrent callers never
-//! observe a torn swap, and tiering off means no wrapper at all.
+//! Differential contract, four columns per backend (x86-64 natively,
+//! MIPS/SPARC/Alpha on their simulators): `Program::interpret` =
+//! `replay(p)` = `replay_opt(p)` = `replay_opt(optimize(p))`. The third
+//! column runs linear scan on the *un*optimized stream, so a register
+//! mapper bug cannot hide behind (or be blamed on) the optimizer. The
+//! corpus is fixed kernels plus generated programs with bounded loops,
+//! nested to depth two, and forward skips inside them.
+//!
+//! The engine serves tier-1 code only, so the lambdas here are built from
+//! the two library functions directly. One serving-path test remains: the
+//! single latch left on a handle, interpreter to native code.
 //!
 //! Generated programs keep divisors provably nonzero (`| 1` masking or
 //! nonzero immediates): the native x86-64 engine path is unguarded, so
@@ -14,28 +18,42 @@
 //! typed error. Trap *preservation* is covered by the interpreter-level
 //! unit tests in `vcode::tier2` and the simulator cases here.
 
-use std::sync::{Arc, Barrier};
-use std::time::Duration;
-use vcode::engine::{Backend, Engine, Program, TargetId};
+use std::sync::mpsc::{channel, Receiver};
+use std::sync::{Arc, Barrier, Mutex};
+use std::time::{Duration, Instant};
+use vcode::engine::{replay, Backend, CodeImage, Engine, Lambda, POp, Program, TargetId};
 use vcode::regress::XorShift;
-use vcode::{BinOp, Cond, TierConfig, UnOp};
+use vcode::target::Finished;
+use vcode::tier2::{optimize, replay_opt};
+use vcode::{BinOp, Cond, EngineError, ServeMode, UnOp};
+use vcode_alpha::Alpha;
+use vcode_mips::Mips;
+use vcode_sparc::Sparc;
+use vcode_x64::{X64Backend, X64};
 
-fn all_backends() -> Vec<Arc<dyn Backend>> {
-    vec![
-        Arc::new(vcode_mips::MipsBackend),
-        Arc::new(vcode_sparc::SparcBackend),
-        Arc::new(vcode_alpha::AlphaBackend),
-        Arc::new(vcode_x64::X64Backend),
-    ]
+type Lower = fn(&Program, &mut [u8]) -> Result<Finished, EngineError>;
+
+/// The two lowerings of one target: first touch, linear scan.
+fn lowerings(id: TargetId) -> (Lower, Lower) {
+    match id {
+        TargetId::Mips => (replay::<Mips>, replay_opt::<Mips>),
+        TargetId::Sparc => (replay::<Sparc>, replay_opt::<Sparc>),
+        TargetId::Alpha => (replay::<Alpha>, replay_opt::<Alpha>),
+        TargetId::X64 => (replay::<X64>, replay_opt::<X64>),
+    }
 }
 
-fn engine(capacity: usize) -> Engine {
-    vcode_sim::engine::install();
-    let mut e = Engine::new(capacity);
-    for b in all_backends() {
-        e.register(b);
+/// A callable lambda of `p` on `id` from `lower`'s bytes: executable
+/// memory on x86-64, a [`CodeImage`] for the simulators.
+fn build(id: TargetId, p: &Program, lower: Lower) -> Result<Arc<dyn Lambda>, EngineError> {
+    if id == TargetId::X64 {
+        return X64Backend.compile_with(p, lower);
     }
-    e
+    vcode_sim::engine::install();
+    let mut mem = vec![0u8; p.code_capacity()];
+    let fin = lower(p, &mut mem)?;
+    mem.truncate(fin.len);
+    Ok(Arc::new(CodeImage::new(id, p.args(), mem, fin.insns)))
 }
 
 /// `|x + y| * 3`: arithmetic, an immediate form, a branch, a temp.
@@ -115,92 +133,162 @@ fn safe_division() -> Program {
     p
 }
 
-/// A random terminating program: straight-line ops over six registers
-/// with occasional forward skip-branches. Loops are excluded (fixed
-/// corpus covers them). Two discipline rules keep the program inside
-/// semantics every tier defines identically: sources are only ever
-/// registers already written (the interpreter zeroes virtual registers,
-/// native code does not), and divisors are positive immediates >= 2
-/// (no div-by-zero, no MIN/-1 overflow — edges where real ISAs and the
-/// word-portable interpreter legitimately disagree).
-fn random_program(rng: &mut XorShift) -> Program {
-    let mut p = Program::new(2).unwrap();
-    let mut init: Vec<u8> = vec![0, 1];
-    fn src(rng: &mut XorShift, init: &[u8]) -> u8 {
-        init[rng.below(init.len() as u64) as usize]
+/// Generator state for [`random_program`]. Two discipline rules keep a
+/// program inside semantics every column defines identically: sources
+/// are only ever registers already written (the interpreter zeroes
+/// virtual registers, native code does not), and divisors are positive
+/// immediates >= 2 (no div-by-zero, no MIN/-1 overflow — edges where
+/// real ISAs and the word-portable interpreter legitimately disagree).
+struct Gen<'a> {
+    p: Program,
+    rng: &'a mut XorShift,
+    /// Registers already written.
+    init: Vec<u8>,
+}
+
+/// Data registers are v0..v5; v6 counts an outer loop and v7 the loop
+/// nested in it, and nothing else touches those two.
+const DATA_REGS: u64 = 6;
+const COUNTERS: [u8; 2] = [6, 7];
+
+impl Gen<'_> {
+    fn src(&mut self) -> u8 {
+        self.init[self.rng.below(self.init.len() as u64) as usize]
     }
-    fn dst(rng: &mut XorShift, init: &mut Vec<u8>) -> u8 {
-        let d = rng.below(6) as u8;
-        if !init.contains(&d) {
-            init.push(d);
+
+    /// A destination. Inside a skipped region (`fresh` false) only an
+    /// already-written register, so every path through the program
+    /// leaves the same set defined. (A loop body runs at least once, so
+    /// it may define registers.)
+    fn dst(&mut self, fresh: bool) -> u8 {
+        if !fresh {
+            return self.src();
+        }
+        let d = self.rng.below(DATA_REGS) as u8;
+        if !self.init.contains(&d) {
+            self.init.push(d);
         }
         d
     }
-    let n = rng.range(4, 28) as usize;
-    for _ in 0..n {
-        match rng.below(10) {
+
+    /// One straight-line instruction — or, one time in ten, none: a
+    /// register is forgotten (never read again unless rewritten), so
+    /// live ranges end mid-program, inside loops too, and linear scan has
+    /// machine registers to hand on to the vregs defined after.
+    fn simple(&mut self, fresh: bool) {
+        match self.rng.below(10) {
+            9 if self.init.len() > 2 => {
+                let at = self.rng.below(self.init.len() as u64) as usize;
+                self.init.swap_remove(at);
+            }
             0 => {
-                let d = dst(rng, &mut init);
-                p.set(d, rng.next_u64() as i32);
+                let d = self.dst(fresh);
+                let imm = self.rng.next_u64() as i32;
+                self.p.set(d, imm);
             }
             1..=4 => {
-                let op = match rng.below(5) {
+                let op = match self.rng.below(5) {
                     0 => BinOp::Add,
                     1 => BinOp::Sub,
                     2 => BinOp::Mul,
                     3 => BinOp::Xor,
                     _ => BinOp::Or,
                 };
-                let (a, b) = (src(rng, &init), src(rng, &init));
-                let d = dst(rng, &mut init);
-                p.bin(op, d, a, b);
+                let (a, b) = (self.src(), self.src());
+                let d = self.dst(fresh);
+                self.p.bin(op, d, a, b);
             }
             5 => {
-                let imm = rng.range(0, 2000) as i32 - 1000;
-                let a = src(rng, &init);
-                let d = dst(rng, &mut init);
-                p.bin_imm(BinOp::Add, d, a, imm);
+                let imm = self.rng.range(0, 2000) as i32 - 1000;
+                let a = self.src();
+                let d = self.dst(fresh);
+                self.p.bin_imm(BinOp::Add, d, a, imm);
             }
             6 => {
-                let imm = rng.range(2, 500) as i32;
-                let op = if rng.below(2) == 0 {
+                let imm = self.rng.range(2, 500) as i32;
+                let op = if self.rng.below(2) == 0 {
                     BinOp::Div
                 } else {
                     BinOp::Mod
                 };
-                let a = src(rng, &init);
-                let d = dst(rng, &mut init);
-                p.bin_imm(op, d, a, imm);
+                let a = self.src();
+                let d = self.dst(fresh);
+                self.p.bin_imm(op, d, a, imm);
             }
             7 => {
-                let a = src(rng, &init);
-                let d = dst(rng, &mut init);
-                p.bin_imm(BinOp::Lsh, d, a, rng.below(31) as i32);
+                let imm = self.rng.below(31) as i32;
+                let a = self.src();
+                let d = self.dst(fresh);
+                self.p.bin_imm(BinOp::Lsh, d, a, imm);
             }
-            8 => {
-                let op = match rng.below(4) {
+            _ => {
+                let op = match self.rng.below(4) {
                     0 => UnOp::Com,
                     1 => UnOp::Not,
                     2 => UnOp::Mov,
                     _ => UnOp::Neg,
                 };
-                let a = src(rng, &init);
-                let d = dst(rng, &mut init);
-                p.un(op, d, a);
-            }
-            _ => {
-                // Forward skip over one set: the set's target is already
-                // initialized, so both paths leave it defined.
-                let skip = p.genlabel();
-                p.br(Cond::Lt, src(rng, &init), src(rng, &init), skip);
-                p.set(src(rng, &init), 0x5a5a);
-                p.label(skip);
+                let a = self.src();
+                let d = self.dst(fresh);
+                self.p.un(op, d, a);
             }
         }
     }
-    let r = src(rng, &init);
-    p.ret(r);
-    p
+
+    /// A forward branch over one to three instructions.
+    fn skip(&mut self) {
+        const CONDS: [Cond; 6] = [Cond::Lt, Cond::Le, Cond::Gt, Cond::Ge, Cond::Eq, Cond::Ne];
+        let over = self.p.genlabel();
+        let cond = CONDS[self.rng.below(6) as usize];
+        let (a, b) = (self.src(), self.src());
+        self.p.br(cond, a, b, over);
+        for _ in 0..self.rng.range(1, 4) {
+            self.simple(false);
+        }
+        self.p.label(over);
+    }
+
+    /// A counted loop at nesting `depth` (0 or 1): two to five trips
+    /// over two to five items, each an instruction, a skip or — at depth
+    /// 0 — a nested loop.
+    fn counted_loop(&mut self, depth: usize) {
+        let counter = COUNTERS[depth];
+        let top = self.p.genlabel();
+        self.p.set(counter, self.rng.range(2, 6) as i32);
+        self.p.label(top);
+        for _ in 0..self.rng.range(2, 6) {
+            match self.rng.below(6) {
+                0 if depth == 0 => self.counted_loop(1),
+                1 => self.skip(),
+                _ => self.simple(true),
+            }
+        }
+        self.p.bin_imm(BinOp::Sub, counter, counter, 1);
+        self.p.br_imm(Cond::Gt, counter, 0, top);
+    }
+}
+
+/// A random terminating two-argument program: straight-line ops over six
+/// registers, forward skips, and bounded counted loops nested up to
+/// depth two with skips inside — so the linear scan's loop extension
+/// (`LiveIntervals::extend_loop`) meets generated back edges, not just
+/// the fixed corpus's.
+fn random_program(rng: &mut XorShift) -> Program {
+    let mut g = Gen {
+        p: Program::new(2).unwrap(),
+        rng,
+        init: vec![0, 1],
+    };
+    for _ in 0..g.rng.range(4, 28) {
+        match g.rng.below(11) {
+            0 => g.counted_loop(0),
+            1 | 2 => g.skip(),
+            _ => g.simple(true),
+        }
+    }
+    let r = g.src();
+    g.p.ret(r);
+    g.p
 }
 
 fn fixed_corpus() -> Vec<(&'static str, Program, Vec<Vec<i32>>)> {
@@ -239,65 +327,75 @@ fn fixed_corpus() -> Vec<(&'static str, Program, Vec<Vec<i32>>)> {
     ]
 }
 
-/// The differential core: for one program on one backend, tier-1 code,
-/// tier-2 code and the interpreter agree on every argument tuple.
-fn assert_tiers_agree(e: &Engine, id: TargetId, name: &str, p: &Program, cases: &[Vec<i32>]) {
-    let t1 = e
-        .compile(id, p)
-        .unwrap_or_else(|er| panic!("{name}/{id} tier-1: {er}"));
-    let t2 = e
-        .compile_tier2(id, p)
-        .unwrap_or_else(|er| panic!("{name}/{id} tier-2: {er}"));
+/// The differential core: for one program on one backend, the
+/// interpreter and the three compiled columns agree on every argument
+/// tuple.
+fn assert_columns_agree(id: TargetId, name: &str, p: &Program, cases: &[Vec<i32>]) {
+    let (first_touch, linear_scan) = lowerings(id);
+    let (opt, _) = optimize(p);
+    let columns = [
+        ("replay", p, first_touch),
+        ("replay_opt", p, linear_scan),
+        ("optimize + replay_opt", &opt, linear_scan),
+    ]
+    .map(|(col, p, lower)| {
+        let l = build(id, p, lower).unwrap_or_else(|er| panic!("{name}/{id} {col}: {er}"));
+        (col, l)
+    });
     assert!(
-        t2.insns() <= t1.insns(),
+        columns[2].1.insns() <= columns[0].1.insns(),
         "{name}/{id}: tier-2 grew the code ({} -> {} insns)",
-        t1.insns(),
-        t2.insns()
+        columns[0].1.insns(),
+        columns[2].1.insns()
     );
     for args in cases {
         let want = p
             .interpret(args, 10_000_000)
             .unwrap_or_else(|er| panic!("{name} interpret({args:?}): {er}"));
-        assert_eq!(
-            t1.call(args).unwrap(),
-            want,
-            "{name}/{id} tier-1 on {args:?}"
-        );
-        assert_eq!(
-            t2.call(args).unwrap(),
-            want,
-            "{name}/{id} tier-2 on {args:?}"
-        );
+        for (col, l) in &columns {
+            assert_eq!(l.call(args).unwrap(), want, "{name}/{id} {col} on {args:?}");
+        }
     }
 }
 
 #[test]
 fn tier2_matches_tier1_and_interpreter_on_all_backends() {
-    let e = engine(256);
     for (name, p, cases) in fixed_corpus() {
         for id in TargetId::ALL {
-            assert_tiers_agree(&e, id, name, &p, &cases);
+            assert_columns_agree(id, name, &p, &cases);
         }
     }
 }
 
 #[test]
 fn tier2_matches_on_random_programs_all_backends() {
-    let e = engine(1024);
     let mut rng = XorShift::new(0x7b15_2000);
     let inputs: Vec<Vec<i32>> = vec![
         vec![0, 0],
         vec![1, -1],
         vec![12345, -678],
+        vec![-7, 3],
         vec![i32::MAX, i32::MIN],
     ];
-    for case in 0..24 {
+    let mut back_edges = 0;
+    for case in 0..RANDOM_PROGRAMS {
         let p = random_program(&mut rng);
+        // The generator's only `BrImm` closes a counted loop.
+        let closes_loop = |o: &&POp| matches!(o, POp::BrImm { .. });
+        back_edges += p.ops().iter().filter(closes_loop).count();
         for id in TargetId::ALL {
-            assert_tiers_agree(&e, id, &format!("rand{case}"), &p, &inputs);
+            assert_columns_agree(id, &format!("rand{case}"), &p, &inputs);
         }
     }
+    assert!(
+        back_edges >= RANDOM_PROGRAMS,
+        "the generator must keep producing loops ({back_edges} back edges)"
+    );
 }
+
+/// Generated programs in the default lane: about a second in a debug
+/// build (3 000 in release, about 9 s, found nothing either).
+const RANDOM_PROGRAMS: usize = 200;
 
 #[test]
 fn simulated_div_by_zero_behaves_identically_in_both_tiers() {
@@ -305,13 +403,13 @@ fn simulated_div_by_zero_behaves_identically_in_both_tiers() {
     // delete or fold the instruction, so whatever each simulated ISA
     // does with it (typed trap or an architecturally-unpredictable
     // result) must be byte-identical across tiers.
-    let e = engine(16);
     let mut p = Program::new(2).unwrap();
     p.bin(BinOp::Div, 2, 0, 1);
     p.ret(2);
     for id in [TargetId::Mips, TargetId::Sparc, TargetId::Alpha] {
-        let t1 = e.compile(id, &p).unwrap();
-        let t2 = e.compile_tier2(id, &p).unwrap();
+        let (first_touch, linear_scan) = lowerings(id);
+        let t1 = build(id, &p, first_touch).unwrap();
+        let t2 = build(id, &optimize(&p).0, linear_scan).unwrap();
         assert_eq!(t1.call(&[10, 2]).unwrap(), 5, "{id}");
         assert_eq!(t2.call(&[10, 2]).unwrap(), 5, "{id}");
         match (t1.call(&[10, 0]), t2.call(&[10, 0])) {
@@ -322,199 +420,74 @@ fn simulated_div_by_zero_behaves_identically_in_both_tiers() {
     }
 }
 
-#[test]
-fn hot_lambda_upgrades_in_place_and_stays_correct() {
-    let e = engine(64);
-    assert!(e.enable_tiering(TierConfig {
-        hot_threshold: 8,
-        ..TierConfig::default()
-    }));
-    assert_eq!(
-        e.tiering(),
-        Some(TierConfig {
-            hot_threshold: 8,
-            ..TierConfig::default()
-        })
-    );
-    let p = sum_squares_loop();
-    let f = e.compile_cached(TargetId::X64, &p).unwrap();
-    let tiered = f.as_tiered().expect("tiering wraps cached lambdas");
-    assert!(!tiered.upgraded());
-    let want = p.interpret(&[10], 1_000_000).unwrap();
-    // Drive past the threshold; every call must stay correct whether it
-    // runs tier-1, mid-upgrade, or tier-2 code.
-    for _ in 0..16 {
-        assert_eq!(f.call(&[10]).unwrap(), want);
+/// The x86-64 backend, compiling only once the test opens the gate.
+#[derive(Debug)]
+struct Gated {
+    open: Mutex<Receiver<()>>,
+}
+
+impl Backend for Gated {
+    fn id(&self) -> TargetId {
+        TargetId::X64
     }
-    assert!(
-        e.service().wait_idle(Duration::from_secs(30)),
-        "tier-2 build did not finish in bound"
-    );
-    // The next call latches the published tier-2 code.
-    assert_eq!(f.call(&[10]).unwrap(), want);
-    assert!(tiered.upgraded(), "hot lambda failed to upgrade");
-    let t2 = tiered.optimized().expect("optimized code");
-    assert!(
-        t2.insns() <= tiered.baseline().insns(),
-        "upgrade grew the code"
-    );
-    assert_eq!(f.call(&[7]).unwrap(), p.interpret(&[7], 1_000_000).unwrap());
+
+    fn word_bits(&self) -> u32 {
+        64
+    }
+
+    fn compile(&self, prog: &Program) -> Result<Arc<dyn Lambda>, EngineError> {
+        self.open
+            .lock()
+            .unwrap()
+            .recv()
+            .map_err(|e| EngineError::Exec(e.to_string()))?;
+        X64Backend.compile(prog)
+    }
 }
 
-#[test]
-fn warm_hits_share_one_heat_counter() {
-    let e = engine(64);
-    assert!(e.enable_tiering(TierConfig {
-        hot_threshold: 1_000_000,
-        ..TierConfig::default()
-    }));
-    let p = abs_times_3();
-    let f1 = e.compile_cached(TargetId::Mips, &p).unwrap();
-    let f2 = e.compile_cached(TargetId::Mips, &p).unwrap();
-    assert!(Arc::ptr_eq(&f1, &f2), "cache must store the wrapper");
-    f1.call(&[1, 2]).unwrap();
-    f2.call(&[3, 4]).unwrap();
-    assert_eq!(f1.as_tiered().unwrap().calls(), 2);
-}
-
+/// The swap left on the serving path: a handle from `compile_async`
+/// interprets until the build publishes, then latches the native lambda.
+/// Callers sharing one handle each call it while it can only interpret
+/// (the gate is shut), across the publication, and after the latch; every
+/// answer is the interpreter's. (`mcheck`'s `degraded_latch_no_torn_swap`
+/// explores the latch's interleavings exhaustively.)
 #[test]
 fn concurrent_callers_never_observe_a_torn_swap() {
-    let e = Arc::new({
-        let e = engine(64);
-        assert!(e.enable_tiering(TierConfig {
-            hot_threshold: 4,
-            ..TierConfig::default()
-        }));
-        e
-    });
+    let (gate, open) = channel();
+    let mut e = Engine::new(64);
+    e.register(Arc::new(Gated {
+        open: Mutex::new(open),
+    }));
     let p = classify_ladder();
-    let f = e.compile_cached(TargetId::X64, &p).unwrap();
     let cases: Vec<(i32, i64)> = [5, 50, 500, 5000, -7]
         .into_iter()
         .map(|x| (x, p.interpret(&[x], 1_000).unwrap()))
         .collect();
+    let h = e.compile_async(TargetId::X64, &p).unwrap();
+    assert_eq!(h.mode(), ServeMode::Building);
     let threads = 4;
-    let barrier = Arc::new(Barrier::new(threads));
-    let handles: Vec<_> = (0..threads)
-        .map(|_| {
-            let f = Arc::clone(&f);
-            let barrier = Arc::clone(&barrier);
-            let cases = cases.clone();
-            std::thread::spawn(move || {
-                barrier.wait();
-                for round in 0..200 {
+    let interpreted = Barrier::new(threads + 1);
+    std::thread::scope(|s| {
+        for _ in 0..threads {
+            s.spawn(|| {
+                let round = |when: &str| {
                     for &(x, want) in &cases {
-                        assert_eq!(f.call(&[x]).unwrap(), want, "round {round}, x={x}");
+                        assert_eq!(h.call(&[x]).unwrap(), want, "{when}, x={x}");
                     }
+                };
+                round("interpreting");
+                assert!(!h.native_ready(), "nothing was built yet");
+                interpreted.wait();
+                let deadline = Instant::now() + Duration::from_secs(30);
+                while !h.native_ready() {
+                    assert!(Instant::now() < deadline, "the build never published");
+                    round("across the swap");
                 }
-            })
-        })
-        .collect();
-    for h in handles {
-        h.join().expect("caller thread panicked");
-    }
-    assert!(e.service().wait_idle(Duration::from_secs(30)));
-    // After the dust settles the lambda still answers correctly.
-    for &(x, want) in &cases {
-        assert_eq!(f.call(&[x]).unwrap(), want);
-    }
-}
-
-#[test]
-fn tiering_off_means_no_wrapper() {
-    let e = engine(16);
-    let f = e.compile_cached(TargetId::X64, &abs_times_3()).unwrap();
-    assert!(f.as_tiered().is_none());
-}
-
-#[test]
-fn async_compiles_tier_up_too() {
-    let e = engine(64);
-    assert!(e.enable_tiering(TierConfig {
-        hot_threshold: 4,
-        ..TierConfig::default()
-    }));
-    let p = const_heavy();
-    let want = p.interpret(&[9], 1_000).unwrap();
-    let h = e.compile_async(TargetId::Mips, &p).unwrap();
-    // Degraded or native, the handle answers correctly right away.
-    assert_eq!(h.call(&[9]).unwrap(), want);
-    assert!(e.service().wait_idle(Duration::from_secs(30)));
-    // The published build is the tiered wrapper; heat it up.
-    let f = e.compile_cached(TargetId::Mips, &p).unwrap();
-    let tiered = f.as_tiered().expect("async-published lambda is wrapped");
-    for _ in 0..8 {
-        assert_eq!(f.call(&[9]).unwrap(), want);
-    }
-    assert!(e.service().wait_idle(Duration::from_secs(30)));
-    f.call(&[9]).unwrap();
-    assert!(tiered.upgraded());
-    assert_eq!(f.call(&[9]).unwrap(), want);
-}
-
-/// Cycle-weighted heat (satellite of the persistent-cache PR): with
-/// `cycle_weighted` on, heat advances by the *observed execution
-/// cycles* of each call (the simulators report theirs through
-/// `vcode::obs::note_exec_cycles`), so a long-running callee tiers up
-/// after a handful of calls while a cheap one called far more often
-/// stays cold — the paper's "optimize where the time goes" policy,
-/// not "optimize whatever is called".
-#[test]
-fn expensive_cold_callee_tiers_up_before_cheap_hot_one() {
-    let e = engine(64);
-    assert!(e.enable_tiering(TierConfig {
-        hot_threshold: 1_000,
-        cycle_weighted: true,
-    }));
-    let cheap_p = abs_times_3();
-    let exp_p = sum_squares_loop();
-    let cheap = e.compile_cached(TargetId::Mips, &cheap_p).unwrap();
-    let exp = e.compile_cached(TargetId::Mips, &exp_p).unwrap();
-    let cheap_t = cheap.as_tiered().expect("wrapped");
-    let exp_t = exp.as_tiered().expect("wrapped");
-
-    // The cheap callee is *hot* by call count: 30 calls, a few cycles
-    // each — far below the 1000-cycle threshold.
-    let cheap_want = cheap_p.interpret(&[5, 1], 1_000).unwrap();
-    for _ in 0..30 {
-        assert_eq!(cheap.call(&[5, 1]).unwrap(), cheap_want);
-    }
-    // The expensive callee is *cold* by call count: 3 calls, but each
-    // burns hundreds of simulated cycles in the loop.
-    let exp_want = exp_p.interpret(&[300], 10_000_000).unwrap();
-    for _ in 0..3 {
-        assert_eq!(exp.call(&[300]).unwrap(), exp_want);
-    }
-
-    assert!(
-        cheap_t.calls() > exp_t.calls(),
-        "setup: the cheap callee must be called more often"
-    );
-    assert!(
-        exp_t.heat() > cheap_t.heat(),
-        "cycle weighting must rank the expensive callee hotter ({} vs {})",
-        exp_t.heat(),
-        cheap_t.heat()
-    );
-    assert!(
-        exp_t.heat() >= 1_000,
-        "the expensive callee must cross the threshold"
-    );
-    assert!(
-        cheap_t.heat() < 1_000,
-        "the cheap callee must stay below the threshold"
-    );
-
-    assert!(e.service().wait_idle(Duration::from_secs(30)));
-    // The next call latches the published tier-2 code.
-    assert_eq!(exp.call(&[300]).unwrap(), exp_want);
-    assert!(exp_t.upgraded(), "expensive callee failed to tier up");
-    assert!(
-        !cheap_t.upgraded(),
-        "cheap callee must not tier up on call count alone"
-    );
-    assert_eq!(
-        exp.call(&[7]).unwrap(),
-        exp_p.interpret(&[7], 1_000_000).unwrap()
-    );
+                round("native");
+            });
+        }
+        interpreted.wait();
+        gate.send(()).unwrap();
+    });
+    assert!(h.lambda().code_len() > 0, "the handle latched native code");
 }
