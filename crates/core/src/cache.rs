@@ -662,7 +662,12 @@ impl<V: ?Sized> LambdaCache<V> {
         shard.check();
         self.stats.inserts.fetch_add(1, Ordering::Relaxed);
         obs::note_lambda_cache_insert();
-        self.evict_to(&mut shard);
+        let victims = self.evict_to(&mut shard);
+        // A victim's drop can be real work (a native lambda scrubs and
+        // parks its mapping) or can come back to this cache: run it
+        // with the shard unlocked, so no hit waits behind it.
+        drop(shard);
+        drop(victims);
         true
     }
 
@@ -677,7 +682,12 @@ impl<V: ?Sized> LambdaCache<V> {
     /// the victim only when every other slot is an in-flight build (or
     /// `per_shard == 0`), and dropping it then is right — its result was
     /// already handed to its callers, it just isn't shared.
-    fn evict_to(&self, shard: &mut ShardState<V>) {
+    ///
+    /// Returns the evicted slots for the caller to drop once it has
+    /// released the shard.
+    #[must_use = "victims must be dropped after the shard lock is released"]
+    fn evict_to(&self, shard: &mut ShardState<V>) -> Vec<Slot<V>> {
+        let mut victims = Vec::new();
         while shard.map.len() > self.per_shard {
             let victim = shard
                 .map
@@ -691,12 +701,13 @@ impl<V: ?Sized> LambdaCache<V> {
                 // is cloned, to end the borrow its removal needs.
                 .map(|(_, k)| k.clone());
             let Some(victim) = victim else {
-                return; // only in-flight builds left
+                break; // only in-flight builds left
             };
-            shard.map.remove(&victim);
+            victims.extend(shard.map.remove(&victim));
             self.stats.evictions.fetch_add(1, Ordering::Relaxed);
             obs::note_lambda_cache_eviction();
         }
+        victims
     }
 
     /// Probes `key` for the async compile service: a `Ready` hit returns
@@ -750,10 +761,14 @@ impl<V: ?Sized> LambdaCache<V> {
     /// Callers holding `Arc`s keep their code.
     pub fn clear(&self) {
         for s in &self.shards {
-            s.lock()
-                .unwrap_or_else(|e| e.into_inner())
+            let mut shard = s.lock().unwrap_or_else(|e| e.into_inner());
+            let ready: Vec<_> = shard
                 .map
-                .retain(|_, slot| matches!(slot, Slot::Building(_)));
+                .extract_if(|_, slot| matches!(slot, Slot::Ready { .. }))
+                .collect();
+            // As in `install_if`: entries drop with the shard unlocked.
+            drop(shard);
+            drop(ready);
         }
     }
 
@@ -1201,6 +1216,53 @@ mod tests {
             Probe::Ready(v) => assert_eq!(*v, 4),
             other => panic!("expected Ready, got {other:?}"),
         }
+    }
+
+    /// A value whose destructor comes back to the cache, as a lambda's
+    /// may (and as any destructor that blocks would stall the shard's
+    /// hits): victims must be dropped with the shard unlocked.
+    struct Reentrant {
+        cache: std::sync::Weak<LambdaCache<Reentrant>>,
+        seen: Arc<AtomicUsize>,
+    }
+
+    impl Drop for Reentrant {
+        fn drop(&mut self) {
+            if let Some(c) = self.cache.upgrade() {
+                // One more than the length proves the drop ran at all.
+                self.seen.fetch_add(c.len() + 1, Ordering::SeqCst);
+            }
+        }
+    }
+
+    #[test]
+    fn victims_drop_outside_the_shard_lock() {
+        let (done, finished) = std::sync::mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            let c: Arc<LambdaCache<Reentrant>> = Arc::new(LambdaCache::new(1));
+            let seen = Arc::new(AtomicUsize::new(0));
+            let insert = |n: u8| {
+                let val = Reentrant {
+                    cache: Arc::downgrade(&c),
+                    seen: Arc::clone(&seen),
+                };
+                // The returned clone goes at once: the cache's is the last.
+                drop(c.get_or_insert_with::<Infallible>(key(n), || Ok(Arc::new(val))));
+            };
+            insert(1);
+            insert(2); // evicts 1, whose drop sees the one entry left
+            assert_eq!(seen.swap(0, Ordering::SeqCst), 2);
+            c.clear(); // drops 2, whose drop sees an empty cache
+            assert_eq!(seen.load(Ordering::SeqCst), 1);
+            done.send(()).unwrap();
+        });
+        // Joined with a timeout: under the lock, the drop deadlocks.
+        if finished.recv_timeout(Duration::from_secs(20))
+            == Err(std::sync::mpsc::RecvTimeoutError::Timeout)
+        {
+            panic!("a victim's drop re-entered the cache under its shard lock and hung");
+        }
+        worker.join().unwrap();
     }
 
     #[test]

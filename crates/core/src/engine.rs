@@ -914,7 +914,9 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 /// This is the monomorphized half of every [`Backend`] adapter: the
 /// object-safe surface dispatches here once per compile, and from then
 /// on emission is the same code the direct clients use — the cached
-/// path adds nothing to the per-instruction cost.
+/// path adds nothing to the per-instruction cost. The adapter's fixed
+/// cost per compile is [`lower_in_scratch`]: this lowering into a
+/// per-thread scratch plus one right-sized copy of the finished bytes.
 ///
 /// # Errors
 ///
@@ -1243,13 +1245,73 @@ pub trait Backend: Send + Sync + fmt::Debug {
     }
 }
 
-/// Generates a [`Backend`] adapter for a simulated-ISA target: compiles
-/// the recorded program into code bytes through the ordinary monomorphized
-/// `Assembler<$target>` path and wraps them in a [`CodeImage`].
+/// The largest lowering scratch a thread keeps between compiles: the
+/// executable-memory pool's own largest class (`vcode_x64::MAX_POOL_PAGES`
+/// pages; `vcode-x64` asserts the two agree). A program whose
+/// [`code_capacity`](Program::code_capacity) is larger lowers into a
+/// buffer of its own that is freed afterwards, so one huge program does
+/// not pin megabytes on every thread that ever compiled one.
+pub const SCRATCH_MAX: usize = 128 * 4096;
+
+thread_local! {
+    /// This thread's lowering scratch, grown on demand up to
+    /// [`SCRATCH_MAX`]. Taken out of the cell while in use, so a
+    /// re-entrant compile gets a buffer of its own instead of a borrow
+    /// panic.
+    static SCRATCH: std::cell::Cell<Vec<u8>> = const { std::cell::Cell::new(Vec::new()) };
+}
+
+/// The compile half of every [`Backend`] adapter: lowers `prog` with
+/// `replay` into a reusable per-thread heap scratch of
+/// [`prog.code_capacity()`](Program::code_capacity) bytes, then hands the
+/// finished bytes (and the instruction count) to `install`, which copies
+/// them to where they will live — a right-sized `Vec` for a simulated
+/// target, a right-sized executable mapping for the native one. So the
+/// 4–8× worst-case capacity bound sizes only the scratch, never what a
+/// cached lambda keeps; emission stores go to cache-hot memory; and the
+/// assembler's over-store slack ([`MAX_OVERSTORE`](crate::buf::
+/// MAX_OVERSTORE)) never reaches the installed copy.
+///
+/// The scratch is not cleared between compiles: every append stores
+/// exactly the bytes it advances over (see [`crate::buf`]), so the
+/// finished prefix never shows what the buffer held before.
+///
+/// `replay` must emit position-independent code — the bytes run at
+/// whatever address `install` puts them — as everything reachable from
+/// [`POp`] does (x86-64 lowering is rel32-only; the same bytes already
+/// run relocated after every L2 load).
+///
+/// # Errors
+///
+/// `replay`'s error or `install`'s.
+pub fn lower_in_scratch<L>(
+    prog: &Program,
+    replay: impl FnOnce(&Program, &mut [u8]) -> Result<Finished, EngineError>,
+    install: impl FnOnce(&[u8], u64) -> Result<L, EngineError>,
+) -> Result<L, EngineError> {
+    let capacity = prog.code_capacity();
+    let keep = capacity <= SCRATCH_MAX;
+    let mut buf = if keep { SCRATCH.take() } else { Vec::new() };
+    if buf.len() < capacity {
+        buf.resize(capacity, 0);
+    }
+    let result =
+        replay(prog, &mut buf[..capacity]).and_then(|fin| install(&buf[..fin.len], fin.insns));
+    if keep {
+        SCRATCH.set(buf);
+    }
+    result
+}
+
+/// Generates a [`Backend`] adapter for a simulated-ISA target: lowers
+/// the recorded program through the ordinary monomorphized
+/// `Assembler<$target>` path ([`lower_in_scratch`]) and wraps a copy of
+/// the finished bytes in a [`CodeImage`].
 ///
 /// This is the shared registration boilerplate the three RISC backend
 /// crates previously would have had to duplicate; the native x86-64
-/// backend has its own adapter because it executes in place.
+/// adapter is the same two steps with an executable mapping as the
+/// install target.
 #[macro_export]
 macro_rules! code_backend {
     ($(#[$meta:meta])* $adapter:ident, $target:ty, $id:expr) => {
@@ -1273,15 +1335,18 @@ macro_rules! code_backend {
                 ::std::sync::Arc<dyn $crate::engine::Lambda>,
                 $crate::engine::EngineError,
             > {
-                let mut mem = vec![0u8; prog.code_capacity()];
-                let fin = $crate::engine::replay::<$target>(prog, &mut mem)?;
-                mem.truncate(fin.len);
-                Ok(::std::sync::Arc::new($crate::engine::CodeImage::new(
-                    $id,
-                    prog.args(),
-                    mem,
-                    fin.insns,
-                )))
+                $crate::engine::lower_in_scratch(
+                    prog,
+                    $crate::engine::replay::<$target>,
+                    |code, insns| {
+                        Ok(::std::sync::Arc::new($crate::engine::CodeImage::new(
+                            $id,
+                            prog.args(),
+                            code.to_vec(),
+                            insns,
+                        )) as _)
+                    },
+                )
             }
 
             fn adopt(
@@ -1551,7 +1616,8 @@ impl Engine {
 
     /// Compiles `prog` on `id` *without* touching the cache — the
     /// single-shot path, identical in cost to calling the backend
-    /// directly.
+    /// directly: a lowering into the thread's scratch plus one
+    /// right-sized copy of the finished bytes ([`lower_in_scratch`]).
     ///
     /// # Errors
     ///
@@ -1863,6 +1929,51 @@ mod tests {
         let fin = replay::<FakeTarget>(&p, &mut mem).unwrap();
         assert!(fin.len > 0);
         assert_eq!(fin.insns, p.len() as u64 - 1); // `label` emits nothing
+    }
+
+    #[test]
+    fn scratch_lowering_installs_the_bytes_a_fresh_buffer_gets() {
+        let p = sample();
+        let mut fresh = vec![0u8; p.code_capacity()];
+        let fin = replay::<FakeTarget>(&p, &mut fresh).unwrap();
+        // Whatever the scratch held before: nothing of it shows.
+        SCRATCH.set(vec![0xa5; p.code_capacity() / 2]);
+        for _ in 0..2 {
+            let (code, insns) =
+                lower_in_scratch(&p, replay::<FakeTarget>, |code, n| Ok((code.to_vec(), n)))
+                    .unwrap();
+            assert_eq!(code, fresh[..fin.len]);
+            assert_eq!(insns, fin.insns);
+        }
+        // The scratch grew to the capacity asked of it and is kept; a
+        // failed lowering or install keeps it too.
+        let kept = |want: usize| {
+            let buf = SCRATCH.take();
+            assert_eq!(buf.len(), want);
+            SCRATCH.set(buf);
+        };
+        kept(p.code_capacity());
+        let refused = |_: &Program, _: &mut [u8]| Err(EngineError::TooManyTemps { vreg: 9 });
+        assert!(lower_in_scratch(&p, refused, |_, _| Ok(())).is_err());
+        let full = |_: &[u8], _| Err::<(), _>(EngineError::Exec("no memory".into()));
+        assert!(lower_in_scratch(&p, replay::<FakeTarget>, full).is_err());
+        kept(p.code_capacity());
+        // Past the bound: a buffer of its own, freed; the scratch is
+        // neither grown nor replaced.
+        let mut huge = Program::new(1).unwrap();
+        for _ in 0..SCRATCH_MAX / 32 {
+            huge.bin_imm(BinOp::Add, 0, 0, 1);
+        }
+        huge.ret(0);
+        assert!(huge.code_capacity() > SCRATCH_MAX);
+        let mut fresh = vec![0u8; huge.code_capacity()];
+        let fin = replay::<FakeTarget>(&huge, &mut fresh).unwrap();
+        let len = lower_in_scratch(&huge, replay::<FakeTarget>, |code, _| {
+            assert_eq!(code, &fresh[..fin.len]);
+            Ok(code.len())
+        });
+        assert_eq!(len.unwrap(), fin.len);
+        kept(p.code_capacity());
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! The pool's hardening invariant, end to end: **a parked mapping is all
 //! zero**, although a finished lambda parks by scrubbing only its dirty
-//! prefix (`ExecMem::finalize_written`: finished length plus the code
-//! buffer's maximum over-store).
+//! prefix (`ExecMem::finalize_written`: the installed length for an
+//! engine lambda, finished length plus the code buffer's maximum
+//! over-store for code emitted in place).
 //!
 //! One test, so this binary is one thread using the pool: after a
 //! `drain_pool` the mapping a dropped lambda parks is the very mapping
@@ -15,13 +16,14 @@ use vcode_x64::{drain_pool, pool_stats, ExecMem, X64Backend, X64};
 
 const PAGE: usize = 4096;
 
-/// Drops `parked_by` onto an empty pool and adopts the mapping back:
-/// it must be the one just parked, and every byte of it zero.
-fn assert_parks_zeroed(what: &str, capacity: usize, parked_by: impl FnOnce()) {
+/// Runs `parked_by`, which drops code onto an empty pool and returns a
+/// size of the class it must have parked in, and adopts the mapping
+/// back: it must be the one just parked, and every byte of it zero.
+fn assert_parks_zeroed(what: &str, parked_by: impl FnOnce() -> usize) {
     drain_pool();
     assert_eq!(pool_stats().currently_parked, 0);
     let before = pool_stats();
-    parked_by();
+    let capacity = parked_by();
     let parked = pool_stats();
     assert_eq!(parked.currently_parked, 1, "{what}: drop must park");
     let mut mem = ExecMem::new(capacity).unwrap();
@@ -69,17 +71,21 @@ fn parked_mappings_read_zero_whatever_parked_them() {
 
     // Tier-1, tier-2 and the L2 adoption path, over the corpus.
     for (i, p) in corpus().iter().enumerate() {
-        let capacity = p.code_capacity();
-        assert_parks_zeroed(&format!("program {i}, Engine::compile"), capacity, || {
-            drop(engine.compile(TargetId::X64, p).unwrap());
+        // The engine installs what was written: the mapping's class is
+        // the finished length's, not the capacity bound's.
+        assert_parks_zeroed(&format!("program {i}, Engine::compile"), || {
+            engine.compile(TargetId::X64, p).unwrap().code_len()
         });
-        // Linear-scan output over-stores differently from first-touch
-        // output; it parks through the same dirty-prefix scrub.
+        // Emitted in place, as direct `Assembler` clients do; linear-scan
+        // output over-stores differently from first-touch output and
+        // parks through the same dirty-prefix scrub.
         let (opt, _) = vcode::tier2::optimize(p);
-        assert_parks_zeroed(&format!("program {i}, tier 2"), opt.code_capacity(), || {
-            let mut mem = ExecMem::new(opt.code_capacity()).unwrap();
+        let capacity = opt.code_capacity();
+        assert_parks_zeroed(&format!("program {i}, tier 2"), || {
+            let mut mem = ExecMem::new(capacity).unwrap();
             let fin = vcode::tier2::replay_opt::<X64>(&opt, mem.as_mut_slice()).unwrap();
             drop(mem.finalize_written(fin.len + vcode::buf::MAX_OVERSTORE));
+            capacity
         });
         let lambda = engine.compile(TargetId::X64, p).unwrap();
         let (args, code) = lambda.persist_image().unwrap();
@@ -92,13 +98,10 @@ fn parked_mappings_read_zero_whatever_parked_them() {
             code,
         };
         drop(lambda);
-        assert_parks_zeroed(
-            &format!("program {i}, adopted"),
-            artifact.code.len(),
-            || {
-                drop(X64Backend.adopt(&artifact.view()).unwrap());
-            },
-        );
+        assert_parks_zeroed(&format!("program {i}, adopted"), || {
+            drop(X64Backend.adopt(&artifact.view()).unwrap());
+            artifact.code.len()
+        });
     }
 
     // Near capacity: one page, programs sized so the emitted code ends
@@ -123,7 +126,7 @@ fn parked_mappings_read_zero_whatever_parked_them() {
     let (mut fitted, mut overflowed) = (0, 0);
     for ops in fills_page - 12..=fills_page + 4 {
         let p = adds(ops);
-        assert_parks_zeroed(&format!("{ops} ops in one page"), PAGE, || {
+        assert_parks_zeroed(&format!("{ops} ops in one page"), || {
             let mut mem = ExecMem::new(PAGE).unwrap();
             match vcode::engine::replay::<X64>(&p, mem.as_mut_slice()) {
                 Ok(fin) => {
@@ -135,10 +138,30 @@ fn parked_mappings_read_zero_whatever_parked_them() {
                     drop(mem);
                 }
             }
+            PAGE
         });
     }
     assert!(
         fitted > 0 && overflowed > 0,
         "the sweep must straddle the page boundary: {fitted} fit, {overflowed} overflowed"
     );
+
+    // Past the scratch bound: a program whose capacity the per-thread
+    // scratch refuses lowers into a buffer of its own. It compiles,
+    // agrees with the interpreter and parks zeroed like any other, and
+    // the small compile after it still lands on one page.
+    let huge = adds(vcode::engine::SCRATCH_MAX / 32);
+    assert!(huge.code_capacity() > vcode::engine::SCRATCH_MAX);
+    assert_parks_zeroed("past the scratch bound", || {
+        let lambda = engine.compile(TargetId::X64, &huge).unwrap();
+        let want = huge.interpret(&[7], u64::MAX).unwrap();
+        assert_eq!(lambda.call(&[7]).unwrap(), want);
+        assert!(lambda.code_len() > 16 * PAGE);
+        lambda.code_len()
+    });
+    assert_parks_zeroed("the small compile after it", || {
+        let len = engine.compile(TargetId::X64, &adds(8)).unwrap().code_len();
+        assert!(len < PAGE);
+        len
+    });
 }

@@ -37,6 +37,22 @@
 //! never touches the second page. Everyone else ([`ExecMem::finalize`],
 //! an `ExecMem` dropped unfinished) keeps the full scrub.
 //!
+//! The pool is quiet only for a population that stays in **one size
+//! class**. A stationary set of live mappings spread over *k* classes
+//! (say 256 cached lambdas, each replaced by a random newcomer) gives
+//! each class's free list a random walk — a release pushes, an
+//! allocation of that class pops — between two walls: empty, where the
+//! next allocation maps fresh memory, and the retention cap, where the
+//! next release unmaps. The walk hits both regularly, however the
+//! classes are weighted; with one class, every release is followed by an
+//! allocation of the same class and the list never holds more than one
+//! entry. So a caller that can bound the bytes it will keep should ask
+//! for that size, not for a worst case it will mostly leave unused: the
+//! engine adapter lowers into heap scratch and installs the finished
+//! bytes ([`ExecMem::adopt_bytes`]) for exactly this reason (DESIGN.md
+//! "Executable memory"; EXPERIMENTS.md "Cold miss: where the pool went"
+//! has the counts).
+//!
 //! The dual mapping is what makes the whole steady-state lifecycle
 //! (adopt → emit → finalize → execute → park) syscall-free, and that is
 //! a multi-core scaling fact, not just a latency one: the classic

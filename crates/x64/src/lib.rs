@@ -945,40 +945,60 @@ impl Lambda for NativeLambda {
     }
 }
 
+/// Places finished, position-independent code in a right-sized
+/// executable mapping — the one install path, shared by a fresh build
+/// ([`X64Backend::compile_with`]) and an L2 load ([`Backend::adopt`]).
+/// The mapping's size class is decided by `code.len()`, and parking it
+/// scrubs exactly that prefix.
+fn install(code: &[u8], args: usize, insns: u64) -> std::io::Result<std::sync::Arc<dyn Lambda>> {
+    let mem = ExecMem::adopt_bytes(code)?;
+    Ok(std::sync::Arc::new(NativeLambda {
+        code: mem.finalize_written(code.len())?,
+        args,
+        len: code.len(),
+        insns,
+    }))
+}
+
+// The engine's scratch bound is the pool's largest class: a lambda whose
+// capacity fits the scratch would also fit the pool.
+const _: () = assert!(vcode::engine::SCRATCH_MAX == MAX_POOL_PAGES * 4096);
+
 /// Runtime-selectable engine adapter for the native x86-64 target:
-/// replays a recorded [`Program`] through `Assembler<X64>` directly into
-/// executable memory and returns an in-place-runnable [`NativeLambda`].
+/// replays a recorded [`Program`] through `Assembler<X64>` into the
+/// thread's lowering scratch, then installs the finished bytes in a
+/// right-sized executable mapping and returns a [`NativeLambda`] over it.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct X64Backend;
 
 impl X64Backend {
-    /// Compiles `prog` into executable memory with `replay` as the
-    /// lowering. [`Backend::compile`] is this with
-    /// [`vcode::engine::replay`]; tests and benches that want a callable
-    /// tier-2 lambda pass `vcode::tier2::replay_opt` (over an
+    /// Compiles `prog` with `replay` as the lowering
+    /// ([`vcode::engine::lower_in_scratch`]) and installs the finished
+    /// bytes in executable memory sized by what was written.
+    /// [`Backend::compile`] is this with [`vcode::engine::replay`]; tests
+    /// and benches that want a callable tier-2 lambda pass
+    /// `vcode::tier2::replay_opt` (over an
     /// [`optimize`](vcode::tier2::optimize)d program).
+    ///
+    /// `replay` must emit position-independent code: the bytes are
+    /// copied out of the scratch and run wherever the mapping lands.
+    /// Everything reachable from a [`Program`]'s ops is (x86-64 lowering
+    /// is rel32-only, and the same bytes already run relocated after
+    /// every L2 load).
     ///
     /// # Errors
     ///
     /// `replay`'s error, or [`EngineError::Exec`] when executable memory
-    /// cannot be mapped or sealed.
+    /// cannot be obtained.
     pub fn compile_with(
         &self,
         prog: &Program,
         replay: impl FnOnce(&Program, &mut [u8]) -> Result<Finished, EngineError>,
     ) -> Result<std::sync::Arc<dyn Lambda>, EngineError> {
-        let mut mem = ExecMem::new(prog.code_capacity())
-            .map_err(|e| EngineError::Exec(format!("exec mmap: {e}")))?;
-        let fin = replay(prog, mem.as_mut_slice())?;
-        let code = mem
-            .finalize_written(fin.len + vcode::buf::MAX_OVERSTORE)
-            .map_err(|e| EngineError::Exec(format!("exec seal: {e}")))?;
-        Ok(std::sync::Arc::new(NativeLambda {
-            code,
-            args: prog.args(),
-            len: fin.len,
-            insns: fin.insns,
-        }))
+        vcode::engine::lower_in_scratch(prog, replay, |code, insns| {
+            install(code, prog.args(), insns)
+                .map_err(|e| EngineError::Exec(format!("exec install: {e}")))
+        })
     }
 }
 
@@ -1006,13 +1026,10 @@ impl Backend for X64Backend {
         // Failing to obtain executable memory says nothing about the
         // artifact: the `io::Error` converts to `PersistError::Io`,
         // which the disk tier does not evict on.
-        let mem = ExecMem::adopt_bytes(artifact.code)?;
-        let code = mem.finalize_written(artifact.code.len())?;
-        Ok(std::sync::Arc::new(NativeLambda {
-            code,
-            args: artifact.args as usize,
-            len: artifact.code.len(),
-            insns: artifact.insns,
-        }))
+        Ok(install(
+            artifact.code,
+            artifact.args as usize,
+            artifact.insns,
+        )?)
     }
 }

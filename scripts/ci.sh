@@ -84,6 +84,33 @@ if [ -n "$byte_serial" ]; then
 fi
 echo "one digest ok"
 
+echo "== one install path (no capacity-sized mapping or image) =="
+# Every engine backend lowers into `engine::lower_in_scratch`'s heap
+# buffer and installs the finished bytes once, so what a cached lambda
+# keeps — an executable mapping's size class, a `CodeImage`'s
+# allocation — is sized by what was written, not by the 4-8x worst case
+# of `Program::code_capacity()` (DESIGN.md "Pooled, dual-mapped
+# executable memory"). Product source that maps executable memory at
+# the capacity bound, or trims a capacity-sized image, brings the class
+# mix back: fail on it.
+capacity_sized=$(grep -rn 'ExecMem::new(.*code_capacity' crates/*/src || true
+    grep -n 'truncate(fin.len)' crates/core/src/engine.rs || true)
+if [ -n "$capacity_sized" ]; then
+    echo "one-install-path gate: storage a lambda keeps is sized by the capacity bound:" >&2
+    echo "$capacity_sized" >&2
+    exit 1
+fi
+echo "one install path ok"
+
+echo "== exec pool steady state (a cold compile makes no syscalls) =="
+# 4096 first-sight programs through `compile_cached` on a full 256-entry
+# L1, in release as the benchmark runs them: the executable-memory pool
+# must serve every allocation and take every release (hits = parked =
+# 4096, misses = evicted = 0; 3820/276/3820/276 before PR 18). The test
+# asserts it; the line it measured is echoed for the log.
+cargo test -q --release -p harden --offline --test pool_steady_state -- --nocapture |
+    grep '^pool deltas'
+
 echo "== model checker: exhaustive concurrency sweeps =="
 # The bounded RCU / cache / degraded-latch / quarantine model programs,
 # explored to completion under the vsync deterministic scheduler (the
