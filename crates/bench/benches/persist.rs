@@ -78,15 +78,14 @@ fn main() {
         dpf::enable_persist(&dir).expect("artifact dir is writable"),
         "persistent tier must attach"
     );
+    let tier = dpf::persist_tier().expect("attached above");
 
     println!("=== Persistent code cache: cold vs warm first-classified-packet ===");
     println!("    ({nsets} filter sets x {nf} filters, linear dispatch)");
 
     // --- Cold: empty artifact dir. Compiles everything, stores through.
-    let before = vcode::obs::persist_counters();
     let cold_s = first_packet_pass(&sets);
-    let after = vcode::obs::persist_counters();
-    let stored = after.stores - before.stores;
+    let stored = tier.stats().stores;
     let cold_us = cold_s * 1e6;
     println!("  cold start (compile + store-through)  {cold_us:>10.0} us");
     if stored < u64::from(nsets) {
@@ -100,13 +99,12 @@ fn main() {
     // build must come from a verified on-disk artifact.
     let mut warm_s = f64::INFINITY;
     for _ in 0..warm_reps {
-        let b = vcode::obs::persist_counters();
+        let before = tier.stats().hits;
         let s = first_packet_pass(&sets);
-        let a = vcode::obs::persist_counters();
-        if a.hits - b.hits < u64::from(nsets) {
+        let loaded = tier.stats().hits - before;
+        if loaded < u64::from(nsets) {
             failures.push(format!(
-                "persist: warm pass loaded {} artifacts from disk, expected {nsets}",
-                a.hits - b.hits
+                "persist: warm pass loaded {loaded} artifacts from disk, expected {nsets}"
             ));
         }
         warm_s = warm_s.min(s);

@@ -39,15 +39,14 @@
 //!   code still referenced by callers stays alive (and, for native code,
 //!   its mapping stays out of the executable-memory pool) until the last
 //!   clone is gone.
-//! - **Observable.** Per-cache [`CacheStats`] plus process-wide
-//!   [`obs::lambda_cache_counters`](crate::obs::lambda_cache_counters).
+//! - **Observable.** Every count is the cache's own: [`CacheStats`]
+//!   through [`LambdaCache::stats`].
 //! - **Async-buildable.** [`crate::service::CompileService`] layers a
 //!   background worker pool over the same `Building`-slot machinery via
 //!   the crate-internal [`LambdaCache::begin_build`] / [`BuildTicket`]
 //!   surface, so compilation can leave the request path entirely.
 
 use crate::engine::TargetId;
-use crate::obs;
 use crate::persist::digest64;
 use std::collections::HashMap;
 // Synchronization comes from the `vsync` facade (std in production,
@@ -233,7 +232,7 @@ impl<E: std::fmt::Debug + std::fmt::Display> std::error::Error for CacheError<E>
 /// *generation*: vacate/insert decisions compare pointers so a stale
 /// builder can never clobber a successor's slot.
 #[derive(Debug, Default)]
-pub(crate) struct Build {
+struct Build {
     state: Mutex<BuildState>,
     cv: Condvar,
 }
@@ -356,7 +355,7 @@ impl Build {
     /// `done` and never sleeps, or `wake` sees it registered and
     /// notifies: skipping the notify when nobody registered loses no
     /// wakeup.
-    pub(crate) fn wake(&self) {
+    fn wake(&self) {
         let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
         st.done = true;
         let awaited = st.awaited;
@@ -430,12 +429,10 @@ impl<V: ?Sized> LambdaCache<V> {
             Some(Slot::Ready { val, stamp }) => {
                 *stamp = self.tick();
                 self.stats.hits.fetch_add(1, Ordering::Relaxed);
-                obs::note_lambda_cache_hit();
                 Some(Arc::clone(val))
             }
             _ => {
                 self.stats.misses.fetch_add(1, Ordering::Relaxed);
-                obs::note_lambda_cache_miss();
                 None
             }
         }
@@ -461,7 +458,7 @@ impl<V: ?Sized> LambdaCache<V> {
     /// was vacated. The check makes vacating idempotent and safe against
     /// successors: a new builder's slot under the same key is a
     /// different `Arc` and is never touched.
-    pub(crate) fn vacate_if(&self, key: &CacheKey, build: &Arc<Build>) -> bool {
+    fn vacate_if(&self, key: &CacheKey, build: &Arc<Build>) -> bool {
         let vacated = self.shard(key).vacate(key, build);
         if vacated {
             build.wake();
@@ -550,10 +547,8 @@ impl<V: ?Sized> LambdaCache<V> {
                         // experienced a miss (it waited for a compile).
                         if waited {
                             self.stats.misses.fetch_add(1, Ordering::Relaxed);
-                            obs::note_lambda_cache_miss();
                         } else {
                             self.stats.hits.fetch_add(1, Ordering::Relaxed);
-                            obs::note_lambda_cache_hit();
                         }
                         return Attempt::Done(Ok(Arc::clone(val)));
                     }
@@ -567,9 +562,7 @@ impl<V: ?Sized> LambdaCache<V> {
                             // past the configured capacity.
                             drop(shard);
                             self.stats.misses.fetch_add(1, Ordering::Relaxed);
-                            obs::note_lambda_cache_miss();
                             self.stats.bypasses.fetch_add(1, Ordering::Relaxed);
-                            obs::note_lambda_cache_bypass();
                             let build = build.take().expect("builder reused");
                             return Attempt::Done(build());
                         }
@@ -578,7 +571,6 @@ impl<V: ?Sized> LambdaCache<V> {
                         let b = shard.claim(key.clone());
                         drop(shard);
                         self.stats.misses.fetch_add(1, Ordering::Relaxed);
-                        obs::note_lambda_cache_miss();
                         let build = build.take().expect("builder reused");
                         return Attempt::Done(self.run_build(key, b, build));
                     }
@@ -603,7 +595,6 @@ impl<V: ?Sized> LambdaCache<V> {
                     // between our timeout and the vacate — re-probe.
                     if self.vacate_if(key, &wait_on) {
                         self.stats.stalls.fetch_add(1, Ordering::Relaxed);
-                        obs::note_lambda_cache_stall();
                         return Attempt::Stalled {
                             waited: start.elapsed(),
                         };
@@ -661,7 +652,6 @@ impl<V: ?Sized> LambdaCache<V> {
         shard.building -= 1;
         shard.check();
         self.stats.inserts.fetch_add(1, Ordering::Relaxed);
-        obs::note_lambda_cache_insert();
         let victims = self.evict_to(&mut shard);
         // A victim's drop can be real work (a native lambda scrubs and
         // parks its mapping) or can come back to this cache: run it
@@ -705,7 +695,6 @@ impl<V: ?Sized> LambdaCache<V> {
             };
             victims.extend(shard.map.remove(&victim));
             self.stats.evictions.fetch_add(1, Ordering::Relaxed);
-            obs::note_lambda_cache_eviction();
         }
         victims
     }
@@ -720,7 +709,6 @@ impl<V: ?Sized> LambdaCache<V> {
             Some(Slot::Ready { val, stamp }) => {
                 *stamp = self.tick();
                 self.stats.hits.fetch_add(1, Ordering::Relaxed);
-                obs::note_lambda_cache_hit();
                 Probe::Ready(Arc::clone(val))
             }
             Some(Slot::Building(_)) => Probe::InFlight,
@@ -730,7 +718,6 @@ impl<V: ?Sized> LambdaCache<V> {
                 }
                 let b = shard.claim(key.clone());
                 self.stats.misses.fetch_add(1, Ordering::Relaxed);
-                obs::note_lambda_cache_miss();
                 Probe::Claimed(BuildTicket {
                     cache: Arc::clone(self),
                     key: key.clone(),

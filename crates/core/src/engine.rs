@@ -44,13 +44,14 @@ use crate::service::{CompileService, ServiceConfig};
 use crate::stack::CodeStack;
 use crate::target::{Finished, Leaf, Target};
 use crate::ty::{Sig, Ty};
-use crate::{obs, Assembler, Error, Label, Reg, RegClass};
+use crate::{Assembler, Error, Label, Reg, RegClass};
 use std::fmt;
 // The degraded handle's native latch synchronizes via the `vsync` facade
 // so `crates/mcheck` can explore the upgrade race; the executor registry
 // below stays on `std::sync::RwLock` (const-initialized static, never
 // touched by model programs).
 use crate::vsync::{Arc, OnceLock};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::RwLock;
 use std::time::Duration;
 
@@ -1388,6 +1389,10 @@ pub struct DegradedLambda {
     key: CacheKey,
     stack: Arc<CodeStack<dyn Lambda>>,
     native: OnceLock<Arc<dyn Lambda>>,
+    /// Calls the interpreter answered, read through
+    /// [`AsyncCompile::degraded_calls`]. A statistic: it publishes
+    /// nothing, so a relaxed `std` atomic, outside the model's schedule.
+    degraded_calls: AtomicU64,
 }
 
 impl DegradedLambda {
@@ -1428,7 +1433,7 @@ impl Lambda for DegradedLambda {
         if let Some(n) = self.native() {
             return n.call(args);
         }
-        obs::note_degraded_call();
+        self.degraded_calls.fetch_add(1, Ordering::Relaxed);
         self.program.interpret(args, SIM_FUEL)
     }
 }
@@ -1481,6 +1486,15 @@ impl AsyncCompile {
             None => true,
             Some(d) => d.upgraded(),
         }
+    }
+
+    /// Calls this handle served through the interpreter, before (or
+    /// instead of) native code; `0` for a handle that was native from
+    /// the start.
+    pub fn degraded_calls(&self) -> u64 {
+        self.degraded
+            .as_ref()
+            .map_or(0, |d| d.degraded_calls.load(Ordering::Relaxed))
     }
 
     /// Calls the handle — identical to `self.lambda().call(args)`.
@@ -1693,6 +1707,7 @@ impl Engine {
             key,
             stack: Arc::clone(&self.stack),
             native: OnceLock::new(),
+            degraded_calls: AtomicU64::new(0),
         });
         Ok(AsyncCompile {
             lambda: Arc::clone(&degraded) as Arc<dyn Lambda>,

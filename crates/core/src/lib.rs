@@ -84,7 +84,9 @@ pub use error::Error;
 pub use label::Label;
 pub use obs::{CodegenEvent, ExecStats, TraceRecord, TrapCounts};
 pub use op::{BinOp, Cond, Imm, UnOp};
-pub use persist::{Artifact, ArtifactCodec, ArtifactView, CacheTier, DiskTier, PersistError};
+pub use persist::{
+    Artifact, ArtifactCodec, ArtifactView, CacheTier, DiskTier, PersistError, PersistStats,
+};
 pub use reg::{Bank, Reg, RegClass, RegDesc, RegFile, RegKind};
 pub use service::{CompileService, QuarantineInfo, ServiceConfig, ServiceStats, Submit};
 pub use stack::{CodeStack, L2};

@@ -57,21 +57,21 @@
 //! **Publication.** Writers stage the encoded artifact in a unique temp
 //! file and `rename(2)` it into place: readers observe either no file
 //! or a complete one, never a torn prefix. Within a process,
-//! [`StoreSlots`] reuses the cache's `Building`-slot machinery so
-//! threads racing to persist one key write exactly one artifact (the
-//! claim protocol is model-checked in `crates/mcheck`; see
+//! [`StoreSlots`] — a locked set of claimed fingerprints — makes threads
+//! racing to persist one key write exactly one artifact (the claim
+//! protocol is model-checked in `crates/mcheck`; see
 //! `persist_single_writer`).
 
-use std::collections::HashMap;
+use std::collections::HashSet;
 use std::fmt;
 use std::fs;
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{OnceLock, RwLock};
 
-use crate::cache::{Build, CacheKey};
+use crate::cache::CacheKey;
 use crate::engine::TargetId;
-use crate::obs;
 use crate::verify::InsnDecoder;
 use crate::vsync::{self, Arc, Mutex};
 
@@ -671,23 +671,22 @@ pub trait ArtifactCodec<V: ?Sized>: Send + Sync {
 // Single-writer store slots
 // ---------------------------------------------------------------------
 
-/// Within-process single-writer arbitration for artifact publication,
-/// reusing the cache's `Building`-slot machinery: the first thread to
-/// [`try_claim`](StoreSlots::try_claim) a fingerprint holds the write
-/// slot; racers get `None` and skip the store (the winner's rename will
-/// publish for everyone). Claims release on drop — panic-safe — and
-/// wake any watcher via the underlying `Build` condvar protocol.
+/// Within-process single-writer arbitration for artifact publication:
+/// the first thread to [`try_claim`](StoreSlots::try_claim) a
+/// fingerprint holds the write slot; racers get `None` and skip the
+/// store (the winner's rename will publish for everyone). Nobody waits
+/// on a claim, so the table is a set. Claims release on drop —
+/// panic-safe.
 #[derive(Debug, Default)]
 pub struct StoreSlots {
-    inner: Mutex<HashMap<u64, Arc<Build>>>,
+    inner: Mutex<HashSet<u64>>,
 }
 
 /// An exclusive claim on one artifact fingerprint; releasing (drop)
-/// vacates the slot and notifies watchers.
+/// vacates the slot.
 pub struct StoreTicket<'s> {
     slots: &'s StoreSlots,
     fp: u64,
-    build: Arc<Build>,
 }
 
 impl fmt::Debug for StoreTicket<'_> {
@@ -707,22 +706,17 @@ impl StoreSlots {
     /// rely on the winner's publication.
     pub fn try_claim(&self, fp: u64) -> Option<StoreTicket<'_>> {
         let mut slots = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        if slots.contains_key(&fp) {
+        if slots.contains(&fp) {
             return None;
-        }
-        let build = Arc::new(Build::default());
-        if !vsync::injected(vsync::Injection::PersistClaimRace) {
-            slots.insert(fp, Arc::clone(&build));
         }
         // Mutation under test (model checker only): the claim is handed
         // out but never recorded, so a racing thread claims the same
         // fingerprint and both write — the single-writer model program
         // observes the double publication and fails.
-        Some(StoreTicket {
-            slots: self,
-            fp,
-            build,
-        })
+        if !vsync::injected(vsync::Injection::PersistClaimRace) {
+            slots.insert(fp);
+        }
+        Some(StoreTicket { slots: self, fp })
     }
 
     /// Number of claims currently outstanding (test observability).
@@ -734,13 +728,7 @@ impl StoreSlots {
 impl Drop for StoreTicket<'_> {
     fn drop(&mut self) {
         let mut slots = self.slots.inner.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(cur) = slots.get(&self.fp) {
-            if Arc::ptr_eq(cur, &self.build) {
-                slots.remove(&self.fp);
-            }
-        }
-        drop(slots);
-        self.build.wake();
+        slots.remove(&self.fp);
     }
 }
 
@@ -752,7 +740,7 @@ impl Drop for StoreTicket<'_> {
 /// disambiguates across processes). Deliberately a plain std atomic:
 /// temp-name uniqueness is not a scheduling property, so the model
 /// checker has nothing to explore here.
-static TMP_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// Directory entries [`DiskTier::new`] looks at for superseded-format
 /// files: opening a tier stays bounded over a directory of any size.
@@ -797,6 +785,38 @@ fn read_bounded(path: &Path) -> Result<Option<Vec<u8>>, PersistError> {
     Ok(Some(buf))
 }
 
+/// One tier's counter snapshot ([`DiskTier::stats`]). A hit is an
+/// artifact loaded, revalidated and adopted; a miss is a clean absence;
+/// a reject is an artifact that existed but failed a validation stage
+/// (envelope, checksum, re-decode, codec) — each one a silent fallback
+/// to a fresh compile.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PersistStats {
+    /// Artifacts loaded, revalidated, and adopted.
+    pub hits: u64,
+    /// Clean misses (no artifact on disk).
+    pub misses: u64,
+    /// Artifacts written (store-through publications).
+    pub stores: u64,
+    /// Artifacts refused by validation.
+    pub rejects: u64,
+    /// Artifact files of superseded formats removed when the tier
+    /// opened its directory.
+    pub swept: u64,
+}
+
+/// Plain `std` atomics, like [`TMP_SEQ`]: a count is not a scheduling
+/// property, so the model checker has nothing to explore here.
+#[derive(Debug, Default)]
+struct StatCells {
+    hits: AtomicU64,
+    misses: AtomicU64,
+    stores: AtomicU64,
+    rejects: AtomicU64,
+    /// Fixed when the tier opens: the sweep runs once, in `new`.
+    swept: u64,
+}
+
 /// The on-disk L2 tier: one artifact file per key under `dir`, named by
 /// a stable versioned fingerprint, published by atomic write-rename,
 /// revalidated on every load by the client [`ArtifactCodec`].
@@ -804,6 +824,7 @@ pub struct DiskTier<V: ?Sized> {
     dir: PathBuf,
     codec: Box<dyn ArtifactCodec<V>>,
     slots: StoreSlots,
+    stats: StatCells,
 }
 
 impl<V: ?Sized> fmt::Debug for DiskTier<V> {
@@ -847,12 +868,26 @@ impl<V: ?Sized> DiskTier<V> {
             })
             .filter(|entry| fs::remove_file(entry.path()).is_ok())
             .count();
-        obs::note_persist_swept(superseded as u64);
         Ok(DiskTier {
             dir,
             codec,
             slots: StoreSlots::new(),
+            stats: StatCells {
+                swept: superseded as u64,
+                ..StatCells::default()
+            },
         })
+    }
+
+    /// Snapshot of this tier's counters.
+    pub fn stats(&self) -> PersistStats {
+        PersistStats {
+            hits: self.stats.hits.load(Ordering::Relaxed),
+            misses: self.stats.misses.load(Ordering::Relaxed),
+            stores: self.stats.stores.load(Ordering::Relaxed),
+            rejects: self.stats.rejects.load(Ordering::Relaxed),
+            swept: self.stats.swept,
+        }
     }
 
     /// The artifact directory.
@@ -937,7 +972,7 @@ impl<V: ?Sized> DiskTier<V> {
     /// and renames it over `path` — readers observe no file or a whole
     /// file, never a prefix.
     fn publish(&self, path: &Path, bytes: &[u8]) -> Result<(), PersistError> {
-        let seq = TMP_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let seq = TMP_SEQ.fetch_add(1, Ordering::Relaxed);
         let tmp = self.dir.join(format!(
             ".tmp-{}-{}-{}",
             std::process::id(),
@@ -993,14 +1028,15 @@ impl<V: ?Sized + Send + Sync> CacheTier<V> for DiskTier<V> {
         let loaded = Self::load_with(&path, key, fingerprint, |view| {
             self.codec.from_artifact(view)
         });
-        match &loaded {
-            Ok(Some(_)) => obs::note_persist_hit(),
-            Ok(None) => obs::note_persist_miss(),
+        let cell = match &loaded {
+            Ok(Some(_)) => &self.stats.hits,
+            Ok(None) => &self.stats.misses,
             Err(e) => {
-                obs::note_persist_reject();
                 evict_rejected(&path, e);
+                &self.stats.rejects
             }
-        }
+        };
+        cell.fetch_add(1, Ordering::Relaxed);
         loaded
     }
 
@@ -1029,7 +1065,7 @@ impl<V: ?Sized + Send + Sync> CacheTier<V> for DiskTier<V> {
             return Ok(false);
         }
         self.publish(&path, &artifact.encode())?;
-        obs::note_persist_store();
+        self.stats.stores.fetch_add(1, Ordering::Relaxed);
         Ok(true)
     }
 }
@@ -1420,11 +1456,8 @@ mod tests {
             plant(".tmp-1-0-v1-x64-0123456789abcdef-0123456789abcdef.vcar"),
             plant("notes.txt"),
         ];
-        let before = obs::persist_counters().swept;
         let tier: DiskTier<Vec<u8>> = DiskTier::new(&dir, Box::new(BlobCodec)).expect("reopen");
-        // Other tests open tiers too, but over directories with nothing
-        // to sweep: the count is this directory's.
-        assert_eq!(obs::persist_counters().swept - before, old.len() as u64);
+        assert_eq!(tier.stats().swept, old.len() as u64);
         for path in &old {
             assert!(!path.exists(), "{} should be swept", path.display());
         }

@@ -46,7 +46,6 @@
 
 use crate::cache::{CacheKey, LambdaCache};
 use crate::engine::ServeMode;
-use crate::obs;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -100,7 +99,8 @@ pub enum Submit<V: ?Sized> {
     /// Finished code was already cached — serve it directly.
     Ready(Arc<V>),
     /// The build was accepted onto the queue; serve the fallback and
-    /// poll [`LambdaCache::peek`] for the upgrade.
+    /// poll [`CodeStack::poll`](crate::stack::CodeStack::poll) for the
+    /// upgrade.
     Queued,
     /// Another build (sync or async) already holds the key's `Building`
     /// slot; serve the fallback.
@@ -154,14 +154,16 @@ impl<V: ?Sized> fmt::Debug for Submit<V> {
     }
 }
 
-/// Per-service counter snapshot (process-wide totals live in
-/// [`obs::service_counters`]).
+/// One service's counter snapshot ([`CompileService::stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServiceStats {
     /// Builds accepted onto the queue.
     pub enqueued: u64,
     /// Builds that finished in time and published.
     pub completed: u64,
+    /// Nanoseconds spent inside completed builds (mean build latency:
+    /// divide by [`completed`](Self::completed)).
+    pub build_ns: u64,
     /// Builds that ran and returned an error.
     pub failed: u64,
     /// Builds whose builder panicked (caught; slot vacated).
@@ -214,6 +216,7 @@ struct Job<V: ?Sized> {
 struct StatCells {
     enqueued: AtomicU64,
     completed: AtomicU64,
+    build_ns: AtomicU64,
     failed: AtomicU64,
     panicked: AtomicU64,
     shed: AtomicU64,
@@ -339,7 +342,6 @@ impl<V: ?Sized + Send + Sync + 'static> CompileService<V> {
         }
         if s.depth.load(Ordering::SeqCst) >= s.cfg.queue_depth {
             s.stats.shed.fetch_add(1, Ordering::Relaxed);
-            obs::note_service_shed();
             return Submit::Shed;
         }
         match s.cache.begin_build(key) {
@@ -355,7 +357,6 @@ impl<V: ?Sized + Send + Sync + 'static> CompileService<V> {
             crate::cache::Probe::InFlight => Submit::InFlight,
             crate::cache::Probe::Busy => {
                 s.stats.shed.fetch_add(1, Ordering::Relaxed);
-                obs::note_service_shed();
                 Submit::Shed
             }
             crate::cache::Probe::Claimed(ticket) => {
@@ -382,7 +383,6 @@ impl<V: ?Sized + Send + Sync + 'static> CompileService<V> {
                     .push_back(job);
                 s.stats.enqueued.fetch_add(1, Ordering::Relaxed);
                 s.stats.depth_peak.fetch_max(depth, Ordering::Relaxed);
-                obs::note_service_enqueued(depth as u64);
                 // Lock-then-notify pairs with the worker's locked
                 // depth re-check: no lost wakeups.
                 let _g = s.idle.lock().unwrap_or_else(|e| e.into_inner());
@@ -412,6 +412,7 @@ impl<V: ?Sized + Send + Sync + 'static> CompileService<V> {
         ServiceStats {
             enqueued: s.stats.enqueued.load(Ordering::Relaxed),
             completed: s.stats.completed.load(Ordering::Relaxed),
+            build_ns: s.stats.build_ns.load(Ordering::Relaxed),
             failed: s.stats.failed.load(Ordering::Relaxed),
             panicked: s.stats.panicked.load(Ordering::Relaxed),
             shed: s.stats.shed.load(Ordering::Relaxed),
@@ -526,7 +527,6 @@ fn run_job<V: ?Sized + Send + Sync + 'static>(s: &Shared<V>, job: Job<V>) {
         // Expired while queued: never run the builder.
         ticket.abandon();
         s.stats.deadline_expired.fetch_add(1, Ordering::Relaxed);
-        obs::note_service_deadline_expired();
         quarantine_failure(s, key, "build deadline expired in queue".to_string());
         return;
     }
@@ -545,7 +545,9 @@ fn run_job<V: ?Sized + Send + Sync + 'static>(s: &Shared<V>, job: Job<V>) {
             // slot meanwhile, the value is simply not cached.
             ticket.finish(val);
             s.stats.completed.fetch_add(1, Ordering::Relaxed);
-            obs::note_service_completed(elapsed.as_nanos() as u64);
+            s.stats
+                .build_ns
+                .fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
             s.quarantine
                 .lock()
                 .unwrap_or_else(|e| e.into_inner())
@@ -557,19 +559,16 @@ fn run_job<V: ?Sized + Send + Sync + 'static>(s: &Shared<V>, job: Job<V>) {
             // quarantined like a failure.
             ticket.abandon();
             s.stats.deadline_expired.fetch_add(1, Ordering::Relaxed);
-            obs::note_service_deadline_expired();
             quarantine_failure(s, key, format!("build overran its deadline ({elapsed:?})"));
         }
         Ok(Err(e)) => {
             ticket.abandon();
             s.stats.failed.fetch_add(1, Ordering::Relaxed);
-            obs::note_service_failed();
             quarantine_failure(s, key, e);
         }
         Err(panic) => {
             ticket.abandon();
             s.stats.panicked.fetch_add(1, Ordering::Relaxed);
-            obs::note_service_panicked();
             let msg = panic
                 .downcast_ref::<&str>()
                 .map(|m| (*m).to_string())
@@ -601,7 +600,6 @@ fn quarantine_failure<V: ?Sized>(s: &Shared<V>, key: CacheKey, error: String) {
     entry.until = Instant::now() + backoff;
     entry.probing = false;
     entry.last_error = error;
-    obs::note_service_quarantined();
 }
 
 #[cfg(test)]

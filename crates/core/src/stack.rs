@@ -146,12 +146,17 @@ impl<V: ?Sized + Send + Sync + 'static> CodeStack<V> {
     /// Starts the service with `cfg`; `false` (and no change) if it
     /// already started.
     pub fn configure_service(&self, cfg: ServiceConfig) -> bool {
+        // Latch first: a losing call must not spawn (and join) a pool.
+        if self.service.get().is_some() {
+            return false;
+        }
         let service = CompileService::new(Arc::clone(&self.cache), cfg);
         self.service.set(service).is_ok()
     }
 
     /// Attaches a persistent tier under `dir`, translating values with
-    /// `codec`. First call wins (`false` afterwards).
+    /// `codec`. First call wins (`false` afterwards, and `dir` is then
+    /// neither created nor swept).
     ///
     /// # Errors
     ///
@@ -161,6 +166,9 @@ impl<V: ?Sized + Send + Sync + 'static> CodeStack<V> {
         dir: impl Into<std::path::PathBuf>,
         codec: Box<dyn ArtifactCodec<V>>,
     ) -> Result<bool, PersistError> {
+        if self.l2.get().is_some() {
+            return Ok(false);
+        }
         let tier = DiskTier::new(dir, codec)?;
         Ok(self.l2.set(Arc::new(tier)).is_ok())
     }
@@ -350,6 +358,27 @@ mod tests {
         });
         assert_eq!(f.loaded.load(Ordering::SeqCst), 1, "no load beside a build");
         assert_eq!(*f.stack.poll(&key()).expect("published"), vec![9u8; 4]);
+        let _ = std::fs::remove_dir_all(&f.dir);
+    }
+
+    /// Both latches are tested before anything is constructed. A losing
+    /// `configure_service` starts no pool — this one's could not even
+    /// allocate its queues — and a losing `enable_persist` opens no
+    /// tier, so it creates no directory.
+    #[test]
+    fn a_losing_latch_call_constructs_nothing() {
+        let f = fixture("latches");
+        f.stack.service();
+        let unbuildable = ServiceConfig {
+            workers: usize::MAX,
+            ..ServiceConfig::default()
+        };
+        assert!(!f.stack.configure_service(unbuildable));
+
+        let other = f.dir.with_extension("other");
+        let codec = Box::new(CountingCodec::default());
+        assert!(!f.stack.enable_persist(&other, codec).expect("no I/O"));
+        assert!(!other.exists(), "the losing directory was created");
         let _ = std::fs::remove_dir_all(&f.dir);
     }
 }

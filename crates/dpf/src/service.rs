@@ -62,7 +62,7 @@ use vcode::rcu::Rcu;
 use vcode::vsync::{
     self, Arc, AtomicBool, AtomicU64, Duration, Instant, Mutex, MutexGuard, Ordering,
 };
-use vcode::{obs, CacheKey, QuarantineInfo};
+use vcode::{CacheKey, QuarantineInfo};
 use vcode_x64::CodePin;
 
 /// One published classifier generation: an immutable snapshot serving
@@ -93,7 +93,6 @@ impl Generation {
             Some(set) => set.classify(msg),
             None => {
                 degraded_calls.fetch_add(1, Ordering::Relaxed);
-                obs::note_degraded_call();
                 self.mpf.classify(msg)
             }
         }
@@ -132,8 +131,7 @@ struct Shared {
     native: AtomicBool,
     /// The current generation's filter-set sequence.
     seq: AtomicU64,
-    // -- counters (service-local; the process-wide mirrors live in
-    // vcode::obs::swap_counters) --
+    // -- counters, this service's own (`DpfService::stats`) --
     published: AtomicU64,
     native_publishes: AtomicU64,
     degraded_publishes: AtomicU64,
@@ -165,14 +163,12 @@ impl Shared {
         } else {
             self.degraded_publishes.fetch_add(1, Ordering::Relaxed);
         }
-        obs::note_generation_published(is_native);
         self.note_freed(freed);
     }
 
     fn note_freed(&self, freed: u64) {
         if freed > 0 {
             self.retired.fetch_add(freed, Ordering::Relaxed);
-            obs::note_generations_retired(freed);
         }
     }
 
@@ -229,7 +225,6 @@ impl Shared {
         if let Some(set) = stack().poll(&key) {
             self.publish_generation(w, Some(set));
             self.upgrades.fetch_add(1, Ordering::Relaxed);
-            obs::note_generation_upgraded();
             w.pending = None;
             self.pending.store(false, Ordering::SeqCst);
             return true;

@@ -36,6 +36,7 @@ fn service_installs_persist_and_warm_reinstalls_publish_native() {
     let dir = std::env::temp_dir().join(format!("dpf-persist-it-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     assert!(dpf::enable_persist(&dir).unwrap());
+    let tier = dpf::persist_tier().expect("attached above");
     let msg = packet::build(&PacketSpec {
         dst_port: 9000,
         ..PacketSpec::default()
@@ -55,7 +56,7 @@ fn service_installs_persist_and_warm_reinstalls_publish_native() {
     drop(cold);
 
     dpf::clear_cache();
-    let before = vcode::obs::persist_counters();
+    let before = tier.stats();
     let warm = DpfService::with_options(pic());
     let id = warm.insert(filter());
     let st = warm.stats();
@@ -73,7 +74,7 @@ fn service_installs_persist_and_warm_reinstalls_publish_native() {
         "no interpreter window on a warm artifact directory"
     );
     assert_eq!(warm.classify(&msg), Some(id));
-    let after = vcode::obs::persist_counters();
+    let after = tier.stats();
     assert_eq!(
         (after.hits - before.hits, after.stores - before.stores),
         (1, 0),

@@ -84,6 +84,29 @@ if [ -n "$byte_serial" ]; then
 fi
 echo "one digest ok"
 
+echo "== one counter per event (no process-global mirror of a count) =="
+# A count lives on the instance that produces it — `LambdaCache::stats`,
+# `CompileService::stats`, `DiskTier::stats`, `DpfService::stats`,
+# `AsyncCompile::degraded_calls` — and `vcode::obs` holds what really
+# is per execution or per process: `ExecStats`, trace records and the
+# codegen hook (DESIGN.md "Observability"). A process-wide copy cannot
+# tell two engines apart and makes every test that reads it depend on
+# every test that moves it: fail on an `obs::note_*` call in product
+# source, and on any static in obs.rs (before its first `#[cfg(test)]`)
+# other than the hook's two.
+mirrors=$(grep -rn 'obs::note_' crates/*/src || true
+    awk '
+        /^[ \t]*#\[cfg\(test\)\]/ { exit }
+        /^[ \t]*(pub(\([a-z]+\))?[ \t]+)?static[ \t]/ && !/static (HOOK_ENABLED|HOOK):/ {
+            printf "crates/core/src/obs.rs:%d: %s\n", NR, $0
+        }' crates/core/src/obs.rs)
+if [ -n "$mirrors" ]; then
+    echo "one-counter gate: a count is kept away from the instance that produces it:" >&2
+    echo "$mirrors" >&2
+    exit 1
+fi
+echo "one counter per event ok"
+
 echo "== one install path (no capacity-sized mapping or image) =="
 # Every engine backend lowers into `engine::lower_in_scratch`'s heap
 # buffer and installs the finished bytes once, so what a cached lambda
@@ -115,7 +138,7 @@ echo "== model checker: exhaustive concurrency sweeps =="
 # The bounded RCU / cache / degraded-latch / quarantine model programs,
 # explored to completion under the vsync deterministic scheduler (the
 # seeded random smoke already ran inside the workspace tests above;
-# this is the full DFS sweep; the three-thread programs — persist,
+# this is the full DFS sweep; two of the three-thread programs —
 # concurrent reclaim, the code stack's sync-vs-async race — are swept
 # to a bound, not exhausted). Any violation prints a replayable
 # schedule.

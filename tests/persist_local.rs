@@ -9,7 +9,7 @@
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use vcode::engine::{Backend, Engine, Program, TargetId};
-use vcode::{BinOp, CacheKey, CacheTier, PersistError};
+use vcode::{BinOp, CacheKey, CacheTier, PersistError, PersistStats};
 
 fn scratch_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("vcode-local-it-{}-{}", std::process::id(), tag));
@@ -121,14 +121,16 @@ fn process_local_load_failures_keep_the_artifact() {
 
     // Properly equipped, the very same file loads.
     vcode_sim::engine::install();
-    let before = vcode::obs::persist_counters();
     let f = unequipped.compile_cached(TargetId::Mips, &p).unwrap();
     assert_eq!(f.call(&[5, 1]).unwrap(), 42);
-    let after = vcode::obs::persist_counters();
     assert_eq!(
-        (after.hits - before.hits, after.stores - before.stores),
-        (1, 0),
-        "the kept artifact serves the equipped load; nothing is rewritten"
+        tier.stats(),
+        PersistStats {
+            hits: 1,
+            rejects: 1,
+            ..PersistStats::default()
+        },
+        "one refusal, then the kept artifact serves the equipped load; nothing is rewritten"
     );
     let _ = std::fs::remove_dir_all(&dir);
 
@@ -172,9 +174,12 @@ fn process_local_load_failures_keep_the_artifact() {
         Some(dpf::EngineKind::Interpreter)
     );
     assert!(artifact.exists(), "dpf: exec-memory failure must not evict");
-    let before = vcode::obs::persist_counters();
     assert_eq!(compile_set(), Some(dpf::EngineKind::Native));
-    assert_eq!(vcode::obs::persist_counters().hits - before.hits, 1, "dpf");
+    assert_eq!(
+        dpf::persist_tier().unwrap().stats(),
+        COLD_REFUSED_SERVED,
+        "dpf"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 
     // ASH: NativeCode.
@@ -193,11 +198,25 @@ fn process_local_load_failures_keep_the_artifact() {
         ash::EngineKind::Interpreter
     );
     assert!(artifact.exists(), "ash: exec-memory failure must not evict");
-    let before = vcode::obs::persist_counters();
     assert_eq!(compile_kernel(), ash::EngineKind::Native);
-    assert_eq!(vcode::obs::persist_counters().hits - before.hits, 1, "ash");
+    assert_eq!(
+        ash::persist_tier().unwrap().stats(),
+        COLD_REFUSED_SERVED,
+        "ash"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The whole life of a process-wide tier in this process: the cold
+/// build's clean miss and store, the load refused for want of
+/// executable memory, the load that served.
+const COLD_REFUSED_SERVED: PersistStats = PersistStats {
+    hits: 1,
+    misses: 1,
+    stores: 1,
+    rejects: 1,
+    swept: 0,
+};
 
 fn only_artifact(dir: &Path) -> PathBuf {
     let mut files: Vec<PathBuf> = std::fs::read_dir(dir)

@@ -181,18 +181,23 @@ fn degraded_handle_reports_itself_until_upgrade() {
     }
     e.register(Arc::new(Slow(vcode_x64::X64Backend)));
     let p = sample();
-    let before = vcode::obs::service_counters().degraded_calls;
     let h = e.compile_async(TargetId::X64, &p).unwrap();
     assert_eq!(h.mode(), ServeMode::Building);
     assert_eq!(h.lambda().target(), TargetId::X64);
     if !h.native_ready() {
         // Still degraded: code_len advertises the absence of native
-        // code, and calls are counted as degraded serves.
+        // code.
         assert_eq!(h.lambda().code_len(), 0);
         assert_eq!(h.call(&[1, 2]).unwrap(), 9);
-        assert!(vcode::obs::service_counters().degraded_calls > before);
+        if !h.native_ready() {
+            // Not upgraded even now, so that call was the interpreter's:
+            // the handle counted it.
+            assert_eq!(h.degraded_calls(), 1);
+        }
     }
     wait_native(&e, &h);
     assert!(h.lambda().code_len() > 0, "upgraded handle reports native");
+    let degraded = h.degraded_calls();
     assert_eq!(h.call(&[1, 2]).unwrap(), 9);
+    assert_eq!(h.degraded_calls(), degraded, "a native call is not counted");
 }

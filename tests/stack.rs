@@ -3,20 +3,20 @@
 //! through one L1 → L2 → build → store-through pipeline.
 //!
 //! Own process on purpose: DPF's and ASH's persistent tiers are
-//! process-wide (first `enable_persist` wins), and the assertions read
-//! the process-wide `obs::persist_counters`, so the tests below also
-//! take one lock — a concurrent test's artifact traffic would break the
-//! exact counts.
+//! process-wide (first `enable_persist` wins), and so is the codegen
+//! hook. Every count is read from the tier that produced it, so the
+//! tests run in parallel.
 
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Barrier, Mutex};
 use std::time::{Duration, Instant};
 use vcode::engine::{Backend, Engine, Program, ServeMode, TargetId};
-use vcode::obs::{self, CodegenEvent, PersistCounters};
-use vcode::{BinOp, CacheKey, Cond, UnOp};
+use vcode::obs::{self, CodegenEvent};
+use vcode::{BinOp, CacheKey, Cond, PersistStats, UnOp};
 
-static SERIAL: Mutex<()> = Mutex::new(());
+/// `obs::set_hook` replaces the process's one hook: a test that installs
+/// it holds this lock for as long as it is installed.
+static HOOK: Mutex<()> = Mutex::new(());
 
 fn engine(dir: &std::path::Path) -> Engine {
     vcode_sim::engine::install();
@@ -43,7 +43,16 @@ fn scratch_dir(tag: &str) -> PathBuf {
 /// `fn f(x, y) = |x + y| * 3`: arithmetic, an immediate form, a branch
 /// and a temporary.
 fn sample() -> Program {
+    padded_sample(0)
+}
+
+/// [`sample`] behind `pad` additions of zero: the same function, in a
+/// stream as long as the caller likes.
+fn padded_sample(pad: usize) -> Program {
     let mut p = Program::new(2).unwrap();
+    for _ in 0..pad {
+        p.bin_imm(BinOp::Add, 0, 0, 0);
+    }
     p.bin(BinOp::Add, 2, 0, 1);
     let skip = p.genlabel();
     p.br_imm(Cond::Ge, 2, 0, skip);
@@ -71,34 +80,66 @@ fn wait_native(e: &Engine, handle: &vcode::AsyncCompile) {
     assert!(e.service().wait_idle(Duration::from_secs(30)));
 }
 
-/// (hits, misses, stores, rejects) gained since `before`.
-fn gained(before: PersistCounters) -> (u64, u64, u64, u64) {
-    let now = obs::persist_counters();
+/// (hits, misses, stores, rejects) `tier` gained since `before`.
+fn gained(tier: PersistStats, before: PersistStats) -> (u64, u64, u64, u64) {
     (
-        now.hits - before.hits,
-        now.misses - before.misses,
-        now.stores - before.stores,
-        now.rejects - before.rejects,
+        tier.hits - before.hits,
+        tier.misses - before.misses,
+        tier.stores - before.stores,
+        tier.rejects - before.rejects,
     )
+}
+
+fn engine_stats(e: &Engine) -> PersistStats {
+    e.persist_tier().expect("tier attached").stats()
+}
+
+/// (hits, misses, stores, rejects) of `e`'s own tier, since it opened.
+fn engine_counts(e: &Engine) -> (u64, u64, u64, u64) {
+    gained(engine_stats(e), PersistStats::default())
 }
 
 /// The async path reaches the persistent tier, on the worker thread: a
 /// cold `compile_async` leaves an artifact behind, and a fresh engine
 /// over that directory serves `compile_async` from disk — one persist
 /// hit, and not one instruction generated.
+///
+/// The hook hears every code generator in the process, the other tests'
+/// too, so this one compiles a stream of a length nothing else here has
+/// and counts sessions of that length only — learned from the cold
+/// build, which must be heard exactly once.
 #[test]
 fn async_builds_probe_and_store_through_the_l2() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let _hook = HOOK.lock().unwrap_or_else(|e| e.into_inner());
+    let sessions = Arc::new(Mutex::new(Vec::new()));
+    let heard = Arc::clone(&sessions);
+    obs::set_hook(move |ev| {
+        if let CodegenEvent::LambdaEnd { insns, .. } = ev {
+            heard.lock().unwrap().push(*insns);
+        }
+    });
+    // Sessions of `mark` instructions heard since the last call.
+    let generated = |mark: u64| {
+        let heard = std::mem::take(&mut *sessions.lock().unwrap());
+        heard.into_iter().filter(|&insns| insns == mark).count()
+    };
+
     let dir = scratch_dir("async");
-    let p = sample();
+    let p = padded_sample(211);
     for target in [TargetId::X64, TargetId::Mips] {
         let cold = engine(&dir);
-        let before = obs::persist_counters();
         let handle = cold.compile_async(target, &p).unwrap();
         assert_eq!(handle.mode(), ServeMode::Building, "{target}: cold key");
         wait_native(&cold, &handle);
         assert_eq!(handle.call(&[-10, 2]).unwrap(), 24);
-        assert_eq!(gained(before), (0, 1, 1, 0), "{target}: probe miss, store");
+        assert_eq!(
+            engine_counts(&cold),
+            (0, 1, 1, 0),
+            "{target}: probe miss, store"
+        );
+        let mark = handle.lambda().insns();
+        assert!(mark > 200, "{target}: {mark} instructions is no mark");
+        assert_eq!(generated(mark), 1, "{target}: the cold build is heard");
         let tier = cold.persist_tier().expect("tier attached");
         assert!(
             tier.path_for(&key_for(&p, target)).exists(),
@@ -107,25 +148,21 @@ fn async_builds_probe_and_store_through_the_l2() {
         drop(cold);
 
         let warm = engine(&dir);
-        let generated = Arc::new(AtomicUsize::new(0));
-        let seen = Arc::clone(&generated);
-        obs::set_hook(move |ev| {
-            if matches!(ev, CodegenEvent::LambdaEnd { .. }) {
-                seen.fetch_add(1, Ordering::SeqCst);
-            }
-        });
-        let before = obs::persist_counters();
         let handle = warm.compile_async(target, &p).unwrap();
         wait_native(&warm, &handle);
-        obs::clear_hook();
-        assert_eq!(gained(before), (1, 0, 0, 0), "{target}: served from disk");
         assert_eq!(
-            generated.load(Ordering::SeqCst),
+            engine_counts(&warm),
+            (1, 0, 0, 0),
+            "{target}: served from disk"
+        );
+        assert_eq!(
+            generated(mark),
             0,
             "{target}: a warm directory must not generate code"
         );
         assert_eq!(handle.call(&[-10, 2]).unwrap(), 24);
     }
+    obs::clear_hook();
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -140,12 +177,14 @@ struct Client {
     build: Box<dyn Fn() -> Vec<u8>>,
     /// Drops the L1 (the artifact directory stays).
     forget: Box<dyn Fn()>,
+    /// The counts of the tier this client's builds go through.
+    stats: Box<dyn Fn() -> PersistStats>,
 }
 
 fn engine_client(target: TargetId) -> Client {
     let dir = scratch_dir(&format!("rt-{target}"));
     let slot = Arc::new(Mutex::new(engine(&dir)));
-    let (build_slot, forget_dir) = (Arc::clone(&slot), dir.clone());
+    let (build_slot, stats_slot, forget_dir) = (Arc::clone(&slot), Arc::clone(&slot), dir.clone());
     Client {
         name: format!("engine/{target}"),
         dir: dir.clone(),
@@ -158,8 +197,10 @@ fn engine_client(target: TargetId) -> Client {
             }
             out
         }),
-        // A fresh engine over the same directory: nothing in memory.
+        // A fresh engine over the same directory: nothing in memory,
+        // and a tier of its own, counting from zero.
         forget: Box::new(move || *slot.lock().unwrap() = engine(&forget_dir)),
+        stats: Box::new(move || engine_stats(&stats_slot.lock().unwrap())),
     }
 }
 
@@ -192,6 +233,7 @@ fn dpf_client() -> Client {
             out
         }),
         forget: Box::new(dpf::clear_cache),
+        stats: Box::new(|| dpf::persist_tier().expect("attached above").stats()),
     }
 }
 
@@ -214,6 +256,7 @@ fn ash_client() -> Client {
             out
         }),
         forget: Box::new(ash::clear_cache),
+        stats: Box::new(|| ash::persist_tier().expect("attached above").stats()),
     }
 }
 
@@ -225,26 +268,118 @@ fn ash_client() -> Client {
 /// and all three are bit-identical.
 #[test]
 fn every_codec_round_trips_through_the_stack() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let clients: Vec<Client> = TargetId::ALL
         .into_iter()
         .map(engine_client)
         .chain([dpf_client(), ash_client()])
         .collect();
     for c in &clients {
-        let before = obs::persist_counters();
+        let before = (c.stats)();
         let fresh = (c.build)();
-        assert_eq!(gained(before), (0, 1, 1, 0), "{}: cold build", c.name);
+        assert_eq!(
+            gained((c.stats)(), before),
+            (0, 1, 1, 0),
+            "{}: cold build",
+            c.name
+        );
 
         (c.forget)();
-        let before = obs::persist_counters();
+        let before = (c.stats)();
         let reloaded = (c.build)();
-        assert_eq!(gained(before), (1, 0, 0, 0), "{}: reload", c.name);
+        assert_eq!(
+            gained((c.stats)(), before),
+            (1, 0, 0, 0),
+            "{}: reload",
+            c.name
+        );
         assert_eq!(reloaded, fresh, "{}: reload must be bit-identical", c.name);
 
-        let before = obs::persist_counters();
+        let before = (c.stats)();
         assert_eq!((c.build)(), fresh, "{}: L1 hit", c.name);
-        assert_eq!(gained(before), (0, 0, 0, 0), "{}: L1 hit", c.name);
+        assert_eq!(
+            gained((c.stats)(), before),
+            (0, 0, 0, 0),
+            "{}: L1 hit",
+            c.name
+        );
         let _ = std::fs::remove_dir_all(&c.dir);
+    }
+}
+
+/// Two engines over two directories in one process, driven from two
+/// threads in lockstep: each tier reports exactly its own engine's
+/// traffic — a different count on each side at every step, so a count
+/// that leaked across would show.
+#[test]
+fn two_engines_in_one_process_count_apart() {
+    struct Side {
+        dir: PathBuf,
+        engine: Engine,
+        /// `f(x, y) = (x + y) * k`, one program per distinct `k`.
+        factors: Vec<i32>,
+    }
+    let side = |tag: &str, factors: Vec<i32>| {
+        let dir = scratch_dir(tag);
+        let engine = engine(&dir);
+        Side {
+            dir,
+            engine,
+            factors,
+        }
+    };
+    let program = |k: i32| {
+        let mut p = Program::new(2).unwrap();
+        p.bin(BinOp::Add, 2, 0, 1);
+        p.bin_imm(BinOp::Mul, 2, 2, k);
+        p.ret(2);
+        p
+    };
+    let sides = [side("two-a", vec![5]), side("two-b", vec![7, 11, 13])];
+    let step = Barrier::new(sides.len());
+    // One side's three steps; returns what its tier read after each.
+    // Nothing in here panics before the last barrier, so a failure
+    // cannot strand the other side at one: the asserts come after.
+    let drive = |s: &Side| -> Vec<(bool, (u64, u64, u64, u64))> {
+        let compile_all = || {
+            s.factors.iter().all(|&k| {
+                let f = s.engine.compile_cached(TargetId::X64, &program(k));
+                f.and_then(|f| f.call(&[1, 2])).ok() == Some(3 * i64::from(k))
+            })
+        };
+        let mut seen = Vec::new();
+        for step_no in 0..3 {
+            if step_no > 0 {
+                s.engine.cache().clear();
+            }
+            if step_no == 2 {
+                let tier = s.engine.persist_tier().expect("tier attached");
+                let victim = tier.path_for(&key_for(&program(s.factors[0]), TargetId::X64));
+                let _ = std::fs::write(victim, b"rot");
+            }
+            // Both sides make this step's traffic at once, and read
+            // only when both have made it.
+            step.wait();
+            let ok = compile_all();
+            step.wait();
+            seen.push((ok, engine_counts(&s.engine)));
+        }
+        seen
+    };
+    let seen: Vec<_> = std::thread::scope(|scope| {
+        let threads: Vec<_> = sides.iter().map(|s| scope.spawn(|| drive(s))).collect();
+        threads.into_iter().map(|t| t.join().unwrap()).collect()
+    });
+    for (s, seen) in sides.iter().zip(seen) {
+        let n = s.factors.len() as u64;
+        let want = vec![
+            // Cold: a clean miss and a store each.
+            (true, (0, n, n, 0)),
+            // L1 dropped: a hit each.
+            (true, (n, n, n, 0)),
+            // L1 dropped, one artifact rotted: a reject, healed by a store.
+            (true, (2 * n - 1, n, n + 1, 1)),
+        ];
+        assert_eq!(seen, want, "{}", s.dir.display());
+        let _ = std::fs::remove_dir_all(&s.dir);
     }
 }
