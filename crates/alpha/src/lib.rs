@@ -215,7 +215,7 @@ impl Target for Alpha {
         &REGFILE
     }
 
-    fn begin(a: &mut Asm<'_>, sig: &Sig, _leaf: Leaf) -> Result<Vec<Reg>, Error> {
+    fn begin(a: &mut Asm<'_>, sig: &Sig, _leaf: Leaf, args: &mut Vec<Reg>) -> Result<(), Error> {
         // lda sp, -FRAME(sp); disp patched at end.
         a.ts.frame_fix = a.buf.len();
         encode::mem(&mut a.buf, m::LDA, r::SP, r::SP, 0);
@@ -230,7 +230,6 @@ impl Target for Alpha {
             at += 4;
         }
         a.ts.save_area = (start, a.buf.len());
-        let mut args = Vec::with_capacity(sig.args().len());
         let (mut ni, mut nf) = (0u8, 0u8);
         for &ty in sig.args() {
             if ty.is_float() {
@@ -257,7 +256,7 @@ impl Target for Alpha {
                 ni += 1;
             }
         }
-        Ok(args)
+        Ok(())
     }
 
     fn local(a: &mut Asm<'_>, ty: Ty) -> StackSlot {

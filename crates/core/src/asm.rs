@@ -143,6 +143,35 @@ impl<'m> Asm<'m> {
     }
 }
 
+/// The growable tables of one generation session — label offsets,
+/// unresolved fixups, ret sites, argument registers and the signature's
+/// type list — as storage: a finished session hands them back
+/// ([`Assembler::end_into`]) and the next one starts on them
+/// ([`Assembler::lambda_on`]), so a thread that compiles in a loop
+/// allocates them once, not per lambda. Nothing of a session survives
+/// in them but capacity.
+#[derive(Debug, Default)]
+pub struct SessionTables {
+    labels: LabelMap,
+    fixups: Vec<Fixup>,
+    ret_sites: Vec<usize>,
+    args: Vec<Reg>,
+    sig_args: Vec<Ty>,
+}
+
+impl SessionTables {
+    /// Empty tables (no storage yet).
+    pub const fn new() -> SessionTables {
+        SessionTables {
+            labels: LabelMap::new(),
+            fixups: Vec::new(),
+            ret_sites: Vec::new(),
+            args: Vec::new(),
+            sig_args: Vec::new(),
+        }
+    }
+}
+
 /// The VCODE assembler for target `T`.
 ///
 /// Construct with [`Assembler::lambda`], specify instructions with the
@@ -466,12 +495,51 @@ impl<'m, T: Target> Assembler<'m, T> {
         leaf: Leaf,
         path: EmitPath,
     ) -> Result<Self, Error> {
-        let mut labels = LabelMap::new();
+        Self::begin(mem, sig, leaf, path, SessionTables::new())
+    }
+
+    /// [`lambda_sig`](Self::lambda_sig) for `(args) -> ret` on the
+    /// storage an earlier session gave back through
+    /// [`end_into`](Self::end_into): the session takes `tables` (leaving
+    /// them empty) and allocates only what they cannot hold. A session
+    /// that fails, or ends any other way, just drops them.
+    pub fn lambda_on(
+        mem: &'m mut [u8],
+        tables: &mut SessionTables,
+        args: &[Ty],
+        ret: Ty,
+        leaf: Leaf,
+    ) -> Result<Self, Error> {
+        let mut tables = std::mem::take(tables);
+        let mut sig_args = std::mem::take(&mut tables.sig_args);
+        sig_args.clear();
+        sig_args.extend_from_slice(args);
+        Self::begin(mem, Sig::new(sig_args, ret), leaf, EmitPath::Fast, tables)
+    }
+
+    fn begin(
+        mem: &'m mut [u8],
+        sig: Sig,
+        leaf: Leaf,
+        path: EmitPath,
+        tables: SessionTables,
+    ) -> Result<Self, Error> {
+        let SessionTables {
+            mut labels,
+            mut fixups,
+            mut ret_sites,
+            mut args,
+            sig_args: _,
+        } = tables;
+        labels.clear();
+        fixups.clear();
+        ret_sites.clear();
+        args.clear();
         let epilogue = labels.fresh();
         let mut a = Asm {
             buf: CodeBuffer::with_path(mem, path),
             labels,
-            fixups: Vec::new(),
+            fixups,
             lits: LiteralPool::new(),
             ra: RegAlloc::new(T::regfile(), matches!(leaf, Leaf::Yes)),
             // Placeholder; the real signature moves in (alloc-free) once
@@ -485,10 +553,10 @@ impl<'m, T: Target> Assembler<'m, T> {
             manual_delay: false,
             raw_load: false,
             insns: 0,
-            ret_sites: Vec::new(),
+            ret_sites,
             verifier: None,
         };
-        let args = T::begin(&mut a, &sig, leaf)?;
+        T::begin(&mut a, &sig, leaf, &mut args)?;
         a.sig = sig;
         if crate::verify::enabled() {
             Self::install_verifier(&mut a, &args);
@@ -551,21 +619,31 @@ impl<'m, T: Target> Assembler<'m, T> {
     /// [`Error::CallInLeaf`], ...), or [`Error::UnboundLabel`] if a
     /// referenced label was never placed.
     pub fn end(self) -> Result<Finished, Error> {
-        let (r, report) = self.end_report();
-        match r {
-            Ok(mut f) => {
-                f.verify = report;
-                Ok(f)
-            }
-            Err(e) => Err(e),
-        }
+        self.end_into(&mut SessionTables::new())
+    }
+
+    /// [`end`](Self::end), handing the session's tables back in `tables`
+    /// for the next [`lambda_on`](Self::lambda_on).
+    pub fn end_into(self, tables: &mut SessionTables) -> Result<Finished, Error> {
+        let (r, report) = self.finish(tables);
+        r.map(|mut f| {
+            f.verify = report;
+            f
+        })
     }
 
     /// Like [`end`](Self::end), but hands back the verifier report even
     /// when generation failed — a latched [`Error`] and the collected
     /// diagnostics usually describe the same client bug, and the bad-client
     /// test corpus asserts on the diagnostics.
-    pub fn end_report(mut self) -> (Result<Finished, Error>, Option<Box<VerifyReport>>) {
+    pub fn end_report(self) -> (Result<Finished, Error>, Option<Box<VerifyReport>>) {
+        self.finish(&mut SessionTables::new())
+    }
+
+    fn finish(
+        mut self,
+        tables: &mut SessionTables,
+    ) -> (Result<Finished, Error>, Option<Box<VerifyReport>>) {
         let r = self.end_inner();
         let report = self
             .a
@@ -578,6 +656,13 @@ impl<'m, T: Target> Assembler<'m, T> {
             overflowed: self.a.buf.overflowed(),
             spills: self.a.ra.spill_count(),
         });
+        *tables = SessionTables {
+            labels: self.a.labels,
+            fixups: self.a.fixups,
+            ret_sites: self.a.ret_sites,
+            args: self.args,
+            sig_args: self.a.sig.into_args(),
+        };
         (r, report)
     }
 
@@ -594,14 +679,19 @@ impl<'m, T: Target> Assembler<'m, T> {
         }
         ended?;
         self.a.lits.emit(&mut self.a.buf);
+        // Out of `a` while `patch` borrows it, then back: the list's
+        // storage outlives the session (`SessionTables`).
         let fixups = std::mem::take(&mut self.a.fixups);
-        for f in fixups {
+        let linked: Result<(), Error> = fixups.iter().try_for_each(|&f| {
             let dest = match f.target {
                 FixupTarget::Label(l) => self.a.labels.offset(l).ok_or(Error::UnboundLabel(l))?,
                 FixupTarget::Lit(id) => self.a.lits.offset(id),
             };
             T::patch(&mut self.a, f, dest);
-        }
+            Ok(())
+        });
+        self.a.fixups = fixups;
+        linked?;
         if self.a.buf.overflowed() {
             self.a.record_err(Error::Overflow {
                 capacity: self.a.buf.capacity(),
@@ -937,6 +1027,97 @@ impl<'m, T: Target> Assembler<'m, T> {
                 .r(src, slot.ty.is_float())
                 .s(slot)
         );
+    }
+
+    // ---- runtime-op entry points ----
+    //
+    // One emission site per instruction *shape*, taking the operation
+    // as a value: what a client that holds its instructions as data (the
+    // engine's lowering loop, DCG's tree walker) calls, in place of a
+    // `match` over the per-op methods below that would cost a second
+    // unpredictable branch per instruction. They count and verify an
+    // instruction exactly as those methods do (the verifier reads the
+    // base name off the operation); what differs is that `T::emit_*`
+    // sees a value where the per-op methods hand it a constant to fold.
+
+    /// `rd = rs1 op rs2` on type `ty`, the operation chosen at runtime.
+    #[inline]
+    pub fn binop(&mut self, op: BinOp, ty: Ty, rd: Reg, rs1: Reg, rs2: Reg) {
+        debug_assert!(
+            self.a.verifier.is_some()
+                || (rd.is_flt() == ty.is_float()
+                    && rs1.is_flt() == ty.is_float()
+                    && rs2.is_flt() == ty.is_float()),
+            "register bank mismatch in {op}"
+        );
+        self.a.insns += 1;
+        vrfy!(
+            self,
+            T::emit_binop(&mut self.a, op, ty, rd, rs1, rs2),
+            VInsn::new(op.name())
+                .r(rs1, ty.is_float())
+                .r(rs2, ty.is_float())
+                .w(rd, ty.is_float())
+        );
+    }
+
+    /// `rd = rs op imm` on integer type `ty`, the operation chosen at
+    /// runtime.
+    #[inline]
+    pub fn binop_imm(&mut self, op: BinOp, ty: Ty, rd: Reg, rs: Reg, imm: i64) {
+        debug_assert!(
+            self.a.verifier.is_some() || (!rd.is_flt() && !rs.is_flt()),
+            "register bank mismatch in {op} (immediate)"
+        );
+        self.a.insns += 1;
+        vrfy!(
+            self,
+            T::emit_binop_imm(&mut self.a, op, ty, rd, rs, imm),
+            VInsn::new(op.name()).r(rs, false).w(rd, false).i(imm)
+        );
+    }
+
+    /// `rd = op rs` on type `ty`, the operation chosen at runtime.
+    #[inline]
+    pub fn unop(&mut self, op: UnOp, ty: Ty, rd: Reg, rs: Reg) {
+        debug_assert!(
+            self.a.verifier.is_some()
+                || (rd.is_flt() == ty.is_float() && rs.is_flt() == ty.is_float()),
+            "register bank mismatch in {op}"
+        );
+        self.a.insns += 1;
+        vrfy!(
+            self,
+            T::emit_unop(&mut self.a, op, ty, rd, rs),
+            VInsn::new(op.name())
+                .r(rs, ty.is_float())
+                .w(rd, ty.is_float())
+        );
+    }
+
+    /// Branch to `l` if `rs1 cond rs2` on type `ty`, the condition (and
+    /// whether `rs2` is a register or an immediate) chosen at runtime.
+    #[inline]
+    pub fn branch(&mut self, cond: Cond, ty: Ty, rs1: Reg, rs2: BrOperand, l: Label) {
+        debug_assert!(
+            self.a.verifier.is_some()
+                || match rs2 {
+                    BrOperand::R(r2) =>
+                        rs1.is_flt() == ty.is_float() && r2.is_flt() == ty.is_float(),
+                    BrOperand::I(_) => !rs1.is_flt(),
+                },
+            "register bank mismatch in {cond}"
+        );
+        self.a.insns += 1;
+        vrfy!(self, T::emit_branch(&mut self.a, cond, ty, rs1, rs2, l), {
+            let vi = VInsn::new(cond.name())
+                .k(MarkKind::Branch(l))
+                .r(rs1, ty.is_float());
+            match rs2 {
+                BrOperand::R(r2) => vi.r(r2, ty.is_float()),
+                BrOperand::I(imm) => vi.i(imm),
+            }
+        });
     }
 
     // ---- generated instruction surface ----

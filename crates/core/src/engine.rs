@@ -37,13 +37,14 @@
 //! # Ok::<(), vcode::engine::EngineError>(())
 //! ```
 
+use crate::asm::SessionTables;
 use crate::cache::{CacheError, CacheKey, CacheStats, LambdaCache};
 use crate::op::{BinOp, Cond, UnOp};
 use crate::persist::{ArtifactView, DiskTier, PersistError};
 use crate::service::{CompileService, ServiceConfig};
 use crate::stack::CodeStack;
-use crate::target::{Finished, Leaf, Target};
-use crate::ty::{Sig, Ty};
+use crate::target::{BrOperand, Finished, Leaf, Target};
+use crate::ty::Ty;
 use crate::{Assembler, Error, Label, Reg, RegClass};
 use std::fmt;
 // The degraded handle's native latch synchronizes via the `vsync` facade
@@ -137,6 +138,13 @@ pub enum EngineError {
         /// The virtual register that could not be mapped.
         vreg: u8,
     },
+    /// The program binds one label at two positions
+    /// (`p.label(l); ...; p.label(l)`): neither [`replay`] nor
+    /// [`Program::interpret`] gives it a meaning.
+    LabelBoundTwice {
+        /// The label index bound a second time.
+        label: u16,
+    },
     /// The program declared more arguments than [`MAX_PROGRAM_ARGS`].
     TooManyArgs {
         /// Declared argument count.
@@ -172,6 +180,9 @@ impl fmt::Display for EngineError {
             EngineError::Codegen(e) => write!(f, "code generation failed: {e}"),
             EngineError::TooManyTemps { vreg } => {
                 write!(f, "virtual register v{vreg} exhausted the allocator")
+            }
+            EngineError::LabelBoundTwice { label } => {
+                write!(f, "label L{label} is bound twice")
             }
             EngineError::TooManyArgs { requested } => {
                 write!(f, "{requested} arguments exceed the portable limit")
@@ -285,29 +296,175 @@ pub enum POp {
     },
 }
 
+/// Op tags of the serialized stream, one per [`POp`] variant. The
+/// sub-tag bytes are the `BinOp` / `UnOp` / `Cond` discriminants.
+mod tag {
+    pub(super) const SET: u8 = 0;
+    pub(super) const BIN: u8 = 1;
+    pub(super) const BIN_IMM: u8 = 2;
+    pub(super) const UN: u8 = 3;
+    pub(super) const LABEL: u8 = 4;
+    pub(super) const BR: u8 = 5;
+    pub(super) const BR_IMM: u8 = 6;
+    pub(super) const JMP: u8 = 7;
+    pub(super) const RET: u8 = 8;
+}
+
+/// Per op tag: encoded length, tag included, and the largest value the
+/// byte after the tag may take — a sub-tag's last variant, or 255 where
+/// a plain operand follows.
+const SHAPE: [(usize, u8); 9] = [
+    (6, 255), // Set    dst imm32
+    (5, 9),   // Bin    BinOp dst a b
+    (8, 9),   // BinImm BinOp dst a imm32
+    (4, 3),   // Un     UnOp dst a
+    (3, 255), // Label  l16
+    (6, 5),   // Br     Cond a b l16
+    (9, 5),   // BrImm  Cond a imm32 l16
+    (3, 255), // Jmp    l16
+    (2, 255), // Ret    src
+];
+
+/// Stream header: argument count, then the label count (little-endian).
+const HEADER: usize = 3;
+
+const BIN_OPS: [BinOp; 10] = [
+    BinOp::Add,
+    BinOp::Sub,
+    BinOp::Mul,
+    BinOp::Div,
+    BinOp::Mod,
+    BinOp::And,
+    BinOp::Or,
+    BinOp::Xor,
+    BinOp::Lsh,
+    BinOp::Rsh,
+];
+const UN_OPS: [UnOp; 4] = [UnOp::Com, UnOp::Not, UnOp::Mov, UnOp::Neg];
+const CONDS: [Cond; 6] = [Cond::Lt, Cond::Le, Cond::Gt, Cond::Ge, Cond::Eq, Cond::Ne];
+
+/// Decodes the op at the head of `code` and returns it with the rest of
+/// the stream: one bounds check per op (`split_first_chunk`), the
+/// operands read out of the fixed-size chunk it proves. `None` at the
+/// end of the stream — and on a byte [`Program::check_encoded`] would
+/// refuse, which a `Program`'s own stream never holds.
+#[inline(always)]
+fn decode_op(code: &[u8]) -> Option<(POp, &[u8])> {
+    Some(match *code.first()? {
+        tag::SET => {
+            let (&[_, dst, i0, i1, i2, i3], rest) = code.split_first_chunk()?;
+            let imm = i32::from_le_bytes([i0, i1, i2, i3]);
+            (POp::Set { dst, imm }, rest)
+        }
+        tag::BIN => {
+            let (&[_, op, dst, a, b], rest) = code.split_first_chunk()?;
+            let op = BIN_OPS.get(usize::from(op)).copied()?;
+            (POp::Bin { op, dst, a, b }, rest)
+        }
+        tag::BIN_IMM => {
+            let (&[_, op, dst, a, i0, i1, i2, i3], rest) = code.split_first_chunk()?;
+            let op = BIN_OPS.get(usize::from(op)).copied()?;
+            let imm = i32::from_le_bytes([i0, i1, i2, i3]);
+            (POp::BinImm { op, dst, a, imm }, rest)
+        }
+        tag::UN => {
+            let (&[_, op, dst, a], rest) = code.split_first_chunk()?;
+            let op = UN_OPS.get(usize::from(op)).copied()?;
+            (POp::Un { op, dst, a }, rest)
+        }
+        tag::LABEL => {
+            let (&[_, l0, l1], rest) = code.split_first_chunk()?;
+            let l = u16::from_le_bytes([l0, l1]);
+            (POp::Label { l }, rest)
+        }
+        tag::BR => {
+            let (&[_, cond, a, b, l0, l1], rest) = code.split_first_chunk()?;
+            let cond = CONDS.get(usize::from(cond)).copied()?;
+            let l = u16::from_le_bytes([l0, l1]);
+            (POp::Br { cond, a, b, l }, rest)
+        }
+        tag::BR_IMM => {
+            let (&[_, cond, a, i0, i1, i2, i3, l0, l1], rest) = code.split_first_chunk()?;
+            let cond = CONDS.get(usize::from(cond)).copied()?;
+            let imm = i32::from_le_bytes([i0, i1, i2, i3]);
+            let l = u16::from_le_bytes([l0, l1]);
+            (POp::BrImm { cond, a, imm, l }, rest)
+        }
+        tag::JMP => {
+            let (&[_, l0, l1], rest) = code.split_first_chunk()?;
+            let l = u16::from_le_bytes([l0, l1]);
+            (POp::Jmp { l }, rest)
+        }
+        tag::RET => {
+            let (&[_, src], rest) = code.split_first_chunk()?;
+            (POp::Ret { src }, rest)
+        }
+        _ => return None,
+    })
+}
+
+impl POp {
+    /// The highest virtual register the op names (0 when none).
+    fn max_vreg(self) -> u8 {
+        match self {
+            POp::Set { dst, .. } => dst,
+            POp::Bin { dst, a, b, .. } => dst.max(a).max(b),
+            POp::BinImm { dst, a, .. } | POp::Un { dst, a, .. } => dst.max(a),
+            POp::Br { a, b, .. } => a.max(b),
+            POp::BrImm { a, .. } => a,
+            POp::Ret { src } => src,
+            POp::Label { .. } | POp::Jmp { .. } => 0,
+        }
+    }
+}
+
+/// The ops of a [`Program`], decoded from its stream in order
+/// ([`Program::ops`]).
+#[derive(Debug, Clone)]
+pub struct Ops<'a> {
+    rest: &'a [u8],
+}
+
+impl Iterator for Ops<'_> {
+    type Item = POp;
+
+    #[inline(always)]
+    fn next(&mut self) -> Option<POp> {
+        let (op, rest) = decode_op(self.rest)?;
+        self.rest = rest;
+        Some(op)
+    }
+}
+
 /// A recorded `fn(i32, ...) -> i32` VCODE stream over virtual registers.
 ///
 /// Virtual registers `0..args` are the incoming arguments; higher
 /// indices are temporaries allocated from the target's register file at
-/// replay time. The serialized form ([`encode`](Self::encode)) is the
-/// content-addressed identity of the program: it (with the target id)
-/// keys the lambda cache.
+/// replay time. The program *is* its serialized form
+/// ([`encode`](Self::encode)): every recording method appends the op's
+/// bytes, and lowering, the interpreter and [`ops`](Self::ops) decode
+/// them. That form is the program's content-addressed identity: it (with
+/// the target id) keys the lambda cache.
 pub struct Program {
-    args: usize,
-    labels: u16,
-    ops: Vec<POp>,
-    /// Memoized (serialized form, routing hash): computing the cache key
-    /// must not cost O(program) on every warm lookup. Invalidated by
-    /// every mutator; excluded from equality and cloning.
+    /// The [`encode`](Self::encode) stream: [`HEADER`], then one
+    /// [`SHAPE`]-long run per op. Only the recording methods and
+    /// [`decode`](Self::decode) (after [`check_encoded`](Self::
+    /// check_encoded)) write it, so it is always well formed.
+    bytes: Vec<u8>,
+    /// Ops recorded (the stream is variable-width).
+    len: usize,
+    /// Memoized (shared copy of the stream, routing hash): computing the
+    /// cache key must not cost O(program) on every warm lookup.
+    /// Invalidated by every mutator; excluded from equality and cloning.
     encoded: OnceLock<(Arc<[u8]>, u64)>,
 }
 
 impl fmt::Debug for Program {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Program")
-            .field("args", &self.args)
-            .field("labels", &self.labels)
-            .field("ops", &self.ops)
+            .field("args", &self.args())
+            .field("labels", &self.labels())
+            .field("ops", &self.ops().collect::<Vec<_>>())
             .finish()
     }
 }
@@ -315,9 +472,8 @@ impl fmt::Debug for Program {
 impl Clone for Program {
     fn clone(&self) -> Program {
         Program {
-            args: self.args,
-            labels: self.labels,
-            ops: self.ops.clone(),
+            bytes: self.bytes.clone(),
+            len: self.len,
             encoded: OnceLock::new(),
         }
     }
@@ -325,7 +481,7 @@ impl Clone for Program {
 
 impl PartialEq for Program {
     fn eq(&self, other: &Program) -> bool {
-        self.args == other.args && self.labels == other.labels && self.ops == other.ops
+        self.bytes == other.bytes
     }
 }
 
@@ -342,209 +498,119 @@ impl Program {
             return Err(EngineError::TooManyArgs { requested: args });
         }
         Ok(Program {
-            args,
-            labels: 0,
-            ops: Vec::new(),
+            bytes: vec![args as u8, 0, 0],
+            len: 0,
             encoded: OnceLock::new(),
         })
     }
 
     /// Declared argument count.
     pub fn args(&self) -> usize {
-        self.args
+        usize::from(self.bytes[0])
     }
 
     /// Recorded instruction count.
     pub fn len(&self) -> usize {
-        self.ops.len()
+        self.len
     }
 
     /// Whether nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
+        self.len == 0
     }
 
-    /// The recorded stream.
-    pub fn ops(&self) -> &[POp] {
-        &self.ops
+    /// The recorded stream, decoded op by op.
+    pub fn ops(&self) -> Ops<'_> {
+        Ops {
+            rest: &self.bytes[HEADER..],
+        }
     }
 
     /// Number of labels allocated so far (label indices are dense:
     /// `0..labels()`).
     pub fn labels(&self) -> u16 {
-        self.labels
+        u16::from_le_bytes([self.bytes[1], self.bytes[2]])
     }
 
     /// Allocates a fresh label index.
     pub fn genlabel(&mut self) -> u16 {
         self.encoded.take();
-        let l = self.labels;
-        self.labels += 1;
+        let l = self.labels();
+        self.bytes[1..HEADER].copy_from_slice(&(l + 1).to_le_bytes());
         l
     }
 
-    /// Appends one op, invalidating the memoized serialization.
-    fn push(&mut self, op: POp) {
+    /// Appends one op's bytes — the caller knows its variant, so there
+    /// is nothing to dispatch on — invalidating the memoized copy.
+    fn push<const N: usize>(&mut self, op: [u8; N]) {
         self.encoded.take();
-        self.ops.push(op);
+        self.bytes.extend_from_slice(&op);
+        self.len += 1;
     }
 
     /// Records `v[dst] = imm`.
     pub fn set(&mut self, dst: u8, imm: i32) {
-        self.push(POp::Set { dst, imm });
+        let [i0, i1, i2, i3] = imm.to_le_bytes();
+        self.push([tag::SET, dst, i0, i1, i2, i3]);
     }
 
     /// Records `v[dst] = v[a] op v[b]`.
     pub fn bin(&mut self, op: BinOp, dst: u8, a: u8, b: u8) {
-        self.push(POp::Bin { op, dst, a, b });
+        self.push([tag::BIN, op as u8, dst, a, b]);
     }
 
     /// Records `v[dst] = v[a] op imm`.
     pub fn bin_imm(&mut self, op: BinOp, dst: u8, a: u8, imm: i32) {
-        self.push(POp::BinImm { op, dst, a, imm });
+        let [i0, i1, i2, i3] = imm.to_le_bytes();
+        self.push([tag::BIN_IMM, op as u8, dst, a, i0, i1, i2, i3]);
     }
 
     /// Records `v[dst] = op v[a]`.
     pub fn un(&mut self, op: UnOp, dst: u8, a: u8) {
-        self.push(POp::Un { op, dst, a });
+        self.push([tag::UN, op as u8, dst, a]);
     }
 
-    /// Binds label `l` at the current position.
+    /// Binds label `l` at the current position. A label may be bound
+    /// once: a program that binds one twice records, but neither lowers
+    /// nor interprets ([`EngineError::LabelBoundTwice`]).
     pub fn label(&mut self, l: u16) {
-        self.push(POp::Label { l });
+        let [l0, l1] = l.to_le_bytes();
+        self.push([tag::LABEL, l0, l1]);
     }
 
     /// Records `if v[a] cond v[b] goto l`.
     pub fn br(&mut self, cond: Cond, a: u8, b: u8, l: u16) {
-        self.push(POp::Br { cond, a, b, l });
+        let [l0, l1] = l.to_le_bytes();
+        self.push([tag::BR, cond as u8, a, b, l0, l1]);
     }
 
     /// Records `if v[a] cond imm goto l`.
     pub fn br_imm(&mut self, cond: Cond, a: u8, imm: i32, l: u16) {
-        self.push(POp::BrImm { cond, a, imm, l });
+        let [i0, i1, i2, i3] = imm.to_le_bytes();
+        let [l0, l1] = l.to_le_bytes();
+        self.push([tag::BR_IMM, cond as u8, a, i0, i1, i2, i3, l0, l1]);
     }
 
     /// Records `goto l`.
     pub fn jmp(&mut self, l: u16) {
-        self.push(POp::Jmp { l });
+        let [l0, l1] = l.to_le_bytes();
+        self.push([tag::JMP, l0, l1]);
     }
 
     /// Records `return v[src]`.
     pub fn ret(&mut self, src: u8) {
-        self.push(POp::Ret { src });
+        self.push([tag::RET, src]);
     }
 
-    /// Serializes the stream to a deterministic byte form — the
-    /// program's content-addressed identity.
+    /// The stream in its deterministic byte form — the program's
+    /// content-addressed identity (a copy: the program is these bytes).
     pub fn encode(&self) -> Vec<u8> {
-        fn op_tag(op: BinOp) -> u8 {
-            match op {
-                BinOp::Add => 0,
-                BinOp::Sub => 1,
-                BinOp::Mul => 2,
-                BinOp::Div => 3,
-                BinOp::Mod => 4,
-                BinOp::And => 5,
-                BinOp::Or => 6,
-                BinOp::Xor => 7,
-                BinOp::Lsh => 8,
-                BinOp::Rsh => 9,
-            }
-        }
-        fn un_tag(op: UnOp) -> u8 {
-            match op {
-                UnOp::Com => 0,
-                UnOp::Not => 1,
-                UnOp::Mov => 2,
-                UnOp::Neg => 3,
-            }
-        }
-        fn cond_tag(c: Cond) -> u8 {
-            match c {
-                Cond::Lt => 0,
-                Cond::Le => 1,
-                Cond::Gt => 2,
-                Cond::Ge => 3,
-                Cond::Eq => 4,
-                Cond::Ne => 5,
-            }
-        }
-        // Worst case 9 bytes an op; one append of one fixed-size array
-        // per op, so each op costs a single capacity check.
-        let mut out = Vec::with_capacity(self.ops.len() * 9 + 3);
-        let [l0, l1] = self.labels.to_le_bytes();
-        out.extend_from_slice(&[self.args as u8, l0, l1]);
-        for op in &self.ops {
-            match *op {
-                POp::Set { dst, imm } => {
-                    let [i0, i1, i2, i3] = imm.to_le_bytes();
-                    out.extend_from_slice(&[0, dst, i0, i1, i2, i3]);
-                }
-                POp::Bin { op, dst, a, b } => {
-                    out.extend_from_slice(&[1, op_tag(op), dst, a, b]);
-                }
-                POp::BinImm { op, dst, a, imm } => {
-                    let [i0, i1, i2, i3] = imm.to_le_bytes();
-                    out.extend_from_slice(&[2, op_tag(op), dst, a, i0, i1, i2, i3]);
-                }
-                POp::Un { op, dst, a } => {
-                    out.extend_from_slice(&[3, un_tag(op), dst, a]);
-                }
-                POp::Label { l } => {
-                    let [l0, l1] = l.to_le_bytes();
-                    out.extend_from_slice(&[4, l0, l1]);
-                }
-                POp::Br { cond, a, b, l } => {
-                    let [l0, l1] = l.to_le_bytes();
-                    out.extend_from_slice(&[5, cond_tag(cond), a, b, l0, l1]);
-                }
-                POp::BrImm { cond, a, imm, l } => {
-                    let [i0, i1, i2, i3] = imm.to_le_bytes();
-                    let [l0, l1] = l.to_le_bytes();
-                    out.extend_from_slice(&[6, cond_tag(cond), a, i0, i1, i2, i3, l0, l1]);
-                }
-                POp::Jmp { l } => {
-                    let [l0, l1] = l.to_le_bytes();
-                    out.extend_from_slice(&[7, l0, l1]);
-                }
-                POp::Ret { src } => {
-                    out.extend_from_slice(&[8, src]);
-                }
-            }
-        }
-        out
+        self.bytes.clone()
     }
 
-    /// Checks that `bytes` is a well-formed [`encode`](Self::encode)
-    /// stream and returns its declared argument count — the persistent
-    /// cache's IR check on an artifact's embedded key, in one pass and
-    /// without building anything.
-    ///
-    /// It accepts exactly what [`decode`](Self::decode) accepts. The
-    /// stream is fixed-width per tag and `decode` copies every non-tag
-    /// byte verbatim, so a stream that decodes also re-encodes to
-    /// itself: `check_encoded(b).is_ok()` ⇔ `decode(b).is_ok()` ⇔
-    /// `decode(b)?.encode() == b`.
-    ///
-    /// # Errors
-    ///
-    /// As [`decode`](Self::decode): [`EngineError::TooManyArgs`], or
-    /// [`EngineError::Exec`] naming the first malformed offset.
-    pub fn check_encoded(bytes: &[u8]) -> Result<usize, EngineError> {
-        /// Per op tag: encoded length, tag included, and the largest
-        /// value the byte after the tag may take — a sub-tag's last
-        /// variant, or 255 where a plain operand follows.
-        const SHAPE: [(usize, u8); 9] = [
-            (6, 255), // Set    dst imm32
-            (5, 9),   // Bin    BinOp dst a b
-            (8, 9),   // BinImm BinOp dst a imm32
-            (4, 3),   // Un     UnOp dst a
-            (3, 255), // Label  l16
-            (6, 5),   // Br     Cond a b l16
-            (9, 5),   // BrImm  Cond a imm32 l16
-            (3, 255), // Jmp    l16
-            (2, 255), // Ret    src
-        ];
+    /// Walks `bytes` as an [`encode`](Self::encode) stream: its declared
+    /// argument count and its op count, or why it is not one.
+    fn scan(bytes: &[u8]) -> Result<(usize, usize), EngineError> {
         let malformed = |what: &str, at: usize| {
             EngineError::Exec(format!("program check: {what} at offset {at}"))
         };
@@ -556,10 +622,10 @@ impl Program {
         if args > MAX_PROGRAM_ARGS {
             return Err(EngineError::TooManyArgs { requested: args });
         }
-        if bytes.len() < 3 {
+        if bytes.len() < HEADER {
             return Err(malformed("missing label count", 1));
         }
-        let mut at = 3;
+        let (mut at, mut ops) = (HEADER, 0);
         while at < bytes.len() {
             let &(len, second_max) = SHAPE
                 .get(usize::from(bytes[at]))
@@ -571,168 +637,50 @@ impl Program {
                 return Err(malformed("bad sub-tag", at));
             }
             at += len;
+            ops += 1;
         }
-        Ok(args)
+        Ok((args, ops))
     }
 
-    /// Reconstructs a program from its [`encode`](Self::encode) stream.
-    /// ([`check_encoded`](Self::check_encoded) answers whether this
-    /// would succeed without building the program.)
+    /// Checks that `bytes` is a well-formed [`encode`](Self::encode)
+    /// stream and returns its declared argument count — the persistent
+    /// cache's IR check on an artifact's embedded key, in one pass over a
+    /// 9-row table and without building anything.
+    ///
+    /// The stream is fixed-width per tag and every non-tag byte is a
+    /// plain operand, so a stream that checks is a program:
+    /// `check_encoded(b).is_ok()` ⇔ `decode(b).is_ok()` ⇔
+    /// `decode(b)?.encode() == b`.
     ///
     /// # Errors
     ///
     /// [`EngineError::TooManyArgs`] when the declared arity exceeds
-    /// [`MAX_PROGRAM_ARGS`]; [`EngineError::Exec`] for any structurally
-    /// invalid stream (unknown tag, truncated operand, bad sub-tag).
+    /// [`MAX_PROGRAM_ARGS`]; [`EngineError::Exec`] naming the first
+    /// malformed offset (unknown tag, truncated operand, bad sub-tag).
+    pub fn check_encoded(bytes: &[u8]) -> Result<usize, EngineError> {
+        Self::scan(bytes).map(|(args, _)| args)
+    }
+
+    /// Reconstructs a program from its [`encode`](Self::encode) stream:
+    /// the check, then a copy.
+    ///
+    /// # Errors
+    ///
+    /// As [`check_encoded`](Self::check_encoded).
     pub fn decode(bytes: &[u8]) -> Result<Program, EngineError> {
-        fn bin_of(tag: u8) -> Option<BinOp> {
-            Some(match tag {
-                0 => BinOp::Add,
-                1 => BinOp::Sub,
-                2 => BinOp::Mul,
-                3 => BinOp::Div,
-                4 => BinOp::Mod,
-                5 => BinOp::And,
-                6 => BinOp::Or,
-                7 => BinOp::Xor,
-                8 => BinOp::Lsh,
-                9 => BinOp::Rsh,
-                _ => return None,
-            })
-        }
-        fn un_of(tag: u8) -> Option<UnOp> {
-            Some(match tag {
-                0 => UnOp::Com,
-                1 => UnOp::Not,
-                2 => UnOp::Mov,
-                3 => UnOp::Neg,
-                _ => return None,
-            })
-        }
-        fn cond_of(tag: u8) -> Option<Cond> {
-            Some(match tag {
-                0 => Cond::Lt,
-                1 => Cond::Le,
-                2 => Cond::Gt,
-                3 => Cond::Ge,
-                4 => Cond::Eq,
-                5 => Cond::Ne,
-                _ => return None,
-            })
-        }
-        let malformed = |what: &str, at: usize| {
-            EngineError::Exec(format!("program decode: {what} at offset {at}"))
-        };
-        struct Rd<'a> {
-            b: &'a [u8],
-            at: usize,
-        }
-        impl Rd<'_> {
-            fn u8(&mut self) -> Option<u8> {
-                let v = *self.b.get(self.at)?;
-                self.at += 1;
-                Some(v)
-            }
-            fn u16(&mut self) -> Option<u16> {
-                let v = u16::from_le_bytes([*self.b.get(self.at)?, *self.b.get(self.at + 1)?]);
-                self.at += 2;
-                Some(v)
-            }
-            fn i32(&mut self) -> Option<i32> {
-                let v = i32::from_le_bytes([
-                    *self.b.get(self.at)?,
-                    *self.b.get(self.at + 1)?,
-                    *self.b.get(self.at + 2)?,
-                    *self.b.get(self.at + 3)?,
-                ]);
-                self.at += 4;
-                Some(v)
-            }
-        }
-        let mut r = Rd { b: bytes, at: 0 };
-        let args = r.u8().ok_or_else(|| malformed("missing arg count", 0))? as usize;
-        if args > MAX_PROGRAM_ARGS {
-            return Err(EngineError::TooManyArgs { requested: args });
-        }
-        let labels = r.u16().ok_or_else(|| malformed("missing label count", 1))?;
-        let mut ops = Vec::new();
-        while r.at < bytes.len() {
-            let at = r.at;
-            let tag = r.u8().expect("bounds checked by loop condition");
-            let op = match tag {
-                0 => {
-                    let dst = r.u8().ok_or_else(|| malformed("truncated Set", at))?;
-                    let imm = r.i32().ok_or_else(|| malformed("truncated Set", at))?;
-                    POp::Set { dst, imm }
-                }
-                1 => {
-                    let t = r.u8().ok_or_else(|| malformed("truncated Bin", at))?;
-                    let op = bin_of(t).ok_or_else(|| malformed("bad BinOp tag", at))?;
-                    let dst = r.u8().ok_or_else(|| malformed("truncated Bin", at))?;
-                    let a = r.u8().ok_or_else(|| malformed("truncated Bin", at))?;
-                    let b = r.u8().ok_or_else(|| malformed("truncated Bin", at))?;
-                    POp::Bin { op, dst, a, b }
-                }
-                2 => {
-                    let t = r.u8().ok_or_else(|| malformed("truncated BinImm", at))?;
-                    let op = bin_of(t).ok_or_else(|| malformed("bad BinOp tag", at))?;
-                    let dst = r.u8().ok_or_else(|| malformed("truncated BinImm", at))?;
-                    let a = r.u8().ok_or_else(|| malformed("truncated BinImm", at))?;
-                    let imm = r.i32().ok_or_else(|| malformed("truncated BinImm", at))?;
-                    POp::BinImm { op, dst, a, imm }
-                }
-                3 => {
-                    let t = r.u8().ok_or_else(|| malformed("truncated Un", at))?;
-                    let op = un_of(t).ok_or_else(|| malformed("bad UnOp tag", at))?;
-                    let dst = r.u8().ok_or_else(|| malformed("truncated Un", at))?;
-                    let a = r.u8().ok_or_else(|| malformed("truncated Un", at))?;
-                    POp::Un { op, dst, a }
-                }
-                4 => {
-                    let l = r.u16().ok_or_else(|| malformed("truncated Label", at))?;
-                    POp::Label { l }
-                }
-                5 => {
-                    let t = r.u8().ok_or_else(|| malformed("truncated Br", at))?;
-                    let cond = cond_of(t).ok_or_else(|| malformed("bad Cond tag", at))?;
-                    let a = r.u8().ok_or_else(|| malformed("truncated Br", at))?;
-                    let b = r.u8().ok_or_else(|| malformed("truncated Br", at))?;
-                    let l = r.u16().ok_or_else(|| malformed("truncated Br", at))?;
-                    POp::Br { cond, a, b, l }
-                }
-                6 => {
-                    let t = r.u8().ok_or_else(|| malformed("truncated BrImm", at))?;
-                    let cond = cond_of(t).ok_or_else(|| malformed("bad Cond tag", at))?;
-                    let a = r.u8().ok_or_else(|| malformed("truncated BrImm", at))?;
-                    let imm = r.i32().ok_or_else(|| malformed("truncated BrImm", at))?;
-                    let l = r.u16().ok_or_else(|| malformed("truncated BrImm", at))?;
-                    POp::BrImm { cond, a, imm, l }
-                }
-                7 => {
-                    let l = r.u16().ok_or_else(|| malformed("truncated Jmp", at))?;
-                    POp::Jmp { l }
-                }
-                8 => {
-                    let src = r.u8().ok_or_else(|| malformed("truncated Ret", at))?;
-                    POp::Ret { src }
-                }
-                _ => return Err(malformed("unknown op tag", at)),
-            };
-            ops.push(op);
-        }
+        let (_, len) = Self::scan(bytes)?;
         Ok(Program {
-            args,
-            labels,
-            ops,
+            bytes: bytes.to_vec(),
+            len,
             encoded: OnceLock::new(),
         })
     }
 
-    /// The memoized serialized form and its content hash, ready for
-    /// [`CacheKey::from_encoded`]. First call serializes and hashes (a
-    /// word at a time); subsequent calls (until the next mutation) are
-    /// O(1) — this is what keeps warm cache lookups free of
-    /// emission-scale work.
+    /// The memoized shared copy of the stream and its content hash,
+    /// ready for [`CacheKey::from_encoded`]. First call copies and
+    /// hashes (a word at a time); subsequent calls (until the next
+    /// mutation) are O(1) — this is what keeps warm cache lookups free
+    /// of emission-scale work.
     ///
     /// The hash is [`digest64`](crate::persist::digest64) of the bytes:
     /// the cache routes by it (shard, bucket), and the persistent tier
@@ -740,7 +688,7 @@ impl Program {
     /// artifact names and checksums — it trusts no caller's hash.
     pub fn encoded(&self) -> &(Arc<[u8]>, u64) {
         self.encoded.get_or_init(|| {
-            let bytes: Arc<[u8]> = self.encode().into();
+            let bytes: Arc<[u8]> = self.bytes.as_slice().into();
             let hash = crate::persist::digest64(&bytes);
             (bytes, hash)
         })
@@ -750,26 +698,7 @@ impl Program {
     /// workspace target (worst case: every instruction synthesizes a
     /// large immediate, plus prologue/epilogue save areas).
     pub fn code_capacity(&self) -> usize {
-        (self.ops.len() * 32 + 512).max(4096)
-    }
-
-    /// The highest virtual-register index the stream touches.
-    fn max_vreg(&self) -> usize {
-        let mut max = self.args.saturating_sub(1);
-        for op in &self.ops {
-            let m = match *op {
-                POp::Set { dst, .. } => dst,
-                POp::Bin { dst, a, b, .. } => dst.max(a).max(b),
-                POp::BinImm { dst, a, .. } => dst.max(a),
-                POp::Un { dst, a, .. } => dst.max(a),
-                POp::Br { a, b, .. } => a.max(b),
-                POp::BrImm { a, .. } => a,
-                POp::Ret { src } => src,
-                POp::Label { .. } | POp::Jmp { .. } => 0,
-            };
-            max = max.max(usize::from(m));
-        }
-        max
+        (self.len * 32 + 512).max(4096)
     }
 
     /// Directly evaluates the recorded stream — the engine's degraded
@@ -785,29 +714,40 @@ impl Program {
     ///
     /// # Errors
     ///
-    /// [`EngineError::BadArgs`] on arity mismatch; [`EngineError::Exec`]
-    /// on division by zero, jumps to unbound labels, running off the end
-    /// of the stream, and fuel exhaustion.
+    /// [`EngineError::BadArgs`] on arity mismatch;
+    /// [`EngineError::LabelBoundTwice`] for a program [`replay`] refuses
+    /// the same way; [`EngineError::Exec`] on division by zero, jumps to
+    /// unbound labels, running off the end of the stream, and fuel
+    /// exhaustion.
     pub fn interpret(&self, args: &[i32], fuel: u64) -> Result<i64, EngineError> {
-        if args.len() != self.args {
+        if args.len() != self.args() {
             return Err(EngineError::BadArgs {
-                expected: self.args,
+                expected: self.args(),
                 got: args.len(),
             });
         }
-        let mut regs = vec![0i32; self.max_vreg() + 1];
-        regs[..args.len()].copy_from_slice(args);
-        // Bind every label once up front: branches may jump backward.
-        let mut bound: Vec<Option<usize>> = vec![None; usize::from(self.labels)];
-        for (pc, op) in self.ops.iter().enumerate() {
-            if let POp::Label { l } = *op {
+        let code = &self.bytes[HEADER..];
+        // One pass up front: size the register file, and bind every
+        // label to its op's offset (branches may jump backward).
+        let mut max_vreg = 0;
+        let mut bound: Vec<Option<usize>> = vec![None; usize::from(self.labels())];
+        let mut ops = self.ops();
+        loop {
+            let at = code.len() - ops.rest.len();
+            let Some(op) = ops.next() else { break };
+            max_vreg = max_vreg.max(op.max_vreg());
+            if let POp::Label { l } = op {
                 let idx = usize::from(l);
                 if bound.len() <= idx {
                     bound.resize(idx + 1, None);
                 }
-                bound[idx] = Some(pc);
+                if bound[idx].replace(at).is_some() {
+                    return Err(EngineError::LabelBoundTwice { label: l });
+                }
             }
         }
+        let mut regs = vec![0i32; args.len().max(usize::from(max_vreg) + 1)];
+        regs[..args.len()].copy_from_slice(args);
         let jump = |l: u16| -> Result<usize, EngineError> {
             bound
                 .get(usize::from(l))
@@ -845,14 +785,16 @@ impl Program {
                 Cond::Ne => a != b,
             }
         };
+        // `pc` is a byte offset into `code`: an op boundary, always.
         let mut pc = 0usize;
-        let mut fuel = fuel;
-        while pc < self.ops.len() {
-            if fuel == 0 {
-                return Err(EngineError::Exec("interpreter fuel exhausted".to_string()));
-            }
-            fuel -= 1;
-            match self.ops[pc] {
+        for _ in 0..fuel {
+            // Decode straight into the match: one dispatch per op.
+            let Some((op, rest)) = decode_op(&code[pc..]) else {
+                return Err(EngineError::Exec(
+                    "program ran off the end without ret".to_string(),
+                ));
+            };
+            match op {
                 POp::Set { dst, imm } => regs[usize::from(dst)] = imm,
                 POp::Bin { op, dst, a, b } => {
                     regs[usize::from(dst)] = bin(op, regs[usize::from(a)], regs[usize::from(b)])?;
@@ -888,11 +830,13 @@ impl Program {
                 }
                 POp::Ret { src } => return Ok(i64::from(regs[usize::from(src)])),
             }
-            pc += 1;
+            pc = code.len() - rest.len();
         }
-        Err(EngineError::Exec(
-            "program ran off the end without ret".to_string(),
-        ))
+        Err(EngineError::Exec(if pc == code.len() {
+            "program ran off the end without ret".to_string()
+        } else {
+            "interpreter fuel exhausted".to_string()
+        }))
     }
 }
 
@@ -953,47 +897,77 @@ pub(crate) trait VregMap: Sized {
 /// (or any higher-numbered vreg) is first touched and keeps it for the
 /// whole lambda, so a program with more vregs than the target has
 /// temporaries dies at `TooManyTemps` however short their lives.
-struct FirstTouch(Vec<Reg>);
+///
+/// Which is also why the map lives inline: it never holds more than the
+/// arguments plus one allocation per integer candidate.
+struct FirstTouch {
+    regs: [Reg; MAX_PROGRAM_ARGS + crate::regalloc::MAX_CANDS],
+    len: usize,
+}
 
 impl VregMap for FirstTouch {
     fn new(_prog: &Program, args: &[Reg]) -> FirstTouch {
-        FirstTouch(args.to_vec())
+        let mut regs = [Reg::int(0); MAX_PROGRAM_ARGS + crate::regalloc::MAX_CANDS];
+        regs[..args.len()].copy_from_slice(args);
+        FirstTouch {
+            regs,
+            len: args.len(),
+        }
     }
 
+    #[inline]
     fn reg<T: Target>(&mut self, a: &mut Assembler<'_, T>, v: u8) -> Result<Reg, EngineError> {
-        while self.0.len() <= usize::from(v) {
-            match a.getreg(RegClass::Temp) {
-                Some(r) => self.0.push(r),
-                None => return Err(EngineError::TooManyTemps { vreg: v }),
+        while self.len <= usize::from(v) {
+            match (a.getreg(RegClass::Temp), self.regs.get_mut(self.len)) {
+                (Some(r), Some(slot)) => *slot = r,
+                _ => return Err(EngineError::TooManyTemps { vreg: v }),
             }
+            self.len += 1;
         }
-        Ok(self.0[usize::from(v)])
+        Ok(self.regs[usize::from(v)])
     }
 
     fn retire<T: Target>(&mut self, _a: &mut Assembler<'_, T>, _pos: usize) {}
 }
 
-/// The one lowering from [`POp`] to `Assembler<T>` emitter calls, over
-/// the vreg policy `M`.
+thread_local! {
+    /// The tables the last lowering on this thread ended with: the next
+    /// one starts on their storage, so [`lower`] allocates only the
+    /// label offsets [`Finished`] carries out. Taken out of the cell
+    /// while in use (a re-entrant lowering starts on empty ones); a
+    /// lowering that fails drops them.
+    static TABLES: std::cell::Cell<SessionTables> =
+        const { std::cell::Cell::new(SessionTables::new()) };
+}
+
+/// The one lowering from a [`Program`]'s stream to `Assembler<T>`
+/// emitter calls, over the vreg policy `M`: one dispatch per
+/// instruction, on the op's tag — the operation inside it reaches the
+/// emitter as a value ([`Assembler::binop`] and its siblings).
 pub(crate) fn lower<T: Target, M: VregMap>(
     prog: &Program,
     mem: &mut [u8],
 ) -> Result<Finished, EngineError> {
-    let sig = Sig::new(vec![Ty::I; prog.args], Ty::I);
-    let mut a = Assembler::<T>::lambda_sig(mem, sig, Leaf::Yes)?;
+    let mut tables = TABLES.take();
+    let args = &[Ty::I; MAX_PROGRAM_ARGS][..prog.args()];
+    let mut a = Assembler::<T>::lambda_on(mem, &mut tables, args, Ty::I, Leaf::Yes)?;
     let mut map = M::new(prog, a.args());
-    let mut labels: Vec<Label> = (0..prog.labels).map(|_| a.genlabel()).collect();
-    // Labels may also be referenced without pre-allocation in hand-built
-    // programs; genlabel above covers every declared index.
-    fn lab<T: Target>(a: &mut Assembler<'_, T>, labels: &mut Vec<Label>, l: u16) -> Label {
-        while labels.len() <= usize::from(l) {
-            let fresh = a.genlabel();
-            labels.push(fresh);
+    // Program label `l` is the assembler's `first + l`: the declared
+    // ones are allocated here, in order, and one a hand-built program
+    // references beyond them extends the same run.
+    let first = a.state().labels.len() as u32;
+    let lab = |a: &mut Assembler<'_, T>, l: u16| -> Label {
+        let l = Label(first + u32::from(l));
+        while a.state().labels.len() as u32 <= l.0 {
+            a.genlabel();
         }
-        labels[usize::from(l)]
+        l
+    };
+    if let Some(last) = prog.labels().checked_sub(1) {
+        lab(&mut a, last);
     }
-    for (pos, op) in prog.ops.iter().enumerate() {
-        match *op {
+    for (pos, op) in prog.ops().enumerate() {
+        match op {
             POp::Set { dst, imm } => {
                 let d = map.reg(&mut a, dst)?;
                 a.seti(d, imm);
@@ -1001,77 +975,37 @@ pub(crate) fn lower<T: Target, M: VregMap>(
             POp::Bin { op, dst, a: x, b } => {
                 let (rx, rb) = (map.reg(&mut a, x)?, map.reg(&mut a, b)?);
                 let d = map.reg(&mut a, dst)?;
-                match op {
-                    BinOp::Add => a.addi(d, rx, rb),
-                    BinOp::Sub => a.subi(d, rx, rb),
-                    BinOp::Mul => a.muli(d, rx, rb),
-                    BinOp::Div => a.divi(d, rx, rb),
-                    BinOp::Mod => a.modi(d, rx, rb),
-                    BinOp::And => a.andi(d, rx, rb),
-                    BinOp::Or => a.ori(d, rx, rb),
-                    BinOp::Xor => a.xori(d, rx, rb),
-                    BinOp::Lsh => a.lshi(d, rx, rb),
-                    BinOp::Rsh => a.rshi(d, rx, rb),
-                }
+                a.binop(op, Ty::I, d, rx, rb);
             }
             POp::BinImm { op, dst, a: x, imm } => {
                 let rx = map.reg(&mut a, x)?;
                 let d = map.reg(&mut a, dst)?;
-                let imm = i64::from(imm);
-                match op {
-                    BinOp::Add => a.addii(d, rx, imm),
-                    BinOp::Sub => a.subii(d, rx, imm),
-                    BinOp::Mul => a.mulii(d, rx, imm),
-                    BinOp::Div => a.divii(d, rx, imm),
-                    BinOp::Mod => a.modii(d, rx, imm),
-                    BinOp::And => a.andii(d, rx, imm),
-                    BinOp::Or => a.orii(d, rx, imm),
-                    BinOp::Xor => a.xorii(d, rx, imm),
-                    BinOp::Lsh => a.lshii(d, rx, imm),
-                    BinOp::Rsh => a.rshii(d, rx, imm),
-                }
+                a.binop_imm(op, Ty::I, d, rx, i64::from(imm));
             }
             POp::Un { op, dst, a: x } => {
                 let rx = map.reg(&mut a, x)?;
                 let d = map.reg(&mut a, dst)?;
-                match op {
-                    UnOp::Com => a.comi(d, rx),
-                    UnOp::Not => a.noti(d, rx),
-                    UnOp::Mov => a.movi(d, rx),
-                    UnOp::Neg => a.negi(d, rx),
-                }
+                a.unop(op, Ty::I, d, rx);
             }
             POp::Label { l } => {
-                let lbl = lab(&mut a, &mut labels, l);
+                let lbl = lab(&mut a, l);
+                if a.state().labels.offset(lbl).is_some() {
+                    return Err(EngineError::LabelBoundTwice { label: l });
+                }
                 a.label(lbl);
             }
             POp::Br { cond, a: x, b, l } => {
                 let (rx, rb) = (map.reg(&mut a, x)?, map.reg(&mut a, b)?);
-                let lbl = lab(&mut a, &mut labels, l);
-                match cond {
-                    Cond::Lt => a.blti(rx, rb, lbl),
-                    Cond::Le => a.blei(rx, rb, lbl),
-                    Cond::Gt => a.bgti(rx, rb, lbl),
-                    Cond::Ge => a.bgei(rx, rb, lbl),
-                    Cond::Eq => a.beqi(rx, rb, lbl),
-                    Cond::Ne => a.bnei(rx, rb, lbl),
-                }
+                let lbl = lab(&mut a, l);
+                a.branch(cond, Ty::I, rx, BrOperand::R(rb), lbl);
             }
             POp::BrImm { cond, a: x, imm, l } => {
                 let rx = map.reg(&mut a, x)?;
-                let lbl = lab(&mut a, &mut labels, l);
-                let imm = i64::from(imm);
-                match cond {
-                    Cond::Lt => a.bltii(rx, imm, lbl),
-                    Cond::Le => a.bleii(rx, imm, lbl),
-                    Cond::Gt => a.bgtii(rx, imm, lbl),
-                    Cond::Ge => a.bgeii(rx, imm, lbl),
-                    Cond::Eq => a.beqii(rx, imm, lbl),
-                    Cond::Ne => a.bneii(rx, imm, lbl),
-                }
+                let lbl = lab(&mut a, l);
+                a.branch(cond, Ty::I, rx, BrOperand::I(i64::from(imm)), lbl);
             }
             POp::Jmp { l } => {
-                let lbl = lab(&mut a, &mut labels, l);
+                let lbl = lab(&mut a, l);
                 a.jmp(lbl);
             }
             POp::Ret { src } => {
@@ -1081,7 +1015,9 @@ pub(crate) fn lower<T: Target, M: VregMap>(
         }
         map.retire(&mut a, pos);
     }
-    a.end().map_err(EngineError::Codegen)
+    let fin = a.end_into(&mut tables)?;
+    TABLES.set(tables);
+    Ok(fin)
 }
 
 // ---------------------------------------------------------------------------
@@ -1796,59 +1732,74 @@ mod tests {
 
     /// A program of `ops` random instructions over every op, every
     /// sub-tag and arbitrary operands (well-formed as a stream; not
-    /// meant to run).
-    fn generated(rng: &mut crate::regress::XorShift, ops: usize) -> Program {
-        const BIN: [BinOp; 10] = [
-            BinOp::Add,
-            BinOp::Sub,
-            BinOp::Mul,
-            BinOp::Div,
-            BinOp::Mod,
-            BinOp::And,
-            BinOp::Or,
-            BinOp::Xor,
-            BinOp::Lsh,
-            BinOp::Rsh,
-        ];
-        const UN: [UnOp; 4] = [UnOp::Com, UnOp::Not, UnOp::Mov, UnOp::Neg];
-        const COND: [Cond; 6] = [Cond::Lt, Cond::Le, Cond::Gt, Cond::Ge, Cond::Eq, Cond::Ne];
+    /// meant to run), with the ops as they were handed to the recording
+    /// methods.
+    fn generated(rng: &mut crate::regress::XorShift, ops: usize) -> (Program, Vec<POp>) {
         let mut p = Program::new(rng.below(MAX_PROGRAM_ARGS as u64 + 1) as usize).unwrap();
         for _ in 0..rng.below(4) {
             p.genlabel();
         }
+        let mut recorded = Vec::new();
         for _ in 0..ops {
-            let (x, y, z) = (
+            let (dst, a, b) = (
                 rng.next_u64() as u8,
                 rng.next_u64() as u8,
                 rng.next_u64() as u8,
             );
             let (imm, l) = (rng.next_u64() as i32, rng.next_u64() as u16);
-            let (bin, un, cond) = (
-                BIN[rng.below(10) as usize],
-                UN[rng.below(4) as usize],
-                COND[rng.below(6) as usize],
+            let (op, un, cond) = (
+                BIN_OPS[rng.below(10) as usize],
+                UN_OPS[rng.below(4) as usize],
+                CONDS[rng.below(6) as usize],
             );
-            match rng.below(9) {
-                0 => p.set(x, imm),
-                1 => p.bin(bin, x, y, z),
-                2 => p.bin_imm(bin, x, y, imm),
-                3 => p.un(un, x, y),
-                4 => p.label(l),
-                5 => p.br(cond, x, y, l),
-                6 => p.br_imm(cond, x, imm, l),
-                7 => p.jmp(l),
-                _ => p.ret(x),
-            }
+            recorded.push(match rng.below(9) {
+                0 => {
+                    p.set(dst, imm);
+                    POp::Set { dst, imm }
+                }
+                1 => {
+                    p.bin(op, dst, a, b);
+                    POp::Bin { op, dst, a, b }
+                }
+                2 => {
+                    p.bin_imm(op, dst, a, imm);
+                    POp::BinImm { op, dst, a, imm }
+                }
+                3 => {
+                    p.un(un, dst, a);
+                    POp::Un { op: un, dst, a }
+                }
+                4 => {
+                    p.label(l);
+                    POp::Label { l }
+                }
+                5 => {
+                    p.br(cond, a, b, l);
+                    POp::Br { cond, a, b, l }
+                }
+                6 => {
+                    p.br_imm(cond, a, imm, l);
+                    POp::BrImm { cond, a, imm, l }
+                }
+                7 => {
+                    p.jmp(l);
+                    POp::Jmp { l }
+                }
+                _ => {
+                    p.ret(dst);
+                    POp::Ret { src: dst }
+                }
+            });
         }
-        p
+        (p, recorded)
     }
 
-    /// The stream one field at a time, as `encode` wrote it before it
-    /// appended one array per op.
-    fn encode_by_field(p: &Program) -> Vec<u8> {
-        let mut out = vec![p.args() as u8];
-        out.extend_from_slice(&p.labels().to_le_bytes());
-        for op in p.ops() {
+    /// The stream one field at a time, from the ops: the reference
+    /// writer.
+    fn encode_by_field(args: usize, labels: u16, ops: &[POp]) -> Vec<u8> {
+        let mut out = vec![args as u8];
+        out.extend_from_slice(&labels.to_le_bytes());
+        for op in ops {
             match *op {
                 POp::Set { dst, imm } => {
                     out.extend_from_slice(&[0, dst]);
@@ -1883,36 +1834,152 @@ mod tests {
         out
     }
 
+    /// The stream one field at a time, into ops: the reference reader
+    /// (`Program::decode` as it was while a program held its ops).
+    fn decode_by_field(bytes: &[u8]) -> Result<(usize, u16, Vec<POp>), EngineError> {
+        let malformed = |what: &str, at: usize| {
+            EngineError::Exec(format!("program decode: {what} at offset {at}"))
+        };
+        struct Rd<'a> {
+            b: &'a [u8],
+            at: usize,
+        }
+        impl Rd<'_> {
+            fn u8(&mut self) -> Option<u8> {
+                let v = *self.b.get(self.at)?;
+                self.at += 1;
+                Some(v)
+            }
+            fn u16(&mut self) -> Option<u16> {
+                Some(u16::from_le_bytes([self.u8()?, self.u8()?]))
+            }
+            fn i32(&mut self) -> Option<i32> {
+                Some(i32::from_le_bytes([
+                    self.u8()?,
+                    self.u8()?,
+                    self.u8()?,
+                    self.u8()?,
+                ]))
+            }
+        }
+        fn read_op(r: &mut Rd<'_>) -> Option<POp> {
+            let bin = |r: &mut Rd<'_>| BIN_OPS.get(usize::from(r.u8()?)).copied();
+            let cond = |r: &mut Rd<'_>| CONDS.get(usize::from(r.u8()?)).copied();
+            Some(match r.u8()? {
+                0 => POp::Set {
+                    dst: r.u8()?,
+                    imm: r.i32()?,
+                },
+                1 => POp::Bin {
+                    op: bin(r)?,
+                    dst: r.u8()?,
+                    a: r.u8()?,
+                    b: r.u8()?,
+                },
+                2 => POp::BinImm {
+                    op: bin(r)?,
+                    dst: r.u8()?,
+                    a: r.u8()?,
+                    imm: r.i32()?,
+                },
+                3 => POp::Un {
+                    op: UN_OPS.get(usize::from(r.u8()?)).copied()?,
+                    dst: r.u8()?,
+                    a: r.u8()?,
+                },
+                4 => POp::Label { l: r.u16()? },
+                5 => POp::Br {
+                    cond: cond(r)?,
+                    a: r.u8()?,
+                    b: r.u8()?,
+                    l: r.u16()?,
+                },
+                6 => POp::BrImm {
+                    cond: cond(r)?,
+                    a: r.u8()?,
+                    imm: r.i32()?,
+                    l: r.u16()?,
+                },
+                7 => POp::Jmp { l: r.u16()? },
+                8 => POp::Ret { src: r.u8()? },
+                _ => return None,
+            })
+        }
+        let mut r = Rd { b: bytes, at: 0 };
+        let args = r.u8().ok_or_else(|| malformed("missing arg count", 0))? as usize;
+        if args > MAX_PROGRAM_ARGS {
+            return Err(EngineError::TooManyArgs { requested: args });
+        }
+        let labels = r.u16().ok_or_else(|| malformed("missing label count", 1))?;
+        let mut ops = Vec::new();
+        while r.at < bytes.len() {
+            let at = r.at;
+            ops.push(read_op(&mut r).ok_or_else(|| malformed("bad op", at))?);
+        }
+        Ok((args, labels, ops))
+    }
+
     #[test]
     fn encode_is_the_field_by_field_stream_and_decodes_back() {
         let mut rng = crate::regress::XorShift::new(0xe4c0de);
         for n in 0..512 {
-            let p = generated(&mut rng, n % 97);
+            let (p, recorded) = generated(&mut rng, n % 97);
             let bytes = p.encode();
-            assert_eq!(bytes, encode_by_field(&p), "program {n}");
-            assert_eq!(Program::decode(&bytes).expect("decodes"), p, "program {n}");
+            assert_eq!(
+                bytes,
+                encode_by_field(p.args(), p.labels(), &recorded),
+                "program {n}"
+            );
+            assert_eq!(p.ops().collect::<Vec<_>>(), recorded, "program {n}");
+            assert_eq!(p.len(), recorded.len());
+            assert_eq!(p.encoded().0[..], bytes[..]);
+            let q = Program::decode(&bytes).expect("decodes");
+            assert_eq!((&q, q.len()), (&p, p.len()), "program {n}");
             assert_eq!(Program::check_encoded(&bytes).expect("checks"), p.args());
         }
     }
 
-    /// `check_encoded(b).is_ok()` ⇔ `decode(b).is_ok()` ⇔
-    /// `decode(b)?.encode() == b`, with the same arity and the same
-    /// error class.
+    #[test]
+    fn every_mutator_invalidates_the_memoized_stream() {
+        let mut p = sample();
+        let before = p.encoded().clone();
+        p.ret(4);
+        assert_eq!(p.encoded().0[..], p.encode()[..]);
+        assert_ne!(p.encoded().1, before.1);
+        let before = p.encoded().clone();
+        p.genlabel();
+        assert_eq!(p.encoded().0[..], p.encode()[..]);
+        assert_ne!(p.encoded().1, before.1);
+    }
+
+    /// `check_encoded` and `decode` accept exactly the streams the
+    /// field-by-field reader does, with the same arity, the same ops and
+    /// the same error class; a stream that decodes re-encodes to itself.
     #[track_caller]
-    fn check_agrees_with_decode(bytes: &[u8]) {
-        match (Program::check_encoded(bytes), Program::decode(bytes)) {
-            (Ok(args), Ok(p)) => {
-                assert_eq!(args, p.args(), "{bytes:02x?}");
+    fn check_agrees_with_reference(bytes: &[u8]) {
+        match (
+            Program::check_encoded(bytes),
+            Program::decode(bytes),
+            decode_by_field(bytes),
+        ) {
+            (Ok(args), Ok(p), Ok((ref_args, ref_labels, ref_ops))) => {
+                assert_eq!(
+                    (args, p.args(), p.labels()),
+                    (ref_args, ref_args, ref_labels)
+                );
+                assert_eq!(p.ops().collect::<Vec<_>>(), ref_ops, "{bytes:02x?}");
+                assert_eq!(p.len(), ref_ops.len());
                 assert_eq!(p.encode(), bytes, "decoded stream must re-encode to itself");
             }
             (
                 Err(EngineError::TooManyArgs { requested: c }),
                 Err(EngineError::TooManyArgs { requested: d }),
+                Err(EngineError::TooManyArgs { requested: r }),
             ) => {
-                assert_eq!(c, d);
+                assert_eq!((c, d), (r, r));
             }
-            (Err(EngineError::Exec(_)), Err(EngineError::Exec(_))) => {}
-            (c, d) => panic!("check {c:?} but decode {d:?} on {bytes:02x?}"),
+            (Err(EngineError::Exec(_)), Err(EngineError::Exec(_)), Err(EngineError::Exec(_))) => {}
+            (c, d, r) => panic!("check {c:?}, decode {d:?}, reference {r:?} on {bytes:02x?}"),
         }
     }
 
@@ -1922,15 +1989,15 @@ mod tests {
     fn check_encoded_agrees_with_decode_on_every_mutation() {
         let mut rng = crate::regress::XorShift::new(0xc4ec4ed);
         for n in 0..64 {
-            let mut bytes = generated(&mut rng, 4 + n % 20).encode();
+            let mut bytes = generated(&mut rng, 4 + n % 20).0.encode();
             for cut in 0..=bytes.len() {
-                check_agrees_with_decode(&bytes[..cut]);
+                check_agrees_with_reference(&bytes[..cut]);
             }
             for at in 0..bytes.len() {
                 let pristine = bytes[at];
                 for v in 0..=255u8 {
                     bytes[at] = v;
-                    check_agrees_with_decode(&bytes);
+                    check_agrees_with_reference(&bytes);
                 }
                 bytes[at] = pristine;
             }

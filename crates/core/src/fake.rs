@@ -128,7 +128,7 @@ impl Target for FakeTarget {
         &REGFILE
     }
 
-    fn begin(a: &mut Asm<'_>, sig: &Sig, _leaf: Leaf) -> Result<Vec<Reg>, Error> {
+    fn begin(a: &mut Asm<'_>, sig: &Sig, _leaf: Leaf, args: &mut Vec<Reg>) -> Result<(), Error> {
         // Frame-allocation word, patched in `end` with the final size.
         a.ts.frame_fix = a.buf.len();
         a.buf.put_u32(word(opcodes::FRAME, 0, 0, 0));
@@ -138,7 +138,6 @@ impl Target for FakeTarget {
         a.buf.reserve(Self::MAX_SAVE_BYTES, 0);
         a.ts.save_area = (start, a.buf.len());
         // Argument homing: ints in a0..a3, floats in f12/f14.
-        let mut args = Vec::new();
         let (mut ni, mut nf) = (0u8, 0u8);
         for &ty in sig.args() {
             let reg = if ty.is_float() {
@@ -159,7 +158,7 @@ impl Target for FakeTarget {
             a.ra.take(reg);
             args.push(reg);
         }
-        Ok(args)
+        Ok(())
     }
 
     fn local(a: &mut Asm<'_>, ty: Ty) -> StackSlot {

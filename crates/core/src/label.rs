@@ -29,8 +29,16 @@ const UNBOUND: usize = usize::MAX;
 
 impl LabelMap {
     /// Creates an empty map.
-    pub fn new() -> LabelMap {
-        LabelMap::default()
+    pub const fn new() -> LabelMap {
+        LabelMap {
+            offsets: Vec::new(),
+        }
+    }
+
+    /// Forgets every label, keeping the table's storage for the next
+    /// session ([`SessionTables`](crate::asm::SessionTables)).
+    pub(crate) fn clear(&mut self) {
+        self.offsets.clear();
     }
 
     /// Allocates a fresh, unbound label.

@@ -28,7 +28,7 @@ struct Candidate {
 /// than 25 allocatable registers per bank; the ceiling lets the
 /// candidate lists live inline in the allocator (and therefore in every
 /// `Asm`), so building one per generated function allocates nothing.
-const MAX_CANDS: usize = 32;
+pub(crate) const MAX_CANDS: usize = 32;
 
 /// A fixed-capacity, inline candidate priority list.
 #[derive(Debug, Clone, Copy)]

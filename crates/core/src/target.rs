@@ -193,14 +193,16 @@ pub trait Target: Sized {
     /// Begins a function: computes where incoming parameters are from the
     /// signature and the machine calling convention (copying stack
     /// arguments to registers by default), reserves prologue space, and
-    /// returns the registers now holding the parameters (paper §3.2
-    /// step 2).
+    /// pushes the registers now holding the parameters onto `args`
+    /// (paper §3.2 step 2) — the session's own, empty, table, which a
+    /// recycled session brings with its storage
+    /// ([`SessionTables`](crate::asm::SessionTables)).
     ///
     /// # Errors
     ///
     /// [`Error::TooManyArgs`] if the convention support cannot place all
     /// parameters.
-    fn begin(a: &mut Asm<'_>, sig: &Sig, leaf: Leaf) -> Result<Vec<Reg>, Error>;
+    fn begin(a: &mut Asm<'_>, sig: &Sig, leaf: Leaf, args: &mut Vec<Reg>) -> Result<(), Error>;
 
     /// Allocates a local variable slot in the activation record.
     fn local(a: &mut Asm<'_>, ty: Ty) -> StackSlot;

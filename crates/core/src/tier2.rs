@@ -483,7 +483,8 @@ fn dce(ops: &mut Vec<POp>, stats: &mut OptStats) -> bool {
 /// unreachable tails after unconditional transfers, and removes labels
 /// nothing references.
 fn layout(ops: &mut Vec<POp>, stats: &mut OptStats) -> bool {
-    // Last binding wins, matching `Program::interpret`.
+    // The last binding, should a label have two: a program `interpret`
+    // and the lowering refuse, and that this pass leaves refused.
     let mut bound: HashMap<u16, usize> = HashMap::new();
     let mut referenced: HashSet<u16> = HashSet::new();
     for (i, op) in ops.iter().enumerate() {
@@ -593,7 +594,7 @@ fn layout(ops: &mut Vec<POp>, stats: &mut OptStats) -> bool {
 /// it traps: division by a value not provably nonzero is never deleted
 /// or folded.
 pub fn optimize(prog: &Program) -> (Program, OptStats) {
-    let mut ops: Vec<POp> = prog.ops().to_vec();
+    let mut ops: Vec<POp> = prog.ops().collect();
     let mut stats = OptStats {
         insns_in: count_exec(&ops),
         ..OptStats::default()
@@ -632,7 +633,6 @@ pub fn optimize(prog: &Program) -> (Program, OptStats) {
 /// they span (see [`LiveIntervals`]). Argument registers are live from
 /// entry.
 fn intervals(prog: &Program) -> LiveIntervals {
-    let ops = prog.ops();
     let mut iv = LiveIntervals::new(256);
     for v in 0..prog.args() {
         iv.mention(v, 0);
@@ -640,8 +640,8 @@ fn intervals(prog: &Program) -> LiveIntervals {
     let mention = |iv: &mut LiveIntervals, v: u8, pos: usize| {
         iv.mention(usize::from(v), pos as u32);
     };
-    for (i, op) in ops.iter().enumerate() {
-        match *op {
+    for (i, op) in prog.ops().enumerate() {
+        match op {
             POp::Set { dst, .. } => mention(&mut iv, dst, i),
             POp::Bin { dst, a, b, .. } => {
                 mention(&mut iv, a, i);
@@ -664,13 +664,13 @@ fn intervals(prog: &Program) -> LiveIntervals {
     // Backward edges, in ascending branch position (one pass reaches the
     // fixpoint — see LiveIntervals::extend_loop).
     let mut bound: HashMap<u16, usize> = HashMap::new();
-    for (i, op) in ops.iter().enumerate() {
-        if let POp::Label { l } = *op {
+    for (i, op) in prog.ops().enumerate() {
+        if let POp::Label { l } = op {
             bound.insert(l, i);
         }
     }
-    for (i, op) in ops.iter().enumerate() {
-        if let POp::Br { l, .. } | POp::BrImm { l, .. } | POp::Jmp { l } = *op {
+    for (i, op) in prog.ops().enumerate() {
+        if let POp::Br { l, .. } | POp::BrImm { l, .. } | POp::Jmp { l } = op {
             if let Some(&p) = bound.get(&l) {
                 if p <= i {
                     iv.extend_loop(p as u32, i as u32);
@@ -710,13 +710,12 @@ struct LinearScan {
 
 impl VregMap for LinearScan {
     fn new(prog: &Program, args: &[Reg]) -> LinearScan {
-        let ops = prog.ops();
         let iv = intervals(prog);
-        let mut ends: Vec<Vec<u8>> = vec![Vec::new(); ops.len()];
+        let mut ends: Vec<Vec<u8>> = vec![Vec::new(); prog.len()];
         for slot in 0..iv.slots() {
             if let Some(r) = iv.get(slot) {
-                let pos = (r.end as usize).min(ops.len().saturating_sub(1));
-                if !ops.is_empty() {
+                let pos = (r.end as usize).min(prog.len().saturating_sub(1));
+                if !prog.is_empty() {
                     ends[pos].push(slot as u8);
                 }
             }
@@ -781,11 +780,8 @@ mod tests {
         // The chain is collapsed and the dead movs eliminated: the add
         // reads v0 directly.
         assert!(
-            q.ops()
-                .iter()
-                .any(|o| matches!(o, POp::BinImm { a: 0, .. })),
-            "{:?}",
-            q.ops()
+            q.ops().any(|o| matches!(o, POp::BinImm { a: 0, .. })),
+            "{q:?}"
         );
         assert!(q.len() < p.len());
         assert_equiv(&p, &[&[7], &[-3], &[0]]);
@@ -803,7 +799,7 @@ mod tests {
         let (q, stats) = optimize(&p);
         assert!(stats.folds >= 4, "{stats:?}");
         // Everything collapses to `ret v0`.
-        assert_eq!(q.ops(), &[POp::Ret { src: 0 }], "{:?}", q.ops());
+        assert_eq!(q.ops().collect::<Vec<_>>(), [POp::Ret { src: 0 }]);
         assert_equiv(&p, &[&[11], &[-11], &[0]]);
     }
 
@@ -824,10 +820,8 @@ mod tests {
         );
         // Folds to set 42; ret.
         assert_eq!(
-            q.ops(),
-            &[POp::Set { dst: 0, imm: 42 }, POp::Ret { src: 0 }],
-            "{:?}",
-            q.ops()
+            q.ops().collect::<Vec<_>>(),
+            [POp::Set { dst: 0, imm: 42 }, POp::Ret { src: 0 }]
         );
         assert_equiv(&p, &[&[]]);
     }
@@ -856,10 +850,8 @@ mod tests {
         let (q, _) = optimize(&p);
         assert!(
             q.ops()
-                .iter()
                 .any(|o| matches!(o, POp::BinImm { op: BinOp::Div, .. })),
-            "{:?}",
-            q.ops()
+            "{q:?}"
         );
         assert!(q.interpret(&[], 100).is_err());
         // A dead division with an unknown divisor is also kept.
@@ -870,10 +862,8 @@ mod tests {
         let (q, _) = optimize(&p);
         assert!(
             q.ops()
-                .iter()
                 .any(|o| matches!(o, POp::Bin { op: BinOp::Div, .. })),
-            "{:?}",
-            q.ops()
+            "{q:?}"
         );
         assert!(q.interpret(&[1, 0], 100).is_err());
         assert_eq!(q.interpret(&[1, 1], 100).unwrap(), 1);
@@ -895,18 +885,11 @@ mod tests {
         p.ret(0);
         let (q, stats) = optimize(&p);
         assert!(stats.branches_simplified >= 2, "{stats:?}");
-        assert!(
-            !q.ops().iter().any(|o| matches!(o, POp::Jmp { .. })),
-            "{:?}",
-            q.ops()
-        );
+        assert!(!q.ops().any(|o| matches!(o, POp::Jmp { .. })), "{q:?}");
         // The surviving branch is inverted to jump to exit.
         assert!(
-            q.ops()
-                .iter()
-                .any(|o| matches!(o, POp::Br { cond: Cond::Ge, .. })),
-            "{:?}",
-            q.ops()
+            q.ops().any(|o| matches!(o, POp::Br { cond: Cond::Ge, .. })),
+            "{q:?}"
         );
         assert_equiv(&p, &[&[1, 2], &[2, 1], &[0, 0]]);
     }
@@ -981,18 +964,26 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_label_bindings_follow_interpreter_semantics() {
-        // interpret() resolves a label to its *last* binding; the layout
-        // pass must agree and not delete a "jump to next" that actually
-        // targets a later duplicate.
+    fn a_label_bound_twice_is_refused_before_and_after_optimization() {
+        // `interpret` and the lowering refuse the program; the layout
+        // pass must not turn it into a different one that runs (by
+        // deleting the "jump to next" that targets the first binding).
         let mut p = Program::new(0).unwrap();
         let l = p.genlabel();
         p.set(0, 1);
         p.jmp(l);
-        p.label(l); // first binding (shadowed)
+        p.label(l);
         p.set(0, 2);
-        p.label(l); // last binding wins
+        p.label(l);
         p.ret(0);
-        assert_equiv(&p, &[&[]]);
+        let (q, _) = optimize(&p);
+        let mut mem = vec![0u8; q.code_capacity()];
+        for r in [
+            p.interpret(&[], 100),
+            q.interpret(&[], 100),
+            replay_opt::<FakeTarget>(&q, &mut mem).map(|_| 0),
+        ] {
+            assert!(matches!(r, Err(EngineError::LabelBoundTwice { label }) if label == l));
+        }
     }
 }

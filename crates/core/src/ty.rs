@@ -297,6 +297,12 @@ impl Sig {
         &self.args
     }
 
+    /// The argument list's storage back, for the next signature built
+    /// with [`new`](Self::new).
+    pub fn into_args(self) -> Vec<Ty> {
+        self.args
+    }
+
     /// The return type (defaults to [`Ty::V`] when the string had no `:`
     /// tail; the actual value returned is whatever the generated `ret`
     /// instruction supplies, as in the paper).

@@ -244,6 +244,12 @@ impl Fun {
     /// simple allocator, or any backend error.
     pub fn compile<T: Target>(&self, mem: &mut [u8], leaf: Leaf) -> Result<Finished, DcgError> {
         let mut a = Assembler::<T>::lambda_sig(mem, self.sig.clone(), leaf)?;
+        self.reduce(&mut a)?;
+        Ok(a.end()?)
+    }
+
+    /// Labels the trees, then reduces them into the open session `a`.
+    fn reduce<T: Target>(&self, a: &mut Assembler<'_, T>) -> Result<(), DcgError> {
         let labels: Vec<vcode::Label> = (0..self.labels).map(|_| a.genlabel()).collect();
         // Pass 1: label.
         let states = self.label_pass();
@@ -255,9 +261,9 @@ impl Fun {
         };
         // Pass 2: reduce (emit).
         for stmt in &self.stmts {
-            cg.stmt(&mut a, stmt)?;
+            cg.stmt(a, stmt)?;
         }
-        Ok(a.end()?)
+        Ok(())
     }
 
     /// The BURS label pass: computes, for every node, the cost of
@@ -346,6 +352,12 @@ struct NodeState {
     rule: [Rule; 2],
 }
 
+/// The reduce pass. A node carries its operation as a value, so binops,
+/// immediates, unops and branches go through the assembler's runtime-op
+/// entry points ([`Assembler::binop`] and siblings), which count and
+/// verify them like any client's instruction. Five node kinds have no
+/// such entry point and still emit through `T::emit_*(a.raw(), ..)`,
+/// uncounted and unverified: `cvt`, `ld`, `st`, `ret` and `jump`.
 struct Codegen<'f> {
     fun: &'f Fun,
     labels: Vec<vcode::Label>,
@@ -409,7 +421,7 @@ impl<'f> Codegen<'f> {
                 if self.states[id.0 as usize].rule[NT_REG] == Rule::BinImm {
                     if let Some(imm) = self.as_const(*rn) {
                         let rd = self.result_reg(a, lr, false)?;
-                        T::emit_binop_imm(a.raw(), *op, *ty, rd, lr, imm);
+                        a.binop_imm(*op, *ty, rd, lr, imm);
                         if rd != lr {
                             self.free(a, lr);
                         }
@@ -418,7 +430,7 @@ impl<'f> Codegen<'f> {
                 }
                 let rr = self.eval(a, *rn)?;
                 let rd = self.result_reg(a, lr, ty.is_float())?;
-                T::emit_binop(a.raw(), *op, *ty, rd, lr, rr);
+                a.binop(*op, *ty, rd, lr, rr);
                 self.free(a, rr);
                 if rd != lr {
                     self.free(a, lr);
@@ -428,7 +440,7 @@ impl<'f> Codegen<'f> {
             Node::Unop(op, ty, e) => {
                 let er = self.eval(a, *e)?;
                 let rd = self.result_reg(a, er, ty.is_float())?;
-                T::emit_unop(a.raw(), *op, *ty, rd, er);
+                a.unop(*op, *ty, rd, er);
                 if rd != er {
                     self.free(a, er);
                 }
@@ -504,13 +516,13 @@ impl<'f> Codegen<'f> {
                 let lab = self.labels[target.0 as usize];
                 if ty.is_int() {
                     if let Some(imm) = self.as_const(*r) {
-                        T::emit_branch(a.raw(), *cond, *ty, lr, vcode::BrOperand::I(imm), lab);
+                        a.branch(*cond, *ty, lr, vcode::BrOperand::I(imm), lab);
                         self.free(a, lr);
                         return Ok(());
                     }
                 }
                 let rr = self.eval(a, *r)?;
-                T::emit_branch(a.raw(), *cond, *ty, lr, vcode::BrOperand::R(rr), lab);
+                a.branch(*cond, *ty, lr, vcode::BrOperand::R(rr), lab);
                 self.free(a, rr);
                 self.free(a, lr);
             }
@@ -608,6 +620,29 @@ mod tests {
         f.ret(Ty::I, x);
         let mut mem = vec![0u8; 1024];
         f.compile::<FakeTarget>(&mut mem, Leaf::Yes).unwrap();
+    }
+
+    #[test]
+    fn reduced_instructions_are_counted_and_verified() {
+        // x + y * 3: a multiply-immediate and an add (the `ret` is one of
+        // the five raw kinds).
+        let mut f = Fun::new("%i%i").unwrap();
+        let (x, y) = (f.arg(0), f.arg(1));
+        let three = f.consti(3);
+        let scaled = f.binop(BinOp::Mul, Ty::I, y, three);
+        let sum = f.binop(BinOp::Add, Ty::I, x, scaled);
+        f.ret(Ty::I, sum);
+        let mut mem = vec![0u8; 1024];
+        let fin = f.compile::<FakeTarget>(&mut mem, Leaf::Yes).unwrap();
+        assert_eq!(fin.insns, 2);
+
+        let mut a =
+            Assembler::<FakeTarget>::lambda_sig(&mut mem, f.sig.clone(), Leaf::Yes).unwrap();
+        a.enable_verifier();
+        f.reduce(&mut a).unwrap();
+        let report = a.end().unwrap().verify.expect("verified session");
+        assert_eq!((report.vcode_insns, report.marks.len()), (2, 2));
+        assert!(report.is_clean(), "{:?}", report.diags);
     }
 
     #[test]

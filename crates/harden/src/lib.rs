@@ -69,6 +69,146 @@ pub fn regress_programs() -> Vec<vcode::engine::Program> {
     out
 }
 
+/// A terminating two-argument engine program of 16 to 256 instructions
+/// in the shape of the benchmark's generator (`benchmark/src/gen.rs`,
+/// which stays independent of the product and draws from its own PRNG):
+/// constants, the six ALU ops in register and small/large-immediate
+/// form, immediate divisions and shifts, every unary op, forward
+/// branches on every condition and counted loops. The interpreter and
+/// all four backends agree on every instruction (divisors are
+/// immediates >= 2, shift counts below 32, only written registers are
+/// read). `serial` is planted in the first instruction, so no two
+/// programs of one stream share a cache key.
+pub fn seeded_program(rng: &mut XorShift, serial: u32) -> vcode::engine::Program {
+    use vcode::{BinOp, Cond, UnOp};
+    /// v0/v1 are the arguments, v2..=v6 temporaries, v7 the loop
+    /// counter, which ordinary instructions never touch.
+    const TEMPS: u64 = 7;
+    const COUNTER: u8 = 7;
+    const ALU: [BinOp; 6] = [
+        BinOp::Add,
+        BinOp::Sub,
+        BinOp::Mul,
+        BinOp::And,
+        BinOp::Or,
+        BinOp::Xor,
+    ];
+    const UN: [UnOp; 4] = [UnOp::Com, UnOp::Not, UnOp::Mov, UnOp::Neg];
+    const CONDS: [Cond; 6] = [Cond::Lt, Cond::Le, Cond::Gt, Cond::Ge, Cond::Eq, Cond::Ne];
+    struct Body<'a> {
+        p: vcode::engine::Program,
+        rng: &'a mut XorShift,
+        /// Registers already written: the only ones read.
+        init: Vec<u8>,
+    }
+    impl Body<'_> {
+        fn src(&mut self) -> u8 {
+            self.init[self.rng.below(self.init.len() as u64) as usize]
+        }
+        /// A destination; inside a skipped region or a loop (`fresh`
+        /// false) only an already-defined one, so every path leaves the
+        /// same set defined.
+        fn dst(&mut self, fresh: bool) -> u8 {
+            if !fresh {
+                return self.src();
+            }
+            let d = self.rng.below(TEMPS) as u8;
+            if !self.init.contains(&d) {
+                self.init.push(d);
+            }
+            d
+        }
+        fn simple(&mut self, fresh: bool) {
+            let kind = self.rng.below(40);
+            if kind <= 3 {
+                let d = self.dst(fresh);
+                let imm = self.rng.next_u64() as i32;
+                return self.p.set(d, imm);
+            }
+            if kind <= 15 {
+                let op = ALU[self.rng.below(6) as usize];
+                let (a, b) = (self.src(), self.src());
+                let d = self.dst(fresh);
+                return self.p.bin(op, d, a, b);
+            }
+            if kind >= 34 {
+                let op = UN[self.rng.below(4) as usize];
+                let a = self.src();
+                let d = self.dst(fresh);
+                return self.p.un(op, d, a);
+            }
+            let (op, imm) = match kind {
+                // Half small immediates, half ones that need the
+                // backends' large-constant synthesis.
+                16..=26 => {
+                    let op = ALU[self.rng.below(6) as usize];
+                    if self.rng.next_bool() {
+                        (op, self.rng.below(2001) as i32 - 1000)
+                    } else {
+                        (op, self.rng.next_u64() as i32)
+                    }
+                }
+                27 if self.rng.next_bool() => (BinOp::Div, self.rng.range(2, 501) as i32),
+                27 => (BinOp::Mod, self.rng.range(2, 501) as i32),
+                _ if self.rng.next_bool() => (BinOp::Lsh, self.rng.below(32) as i32),
+                _ => (BinOp::Rsh, self.rng.below(32) as i32),
+            };
+            let a = self.src();
+            let d = self.dst(fresh);
+            self.p.bin_imm(op, d, a, imm);
+        }
+    }
+    let mut b = Body {
+        p: vcode::engine::Program::new(2).expect("two arguments"),
+        rng,
+        init: vec![0, 1, 2],
+    };
+    b.p.set(2, serial as i32);
+    let target = b.rng.range(16, 257) as usize;
+    // Leave room for the longest construct (a loop: 10) and the `ret`.
+    while b.p.len() + 11 < target {
+        match b.rng.below(12) {
+            // A counted loop: two to eight trips over two to six
+            // instructions.
+            0 => {
+                let top = b.p.genlabel();
+                let trips = b.rng.range(2, 9) as i32;
+                b.p.set(COUNTER, trips);
+                b.p.label(top);
+                for _ in 0..b.rng.range(2, 7) {
+                    b.simple(false);
+                }
+                b.p.bin_imm(BinOp::Sub, COUNTER, COUNTER, 1);
+                b.p.br_imm(Cond::Gt, COUNTER, 0, top);
+            }
+            // A forward branch over one to three instructions.
+            1 | 2 => {
+                let over = b.p.genlabel();
+                let cond = CONDS[b.rng.below(6) as usize];
+                let a = b.src();
+                if b.rng.next_bool() {
+                    let other = b.src();
+                    b.p.br(cond, a, other, over);
+                } else {
+                    let imm = b.rng.below(201) as i32 - 100;
+                    b.p.br_imm(cond, a, imm, over);
+                }
+                for _ in 0..b.rng.range(1, 4) {
+                    b.simple(false);
+                }
+                b.p.label(over);
+            }
+            _ => b.simple(true),
+        }
+    }
+    while b.p.len() + 1 < target {
+        b.simple(true);
+    }
+    let r = b.src();
+    b.p.ret(r);
+    b.p
+}
+
 /// One injected behavior for a background build attempt (the compile
 /// service's fault corpus).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

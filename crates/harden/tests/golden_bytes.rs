@@ -7,7 +7,10 @@
 //! the fast path to the bytewise path within one build), so the digests
 //! below were computed at 393b495, before `engine::replay` and
 //! `tier2::replay_opt` were folded onto one lowering loop, and must not
-//! move without a `persist::FORMAT_VERSION` bump.
+//! move without a `persist::FORMAT_VERSION` bump. The seeded set — 1024
+//! programs in the shape of the benchmark's generator — and the
+//! `Program` stream pins were computed at 2fb0710, while `Program` still
+//! held a `Vec<POp>` and lowering dispatched per op.
 
 use vcode::engine::{replay, EngineError, Program};
 use vcode::persist::digest64;
@@ -42,19 +45,26 @@ fn digest_of(corpus: &[Program], lower: Replay) -> u64 {
     digest64(&all)
 }
 
-fn pinned<T: Target>(tier1: u64, tier2: u64) {
-    let corpus = corpus();
+/// 1024 programs from [`harden::seeded_program`], one fixed seed.
+fn seeded() -> Vec<Program> {
+    let mut rng = harden::XorShift::new(0x5eed_ed60_1de2_b17e);
+    (0..1024)
+        .map(|serial| harden::seeded_program(&mut rng, serial))
+        .collect()
+}
+
+fn pinned<T: Target>(corpus: &[Program], pinned_at: &str, tier1: u64, tier2: u64) {
     assert_eq!(
-        digest_of(&corpus, replay::<T>),
+        digest_of(corpus, replay::<T>),
         tier1,
-        "{}: replay emits different bytes than 393b495 did",
+        "{}: replay emits different bytes than {pinned_at} did",
         T::NAME
     );
     let optimized: Vec<Program> = corpus.iter().map(|p| optimize(p).0).collect();
     assert_eq!(
         digest_of(&optimized, replay_opt::<T>),
         tier2,
-        "{}: optimize + replay_opt emit different bytes than 393b495 did",
+        "{}: optimize + replay_opt emit different bytes than {pinned_at} did",
         T::NAME
     );
 }
@@ -62,10 +72,65 @@ fn pinned<T: Target>(tier1: u64, tier2: u64) {
 /// The literals are what 393b495 emitted.
 #[test]
 fn emitted_bytes_match_the_parent_commit_on_every_target() {
-    pinned::<Mips>(0xef99_8af7_c851_9014, 0xdd9f_f6ed_e536_ba58);
-    pinned::<Sparc>(0x0c8d_49d7_264a_91a7, 0xbf0c_d593_4b57_3c04);
-    pinned::<Alpha>(0xf1d1_7a02_0ce3_15cd, 0xf91a_9e10_ec5e_2ea5);
-    pinned::<X64>(0xb18c_aafc_14af_92ab, 0xe0d5_091b_86a5_b53e);
+    let c = corpus();
+    pinned::<Mips>(&c, "393b495", 0xef99_8af7_c851_9014, 0xdd9f_f6ed_e536_ba58);
+    pinned::<Sparc>(&c, "393b495", 0x0c8d_49d7_264a_91a7, 0xbf0c_d593_4b57_3c04);
+    pinned::<Alpha>(&c, "393b495", 0xf1d1_7a02_0ce3_15cd, 0xf91a_9e10_ec5e_2ea5);
+    pinned::<X64>(&c, "393b495", 0xb18c_aafc_14af_92ab, 0xe0d5_091b_86a5_b53e);
+}
+
+/// The literals are what 2fb0710 emitted.
+#[test]
+fn seeded_programs_emit_the_bytes_2fb0710_did_on_every_target() {
+    let s = seeded();
+    pinned::<Mips>(&s, "2fb0710", 0x7373_9554_02f0_d5d6, 0xeb96_08ed_d643_7fea);
+    pinned::<Sparc>(&s, "2fb0710", 0x9d61_6121_6072_4d10, 0x2596_90cc_b616_d400);
+    pinned::<Alpha>(&s, "2fb0710", 0x4fbb_d624_39dc_5c2b, 0xca5a_b43e_431c_559d);
+    pinned::<X64>(&s, "2fb0710", 0x2f9e_c658_783b_0dd2, 0xf2b6_8b09_542f_da5d);
+}
+
+/// The serialized stream is the cache key and the artifact's embedded
+/// IR, and `ops()` is what the optimizer reads: both as 2fb0710 — where
+/// `ops()` was the recorded `Vec<POp>` itself — produced them, over the
+/// corpus and the seeded set; every stream decodes back to its program,
+/// and a mutation shows in the memoized form.
+#[test]
+fn program_streams_and_ops_are_what_2fb0710_recorded() {
+    let (mut streams, mut ops) = (Vec::new(), String::new());
+    for p in corpus().into_iter().chain(seeded()) {
+        let bytes = p.encode();
+        assert_eq!(Program::decode(&bytes).expect("decodes"), p);
+        assert_eq!(Program::check_encoded(&bytes).expect("checks"), p.args());
+        assert_eq!(p.ops().count(), p.len());
+        let (memo, hash) = p.encoded().clone();
+        assert_eq!((&memo[..], hash), (&bytes[..], digest64(&bytes)));
+        streams.extend_from_slice(&bytes);
+        ops.push_str(&format!("{:?}", p.ops().collect::<Vec<_>>()));
+
+        let mut q = p.clone();
+        assert_eq!(q.encoded().1, hash);
+        q.ret(0);
+        assert_eq!(q.encoded().0[..], q.encode()[..], "memo survived `ret`");
+        assert_eq!(q.encoded().0[..bytes.len()], bytes[..]);
+        assert_ne!(q, p);
+        let l = q.genlabel();
+        assert_eq!(
+            q.encoded().0[..],
+            q.encode()[..],
+            "memo survived `genlabel`"
+        );
+        assert_eq!(q.labels(), l + 1);
+    }
+    assert_eq!(
+        digest64(&streams),
+        0x12fc_299e_ebd0_a352,
+        "encode() streams moved"
+    );
+    assert_eq!(
+        digest64(ops.as_bytes()),
+        0x16e6_29a0_19b9_d6ff,
+        "ops() moved"
+    );
 }
 
 /// Forty temporaries, each dead one instruction after it is written.

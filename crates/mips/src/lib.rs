@@ -218,13 +218,12 @@ impl Target for Mips {
         &REGFILE
     }
 
-    fn begin(a: &mut Asm<'_>, sig: &Sig, _leaf: Leaf) -> Result<Vec<Reg>, Error> {
+    fn begin(a: &mut Asm<'_>, sig: &Sig, _leaf: Leaf, args: &mut Vec<Reg>) -> Result<(), Error> {
         // addiu sp, sp, -FRAME; imm16 patched at `end`.
         a.ts.frame_fix = a.buf.len();
         encode::addiu(&mut a.buf, r::SP, r::SP, 0);
         let start = a.buf.reserve(Self::MAX_SAVE_BYTES, 0);
         a.ts.save_area = (start, a.buf.len());
-        let mut args = Vec::with_capacity(sig.args().len());
         let (mut ni, mut nf) = (0u8, 0u8);
         for &ty in sig.args() {
             if is_flt(ty) {
@@ -251,7 +250,7 @@ impl Target for Mips {
                 ni += 1;
             }
         }
-        Ok(args)
+        Ok(())
     }
 
     fn local(a: &mut Asm<'_>, ty: Ty) -> StackSlot {

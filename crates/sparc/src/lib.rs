@@ -232,14 +232,13 @@ impl Target for Sparc {
         &REGFILE
     }
 
-    fn begin(a: &mut Asm<'_>, sig: &Sig, _leaf: Leaf) -> Result<Vec<Reg>, Error> {
+    fn begin(a: &mut Asm<'_>, sig: &Sig, _leaf: Leaf, args: &mut Vec<Reg>) -> Result<(), Error> {
         // sethi %hi(-frame), %g1; or %g1, %lo(-frame), %g1;
         // save %sp, %g1, %sp — imm fields patched at `end`.
         a.ts.frame_fix = a.buf.len();
         encode::sethi(&mut a.buf, G1, 0);
         encode::f3_ri(&mut a.buf, op3::OR, G1, G1, 0);
         encode::f3_rr(&mut a.buf, op3::SAVE, r::SP, r::SP, G1);
-        let mut args = Vec::with_capacity(sig.args().len());
         let (mut ni, mut nf) = (0u8, 0u8);
         for &ty in sig.args() {
             if ty.is_float() {
@@ -266,7 +265,7 @@ impl Target for Sparc {
                 ni += 1;
             }
         }
-        Ok(args)
+        Ok(())
     }
 
     fn local(a: &mut Asm<'_>, ty: Ty) -> StackSlot {

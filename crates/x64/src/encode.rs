@@ -273,16 +273,11 @@ pub enum Alu {
 }
 
 impl Alu {
-    /// The `/ext` digit of the immediate form (`81 /ext`).
-    pub fn imm_ext(self) -> u8 {
-        match self {
-            Alu::Add => 0,
-            Alu::Or => 1,
-            Alu::And => 4,
-            Alu::Sub => 5,
-            Alu::Xor => 6,
-            Alu::Cmp => 7,
-        }
+    /// The `/ext` digit of the immediate form (`81 /ext`): x86 numbers
+    /// the eight ALU operations once, in bits 3–5 of the opcode and in
+    /// the digit alike.
+    pub const fn imm_ext(self) -> u8 {
+        self as u8 >> 3
     }
 }
 
@@ -292,23 +287,157 @@ pub fn alu_rr(buf: &mut CodeBuffer<'_>, op: Alu, w: bool, rm: u8, reg: u8) {
     op_rr(buf, None, &[op as u8], w, reg, rm, false);
 }
 
+/// `op rm, imm` as a packed word: the sign-extended-imm8 form (`83`)
+/// when the immediate fits, the imm32 form (`81`) otherwise — chosen by
+/// arithmetic on the opcode and the length, not by a branch: the imm32
+/// is packed either way and the imm8 form's length cuts it after its
+/// low byte.
+#[inline(always)]
+fn alu_imm_word(op: Alu, wide: bool, rm: u8, imm: i32) -> InsnWord {
+    let fits8 = i8::try_from(imm).is_ok();
+    let modrm = modrm_byte(0b11, op.imm_ext(), rm) as u64;
+    let tail = (0x81 | (fits8 as u64) << 1) | modrm << 8 | (imm as u32 as u64) << 16;
+    InsnWord::headed(
+        rex_byte(wide, 0, 0, rm),
+        false,
+        tail,
+        6 - 3 * fits8 as usize,
+    )
+}
+
 /// `op rm, imm` — uses the sign-extended-imm8 form when it fits.
 #[inline(always)]
 pub fn alu_imm(buf: &mut CodeBuffer<'_>, op: Alu, wide: bool, rm: u8, imm: i32) {
-    let r = rex_byte(wide, 0, 0, rm);
-    let modrm = modrm_byte(0b11, op.imm_ext(), rm) as u64;
-    let iw = if let Ok(i8v) = i8::try_from(imm) {
-        InsnWord::headed(r, false, 0x83 | modrm << 8 | (i8v as u8 as u64) << 16, 3)
-    } else {
-        InsnWord::headed(r, false, 0x81 | modrm << 8 | (imm as u32 as u64) << 16, 6)
-    };
-    iw.commit(buf);
+    alu_imm_word(op, wide, rm, imm).commit(buf);
+}
+
+/// `mov rm, reg` as a packed word.
+#[inline(always)]
+fn mov_rr_word(w: bool, rm: u8, reg: u8) -> InsnWord {
+    let tail = 0x89 | (modrm_byte(0b11, reg, rm) as u64) << 8;
+    InsnWord::headed(rex_byte(w, reg, 0, rm), false, tail, 2)
 }
 
 /// `mov rm, reg`.
 #[inline(always)]
 pub fn mov_rr(buf: &mut CodeBuffer<'_>, w: bool, rm: u8, reg: u8) {
-    op_rr(buf, None, &[0x89], w, reg, rm, false);
+    mov_rr_word(w, rm, reg).commit(buf);
+}
+
+/// `mov dst, from` unless they are one register — the length carries
+/// the case, so no branch.
+#[inline(always)]
+pub fn mov_rr_distinct(buf: &mut CodeBuffer<'_>, w: bool, dst: u8, from: u8) {
+    let mov = mov_rr_word(w, dst, from);
+    buf.put_word(mov.word, mov.n * (dst != from) as usize);
+}
+
+// ---- fused two-address forms ----
+//
+// VCODE is three-address, x86-64 two-address: `rd = rs op x` is `mov rd,
+// rs` then `op rd, x`, and just `op rd, x` when `rd` already is `rs`.
+// The emitters below build both instructions every time and commit them
+// through one reservation, the `mov`'s *length* zero when it is not
+// wanted — so which case an instruction is costs no branch, where a
+// stream of random operands mispredicts one in three.
+
+/// Commits `mov dst, from` (unless they are one register) then `insn`.
+#[inline(always)]
+fn commit_after_mov(buf: &mut CodeBuffer<'_>, w: bool, dst: u8, from: u8, insn: InsnWord) {
+    let mov = mov_rr_word(w, dst, from);
+    let mut win = buf.window(MAX_INSN);
+    win.word(mov.word, mov.n * (dst != from) as usize);
+    insn.commit_win(&mut win);
+}
+
+/// A register-form two-operand integer instruction `op dst, src`: its
+/// opcode bytes and which modrm field names the destination.
+#[derive(Debug, Clone, Copy)]
+pub struct Op2 {
+    opc: u64,
+    opc_len: usize,
+    dst_in_reg: bool,
+}
+
+impl Op2 {
+    /// `imul reg, r/m` (`0F AF`).
+    pub const IMUL: Op2 = Op2 {
+        opc: 0xaf0f,
+        opc_len: 2,
+        dst_in_reg: true,
+    };
+
+    /// `op r/m, reg` of an ALU operation.
+    pub const fn alu(op: Alu) -> Op2 {
+        Op2 {
+            opc: op as u64,
+            opc_len: 1,
+            dst_in_reg: false,
+        }
+    }
+}
+
+/// `[mov dst, from]` `op dst, src`.
+#[inline(always)]
+pub fn mov_op_rr(buf: &mut CodeBuffer<'_>, op: Op2, w: bool, dst: u8, from: u8, src: u8) {
+    let (reg, rm) = if op.dst_in_reg {
+        (dst, src)
+    } else {
+        (src, dst)
+    };
+    let tail = op.opc | (modrm_byte(0b11, reg, rm) as u64) << (8 * op.opc_len);
+    let insn = InsnWord::headed(rex_byte(w, reg, 0, rm), false, tail, op.opc_len + 1);
+    commit_after_mov(buf, w, dst, from, insn);
+}
+
+/// `[mov dst, from]` `op dst, imm`, imm8 or imm32 form as
+/// [`alu_imm`] chooses.
+#[inline(always)]
+pub fn mov_alu_imm(buf: &mut CodeBuffer<'_>, op: Alu, w: bool, dst: u8, from: u8, imm: i32) {
+    commit_after_mov(buf, w, dst, from, alu_imm_word(op, w, dst, imm));
+}
+
+/// `[mov dst, from]` then the shift `C1 /ext ib` of `dst`.
+#[inline(always)]
+pub fn mov_shift_imm(buf: &mut CodeBuffer<'_>, ext: u8, w: bool, dst: u8, from: u8, imm: u8) {
+    let tail = 0xc1 | (modrm_byte(0b11, ext, dst) as u64) << 8 | (imm as u64) << 16;
+    let insn = InsnWord::headed(rex_byte(w, 0, 0, dst), false, tail, 3);
+    commit_after_mov(buf, w, dst, from, insn);
+}
+
+/// `[mov dst, from]` then the group-3 unary `F7 /ext` of `dst`
+/// (`not`=2, `neg`=3).
+#[inline(always)]
+pub fn mov_unary(buf: &mut CodeBuffer<'_>, ext: u8, w: bool, dst: u8, from: u8) {
+    let tail = 0xf7 | (modrm_byte(0b11, ext, dst) as u64) << 8;
+    let insn = InsnWord::headed(rex_byte(w, 0, 0, dst), false, tail, 2);
+    commit_after_mov(buf, w, dst, from, insn);
+}
+
+/// Commits the compare `cmp` then `jcc rel32`, returning the offset of
+/// the rel32 field: a conditional branch in one reservation.
+#[inline(always)]
+fn commit_cmp_jcc(buf: &mut CodeBuffer<'_>, cmp: InsnWord, cond: u8) -> usize {
+    let mut w = buf.window(MAX_INSN);
+    cmp.commit_win(&mut w);
+    w.array([0x0f, 0x80 + cond]);
+    let at = w.len();
+    w.u32(0);
+    at
+}
+
+/// `cmp rm, reg` `jcc rel32`, returning the offset of the rel32 field.
+#[inline(always)]
+pub fn cmp_rr_jcc(buf: &mut CodeBuffer<'_>, w: bool, rm: u8, reg: u8, cond: u8) -> usize {
+    let tail = Alu::Cmp as u64 | (modrm_byte(0b11, reg, rm) as u64) << 8;
+    let cmp = InsnWord::headed(rex_byte(w, reg, 0, rm), false, tail, 2);
+    commit_cmp_jcc(buf, cmp, cond)
+}
+
+/// `cmp rm, imm` `jcc rel32`, returning the offset of the rel32 field.
+#[inline(always)]
+pub fn cmp_imm_jcc(buf: &mut CodeBuffer<'_>, w: bool, rm: u8, imm: i32, cond: u8) -> usize {
+    commit_cmp_jcc(buf, alu_imm_word(Alu::Cmp, w, rm, imm), cond)
 }
 
 /// Loads a 64-bit immediate with the shortest encoding (`mov r32, imm32`

@@ -45,7 +45,7 @@ pub use exec::{
 };
 pub use guard::{exec_stats, guarded_call_count, GuardedCall, NativeTrap};
 
-use encode::{cc, r, sse, Alu, Mem};
+use encode::{cc, r, sse, Alu, Mem, Op2};
 use vcode::asm::Asm;
 use vcode::ext::ExtUnOp;
 use vcode::label::{Fixup, FixupTarget, Label};
@@ -150,40 +150,64 @@ fn is64(ty: Ty) -> bool {
     matches!(ty, Ty::L | Ty::Ul | Ty::P)
 }
 
+// The tables below are indexed by an operation's discriminant, so an
+// emitter handed its operation as a *value* (`Assembler::binop` and its
+// siblings: the engine's lowering loop, DCG) selects among the
+// instructions that differ only in a constant without branching on it;
+// handed a constant (`a.addi(..)`), the lookup folds away.
+
+/// Condition-code nibble for an integer comparison: `[signed][cond]`.
+const INT_CC: [[u8; 6]; 2] = [
+    [cc::B, cc::BE, cc::A, cc::AE, cc::E, cc::NE],
+    [cc::L, cc::LE, cc::G, cc::GE, cc::E, cc::NE],
+];
+
 /// Signed/unsigned condition-code nibble for an integer comparison.
-#[inline]
+#[inline(always)]
 fn int_cc(cond: Cond, signed: bool) -> u8 {
-    match (cond, signed) {
-        (Cond::Lt, true) => cc::L,
-        (Cond::Le, true) => cc::LE,
-        (Cond::Gt, true) => cc::G,
-        (Cond::Ge, true) => cc::GE,
-        (Cond::Lt, false) => cc::B,
-        (Cond::Le, false) => cc::BE,
-        (Cond::Gt, false) => cc::A,
-        (Cond::Ge, false) => cc::AE,
-        (Cond::Eq, _) => cc::E,
-        (Cond::Ne, _) => cc::NE,
-    }
+    INT_CC[signed as usize][cond as usize]
+}
+
+/// The ALU instruction that computes a `BinOp`, for the five that are
+/// one (`Add Sub Mul Div Mod And Or Xor Lsh Rsh`).
+const ALU: [Option<Alu>; 10] = [
+    Some(Alu::Add),
+    Some(Alu::Sub),
+    None,
+    None,
+    None,
+    Some(Alu::And),
+    Some(Alu::Or),
+    Some(Alu::Xor),
+    None,
+    None,
+];
+
+/// `/ext` of the shift group (`C1`/`D3`): `shl`, or `sar`/`shr` by
+/// signedness.
+#[inline(always)]
+fn shift_ext(op: BinOp, ty: Ty) -> u8 {
+    debug_assert!(matches!(op, BinOp::Lsh | BinOp::Rsh));
+    [4, 5, 4, 7][(op == BinOp::Rsh) as usize | (ty.is_signed() as usize) << 1]
 }
 
 impl X64 {
-    /// Emits the three-operand → two-operand resolution for a commutable
-    /// or plain ALU op.
+    /// `rd = rs1 op rs2` on a two-address machine: `[mov rd, rs1]`
+    /// `op rd, rs2` as one fused emission (operands exchanged when `rd`
+    /// is `rs2` and the operation commutes), so which of the cases an
+    /// instruction is costs no branch. Only `rd = rs1 - rd` — nothing
+    /// to exchange, and the `mov` would clobber `rs2` — goes through the
+    /// scratch register.
     #[inline(always)]
-    fn alu3(a: &mut Asm<'_>, op: Alu, w: bool, commutes: bool, rd: u8, rs1: u8, rs2: u8) {
-        if rd == rs1 {
-            encode::alu_rr(&mut a.buf, op, w, rd, rs2);
-        } else if rd == rs2 && commutes {
-            encode::alu_rr(&mut a.buf, op, w, rd, rs1);
-        } else if rd == rs2 {
+    fn op3(a: &mut Asm<'_>, op: Op2, w: bool, commutes: bool, rd: u8, rs1: u8, rs2: u8) {
+        if !commutes && rd == rs2 && rd != rs1 {
             encode::mov_rr(&mut a.buf, w, SCRATCH, rs1);
-            encode::alu_rr(&mut a.buf, op, w, SCRATCH, rs2);
+            encode::mov_op_rr(&mut a.buf, op, w, SCRATCH, SCRATCH, rs2);
             encode::mov_rr(&mut a.buf, w, rd, SCRATCH);
-        } else {
-            encode::mov_rr(&mut a.buf, w, rd, rs1);
-            encode::alu_rr(&mut a.buf, op, w, rd, rs2);
+            return;
         }
+        let (from, src) = if rd == rs2 { (rd, rs1) } else { (rs1, rs2) };
+        encode::mov_op_rr(&mut a.buf, op, w, rd, from, src);
     }
 
     #[inline]
@@ -212,17 +236,9 @@ impl X64 {
     #[inline]
     fn shift(a: &mut Asm<'_>, op: BinOp, ty: Ty, rd: u8, rs1: u8, rs2: u8) {
         let w = is64(ty);
-        let ext = match op {
-            BinOp::Lsh => 4,
-            BinOp::Rsh if ty.is_signed() => 7,
-            BinOp::Rsh => 5,
-            _ => unreachable!(),
-        };
         encode::mov_rr(&mut a.buf, false, r::RCX, rs2);
-        if rd != rs1 {
-            encode::mov_rr(&mut a.buf, w, rd, rs1);
-        }
-        encode::shift_cl(&mut a.buf, ext, w, rd);
+        encode::mov_rr_distinct(&mut a.buf, w, rd, rs1);
+        encode::shift_cl(&mut a.buf, shift_ext(op, ty), w, rd);
     }
 
     #[inline]
@@ -278,7 +294,7 @@ impl Target for X64 {
         &REGFILE
     }
 
-    fn begin(a: &mut Asm<'_>, sig: &Sig, _leaf: Leaf) -> Result<Vec<Reg>, Error> {
+    fn begin(a: &mut Asm<'_>, sig: &Sig, _leaf: Leaf, args: &mut Vec<Reg>) -> Result<(), Error> {
         // push rbp; mov rbp, rsp; sub rsp, imm32 (imm patched at `end`).
         encode::push(&mut a.buf, r::RBP);
         encode::mov_rr(&mut a.buf, true, r::RBP, r::RSP);
@@ -313,7 +329,6 @@ impl Target for X64 {
         for i in 0..n_flt {
             a.ra.take(Reg::flt(i as u8));
         }
-        let mut args = Vec::with_capacity(sig.args().len());
         let (mut ni, mut nf) = (0usize, 0usize);
         for &ty in sig.args() {
             if ty.is_float() {
@@ -336,7 +351,7 @@ impl Target for X64 {
                 ni += 1;
             }
         }
-        Ok(args)
+        Ok(())
     }
 
     fn local(a: &mut Asm<'_>, ty: Ty) -> StackSlot {
@@ -446,62 +461,29 @@ impl Target for X64 {
             return;
         }
         let w = is64(ty);
-        match op {
-            BinOp::Add => Self::alu3(a, Alu::Add, w, true, rd.num(), rs1.num(), rs2.num()),
-            BinOp::Sub => Self::alu3(a, Alu::Sub, w, false, rd.num(), rs1.num(), rs2.num()),
-            BinOp::And => Self::alu3(a, Alu::And, w, true, rd.num(), rs1.num(), rs2.num()),
-            BinOp::Or => Self::alu3(a, Alu::Or, w, true, rd.num(), rs1.num(), rs2.num()),
-            BinOp::Xor => Self::alu3(a, Alu::Xor, w, true, rd.num(), rs1.num(), rs2.num()),
-            BinOp::Mul => {
-                let (rd, rs1, rs2) = (rd.num(), rs1.num(), rs2.num());
-                if rd == rs1 {
-                    encode::imul_rr(&mut a.buf, w, rd, rs2);
-                } else if rd == rs2 {
-                    encode::imul_rr(&mut a.buf, w, rd, rs1);
-                } else {
-                    encode::mov_rr(&mut a.buf, w, rd, rs1);
-                    encode::imul_rr(&mut a.buf, w, rd, rs2);
-                }
-            }
-            BinOp::Div => Self::div_mod(a, ty, false, rd.num(), rs1.num(), rs2.num()),
-            BinOp::Mod => Self::div_mod(a, ty, true, rd.num(), rs1.num(), rs2.num()),
-            BinOp::Lsh | BinOp::Rsh => Self::shift(a, op, ty, rd.num(), rs1.num(), rs2.num()),
+        let (rd, rs1, rs2) = (rd.num(), rs1.num(), rs2.num());
+        match (ALU[op as usize], op) {
+            (Some(alu), _) => Self::op3(a, Op2::alu(alu), w, op.commutes(), rd, rs1, rs2),
+            (_, BinOp::Mul) => Self::op3(a, Op2::IMUL, w, true, rd, rs1, rs2),
+            (_, BinOp::Div | BinOp::Mod) => Self::div_mod(a, ty, op == BinOp::Mod, rd, rs1, rs2),
+            _ => Self::shift(a, op, ty, rd, rs1, rs2),
         }
     }
 
     #[inline(always)]
     fn emit_binop_imm(a: &mut Asm<'_>, op: BinOp, ty: Ty, rd: Reg, rs: Reg, imm: i64) {
         let w = is64(ty);
-        match op {
-            BinOp::Add | BinOp::Sub | BinOp::And | BinOp::Or | BinOp::Xor
-                if i32::try_from(imm).is_ok() =>
-            {
-                let alu = match op {
-                    BinOp::Add => Alu::Add,
-                    BinOp::Sub => Alu::Sub,
-                    BinOp::And => Alu::And,
-                    BinOp::Or => Alu::Or,
-                    _ => Alu::Xor,
-                };
-                if rd != rs {
-                    encode::mov_rr(&mut a.buf, w, rd.num(), rs.num());
-                }
-                encode::alu_imm(&mut a.buf, alu, w, rd.num(), imm as i32);
+        match (ALU[op as usize], op, i32::try_from(imm)) {
+            (Some(alu), _, Ok(imm)) => {
+                encode::mov_alu_imm(&mut a.buf, alu, w, rd.num(), rs.num(), imm)
             }
-            BinOp::Mul if i32::try_from(imm).is_ok() => {
-                encode::imul_rri(&mut a.buf, w, rd.num(), rs.num(), imm as i32);
+            (_, BinOp::Mul, Ok(imm)) => {
+                encode::imul_rri(&mut a.buf, w, rd.num(), rs.num(), imm);
             }
-            BinOp::Lsh | BinOp::Rsh => {
-                if rd != rs {
-                    encode::mov_rr(&mut a.buf, w, rd.num(), rs.num());
-                }
-                let ext = match op {
-                    BinOp::Lsh => 4,
-                    BinOp::Rsh if ty.is_signed() => 7,
-                    _ => 5,
-                };
-                let mask = if w { 63 } else { 31 };
-                encode::shift_imm(&mut a.buf, ext, w, rd.num(), imm as u8 & mask);
+            (_, BinOp::Lsh | BinOp::Rsh, _) => {
+                let count = imm as u8 & if w { 63 } else { 31 };
+                let ext = shift_ext(op, ty);
+                encode::mov_shift_imm(&mut a.buf, ext, w, rd.num(), rs.num(), count);
             }
             _ => Self::binop_imm_slow(a, op, ty, rd, rs, imm),
         }
@@ -521,11 +503,7 @@ impl Target for X64 {
                     encode::sse_rr(&mut a.buf, Some(sse::SD), 0x10, rd.num(), rs.num());
                 }
             }
-            (UnOp::Mov, _) => {
-                if rd != rs {
-                    encode::mov_rr(&mut a.buf, w, rd.num(), rs.num());
-                }
-            }
+            (UnOp::Mov, _) => encode::mov_rr_distinct(&mut a.buf, w, rd.num(), rs.num()),
             (UnOp::Neg, Ty::F | Ty::D) => {
                 let (prefix, id) = if ty == Ty::F {
                     (sse::SS, a.lits.intern(0x8000_0000, 4))
@@ -538,17 +516,10 @@ impl Target for X64 {
                 }
                 encode::xorps(&mut a.buf, rd.num(), FSCRATCH);
             }
-            (UnOp::Neg, _) => {
-                if rd != rs {
-                    encode::mov_rr(&mut a.buf, w, rd.num(), rs.num());
-                }
-                encode::unary_rm(&mut a.buf, 3, w, rd.num());
-            }
-            (UnOp::Com, _) => {
-                if rd != rs {
-                    encode::mov_rr(&mut a.buf, w, rd.num(), rs.num());
-                }
-                encode::unary_rm(&mut a.buf, 2, w, rd.num());
+            (UnOp::Neg | UnOp::Com, _) => {
+                // Group 3: `not` is /2, `neg` /3.
+                let ext = 2 + (op == UnOp::Neg) as u8;
+                encode::mov_unary(&mut a.buf, ext, w, rd.num(), rs.num());
             }
             (UnOp::Not, _) => {
                 encode::alu_imm(&mut a.buf, Alu::Cmp, w, rs.num(), 0);
@@ -658,32 +629,26 @@ impl Target for X64 {
 
     #[inline]
     fn emit_branch(a: &mut Asm<'_>, cond: Cond, ty: Ty, rs1: Reg, rs2: BrOperand, l: Label) {
-        let code = if ty.is_float() {
-            let rs2 = match rs2 {
-                BrOperand::R(r) => r,
-                BrOperand::I(_) => {
-                    a.record_err(Error::BadOperands("float branch immediate"));
-                    return;
-                }
+        let at = if ty.is_float() {
+            let BrOperand::R(rs2) = rs2 else {
+                a.record_err(Error::BadOperands("float branch immediate"));
+                return;
             };
             encode::ucomis(&mut a.buf, ty == Ty::D, rs1.num(), rs2.num());
-            int_cc(cond, false)
+            encode::jcc(&mut a.buf, int_cc(cond, false))
         } else {
-            let w = is64(ty);
+            let (w, code) = (is64(ty), int_cc(cond, ty.is_signed()));
             match rs2 {
-                BrOperand::R(r2) => encode::alu_rr(&mut a.buf, Alu::Cmp, w, rs1.num(), r2.num()),
-                BrOperand::I(imm) => {
-                    if let Ok(i) = i32::try_from(imm) {
-                        encode::alu_imm(&mut a.buf, Alu::Cmp, w, rs1.num(), i);
-                    } else {
+                BrOperand::R(r2) => encode::cmp_rr_jcc(&mut a.buf, w, rs1.num(), r2.num(), code),
+                BrOperand::I(imm) => match i32::try_from(imm) {
+                    Ok(i) => encode::cmp_imm_jcc(&mut a.buf, w, rs1.num(), i, code),
+                    Err(_) => {
                         encode::mov_ri(&mut a.buf, SCRATCH, imm);
-                        encode::alu_rr(&mut a.buf, Alu::Cmp, w, rs1.num(), SCRATCH);
+                        encode::cmp_rr_jcc(&mut a.buf, w, rs1.num(), SCRATCH, code)
                     }
-                }
+                },
             }
-            int_cc(cond, ty.is_signed())
         };
-        let at = encode::jcc(&mut a.buf, code);
         a.fixup_at(at, FixupTarget::Label(l), 0);
     }
 

@@ -125,6 +125,34 @@ if [ -n "$capacity_sized" ]; then
 fi
 echo "one install path ok"
 
+echo "== one dispatch per instruction (lowering matches on the tag only) =="
+# `engine::lower` dispatches once per recorded instruction, on its tag,
+# and hands the operation inside it to the assembler as a value
+# (`Assembler::{binop, binop_imm, unop, branch}`); the x86-64 emitters
+# select among instructions that differ in a constant from tables. A
+# `match` from operation to per-op method (`a.addi(..)`, `a.bltii(..)`)
+# is a second unpredictable branch per instruction, and a `Program` that
+# holds its ops beside its bytes pays the `encode` dispatch again
+# (DESIGN.md "Engine layer"; EXPERIMENTS.md "Cold miss"). Fail on
+# either. Looked at: code lines (not comments) of engine.rs before its
+# first `#[cfg(test)]`.
+second_dispatch=$(awk '
+    /^[ \t]*#\[cfg\(test\)\]/ { exit }
+    /^[ \t]*\/\// { next }
+    /a\.((add|sub|mul|div|mod|and|or|xor|lsh|rsh|com|not|mov|neg)|b(lt|le|gt|ge|eq|ne))(i|u|l|ul|p|f|d)i?\(/ {
+        printf "crates/core/src/engine.rs:%d: %s\n", NR, $0
+    }
+    /^pub struct Program \{/ { in_program = 1 }
+    in_program && /Vec<POp>/ { printf "crates/core/src/engine.rs:%d: %s\n", NR, $0 }
+    in_program && /^\}/ { in_program = 0 }
+    ' crates/core/src/engine.rs)
+if [ -n "$second_dispatch" ]; then
+    echo "one-dispatch gate: the engine dispatches per operation, or keeps its ops twice:" >&2
+    echo "$second_dispatch" >&2
+    exit 1
+fi
+echo "one dispatch per instruction ok"
+
 echo "== exec pool steady state (a cold compile makes no syscalls) =="
 # 4096 first-sight programs through `compile_cached` on a full 256-entry
 # L1, in release as the benchmark runs them: the executable-memory pool
@@ -133,6 +161,15 @@ echo "== exec pool steady state (a cold compile makes no syscalls) =="
 # asserts it; the line it measured is echoed for the log.
 cargo test -q --release -p harden --offline --test pool_steady_state -- --nocapture |
     grep '^pool deltas'
+
+echo "== allocation count (a warm thread allocates what a compile hands out) =="
+# `replay::<X64>` and a first-sight `compile_cached` + `call` over a
+# seeded pool, counted by a `#[global_allocator]` in a process of its
+# own, in release as the benchmark runs them: 1 and 7 allocations per
+# call (14.3 and 21.3 before PR 20). The test asserts the numbers
+# reached; the line it measured is echoed for the log.
+cargo test -q --release --offline --test alloc_free_compile -- --nocapture |
+    grep '^allocations per call'
 
 echo "== model checker: exhaustive concurrency sweeps =="
 # The bounded RCU / cache / degraded-latch / quarantine model programs,

@@ -208,3 +208,44 @@ fn uncompiled_backend_errors_are_typed() {
         Err(vcode::EngineError::UnregisteredBackend(TargetId::Alpha))
     ));
 }
+
+/// A program that binds one label at two positions has no meaning: the
+/// interpreter and every backend refuse it with the same typed error —
+/// where `compile_cached` used to panic inside the assembler's label
+/// table — a background build of it counts as failed, not panicked, and
+/// neither its key nor the engine is the worse for it.
+#[test]
+fn a_label_bound_twice_is_refused_alike_by_interpreter_and_backends() {
+    let e = engine(16);
+    let mut p = Program::new(0).unwrap();
+    let l = p.genlabel();
+    p.set(0, 1);
+    p.jmp(l);
+    p.label(l);
+    p.set(0, 2);
+    p.label(l);
+    p.ret(0);
+    let refused = |r: Result<i64, vcode::EngineError>, who: &str| match r {
+        Err(vcode::EngineError::LabelBoundTwice { label }) => assert_eq!(label, l, "{who}"),
+        other => panic!("{who}: expected LabelBoundTwice, got {other:?}"),
+    };
+    refused(p.interpret(&[], 100), "interpreter");
+    for id in TargetId::ALL {
+        refused(e.compile(id, &p).map(|_| 0), &format!("{id} compile"));
+        // Twice through the cache: the failed build left no claim on
+        // the key, so the second request is answered, not stalled.
+        for _ in 0..2 {
+            let r = e.compile_cached(id, &p).map(|_| 0);
+            refused(r, &format!("{id} compile_cached"));
+        }
+        // The engine still compiles and runs what has a meaning.
+        let f = e.compile_cached(id, &sample()).unwrap();
+        assert_eq!(f.call(&[-10, 2]).unwrap(), 24, "{id}");
+    }
+    let handle = e.compile_async(TargetId::X64, &p).unwrap();
+    refused(handle.call(&[]), "degraded handle");
+    assert!(e.service().wait_idle(std::time::Duration::from_secs(30)));
+    let stats = e.service().stats();
+    assert_eq!((stats.failed, stats.panicked), (1, 0), "{stats:?}");
+    assert!(!handle.native_ready());
+}

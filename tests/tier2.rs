@@ -381,8 +381,8 @@ fn tier2_matches_on_random_programs_all_backends() {
     for case in 0..RANDOM_PROGRAMS {
         let p = random_program(&mut rng);
         // The generator's only `BrImm` closes a counted loop.
-        let closes_loop = |o: &&POp| matches!(o, POp::BrImm { .. });
-        back_edges += p.ops().iter().filter(closes_loop).count();
+        let closes_loop = |o: &POp| matches!(o, POp::BrImm { .. });
+        back_edges += p.ops().filter(closes_loop).count();
         for id in TargetId::ALL {
             assert_columns_agree(id, &format!("rand{case}"), &p, &inputs);
         }
