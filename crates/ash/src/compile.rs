@@ -11,10 +11,7 @@ use crate::{generic, reference, Step};
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 use vcode::target::Leaf;
-use vcode::{
-    Assembler, CacheError, CacheKey, CacheStats, CodeStack, CompileService, RegClass, ServeMode,
-    TargetId, L2,
-};
+use vcode::{Assembler, CacheError, CacheKey, CacheStats, CodeStack, RegClass, TargetId, L2};
 use vcode_x64::{ExecCode, ExecMem, X64};
 
 /// The process-wide [`CodeStack`] of fused kernels, keyed by the pipeline
@@ -24,13 +21,6 @@ use vcode_x64::{ExecCode, ExecMem, X64};
 fn stack() -> &'static CodeStack<NativeCode> {
     static STACK: OnceLock<CodeStack<NativeCode>> = OnceLock::new();
     STACK.get_or_init(|| CodeStack::new(16))
-}
-
-/// The process-wide background compile service over the kernel cache:
-/// [`Pipeline::compile_async`] hands codegen to it and runs the scalar
-/// interpreter until the fused kernel publishes.
-pub fn kernel_service() -> &'static CompileService<NativeCode> {
-    stack().service()
 }
 
 /// Counters for the process-wide kernel cache.
@@ -106,11 +96,10 @@ impl vcode::ArtifactCodec<NativeCode> for KernelCodec {
     }
 }
 
-/// Attaches a persistent L2 tier for fused kernels under `dir`: cache
-/// misses — [`Pipeline::compile`] on the calling thread,
-/// [`Pipeline::compile_async`] on a service worker — probe the disk
-/// tier before generating code, and successful compiles store through.
-/// First call wins (`false` afterwards).
+/// Attaches a persistent L2 tier for fused kernels under `dir`: a
+/// [`Pipeline::compile`] cache miss probes the disk tier before
+/// generating code, and successful compiles store through. First call
+/// wins (`false` afterwards).
 ///
 /// # Errors
 ///
@@ -124,14 +113,13 @@ pub fn persist_tier() -> Option<&'static Arc<vcode::DiskTier<NativeCode>>> {
     stack().persist_tier()
 }
 
-/// The one miss function every kernel build hands the stack (lent the
-/// steps by [`Pipeline::compile`], a copy by the async path): a valid
-/// persisted artifact skips codegen; fresh kernels store through.
+/// The miss function a kernel build hands the stack: a valid persisted
+/// artifact skips codegen; fresh kernels store through.
 fn kernel_miss(
-    steps: impl AsRef<[Step]>,
+    steps: &[Step],
     opts: PipelineOptions,
-) -> impl FnOnce(L2<'_, NativeCode>) -> Result<Arc<NativeCode>, PipelineError> {
-    move |l2| l2.or_build(|| Pipeline::native_with_retry(steps.as_ref(), opts).map(Arc::new))
+) -> impl FnOnce(L2<'_, NativeCode>) -> Result<Arc<NativeCode>, PipelineError> + '_ {
+    move |l2| l2.or_build(|| Pipeline::native_with_retry(steps, opts).map(Arc::new))
 }
 
 /// Which engine a [`Pipeline`] runs on.
@@ -178,6 +166,9 @@ pub enum PipelineError {
     /// stall timeout (the builder thread most likely died without
     /// unwinding). The slot was vacated; this compile degraded.
     Stalled,
+    /// The requested unroll factor is outside `1..=16`; nothing was
+    /// compiled.
+    Unroll(i32),
 }
 
 impl fmt::Display for PipelineError {
@@ -186,6 +177,7 @@ impl fmt::Display for PipelineError {
             PipelineError::Codegen(e) => write!(f, "{e}"),
             PipelineError::Exec(e) => write!(f, "executable memory: {e}"),
             PipelineError::Stalled => f.write_str("in-flight kernel build stalled"),
+            PipelineError::Unroll(n) => write!(f, "unroll factor {n} is outside 1..=16"),
         }
     }
 }
@@ -216,10 +208,6 @@ pub struct Pipeline {
     /// VCODE instructions specified during generation (0 in degraded
     /// mode).
     pub vcode_insns: u64,
-    /// Cache key of an in-flight [`compile_async`](Pipeline::
-    /// compile_async) build; [`poll_upgrade`](Pipeline::poll_upgrade)
-    /// watches it.
-    pending: Option<CacheKey>,
 }
 
 /// One fused, finished kernel: the live mapping plus its entry pointer
@@ -285,11 +273,8 @@ impl Pipeline {
     ///
     /// # Errors
     ///
-    /// See [`compile`](Self::compile).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `unroll` is 0 or absurdly large.
+    /// [`PipelineError::Unroll`] unless `unroll` is in `1..=16`;
+    /// otherwise see [`compile`](Self::compile).
     pub fn compile_with_unroll(steps: &[Step], unroll: i32) -> Result<Pipeline, PipelineError> {
         Self::compile_with_options(
             steps,
@@ -305,16 +290,15 @@ impl Pipeline {
     ///
     /// # Errors
     ///
-    /// See [`compile`](Self::compile).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `opts.unroll` is 0 or absurdly large.
+    /// [`PipelineError::Unroll`] unless `opts.unroll` is in `1..=16`;
+    /// otherwise see [`compile`](Self::compile).
     pub fn compile_with_options(
         steps: &[Step],
         opts: PipelineOptions,
     ) -> Result<Pipeline, PipelineError> {
-        assert!((1..=16).contains(&opts.unroll));
+        if !(1..=16).contains(&opts.unroll) {
+            return Err(PipelineError::Unroll(opts.unroll));
+        }
         // An explicit code_capacity is a harness knob (fault injection /
         // overflow drills): those compiles are bespoke, never cached.
         // The cached path waits boundedly on a racing build: a stalled
@@ -331,85 +315,6 @@ impl Pipeline {
                 })
         };
         Ok(Self::from_native(native, steps))
-    }
-
-    /// Serve-while-compiling: the returned pipeline is runnable the
-    /// moment this returns, with codegen moved off the calling thread.
-    ///
-    /// A warm cache key returns the native kernel immediately
-    /// ([`ServeMode::Native`]). Otherwise the build is handed to the
-    /// process-wide [`kernel_service`] and the pipeline runs the scalar
-    /// [`generic`] interpreter meanwhile — call
-    /// [`poll_upgrade`](Self::poll_upgrade) to adopt the fused kernel
-    /// once it publishes. Shed and quarantined submits also serve the
-    /// interpreter; the returned mode says why nothing was enqueued.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `opts.unroll` is 0 or absurdly large.
-    pub fn compile_async(steps: &[Step]) -> (Pipeline, ServeMode) {
-        Self::compile_async_with_options(steps, PipelineOptions::default())
-    }
-
-    /// [`compile_async`](Self::compile_async) with explicit options. A
-    /// bespoke `code_capacity` (harness knob) compiles synchronously
-    /// and reports `Native` or `Shed` (degraded, nothing enqueued).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `opts.unroll` is 0 or absurdly large.
-    pub fn compile_async_with_options(
-        steps: &[Step],
-        opts: PipelineOptions,
-    ) -> (Pipeline, ServeMode) {
-        assert!((1..=16).contains(&opts.unroll));
-        if opts.code_capacity.is_some() {
-            let native = Self::native_with_retry(steps, opts).map(Arc::new);
-            let mode = if native.is_ok() {
-                ServeMode::Native
-            } else {
-                ServeMode::Shed
-            };
-            return (Self::from_native(native, steps), mode);
-        }
-        let key = Self::cache_key(steps, opts);
-        // The worker outlives this call: it gets its own copy of the steps.
-        let to_build = steps.to_vec();
-        let mode = match stack().submit(&key, kernel_miss(to_build, opts)).served() {
-            Ok(nc) => return (Self::from_native(Ok(nc), steps), ServeMode::Native),
-            Err(mode) => mode,
-        };
-        let pipeline = Pipeline {
-            engine: Engine::Interpreter,
-            steps: steps.to_vec(),
-            code_len: 0,
-            vcode_insns: 0,
-            pending: Some(key),
-        };
-        (pipeline, mode)
-    }
-
-    /// Adopts the fused kernel if the background build from
-    /// [`compile_async`](Self::compile_async) has published. Returns
-    /// whether the pipeline runs native *after* the call; cheap enough
-    /// to poll per message batch.
-    pub fn poll_upgrade(&mut self) -> bool {
-        if matches!(self.engine, Engine::Native(_)) {
-            return true;
-        }
-        let Some(key) = self.pending.as_ref() else {
-            return false;
-        };
-        match stack().poll(key) {
-            Some(nc) => {
-                self.code_len = nc.code_len;
-                self.vcode_insns = nc.vcode_insns;
-                self.engine = Engine::Native(nc);
-                self.pending = None;
-                true
-            }
-            None => false,
-        }
     }
 
     /// Compiles bypassing the process-wide kernel cache (always a cold
@@ -433,7 +338,6 @@ impl Pipeline {
                 vcode_insns: nc.vcode_insns,
                 engine: Engine::Native(nc),
                 steps: steps.to_vec(),
-                pending: None,
             },
             // Degrade: interpret the same steps.
             Err(_) => Pipeline {
@@ -441,7 +345,6 @@ impl Pipeline {
                 steps: steps.to_vec(),
                 code_len: 0,
                 vcode_insns: 0,
-                pending: None,
             },
         }
     }
@@ -681,6 +584,23 @@ mod tests {
             let ck = p.run(&src, &mut got);
             assert_eq!(got, want, "unroll {unroll}");
             assert_eq!(ck, want_ck, "unroll {unroll}");
+        }
+    }
+
+    #[test]
+    fn an_unroll_factor_out_of_range_is_a_typed_error() {
+        for unroll in [0, 17] {
+            let e = Pipeline::compile_with_unroll(&[Step::Swap], unroll).unwrap_err();
+            assert!(matches!(e, PipelineError::Unroll(n) if n == unroll), "{e}");
+            let opts = PipelineOptions {
+                unroll,
+                code_capacity: Some(4096),
+            };
+            let e = Pipeline::compile_with_options(&[Step::Swap], opts).unwrap_err();
+            assert!(matches!(e, PipelineError::Unroll(n) if n == unroll), "{e}");
+        }
+        for unroll in [1, 16] {
+            Pipeline::compile_with_unroll(&[Step::Swap], unroll).unwrap();
         }
     }
 

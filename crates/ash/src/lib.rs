@@ -40,8 +40,8 @@ pub mod generic;
 pub mod hotloop;
 
 pub use compile::{
-    cache_stats, clear_cache, enable_persist, kernel_service, persist_tier, EngineKind, NativeCode,
-    Pipeline, PipelineError, PipelineOptions,
+    cache_stats, clear_cache, enable_persist, persist_tier, EngineKind, NativeCode, Pipeline,
+    PipelineError, PipelineOptions,
 };
 
 /// A data-manipulation step a protocol layer contributes to the message

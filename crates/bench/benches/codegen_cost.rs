@@ -19,6 +19,12 @@ use vcode_bench::BODY_INSNS;
 use vcode_bench::{criterion_group, criterion_main, snapshot, BatchSize, Criterion, Throughput};
 use vcode_x64::X64;
 
+/// What one [`BODY_INSNS`]-instruction emission must produce, exactly:
+/// VCODE instructions specified, x86-64 bytes written and spills on the
+/// allocator-register path, then the bytes of the hard-register and the
+/// DCG paths.
+const PINNED: (u64, u64, u64, usize, usize) = (257, 1149, 0, 1149, 1023);
+
 /// Emits `n` VCODE instructions using allocator-assigned registers.
 fn emit_vcode(mem: &mut [u8], n: usize) -> usize {
     let mut a = Assembler::<X64>::lambda(mem, "%i%i", Leaf::Yes).unwrap();
@@ -98,8 +104,9 @@ fn bench(c: &mut Criterion) {
 
     // The paper-style summary table (ns per generated VCODE instruction).
     // Best of several short windows, like the harness: the minimum is
-    // the honest cost estimate on a shared machine, and it is what the
-    // CI regression gate compares against the committed snapshot.
+    // the honest cost estimate on a shared machine. Reported and kept,
+    // not gated: what holds emission speed is `benchmark/`'s
+    // `codegen_sim` workload, parent against change on one host.
     let reps: u32 = if snapshot::smoke() { 100 } else { 500 };
     let mut measure = |f: &dyn Fn(&mut [u8], usize) -> usize| {
         for _ in 0..reps {
@@ -129,11 +136,12 @@ fn bench(c: &mut Criterion) {
         ns_dcg / ns_vcode
     );
 
-    // Codegen event stream (the obs hook): aggregate the LambdaEnd
-    // metrics over one emission. These are deterministic counters —
-    // instructions specified, bytes emitted, allocator spills — so they
-    // land in the snapshot as exact schema-stable values.
-    let agg = std::sync::Arc::new(std::sync::Mutex::new((0u64, 0u64, 0u64, 0u64)));
+    // Codegen event stream (the obs hook): the LambdaEnd metrics of one
+    // emission. These are deterministic counters — instructions
+    // specified, bytes emitted, allocator spills — so they are the gate:
+    // a change to what the emitters write moves them, and nothing about
+    // the host does.
+    let agg = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
     let sink = std::sync::Arc::clone(&agg);
     vcode::obs::set_hook(move |ev| {
         if let vcode::CodegenEvent::LambdaEnd {
@@ -143,29 +151,31 @@ fn bench(c: &mut Criterion) {
             ..
         } = *ev
         {
-            let mut a = sink.lock().unwrap();
-            a.0 += 1;
-            a.1 += insns;
-            a.2 += bytes;
-            a.3 += spills;
+            sink.lock().unwrap().push((insns, bytes, spills));
         }
     });
-    black_box(emit_vcode(&mut mem, BODY_INSNS));
+    let len_vcode = emit_vcode(&mut mem, BODY_INSNS);
     vcode::obs::clear_hook();
-    let (lambdas, insns, bytes, spills) = *agg.lock().unwrap();
-    assert_eq!(lambdas, 1, "one lambda/end session observed");
-    assert!(insns > BODY_INSNS as u64, "body plus the return");
+    let events = agg.lock().unwrap();
+    assert_eq!(events.len(), 1, "one lambda/end session observed");
+    let (insns, bytes, spills) = events[0];
+    let len_hard = emit_vcode_hard(&mut mem, BODY_INSNS);
+    let len_dcg = emit_dcg(&mut mem, BODY_INSNS);
     println!("\n=== Codegen events (one {BODY_INSNS}-insn emission, obs hook) ===");
     println!(
-        "  lambdas {lambdas}, vcode insns {insns}, bytes {bytes}, spills {spills} \
-         ({:.2} machine bytes per vcode insn)",
+        "  vcode insns {insns}, bytes {bytes}, spills {spills} \
+         ({:.2} machine bytes per vcode insn); hard regs {len_hard} bytes, dcg {len_dcg} bytes",
         bytes as f64 / insns as f64
     );
+    assert_eq!(len_vcode as u64, bytes, "the hook reports what was written");
+    assert_eq!(
+        (insns, bytes, spills, len_hard, len_dcg),
+        PINNED,
+        "emitted code changed: (insns, bytes, spills, hard-regs bytes, dcg bytes); \
+         re-pin beside the golden digests if the change is meant"
+    );
 
-    // Snapshot + regression gate (see `vcode_bench::snapshot`): CI runs
-    // this bench in smoke mode against the committed BENCH_codegen.json
-    // and fails on any ns/insn metric >20% over baseline.
-    let metrics = [
+    for (name, value) in [
         ("codegen_cost/vcode_ns_per_insn", ns_vcode),
         ("codegen_cost/vcode_hard_regs_ns_per_insn", ns_hard),
         ("codegen_cost/dcg_ns_per_insn", ns_dcg),
@@ -173,17 +183,8 @@ fn bench(c: &mut Criterion) {
             "codegen_cost/bytes_per_vcode_insn",
             bytes as f64 / insns as f64,
         ),
-    ];
-    let mut failures = Vec::new();
-    for (name, value) in metrics {
+    ] {
         snapshot::record(name, value);
-        failures.extend(snapshot::check(name, value));
-    }
-    if !failures.is_empty() {
-        for f in &failures {
-            eprintln!("{f}");
-        }
-        std::process::exit(1);
     }
 
     // Space behaviour (paper §3): VCODE keeps labels + unresolved jumps;

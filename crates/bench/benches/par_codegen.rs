@@ -173,10 +173,11 @@ fn main() {
     // worker count clamped to the cores present. Oversubscribing (8
     // workers on fewer cores) measures the kernel's context-switch tax,
     // not the generator's scaling — on small hosts it read as a false
-    // scaling inversion at 8t. The snapshot keeps the requested-count
-    // labels (so the metric names are stable across hosts) and records
-    // `par_codegen/cores` so the CI gate knows which points were
-    // clamped to identical configurations. Spawning all pools up front
+    // scaling inversion at 8t. The recorded rows keep the
+    // requested-count labels (so the metric names are stable across
+    // hosts) beside `par_codegen/cores`, which says which points were
+    // clamped to identical configurations: a scaling claim read off a
+    // row with `cores: 1` is not a claim. Reported, not gated. Spawning all pools up front
     // also walks the round-robin shard assignment, so the warm-up
     // window below populates every free-list shard the sweep touches.
     let requested: [usize; 4] = [1, 2, 4, 8];

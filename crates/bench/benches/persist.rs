@@ -8,9 +8,12 @@
 //! the L2 tier extends reuse across process restarts. Cold start
 //! compiles every filter set from scratch (and stores through); warm
 //! start finds verified artifacts on disk and must reach first
-//! classified packet **at least 2×** faster — the bench hard-fails
-//! otherwise, and `scripts/ci.sh` gates the committed snapshot on the
-//! same ratio.
+//! classified packet **at least 2×** faster. Each cold pass (fresh
+//! filter sets, so fresh keys) is followed at once by its warm pass
+//! over the same sets, and the bench hard-fails when the median of the
+//! per-pair ratios is under 2× — or when the tier's own counts say a
+//! cold pass did not store every set or a warm pass did not load every
+//! set from disk.
 //!
 //! Classifiers are compiled with jump tables and perfect-hash dispatch
 //! disabled: those embed absolute side-table addresses and are
@@ -20,7 +23,7 @@
 use dpf::packet::{self, PacketSpec};
 use dpf::{Dpf, EngineKind, Options};
 use std::time::Instant;
-use vcode_bench::snapshot;
+use vcode_bench::{median, snapshot};
 
 /// Position-independent codegen: persistable on every set.
 fn pic_options() -> Options {
@@ -68,8 +71,7 @@ fn main() {
     let smoke = snapshot::smoke();
     let nsets: u16 = if smoke { 3 } else { 8 };
     let nf: u16 = if smoke { 16 } else { 32 };
-    let warm_reps = if smoke { 3 } else { 5 };
-    let sets: Vec<(u16, u16)> = (0..nsets).map(|i| (nf, 1000 + i * 100)).collect();
+    let pairs: u16 = if smoke { 3 } else { 5 };
     let mut failures = Vec::new();
 
     let dir = std::env::temp_dir().join(format!("vcode-persist-bench-{}", std::process::id()));
@@ -81,36 +83,41 @@ fn main() {
     let tier = dpf::persist_tier().expect("attached above");
 
     println!("=== Persistent code cache: cold vs warm first-classified-packet ===");
-    println!("    ({nsets} filter sets x {nf} filters, linear dispatch)");
+    println!("    ({pairs} pairs of {nsets} filter sets x {nf} filters, linear dispatch)");
 
-    // --- Cold: empty artifact dir. Compiles everything, stores through.
-    let cold_s = first_packet_pass(&sets);
-    let stored = tier.stats().stores;
-    let cold_us = cold_s * 1e6;
-    println!("  cold start (compile + store-through)  {cold_us:>10.0} us");
-    if stored < u64::from(nsets) {
-        failures.push(format!(
-            "persist: cold pass stored {stored} artifacts, expected {nsets} \
-             (store-through is broken; warm numbers would be fiction)"
-        ));
-    }
-
-    // --- Warm: same process, same dir, L1 cleared each rep — every
-    // build must come from a verified on-disk artifact.
-    let mut warm_s = f64::INFINITY;
-    for _ in 0..warm_reps {
-        let before = tier.stats().hits;
-        let s = first_packet_pass(&sets);
-        let loaded = tier.stats().hits - before;
+    let mut passes = Vec::new();
+    for pair in 0..pairs {
+        // Port bases no earlier pair used: every set is a new key.
+        let sets: Vec<(u16, u16)> = (0..nsets)
+            .map(|i| (nf, 1000 + (pair * nsets + i) * 100))
+            .collect();
+        // --- Cold: no artifact for these keys. Compiles everything,
+        // stores through.
+        let before = tier.stats();
+        let cold_s = first_packet_pass(&sets);
+        let stored = tier.stats().stores - before.stores;
+        if stored < u64::from(nsets) {
+            failures.push(format!(
+                "persist: cold pass stored {stored} artifacts, expected {nsets} \
+                 (store-through is broken; warm numbers would be fiction)"
+            ));
+        }
+        // --- Warm: same process, same dir, L1 cleared — every build
+        // must come from a verified on-disk artifact.
+        let before = tier.stats();
+        let warm_s = first_packet_pass(&sets);
+        let loaded = tier.stats().hits - before.hits;
         if loaded < u64::from(nsets) {
             failures.push(format!(
                 "persist: warm pass loaded {loaded} artifacts from disk, expected {nsets}"
             ));
         }
-        warm_s = warm_s.min(s);
+        passes.push((cold_s * 1e6, warm_s * 1e6));
     }
-    let warm_us = warm_s * 1e6;
-    let speedup = cold_s / warm_s;
+    let cold_us = median(passes.iter().map(|p| p.0));
+    let warm_us = median(passes.iter().map(|p| p.1));
+    let speedup = median(passes.iter().map(|p| p.0 / p.1));
+    println!("  cold start (compile + store-through)  {cold_us:>10.0} us");
     println!("  warm start (load + revalidate)        {warm_us:>10.0} us   ({speedup:.1}x)");
 
     snapshot::record("persist/cold_first_packet_us", cold_us);
@@ -118,10 +125,10 @@ fn main() {
     snapshot::record("persist/warm_speedup", speedup);
 
     // The acceptance gate: warm start must be at least 2x faster.
-    if warm_s * 2.0 > cold_s {
+    if speedup < 2.0 {
         failures.push(format!(
-            "persist: warm start ({warm_us:.0} us) is not >=2x faster than \
-             cold start ({cold_us:.0} us); speedup {speedup:.2}x"
+            "persist: warm start ({warm_us:.0} us) is not >=2x faster than cold start \
+             ({cold_us:.0} us); median speedup of {pairs} pairs {speedup:.2}x"
         ));
     }
 

@@ -214,7 +214,7 @@ fn main() {
          compile {t1_per_insn:.1} -> {t2_per_insn:.1} ns/insn, x64 calls {x64_speedup:.2}x"
     );
 
-    // Snapshot + gate. Cycle counts are deterministic; the 10% floor is
+    // Record + gate. Cycle counts are deterministic; the 10% floor is
     // a hard invariant, not a noise fence.
     for (name, value) in [
         ("tier2/compile_ns_per_insn", t2_per_insn),

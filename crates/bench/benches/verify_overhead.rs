@@ -1,13 +1,12 @@
 //! Cost of the streaming verifier (DESIGN.md "Static checking").
 //!
-//! Two claims are gated here:
-//! - verifier **off** is the production fast path: its ns/insn must stay
-//!   inside the same 20% regression fence as `codegen_cost` (it is the
-//!   identical emission loop, plus one `Option` discriminant test per
-//!   instruction);
-//! - verifier **on** is reported (and recorded in the snapshot) so the
-//!   check cost stays visible, but it is not failed on — diagnostics
-//!   formatting and mark collection are allowed to cost what they cost.
+//! A reporter, not a gate: both numbers are wall-clock on this host.
+//! - verifier **off** is the production fast path (the `codegen_cost`
+//!   emission loop plus one `Option` discriminant test per instruction);
+//!   what holds it is the `codegen_sim` workload of `benchmark/`;
+//! - verifier **on** is reported so the check cost stays visible —
+//!   diagnostics formatting and mark collection are allowed to cost
+//!   what they cost.
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -76,13 +75,6 @@ fn bench(c: &mut Criterion) {
 
     snapshot::record("verify_overhead/off_ns_per_insn", ns_off);
     snapshot::record("verify_overhead/on_ns_per_insn", ns_on);
-    // Only the off path is a regression gate; the on path is recorded
-    // for trend visibility.
-    let failures = snapshot::check("verify_overhead/off_ns_per_insn", ns_off);
-    if let Some(f) = failures {
-        eprintln!("{f}");
-        std::process::exit(1);
-    }
 }
 
 criterion_group!(benches, bench);

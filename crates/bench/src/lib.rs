@@ -169,112 +169,87 @@ impl BenchmarkGroup {
 }
 
 // ---------------------------------------------------------------------------
-// Benchmark snapshots: a flat JSON object of named scalar metrics,
-// merged across bench binaries so one file accumulates the whole run.
+// What a bench may gate on (DESIGN.md "What CI gates"): an exact count,
+// or a ratio of two sides measured in alternating windows of this one
+// process and judged per pair. Wall-clock numbers are reported and kept
+// in the history; none is compared with a number from another run.
 // ---------------------------------------------------------------------------
 
-/// Snapshot recording and regression checking for benchmark metrics.
+/// One timed window: ns per call of `f` over `reps` calls.
+pub fn window_ns(reps: u32, mut f: impl FnMut()) -> f64 {
+    let t = Instant::now();
+    for _ in 0..reps {
+        f();
+    }
+    t.elapsed().as_nanos() as f64 / f64::from(reps)
+}
+
+/// The median of `xs` (the upper one of an even count).
 ///
-/// When `VCODE_BENCH_JSON` names a file, [`record`](snapshot::record)
-/// merges `name: value` into it (creating it if absent) — each bench
-/// binary contributes its metrics and the file accumulates the full
-/// set, e.g. `BENCH_codegen.json` at the repo root.
+/// # Panics
 ///
-/// When `VCODE_BASELINE` names a previously committed snapshot,
-/// [`check`](snapshot::check) compares a metric against it and returns
-/// an error line when the new value regressed by more than 20%
-/// (higher = worse; every recorded metric is a cost). CI runs the
-/// codegen-cost bench in smoke mode with both variables set and fails
-/// the build on any regression.
+/// Panics on an empty sequence or a NaN.
+pub fn median(xs: impl IntoIterator<Item = f64>) -> f64 {
+    let mut v: Vec<f64> = xs.into_iter().collect();
+    v.sort_by(|a, b| a.partial_cmp(b).expect("no NaN in a measurement"));
+    v[v.len() / 2]
+}
+
+/// A ratio gate's measurement: `pairs` adjacent windows of the two
+/// sides, alternating which side goes first; returns each pair's
+/// `(a, b)`. A host that slows down for seconds at a time slows both
+/// windows of the pairs it covers, so the per-pair ratios hold where
+/// two separately timed totals would not; judge the gate on their
+/// [`median`].
+pub fn paired_windows(
+    pairs: usize,
+    mut a: impl FnMut() -> f64,
+    mut b: impl FnMut() -> f64,
+) -> Vec<(f64, f64)> {
+    (0..pairs)
+        .map(|i| {
+            if i % 2 == 0 {
+                let x = a();
+                (x, b())
+            } else {
+                let y = b();
+                (a(), y)
+            }
+        })
+        .collect()
+}
+
+/// Run mode and the kept record of what the benches print.
 ///
-/// `VCODE_SMOKE=1` shortens measurement windows (~10x) so the check is
-/// cheap enough for CI; snapshots meant for committing should be taken
-/// without it.
+/// `VCODE_SMOKE=1` shortens measurement windows (~10x) so the gates are
+/// cheap enough for CI. When `VCODE_BENCH_JSON` names a file,
+/// [`record`](snapshot::record) appends one JSON line per metric to it;
+/// `scripts/bench_history.sh` stamps those with commit, date and host
+/// and appends them to `BENCH_history.jsonl`. Nothing reads a recorded
+/// value back.
 pub mod snapshot {
-    use std::fmt::Write as _;
-    use std::fs;
+    use std::io::Write as _;
 
     /// Whether smoke mode (short windows, CI-grade precision) is on.
     pub fn smoke() -> bool {
         std::env::var_os("VCODE_SMOKE").is_some_and(|v| v != "0")
     }
 
-    /// Parses a flat `{"name": number, ...}` JSON object. Returns pairs
-    /// in file order; `None` on malformed input.
-    pub fn parse(text: &str) -> Option<Vec<(String, f64)>> {
-        let body = text.trim().strip_prefix('{')?.strip_suffix('}')?;
-        let mut out = Vec::new();
-        for entry in body.split(',') {
-            let entry = entry.trim();
-            if entry.is_empty() {
-                continue;
-            }
-            let (key, value) = entry.split_once(':')?;
-            let key = key.trim().strip_prefix('"')?.strip_suffix('"')?;
-            out.push((key.to_string(), value.trim().parse().ok()?));
-        }
-        Some(out)
-    }
-
-    fn render(entries: &[(String, f64)]) -> String {
-        let mut s = String::from("{\n");
-        for (i, (k, v)) in entries.iter().enumerate() {
-            let sep = if i + 1 == entries.len() { "" } else { "," };
-            let _ = writeln!(s, "  \"{k}\": {v:.2}{sep}");
-        }
-        s.push('}');
-        s.push('\n');
-        s
-    }
-
-    /// Records `name = value` into the snapshot file named by
-    /// `VCODE_BENCH_JSON` (no-op without it). Existing entries for other
-    /// names are preserved; a same-name entry is overwritten.
+    /// Appends `{"metric": name, "value": value}` as one line to the
+    /// file named by `VCODE_BENCH_JSON` (no-op without it).
     pub fn record(name: &str, value: f64) {
         let Some(path) = std::env::var_os("VCODE_BENCH_JSON") else {
             return;
         };
-        let mut entries = fs::read_to_string(&path)
-            .ok()
-            .and_then(|t| parse(&t))
-            .unwrap_or_default();
-        match entries.iter_mut().find(|(k, _)| k == name) {
-            Some((_, v)) => *v = value,
-            None => entries.push((name.to_string(), value)),
+        let line = format!("{{\"metric\": \"{name}\", \"value\": {value:.2}}}\n");
+        let appended = std::fs::OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(&path)
+            .and_then(|mut f| f.write_all(line.as_bytes()));
+        if let Err(e) = appended {
+            eprintln!("record: cannot append to {}: {e}", path.to_string_lossy());
         }
-        entries.sort_by(|a, b| a.0.cmp(&b.0));
-        if let Err(e) = fs::write(&path, render(&entries)) {
-            eprintln!("snapshot: cannot write {}: e={e}", path.to_string_lossy());
-        }
-    }
-
-    /// Compares `value` against the committed baseline (the snapshot
-    /// file named by `VCODE_BASELINE`). Returns a human-readable
-    /// failure line when the metric regressed more than `TOLERANCE`;
-    /// `None` when in tolerance, unknown to the baseline, or no
-    /// baseline is configured.
-    pub fn check(name: &str, value: f64) -> Option<String> {
-        const TOLERANCE: f64 = 0.20;
-        let path = std::env::var_os("VCODE_BASELINE")?;
-        let text = match fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) => {
-                return Some(format!(
-                    "baseline {} unreadable: {e}",
-                    path.to_string_lossy()
-                ))
-            }
-        };
-        let baseline = parse(&text)?;
-        let &(_, expect) = baseline.iter().find(|(k, _)| k == name)?;
-        (value > expect * (1.0 + TOLERANCE)).then(|| {
-            format!(
-                "REGRESSION {name}: {value:.2} vs baseline {expect:.2} \
-                 (+{:.0}%, tolerance {:.0}%)",
-                (value / expect - 1.0) * 100.0,
-                TOLERANCE * 100.0
-            )
-        })
     }
 }
 

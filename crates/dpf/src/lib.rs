@@ -51,7 +51,7 @@ pub use service::{DpfReader, DpfService, ServiceSnapshot};
 use mpf::Mpf;
 use std::sync::{Arc, OnceLock};
 use trie::Level;
-use vcode::{CacheKey, CacheStats, CodeStack, CompileService, ServeMode, TargetId, L2};
+use vcode::{CacheKey, CacheStats, CodeStack, TargetId, L2};
 
 /// The process-wide [`CodeStack`] of compiled classifiers, keyed by the
 /// exact resident filter set (ids included — generated code returns
@@ -61,13 +61,6 @@ use vcode::{CacheKey, CacheStats, CodeStack, CompileService, ServeMode, TargetId
 pub(crate) fn stack() -> &'static CodeStack<CompiledSet> {
     static STACK: OnceLock<CodeStack<CompiledSet>> = OnceLock::new();
     STACK.get_or_init(|| CodeStack::new(64))
-}
-
-/// The process-wide background compile service over the classifier
-/// cache: [`Dpf::compile_async`] hands codegen to it and serves the MPF
-/// interpreter until the native classifier publishes.
-pub fn classifier_service() -> &'static CompileService<CompiledSet> {
-    stack().service()
 }
 
 /// Counters for the process-wide classifier cache.
@@ -129,10 +122,10 @@ impl vcode::ArtifactCodec<CompiledSet> for SetCodec {
 
 /// Attaches a persistent L2 tier for compiled classifiers under `dir`:
 /// every cache miss — [`Dpf::compile`] on the calling thread,
-/// [`Dpf::compile_async`] and [`DpfService`] installs on a service
-/// worker — probes the disk tier before compiling and stores through
-/// after, and a warm key republishes native straight from disk. First
-/// call wins (`false` afterwards).
+/// [`DpfService`] installs on a service worker — probes the disk tier
+/// before compiling and stores through after, and a warm key
+/// republishes native straight from disk. First call wins (`false`
+/// afterwards).
 ///
 /// # Errors
 ///
@@ -147,7 +140,7 @@ pub fn persist_tier() -> Option<&'static Arc<vcode::DiskTier<CompiledSet>>> {
 }
 
 /// The one miss function every classifier build hands the stack
-/// ([`Dpf::compile`] lends its filters, the async paths move a copy to
+/// ([`Dpf::compile`] lends its filters, [`DpfService`] moves a copy to
 /// the worker): a valid persisted artifact skips trie construction and
 /// codegen entirely; otherwise build, and store the result through.
 pub(crate) fn set_miss(
@@ -228,8 +221,7 @@ pub struct Dpf {
     /// insert/remove (ids match the compiled engine's): classification
     /// always has a correct engine to run on.
     resident: Mpf,
-    /// The last compile degraded to the interpreter (codegen failed or
-    /// an async build is still in flight).
+    /// The last compile degraded to the interpreter (codegen failed).
     degraded: bool,
     /// Filters inserted/removed since the last compile attempt; nonzero
     /// means `compiled`/`degraded` no longer describe `filters`.
@@ -238,9 +230,6 @@ pub struct Dpf {
     stale_removes: u32,
     /// A compile has been attempted at least once.
     ever_compiled: bool,
-    /// Cache key of an in-flight [`compile_async`](Dpf::compile_async)
-    /// build; [`poll_upgrade`](Dpf::poll_upgrade) watches it.
-    pending: Option<CacheKey>,
 }
 
 impl Dpf {
@@ -269,7 +258,6 @@ impl Dpf {
         self.filters.push((id, f));
         self.compiled = None;
         self.degraded = false;
-        self.pending = None;
         self.stale_inserts += 1;
         id
     }
@@ -286,7 +274,6 @@ impl Dpf {
             self.resident.remove(id);
             self.compiled = None;
             self.degraded = false;
-            self.pending = None;
             self.stale_removes += 1;
         }
         removed
@@ -355,83 +342,15 @@ impl Dpf {
     }
 
     /// Records the outcome of a compile attempt over the current
-    /// filters: staleness resets, and `None` (generation failed, or the
-    /// build is still in flight) degrades to the resident interpreter,
-    /// which already holds the same filters under the same ids.
+    /// filters: staleness resets, and `None` (generation failed)
+    /// degrades to the resident interpreter, which already holds the
+    /// same filters under the same ids.
     fn adopt(&mut self, compiled: Option<Arc<CompiledSet>>) {
-        self.pending = None;
         self.ever_compiled = true;
         self.stale_inserts = 0;
         self.stale_removes = 0;
         self.degraded = compiled.is_none();
         self.compiled = compiled;
-    }
-
-    /// Serve-while-compiling: classification is available the moment
-    /// this returns, with codegen moved off the calling thread.
-    ///
-    /// A warm cache key returns the native classifier immediately
-    /// ([`ServeMode::Native`]). Otherwise the build is handed to the
-    /// process-wide [`classifier_service`] and the engine serves the MPF
-    /// interpreter over the same filters (same ids) meanwhile — call
-    /// [`poll_upgrade`](Self::poll_upgrade) to adopt the native code
-    /// once it publishes. Shed and quarantined submits also serve the
-    /// interpreter; the returned mode says why nothing was enqueued.
-    ///
-    /// A bespoke `code_capacity` (harness knob) compiles synchronously,
-    /// exactly like [`compile`](Self::compile), and reports `Native` or
-    /// `Shed` (degraded, nothing enqueued).
-    pub fn compile_async(&mut self) -> ServeMode {
-        if self.opts.code_capacity.is_some() {
-            // Bespoke compiles never go through the shared cache.
-            let _ = self.compile();
-            return if self.compiled.is_some() {
-                ServeMode::Native
-            } else {
-                ServeMode::Shed
-            };
-        }
-        let key = self.cache_key();
-        let miss = set_miss(self.filters.clone(), self.opts);
-        match stack().submit(&key, miss).served() {
-            Ok(set) => {
-                self.adopt(Some(set));
-                ServeMode::Native
-            }
-            Err(mode) => {
-                // Serve the resident interpreter until the build
-                // publishes.
-                self.adopt(None);
-                self.pending = Some(key);
-                mode
-            }
-        }
-    }
-
-    /// Adopts the native classifier if the background build from
-    /// [`compile_async`](Self::compile_async) has published. Returns
-    /// whether classification is native *after* the call; cheap enough
-    /// to poll per batch.
-    pub fn poll_upgrade(&mut self) -> bool {
-        if self.compiled.is_some() {
-            return true;
-        }
-        // `pending` is cleared on every insert/remove, so a published
-        // build can never be adopted over a *changed* filter set: the
-        // stale-generation assumption is confined to the key we
-        // actually submitted.
-        let Some(key) = self.pending.as_ref() else {
-            return false;
-        };
-        match stack().poll(key) {
-            Some(set) => {
-                self.compiled = Some(set);
-                self.degraded = false;
-                self.pending = None;
-                true
-            }
-            None => false,
-        }
     }
 
     /// Content key of the resident configuration (see [`cache_key`]).

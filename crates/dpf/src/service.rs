@@ -14,11 +14,10 @@
 //! - **Writers publish generations.** `insert`/`remove` build an
 //!   immutable [`Generation`] for the *new* filter set and swap it in
 //!   with a single pointer store. The native build is handed to the
-//!   process-wide [`classifier_service`](crate::classifier_service)
-//!   (PR 6); for the delta window between publication and the build
-//!   landing, the generation classifies with an [`Mpf`] interpreter
-//!   over the same filters — correct ids, never a stale match, never a
-//!   panic, never a stall.
+//!   process-wide classifier stack's compile service; for the delta
+//!   window between publication and the build landing, the generation
+//!   classifies with an [`Mpf`] interpreter over the same filters —
+//!   correct ids, never a stale match, never a panic, never a stall.
 //! - **Reclamation is epoch-deferred.** A replaced generation is freed
 //!   (and its [`CodePin`] on the compiled mapping released) only once
 //!   every active reader entered at or after the retire epoch — a
@@ -652,6 +651,80 @@ mod tests {
         assert_eq!(svc.stats().retired_backlog, 0);
         drop(reader);
         assert_eq!(svc.stats().readers, 0);
+    }
+
+    #[test]
+    fn a_batch_never_waits_for_the_writer_lock() {
+        // "Readers never lock": with a writer stopped mid-update (its
+        // lock held for the whole of this test) and a native build
+        // outstanding, a batch still classifies — the read side's
+        // maintenance only ever `try_lock`s. A blocking acquire costs a
+        // few percent of throughput, under what the `dpf_service` bench
+        // can see, so it is pinned here, where it is a hang.
+        let svc = DpfService::with_options(Options {
+            code_capacity: Some(16), // never builds: `pending` stays set
+            ..Options::default()
+        });
+        let id = svc.insert(packet::tcp_port_filter(0x0a00_0002, 80).unwrap());
+        assert!(svc.stats().pending);
+        let reader = svc.reader();
+        let msg = port_msg(80);
+        let mid_update = lock(&svc.shared.writer);
+        std::thread::scope(|s| {
+            let batch = s.spawn(move || reader.classify_batch(&[&msg]));
+            let t0 = Instant::now();
+            while !batch.is_finished() && t0.elapsed() < Duration::from_secs(5) {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            let returned_under_the_lock = batch.is_finished();
+            drop(mid_update);
+            assert_eq!(batch.join().unwrap(), vec![Some(id)]);
+            assert!(
+                returned_under_the_lock,
+                "classify_batch waited for the writer"
+            );
+        });
+    }
+
+    #[test]
+    fn a_herd_on_one_filter_set_shares_one_compiled_set() {
+        // Many services racing the same filter set through the compile
+        // service: every one classifies immediately, and they all end up
+        // serving a single compiled classifier.
+        let filters = packet::port_filter_set(4, 7600);
+        let probe = port_msg(7602);
+        let herd: Vec<DpfService> = (0..8)
+            .map(|_| {
+                let svc = DpfService::new();
+                for f in &filters {
+                    svc.insert(f.clone());
+                }
+                svc
+            })
+            .collect();
+        for (k, svc) in herd.iter().enumerate() {
+            assert_eq!(
+                svc.classify(&probe),
+                Some(2),
+                "service {k} serves immediately"
+            );
+        }
+        let sets: Vec<Arc<CompiledSet>> = herd
+            .iter()
+            .map(|svc| {
+                assert!(svc.flush(Duration::from_secs(30)), "no upgrade");
+                assert_eq!(svc.classify(&probe), Some(2));
+                let reader = svc.reader();
+                let g = svc.shared.rcu.enter(&reader.slot);
+                Arc::clone(g.native.as_ref().expect("flushed native"))
+            })
+            .collect();
+        for w in sets.windows(2) {
+            assert!(
+                Arc::ptr_eq(&w[0], &w[1]),
+                "the herd must share one compiled set"
+            );
+        }
     }
 
     #[test]

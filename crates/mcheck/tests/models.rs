@@ -215,28 +215,63 @@ fn persist_single_writer_is_clean_on_trunk() {
 
 // -- full exhaustive sweeps (scripts/ci.sh runs these via --ignored) --
 
-fn sweep(name: &str, f: fn()) {
-    sweep_to(400_000, name, f);
+/// Explores `f` to completion and holds the exploration to `want`:
+/// `(interleavings, schedule points taken)`. The explorer is
+/// deterministic, so both are exact: they move when a model program or
+/// the code under it gains or loses a scheduling point (a `notify`, a
+/// lock, an atomic), and whoever moved them re-pins them here with the
+/// reason.
+fn sweep(name: &str, f: fn(), want: (u64, u64)) {
+    let report = run(400_000, name, f);
+    assert!(report.complete, "{name}: not exhausted within the budget");
+    assert_eq!(
+        (report.executions, report.steps),
+        want,
+        "{name}: (interleavings, steps) explored"
+    );
 }
 
-fn sweep_to(budget: u64, name: &str, f: fn()) {
+/// Explores `f` depth-first for exactly `budget` interleavings: these
+/// programs are too large to exhaust, so the interleaving count is the
+/// bound and `steps` is what a change to the code under them moves.
+fn sweep_to(budget: u64, name: &str, f: fn(), steps: u64) {
+    let report = run(budget, name, f);
+    assert!(
+        !report.complete,
+        "{name}: fits its budget now ({} interleavings); it belongs under `sweep`",
+        report.executions
+    );
+    assert_eq!(
+        (report.executions, report.steps),
+        (budget, steps),
+        "{name}: (interleavings, steps) explored"
+    );
+}
+
+fn run(budget: u64, name: &str, f: fn()) -> mcheck::Report {
     let report = Explorer::new().exhaustive(budget, f);
     println!(
         "{name}: {} interleavings explored, {} steps, complete={}",
         report.executions, report.steps, report.complete
     );
-    if let Some(v) = report.violation {
+    if let Some(v) = &report.violation {
         panic!("model program {name} violated:\n{v}");
     }
+    report
 }
 
 #[test]
 #[ignore = "full exhaustive sweep; run via scripts/ci.sh (cargo test -p mcheck -- --ignored)"]
 fn exhaustive_rcu_models() {
-    sweep("rcu_no_use_after_retire", programs::rcu_no_use_after_retire);
+    sweep(
+        "rcu_no_use_after_retire",
+        programs::rcu_no_use_after_retire,
+        (84_364, 2_080_524),
+    );
     sweep(
         "rcu_removed_id_unmatchable",
         programs::rcu_removed_id_unmatchable,
+        (5_467, 147_334),
     );
     // Three threads: bounded (400k interleavings do not exhaust it and
     // take 12 minutes); the seeded walks above are what catch the bug.
@@ -244,23 +279,33 @@ fn exhaustive_rcu_models() {
         50_000,
         "rcu_concurrent_reclaim_no_use_after_retire",
         programs::rcu_concurrent_reclaim_no_use_after_retire,
+        1_400_000,
     );
 }
 
 #[test]
 #[ignore = "full exhaustive sweep; run via scripts/ci.sh (cargo test -p mcheck -- --ignored)"]
 fn exhaustive_cache_models() {
-    sweep("cache_exactly_one_build", programs::cache_exactly_one_build);
-    sweep("cache_stalled_path", programs::cache_stalled_path);
+    sweep(
+        "cache_exactly_one_build",
+        programs::cache_exactly_one_build,
+        (218, 3_941),
+    );
+    sweep(
+        "cache_stalled_path",
+        programs::cache_stalled_path,
+        (65, 1_465),
+    );
     sweep(
         "cache_notify_wakes_waiters",
         programs::cache_notify_wakes_waiters,
+        (218, 3_723),
     );
 }
 
 /// Bounded, not complete: three threads through the whole service
 /// exceed any budget CI can afford (100k interleavings, ~4 minutes,
-/// still open), so the count this prints is the bound.
+/// still open), so the count this pins is the bound.
 #[test]
 #[ignore = "bounded DFS sweep; run via scripts/ci.sh (cargo test -p mcheck -- --ignored)"]
 fn bounded_stack_model() {
@@ -268,6 +313,7 @@ fn bounded_stack_model() {
         20_000,
         "stack_sync_vs_async_one_build",
         programs::stack_sync_vs_async_one_build,
+        806_507,
     );
 }
 
@@ -277,12 +323,21 @@ fn exhaustive_latch_and_quarantine_models() {
     sweep(
         "degraded_latch_no_torn_swap",
         programs::degraded_latch_no_torn_swap,
+        (375, 5_777),
     );
-    sweep("quarantine_single_probe", programs::quarantine_single_probe);
+    sweep(
+        "quarantine_single_probe",
+        programs::quarantine_single_probe,
+        (6_155, 83_702),
+    );
 }
 
 #[test]
 #[ignore = "full exhaustive sweep; run via scripts/ci.sh (cargo test -p mcheck -- --ignored)"]
 fn exhaustive_persist_models() {
-    sweep("persist_single_writer", programs::persist_single_writer);
+    sweep(
+        "persist_single_writer",
+        programs::persist_single_writer,
+        (216_454, 4_238_682),
+    );
 }

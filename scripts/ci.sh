@@ -153,6 +153,35 @@ if [ -n "$second_dispatch" ]; then
 fi
 echo "one dispatch per instruction ok"
 
+echo "== one measurement system (no gate compares with a committed number) =="
+# A perf gate here is exact (simulated cycles and instructions, emitted
+# bytes, golden digests, allocation / pool / syscall counts, mcheck
+# interleavings) or a ratio whose two sides alternate in short windows
+# inside one process and is judged per pair (DESIGN.md "What CI gates").
+# Wall-clock numbers are reported and kept in BENCH_history.jsonl by
+# scripts/bench_history.sh; parent-against-change comparisons are the
+# pipeline's, over `benchmark/`. The second harness's snapshot file, its
+# baseline variable and its 20% fences tripped on unchanged code more
+# often than not (EXPERIMENTS.md "PR 21"): fail on any of their names
+# under scripts/ or crates/, on a `sed`/`awk` over a committed metrics
+# file there, and on any mention of such a file in this script — no
+# stage reads a number it did not just measure. The two assignments
+# below that spell the names are the only exemption.
+measurement_names='VCODE_BASELINE|snapshot::check|BENCH_codegen|bench_snapshot'
+measurement_files='BENCH_'
+measurement_reads="(^|[^[:alnum:]_])(sed|awk)[[:space:]][^#]*$measurement_files|^scripts/ci\\.sh:[0-9]+:[^#]*$measurement_files"
+second_harness=$(git ls-files --cached --others --exclude-standard scripts crates |
+    while IFS= read -r f; do [ -f "$f" ] && echo "$f"; done |
+    xargs grep -nHE "$measurement_names|$measurement_files" |
+    grep -E "$measurement_names|$measurement_reads" |
+    grep -vE '^scripts/ci\.sh:[0-9]+:measurement_(names|files)=' || true)
+if [ -n "$second_harness" ]; then
+    echo "one-measurement gate: a gate reads a committed number, or the second harness is back:" >&2
+    echo "$second_harness" >&2
+    exit 1
+fi
+echo "one measurement system ok"
+
 echo "== exec pool steady state (a cold compile makes no syscalls) =="
 # 4096 first-sight programs through `compile_cached` on a full 256-entry
 # L1, in release as the benchmark runs them: the executable-memory pool
@@ -178,7 +207,8 @@ echo "== model checker: exhaustive concurrency sweeps =="
 # this is the full DFS sweep; two of the three-thread programs —
 # concurrent reclaim, the code stack's sync-vs-async race — are swept
 # to a bound, not exhausted). Any violation prints a replayable
-# schedule.
+# schedule, and every program's interleaving count is pinned: a lost or
+# added scheduling point fails here even when no invariant breaks.
 cargo test -q -p mcheck --offline --test models -- --ignored
 
 # The two sanitizer lanes self-skip when their toolchain is absent, and
@@ -213,134 +243,63 @@ echo "== verifier gate (streaming checks + differential decoder) =="
 # the simulator decoders.
 cargo test -q -p vcode --offline --test verify
 
-echo "== verifier-off overhead smoke (zero-cost-when-disabled gate) =="
-# The verifier-off emission loop is the production fast path; its
-# ns/insn is held to the same 20% fence as codegen_cost. The
-# verifier-on number is recorded but not gated.
-VCODE_SMOKE=1 VCODE_BASELINE="$PWD/BENCH_codegen.json" \
-    cargo bench -q --offline -p vcode-bench --bench verify_overhead
+# The perf stages. Each bench exits non-zero on what it asserts, which
+# is exact or a paired ratio (see the "one measurement system" gate
+# above); the ns they print are for the log. A bench that asserts
+# nothing (verify_overhead, par_codegen, ablation, the paper tables) is
+# a reporter and has no stage: scripts/bench_history.sh runs those.
 
-echo "== codegen-cost smoke (perf regression gate) =="
-# Smoke-mode rerun against the committed snapshot: any ns/insn metric
-# more than 20% over BENCH_codegen.json fails the build (the bench
-# exits non-zero). Regenerate the snapshot with scripts/bench_snapshot.sh
-# when a deliberate change moves the numbers.
-VCODE_SMOKE=1 VCODE_BASELINE="$PWD/BENCH_codegen.json" \
-    cargo bench -q --offline -p vcode-bench --bench codegen_cost
+echo "== codegen-cost smoke (emitted bytes and instructions, exact) =="
+# One 256-instruction emission through the allocator-register, the
+# hard-register and the DCG paths must write exactly the pinned bytes
+# for exactly the pinned VCODE instructions, with no spills.
+VCODE_SMOKE=1 cargo bench -q --offline -p vcode-bench --bench codegen_cost
 
 echo "== cache-amortize smoke (lambda-cache gate) =="
-# Warm cache hits must stay >=5x cheaper than a cold compile (a hit
-# that re-runs emission fails the bench's hard gate), and the cold/warm
-# ns metrics are held to the same 20% fence as codegen_cost.
-VCODE_SMOKE=1 VCODE_BASELINE="$PWD/BENCH_codegen.json" \
-    cargo bench -q --offline -p vcode-bench --bench cache_amortize
+# Warm cache hits must stay >=5x cheaper than a cold compile, judged on
+# the median of alternating cold/warm window pairs (a hit that re-runs
+# emission reads ~1x), and every warm request must count as a hit.
+VCODE_SMOKE=1 cargo bench -q --offline -p vcode-bench --bench cache_amortize
 
 echo "== compile-service smoke (graceful-degradation gate) =="
-# The async compile service: warm submits, the degraded (interpreter)
-# call path and native calls are held to the 20% fence; the bench itself
-# hard-fails when a flood past the queue depth does not shed, when an
-# accepted build is left unresolved, or when the degradation ladder is
-# inverted (interpreter not slower than native).
-VCODE_SMOKE=1 VCODE_BASELINE="$PWD/BENCH_codegen.json" \
-    cargo bench -q --offline -p vcode-bench --bench compile_service
-
-echo "== par-codegen scaling gate (committed snapshot) =="
-# The committed snapshot must show monotone non-decreasing aggregate
-# codegen throughput across the whole 1..8t sweep — the multi-core
-# scaling cliff (rates *falling* as threads were added, from free-list
-# shard contention in the executable-memory pool) stays fixed. The
-# bench clamps worker counts to the cores present (oversubscription
-# measures the scheduler, not the generator), so any two sweep points
-# clamped to the *same* worker count are identical configurations
-# measuring one workload; for those pairs the gate allows a 2% noise
-# floor instead of demanding growth that cannot exist. Unclamped pairs
-# stay strictly monotone. Reads the committed BENCH_codegen.json so the
-# gate is deterministic in CI; regenerate with scripts/bench_snapshot.sh
-# on a quiet machine when a deliberate change moves the numbers.
-par_metric() {
-    sed -n "s/.*\"par_codegen\\/$1\": *\\([0-9.]*\\).*/\\1/p" \
-        "$PWD/BENCH_codegen.json"
-}
-r1="$(par_metric minsn_per_s_1t)"; r2="$(par_metric minsn_per_s_2t)"
-r4="$(par_metric minsn_per_s_4t)"; r8="$(par_metric minsn_per_s_8t)"
-cores="$(par_metric cores)"
-if [ -z "$r1" ] || [ -z "$r2" ] || [ -z "$r4" ] || [ -z "$r8" ] || [ -z "$cores" ]; then
-    echo "par_codegen gate: snapshot missing 1t/2t/4t/8t/cores metrics" >&2
-    exit 1
-fi
-awk -v r1="$r1" -v r2="$r2" -v r4="$r4" -v r8="$r8" -v c="$cores" 'BEGIN {
-    req[1] = 1; req[2] = 2; req[3] = 4; req[4] = 8
-    v[1] = r1 + 0; v[2] = r2 + 0; v[3] = r4 + 0; v[4] = r8 + 0
-    for (i = 2; i <= 4; i++) {
-        lo = req[i - 1] < c ? req[i - 1] : c
-        hi = req[i] < c ? req[i] : c
-        floor = (hi == lo) ? v[i - 1] * 0.98 : v[i - 1]
-        if (v[i] < floor) {
-            printf "par_codegen gate: scaling not monotone at %dt->%dt " \
-                "(%.2f -> %.2f Minsn/s, cores=%d)\n", \
-                req[i - 1], req[i], v[i - 1], v[i], c
-            exit 1
-        }
-    }
-    printf "par_codegen scaling ok (cores=%d): 1t=%.2f 2t=%.2f 4t=%.2f 8t=%.2f Minsn/s\n", \
-        c, v[1], v[2], v[3], v[4]
-}'
+# The async compile service: the bench hard-fails when a flood past the
+# queue depth does not shed, when an accepted build is left unresolved
+# (both counts), or when the degradation ladder is inverted (interpreter
+# not slower than native over alternating window pairs).
+VCODE_SMOKE=1 cargo bench -q --offline -p vcode-bench --bench compile_service
 
 echo "== tier-2 exact gates (differential + simulated-cycle floor) =="
 # The tier-2 bench hard-fails when any DPF/ASH hot-loop kernel
 # disagrees across interpreter / tier-1 / tier-2, or when the aggregate
 # simulated-cycle reduction drops below the 10% floor (cycle counts are
 # deterministic, so the floor is exact). Its wall-clock rows (compile
-# ns/insn of both tiers, native speedup) are printed and recorded, not
-# fenced: nothing serves from the tier-2 path.
-VCODE_SMOKE=1 VCODE_BASELINE="$PWD/BENCH_codegen.json" \
-    cargo bench -q --offline -p vcode-bench --bench tier2
+# ns/insn of both tiers, native speedup) are printed, not gated:
+# nothing serves from the tier-2 path.
+VCODE_SMOKE=1 cargo bench -q --offline -p vcode-bench --bench tier2
 
 echo "== dpf-service smoke (live-update-under-traffic gate) =="
-# The live classifier service: the bench hard-fails when sustained
-# classification throughput under ~1k filter updates/s falls below 80%
-# of the static-set baseline (measured in the same process, so the gate
-# is machine-relative and holds in smoke mode), when an update storm
-# leaves a generation unpublished, or when a static run is served by
-# the degraded interpreter path. The per-packet single/batch ns metrics
-# are held to the snapshot's 20% fence.
-VCODE_SMOKE=1 VCODE_BASELINE="$PWD/BENCH_codegen.json" \
-    cargo bench -q --offline -p vcode-bench --bench dpf_service
+# The live classifier service: the bench hard-fails when classification
+# throughput under ~1k filter updates/s falls below 80% of the same
+# readers' while the writer churns a bystander service instead, judged
+# on the median ratio of 21 alternating window pairs, when an update
+# leaves a generation unpublished, or when a baseline window is served
+# by the degraded interpreter path.
+VCODE_SMOKE=1 cargo bench -q --offline -p vcode-bench --bench dpf_service
 
 echo "== persist smoke (persistent-cache cold/warm gate) =="
 # The persistent (L2) code cache: the bench hard-fails when a warm
 # start (artifacts on disk, L1 cleared) is not at least 2x faster to
-# first classified packet than a cold start, when store-through writes
-# fewer artifacts than sets compiled, or when a warm pass is served by
-# fresh compiles instead of verified disk loads.
-VCODE_SMOKE=1 VCODE_BASELINE="$PWD/BENCH_codegen.json" \
-    cargo bench -q --offline -p vcode-bench --bench persist
+# first classified packet than the cold start just before it (median of
+# the pairs), when store-through writes fewer artifacts than sets
+# compiled, or when a warm pass is served by fresh compiles instead of
+# verified disk loads.
+VCODE_SMOKE=1 cargo bench -q --offline -p vcode-bench --bench persist
 
-echo "== persist warm-start gate (committed snapshot) =="
-# The committed snapshot must record a >=2x warm-start speedup — the
-# tentpole acceptance criterion, checked against the artifact the repo
-# ships, not just the machine CI happens to run on.
-persist_metric() {
-    sed -n "s/.*\"persist\\/$1\": *\\([0-9.]*\\).*/\\1/p" \
-        "$PWD/BENCH_codegen.json"
-}
-warm_speedup="$(persist_metric warm_speedup)"
-if [ -z "$warm_speedup" ]; then
-    echo "persist gate: snapshot missing persist/warm_speedup" >&2
-    exit 1
-fi
-awk -v s="$warm_speedup" 'BEGIN {
-    if (s + 0 < 2.0) {
-        printf "persist gate: committed warm-start speedup %.2fx below the 2x floor\n", s
-        exit 1
-    }
-    printf "persist warm-start ok: %.2fx\n", s
-}'
-
-echo "== exec-stats smoke (observability gate) =="
+echo "== exec-stats smoke (observability gate, pinned simulator counts) =="
 # Every backend — three simulators plus native x86-64 — must expose
-# nonzero, schema-stable ExecStats counters; the bench exits non-zero
-# when any backend's counters go dark.
+# nonzero, schema-stable ExecStats counters, and each simulator must
+# retire exactly the pinned instructions and cycles; the bench exits
+# non-zero when a backend's counters go dark or a count moves.
 cargo bench -q --offline -p vcode-bench --bench exec_stats
 
 printf '%s' "$lanes"
