@@ -41,18 +41,12 @@ use crate::asm::SessionTables;
 use crate::cache::{CacheError, CacheKey, CacheStats, LambdaCache};
 use crate::op::{BinOp, Cond, UnOp};
 use crate::persist::{ArtifactView, DiskTier, PersistError};
-use crate::service::{CompileService, ServiceConfig};
 use crate::stack::CodeStack;
 use crate::target::{BrOperand, Finished, Leaf, Target};
 use crate::ty::Ty;
+use crate::vsync::{Arc, OnceLock};
 use crate::{Assembler, Error, Label, Reg, RegClass};
 use std::fmt;
-// The degraded handle's native latch synchronizes via the `vsync` facade
-// so `crates/mcheck` can explore the upgrade race; the executor registry
-// below stays on `std::sync::RwLock` (const-initialized static, never
-// touched by model programs).
-use crate::vsync::{Arc, OnceLock};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::RwLock;
 use std::time::Duration;
 
@@ -701,13 +695,11 @@ impl Program {
         (self.len * 32 + 512).max(4096)
     }
 
-    /// Directly evaluates the recorded stream — the engine's degraded
-    /// tier. While (or instead of) building native code, a
-    /// [`DegradedLambda`] serves calls through this evaluator; its
-    /// arithmetic is bit-for-bit the word-portable `i32` semantics every
-    /// backend emits (wrapping two's complement, shift counts masked to
-    /// 5 bits, arithmetic right shift), so an answer served degraded
-    /// equals the answer the native code gives later.
+    /// Directly evaluates the recorded stream — the oracle every
+    /// backend is checked against. Its arithmetic is bit-for-bit the
+    /// word-portable `i32` semantics every backend emits (wrapping two's
+    /// complement, shift counts masked to 5 bits, arithmetic right
+    /// shift), so an interpreted answer equals the native one.
     ///
     /// `fuel` bounds executed instructions: a looping program returns a
     /// typed error instead of wedging the request thread.
@@ -1045,9 +1037,9 @@ pub trait Lambda: Send + Sync + fmt::Debug {
     fn call(&self, args: &[i32]) -> Result<i64, EngineError>;
 
     /// The `(args, code bytes)` image the persistent cache serializes,
-    /// or `None` when this lambda cannot leave the process (degraded
-    /// interpreter lambdas, position-dependent code). The bytes must be
-    /// exactly what [`Backend::adopt`] re-materializes from.
+    /// or `None` when this lambda cannot leave the process
+    /// (position-dependent code). The bytes must be exactly what
+    /// [`Backend::adopt`] re-materializes from.
     fn persist_image(&self) -> Option<(usize, Vec<u8>)> {
         None
     }
@@ -1308,142 +1300,6 @@ macro_rules! code_backend {
 }
 
 // ---------------------------------------------------------------------------
-// Degraded serving: the interpreter tier behind async compiles
-// ---------------------------------------------------------------------------
-
-/// A callable handle served *before* (or instead of) native code: calls
-/// run through [`Program::interpret`] until the background build
-/// publishes, then upgrade — permanently and race-free — to the native
-/// [`Lambda`].
-///
-/// The upgrade check is a stack [`poll`](CodeStack::poll) (no emission
-/// work, never waits) plus a `OnceLock` publish, so a warm degraded
-/// handle costs one atomic load per call once upgraded.
-#[derive(Debug)]
-pub struct DegradedLambda {
-    program: Program,
-    key: CacheKey,
-    stack: Arc<CodeStack<dyn Lambda>>,
-    native: OnceLock<Arc<dyn Lambda>>,
-    /// Calls the interpreter answered, read through
-    /// [`AsyncCompile::degraded_calls`]. A statistic: it publishes
-    /// nothing, so a relaxed `std` atomic, outside the model's schedule.
-    degraded_calls: AtomicU64,
-}
-
-impl DegradedLambda {
-    /// The native lambda, if the background build has published it.
-    /// First success latches: later calls never re-probe the stack.
-    pub fn native(&self) -> Option<&Arc<dyn Lambda>> {
-        if let Some(n) = self.native.get() {
-            return Some(n);
-        }
-        let fetched = self.stack.poll(&self.key)?;
-        Some(self.native.get_or_init(|| fetched))
-    }
-
-    /// Whether calls are now served by native code.
-    pub fn upgraded(&self) -> bool {
-        self.native().is_some()
-    }
-}
-
-impl Lambda for DegradedLambda {
-    fn target(&self) -> TargetId {
-        self.key.target()
-    }
-
-    /// Native code size once upgraded; `0` while interpreting.
-    fn code_len(&self) -> usize {
-        self.native().map_or(0, |n| n.code_len())
-    }
-
-    /// Recorded stream length while degraded; the native count once
-    /// upgraded.
-    fn insns(&self) -> u64 {
-        self.native()
-            .map_or(self.program.len() as u64, |n| n.insns())
-    }
-
-    fn call(&self, args: &[i32]) -> Result<i64, EngineError> {
-        if let Some(n) = self.native() {
-            return n.call(args);
-        }
-        self.degraded_calls.fetch_add(1, Ordering::Relaxed);
-        self.program.interpret(args, SIM_FUEL)
-    }
-}
-
-/// How one [`Engine::compile_async`] request was served.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ServeMode {
-    /// Warm cache hit: the handle is native code from the first call.
-    Native,
-    /// The build was queued (or already in flight); the handle serves
-    /// the interpreter until the upgrade publishes.
-    Building,
-    /// The service shed the build (queue at depth, or the cache shard
-    /// at its build cap): degraded serving, nothing enqueued.
-    Shed,
-    /// The key is quarantined after repeated build failures: degraded
-    /// serving until the backoff expires.
-    Quarantined {
-        /// Time until the next rebuild probe is admitted.
-        retry_in: Duration,
-        /// Consecutive failures recorded for the key.
-        failures: u32,
-    },
-}
-
-/// Result of a non-blocking [`Engine::compile_async`]: a lambda that is
-/// callable *right now*, plus how it is (currently) served.
-#[derive(Debug, Clone)]
-pub struct AsyncCompile {
-    lambda: Arc<dyn Lambda>,
-    degraded: Option<Arc<DegradedLambda>>,
-    mode: ServeMode,
-}
-
-impl AsyncCompile {
-    /// The callable handle (native or degraded).
-    pub fn lambda(&self) -> &Arc<dyn Lambda> {
-        &self.lambda
-    }
-
-    /// How the request was served at submit time.
-    pub fn mode(&self) -> ServeMode {
-        self.mode
-    }
-
-    /// Whether calls are served by native code *now* (a degraded handle
-    /// upgrades as soon as the background build publishes).
-    pub fn native_ready(&self) -> bool {
-        match &self.degraded {
-            None => true,
-            Some(d) => d.upgraded(),
-        }
-    }
-
-    /// Calls this handle served through the interpreter, before (or
-    /// instead of) native code; `0` for a handle that was native from
-    /// the start.
-    pub fn degraded_calls(&self) -> u64 {
-        self.degraded
-            .as_ref()
-            .map_or(0, |d| d.degraded_calls.load(Ordering::Relaxed))
-    }
-
-    /// Calls the handle — identical to `self.lambda().call(args)`.
-    ///
-    /// # Errors
-    ///
-    /// See [`Lambda::call`].
-    pub fn call(&self, args: &[i32]) -> Result<i64, EngineError> {
-        self.lambda.call(args)
-    }
-}
-
-// ---------------------------------------------------------------------------
 // The engine: registry + cache
 // ---------------------------------------------------------------------------
 
@@ -1521,9 +1377,8 @@ impl crate::persist::ArtifactCodec<dyn Lambda> for LambdaCodec {
 #[derive(Debug)]
 pub struct Engine {
     backends: [Option<Arc<dyn Backend>>; 4],
-    /// L1 cache, compile service and optional persistent tier (see
-    /// [`crate::stack`]); shared so degraded handles can poll it.
-    stack: Arc<CodeStack<dyn Lambda>>,
+    /// L1 cache and optional persistent tier (see [`crate::stack`]).
+    stack: CodeStack<dyn Lambda>,
 }
 
 impl Engine {
@@ -1532,7 +1387,7 @@ impl Engine {
     pub fn new(capacity: usize) -> Engine {
         Engine {
             backends: [const { None }; 4],
-            stack: Arc::new(CodeStack::new(capacity)),
+            stack: CodeStack::new(capacity),
         }
     }
 
@@ -1605,72 +1460,10 @@ impl Engine {
             })
     }
 
-    /// Non-blocking compile: never generates code and never waits on
-    /// the calling thread. A warm key returns native code
-    /// ([`ServeMode::Native`]); otherwise the build is handed to the
-    /// engine's [`CompileService`] and the returned handle serves calls
-    /// through [`Program::interpret`] until the native code publishes —
-    /// see [`ServeMode`] for the shed/quarantine outcomes.
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::UnregisteredBackend`]; everything downstream of a
-    /// successful submit is *served*, not errored (the degradation
-    /// ladder's whole point).
-    pub fn compile_async(&self, id: TargetId, prog: &Program) -> Result<AsyncCompile, EngineError> {
-        let backend = self.backends[id.index()]
-            .as_ref()
-            .ok_or(EngineError::UnregisteredBackend(id))?;
-        let (bytes, hash) = prog.encoded();
-        let key = CacheKey::from_encoded(id, Arc::clone(bytes), *hash);
-        let (backend, to_build) = (Arc::clone(backend), prog.clone());
-        let served = self
-            .stack
-            .submit(&key, move |l2| l2.or_build(|| backend.compile(&to_build)))
-            .served();
-        let mode = match served {
-            Ok(lambda) => {
-                return Ok(AsyncCompile {
-                    lambda,
-                    degraded: None,
-                    mode: ServeMode::Native,
-                })
-            }
-            Err(mode) => mode,
-        };
-        let degraded = Arc::new(DegradedLambda {
-            program: prog.clone(),
-            key,
-            stack: Arc::clone(&self.stack),
-            native: OnceLock::new(),
-            degraded_calls: AtomicU64::new(0),
-        });
-        Ok(AsyncCompile {
-            lambda: Arc::clone(&degraded) as Arc<dyn Lambda>,
-            degraded: Some(degraded),
-            mode,
-        })
-    }
-
-    /// The engine's background compile service, started on first use
-    /// with [`ServiceConfig::default`] (or the configuration installed
-    /// by [`configure_service`](Self::configure_service)).
-    pub fn service(&self) -> &CompileService<dyn Lambda> {
-        self.stack.service()
-    }
-
-    /// Installs a non-default service configuration. Returns `false` if
-    /// the service already started (first [`compile_async`](Self::
-    /// compile_async) wins); the running service is then unchanged.
-    pub fn configure_service(&self, cfg: ServiceConfig) -> bool {
-        self.stack.configure_service(cfg)
-    }
-
-    /// Attaches a persistent L2 tier under `dir`: subsequent misses —
-    /// [`compile_cached`](Self::compile_cached) on the calling thread,
-    /// [`compile_async`](Self::compile_async) on a service worker —
-    /// probe the disk tier before compiling and store through after.
-    /// First call wins (`false` afterwards).
+    /// Attaches a persistent L2 tier under `dir`: subsequent
+    /// [`compile_cached`](Self::compile_cached) misses probe the disk
+    /// tier before compiling and store through after. First call wins
+    /// (`false` afterwards).
     ///
     /// Register every backend *before* enabling persistence — the tier
     /// captures the backend set it revalidates and adopts with.

@@ -76,10 +76,7 @@ pub mod vsync;
 pub use asm::{Asm, Assembler};
 pub use buf::EmitPath;
 pub use cache::{CacheError, CacheKey, CacheStats, LambdaCache};
-pub use engine::{
-    AsyncCompile, Backend, DegradedLambda, Engine, EngineError, Lambda, Program, ServeMode,
-    TargetId,
-};
+pub use engine::{Backend, Engine, EngineError, Lambda, Program, TargetId};
 pub use error::Error;
 pub use label::Label;
 pub use obs::{CodegenEvent, ExecStats, TraceRecord, TrapCounts};

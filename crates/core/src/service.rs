@@ -45,7 +45,6 @@
 //! engine's `dyn Lambda`, DPF's compiled classifiers, ASH's kernels.
 
 use crate::cache::{CacheKey, LambdaCache};
-use crate::engine::ServeMode;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -99,8 +98,7 @@ pub enum Submit<V: ?Sized> {
     /// Finished code was already cached — serve it directly.
     Ready(Arc<V>),
     /// The build was accepted onto the queue; serve the fallback and
-    /// poll [`CodeStack::poll`](crate::stack::CodeStack::poll) for the
-    /// upgrade.
+    /// [`peek`](LambdaCache::peek) the cache for the upgrade.
     Queued,
     /// Another build (sync or async) already holds the key's `Building`
     /// slot; serve the fallback.
@@ -116,26 +114,6 @@ pub enum Submit<V: ?Sized> {
         /// Consecutive failures recorded for the key.
         failures: u32,
     },
-}
-
-impl<V: ?Sized> Submit<V> {
-    /// The finished code, or — the one mapping from a submit outcome to
-    /// what every serve-while-compiling client reports — how its
-    /// fallback is being served.
-    ///
-    /// # Errors
-    ///
-    /// The [`ServeMode`] of every outcome but [`Submit::Ready`].
-    pub fn served(self) -> Result<Arc<V>, ServeMode> {
-        match self {
-            Submit::Ready(val) => Ok(val),
-            Submit::Queued | Submit::InFlight => Err(ServeMode::Building),
-            Submit::Shed => Err(ServeMode::Shed),
-            Submit::Quarantined { retry_in, failures } => {
-                Err(ServeMode::Quarantined { retry_in, failures })
-            }
-        }
-    }
 }
 
 impl<V: ?Sized> fmt::Debug for Submit<V> {

@@ -46,7 +46,7 @@ pub mod trie;
 
 pub use compile::{CompileError, CompiledSet, Options, Strategies};
 pub use lang::{Atom, FieldSize, Filter, FilterBuilder, FilterError};
-pub use service::{DpfReader, DpfService, ServiceSnapshot};
+pub use service::{BuildFailure, DpfReader, DpfService, ServiceSnapshot};
 
 use mpf::Mpf;
 use std::sync::{Arc, OnceLock};
@@ -121,11 +121,9 @@ impl vcode::ArtifactCodec<CompiledSet> for SetCodec {
 }
 
 /// Attaches a persistent L2 tier for compiled classifiers under `dir`:
-/// every cache miss — [`Dpf::compile`] on the calling thread,
-/// [`DpfService`] installs on a service worker — probes the disk tier
-/// before compiling and stores through after, and a warm key
-/// republishes native straight from disk. First call wins (`false`
-/// afterwards).
+/// every cache miss — a [`Dpf::compile`] or a [`DpfService`] install,
+/// each on the calling thread — probes the disk tier before compiling
+/// and stores through after. First call wins (`false` afterwards).
 ///
 /// # Errors
 ///
@@ -139,15 +137,15 @@ pub fn persist_tier() -> Option<&'static Arc<vcode::DiskTier<CompiledSet>>> {
     stack().persist_tier()
 }
 
-/// The one miss function every classifier build hands the stack
-/// ([`Dpf::compile`] lends its filters, [`DpfService`] moves a copy to
-/// the worker): a valid persisted artifact skips trie construction and
-/// codegen entirely; otherwise build, and store the result through.
+/// The one miss function every classifier build ([`Dpf::compile`], a
+/// [`DpfService`] install) hands the stack: a valid persisted artifact
+/// skips trie construction and codegen entirely; otherwise build, and
+/// store the result through.
 pub(crate) fn set_miss(
-    filters: impl AsRef<[(u32, Filter)]>,
+    filters: &[(u32, Filter)],
     opts: Options,
-) -> impl FnOnce(L2<'_, CompiledSet>) -> Result<Arc<CompiledSet>, CompileError> {
-    move |l2| l2.or_build(|| build_set(filters.as_ref(), opts))
+) -> impl FnOnce(L2<'_, CompiledSet>) -> Result<Arc<CompiledSet>, CompileError> + '_ {
+    move |l2| l2.or_build(|| build_set(filters, opts))
 }
 
 /// The one classifier build: merge `filters` into a trie, compile it
@@ -209,8 +207,9 @@ impl std::error::Error for ClassifyError {}
 /// [`classify`](Dpf::classify) runs the resident [`Mpf`] interpreter, kept
 /// in sync on every insert/remove. [`try_classify`](Dpf::try_classify)
 /// is the strict variant that reports staleness as a typed error
-/// instead of degrading. For filter updates under live traffic with no
-/// interpreter window at all, use [`service::DpfService`].
+/// instead of degrading. For filter updates under live traffic, where
+/// each install compiles and publishes before it returns, use
+/// [`service::DpfService`].
 #[derive(Debug, Default)]
 pub struct Dpf {
     filters: Vec<(u32, Filter)>,

@@ -11,13 +11,19 @@
 //!   [`classify_batch`](DpfReader::classify_batch)) is two atomic
 //!   stores and two loads — no mutex, no reference-count contention on
 //!   the generation itself.
-//! - **Writers publish generations.** `insert`/`remove` build an
-//!   immutable [`Generation`] for the *new* filter set and swap it in
-//!   with a single pointer store. The native build is handed to the
-//!   process-wide classifier stack's compile service; for the delta
-//!   window between publication and the build landing, the generation
-//!   classifies with an [`Mpf`] interpreter over the same filters —
-//!   correct ids, never a stale match, never a panic, never a stall.
+//! - **Writers build, then publish once.** `insert`/`remove` compile the
+//!   *new* filter set on the calling (control-plane) thread, through the
+//!   process-wide classifier stack, and swap the finished immutable
+//!   [`Generation`] in with a single pointer store. Readers keep the
+//!   previous native generation until the swap: a build costs tens of
+//!   microseconds, less than waking a worker to do it (DESIGN.md "Live
+//!   classifier updates"), and is paid once, by the thread that asked.
+//! - **A failed build degrades, never lies.** If the native build of
+//!   the new set fails, the generation published for it classifies
+//!   with an [`Mpf`] interpreter over the same filters (correct ids,
+//!   only slower) and the service keeps a typed [`BuildFailure`];
+//!   [`poll_upgrade`](DpfService::poll_upgrade) retries no sooner than
+//!   its backoff, and the next mutation supersedes it.
 //! - **Reclamation is epoch-deferred.** A replaced generation is freed
 //!   (and its [`CodePin`] on the compiled mapping released) only once
 //!   every active reader entered at or after the retire epoch — a
@@ -26,27 +32,23 @@
 //! Semantic caveat, inherited from the degradation ladder: the compiled
 //! trie resolves overlapping filters by longest match, the interpreter
 //! by first match. Disjoint filter sets (the common demultiplexing
-//! case) classify identically in and out of the delta window.
+//! case) classify identically on both.
 //!
 //! ```
 //! use dpf::packet::{self, PacketSpec};
 //! use dpf::DpfService;
-//! use std::time::Duration;
 //!
 //! let svc = DpfService::new();
-//! let id = svc.insert(packet::tcp_port_filter(0x0a00_0002, 80)?);
 //! let reader = svc.reader();           // clone one per thread
-//! let msg = packet::build(&PacketSpec { dst_port: 80, ..PacketSpec::default() });
-//! // Classification is live immediately (interpreter delta window),
-//! // and upgrades in place once the background build publishes.
-//! assert_eq!(reader.classify(&msg), Some(id));
-//! svc.flush(Duration::from_secs(5));
-//! assert_eq!(reader.classify(&msg), Some(id));
+//! let id = svc.insert(packet::tcp_port_filter(0x0a00_0002, 80)?);
+//! // The insert compiled the new set before it returned.
 //! assert!(svc.is_native());
+//! let msg = packet::build(&PacketSpec { dst_port: 80, ..PacketSpec::default() });
+//! assert_eq!(reader.classify(&msg), Some(id));
 //! # Ok::<(), dpf::FilterError>(())
 //! ```
 
-use crate::compile::CompiledSet;
+use crate::compile::{CompileError, CompiledSet};
 use crate::lang::Filter;
 use crate::mpf::Mpf;
 use crate::{cache_key, set_miss, stack, Options};
@@ -58,44 +60,56 @@ use std::marker::PhantomData;
 // interleavings (no raw `std::sync` here; see DESIGN.md "Model-checked
 // concurrency").
 use vcode::rcu::Rcu;
-use vcode::vsync::{
-    self, Arc, AtomicBool, AtomicU64, Duration, Instant, Mutex, MutexGuard, Ordering,
-};
-use vcode::{CacheKey, QuarantineInfo};
+use vcode::vsync::{Arc, AtomicBool, AtomicU64, Duration, Instant, Mutex, MutexGuard, Ordering};
+use vcode::CacheError;
 use vcode_x64::CodePin;
+
+/// First-failure retry backoff of a failed native build; doubles per
+/// consecutive failure on the same set, up to [`RETRY_CAP`].
+const RETRY_BASE: Duration = Duration::from_millis(100);
+/// Backoff ceiling.
+const RETRY_CAP: Duration = Duration::from_secs(5);
+
+/// What a generation classifies with.
+enum Classifier {
+    /// The compiled classifier. The pin on its mapping is released only
+    /// when the generation is reclaimed, i.e. after its last reader
+    /// epoch retires — a reader mid-batch keeps the old code executable
+    /// even if the cache evicts and drops the `CompiledSet` meanwhile.
+    Native {
+        set: Arc<CompiledSet>,
+        _pin: CodePin,
+    },
+    /// The interpreter over the same filters (same ids): the set's
+    /// native build failed (or the set is the empty one a service
+    /// starts with).
+    Interpreter(Mpf),
+}
+
+impl Classifier {
+    fn native(set: Arc<CompiledSet>) -> Classifier {
+        let _pin = set.pin();
+        Classifier::Native { set, _pin }
+    }
+
+    fn interpreter(filters: &[(u32, Filter)]) -> Classifier {
+        let mut mpf = Mpf::new();
+        for (id, f) in filters {
+            mpf.insert_as(*id, f);
+        }
+        Classifier::Interpreter(mpf)
+    }
+}
 
 /// One published classifier generation: an immutable snapshot serving
 /// exactly one filter set. Readers obtain it through the RCU cell and
 /// never observe a partially built one.
 struct Generation {
     /// Filter-set sequence this generation serves (bumped per
-    /// insert/remove, not per publication — a delta-window generation
-    /// and its native upgrade share a `seq`).
+    /// insert/remove; an interpreter generation and the native one a
+    /// retry heals it with share a `seq`).
     seq: u64,
-    /// The compiled classifier, once the build has landed.
-    native: Option<Arc<CompiledSet>>,
-    /// Liveness pin on the compiled mapping: released only when this
-    /// generation is reclaimed, i.e. after its last reader epoch
-    /// retires — a reader mid-batch keeps the old code executable even
-    /// if the cache evicts and drops the `CompiledSet` meanwhile.
-    _pin: Option<CodePin>,
-    /// Interpreter over the same filters (same ids): the delta-window
-    /// engine while the native build is in flight, and the permanent
-    /// backstop if codegen fails or quarantines.
-    mpf: Mpf,
-}
-
-impl Generation {
-    #[inline]
-    fn classify(&self, msg: &[u8], degraded_calls: &AtomicU64) -> Option<u32> {
-        match self.native.as_ref() {
-            Some(set) => set.classify(msg),
-            None => {
-                degraded_calls.fetch_add(1, Ordering::Relaxed);
-                self.mpf.classify(msg)
-            }
-        }
-    }
+    classifier: Classifier,
 }
 
 // The epoch-based RCU cell that used to live here is now the generic
@@ -107,25 +121,65 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
+/// Why the current generation is interpreted: the native build of the
+/// current filter set failed (see
+/// [`build_failure`](DpfService::build_failure)).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BuildFailure {
+    /// Consecutive failed builds of this filter set.
+    pub failures: u32,
+    /// `Display` form of the most recent failure.
+    pub last_error: String,
+    /// Time until [`poll_upgrade`](DpfService::poll_upgrade) retries
+    /// (zero if due).
+    pub retry_in: Duration,
+}
+
+impl BuildFailure {
+    /// The record after one more failed build (`prior` before it), and
+    /// when its backoff runs out.
+    fn after(prior: u32, error: &CacheError<CompileError>) -> (BuildFailure, Instant) {
+        let failures = prior.saturating_add(1);
+        let retry_in = RETRY_BASE
+            .saturating_mul(1 << (failures - 1).min(16))
+            .min(RETRY_CAP);
+        let last_error = error.to_string();
+        let record = BuildFailure {
+            failures,
+            last_error,
+            retry_in,
+        };
+        (record, Instant::now() + retry_in)
+    }
+}
+
 /// Writer-side state, guarded by one mutex: the authoritative filter
-/// list and the in-flight native build, if any.
+/// list and, if its native build failed, the record and retry time.
 struct Writer {
     filters: Vec<(u32, Filter)>,
     next_id: u32,
     opts: Options,
     /// Filter-set sequence (bumped per insert/remove).
     seq: u64,
-    /// Cache key of the native build for the *current* set, still
-    /// unpublished.
-    pending: Option<CacheKey>,
+    failure: Option<(BuildFailure, Instant)>,
+}
+
+impl Writer {
+    /// The one build: the native classifier of `filters`, through the
+    /// process-wide stack — an L1 hit when the same set compiled before,
+    /// an L2 load with a persistent tier attached, else trie build +
+    /// compile on this thread.
+    fn build(
+        &self,
+        filters: &[(u32, Filter)],
+    ) -> Result<Arc<CompiledSet>, CacheError<CompileError>> {
+        stack().get_or_build(&cache_key(filters, self.opts), set_miss(filters, self.opts))
+    }
 }
 
 struct Shared {
     rcu: Rcu<Generation>,
     writer: Mutex<Writer>,
-    /// Mirror of `writer.pending.is_some()`, readable without the lock:
-    /// readers use it to decide whether polling could upgrade anything.
-    pending: AtomicBool,
     /// The current generation serves native code.
     native: AtomicBool,
     /// The current generation's filter-set sequence.
@@ -134,25 +188,17 @@ struct Shared {
     published: AtomicU64,
     native_publishes: AtomicU64,
     degraded_publishes: AtomicU64,
-    upgrades: AtomicU64,
     retired: AtomicU64,
     degraded_calls: AtomicU64,
 }
 
 impl Shared {
     /// Publishes a generation for the writer's current filter set.
-    fn publish_generation(&self, w: &Writer, native: Option<Arc<CompiledSet>>) {
-        let mut mpf = Mpf::new();
-        for (id, f) in &w.filters {
-            mpf.insert_as(*id, f);
-        }
-        let pin = native.as_ref().map(|s| s.pin());
-        let is_native = native.is_some();
+    fn publish(&self, w: &Writer, classifier: Classifier) {
+        let is_native = matches!(classifier, Classifier::Native { .. });
         let freed = self.rcu.publish(Generation {
             seq: w.seq,
-            native,
-            _pin: pin,
-            mpf,
+            classifier,
         });
         self.seq.store(w.seq, Ordering::SeqCst);
         self.native.store(is_native, Ordering::SeqCst);
@@ -162,91 +208,35 @@ impl Shared {
         } else {
             self.degraded_publishes.fetch_add(1, Ordering::Relaxed);
         }
-        self.note_freed(freed);
+        self.retired.fetch_add(freed, Ordering::Relaxed);
     }
 
-    fn note_freed(&self, freed: u64) {
+    /// The writer-locked half of a filter mutation: build the
+    /// classifier for `filters`, then commit the list and publish, once.
+    /// Nothing is committed before the build returns, so a build that
+    /// unwinds leaves the list, `seq` and what readers see in agreement.
+    fn install(&self, w: &mut Writer, filters: Vec<(u32, Filter)>) {
+        let built = w.build(&filters);
+        w.filters = filters;
+        w.seq += 1;
+        match built {
+            Ok(set) => {
+                w.failure = None;
+                self.publish(w, Classifier::native(set));
+            }
+            // Degraded, never wrong: the interpreter serves the new set.
+            Err(e) => {
+                w.failure = Some(BuildFailure::after(0, &e));
+                self.publish(w, Classifier::interpreter(&w.filters));
+            }
+        }
+    }
+
+    fn reclaim(&self) {
+        let freed = self.rcu.reclaim();
+        // Readers call this per batch: no RMW on a shared line for nothing.
         if freed > 0 {
             self.retired.fetch_add(freed, Ordering::Relaxed);
-        }
-    }
-
-    /// Submits the native build for the writer's current set to the
-    /// process-wide compile service; publishes immediately when the
-    /// result is already at hand.
-    fn submit_build(&self, w: &mut Writer, key: CacheKey) {
-        let miss = set_miss(w.filters.clone(), w.opts);
-        match stack().submit(&key, miss).served() {
-            Ok(set) => {
-                self.publish_generation(w, Some(set));
-                w.pending = None;
-                self.pending.store(false, Ordering::SeqCst);
-            }
-            // Building: the poll path publishes on completion.
-            // Shed/Quarantined: nothing enqueued now; the poll path
-            // keeps re-offering the key (quarantine backoff applies),
-            // so an update storm degrades to the interpreter instead of
-            // wedging the service.
-            Err(_) => {
-                w.pending = Some(key);
-                self.pending.store(true, Ordering::SeqCst);
-            }
-        }
-    }
-
-    /// The writer-locked half of a filter mutation: publish an
-    /// interpreter generation for the new set *first* (correctness is
-    /// immediate), then chase the native build.
-    fn republish(&self, w: &mut Writer) {
-        w.seq += 1;
-        w.pending = None;
-        self.pending.store(false, Ordering::SeqCst);
-        let key = cache_key(&w.filters, w.opts);
-        // Warm key — the same filter set compiled before, process-wide
-        // (L1) or in a previous process with a persistent tier (L2) —
-        // publishes native directly: no interpreter window at all.
-        if let Some(set) = stack().poll(&key) {
-            self.publish_generation(w, Some(set));
-            return;
-        }
-        self.publish_generation(w, None);
-        self.submit_build(w, key);
-    }
-
-    /// Adopts a finished native build for the current set, if any.
-    /// Requires the writer lock; returns whether the current generation
-    /// is native afterwards.
-    fn poll_locked(&self, w: &mut Writer) -> bool {
-        let Some(key) = w.pending.clone() else {
-            self.pending.store(false, Ordering::SeqCst);
-            return self.native.load(Ordering::SeqCst);
-        };
-        if let Some(set) = stack().poll(&key) {
-            self.publish_generation(w, Some(set));
-            self.upgrades.fetch_add(1, Ordering::Relaxed);
-            w.pending = None;
-            self.pending.store(false, Ordering::SeqCst);
-            return true;
-        }
-        // Keep the build moving: re-offering the key re-admits a shed
-        // build and probes an expired quarantine; an in-flight build
-        // returns cheaply.
-        self.submit_build(w, key);
-        self.native.load(Ordering::SeqCst)
-    }
-
-    /// Best-effort maintenance from the read side: adopt a finished
-    /// build and reclaim retired generations, but never block — all
-    /// locks are `try_lock`.
-    fn opportunistic_poll(&self) {
-        if self.pending.load(Ordering::Relaxed) {
-            if let Ok(mut w) = self.writer.try_lock() {
-                self.poll_locked(&mut w);
-            }
-        }
-        if self.rcu.retired_len() > 0 {
-            let freed = self.rcu.reclaim();
-            self.note_freed(freed);
         }
     }
 }
@@ -258,20 +248,16 @@ impl Shared {
 pub struct ServiceSnapshot {
     /// Generations published (every hot swap).
     pub published: u64,
-    /// Publications that served native code immediately.
+    /// Publications that served native code.
     pub native_publishes: u64,
-    /// Publications that opened an interpreter delta window.
+    /// Publications whose native build failed: interpreter generations.
     pub degraded_publishes: u64,
-    /// Delta windows closed by a background build landing.
-    pub upgrades: u64,
     /// Retired generations reclaimed (their code pins released).
     pub retired: u64,
-    /// Classifications served by the interpreter (delta windows).
+    /// Classifications served by the interpreter.
     pub degraded_calls: u64,
     /// Retired generations still waiting on a reader epoch.
     pub retired_backlog: u64,
-    /// A native build for the current set is still outstanding.
-    pub pending: bool,
     /// The current generation serves native code.
     pub native: bool,
     /// The current generation's filter-set sequence.
@@ -320,24 +306,20 @@ impl DpfService {
         let shared = Shared {
             rcu: Rcu::new(Generation {
                 seq: 0,
-                native: None,
-                _pin: None,
-                mpf: Mpf::new(),
+                classifier: Classifier::interpreter(&[]),
             }),
             writer: Mutex::new(Writer {
                 filters: Vec::new(),
                 next_id: 0,
                 opts,
                 seq: 0,
-                pending: None,
+                failure: None,
             }),
-            pending: AtomicBool::new(false),
             native: AtomicBool::new(false),
             seq: AtomicU64::new(0),
             published: AtomicU64::new(0),
             native_publishes: AtomicU64::new(0),
             degraded_publishes: AtomicU64::new(0),
-            upgrades: AtomicU64::new(0),
             retired: AtomicU64::new(0),
             degraded_calls: AtomicU64::new(0),
         };
@@ -346,17 +328,17 @@ impl DpfService {
         }
     }
 
-    /// Installs a filter and publishes a generation for the new set
-    /// before returning: subsequent classifications (on any reader)
-    /// already see it. The native build proceeds in the background;
-    /// until it lands the new generation classifies with the
-    /// interpreter.
+    /// Installs a filter: compiles the new set on this thread and
+    /// publishes its generation before returning, so subsequent
+    /// classifications (on any reader) already see it, natively. Readers
+    /// are served by the previous generation meanwhile.
     pub fn insert(&self, f: Filter) -> u32 {
         let mut w = lock(&self.shared.writer);
         let id = w.next_id;
+        let mut filters = w.filters.clone();
+        filters.push((id, f));
+        self.shared.install(&mut w, filters);
         w.next_id += 1;
-        w.filters.push((id, f));
-        self.shared.republish(&mut w);
         id
     }
 
@@ -366,12 +348,16 @@ impl DpfService {
     /// the plain [`crate::Dpf`] only regains at its next compile).
     pub fn remove(&self, id: u32) -> bool {
         let mut w = lock(&self.shared.writer);
-        let n = w.filters.len();
-        w.filters.retain(|(i, _)| *i != id);
-        if w.filters.len() == n {
+        let filters: Vec<_> = w
+            .filters
+            .iter()
+            .filter(|(i, _)| *i != id)
+            .cloned()
+            .collect();
+        if filters.len() == w.filters.len() {
             return false;
         }
-        self.shared.republish(&mut w);
+        self.shared.install(&mut w, filters);
         true
     }
 
@@ -408,38 +394,37 @@ impl DpfService {
         self.reader().classify_batch(msgs)
     }
 
-    /// Adopts the native build for the current filter set if it has
-    /// published, and reclaims retired generations. Returns whether the
-    /// current generation is native *after* the call. Never blocks on
-    /// readers; cheap enough to poll per batch.
+    /// Control-plane maintenance: reclaims retired generations and, if
+    /// the current set's native build failed and its backoff has run
+    /// out, retries it on this thread (success publishes the native
+    /// generation). Returns whether the current generation is native
+    /// *after* the call. Never blocks on readers; with no failure on
+    /// record there is nothing to adopt — mutations publish native
+    /// themselves.
     pub fn poll_upgrade(&self) -> bool {
-        let native = {
+        {
             let mut w = lock(&self.shared.writer);
-            self.shared.poll_locked(&mut w)
-        };
-        let freed = self.shared.rcu.reclaim();
-        self.shared.note_freed(freed);
-        native
+            let due = w.failure.as_ref().filter(|(_, at)| Instant::now() >= *at);
+            if let Some(prior) = due.map(|(f, _)| f.failures) {
+                match w.build(&w.filters) {
+                    Ok(set) => {
+                        w.failure = None;
+                        self.shared.publish(&w, Classifier::native(set));
+                    }
+                    Err(e) => w.failure = Some(BuildFailure::after(prior, &e)),
+                }
+            }
+        }
+        self.shared.reclaim();
+        self.is_native()
     }
 
-    /// Waits (bounded) until no native build is outstanding for the
-    /// current filter set, polling the upgrade path. Returns whether
-    /// the current generation is native. A quarantined build (forced
-    /// codegen failure) stays outstanding, so this returns `false` at
-    /// the deadline — classification keeps working on the interpreter
-    /// generations throughout.
-    pub fn flush(&self, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        loop {
-            let native = self.poll_upgrade();
-            if !self.shared.pending.load(Ordering::SeqCst) {
-                return native;
-            }
-            if Instant::now() >= deadline {
-                return native;
-            }
-            vsync::thread::sleep(Duration::from_micros(200));
-        }
+    /// [`poll_upgrade`](Self::poll_upgrade). A mutation has published
+    /// its native generation by the time it returns, so there is nothing
+    /// to wait for and `timeout` goes unused; kept for callers written
+    /// against the background-build service.
+    pub fn flush(&self, _timeout: Duration) -> bool {
+        self.poll_upgrade()
     }
 
     /// The current generation's filter-set sequence (bumped on every
@@ -453,16 +438,14 @@ impl DpfService {
         self.shared.native.load(Ordering::SeqCst)
     }
 
-    /// Typed quarantine state of the native build for the current
-    /// filter set, if the process-wide compile service has one.
-    pub fn quarantine(&self) -> Option<QuarantineInfo> {
-        let key = {
-            let w = lock(&self.shared.writer);
-            w.pending
-                .clone()
-                .unwrap_or_else(|| cache_key(&w.filters, w.opts))
-        };
-        stack().service().quarantine(&key)
+    /// The failed native build of the current filter set, if that is
+    /// why the service is on the interpreter.
+    pub fn build_failure(&self) -> Option<BuildFailure> {
+        let w = lock(&self.shared.writer);
+        w.failure.as_ref().map(|(f, at)| BuildFailure {
+            retry_in: at.saturating_duration_since(Instant::now()),
+            ..f.clone()
+        })
     }
 
     /// Counter snapshot.
@@ -472,11 +455,9 @@ impl DpfService {
             published: s.published.load(Ordering::Relaxed),
             native_publishes: s.native_publishes.load(Ordering::Relaxed),
             degraded_publishes: s.degraded_publishes.load(Ordering::Relaxed),
-            upgrades: s.upgrades.load(Ordering::Relaxed),
             retired: s.retired.load(Ordering::Relaxed),
             degraded_calls: s.degraded_calls.load(Ordering::Relaxed),
             retired_backlog: s.rcu.retired_len() as u64,
-            pending: s.pending.load(Ordering::SeqCst),
             native: s.native.load(Ordering::SeqCst),
             seq: s.seq.load(Ordering::SeqCst),
             readers: s.rcu.slots_len() as u64,
@@ -507,21 +488,27 @@ impl std::fmt::Debug for DpfReader {
 
 impl DpfReader {
     /// Classifies one message against the current generation: native
-    /// code when published, the delta-window interpreter otherwise.
-    /// Lock-free; never panics.
+    /// code, or the interpreter if the set's build failed. Lock-free;
+    /// never panics.
     #[inline]
     pub fn classify(&self, msg: &[u8]) -> Option<u32> {
         // The guard's epoch announcement keeps the generation from
         // being reclaimed until it drops.
         let g = self.shared.rcu.enter(&self.slot);
-        g.classify(msg, &self.shared.degraded_calls)
+        match &g.classifier {
+            Classifier::Native { set, .. } => set.classify(msg),
+            Classifier::Interpreter(mpf) => {
+                self.shared.degraded_calls.fetch_add(1, Ordering::Relaxed);
+                mpf.classify(msg)
+            }
+        }
     }
 
     /// Classifies a batch of messages in one read-side critical
     /// section, amortizing entry/exit and the engine dispatch across
     /// the whole slice. Every message in the batch is classified by the
-    /// *same* generation (no torn batches). Also opportunistically
-    /// adopts a finished native build first (never blocking).
+    /// *same* generation (no torn batches). Also reclaims retired
+    /// generations first (best effort, never blocking).
     pub fn classify_batch(&self, msgs: &[&[u8]]) -> Vec<Option<u32>> {
         self.classify_batch_seq(msgs).1
     }
@@ -531,17 +518,19 @@ impl DpfReader {
     /// — the stress tests use it to prove batches are never torn across
     /// a swap.
     pub fn classify_batch_seq(&self, msgs: &[&[u8]]) -> (u64, Vec<Option<u32>>) {
-        self.shared.opportunistic_poll();
+        if self.shared.rcu.retired_len() > 0 {
+            self.shared.reclaim();
+        }
         let mut out = Vec::with_capacity(msgs.len());
         let g = self.shared.rcu.enter(&self.slot);
         let seq = g.seq;
-        match g.native.as_ref() {
-            Some(set) => out.extend(msgs.iter().map(|m| set.classify(m))),
-            None => {
+        match &g.classifier {
+            Classifier::Native { set, .. } => out.extend(msgs.iter().map(|m| set.classify(m))),
+            Classifier::Interpreter(mpf) => {
                 self.shared
                     .degraded_calls
                     .fetch_add(msgs.len() as u64, Ordering::Relaxed);
-                out.extend(msgs.iter().map(|m| g.mpf.classify(m)));
+                out.extend(msgs.iter().map(|m| mpf.classify(m)));
             }
         }
         drop(g);
@@ -583,24 +572,34 @@ mod tests {
         })
     }
 
+    fn hopeless() -> Options {
+        Options {
+            code_capacity: Some(16), // every build overflows, retry included
+            ..Options::default()
+        }
+    }
+
     #[test]
-    fn serves_immediately_and_upgrades() {
+    fn an_insert_returns_native_and_publishes_once() {
         let svc = DpfService::new();
         let reader = svc.reader();
         assert_eq!(reader.classify(&port_msg(1000)), None);
+        let before = svc.stats().degraded_calls;
         let ids: Vec<u32> = packet::port_filter_set(8, 1000)
             .into_iter()
-            .map(|f| svc.insert(f))
+            .map(|f| {
+                let id = svc.insert(f);
+                assert!(svc.is_native(), "insert {id} returned before its build");
+                id
+            })
             .collect();
-        // Live before any build lands.
-        assert_eq!(reader.classify(&port_msg(1003)), Some(ids[3]));
-        assert!(svc.flush(Duration::from_secs(10)), "build never landed");
-        assert!(svc.is_native());
         assert_eq!(reader.classify(&port_msg(1003)), Some(ids[3]));
         assert_eq!(reader.classify(&port_msg(2000)), None);
         let st = svc.stats();
-        assert!(st.published >= 8, "one publication per mutation");
-        assert_eq!(st.seq, 8);
+        assert_eq!(st.published, 8, "one publication per mutation");
+        assert_eq!((st.seq, st.native_publishes), (8, 8));
+        assert_eq!(st.degraded_calls, before, "no filter set was interpreted");
+        assert_eq!(svc.build_failure(), None);
     }
 
     #[test]
@@ -609,13 +608,13 @@ mod tests {
         let reader = svc.reader();
         let a = svc.insert(packet::tcp_port_filter(0x0a00_0002, 80).unwrap());
         let b = svc.insert(packet::tcp_port_filter(0x0a00_0002, 81).unwrap());
-        svc.flush(Duration::from_secs(10));
         assert_eq!(reader.classify(&port_msg(80)), Some(a));
         assert!(svc.remove(a));
-        // No recompile, no flush: the removed id must already be gone.
+        // The removed id is gone by the time `remove` returns.
         assert_eq!(reader.classify(&port_msg(80)), None);
         assert_eq!(reader.classify(&port_msg(81)), Some(b));
         assert!(!svc.remove(a), "double remove");
+        assert_eq!(svc.generation(), 3, "a refused remove publishes nothing");
     }
 
     #[test]
@@ -625,7 +624,6 @@ mod tests {
             .into_iter()
             .map(|f| svc.insert(f))
             .collect();
-        svc.flush(Duration::from_secs(10));
         let reader = svc.reader();
         let msgs: Vec<Vec<u8>> = (0..32).map(|i| port_msg(7000 + (i % 20))).collect();
         let refs: Vec<&[u8]> = msgs.iter().map(|m| m.as_slice()).collect();
@@ -644,9 +642,8 @@ mod tests {
         for f in packet::port_filter_set(6, 3000) {
             svc.insert(f);
         }
-        svc.flush(Duration::from_secs(10));
-        // All mutations and their upgrades have retired; a quiescent
-        // reader must not hold them back.
+        // Every replaced generation has retired; a quiescent reader
+        // must not hold them back.
         svc.poll_upgrade();
         assert_eq!(svc.stats().retired_backlog, 0);
         drop(reader);
@@ -655,21 +652,17 @@ mod tests {
 
     #[test]
     fn a_batch_never_waits_for_the_writer_lock() {
-        // "Readers never lock": with a writer stopped mid-update (its
-        // lock held for the whole of this test) and a native build
-        // outstanding, a batch still classifies — the read side's
-        // maintenance only ever `try_lock`s. A blocking acquire costs a
-        // few percent of throughput, under what the `dpf_service` bench
-        // can see, so it is pinned here, where it is a hang.
-        let svc = DpfService::with_options(Options {
-            code_capacity: Some(16), // never builds: `pending` stays set
-            ..Options::default()
-        });
+        // "Readers never lock": with a writer stopped mid-build (its
+        // lock held for the whole of this test) a batch still
+        // classifies, on the generation published before. A blocking
+        // acquire on the read side costs a few percent of throughput,
+        // under what the `dpf_service` bench can see, so it is pinned
+        // here, where it is a hang.
+        let svc = DpfService::new();
         let id = svc.insert(packet::tcp_port_filter(0x0a00_0002, 80).unwrap());
-        assert!(svc.stats().pending);
         let reader = svc.reader();
         let msg = port_msg(80);
-        let mid_update = lock(&svc.shared.writer);
+        let mid_build = lock(&svc.shared.writer);
         std::thread::scope(|s| {
             let batch = s.spawn(move || reader.classify_batch(&[&msg]));
             let t0 = Instant::now();
@@ -677,7 +670,7 @@ mod tests {
                 std::thread::sleep(Duration::from_millis(1));
             }
             let returned_under_the_lock = batch.is_finished();
-            drop(mid_update);
+            drop(mid_build);
             assert_eq!(batch.join().unwrap(), vec![Some(id)]);
             assert!(
                 returned_under_the_lock,
@@ -688,37 +681,33 @@ mod tests {
 
     #[test]
     fn a_herd_on_one_filter_set_shares_one_compiled_set() {
-        // Many services racing the same filter set through the compile
-        // service: every one classifies immediately, and they all end up
-        // serving a single compiled classifier.
+        // Eight services racing the same cold filter set through
+        // `get_or_build`: one of them builds, and they all end up
+        // serving that one compiled classifier.
         let filters = packet::port_filter_set(4, 7600);
         let probe = port_msg(7602);
-        let herd: Vec<DpfService> = (0..8)
-            .map(|_| {
-                let svc = DpfService::new();
-                for f in &filters {
-                    svc.insert(f.clone());
-                }
-                svc
-            })
-            .collect();
-        for (k, svc) in herd.iter().enumerate() {
-            assert_eq!(
-                svc.classify(&probe),
-                Some(2),
-                "service {k} serves immediately"
-            );
-        }
-        let sets: Vec<Arc<CompiledSet>> = herd
-            .iter()
-            .map(|svc| {
-                assert!(svc.flush(Duration::from_secs(30)), "no upgrade");
-                assert_eq!(svc.classify(&probe), Some(2));
-                let reader = svc.reader();
-                let g = svc.shared.rcu.enter(&reader.slot);
-                Arc::clone(g.native.as_ref().expect("flushed native"))
-            })
-            .collect();
+        let start = std::sync::Barrier::new(8);
+        let sets: Vec<Arc<CompiledSet>> = std::thread::scope(|s| {
+            let herd: Vec<_> = (0..8)
+                .map(|_| {
+                    s.spawn(|| {
+                        let svc = DpfService::new();
+                        start.wait();
+                        for f in &filters {
+                            svc.insert(f.clone());
+                        }
+                        assert_eq!(svc.classify(&probe), Some(2));
+                        let reader = svc.reader();
+                        let g = svc.shared.rcu.enter(&reader.slot);
+                        match &g.classifier {
+                            Classifier::Native { set, .. } => Arc::clone(set),
+                            Classifier::Interpreter(_) => panic!("buildable set interpreted"),
+                        }
+                    })
+                })
+                .collect();
+            herd.into_iter().map(|t| t.join().unwrap()).collect()
+        });
         for w in sets.windows(2) {
             assert!(
                 Arc::ptr_eq(&w[0], &w[1]),
@@ -729,19 +718,34 @@ mod tests {
 
     #[test]
     fn forced_codegen_failure_pins_interpreter_service() {
-        let svc = DpfService::with_options(Options {
-            code_capacity: Some(16), // hopeless: every build fails
-            ..Options::default()
-        });
+        let svc = DpfService::with_options(hopeless());
         let id = svc.insert(packet::tcp_port_filter(0x0a00_0002, 90).unwrap());
         let reader = svc.reader();
+        // Still serving, still correct, and the failure is typed.
         assert_eq!(reader.classify(&port_msg(90)), Some(id));
-        assert!(!svc.flush(Duration::from_millis(300)));
         assert!(!svc.is_native());
-        // Still serving, still correct, typed quarantine observable.
+        let first = svc.build_failure().expect("the failed build is on record");
+        assert_eq!(first.failures, 1);
+        assert!(!first.last_error.is_empty(), "the record carries the error");
+        assert!(first.retry_in <= RETRY_BASE);
+
+        // Inside the backoff `poll_upgrade` does not rebuild; once it
+        // has run out it does, and a second failure doubles the wait.
+        assert!(!svc.poll_upgrade());
+        assert_eq!(svc.build_failure().unwrap().failures, 1, "retried early");
+        std::thread::sleep(RETRY_BASE);
+        assert!(!svc.flush(Duration::ZERO));
+        let second = svc.build_failure().unwrap();
+        assert_eq!(second.failures, 2);
+        assert!(second.retry_in > RETRY_BASE, "backoff did not double");
+
         assert_eq!(reader.classify(&port_msg(90)), Some(id));
         let st = svc.stats();
-        assert!(st.degraded_calls >= 2);
-        assert!(st.pending, "failed build stays outstanding");
+        assert_eq!(st.degraded_calls, 2);
+        assert_eq!(
+            (st.published, st.degraded_publishes),
+            (1, 1),
+            "a failed retry republishes nothing"
+        );
     }
 }

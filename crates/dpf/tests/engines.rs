@@ -551,18 +551,33 @@ fn sibling_shift_nodes_backtrack_with_clean_base() {
 }
 
 #[test]
-fn serve_while_compiling_matches_native_bit_for_bit() {
-    // The degradation-ladder contract: every answer served by the MPF
-    // fallback while the native classifier builds in the background must
-    // equal the answer the native code gives once it publishes.
-    // A port base no other test in this binary compiles: the key is cold
-    // in the process-wide cache, so the fallback is what answers first.
-    let svc = DpfService::new();
-    let ids: Vec<u32> = packet::port_filter_set(10, 27000)
-        .into_iter()
-        .map(|f| svc.insert(f))
-        .collect();
+fn a_writer_storm_is_served_natively_one_generation_per_update() {
+    // Build-then-publish, exactly: while a writer installs and removes
+    // buildable filter sets, every batch a reader sees is the answer of
+    // the `Filter::matches` scan over the set its generation serves, no
+    // packet is ever interpreted, and each mutation publishes one
+    // generation. A port base no other test in this binary compiles, so
+    // every set of the storm is a first-sight build.
+    const STABLE: u16 = 10;
+    const ROUNDS: u32 = 60;
+    const DST_IP: u32 = 0x0a00_0002;
+    let stable = packet::port_filter_set(STABLE, 27000);
+    // Ids count up from 0 and are never reused, so the set behind a
+    // sequence number is a function of it: past the stable installs,
+    // odd steps hold round r's churn filter and even steps do not.
+    let churn = |r: u32| packet::tcp_port_filter(DST_IP, 27100 + (r % 4) as u16).unwrap();
+    let filters_at = |seq: u64| -> Vec<(u32, Filter)> {
+        let mut set: Vec<(u32, Filter)> = (0..).zip(stable.iter().cloned()).collect();
+        set.truncate(seq.min(u64::from(STABLE)) as usize);
+        let step = seq.saturating_sub(u64::from(STABLE));
+        if step % 2 == 1 {
+            let r = (step / 2) as u32;
+            set.push((u32::from(STABLE) + r, churn(r)));
+        }
+        set
+    };
     let mut msgs: Vec<Vec<u8>> = (26995..27015)
+        .chain(27098..27106)
         .map(|port| {
             packet::build(&PacketSpec {
                 dst_port: port,
@@ -570,26 +585,43 @@ fn serve_while_compiling_matches_native_bit_for_bit() {
             })
         })
         .collect();
-    // Truncated: must match nothing on both engines.
-    msgs.push(vec![0u8; 3]);
+    msgs.push(vec![0u8; 3]); // truncated: matches nothing
+    let refs: Vec<&[u8]> = msgs.iter().map(|m| m.as_slice()).collect();
 
-    // A single `classify` never adopts a finished build, so all of these
-    // come from the interpreter generation the last insert published.
-    let reader = svc.reader();
-    assert!(!svc.is_native(), "a cold key starts on the interpreter");
-    let degraded: Vec<Option<u32>> = msgs.iter().map(|m| reader.classify(m)).collect();
-    assert_eq!(degraded[0], None, "port 26995 matches nothing");
-    assert_eq!(degraded[5], Some(ids[0]), "port 27000 is filter 0");
-    assert_eq!(svc.stats().degraded_calls, msgs.len() as u64);
-    // Wait for the background build, upgrade, and re-ask natively.
-    assert!(
-        svc.flush(std::time::Duration::from_secs(30)),
-        "native classifier never published"
-    );
-    let before = svc.stats().degraded_calls;
-    let native: Vec<Option<u32>> = msgs.iter().map(|m| reader.classify(m)).collect();
-    assert_eq!(svc.stats().degraded_calls, before, "served natively");
-    assert_eq!(degraded, native, "fallback answers must match native");
+    let svc = DpfService::new();
+    for f in &stable {
+        svc.insert(f.clone());
+    }
+    let done = std::sync::atomic::AtomicBool::new(false);
+    std::thread::scope(|s| {
+        for _ in 0..2 {
+            s.spawn(|| {
+                let reader = svc.reader();
+                let mut batches = 0u32;
+                while !done.load(std::sync::atomic::Ordering::SeqCst) || batches < 8 {
+                    let (seq, got) = reader.classify_batch_seq(&refs);
+                    let set = filters_at(seq);
+                    for (k, (m, got)) in refs.iter().zip(got).enumerate() {
+                        let want = set.iter().find(|(_, f)| f.matches(m)).map(|(id, _)| *id);
+                        assert_eq!(got, want, "msg {k} under generation {seq}");
+                    }
+                    batches += 1;
+                }
+            });
+        }
+        for r in 0..ROUNDS {
+            let id = svc.insert(churn(r));
+            assert_eq!(id, u32::from(STABLE) + r);
+            assert!(svc.remove(id));
+        }
+        done.store(true, std::sync::atomic::Ordering::SeqCst);
+    });
+
+    let st = svc.stats();
+    assert_eq!(svc.generation(), u64::from(STABLE) + 2 * u64::from(ROUNDS));
+    assert_eq!(st.published, svc.generation(), "one generation per update");
+    assert_eq!(st.native_publishes, st.published);
+    assert_eq!(st.degraded_calls, 0, "a reader executed the interpreter");
 }
 
 /// Seeded sparse port sets of the sizes the benchmark sweeps, compiled

@@ -25,7 +25,7 @@ const DST_IP: u32 = 0x0a00_0002;
 /// invariants on every observation:
 ///
 /// 1. **No torn swap** — every stable port classifies to its exact id
-///    in every generation, native or interpreter.
+///    in every generation.
 /// 2. **No stale positive** — a churn id whose `remove` returned before
 ///    the read began is never returned.
 /// 3. **Untorn batches** — a batch mixing stable ports is answered by
@@ -57,8 +57,8 @@ fn install_remove_under_traffic() {
         std::thread::spawn(move || {
             for _ in 0..ROUNDS {
                 let id = svc.insert(packet::tcp_port_filter(DST_IP, CHURN_PORT).unwrap());
-                // Let traffic see the new filter (and often the native
-                // upgrade) before tearing it back down.
+                // Let traffic see the new filter before tearing it
+                // back down.
                 std::thread::sleep(Duration::from_micros(300));
                 assert!(svc.remove(id));
                 // `remove` has returned: the id is gone from the
@@ -121,18 +121,14 @@ fn install_remove_under_traffic() {
     }
 
     // Quiesce: the final set is just the stable filters; the churn id
-    // stays gone and the service settles back to native code.
-    assert!(
-        svc.flush(Duration::from_secs(20)),
-        "final build never landed"
-    );
+    // stays gone and the service is on native code.
     assert!(svc.is_native());
     let reader = svc.reader();
     assert_eq!(reader.classify(&port_msg(CHURN_PORT)), None);
     assert_eq!(reader.classify(&port_msg(5003)), Some(stable_ids[3]));
     let st = svc.stats();
     assert_eq!(st.seq, u64::from(STABLE) + 2 * ROUNDS);
-    assert!(st.published >= st.seq, "every mutation published");
+    assert_eq!(st.published, st.seq, "every mutation published, once");
     // Retired generations drain once readers are quiescent.
     svc.poll_upgrade();
     assert_eq!(svc.stats().retired_backlog, 0, "reclaim stuck");

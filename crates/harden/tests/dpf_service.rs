@@ -3,10 +3,11 @@
 //! The contract: filters installed and removed *under traffic*, with
 //! native builds failing at every capacity on the storage-exhaustion
 //! ladder, produce **zero panics** — every classification returns a
-//! correct typed result from whichever engine is published (native or
-//! the delta-window interpreter), builder failure mid-swap leaves the
-//! previous serving path intact with a typed quarantine, and the
-//! service heals to native as soon as a buildable set returns.
+//! correct typed result from whichever engine is published (native, or
+//! the interpreter for a set whose build failed), builder failure
+//! mid-swap leaves the previous serving path intact with a typed
+//! failure record, and the service heals to native as soon as a
+//! buildable set returns.
 
 use dpf::packet::{self, PacketSpec};
 use dpf::{Dpf, DpfService, Options};
@@ -32,13 +33,13 @@ fn capped(cap: usize) -> Options {
 
 /// Storm of insert/remove across the whole storage-exhaustion ladder,
 /// with a reader classifying throughout. At small capacities every
-/// native build fails (typed, quarantined); at large ones builds land
-/// mid-storm. Both must classify correctly at every step — the zero-
-/// panic acceptance gate for this corpus.
+/// native build fails (typed, on record); at large ones every install
+/// returns native. Both must classify correctly at every step — the
+/// zero-panic acceptance gate for this corpus.
 #[test]
 fn update_storm_across_capacity_ladder() {
     // Every third rung: the full series re-covers the same failure mode
-    // (overflow → typed error → quarantine) at CI-hostile cost.
+    // (overflow → typed error → failure record) at CI-hostile cost.
     for cap in harden::capacity_series().into_iter().step_by(3) {
         let svc = Arc::new(DpfService::with_options(capped(cap)));
         let base_ids: Vec<u32> = packet::port_filter_set(4, 2000)
@@ -82,27 +83,33 @@ fn update_storm_across_capacity_ladder() {
         }
         done.store(true, Ordering::SeqCst);
         traffic.join().expect("reader panicked");
-        // Bounded settle; hopeless capacities stay interpreter-pinned
-        // with a typed quarantine, larger ones go native. Failing
-        // builds resolve in well under a second (overflow is immediate,
-        // the deadline bounds the rest), so a short settle suffices.
-        let native = svc.flush(Duration::from_millis(800));
-        if !native {
-            let q = svc.quarantine().expect("failing builds quarantine, typed");
-            assert!(q.failures >= 1);
-            assert!(!q.last_error.is_empty(), "quarantine carries the error");
+        // Hopeless capacities stay interpreter-pinned with a typed
+        // failure on record, larger ones are native; nothing in between.
+        match svc.build_failure() {
+            Some(failure) => {
+                assert!(!svc.is_native());
+                assert!(failure.failures >= 1);
+                assert!(
+                    !failure.last_error.is_empty(),
+                    "the record carries the error"
+                );
+            }
+            None => assert!(
+                svc.is_native(),
+                "no failure, yet interpreted (capacity {cap})"
+            ),
         }
         let st = svc.stats();
         assert_eq!(st.seq, 4 + 12, "every mutation published a generation");
-        assert!(st.published >= st.seq);
+        assert_eq!(st.published, st.seq, "and only one");
     }
 }
 
 /// Builder failure mid-swap: a service whose capacity fits one filter
 /// but not a large set keeps serving — the native generation before the
 /// failing mutation, the interpreter for the new set after it — with a
-/// typed quarantine, and heals instantly (warm key, no delta window)
-/// when the set shrinks back.
+/// typed failure record, and heals on the mutation that shrinks the set
+/// back.
 #[test]
 fn builder_failure_mid_swap_keeps_serving() {
     // Measure a one-filter classifier, then cap just above it.
@@ -116,16 +123,12 @@ fn builder_failure_mid_swap_keeps_serving() {
     let svc = DpfService::with_options(capped(probe + 64));
     let reader = svc.reader();
     let a = svc.insert(f0);
-    assert!(
-        svc.flush(Duration::from_secs(10)),
-        "one filter fits the cap by construction"
-    );
-    assert!(svc.is_native());
+    assert!(svc.is_native(), "one filter fits the cap by construction");
     assert_eq!(reader.classify(&port_msg(80)), Some(a));
 
     // Mid-swap failure: 64 more filters cannot fit even after the
-    // overflow retry doubles the buffer. The swap to the new set is
-    // immediate (interpreter); the native build fails and quarantines.
+    // overflow retry doubles the buffer. The native build fails, so the
+    // new set is published on the interpreter, with the failure typed.
     let storm_ids: Vec<u32> = packet::port_filter_set(64, 9000)
         .into_iter()
         .map(|f| svc.insert(f))
@@ -135,27 +138,30 @@ fn builder_failure_mid_swap_keeps_serving() {
         Some(storm_ids[5]),
         "new set live despite failing build"
     );
-    assert!(!svc.flush(Duration::from_millis(400)), "build must fail");
-    assert!(!svc.is_native());
+    assert!(!svc.poll_upgrade(), "build must fail");
     assert_eq!(reader.classify(&port_msg(80)), Some(a), "old filter kept");
-    let q = svc
-        .quarantine()
-        .expect("typed quarantine after mid-swap failure");
-    assert!(q.failures >= 1);
+    let failure = svc
+        .build_failure()
+        .expect("typed failure after mid-swap failure");
+    assert_eq!(failure.failures, 1, "a new set is a new record");
+    assert!(
+        failure.retry_in > Duration::ZERO,
+        "retried inside its backoff"
+    );
 
-    // Shrink back: the one-filter key is warm in the process cache, so
-    // the service republishes native directly — no interpreter window.
+    // Shrink back: the mutation that makes the set buildable again
+    // supersedes the record and publishes native.
     for id in storm_ids {
         assert!(svc.remove(id));
     }
-    assert!(svc.flush(Duration::from_secs(10)), "healed set goes native");
-    assert!(svc.is_native());
+    assert!(svc.is_native(), "healed set goes native");
+    assert_eq!(svc.build_failure(), None);
     assert_eq!(reader.classify(&port_msg(80)), Some(a));
     assert_eq!(reader.classify(&port_msg(9005)), None, "storm set gone");
     let st = svc.stats();
     assert!(
         st.degraded_calls >= 1,
-        "delta windows served by interpreter"
+        "the unbuildable sets were served by the interpreter"
     );
     assert!(
         st.native_publishes >= 2,

@@ -2,8 +2,8 @@
 //!
 //! Each function in [`programs`] is a small, bounded concurrent program
 //! written against the *production* types (`vcode::rcu::Rcu`,
-//! `vcode::cache::LambdaCache`) or a faithful protocol mirror
-//! (degraded-handle latch, quarantine gate), with its core invariant
+//! `vcode::cache::LambdaCache`, `vcode::CodeStack`) or a faithful
+//! protocol mirror (quarantine gate), with its core invariant
 //! expressed as an in-program `assert!`. Running one under
 //! [`Explorer::exhaustive`]/[`Explorer::random`] explores its
 //! interleavings deterministically; any assertion failure, deadlock or
@@ -28,7 +28,7 @@ pub mod programs {
     use vcode::cache::{CacheError, CacheKey, LambdaCache};
     use vcode::rcu::Rcu;
     use vcode::vsync::{
-        self, Arc, AtomicBool, AtomicU64, Condvar, Duration, Instant, Mutex, OnceLock, Ordering,
+        self, Arc, AtomicBool, AtomicU64, Condvar, Duration, Instant, Mutex, Ordering,
     };
     use vcode::TargetId;
 
@@ -237,115 +237,46 @@ pub mod programs {
         assert_eq!((a, b), (3, 3));
     }
 
-    /// **One build per key across the sync and async entry points.**
-    /// One thread calls `CodeStack::get_or_build`, another
-    /// `CodeStack::submit`, on the same cold key — the production stack,
-    /// service worker included. Whichever claims the `Building` slot
-    /// runs the one miss function (on its own thread, or on the worker);
-    /// the other waits for it or is told `InFlight`, and the sync caller
-    /// always ends on the one built value. Its wait must end by the
+    /// **One build per key through the stack.** Two threads race
+    /// `CodeStack::get_or_build` — the one entry point a miss has — on
+    /// the same cold key. Whichever claims the `Building` slot runs the
+    /// one miss function on its own thread; the other waits for it and
+    /// ends on the same value. That wait must end by the
     /// build-completion notify, not the stall clock, so
     /// [`Injection::DropCacheNotify`] is caught on this path too.
-    ///
-    /// Three threads through the whole service do not fit an exhaustive
-    /// budget (every stats counter is a schedule point): this program is
-    /// swept to a bound and walked at random, not explored to completion.
-    /// The model sleep parks the worker in its idle wait first, so the
-    /// budget goes to the claim race rather than to worker start-up.
-    pub fn stack_sync_vs_async_one_build() {
-        use vcode::{CodeStack, ServiceConfig, Submit, L2};
+    pub fn stack_two_racers_one_build() {
+        use vcode::{CodeStack, L2};
         const STALL: Duration = Duration::from_secs(10);
         let stack: Arc<CodeStack<u64>> = Arc::new(CodeStack::new(4));
-        assert!(stack.configure_service(ServiceConfig {
-            workers: 1,
-            ..ServiceConfig::default()
-        }));
-        vsync::thread::sleep(Duration::from_millis(1));
         let built = Arc::new(AtomicU64::new(0));
-        let miss = |built: Arc<AtomicU64>| {
-            move |l2: L2<'_, u64>| {
-                l2.or_build(|| {
-                    built.fetch_add(1, Ordering::SeqCst);
-                    Ok::<_, String>(Arc::new(7u64))
+        let call = |stack: &CodeStack<u64>, built: &AtomicU64| {
+            let before = Instant::now();
+            let v = stack
+                .get_or_build(&key(0xCAFE), |l2: L2<'_, u64>| {
+                    l2.or_build(|| {
+                        built.fetch_add(1, Ordering::SeqCst);
+                        Ok::<_, String>(Arc::new(7u64))
+                    })
                 })
-            }
+                .expect("infallible miss");
+            assert!(
+                before.elapsed() < STALL,
+                "racer only woke via the stall timeout: the build-completion notify was lost"
+            );
+            *v
         };
-        let submitter = {
+        let racer = {
             let stack = Arc::clone(&stack);
-            let miss = miss(Arc::clone(&built));
-            vsync::thread::spawn(move || {
-                let submit = stack.submit(&key(0xCAFE), miss);
-                assert!(
-                    matches!(submit, Submit::Ready(_) | Submit::Queued | Submit::InFlight),
-                    "idle service refused: {submit:?}"
-                );
-            })
+            let built = Arc::clone(&built);
+            vsync::thread::spawn(move || call(&stack, &built))
         };
-        let before = Instant::now();
-        let v = stack
-            .get_or_build(&key(0xCAFE), miss(Arc::clone(&built)))
-            .expect("infallible miss");
-        assert!(
-            before.elapsed() < STALL,
-            "sync caller only woke via the stall timeout: the build-completion notify was lost"
-        );
-        assert_eq!(*v, 7);
-        submitter.join().expect("submitter panicked");
-        // Dropping the last handle stops and joins the worker.
-        drop(stack);
+        let a = call(&stack, &built);
+        let b = racer.join().expect("racer panicked");
+        assert_eq!((a, b), (7, 7));
         assert_eq!(
             built.load(Ordering::SeqCst),
             1,
-            "sync and async entry points both ran the miss for one key"
-        );
-    }
-
-    /// **No torn degraded → native swap, and the latch fires once.**
-    /// Mirrors `DegradedLambda::native`, the one latch left on a handle:
-    /// check the `OnceLock`; else poll the stack (here one cell the
-    /// build publishes a two-field payload into, whose halves must
-    /// always agree); else `get_or_init` with what the poll found.
-    pub fn degraded_latch_no_torn_swap() {
-        type Code = Arc<(u64, u64)>;
-        let published: Arc<Mutex<Option<Code>>> = Arc::new(Mutex::new(None));
-        let native: Arc<OnceLock<Code>> = Arc::new(OnceLock::new());
-        let installs = Arc::new(AtomicU64::new(0));
-        let calls =
-            |published: &Mutex<Option<Code>>, native: &OnceLock<Code>, installs: &AtomicU64| {
-                for _ in 0..2 {
-                    if let Some(n) = native.get() {
-                        assert_eq!(n.0, n.1, "torn native swap: payload halves disagree");
-                        continue;
-                    }
-                    let polled = published.lock().unwrap_or_else(|e| e.into_inner()).clone();
-                    if let Some(found) = polled {
-                        native.get_or_init(|| {
-                            installs.fetch_add(1, Ordering::SeqCst);
-                            found
-                        });
-                    } // else nothing is published yet: this call interprets
-                }
-            };
-        let racer = {
-            let published = Arc::clone(&published);
-            let native = Arc::clone(&native);
-            let installs = Arc::clone(&installs);
-            vsync::thread::spawn(move || {
-                // The build publishes; then a second caller.
-                *published.lock().unwrap_or_else(|e| e.into_inner()) = Some(Arc::new((42, 42)));
-                calls(&published, &native, &installs)
-            })
-        };
-        calls(&published, &native, &installs);
-        racer.join().expect("racer panicked");
-        let n = native
-            .get()
-            .expect("published and called, yet never latched");
-        assert_eq!(n.0, n.1);
-        assert_eq!(
-            installs.load(Ordering::SeqCst),
-            1,
-            "native code latched more than once"
+            "two racers both ran the miss for one key"
         );
     }
 
@@ -488,11 +419,7 @@ pub mod programs {
             ("cache_exactly_one_build", cache_exactly_one_build),
             ("cache_stalled_path", cache_stalled_path),
             ("cache_notify_wakes_waiters", cache_notify_wakes_waiters),
-            (
-                "stack_sync_vs_async_one_build",
-                stack_sync_vs_async_one_build,
-            ),
-            ("degraded_latch_no_torn_swap", degraded_latch_no_torn_swap),
+            ("stack_two_racers_one_build", stack_two_racers_one_build),
             ("quarantine_single_probe", quarantine_single_probe),
             ("persist_single_writer", persist_single_writer),
         ]

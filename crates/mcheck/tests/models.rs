@@ -147,41 +147,23 @@ fn cache_models_explore_to_completion_with_waiter_gated_notify() {
     }
 }
 
-/// The sync-versus-async race through the whole `CodeStack` (service
-/// worker included) is too large to exhaust, so it gets what the RCU
-/// mutation gets: seeded random walks, which reach early schedule
-/// decisions a tail-first DFS budget never does. Clean on trunk under
-/// the very walks that catch the mutation below — the miss runs once,
-/// whoever claims the key — and under a short DFS prefix.
-#[test]
-fn stack_sync_vs_async_builds_once_on_trunk() {
-    for seed in 1..=4 {
-        Explorer::new()
-            .random(seed, 1_000, programs::stack_sync_vs_async_one_build)
-            .assert_ok();
-    }
-    Explorer::new()
-        .exhaustive(1_000, programs::stack_sync_vs_async_one_build)
-        .assert_ok();
-}
-
 /// Checker teeth through the stack: with the build-completion notify
-/// dropped, a sync `get_or_build` that lost the claim to an async
-/// `submit` only wakes when the stall clock fires. Caught, and the
-/// schedule replays.
+/// dropped, a `get_or_build` that lost the claim to the other racer only
+/// wakes when the stall clock fires. Caught, and the schedule replays;
+/// clean on trunk under the same exploration.
 #[test]
 fn mutation_dropped_notify_is_caught_through_the_stack() {
+    Explorer::new()
+        .exhaustive(100_000, programs::stack_two_racers_one_build)
+        .assert_ok();
     let explorer = injected(Injection::DropCacheNotify);
-    let report = (1..=4)
-        .map(|seed| explorer.random(seed, 1_000, programs::stack_sync_vs_async_one_build))
-        .find(|r| r.violation.is_some())
-        .expect("no random walk seed 1..=4 caught the dropped notify through the stack");
-    let v = report.expect_violation("sync waiter stranded behind an async build");
+    let report = explorer.exhaustive(100_000, programs::stack_two_racers_one_build);
+    let v = report.expect_violation("racer stranded behind the other's build");
     assert!(
         v.message.contains("notify was lost"),
         "unexpected violation: {v}"
     );
-    let replay = explorer.replay(&v.schedule, programs::stack_sync_vs_async_one_build);
+    let replay = explorer.replay(&v.schedule, programs::stack_two_racers_one_build);
     let rv = replay.expect_violation("replay of the recorded schedule");
     assert_eq!(rv.message, v.message);
 }
@@ -301,30 +283,16 @@ fn exhaustive_cache_models() {
         programs::cache_notify_wakes_waiters,
         (218, 3_723),
     );
-}
-
-/// Bounded, not complete: three threads through the whole service
-/// exceed any budget CI can afford (100k interleavings, ~4 minutes,
-/// still open), so the count this pins is the bound.
-#[test]
-#[ignore = "bounded DFS sweep; run via scripts/ci.sh (cargo test -p mcheck -- --ignored)"]
-fn bounded_stack_model() {
-    sweep_to(
-        20_000,
-        "stack_sync_vs_async_one_build",
-        programs::stack_sync_vs_async_one_build,
-        806_507,
+    sweep(
+        "stack_two_racers_one_build",
+        programs::stack_two_racers_one_build,
+        (358, 6_921),
     );
 }
 
 #[test]
 #[ignore = "full exhaustive sweep; run via scripts/ci.sh (cargo test -p mcheck -- --ignored)"]
-fn exhaustive_latch_and_quarantine_models() {
-    sweep(
-        "degraded_latch_no_torn_swap",
-        programs::degraded_latch_no_torn_swap,
-        (375, 5_777),
-    );
+fn exhaustive_quarantine_model() {
     sweep(
         "quarantine_single_probe",
         programs::quarantine_single_probe,

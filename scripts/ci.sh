@@ -33,16 +33,16 @@ echo "== unsafe audit (SAFETY-comment gate) =="
 # justification; see scripts/unsafe_audit.sh.
 ./scripts/unsafe_audit.sh
 
-echo "== one stack (no hand-wired cache + service + disk tier) =="
-# `vcode::stack::CodeStack` owns the L1 cache, the compile service and
-# the persistent tier, and `L2::or_build` is the one function that
-# probes and stores through (DESIGN.md "Code stack"). Product source
-# that constructs a tier or a service itself, or calls the tier seam
-# directly, is a second stack in the making: fail on it. Looked at:
-# code lines (not comments) of crates/*/src and src before each file's
-# first `#[cfg(test)]`. Exempt: the stack module and the two modules
-# that define the names; crates/bench, tests and benchmark/ (they
-# measure and test the parts on their own).
+echo "== one stack (no hand-wired cache + disk tier) =="
+# `vcode::stack::CodeStack` owns the L1 cache and the persistent tier,
+# and `L2::or_build` is the one function that probes and stores through
+# (DESIGN.md "Code stack"). Product source that constructs a tier (or
+# the frozen compile service, see "one build path" below) itself, or
+# calls the tier seam directly, is a second stack in the making: fail
+# on it. Looked at: code lines (not comments) of crates/*/src and src
+# before each file's first `#[cfg(test)]`. Exempt: the stack module and
+# the two modules that define the names; crates/bench, tests and
+# benchmark/ (they measure and test the parts on their own).
 second_stack=$(git ls-files --cached --others --exclude-standard \
         'crates/*/src/*.rs' 'crates/*/src/**/*.rs' 'src/*.rs' |
     grep -v -e '^crates/bench/' \
@@ -86,10 +86,9 @@ echo "one digest ok"
 
 echo "== one counter per event (no process-global mirror of a count) =="
 # A count lives on the instance that produces it — `LambdaCache::stats`,
-# `CompileService::stats`, `DiskTier::stats`, `DpfService::stats`,
-# `AsyncCompile::degraded_calls` — and `vcode::obs` holds what really
-# is per execution or per process: `ExecStats`, trace records and the
-# codegen hook (DESIGN.md "Observability"). A process-wide copy cannot
+# `DiskTier::stats`, `DpfService::stats` — and `vcode::obs` holds what
+# really is per execution or per process: `ExecStats`, trace records and
+# the codegen hook (DESIGN.md "Observability"). A process-wide copy cannot
 # tell two engines apart and makes every test that reads it depend on
 # every test that moves it: fail on an `obs::note_*` call in product
 # source, and on any static in obs.rs (before its first `#[cfg(test)]`)
@@ -182,6 +181,42 @@ if [ -n "$second_harness" ]; then
 fi
 echo "one measurement system ok"
 
+echo "== one build path (a miss is built by the thread that asked) =="
+# `Engine::compile_cached`, `Dpf::compile` and `DpfService::insert`/
+# `remove` build on the calling thread through `CodeStack::get_or_build`;
+# nothing serves a fallback while a worker compiles, because waking the
+# worker costs more than the build (DESIGN.md "Compile service"). The
+# serve-while-compiling names must not come back, and the compile
+# service — kept, uncalled, only while the frozen `benchmark/` times its
+# queue-and-wake (ROADMAP "Frozen surface") — must stay uncalled: fail
+# on either. Looked at: code lines (not comments) of crates/*/src before
+# each file's first `#[cfg(test)]`; the service may be named by
+# service.rs, by cache.rs (which defines `begin_build`) and by lib.rs's
+# re-export, nowhere else.
+second_path=$(git ls-files --cached --others --exclude-standard \
+        'crates/*/src/*.rs' 'crates/*/src/**/*.rs' |
+    grep -v '^crates/bench/' |
+    while IFS= read -r f; do
+        [ -f "$f" ] || continue
+        case $f in
+        crates/core/src/service.rs | crates/core/src/cache.rs | crates/core/src/lib.rs) frozen=1 ;;
+        *) frozen=0 ;;
+        esac
+        awk -v FILE="$f" -v FROZEN="$frozen" '
+            /^[ \t]*#\[cfg\(test\)\]/ { exit }
+            /^[ \t]*\/\// { next }
+            /compile_async|DegradedLambda|AsyncCompile|ServeMode|submit_build|poll_locked/ ||
+            (!FROZEN && /CompileService|begin_build/) {
+                printf "%s:%d: %s\n", FILE, NR, $0
+            }' "$f"
+    done)
+if [ -n "$second_path" ]; then
+    echo "one-build-path gate: product source serves while compiling, or calls the frozen service:" >&2
+    echo "$second_path" >&2
+    exit 1
+fi
+echo "one build path ok"
+
 echo "== exec pool steady state (a cold compile makes no syscalls) =="
 # 4096 first-sight programs through `compile_cached` on a full 256-entry
 # L1, in release as the benchmark runs them: the executable-memory pool
@@ -201,12 +236,11 @@ cargo test -q --release --offline --test alloc_free_compile -- --nocapture |
     grep '^allocations per call'
 
 echo "== model checker: exhaustive concurrency sweeps =="
-# The bounded RCU / cache / degraded-latch / quarantine model programs,
-# explored to completion under the vsync deterministic scheduler (the
-# seeded random smoke already ran inside the workspace tests above;
-# this is the full DFS sweep; two of the three-thread programs —
-# concurrent reclaim, the code stack's sync-vs-async race — are swept
-# to a bound, not exhausted). Any violation prints a replayable
+# The bounded RCU / cache / stack / quarantine model programs, explored
+# to completion under the vsync deterministic scheduler (the seeded
+# random smoke already ran inside the workspace tests above; this is
+# the full DFS sweep; the one three-thread program, concurrent reclaim,
+# is swept to a bound, not exhausted). Any violation prints a replayable
 # schedule, and every program's interleaving count is pinned: a lost or
 # added scheduling point fails here even when no invariant breaks.
 cargo test -q -p mcheck --offline --test models -- --ignored
@@ -261,11 +295,10 @@ echo "== cache-amortize smoke (lambda-cache gate) =="
 # emission reads ~1x), and every warm request must count as a hit.
 VCODE_SMOKE=1 cargo bench -q --offline -p vcode-bench --bench cache_amortize
 
-echo "== compile-service smoke (graceful-degradation gate) =="
-# The async compile service: the bench hard-fails when a flood past the
-# queue depth does not shed, when an accepted build is left unresolved
-# (both counts), or when the degradation ladder is inverted (interpreter
-# not slower than native over alternating window pairs).
+echo "== compile-service smoke (flood gate on the bare service) =="
+# The compile service, bare (no product code queues a build): the bench
+# hard-fails when a flood past the queue depth does not shed, or when
+# an accepted build is left unresolved (both counts).
 VCODE_SMOKE=1 cargo bench -q --offline -p vcode-bench --bench compile_service
 
 echo "== tier-2 exact gates (differential + simulated-cycle floor) =="
@@ -281,9 +314,9 @@ echo "== dpf-service smoke (live-update-under-traffic gate) =="
 # The live classifier service: the bench hard-fails when classification
 # throughput under ~1k filter updates/s falls below 80% of the same
 # readers' while the writer churns a bystander service instead, judged
-# on the median ratio of 21 alternating window pairs, when an update
-# leaves a generation unpublished, or when a baseline window is served
-# by the degraded interpreter path.
+# on the median ratio of 21 alternating window pairs, when the updates
+# did not publish exactly one generation each, or when any window of
+# either side served a packet from the interpreter.
 VCODE_SMOKE=1 cargo bench -q --offline -p vcode-bench --bench dpf_service
 
 echo "== persist smoke (persistent-cache cold/warm gate) =="

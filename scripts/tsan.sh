@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # ThreadSanitizer lane: runs the concurrency-heavy suites — the dpf
-# live-update service, the lambda cache, and the async compile service
-# — with `-Zsanitizer=thread`. Complements the mcheck model checker:
+# live-update service, the lambda cache, the code stack and the (frozen)
+# compile service — with `-Zsanitizer=thread`. Complements the mcheck model checker:
 # mcheck proves schedules exhaustively on small bounded programs, TSan
 # watches the real full-size tests for data races the models abstract
 # away.
@@ -39,6 +39,6 @@ echo "== tsan: dpf live-service suite =="
 cargo +nightly test --offline -Zbuild-std --target "$host" -p dpf
 
 echo "== tsan: cache + compile-service suites =="
-cargo +nightly test --offline -Zbuild-std --target "$host" -p vcode --lib -- cache:: service::
-cargo +nightly test --offline -Zbuild-std --target "$host" -p vcode-repro --test service
+cargo +nightly test --offline -Zbuild-std --target "$host" -p vcode --lib -- cache:: stack:: service::
+cargo +nightly test --offline -Zbuild-std --target "$host" -p vcode-repro --test engine_cache
 echo "lane tsan: ran"

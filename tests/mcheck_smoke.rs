@@ -1,7 +1,7 @@
 //! Tier-1 model-checker smoke: a seeded 10k-random-schedule run over
 //! every concurrency model program (see `crates/mcheck`), wired into
 //! plain `cargo test -q` so schedule-dependent regressions in the
-//! RCU/cache/degraded-latch/quarantine protocols fail fast. The walks are
+//! RCU/cache/stack/quarantine protocols fail fast. The walks are
 //! deterministic (seeded SplitMix64 over schedule decisions), so a
 //! failure here reproduces exactly; the full exhaustive sweeps run in
 //! the dedicated `scripts/ci.sh` stage (`cargo test -p mcheck -q --

@@ -9,8 +9,7 @@
 
 use std::path::PathBuf;
 use std::sync::{Arc, Barrier, Mutex};
-use std::time::{Duration, Instant};
-use vcode::engine::{Backend, Engine, Program, ServeMode, TargetId};
+use vcode::engine::{Backend, Engine, Program, TargetId};
 use vcode::obs::{self, CodegenEvent};
 use vcode::{BinOp, CacheKey, Cond, PersistStats, UnOp};
 
@@ -68,18 +67,6 @@ fn key_for(p: &Program, target: TargetId) -> CacheKey {
     CacheKey::from_encoded(target, Arc::clone(bytes), *hash)
 }
 
-fn wait_native(e: &Engine, handle: &vcode::AsyncCompile) {
-    let t0 = Instant::now();
-    while !handle.native_ready() {
-        assert!(
-            t0.elapsed() < Duration::from_secs(30),
-            "background build never published"
-        );
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    assert!(e.service().wait_idle(Duration::from_secs(30)));
-}
-
 /// (hits, misses, stores, rejects) `tier` gained since `before`.
 fn gained(tier: PersistStats, before: PersistStats) -> (u64, u64, u64, u64) {
     (
@@ -99,17 +86,17 @@ fn engine_counts(e: &Engine) -> (u64, u64, u64, u64) {
     gained(engine_stats(e), PersistStats::default())
 }
 
-/// The async path reaches the persistent tier, on the worker thread: a
-/// cold `compile_async` leaves an artifact behind, and a fresh engine
-/// over that directory serves `compile_async` from disk — one persist
-/// hit, and not one instruction generated.
+/// A miss reaches the persistent tier: a cold `compile_cached` leaves an
+/// artifact behind, and a fresh engine over that directory serves the
+/// same request from disk — one persist hit, and not one instruction
+/// generated.
 ///
 /// The hook hears every code generator in the process, the other tests'
 /// too, so this one compiles a stream of a length nothing else here has
 /// and counts sessions of that length only — learned from the cold
 /// build, which must be heard exactly once.
 #[test]
-fn async_builds_probe_and_store_through_the_l2() {
+fn a_warm_directory_serves_a_miss_without_generating_code() {
     let _hook = HOOK.lock().unwrap_or_else(|e| e.into_inner());
     let sessions = Arc::new(Mutex::new(Vec::new()));
     let heard = Arc::clone(&sessions);
@@ -124,32 +111,29 @@ fn async_builds_probe_and_store_through_the_l2() {
         heard.into_iter().filter(|&insns| insns == mark).count()
     };
 
-    let dir = scratch_dir("async");
+    let dir = scratch_dir("warm");
     let p = padded_sample(211);
     for target in [TargetId::X64, TargetId::Mips] {
         let cold = engine(&dir);
-        let handle = cold.compile_async(target, &p).unwrap();
-        assert_eq!(handle.mode(), ServeMode::Building, "{target}: cold key");
-        wait_native(&cold, &handle);
-        assert_eq!(handle.call(&[-10, 2]).unwrap(), 24);
+        let f = cold.compile_cached(target, &p).unwrap();
+        assert_eq!(f.call(&[-10, 2]).unwrap(), 24);
         assert_eq!(
             engine_counts(&cold),
             (0, 1, 1, 0),
             "{target}: probe miss, store"
         );
-        let mark = handle.lambda().insns();
+        let mark = f.insns();
         assert!(mark > 200, "{target}: {mark} instructions is no mark");
         assert_eq!(generated(mark), 1, "{target}: the cold build is heard");
         let tier = cold.persist_tier().expect("tier attached");
         assert!(
             tier.path_for(&key_for(&p, target)).exists(),
-            "{target}: a cold async build must leave an artifact"
+            "{target}: a cold build must leave an artifact"
         );
         drop(cold);
 
         let warm = engine(&dir);
-        let handle = warm.compile_async(target, &p).unwrap();
-        wait_native(&warm, &handle);
+        let f = warm.compile_cached(target, &p).unwrap();
         assert_eq!(
             engine_counts(&warm),
             (1, 0, 0, 0),
@@ -160,7 +144,7 @@ fn async_builds_probe_and_store_through_the_l2() {
             0,
             "{target}: a warm directory must not generate code"
         );
-        assert_eq!(handle.call(&[-10, 2]).unwrap(), 24);
+        assert_eq!(f.call(&[-10, 2]).unwrap(), 24);
     }
     obs::clear_hook();
     let _ = std::fs::remove_dir_all(&dir);

@@ -9,8 +9,7 @@
 //! nested to depth two, and forward skips inside them.
 //!
 //! The engine serves tier-1 code only, so the lambdas here are built from
-//! the two library functions directly. One serving-path test remains: the
-//! single latch left on a handle, interpreter to native code.
+//! the two library functions directly.
 //!
 //! Generated programs keep divisors provably nonzero (`| 1` masking or
 //! nonzero immediates): the native x86-64 engine path is unguarded, so
@@ -18,14 +17,12 @@
 //! typed error. Trap *preservation* is covered by the interpreter-level
 //! unit tests in `vcode::tier2` and the simulator cases here.
 
-use std::sync::mpsc::{channel, Receiver};
-use std::sync::{Arc, Barrier, Mutex};
-use std::time::{Duration, Instant};
-use vcode::engine::{replay, Backend, CodeImage, Engine, Lambda, POp, Program, TargetId};
+use std::sync::Arc;
+use vcode::engine::{replay, CodeImage, Lambda, POp, Program, TargetId};
 use vcode::regress::XorShift;
 use vcode::target::Finished;
 use vcode::tier2::{optimize, replay_opt};
-use vcode::{BinOp, Cond, EngineError, ServeMode, UnOp};
+use vcode::{BinOp, Cond, EngineError, UnOp};
 use vcode_alpha::Alpha;
 use vcode_mips::Mips;
 use vcode_sparc::Sparc;
@@ -418,76 +415,4 @@ fn simulated_div_by_zero_behaves_identically_in_both_tiers() {
             (a, b) => panic!("{id} tiers diverge on div-zero: {a:?} vs {b:?}"),
         }
     }
-}
-
-/// The x86-64 backend, compiling only once the test opens the gate.
-#[derive(Debug)]
-struct Gated {
-    open: Mutex<Receiver<()>>,
-}
-
-impl Backend for Gated {
-    fn id(&self) -> TargetId {
-        TargetId::X64
-    }
-
-    fn word_bits(&self) -> u32 {
-        64
-    }
-
-    fn compile(&self, prog: &Program) -> Result<Arc<dyn Lambda>, EngineError> {
-        self.open
-            .lock()
-            .unwrap()
-            .recv()
-            .map_err(|e| EngineError::Exec(e.to_string()))?;
-        X64Backend.compile(prog)
-    }
-}
-
-/// The swap left on the serving path: a handle from `compile_async`
-/// interprets until the build publishes, then latches the native lambda.
-/// Callers sharing one handle each call it while it can only interpret
-/// (the gate is shut), across the publication, and after the latch; every
-/// answer is the interpreter's. (`mcheck`'s `degraded_latch_no_torn_swap`
-/// explores the latch's interleavings exhaustively.)
-#[test]
-fn concurrent_callers_never_observe_a_torn_swap() {
-    let (gate, open) = channel();
-    let mut e = Engine::new(64);
-    e.register(Arc::new(Gated {
-        open: Mutex::new(open),
-    }));
-    let p = classify_ladder();
-    let cases: Vec<(i32, i64)> = [5, 50, 500, 5000, -7]
-        .into_iter()
-        .map(|x| (x, p.interpret(&[x], 1_000).unwrap()))
-        .collect();
-    let h = e.compile_async(TargetId::X64, &p).unwrap();
-    assert_eq!(h.mode(), ServeMode::Building);
-    let threads = 4;
-    let interpreted = Barrier::new(threads + 1);
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|| {
-                let round = |when: &str| {
-                    for &(x, want) in &cases {
-                        assert_eq!(h.call(&[x]).unwrap(), want, "{when}, x={x}");
-                    }
-                };
-                round("interpreting");
-                assert!(!h.native_ready(), "nothing was built yet");
-                interpreted.wait();
-                let deadline = Instant::now() + Duration::from_secs(30);
-                while !h.native_ready() {
-                    assert!(Instant::now() < deadline, "the build never published");
-                    round("across the swap");
-                }
-                round("native");
-            });
-        }
-        interpreted.wait();
-        gate.send(()).unwrap();
-    });
-    assert!(h.lambda().code_len() > 0, "the handle latched native code");
 }
