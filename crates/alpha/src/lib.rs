@@ -286,7 +286,6 @@ impl Target for Alpha {
             }
             None => {}
         }
-        a.ret_sites.push(a.buf.len());
         let l = a.epilogue;
         Self::branch_to(a, l, br::BR, r::ZERO);
     }

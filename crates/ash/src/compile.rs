@@ -37,7 +37,7 @@ pub fn clear_cache() {
 impl NativeCode {
     /// The generated machine code (execution view, exact length).
     fn code_bytes(&self) -> &[u8] {
-        &self.code.bytes()[..self.code_len]
+        &self.code.bytes()[self.code_off..][..self.code_len]
     }
 
     /// Rebuilds a kernel from persisted code bytes: the bytes land in
@@ -57,6 +57,7 @@ impl NativeCode {
         Ok(NativeCode {
             code,
             entry,
+            code_off: 0,
             code_len: bytes.len(),
             vcode_insns,
         })
@@ -217,6 +218,9 @@ pub struct Pipeline {
 pub struct NativeCode {
     code: ExecCode,
     entry: extern "C" fn(*mut u8, *const u8, u64) -> u64,
+    /// Where in `code` the kernel starts (`Finished::entry`), and its
+    /// length from there.
+    code_off: usize,
     code_len: usize,
     vcode_insns: u64,
 }
@@ -479,11 +483,13 @@ impl Pipeline {
         let code = mem.finalize().map_err(PipelineError::Exec)?;
         // SAFETY: the generated function has the declared C ABI and only
         // touches dst[..n] / src[..n].
-        let entry: extern "C" fn(*mut u8, *const u8, u64) -> u64 = unsafe { code.as_fn() };
+        let entry: extern "C" fn(*mut u8, *const u8, u64) -> u64 =
+            unsafe { code.as_fn_at(fin.entry) };
         Ok(NativeCode {
             code,
             entry,
-            code_len: fin.len,
+            code_off: fin.entry,
+            code_len: fin.len - fin.entry,
             vcode_insns,
         })
     }

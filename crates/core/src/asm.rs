@@ -73,9 +73,16 @@ pub struct Asm<'m> {
     pub raw_load: bool,
     /// Count of VCODE instructions specified so far (statistics).
     pub insns: u64,
-    /// Count of ret sites recorded (lets backends elide the
-    /// jump-to-epilogue when possible, paper §5.2).
-    pub ret_sites: Vec<usize>,
+    /// Span `start..end` of the latest jump a backend emitted that can
+    /// be taken back: an unconditional jump to a label, its fixup the
+    /// last one recorded, nothing of it shared with another instruction
+    /// (x86-64 `jmp rel32`, in `emit_jump` and `emit_ret`; the RISC
+    /// targets' jumps own a delay slot and are never recorded). Binding
+    /// that label at `end` retracts the jump instead of leaving a jump to
+    /// the next byte ([`bind_site`](Self::bind_site)); binding any other
+    /// label there forgets it. `end` is [`NO_JUMP`](Self::NO_JUMP) when
+    /// there is none.
+    pub jump: (usize, usize),
     /// Streaming-verifier state (see [`crate::verify`]); `None` on the
     /// fast path, where every emission site pays exactly one `Option`
     /// discriminant test for it.
@@ -83,6 +90,45 @@ pub struct Asm<'m> {
 }
 
 impl<'m> Asm<'m> {
+    /// [`jump`](Self::jump) when no jump can be taken back: no cursor
+    /// reaches its `end`.
+    pub const NO_JUMP: (usize, usize) = (0, usize::MAX);
+
+    /// The offset a label bound now is bound to: the cursor — moved back
+    /// first over a recorded [`jump`](Self::jump) that ends here and
+    /// targets `l`, which would otherwise jump to the next byte. Every
+    /// bind goes through here (`Assembler::label`, a backend's epilogue
+    /// label), and pays one compare unless a jump ends at the cursor.
+    #[inline]
+    pub fn bind_site(&mut self, l: Label) -> usize {
+        let here = self.buf.len();
+        if self.jump.1 == here {
+            self.retract_jump(l)
+        } else {
+            here
+        }
+    }
+
+    /// The slow half of [`bind_site`](Self::bind_site): a label is being
+    /// bound right behind the recorded jump. Either way the record goes:
+    /// the jump is retracted, or a label now sits at its end, and moving
+    /// the cursor back would leave that label pointing into whatever is
+    /// emitted next.
+    #[cold]
+    fn retract_jump(&mut self, l: Label) -> usize {
+        let (start, end) = std::mem::replace(&mut self.jump, Self::NO_JUMP);
+        let ours = |f: &Fixup| f.target == FixupTarget::Label(l) && (start..end).contains(&f.at);
+        if !self.fixups.last().is_some_and(ours) || self.labels.offset(l).is_some() {
+            return end;
+        }
+        self.fixups.pop();
+        self.buf.retract(start);
+        if let Some(vs) = self.verifier.as_mut() {
+            vs.retract(start);
+        }
+        start
+    }
+
     /// Latches the first error (later ones are dropped; by then the code
     /// is unusable anyway).
     pub fn record_err(&mut self, e: Error) {
@@ -144,8 +190,8 @@ impl<'m> Asm<'m> {
 }
 
 /// The growable tables of one generation session — label offsets,
-/// unresolved fixups, ret sites, argument registers and the signature's
-/// type list — as storage: a finished session hands them back
+/// unresolved fixups, argument registers and the signature's type
+/// list — as storage: a finished session hands them back
 /// ([`Assembler::end_into`]) and the next one starts on them
 /// ([`Assembler::lambda_on`]), so a thread that compiles in a loop
 /// allocates them once, not per lambda. Nothing of a session survives
@@ -154,7 +200,6 @@ impl<'m> Asm<'m> {
 pub struct SessionTables {
     labels: LabelMap,
     fixups: Vec<Fixup>,
-    ret_sites: Vec<usize>,
     args: Vec<Reg>,
     sig_args: Vec<Ty>,
 }
@@ -165,7 +210,6 @@ impl SessionTables {
         SessionTables {
             labels: LabelMap::new(),
             fixups: Vec::new(),
-            ret_sites: Vec::new(),
             args: Vec::new(),
             sig_args: Vec::new(),
         }
@@ -527,13 +571,11 @@ impl<'m, T: Target> Assembler<'m, T> {
         let SessionTables {
             mut labels,
             mut fixups,
-            mut ret_sites,
             mut args,
             sig_args: _,
         } = tables;
         labels.clear();
         fixups.clear();
-        ret_sites.clear();
         args.clear();
         let epilogue = labels.fresh();
         let mut a = Asm {
@@ -553,7 +595,7 @@ impl<'m, T: Target> Assembler<'m, T> {
             manual_delay: false,
             raw_load: false,
             insns: 0,
-            ret_sites,
+            jump: Asm::NO_JUMP,
             verifier: None,
         };
         T::begin(&mut a, &sig, leaf, &mut args)?;
@@ -659,7 +701,6 @@ impl<'m, T: Target> Assembler<'m, T> {
         *tables = SessionTables {
             labels: self.a.labels,
             fixups: self.a.fixups,
-            ret_sites: self.a.ret_sites,
             args: self.args,
             sig_args: self.a.sig.into_args(),
         };
@@ -700,7 +741,7 @@ impl<'m, T: Target> Assembler<'m, T> {
         match self.a.err.take() {
             Some(e) => Err(e),
             None => Ok(Finished {
-                entry: 0,
+                entry: self.a.ts.entry,
                 len: self.a.buf.len(),
                 label_offsets: (0..self.a.labels.len() as u32)
                     .map(|i| self.a.labels.offset(Label(i)))
@@ -976,7 +1017,9 @@ impl<'m, T: Target> Assembler<'m, T> {
         self.a.labels.fresh()
     }
 
-    /// Places `l` at the current position in the instruction stream.
+    /// Places `l` at the current position in the instruction stream —
+    /// after taking back a `jmp l` that ends right here, on targets whose
+    /// jumps can be ([`Asm::bind_site`]).
     ///
     /// # Panics
     ///
@@ -984,7 +1027,7 @@ impl<'m, T: Target> Assembler<'m, T> {
     /// enabled, in which case rebinding is collected as a
     /// [`Rule::LabelRebound`] diagnostic and the first binding stands.
     pub fn label(&mut self, l: Label) {
-        let here = self.a.buf.len();
+        let here = self.a.bind_site(l);
         if let Some(vs) = self.a.verifier.as_mut() {
             if !self.a.labels.try_bind(l, here) {
                 vs.diag(

@@ -72,11 +72,15 @@ pub const WIN_MAX: usize = 32;
 /// [`put_word`](CodeBuffer::put_word) stores 8 bytes and advances by
 /// fewer; a direct [`window`](CodeBuffer::window) stores only inside its
 /// reservation, at most [`WIN_MAX`] bytes from where the cursor stood;
-/// every other append stores exactly what it advances by, patches land
-/// below the cursor, and the cursor never moves back. So when emission
-/// ends at `len`, every byte at or past `len + MAX_OVERSTORE` is as the
-/// client handed it over — which is what lets pooled executable memory
-/// scrub a finished lambda's dirty prefix instead of its whole mapping.
+/// every other append stores exactly what it advances by, and patches
+/// land below the cursor. So an append that began with the cursor at `c`
+/// stores below `c + WIN_MAX` — and the cursor is never below `c` again:
+/// a later append begins where an earlier one ended, and the one way back,
+/// [`retract`](CodeBuffer::retract), only gives up bytes of the latest
+/// append. So when emission ends at `len`, every byte at or past
+/// `len + MAX_OVERSTORE` is as the client handed it over — which is what
+/// lets pooled executable memory scrub a finished lambda's dirty prefix
+/// instead of its whole mapping.
 pub const MAX_OVERSTORE: usize = WIN_MAX;
 
 /// A byte buffer with a cursor, backing in-place code emission.
@@ -321,6 +325,24 @@ impl<'m> CodeBuffer<'m> {
             end: n,
             buf: self,
         }
+    }
+
+    /// Moves the cursor back to `to`, giving up the tail of the latest
+    /// append — the only way the cursor ever moves back. The assembler
+    /// uses it to take back a jump whose target turned out to be the
+    /// byte after it. `to` must not be below where the latest append
+    /// began ([`MAX_OVERSTORE`] rests on that), and whoever calls this
+    /// owns every record of an offset in `to..len`: labels, fixups,
+    /// verifier marks. The given-up bytes stay as stored until the next
+    /// append overwrites them.
+    #[inline]
+    pub fn retract(&mut self, to: usize) {
+        debug_assert!(to <= self.len, "retract moves the cursor back");
+        debug_assert!(
+            self.len - to <= WIN_MAX,
+            "retract gives up more than one append"
+        );
+        self.len = to;
     }
 
     /// Reserves `n` bytes (filled with `fill`) and returns the offset of
@@ -770,20 +792,23 @@ mod tests {
         assert_eq!(b.as_slice(), &[1, 2, 3, 4, 5, 6]);
     }
     /// `MAX_OVERSTORE` is what pooled executable memory scrubs past a
-    /// finished lambda: after any mix of appends, stopped anywhere —
-    /// mid-buffer, near capacity, overflowed — no byte at or past
+    /// finished lambda: after any mix of appends and retractions of the
+    /// latest append, stopped anywhere — mid-buffer, near capacity,
+    /// overflowed, right after a retraction — no byte at or past
     /// `len + MAX_OVERSTORE` may have been stored to. (And the bound is
     /// not vacuous: packed-word stores do reach past the cursor.)
     #[test]
     fn nothing_is_stored_past_len_plus_max_overstore() {
         let mut rng = crate::regress::XorShift::new(0x0e57_07e5);
         let mut overstored = false;
+        let mut retracted = 0;
         for cap in [40usize, 64, 257, 1024] {
             for _ in 0..200 {
                 let mut mem = vec![0u8; cap];
                 let mut b = CodeBuffer::new(&mut mem);
                 for _ in 0..rng.below(2 * cap as u64 / 3) {
                     let n = rng.range(1, 8) as usize;
+                    let began = b.len();
                     match rng.below(6) {
                         0 => b.put_u8(0xff),
                         1 => b.put_u32(u32::MAX),
@@ -804,6 +829,10 @@ mod tests {
                             b.patch_u8(at, 0xfe);
                         }
                     }
+                    if rng.below(4) == 0 {
+                        b.retract(rng.range(began as u64, b.len() as u64 + 1) as usize);
+                        retracted += 1;
+                    }
                 }
                 let len = b.len();
                 let dirty_end = mem.iter().rposition(|&x| x != 0).map_or(0, |i| i + 1);
@@ -815,8 +844,8 @@ mod tests {
             }
         }
         assert!(
-            overstored,
-            "no append over-stored: the corpus lost its point"
+            overstored && retracted > 1000,
+            "no append over-stored, or few were retracted: the corpus lost its point"
         );
     }
 }

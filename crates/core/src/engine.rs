@@ -1193,8 +1193,9 @@ thread_local! {
 /// The compile half of every [`Backend`] adapter: lowers `prog` with
 /// `replay` into a reusable per-thread heap scratch of
 /// [`prog.code_capacity()`](Program::code_capacity) bytes, then hands the
-/// finished bytes (and the instruction count) to `install`, which copies
-/// them to where they will live — a right-sized `Vec` for a simulated
+/// finished bytes — from the function's first instruction
+/// ([`Finished::entry`]) on — and the instruction count to `install`,
+/// which copies them to where they will live — a right-sized `Vec` for a simulated
 /// target, a right-sized executable mapping for the native one. So the
 /// 4–8× worst-case capacity bound sizes only the scratch, never what a
 /// cached lambda keeps; emission stores go to cache-hot memory; and the
@@ -1224,8 +1225,8 @@ pub fn lower_in_scratch<L>(
     if buf.len() < capacity {
         buf.resize(capacity, 0);
     }
-    let result =
-        replay(prog, &mut buf[..capacity]).and_then(|fin| install(&buf[..fin.len], fin.insns));
+    let result = replay(prog, &mut buf[..capacity])
+        .and_then(|fin| install(&buf[fin.entry..fin.len], fin.insns));
     if keep {
         SCRATCH.set(buf);
     }

@@ -173,7 +173,6 @@ impl Target for FakeTarget {
 
     fn emit_ret(a: &mut Asm<'_>, val: Option<(Ty, Reg)>) {
         let r = val.map(|(_, r)| r.num()).unwrap_or(0);
-        a.ret_sites.push(a.buf.len());
         a.fixup_here(FixupTarget::Label(a.epilogue), 0);
         a.buf.put_u32(word(opcodes::RET, r, 0, 0));
     }

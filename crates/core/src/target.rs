@@ -107,8 +107,12 @@ pub struct CallFrame {
 /// Result of finishing a function: where it starts and how long it is.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finished {
-    /// Byte offset of the entry point within the client buffer (0 unless
-    /// the backend placed a constant island before the code).
+    /// Byte offset of the function's first instruction within the client
+    /// buffer. Offset 0 is always a valid entry too; on x86-64 it holds a
+    /// short jump here over the unused part of the prologue reservation,
+    /// so a client that runs or keeps `entry..len` saves that jump per
+    /// call and those bytes (the code is position-independent). 0 on the
+    /// RISC targets.
     pub entry: usize,
     /// Total bytes emitted, including prologue, epilogue and literal pool.
     pub len: usize,
@@ -149,6 +153,10 @@ pub struct TargetScratch {
     /// Reserved byte range in the instruction stream for prologue register
     /// saves, filled in at `end` (paper §5.2).
     pub save_area: (usize, usize),
+    /// Offset of the function's first instruction, for a backend that
+    /// decides at `end` where in its reservation the prologue starts
+    /// (reported as [`Finished::entry`]).
+    pub entry: usize,
     /// Generic scratch slots.
     pub misc: [usize; 6],
     /// Generic flag bits.

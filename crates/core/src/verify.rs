@@ -155,8 +155,9 @@ pub enum MarkKind {
 
 /// The byte span one vcode instruction occupied in the code buffer.
 ///
-/// Spans may be empty (backends elide e.g. the jump-to-epilogue of a
-/// final `ret`); the differential checker decodes each non-empty span.
+/// Spans may be empty (a jump to the label bound right behind it is
+/// taken back, on x86-64); the differential checker decodes each
+/// non-empty span.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InsnMark {
     /// First byte of the machine code this vcode instruction produced.
@@ -518,6 +519,15 @@ impl VerifierState {
                 }
                 self.defined[b] |= m;
             }
+        }
+    }
+
+    /// The cursor moved back to `to`, over the tail of the instruction
+    /// recorded last ([`Asm::bind_site`](crate::Asm::bind_site)): its
+    /// span shrinks with it.
+    pub fn retract(&mut self, to: usize) {
+        if let Some(m) = self.report.marks.last_mut() {
+            m.end = m.end.min(to);
         }
     }
 

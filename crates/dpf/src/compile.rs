@@ -18,6 +18,11 @@
 //!   code-generation time and the chosen hash is collision-free among
 //!   them, no chain walking is ever emitted (one compare remains to
 //!   reject values that are not keys at all);
+//! - **classification by data** — when every value such a dispatch
+//!   selects among just accepts a filter, there is nothing to jump to:
+//!   the hash (or the dense index) selects a table entry, the one compare
+//!   checks its key, and the id is loaded and returned, so which filter a
+//!   packet matches is never a branch for the predictor to miss;
 //! - **bounds-check elision** — a field load's length check is dropped
 //!   when a check already performed on the path dominates it.
 //!
@@ -40,6 +45,18 @@ const LINEAR_MAX: usize = 4;
 const HASH_MIN: usize = 16;
 /// Multipliers [`Cg::gen_hash`] draws before giving up on a perfect hash.
 const HASH_TRIES: u32 = 10_000;
+/// Multipliers [`Cg::gen_hash_lookup`] draws per table size. It starts at
+/// four slots a key, where tens of draws find a perfect multiplier for
+/// the few dozen keys a node usually has, and doubles the table rather
+/// than search on.
+const LOOKUP_TRIES: u32 = 64;
+/// Most slots (8 bytes each) of a [`Cg::gen_hash_lookup`] table. One
+/// multiplier hashes `n` keys perfectly only into about n²/8 slots, so
+/// the table, and the time to fill it, grow with the square of the set:
+/// the cap is where a compile starts to cost more in table than in code
+/// (DESIGN.md "Classification by data" has the sweep). Larger sets
+/// dispatch through code as before.
+const LOOKUP_MAX_SLOTS: usize = 1 << 16;
 
 /// Dispatch-strategy usage counts (for tests and the ablation bench).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -138,11 +155,13 @@ impl From<CompileError> for vcode::ExecError {
 pub struct CompiledSet {
     code: ExecCode,
     entry: extern "C" fn(*const u8, u64) -> i64,
+    /// Where in `code` the classifier starts ([`Finished::entry`]).
+    code_off: usize,
     // Dispatch tables referenced by absolute address from the generated
-    // code; kept alive (and unmoved — Box contents are stable) here.
-    _jump_tables: Vec<Box<[u64]>>,
-    _hash_keys: Vec<Box<[u32]>>,
-    _hash_addrs: Vec<Box<[u64]>>,
+    // code; kept alive (and unmoved — Box contents are stable) here:
+    // code addresses it jumps through, and keys and filter ids it loads.
+    _addr_tables: Vec<Box<[u64]>>,
+    _data_tables: Vec<Box<[u32]>>,
     /// Strategy usage.
     pub strategies: Strategies,
     /// Bytes of generated machine code.
@@ -170,7 +189,7 @@ impl CompiledSet {
 
     /// The entry address (diagnostics).
     pub fn entry_addr(&self) -> u64 {
-        self.code.addr()
+        self.code.addr() + self.code_off as u64
     }
 
     /// Pins the underlying executable mapping (see
@@ -187,13 +206,13 @@ impl CompiledSet {
     /// embed absolute addresses of side tables (and of the code
     /// itself), so only sets that used neither are artifact-eligible.
     pub fn position_independent(&self) -> bool {
-        self._jump_tables.is_empty() && self._hash_keys.is_empty() && self._hash_addrs.is_empty()
+        self._addr_tables.is_empty() && self._data_tables.is_empty()
     }
 
     /// The emitted machine-code bytes (the persistable image when
     /// [`position_independent`](Self::position_independent)).
     pub fn code_bytes(&self) -> &[u8] {
-        &self.code.bytes()[..self.code_len]
+        &self.code.bytes()[self.code_off..][..self.code_len]
     }
 
     /// Serializes the strategy counters into an artifact meta blob
@@ -246,9 +265,9 @@ impl CompiledSet {
         Ok(CompiledSet {
             code,
             entry,
-            _jump_tables: Vec::new(),
-            _hash_keys: Vec::new(),
-            _hash_addrs: Vec::new(),
+            code_off: 0,
+            _addr_tables: Vec::new(),
+            _data_tables: Vec::new(),
             strategies,
             code_len: bytes.len(),
             vcode_insns,
@@ -276,12 +295,10 @@ struct Cg<'m> {
     tmp2: Reg,
     opts: Options,
     strategies: Strategies,
-    jump_tables: Vec<Box<[u64]>>,
-    hash_keys: Vec<Box<[u32]>>,
-    hash_addrs: Vec<Box<[u64]>>,
-    // (table index, entry index, label) resolved after `end`.
-    table_fills: Vec<(usize, usize, Label)>,
-    hash_fills: Vec<(usize, usize, Label)>,
+    // Tables of code addresses, each with the label every entry resolves
+    // to once `end` has placed them.
+    addr_tables: Vec<(Box<[u64]>, Vec<Label>)>,
+    data_tables: Vec<Box<[u32]>>,
     rng: XorShift,
 }
 
@@ -378,12 +395,7 @@ impl<'m> Cg<'m> {
                     self.a
                         .andui(self.field, self.field, i64::from(swap_val(mask, size)));
                 }
-                let arm_labels: Vec<Label> = node.arms.iter().map(|_| self.a.genlabel()).collect();
-                self.dispatch(node, size, &arm_labels, node_fail);
-                for (arm, &l) in node.arms.iter().zip(&arm_labels) {
-                    self.a.label(l);
-                    self.gen_level(&arm.next, node_fail, st);
-                }
+                self.dispatch(node, size, node_fail, st);
             }
             Key::Shift {
                 offset,
@@ -410,58 +422,93 @@ impl<'m> Cg<'m> {
         }
     }
 
-    /// Emits the multiway dispatch over a node's arms. The strategy is
-    /// chosen from the runtime-known key set (paper §4.2's `switch`
-    /// treatment).
-    fn dispatch(&mut self, node: &Node, size: FieldSize, arm_labels: &[Label], fail: Label) {
+    /// Emits the multiway dispatch over a node's arms, and the arms. The
+    /// strategy is chosen from the runtime-known key set (paper §4.2's
+    /// `switch` treatment).
+    fn dispatch(&mut self, node: &Node, size: FieldSize, fail: Label, st: PathState) {
         let n = node.arms.len();
+        // Density test in the true value domain.
+        let values = || node.arms.iter().map(|a| a.value);
+        let min = values().min().unwrap_or(0);
+        let span = (values().max().unwrap_or(0) - min) as usize + 1;
+        let table = self.opts.use_jump_tables && span <= (4 * n).max(16) && span <= 4096;
+        let hash = !table && self.opts.use_hashing && n >= HASH_MIN;
+        if n > LINEAR_MAX && (table || hash) {
+            // Every arm a leaf: the arms are data, not code.
+            let ids: Option<Vec<(u32, u32)>> = node
+                .arms
+                .iter()
+                .map(|a| Some((a.value, a.next.accept.filter(|_| a.next.nodes.is_empty())?)))
+                .collect();
+            if let Some(ids) = ids {
+                if table {
+                    self.strategies.table += 1;
+                    self.gen_id_table(size, &ids, min, span, fail);
+                    return;
+                }
+                if self.gen_hash_lookup(size, &ids, fail) {
+                    self.strategies.hash += 1;
+                    return;
+                }
+            }
+        }
+        let arm_labels: Vec<Label> = node.arms.iter().map(|_| self.a.genlabel()).collect();
+        let vals: Vec<(u32, Label)> = values().zip(arm_labels.iter().copied()).collect();
         if n == 1 {
             self.strategies.single += 1;
             let v = swap_val(node.arms[0].value, size);
             self.a.bneui(self.field, i64::from(v), fail);
             // Fall through into the single arm body (its label binds
             // immediately after).
-            return;
-        }
-        if n <= LINEAR_MAX {
+        } else if n <= LINEAR_MAX {
             self.strategies.linear += 1;
-            for (arm, &l) in node.arms.iter().zip(arm_labels) {
-                let v = swap_val(arm.value, size);
-                self.a.bequi(self.field, i64::from(v), l);
+            for &(v, l) in &vals {
+                self.a.bequi(self.field, i64::from(swap_val(v, size)), l);
             }
             self.a.jmp(fail);
-            return;
-        }
-        // Density test in the true value domain.
-        let mut vals: Vec<(u32, Label)> = node
-            .arms
-            .iter()
-            .zip(arm_labels)
-            .map(|(a, &l)| (a.value, l))
-            .collect();
-        vals.sort_by_key(|&(v, _)| v);
-        let min = vals[0].0;
-        let max = vals[n - 1].0;
-        let span = (max - min) as usize + 1;
-        if self.opts.use_jump_tables && span <= (4 * n).max(16) && span <= 4096 {
+        } else if table {
             self.strategies.table += 1;
             self.gen_jump_table(size, &vals, min, span, fail);
-        } else if self.opts.use_hashing && n >= HASH_MIN {
+        } else if hash {
             self.strategies.hash += 1;
             self.gen_hash(size, &vals, fail);
         } else {
             self.strategies.bst += 1;
-            // Binary search runs in the swapped (load) domain: ordering
-            // only needs to be consistent, not meaningful.
-            let mut sw: Vec<(u32, Label)> = node
-                .arms
-                .iter()
-                .zip(arm_labels)
-                .map(|(a, &l)| (swap_val(a.value, size), l))
-                .collect();
-            sw.sort_by_key(|&(v, _)| v);
-            self.gen_bst(&sw, fail);
+            self.gen_bst_swapped(size, &vals, fail);
         }
+        for (arm, &l) in node.arms.iter().zip(&arm_labels) {
+            self.a.label(l);
+            self.gen_level(&arm.next, fail, st);
+        }
+    }
+
+    /// A table of code addresses for an indirect jump, every entry the
+    /// address of its label once `end` has placed them; the table's own
+    /// address.
+    fn addr_table(&mut self, labels: Vec<Label>) -> u64 {
+        let table = vec![0u64; labels.len()].into_boxed_slice();
+        let addr = table.as_ptr() as u64;
+        self.addr_tables.push((table, labels));
+        addr
+    }
+
+    /// A table of keys or filter ids the generated code loads from; the
+    /// table's own address.
+    fn data_table(&mut self, table: Vec<u32>) -> u64 {
+        let table = table.into_boxed_slice();
+        let addr = table.as_ptr() as u64;
+        self.data_tables.push(table);
+        addr
+    }
+
+    /// Dense range, first half: the field to the true value domain,
+    /// rebased to the range's minimum, values outside the range to `fail`.
+    fn emit_table_index(&mut self, size: FieldSize, min: u32, span: usize, fail: Label) {
+        self.emit_value_domain(size);
+        if min != 0 {
+            self.a.subui(self.field, self.field, i64::from(min));
+        }
+        self.a.bgtui(self.field, i64::from(span as u32 - 1), fail);
     }
 
     /// Dense range: subtract the base, bound-check, and jump indirect
@@ -474,33 +521,61 @@ impl<'m> Cg<'m> {
         span: usize,
         fail: Label,
     ) {
-        self.emit_value_domain(size);
-        if min != 0 {
-            self.a.subui(self.field, self.field, i64::from(min));
-        }
-        self.a.bgtui(self.field, i64::from(span as u32 - 1), fail);
-        let table: Box<[u64]> = vec![0u64; span].into_boxed_slice();
-        let taddr = table.as_ptr() as u64;
-        let ti = self.jump_tables.len();
-        self.jump_tables.push(table);
-        for i in 0..span {
-            self.table_fills.push((ti, i, fail));
-        }
+        self.emit_table_index(size, min, span, fail);
+        let mut labels = vec![fail; span];
         for &(v, l) in vals {
-            let idx = (v - min) as usize;
-            // Overwrite the default fail entry.
-            if let Some(f) = self
-                .table_fills
-                .iter_mut()
-                .find(|(t, i, _)| *t == ti && *i == idx)
-            {
-                f.2 = l;
-            }
+            labels[(v - min) as usize] = l;
         }
+        let taddr = self.addr_table(labels);
         self.a.lshuli(self.field, self.field, 3);
         self.a.setp(self.tmp, taddr);
         self.a.ldul(self.tmp, self.tmp, self.field);
         self.a.jmp_reg(self.tmp);
+    }
+
+    /// Dense range of leaves: subtract the base, bound-check, and return
+    /// the filter id the table holds for the value; a hole in the range
+    /// holds an id no filter has and goes to `fail`.
+    fn gen_id_table(
+        &mut self,
+        size: FieldSize,
+        ids: &[(u32, u32)],
+        min: u32,
+        span: usize,
+        fail: Label,
+    ) {
+        self.emit_table_index(size, min, span, fail);
+        let mut table = vec![NO_ID; span];
+        for &(v, id) in ids {
+            table[(v - min) as usize] = id;
+        }
+        let holes = table.contains(&NO_ID);
+        let taddr = self.data_table(table);
+        self.a.lshuli(self.field, self.field, 2);
+        self.a.setp(self.tmp, taddr);
+        self.a.ldu(self.tmp, self.tmp, self.field);
+        if holes {
+            self.a.bequi(self.tmp, i64::from(NO_ID), fail);
+        }
+        self.a.reti(self.tmp);
+    }
+
+    /// Draws up to `tries` multipliers for one that scatters `keys` over
+    /// `1 << bits` slots without a collision — none when not one of the
+    /// draws is expected to ([`perfect_hash_is_hopeless`]).
+    fn perfect_multiplier(&mut self, keys: &[u32], bits: u32, tries: u32) -> Option<u32> {
+        let slots = 1usize << bits;
+        if perfect_hash_is_hopeless(keys.len(), slots, tries) {
+            return None;
+        }
+        let mut seen = vec![false; slots];
+        (0..tries).find_map(|_| {
+            let m = (self.rng.next_u64() as u32) | 1;
+            seen.fill(false);
+            keys.iter()
+                .all(|&k| !std::mem::replace(&mut seen[hash_slot(k, m, bits)], true))
+                .then_some(m)
+        })
     }
 
     /// Sparse large set: select a perfect multiplicative hash over the
@@ -509,52 +584,26 @@ impl<'m> Cg<'m> {
         let n = vals.len();
         let bits = usize::BITS - (2 * n - 1).leading_zeros();
         let slots = 1usize << bits;
-        // Select a multiplier that is collision-free on the key set.
-        let mult = if perfect_hash_is_hopeless(n, slots) {
-            None
-        } else {
-            let mut seen = vec![false; slots];
-            (0..HASH_TRIES).find_map(|_| {
-                let m = (self.rng.next_u64() as u32) | 1;
-                seen.fill(false);
-                vals.iter()
-                    .all(|&(v, _)| {
-                        let slot = (v.wrapping_mul(m) >> (32 - bits)) as usize;
-                        !std::mem::replace(&mut seen[slot], true)
-                    })
-                    .then_some(m)
-            })
-        };
-        let Some(mult) = mult else {
+        let values: Vec<u32> = vals.iter().map(|&(v, _)| v).collect();
+        let Some(mult) = self.perfect_multiplier(&values, bits, HASH_TRIES) else {
             // No perfect multiplier (none looked for, or an unlucky
             // search near the bound): dispatch through the branch tree.
             self.strategies.hash -= 1;
             self.strategies.bst += 1;
-            let mut sw: Vec<(u32, Label)> =
-                vals.iter().map(|&(v, l)| (swap_val(v, size), l)).collect();
-            sw.sort_by_key(|&(v, _)| v);
-            self.gen_bst(&sw, fail);
+            self.gen_bst_swapped(size, vals, fail);
             return;
         };
-        let mut keys: Box<[u32]> = vec![u32::MAX; slots].into_boxed_slice();
-        let addrs: Box<[u64]> = vec![0u64; slots].into_boxed_slice();
-        let hi = self.hash_keys.len();
-        for &(v, l) in vals {
-            let slot = (v.wrapping_mul(mult) >> (32 - bits)) as usize;
-            keys[slot] = v;
-            self.hash_fills.push((hi, slot, l));
-        }
         // Unused slots jump to fail (their keys never match, but keep the
         // table total).
-        for slot in 0..slots {
-            if keys[slot] == u32::MAX {
-                self.hash_fills.push((hi, slot, fail));
-            }
+        let mut keys = vec![u32::MAX; slots];
+        let mut labels = vec![fail; slots];
+        for &(v, l) in vals {
+            let slot = hash_slot(v, mult, bits);
+            keys[slot] = v;
+            labels[slot] = l;
         }
-        let kaddr = keys.as_ptr() as u64;
-        let aaddr = addrs.as_ptr() as u64;
-        self.hash_keys.push(keys);
-        self.hash_addrs.push(addrs);
+        let kaddr = self.data_table(keys);
+        let aaddr = self.addr_table(labels);
 
         self.emit_value_domain(size);
         // tmp = slot = (field * M) >> (32 - bits)
@@ -569,6 +618,56 @@ impl<'m> Cg<'m> {
         self.a.setp(self.tmp, aaddr);
         self.a.ldul(self.tmp, self.tmp, self.tmp2);
         self.a.jmp_reg(self.tmp);
+    }
+
+    /// Sparse large set of leaves: the perfect hash of
+    /// [`gen_hash`](Self::gen_hash), taken of the field as loaded (keys
+    /// are stored byte-swapped instead), selects a `[key, id]` pair of
+    /// one table; one compare rejects what is not a key, and the id is
+    /// returned. `false`, with nothing emitted, when no table of up to
+    /// [`LOOKUP_MAX_SLOTS`] has a perfect multiplier.
+    fn gen_hash_lookup(&mut self, size: FieldSize, ids: &[(u32, u32)], fail: Label) -> bool {
+        let keys: Vec<u32> = ids.iter().map(|&(v, _)| swap_val(v, size)).collect();
+        let first = usize::BITS - (4 * keys.len() - 1).leading_zeros();
+        let found = (first..=LOOKUP_MAX_SLOTS.ilog2())
+            .find_map(|bits| Some((self.perfect_multiplier(&keys, bits, LOOKUP_TRIES)?, bits)));
+        let Some((mult, bits)) = found else {
+            return false;
+        };
+        // A packet's field reaches a slot only by hashing to it, so an
+        // empty slot is safe behind the key compare exactly when its key
+        // hashes to some other slot: zero hashes to slot 0, and
+        // 1 << (32 - bits) to the low bits of the (odd) multiplier.
+        let mut table = [0, NO_ID].repeat(1 << bits);
+        table[0] = 1 << (32 - bits);
+        for (&key, &(_, id)) in keys.iter().zip(ids) {
+            let at = 2 * hash_slot(key, mult, bits);
+            table[at] = key;
+            table[at + 1] = id;
+        }
+        let taddr = self.data_table(table);
+        // tmp2 = &table[slot], slot = (field * M) >> (32 - bits). The
+        // low word of the product is the same for M read as signed, and
+        // that fits the multiply's immediate.
+        self.a.mului(self.tmp, self.field, i64::from(mult as i32));
+        self.a.rshuli(self.tmp, self.tmp, i64::from(32 - bits));
+        self.a.lshuli(self.tmp, self.tmp, 3);
+        self.a.setp(self.tmp2, taddr);
+        self.a.addp(self.tmp2, self.tmp2, self.tmp);
+        // Verify the key (one compare — no collision chains, paper §4.2).
+        self.a.ldui(self.tmp, self.tmp2, 0);
+        self.a.bneu(self.tmp, self.field, fail);
+        self.a.ldui(self.tmp, self.tmp2, 4);
+        self.a.reti(self.tmp);
+        true
+    }
+
+    /// [`gen_bst`](Self::gen_bst) over the keys as loaded: the search
+    /// only needs a consistent order, not a meaningful one.
+    fn gen_bst_swapped(&mut self, size: FieldSize, vals: &[(u32, Label)], fail: Label) {
+        let mut sw: Vec<(u32, Label)> = vals.iter().map(|&(v, l)| (swap_val(v, size), l)).collect();
+        sw.sort_by_key(|&(v, _)| v);
+        self.gen_bst(&sw, fail);
     }
 
     /// Sparse set: balanced tree of compares.
@@ -593,14 +692,25 @@ impl<'m> Cg<'m> {
     }
 }
 
-/// Whether [`Cg::gen_hash`] should not even look for a perfect
-/// multiplier. A random multiplier scatters `n` keys over `slots` cells
-/// without a collision with probability about exp(-n²/(2·slots)) (the
-/// birthday bound): ~2 % at 16 keys in 32 slots, e⁻¹⁶ at 64 keys in 128.
-/// When not even one of [`HASH_TRIES`] draws is expected to succeed, the
-/// search is skipped instead of run to exhaustion.
-fn perfect_hash_is_hopeless(n: usize, slots: usize) -> bool {
-    (n * n) as f64 / (2 * slots) as f64 > f64::from(HASH_TRIES).ln()
+/// The id in a data-dispatch table entry that no key owns. Not a filter
+/// id: the classifier returns ids as `i64`, negative meaning no match
+/// ([`CompiledSet::classify`]), so an id above `i32::MAX` never was one.
+const NO_ID: u32 = u32::MAX;
+
+/// The multiplicative hash the perfect-hash dispatches emit: the top
+/// `bits` bits of the low word of `key * mult`.
+fn hash_slot(key: u32, mult: u32, bits: u32) -> usize {
+    (key.wrapping_mul(mult) >> (32 - bits)) as usize
+}
+
+/// Whether a search for a perfect multiplier should not even start. A
+/// random multiplier scatters `n` keys over `slots` cells without a
+/// collision with probability about exp(-n²/(2·slots)) (the birthday
+/// bound): ~2 % at 16 keys in 32 slots, e⁻¹⁶ at 64 keys in 128. When not
+/// even one of `tries` draws is expected to succeed, the search is
+/// skipped instead of run to exhaustion.
+fn perfect_hash_is_hopeless(n: usize, slots: usize, tries: u32) -> bool {
+    (n * n) as f64 / (2 * slots) as f64 > f64::from(tries).ln()
 }
 
 /// Compiles a merged trie into native code.
@@ -643,11 +753,8 @@ pub fn compile(root: &Level, opts: Options) -> Result<CompiledSet, CompileError>
         tmp2,
         opts,
         strategies: Strategies::default(),
-        jump_tables: Vec::new(),
-        hash_keys: Vec::new(),
-        hash_addrs: Vec::new(),
-        table_fills: Vec::new(),
-        hash_fills: Vec::new(),
+        addr_tables: Vec::new(),
+        data_tables: Vec::new(),
         rng: XorShift::new(0x5eed_cafe),
     };
     let st = PathState {
@@ -662,11 +769,8 @@ pub fn compile(root: &Level, opts: Options) -> Result<CompiledSet, CompileError>
     let Cg {
         a,
         strategies,
-        jump_tables: mut tables,
-        hash_keys,
-        hash_addrs: mut addrs,
-        table_fills,
-        hash_fills,
+        addr_tables,
+        data_tables,
         ..
     } = cg;
     let vcode_insns = a.insn_count();
@@ -676,29 +780,28 @@ pub fn compile(root: &Level, opts: Options) -> Result<CompiledSet, CompileError>
         .finalize_written(fin.len + vcode::buf::MAX_OVERSTORE)
         .map_err(CompileError::Exec)?;
     // Resolve dispatch-table entries now that label addresses are known.
-    for (ti, idx, label) in table_fills {
-        let off = fin
-            .label_offset(label)
-            .ok_or(CompileError::Codegen(vcode::Error::UnboundLabel(label)))?;
-        tables[ti][idx] = code.addr() + off as u64;
-    }
-    for (hi, slot, label) in hash_fills {
-        let off = fin
-            .label_offset(label)
-            .ok_or(CompileError::Codegen(vcode::Error::UnboundLabel(label)))?;
-        addrs[hi][slot] = code.addr() + off as u64;
+    let mut tables = Vec::with_capacity(addr_tables.len());
+    for (mut table, labels) in addr_tables {
+        for (entry, label) in table.iter_mut().zip(labels) {
+            let off = fin
+                .label_offset(label)
+                .ok_or(CompileError::Codegen(vcode::Error::UnboundLabel(label)))?;
+            *entry = code.addr() + off as u64;
+        }
+        tables.push(table);
     }
     // SAFETY: the generated function has the declared C ABI
-    // (ptr, len) -> i64 and only dereferences `msg` below `len`.
-    let entry: extern "C" fn(*const u8, u64) -> i64 = unsafe { code.as_fn() };
+    // (ptr, len) -> i64 and only dereferences `msg` below `len`;
+    // `fin.entry` is where `end` put its first instruction.
+    let entry: extern "C" fn(*const u8, u64) -> i64 = unsafe { code.as_fn_at(fin.entry) };
     Ok(CompiledSet {
         code,
         entry,
-        _jump_tables: tables,
-        _hash_keys: hash_keys,
-        _hash_addrs: addrs,
+        code_off: fin.entry,
+        _addr_tables: tables,
+        _data_tables: data_tables,
         strategies,
-        code_len: fin.len,
+        code_len: fin.len - fin.entry,
         vcode_insns,
     })
 }
@@ -716,13 +819,16 @@ mod tests {
         // Every key count the 33-filter workloads (and anything up to 40
         // keys) can present keeps its search: their code must not change.
         for n in HASH_MIN..=40 {
-            assert!(!perfect_hash_is_hopeless(n, slots_for(n)), "n = {n}");
+            assert!(
+                !perfect_hash_is_hopeless(n, slots_for(n), HASH_TRIES),
+                "n = {n}"
+            );
         }
         // 64 keys in 128 slots: e⁻¹⁶ per draw, 10 000 draws.
-        assert!(perfect_hash_is_hopeless(64, slots_for(64)));
+        assert!(perfect_hash_is_hopeless(64, slots_for(64), HASH_TRIES));
         // Right above a power of two the table doubles and the search
         // is worth running again.
-        assert!(!perfect_hash_is_hopeless(65, slots_for(65)));
-        assert!(perfect_hash_is_hopeless(1024, slots_for(1024)));
+        assert!(!perfect_hash_is_hopeless(65, slots_for(65), HASH_TRIES));
+        assert!(perfect_hash_is_hopeless(1024, slots_for(1024), HASH_TRIES));
     }
 }

@@ -665,16 +665,24 @@ fn large_sparse_sets_compile_native_on_the_first_attempt() {
 /// A buffer too small for the set must fail as `Overflow` (what
 /// `compile_with_retry` doubles on), whatever the assembler was doing
 /// when it ran out — including recording a fixup past the frozen cursor.
+/// 1024 sparse ports are past what a lookup table may hold and take the
+/// 36 KB branch tree; 256 are a lookup of some 260 bytes, which a 1 KB
+/// buffer holds, so those are starved down to less than the prologue
+/// reservation.
 #[test]
 fn undersized_buffer_reports_overflow_not_a_fixup_error() {
-    let (_, filters) = sparse_port_set(256);
+    let (_, filters) = sparse_port_set(1024);
     let root = dpf::trie::build(&filters);
-    for cap in [64usize, 1024, 4096, 6656] {
+    let (_, lookup) = sparse_port_set(256);
+    let lookup = dpf::trie::build(&lookup);
+    let tree_caps = [64usize, 1024, 4096, 6656].map(|cap| (&root, cap));
+    let lookup_caps = [16usize, 64, 128, 200].map(|cap| (&lookup, cap));
+    for (root, cap) in tree_caps.into_iter().chain(lookup_caps) {
         let opts = dpf::Options {
             code_capacity: Some(cap),
             ..dpf::Options::default()
         };
-        match dpf::compile::compile(&root, opts) {
+        match dpf::compile::compile(root, opts) {
             Err(dpf::CompileError::Codegen(vcode::Error::Overflow { capacity })) => {
                 assert_eq!(capacity, cap);
             }
@@ -684,7 +692,7 @@ fn undersized_buffer_reports_overflow_not_a_fixup_error() {
     // And the ladder then fires: a Dpf pinned to half the needed room
     // comes back native from the doubled retry.
     let mut dpf = Dpf::with_options(dpf::Options {
-        code_capacity: Some(8192),
+        code_capacity: Some(32768),
         ..dpf::Options::default()
     });
     for (_, f) in &filters {
@@ -694,11 +702,11 @@ fn undersized_buffer_reports_overflow_not_a_fixup_error() {
     assert_eq!(dpf.engine(), Some(dpf::EngineKind::Native));
 }
 
-/// The perfect-hash search is skipped only where it is hopeless: up to
-/// 40 keys it runs as before (same draws, so the same multiplier and the
-/// same code); at 64 keys in 128 slots the set takes the branch tree it
-/// always ended up with (without the 10 000 futile tries first — the
-/// policy itself is unit-tested beside `gen_hash`).
+/// The perfect-hash search is skipped only where it is hopeless, and a
+/// set of leaves looks in tables of four slots a key and up instead of
+/// 10 000 times in one of two: 64 keys, which 128 slots never held and
+/// which took the branch tree, hash like 16, 33 and 40 do (the policy
+/// itself is unit-tested beside `gen_hash`).
 #[test]
 fn perfect_hash_search_runs_where_it_can_succeed() {
     for n in [16usize, 33, 40] {
@@ -710,12 +718,165 @@ fn perfect_hash_search_runs_where_it_can_succeed() {
     let (ports, filters) = sparse_port_set(64);
     let root = dpf::trie::build(&filters);
     let set = dpf::compile::compile(&root, dpf::Options::default()).unwrap();
-    assert_eq!((set.strategies.hash, set.strategies.bst), (0, 1));
+    assert_eq!((set.strategies.hash, set.strategies.bst), (1, 0));
     for (i, &p) in ports.iter().enumerate() {
         let msg = packet::build(&PacketSpec {
             dst_port: p,
             ..PacketSpec::default()
         });
         assert_eq!(set.classify(&msg), Some(i as u32), "port {p}");
+    }
+}
+
+/// The packet-to-id path of a set of leaves is data: the 33 sparse ports
+/// of the benchmark's resident set compile to the shared header checks,
+/// one hash, one key compare and one id load — 33 VCODE instructions
+/// whatever the ports are, no indirect jump and no per-port code.
+#[test]
+fn a_set_of_leaves_is_dispatched_by_data() {
+    use vcode::verify::InsnDecoder;
+    let (ports, filters) = sparse_port_set(33);
+    let set = dpf::compile::compile(&dpf::trie::build(&filters), dpf::Options::default()).unwrap();
+    assert_eq!(set.vcode_insns, 33);
+    assert!(set.code_len <= 241, "{} bytes", set.code_len);
+    assert_eq!(set.code_bytes().len(), set.code_len);
+    assert!(!set.position_independent(), "the table is addressed");
+    // Decoded from its first instruction, the only control transfer
+    // without an encoded target is the final `ret`.
+    let code = set.code_bytes();
+    let (mut at, mut indirect) = (0, 0);
+    while at < code.len() {
+        let insn = vcode_x64::declen::Decoder
+            .decode(code, at)
+            .unwrap_or_else(|| panic!("undecodable at {at:#x}"));
+        indirect += usize::from(insn.control && insn.target.is_none());
+        at += insn.len;
+    }
+    assert_eq!((at, indirect), (code.len(), 1));
+    for (i, &p) in ports.iter().enumerate() {
+        let msg = packet::build(&PacketSpec {
+            dst_port: p,
+            ..PacketSpec::default()
+        });
+        assert_eq!(set.classify(&msg), Some(i as u32), "port {p}");
+    }
+}
+
+/// Generated sets on each side of the data dispatch — every arm a leaf
+/// behind a hash (16-bit, masked and 32-bit fields, and behind a
+/// `Shift`), every arm a leaf in a dense range with holes, and one arm
+/// that is not a leaf (the whole node stays code) — classify alike in
+/// all three engines and the `Filter::matches` scan, on every key, on
+/// random misses, and on the fields an empty table slot could hold: the
+/// lowest few values as loaded, single high bits, and all ones. (The scan takes the first
+/// match and the tries the longest, which agree while the one filter
+/// that is a prefix of the others comes last.)
+#[test]
+fn data_dispatch_agrees_with_every_engine_on_generated_sets() {
+    let mut rng = XorShift::new(0xda7a_d15b);
+    let port_msg = |port: u16| {
+        packet::build(&PacketSpec {
+            dst_port: port,
+            ..PacketSpec::default()
+        })
+    };
+    for round in 0..30 {
+        let n = rng.range(17, 90) as usize;
+        let mut keys: Vec<u16> = Vec::new();
+        while keys.len() < n {
+            let k = match round % 6 {
+                // Dense with holes: two ports in three of a short range.
+                1 => 2000 + rng.below(3 * n as u64 / 2) as u16,
+                // Distinct under the mask 0x0ff0.
+                4 => (rng.below(256) as u16) << 4,
+                _ => rng.next_u64() as u16,
+            };
+            if !keys.contains(&k) {
+                keys.push(k);
+            }
+        }
+        let header = || {
+            FilterBuilder::new()
+                .eq_u16(packet::ETH_TYPE_OFF, packet::ETHERTYPE_IP)
+                .eq_u8(packet::IP_PROTO_OFF, packet::IPPROTO_TCP)
+        };
+        let mut filters: Vec<Filter> = keys
+            .iter()
+            .enumerate()
+            .map(|(i, &k)| match round % 6 {
+                // One arm goes on to the TCP data-offset byte.
+                2 if i == n / 2 => header()
+                    .eq_u16(packet::DST_PORT_OFF, k)
+                    .eq_u8(packet::DST_PORT_OFF + 10, 0x50)
+                    .build(),
+                // A 32-bit key: the destination address, made of the
+                // port twice so its bytes differ.
+                3 => header()
+                    .eq_u32(packet::IP_DST_OFF, u32::from(k) << 16 | u32::from(!k))
+                    .build(),
+                4 => header()
+                    .masked(packet::DST_PORT_OFF, FieldSize::U16, 0x0ff0, u32::from(k))
+                    .build(),
+                5 => packet::tcp_port_filter_var_ihl(k),
+                _ => header().eq_u16(packet::DST_PORT_OFF, k).build(),
+            })
+            .collect::<Result<_, _>>()
+            .unwrap();
+        // Half the sets end with a filter of the shared header alone: a
+        // miss in the table has to come back for it, not return.
+        if round >= 12 {
+            filters.push(header().build().unwrap());
+        }
+        // What an empty slot may hold is a small value as loaded, i.e.
+        // byte-swapped on the wire.
+        let edge16 = (0..64u16).map(u16::swap_bytes).chain([0xffff]);
+        let mut msgs: Vec<Vec<u8>> = if round % 6 == 3 {
+            let ip_msg = |ip: u32| {
+                packet::build(&PacketSpec {
+                    dst_ip: ip,
+                    ..PacketSpec::default()
+                })
+            };
+            let edge32 = (0..64u32)
+                .chain((16..32).map(|k| 1 << k))
+                .map(u32::swap_bytes)
+                .chain([u32::MAX]);
+            keys.iter()
+                .map(|&k| u32::from(k) << 16 | u32::from(!k))
+                .chain(edge32)
+                .chain((0..200).map(|_| rng.next_u64() as u32))
+                .map(ip_msg)
+                .collect()
+        } else {
+            keys.iter()
+                .copied()
+                .chain(edge16)
+                .chain((0..200).map(|_| rng.next_u64() as u16))
+                .map(port_msg)
+                .collect()
+        };
+        // A stretched IP header for the `Shift` sets, and a truncation.
+        let mut long = msgs[0].clone();
+        long[14] = 0x46;
+        long.splice(34..34, [0; 4]);
+        msgs.push(long);
+        msgs.push(msgs[1][..packet::DST_PORT_OFF as usize + 1].to_vec());
+        check_all(&filters, &msgs);
+
+        let mut dpf = Dpf::new();
+        for f in &filters {
+            dpf.insert(f.clone());
+        }
+        dpf.compile().unwrap();
+        let set = dpf.compiled().unwrap();
+        let s = set.strategies;
+        match round % 6 {
+            1 => assert_eq!((s.table, s.hash), (1, 0), "round {round}: {s:?}"),
+            // Code dispatch hashes into two slots a key, or gives up.
+            2 => assert_eq!((s.table, s.hash + s.bst), (0, 1), "round {round}: {s:?}"),
+            _ => assert_eq!((s.table, s.hash), (0, 1), "round {round}: {s:?}"),
+        }
+        // Per-arm code is what tells the mixed node from the others.
+        assert_eq!(set.vcode_insns > 50, round % 6 == 2, "round {round}");
     }
 }

@@ -120,14 +120,19 @@ fn builder_failure_mid_swap_keeps_serving() {
         d.compile_uncached().expect("probe compile");
         d.compiled().expect("probe is native").code_len
     };
-    let svc = DpfService::with_options(capped(probe + 64));
+    // Hashing off: 65 leaves behind a hash are a table lookup no longer
+    // than one filter's compares, and would fit any cap that one does.
+    let svc = DpfService::with_options(Options {
+        use_hashing: false,
+        ..capped(probe + 64)
+    });
     let reader = svc.reader();
     let a = svc.insert(f0);
     assert!(svc.is_native(), "one filter fits the cap by construction");
     assert_eq!(reader.classify(&port_msg(80)), Some(a));
 
-    // Mid-swap failure: 64 more filters cannot fit even after the
-    // overflow retry doubles the buffer. The native build fails, so the
+    // Mid-swap failure: the branch tree over 64 more filters cannot fit
+    // even after the overflow retry doubles the buffer. The native build fails, so the
     // new set is published on the interpreter, with the failure typed.
     let storm_ids: Vec<u32> = packet::port_filter_set(64, 9000)
         .into_iter()

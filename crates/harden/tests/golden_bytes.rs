@@ -4,10 +4,16 @@
 //! build would have emitted" only while the lowering from `Program` to
 //! machine code emits the same bytes. Nothing else in the tree compares
 //! bytes *between* commits (`crates/bench/tests/differential.rs` holds
-//! the fast path to the bytewise path within one build), so the digests
-//! below were computed at 393b495, before `engine::replay` and
+//! the fast path to the bytewise path within one build), so the RISC
+//! digests below were computed at 393b495, before `engine::replay` and
 //! `tier2::replay_opt` were folded onto one lowering loop, and must not
-//! move without a `persist::FORMAT_VERSION` bump. The seeded set — 1024
+//! move without a `persist::FORMAT_VERSION` bump. The x86-64 digests
+//! moved once since, at PR 24: the prologue sits at the end of its
+//! reservation behind a short jump from offset 0, and a jump to the
+//! next byte is retracted. No bump went with it — an artifact an older
+//! build stored is a whole function entered at its first byte, loads
+//! and runs as before, and is as much longer than a new one as its
+//! prologue left unused. The seeded set — 1024
 //! programs in the shape of the benchmark's generator — and the
 //! `Program` stream pins were computed at 2fb0710, while `Program` still
 //! held a `Vec<POp>` and lowering dispatched per op.
@@ -69,24 +75,57 @@ fn pinned<T: Target>(corpus: &[Program], pinned_at: &str, tier1: u64, tier2: u64
     );
 }
 
-/// The literals are what 393b495 emitted.
+/// The literals are what 393b495 emitted (x86-64: PR 24).
 #[test]
 fn emitted_bytes_match_the_parent_commit_on_every_target() {
     let c = corpus();
     pinned::<Mips>(&c, "393b495", 0xef99_8af7_c851_9014, 0xdd9f_f6ed_e536_ba58);
     pinned::<Sparc>(&c, "393b495", 0x0c8d_49d7_264a_91a7, 0xbf0c_d593_4b57_3c04);
     pinned::<Alpha>(&c, "393b495", 0xf1d1_7a02_0ce3_15cd, 0xf91a_9e10_ec5e_2ea5);
-    pinned::<X64>(&c, "393b495", 0xb18c_aafc_14af_92ab, 0xe0d5_091b_86a5_b53e);
+    pinned::<X64>(&c, "PR 24", 0x081c_f3a9_bebb_8192, 0xa283_d9d5_e530_69f8);
 }
 
-/// The literals are what 2fb0710 emitted.
+/// The literals are what 2fb0710 emitted (x86-64: PR 24).
 #[test]
 fn seeded_programs_emit_the_bytes_2fb0710_did_on_every_target() {
     let s = seeded();
     pinned::<Mips>(&s, "2fb0710", 0x7373_9554_02f0_d5d6, 0xeb96_08ed_d643_7fea);
     pinned::<Sparc>(&s, "2fb0710", 0x9d61_6121_6072_4d10, 0x2596_90cc_b616_d400);
     pinned::<Alpha>(&s, "2fb0710", 0x4fbb_d624_39dc_5c2b, 0xca5a_b43e_431c_559d);
-    pinned::<X64>(&s, "2fb0710", 0x2f9e_c658_783b_0dd2, 0xf2b6_8b09_542f_da5d);
+    pinned::<X64>(&s, "PR 24", 0xabad_c48c_53d9_8cc6, 0xb14a_19cc_6f2b_5512);
+}
+
+/// A finished x86-64 function has two entries, and 1024 seeded programs
+/// answer as the interpreter does from both: offset 0, which a client
+/// that emitted in place calls (`ExecMem::finalize` + `call2`; it jumps
+/// over what `end` left unused of the prologue reservation), and
+/// [`Finished::entry`], from which the bytes are cut that the engine
+/// installs and the L2 stores — run here from a mapping of their own,
+/// after the re-decode an L2 load would give them.
+#[test]
+fn seeded_programs_run_alike_from_entry_and_from_offset_zero() {
+    use vcode_x64::ExecMem;
+    let mut cut = 0;
+    for (i, p) in seeded().iter().enumerate() {
+        let mut mem = ExecMem::new(p.code_capacity()).unwrap();
+        let fin = replay::<X64>(p, mem.as_mut_slice()).unwrap();
+        let whole = mem.finalize().unwrap();
+        let image = &whole.bytes()[fin.entry..fin.len];
+        vcode::persist::redecode(image, &vcode_x64::declen::Decoder)
+            .unwrap_or_else(|e| panic!("program {i}: {e}"));
+        let moved = ExecMem::adopt_bytes(image).unwrap().finalize().unwrap();
+        cut += fin.entry;
+        let args = [i as i32 * 7919 - 4_000_000, !(i as i32) << 9];
+        let want = p.interpret(&args, 10_000_000).unwrap();
+        let (a, b) = (args[0] as u32 as u64, args[1] as u32 as u64);
+        for code in [&whole, &moved] {
+            // SAFETY: `replay` emitted a two-argument integer function,
+            // whole at offset 0 and position-independent from `entry`.
+            let got = unsafe { code.call2(a, b) };
+            assert_eq!(i64::from(got as u32 as i32), want, "program {i}");
+        }
+    }
+    assert!(cut >= 1024 * 20, "the engine's lambdas lose their padding");
 }
 
 /// The serialized stream is the cache key and the artifact's embedded

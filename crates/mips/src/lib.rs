@@ -272,7 +272,6 @@ impl Target for Mips {
             Some((_, v)) => encode::or(&mut a.buf, r::V0, v.num(), r::ZERO),
             None => {}
         }
-        a.ret_sites.push(a.buf.len());
         let l = a.epilogue;
         Self::goto(a, l);
     }

@@ -291,7 +291,6 @@ impl Target for Sparc {
             Some((_, v)) => encode::f3_rr(&mut a.buf, op3::OR, r::I0, v.num(), r::G0),
             None => {}
         }
-        a.ret_sites.push(a.buf.len());
         let l = a.epilogue;
         Self::branch(a, l, |a| encode::bicc(&mut a.buf, cond::A, 0));
     }

@@ -14,7 +14,7 @@ use crate::lex::ParseError;
 use crate::parse::{CType, Expr, FnDef, Stmt};
 use std::collections::HashMap;
 use std::fmt;
-use vcode::target::{JumpTarget, Leaf, StackSlot};
+use vcode::target::{Finished, JumpTarget, Leaf, StackSlot};
 use vcode::{Assembler, Label, Reg, RegClass, Sig, Ty};
 use vcode_x64::X64;
 
@@ -149,7 +149,7 @@ impl<'m, 'ctx> FnCg<'m, 'ctx> {
         mem: &'m mut [u8],
         fns: &'ctx HashMap<String, FnSig>,
         table_addr: u64,
-    ) -> CcResult<usize> {
+    ) -> CcResult<Finished> {
         let leaf = if def.body.iter().any(stmt_has_call) {
             Leaf::No
         } else {
@@ -192,8 +192,7 @@ impl<'m, 'ctx> FnCg<'m, 'ctx> {
                 cg.emit_ret(r, &t);
             }
         }
-        let fin = cg.a.end()?;
-        Ok(fin.len)
+        Ok(cg.a.end()?)
     }
 
     fn sem(&self, msg: impl Into<String>) -> CcError {

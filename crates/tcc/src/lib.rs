@@ -127,9 +127,9 @@ impl Program {
         let mut off = 0usize;
         for d in &defs {
             let chunk = &mut mem.as_mut_slice()[off..];
-            let len = FnCg::compile(d, chunk, &fns, table_addr)?;
-            offsets.push(off);
-            off = (off + len).div_ceil(16) * 16;
+            let fin = FnCg::compile(d, chunk, &fns, table_addr)?;
+            offsets.push(off + fin.entry);
+            off = (off + fin.len).div_ceil(16) * 16;
         }
         for (i, &o) in offsets.iter().enumerate() {
             table[i] = base + o as u64;

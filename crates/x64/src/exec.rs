@@ -806,14 +806,37 @@ impl ExecCode {
     /// code (the signature passed to `lambda`, `extern "C"`), and the
     /// code must stay alive while `F` is callable.
     pub unsafe fn as_fn<F: Copy>(&self) -> F {
+        // SAFETY: the caller's obligations are those of `as_fn_at`, and
+        // a function's first byte is an entry to it.
+        unsafe { self.as_fn_at(0) }
+    }
+
+    /// [`as_fn`](Self::as_fn) for a function that starts `entry` bytes
+    /// into the region: [`Finished::entry`](vcode::target::Finished::entry)
+    /// of code emitted in place, which skips the jump that offset 0 holds.
+    ///
+    /// # Safety
+    ///
+    /// As [`as_fn`](Self::as_fn), and `entry` must be the offset of the
+    /// first instruction of such a function.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `entry` is outside the region or `F` is not
+    /// pointer-sized.
+    pub unsafe fn as_fn_at<F: Copy>(&self, entry: usize) -> F {
         assert_eq!(
             std::mem::size_of::<F>(),
             std::mem::size_of::<usize>(),
             "as_fn requires a fn-pointer type"
         );
+        assert!(entry < self.len, "entry outside the code region");
+        // SAFETY: `entry < len` was just checked, so the address stays
+        // inside the mapping.
+        let at = unsafe { self.ptr.add(entry) };
         // SAFETY: size checked above; validity of the ABI is the
         // caller's obligation.
-        unsafe { std::mem::transmute_copy(&self.ptr) }
+        unsafe { std::mem::transmute_copy(&at) }
     }
 
     /// Calls the code as `extern "C" fn() -> u64`.

@@ -144,6 +144,11 @@ const SAVE_AREA: usize = CALLEE_SAVED.len() * 8;
 /// (`mov [rbp-disp8], r64` = REX + opcode + modrm + disp8; the deepest
 /// slot is `rbp-80`, still within disp8 range).
 const SAVE_INSN: usize = 4;
+/// `push rbp; mov rbp, rsp; sub rsp, imm32`.
+const FRAME_INSNS: [u8; 7] = [0x55, 0x48, 0x89, 0xe5, 0x48, 0x81, 0xec];
+/// Bytes `begin` reserves for the prologue: the frame set-up, its imm32
+/// and a save of every register in [`CALLEE_SAVED`].
+const PROLOGUE_MAX: usize = FRAME_INSNS.len() + 4 + CALLEE_SAVED.len() * SAVE_INSN;
 
 #[inline]
 fn is64(ty: Ty) -> bool {
@@ -295,16 +300,11 @@ impl Target for X64 {
     }
 
     fn begin(a: &mut Asm<'_>, sig: &Sig, _leaf: Leaf, args: &mut Vec<Reg>) -> Result<(), Error> {
-        // push rbp; mov rbp, rsp; sub rsp, imm32 (imm patched at `end`).
-        encode::push(&mut a.buf, r::RBP);
-        encode::mov_rr(&mut a.buf, true, r::RBP, r::RSP);
-        a.buf.put_slice(&[0x48, 0x81, 0xec]);
-        a.ts.frame_fix = a.buf.len();
-        a.buf.put_u32(0);
-        // Worst-case callee-save area in the instruction stream
-        // (paper §5.2); filled with the actual saves at `end`.
-        let start = a.buf.reserve(Self::MAX_SAVE_BYTES, 0x90);
-        a.ts.save_area = (start, a.buf.len());
+        // Worst-case prologue in the instruction stream (paper §5.2):
+        // `end` knows the frame size and which registers to save, and
+        // writes the real one against the end of this reservation. The
+        // filler is `nop`, so the part `end` leaves unused still decodes.
+        a.buf.reserve(PROLOGUE_MAX, 0x90);
         // Home the arguments. SysV puts ints 2 and 3 in rdx/rcx, which we
         // reserve for synthesis, so those are evacuated to allocatable
         // registers. Claim every argument-slot register up front so the
@@ -384,41 +384,48 @@ impl Target for X64 {
             }
             None => {}
         }
-        a.ret_sites.push(a.buf.len());
-        let at = encode::jmp_rel(&mut a.buf);
-        a.fixup_at(at, FixupTarget::Label(a.epilogue), 0);
+        Self::emit_jump(a, JumpTarget::Label(a.epilogue));
     }
 
     fn end(a: &mut Asm<'_>) -> Result<(), Error> {
-        // Insert the deferred prologue saves over the reserved nops.
+        // The deferred prologue — frame set-up with the activation-record
+        // size (rsp kept 16-aligned), then the saves — patched in so that
+        // it ends where the reservation does. (After a buffer overflow
+        // the reservation may be truncated; a patch past the cursor is
+        // dropped and end() reports the latched overflow.)
         let used = a.ra.callee_used(vcode::Bank::Int);
-        let (start, _) = a.ts.save_area;
-        let mut at = start;
+        let frame = (SAVE_AREA + a.locals_bytes).div_ceil(16) * 16;
+        let mut prologue = [0u8; PROLOGUE_MAX];
+        let mut len = FRAME_INSNS.len() + 4;
+        prologue[..FRAME_INSNS.len()].copy_from_slice(&FRAME_INSNS);
+        prologue[FRAME_INSNS.len()..len].copy_from_slice(&(frame as u32).to_le_bytes());
         for (slot, &reg) in CALLEE_SAVED.iter().enumerate() {
             if used & (1 << reg) != 0 {
                 // mov [rbp - 8*(slot+1)], reg
                 let rexb = if reg >= 8 { 0x4c } else { 0x48 };
                 let disp = (-8 * (slot as i32 + 1)) as u8;
-                a.buf
-                    .patch_slice(at, &[rexb, 0x89, 0x45 | (reg & 7) << 3, disp]);
-                at += SAVE_INSN;
+                prologue[len..len + SAVE_INSN].copy_from_slice(&[
+                    rexb,
+                    0x89,
+                    0x45 | (reg & 7) << 3,
+                    disp,
+                ]);
+                len += SAVE_INSN;
             }
         }
-        // Skip the unused tail of the reserved area with a short jump so
-        // leaf-ish functions don't execute a run of nops on every call.
-        let (_, save_end) = a.ts.save_area;
-        // saturating: after a buffer overflow the reserved area may be
-        // truncated, leaving `at` past `save_end`; the overflow is
-        // latched and reported by end().
-        let rest = save_end.saturating_sub(at);
-        if rest >= 2 {
-            a.buf.patch_slice(at, &[0xeb, (rest - 2) as u8]);
+        let entry = PROLOGUE_MAX - len;
+        a.buf.patch_slice(entry, &prologue[..len]);
+        // The function starts at `entry`, and whoever can enters there
+        // (`Finished::entry`). Offset 0 stays an entry for clients that
+        // call the first byte of what they emitted into: one short jump
+        // over the unused filler.
+        a.ts.entry = entry;
+        if entry >= 2 {
+            a.buf.patch_slice(0, &[0xeb, (entry - 2) as u8]);
         }
-        // Backpatch the activation-record size, keeping rsp 16-aligned.
-        let frame = (SAVE_AREA + a.locals_bytes).div_ceil(16) * 16;
-        a.buf.patch_u32(a.ts.frame_fix, frame as u32);
-        // Deferred epilogue: restore, leave, ret.
-        let here = a.buf.len();
+        // Deferred epilogue: restore, leave, ret. A final `ret`'s jump
+        // here is taken back rather than left jumping to the next byte.
+        let here = a.bind_site(a.epilogue);
         a.labels.bind(a.epilogue, here);
         for (slot, &reg) in CALLEE_SAVED.iter().enumerate() {
             if used & (1 << reg) != 0 {
@@ -658,6 +665,9 @@ impl Target for X64 {
             JumpTarget::Label(l) => {
                 let at = encode::jmp_rel(&mut a.buf);
                 a.fixup_at(at, FixupTarget::Label(l), 0);
+                // One opcode byte and the rel32: `Asm::bind_site` takes
+                // it back if `l` is bound right behind it.
+                a.jump = (at - 1, at + 4);
             }
             JumpTarget::Reg(r) => encode::jmp_rm(&mut a.buf, r.num()),
             JumpTarget::Abs(addr) => {

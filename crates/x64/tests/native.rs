@@ -890,3 +890,129 @@ fn interrupt_handler_reclassification() {
     let g: extern "C" fn(i64) -> i64 = unsafe { code.as_fn() };
     assert_eq!(g(100), 100 + 101 + 102);
 }
+
+/// One function emitted three ways — plain, with the streaming verifier
+/// on, and through the bytewise reference path — which must agree byte
+/// for byte; the finished record and the bytes of the first.
+fn emit3(
+    sig: &str,
+    f: impl Fn(&mut Assembler<'_, X64>) -> Vec<vcode::Label>,
+) -> (vcode::target::Finished, Vec<u8>, Vec<vcode::Label>) {
+    let emit = |verify: bool, path: vcode::EmitPath| {
+        let mut mem = vec![0u8; 512];
+        let mut a =
+            Assembler::<X64>::lambda_sig_path(&mut mem, Sig::parse(sig).unwrap(), Leaf::Yes, path)
+                .unwrap();
+        if verify {
+            a.enable_verifier();
+        }
+        let labels = f(&mut a);
+        let fin = a.end().unwrap();
+        if let Some(report) = &fin.verify {
+            assert!(report.is_clean(), "{:?}", report.diags);
+            let diags = vcode::verify::cross_check(
+                &mem[..fin.len],
+                report,
+                &fin,
+                &vcode_x64::declen::Decoder,
+                &X64::CHECKS,
+            );
+            assert!(diags.is_empty(), "{diags:?}");
+        }
+        mem.truncate(fin.len);
+        (fin, mem, labels)
+    };
+    let plain = emit(false, vcode::EmitPath::Fast);
+    assert_eq!(emit(true, vcode::EmitPath::Fast).1, plain.1, "verifier on");
+    assert_eq!(
+        emit(false, vcode::EmitPath::Bytewise).1,
+        plain.1,
+        "bytewise"
+    );
+    plain
+}
+
+/// Runs finished bytes from a fresh mapping, entered at `entry`.
+fn run1(code: &[u8], entry: usize, x: u64) -> u64 {
+    let code = ExecMem::adopt_bytes(code).unwrap().finalize().unwrap();
+    // SAFETY: the callers pass one-argument integer functions and the
+    // `Finished::entry` (or 0) of the bytes.
+    let f: extern "C" fn(u64) -> u64 = unsafe { code.as_fn_at(entry) };
+    f(x)
+}
+
+/// `jmp L; L:` emits no jump — the cursor goes back over it when `L` is
+/// bound — but a label bound between the two pins the jump in place:
+/// retracting it would leave that label pointing into whatever comes
+/// next. The instruction count is the client's either way.
+#[test]
+fn a_jump_to_the_next_byte_is_retracted_unless_a_label_sits_behind_it() {
+    // f(0) = 1, f(x) = 2; `via_x` makes the early exit go through a
+    // label of its own, bound right behind the jump.
+    let body = |via_x: bool| {
+        move |a: &mut Assembler<'_, X64>| {
+            let (x, l) = (a.genlabel(), a.genlabel());
+            let (arg, r) = (a.arg(0), a.getreg(RegClass::Temp).unwrap());
+            a.seti(r, 1);
+            a.beqli(arg, 0, if via_x { x } else { l });
+            a.seti(r, 2);
+            a.jmp(l);
+            if via_x {
+                a.label(x);
+            }
+            a.label(l);
+            a.reti(r);
+            vec![x, l]
+        }
+    };
+    let (gone, gone_code, gone_labels) = emit3("%l", body(false));
+    let (kept, kept_code, kept_labels) = emit3("%l", body(true));
+    assert_eq!(gone.insns, kept.insns);
+    assert_eq!(kept.len, gone.len + 5, "one `jmp rel32`");
+    let (x, l) = (kept_labels[0], kept_labels[1]);
+    assert_eq!(kept.label_offset(x), kept.label_offset(l));
+    assert_eq!(
+        kept.label_offset(l).unwrap(),
+        gone.label_offset(gone_labels[1]).unwrap() + 5
+    );
+    for (fin, code) in [(&gone, &gone_code), (&kept, &kept_code)] {
+        for entry in [0, fin.entry] {
+            assert_eq!(run1(code, entry, 0), 1);
+            assert_eq!(run1(code, entry, 9), 2);
+        }
+    }
+}
+
+/// The last `ret`'s jump to the epilogue is retracted at `end` like any
+/// other jump to the next byte — unless a label was bound behind it,
+/// which then resolves to the epilogue's first byte.
+#[test]
+fn a_final_ret_falls_into_the_epilogue_unless_a_label_sits_behind_it() {
+    let body = |label_behind: bool| {
+        move |a: &mut Assembler<'_, X64>| {
+            let x = a.genlabel();
+            let arg = a.arg(0);
+            // `x` is only ever reached with the argument in hand.
+            a.beqli(arg, 7, x);
+            a.addli(arg, arg, 1);
+            if label_behind {
+                a.retl(arg);
+                a.label(x);
+            } else {
+                a.label(x);
+                a.retl(arg);
+            }
+            vec![x]
+        }
+    };
+    let (gone, gone_code, _) = emit3("%l", body(false));
+    let (kept, kept_code, kept_labels) = emit3("%l", body(true));
+    assert_eq!(kept.len, gone.len + 5, "one `jmp rel32`");
+    // leave; ret
+    assert_eq!(kept.label_offset(kept_labels[0]), Some(kept.len - 2));
+    assert_eq!(run1(&gone_code, gone.entry, 7), 7);
+    assert_eq!(run1(&gone_code, gone.entry, 1), 2);
+    assert_eq!(run1(&kept_code, kept.entry, 1), 2);
+    // Through `x`: straight to the epilogue, rax as the caller left it.
+    run1(&kept_code, kept.entry, 7);
+}

@@ -217,6 +217,22 @@ if [ -n "$second_path" ]; then
 fi
 echo "one build path ok"
 
+echo "== DPF dispatch is data (a set of leaves is a table lookup) =="
+# A dispatch node whose arms all just accept a filter emits no arm and
+# no indirect jump: the hash (or the dense index) selects a table entry,
+# one compare checks its key, the id is loaded and returned (DESIGN.md
+# "Classification by data"). Exact, in release as the benchmark runs it:
+# the 33-port set is 33 VCODE instructions in at most 241 bytes whose
+# only transfer without an encoded target is the final `ret`; and over
+# generated sets on both sides of the choice (hash and dense with holes,
+# 16-bit, masked and 32-bit fields, behind a `Shift`, one non-leaf arm)
+# the compiled classifier, the `Filter::matches` scan, MPF and
+# PATHFINDER agree on every key, on misses, and on the values an empty
+# slot holds.
+cargo test -q --release -p dpf --offline --test engines -- \
+    a_set_of_leaves_is_dispatched_by_data \
+    data_dispatch_agrees_with_every_engine_on_generated_sets
+
 echo "== exec pool steady state (a cold compile makes no syscalls) =="
 # 4096 first-sight programs through `compile_cached` on a full 256-entry
 # L1, in release as the benchmark runs them: the executable-memory pool
