@@ -10,7 +10,7 @@
 //! - tcc end-to-end compile throughput.
 
 use dpf::packet::{self, PacketSpec};
-use dpf::{Dpf, Options};
+use dpf::{trie, DpfService, Filter, Options};
 use std::hint::black_box;
 use std::time::Instant;
 use vcode::target::{Leaf, Target};
@@ -54,14 +54,18 @@ fn bench(c: &mut Criterion) {
 
     // --- DPF dispatch-strategy ablation. ---
     let filters = packet::port_filter_set(10, 1000);
-    let packets: Vec<Vec<u8>> = (0..10)
+    let set: Vec<(u32, Filter)> = (0..).zip(filters.iter().cloned()).collect();
+    // Read in batches of 64, the way the service is read: its reader
+    // enters the generation once a batch.
+    let packets: Vec<Vec<u8>> = (0..64)
         .map(|i| {
             packet::build(&PacketSpec {
-                dst_port: 1000 + i,
+                dst_port: 1000 + i % 10,
                 ..PacketSpec::default()
             })
         })
         .collect();
+    let batch: Vec<&[u8]> = packets.iter().map(Vec::as_slice).collect();
     let variants: [(&str, Options); 3] = [
         ("full", Options::default()),
         (
@@ -83,21 +87,20 @@ fn bench(c: &mut Criterion) {
     ];
     println!("\n=== DPF dispatch ablation (ns/classification) ===");
     for (name, opts) in variants {
-        let mut d = Dpf::with_options(opts);
-        for f in &filters {
-            d.insert(f.clone());
-        }
-        d.compile().unwrap();
-        const TRIALS: usize = 200_000;
+        let svc = DpfService::with_options(opts);
+        svc.insert_all(filters.iter().cloned());
+        assert!(svc.is_native());
+        let d = svc.reader();
+        const BATCHES: usize = 3_000;
         let t = Instant::now();
-        for k in 0..TRIALS {
-            black_box(d.classify(&packets[k % packets.len()]));
+        for _ in 0..BATCHES {
+            black_box(d.classify_batch(&batch));
         }
-        let ns = t.elapsed().as_secs_f64() * 1e9 / TRIALS as f64;
+        let ns = t.elapsed().as_secs_f64() * 1e9 / (BATCHES * batch.len()) as f64;
+        let c = dpf::compile::compile(&trie::build(&set), opts).unwrap();
         println!(
             "  {name:24} {ns:7.2} ns  ({} bytes, {:?})",
-            d.compiled().unwrap().code_len,
-            d.compiled().unwrap().strategies
+            c.code_len, c.strategies
         );
     }
 

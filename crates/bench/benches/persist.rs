@@ -21,7 +21,7 @@
 //! vacuous. Linear dispatch is position-independent and persists.
 
 use dpf::packet::{self, PacketSpec};
-use dpf::{Dpf, EngineKind, Options};
+use dpf::{DpfService, Options};
 use std::time::Instant;
 use vcode_bench::{median, snapshot};
 
@@ -48,14 +48,10 @@ fn first_packet_pass(sets: &[(u16, u16)]) -> f64 {
     dpf::clear_cache();
     let t0 = Instant::now();
     for &(nf, base) in sets {
-        let mut d = Dpf::with_options(pic_options());
-        for f in packet::port_filter_set(nf, base) {
-            d.insert(f);
-        }
-        d.compile().expect("classifier compiles");
-        assert_eq!(
-            d.engine(),
-            Some(EngineKind::Native),
+        let d = DpfService::with_options(pic_options());
+        d.insert_all(packet::port_filter_set(nf, base));
+        assert!(
+            d.is_native(),
             "bench set must run native, not the interpreter"
         );
         let msg = port_msg(base);

@@ -8,13 +8,20 @@
 
 use dpf::mpf::Mpf;
 use dpf::packet::{self, PacketSpec};
-use dpf::{Dpf, Pathfinder};
+use dpf::{trie, DpfReader, DpfService, Filter, Options, Pathfinder};
 use std::hint::black_box;
 use std::time::Instant;
 use vcode_bench::{criterion_group, criterion_main, Criterion, Throughput};
 
+/// Packets a batch: every engine classifies a batch at a time, and the
+/// service's reader enters its generation once a batch.
+const BATCH: usize = 64;
+
+/// One engine classifying a batch.
+type Classify<'a> = &'a dyn Fn(&[&[u8]]) -> Vec<Option<u32>>;
+
 struct Setup {
-    dpf: Dpf,
+    dpf: DpfReader,
     mpf: Mpf,
     pf: Pathfinder,
     packets: Vec<Vec<u8>>,
@@ -22,21 +29,23 @@ struct Setup {
 
 fn setup() -> Setup {
     let filters = packet::port_filter_set(10, 1000);
-    let mut dpf = Dpf::new();
+    let dpf = DpfService::new();
     let mut mpf = Mpf::new();
     let mut pf = Pathfinder::new();
+    dpf.insert_all(filters.iter().cloned());
     for f in &filters {
-        dpf.insert(f.clone());
         mpf.insert(f);
         pf.insert(f.clone());
     }
-    dpf.compile().expect("compiles");
+    assert!(dpf.is_native());
+    let dpf = dpf.reader();
     // The experiment's stream: packets for each resident filter (the
-    // paper classifies messages destined for one of the ten filters).
-    let packets: Vec<Vec<u8>> = (0..10)
+    // paper classifies messages destined for one of the ten filters),
+    // in the batches the service's reader is read in.
+    let packets: Vec<Vec<u8>> = (0..BATCH as u16)
         .map(|i| {
             packet::build(&PacketSpec {
-                dst_port: 1000 + i,
+                dst_port: 1000 + i % 10,
                 ..PacketSpec::default()
             })
         })
@@ -51,49 +60,41 @@ fn setup() -> Setup {
 
 fn bench(c: &mut Criterion) {
     let s = setup();
+    let batch: Vec<&[u8]> = s.packets.iter().map(Vec::as_slice).collect();
+    let engines: [(&str, Classify<'_>); 3] = [
+        ("dpf_compiled", &|b| s.dpf.classify_batch(b)),
+        ("pathfinder_interpreted", &|b| {
+            b.iter().map(|m| s.pf.classify(m)).collect()
+        }),
+        ("mpf_interpreted", &|b| {
+            b.iter().map(|m| s.mpf.classify(m)).collect()
+        }),
+    ];
     let mut group = c.benchmark_group("table3_classify");
-    group.throughput(Throughput::Elements(1));
-    group.bench_function("dpf_compiled", |b| {
-        let mut i = 0;
-        b.iter(|| {
-            i = (i + 1) % s.packets.len();
-            black_box(s.dpf.classify(&s.packets[i]))
-        })
-    });
-    group.bench_function("pathfinder_interpreted", |b| {
-        let mut i = 0;
-        b.iter(|| {
-            i = (i + 1) % s.packets.len();
-            black_box(s.pf.classify(&s.packets[i]))
-        })
-    });
-    group.bench_function("mpf_interpreted", |b| {
-        let mut i = 0;
-        b.iter(|| {
-            i = (i + 1) % s.packets.len();
-            black_box(s.mpf.classify(&s.packets[i]))
-        })
-    });
+    group.throughput(Throughput::Elements(BATCH as u64));
+    for (name, f) in engines {
+        group.bench_function(name, |b| b.iter(|| black_box(f(&batch))));
+    }
     group.finish();
 
     // Paper-style row: the average of 100 000 trials.
-    const TRIALS: usize = 100_000;
-    let avg = |f: &dyn Fn(&[u8]) -> Option<u32>| {
+    const TRIALS: usize = 100_000 / BATCH * BATCH;
+    let avg = |f: Classify<'_>| {
         let t = Instant::now();
-        for k in 0..TRIALS {
-            black_box(f(&s.packets[k % s.packets.len()]));
+        for _ in 0..TRIALS / BATCH {
+            black_box(f(&batch));
         }
         t.elapsed().as_secs_f64() * 1e9 / TRIALS as f64
     };
-    let ns_dpf = avg(&|m| s.dpf.classify(m));
-    let ns_pf = avg(&|m| s.pf.classify(m));
-    let ns_mpf = avg(&|m| s.mpf.classify(m));
+    let [ns_dpf, ns_pf, ns_mpf] = engines.map(|(_, f)| avg(f));
     println!("\n=== Table 3 analog: classify one of ten TCP/IP filters ===");
     println!("  engine       ns/msg      vs DPF   (paper: PF ~10x, MPF ~20x)");
     println!("  MPF        {ns_mpf:8.1}    {:8.1}x", ns_mpf / ns_dpf);
     println!("  PATHFINDER {ns_pf:8.1}    {:8.1}x", ns_pf / ns_dpf);
     println!("  DPF        {ns_dpf:8.1}         1x");
-    let c = s.dpf.compiled().unwrap();
+    let filters: Vec<(u32, Filter)> = (0..).zip(packet::port_filter_set(10, 1000)).collect();
+    let cold = || dpf::compile::compile(&trie::build(&filters), Options::default());
+    let c = cold().expect("compiles");
     println!(
         "  (DPF: {} bytes of code from {} vcode insns, dispatch {:?})",
         c.code_len, c.vcode_insns, c.strategies
@@ -110,35 +111,28 @@ fn bench(c: &mut Criterion) {
 
     // Amortization row: per-flow setup cost with and without the
     // classifier cache. A cold compile pays trie merge + full codegen;
-    // a warm `compile()` on a resident filter set is a cache hit that
-    // shares the finished classifier (the many-flows-few-filter-sets
+    // a fresh service installing a resident filter set is a cache hit
+    // that shares the finished classifier (the many-flows-few-filter-sets
     // shape the engine's lambda cache exists for).
-    let filters = packet::port_filter_set(10, 1000);
-    let fresh = || {
-        let mut d = Dpf::new();
-        for f in &filters {
-            d.insert(f.clone());
-        }
-        d
-    };
     const SETUPS: usize = 200;
     let cold_ns = {
         let t = Instant::now();
         for _ in 0..SETUPS {
-            let mut d = fresh();
-            d.compile_uncached().expect("compiles");
-            black_box(&d);
+            black_box(cold().expect("compiles"));
         }
         t.elapsed().as_secs_f64() * 1e9 / SETUPS as f64
     };
-    let mut d = fresh();
-    d.compile().expect("compiles"); // prime the cache
+    let install = || {
+        let svc = DpfService::new();
+        svc.insert_all(filters.iter().map(|(_, f)| f.clone()));
+        assert!(svc.is_native());
+        svc
+    };
+    // `setup` installed this set: every install below is a hit.
     let warm_ns = {
         let t = Instant::now();
         for _ in 0..SETUPS {
-            let mut d = fresh();
-            d.compile().expect("cache hit");
-            black_box(&d);
+            black_box(install());
         }
         t.elapsed().as_secs_f64() * 1e9 / SETUPS as f64
     };

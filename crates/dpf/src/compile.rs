@@ -85,8 +85,8 @@ pub struct Options {
     pub elide_bounds_checks: bool,
     /// Executable-buffer capacity in bytes; `None` sizes it from the
     /// trie's node count. Setting a too-small value exercises the
-    /// overflow → retry → interpreter-fallback ladder (see
-    /// [`Dpf::compile`](crate::Dpf::compile)); the fault-injection
+    /// overflow → retry → interpreter-generation ladder of a
+    /// [`DpfService`](crate::DpfService) install; the fault-injection
     /// harness uses it to force code-generation failure on demand.
     pub code_capacity: Option<usize>,
 }

@@ -13,24 +13,22 @@
 //!
 //! This crate contains all three engines:
 //!
-//! - [`Dpf`] — the dynamically compiled engine (via `vcode` + the x86-64
-//!   backend);
+//! - [`DpfService`] — the dynamically compiled engine (via `vcode` + the
+//!   x86-64 backend), served live: an install compiles the new set and
+//!   publishes it to lock-free readers before it returns;
 //! - [`Mpf`](mpf::Mpf) — a BPF-style bytecode interpreter run per filter;
 //! - [`Pathfinder`] — a pattern-trie interpreter with hashed cells.
 //!
 //! ```
 //! use dpf::packet::{self, PacketSpec};
-//! use dpf::Dpf;
+//! use dpf::DpfService;
 //!
-//! let mut dpf = Dpf::new();
-//! let ids: Vec<u32> = packet::port_filter_set(10, 1000)
-//!     .iter()
-//!     .map(|f| dpf.insert(f.clone()))
-//!     .collect();
-//! dpf.compile()?;
+//! let svc = DpfService::new();
+//! // Ten filters, one build, one published generation.
+//! let ids = svc.insert_all(packet::port_filter_set(10, 1000));
+//! assert!(svc.is_native());
 //! let msg = packet::build(&PacketSpec { dst_port: 1004, ..PacketSpec::default() });
-//! assert_eq!(dpf.classify(&msg), Some(ids[4]));
-//! # Ok::<(), dpf::compile::CompileError>(())
+//! assert_eq!(svc.reader().classify(&msg), Some(ids[4]));
 //! ```
 
 #![warn(missing_docs)]
@@ -48,10 +46,9 @@ pub use compile::{CompileError, CompiledSet, Options, Strategies};
 pub use lang::{Atom, FieldSize, Filter, FilterBuilder, FilterError};
 pub use service::{BuildFailure, DpfReader, DpfService, ServiceSnapshot};
 
-use mpf::Mpf;
 use std::sync::{Arc, OnceLock};
 use trie::Level;
-use vcode::{CacheKey, CacheStats, CodeStack, TargetId, L2};
+use vcode::{CacheError, CacheKey, CacheStats, CodeStack, TargetId};
 
 /// The process-wide [`CodeStack`] of compiled classifiers, keyed by the
 /// exact resident filter set (ids included — generated code returns
@@ -121,9 +118,9 @@ impl vcode::ArtifactCodec<CompiledSet> for SetCodec {
 }
 
 /// Attaches a persistent L2 tier for compiled classifiers under `dir`:
-/// every cache miss — a [`Dpf::compile`] or a [`DpfService`] install,
-/// each on the calling thread — probes the disk tier before compiling
-/// and stores through after. First call wins (`false` afterwards).
+/// every cache miss — a [`DpfService`] install, on the calling thread —
+/// probes the disk tier before compiling and stores through after.
+/// First call wins (`false` afterwards).
 ///
 /// # Errors
 ///
@@ -137,302 +134,18 @@ pub fn persist_tier() -> Option<&'static Arc<vcode::DiskTier<CompiledSet>>> {
     stack().persist_tier()
 }
 
-/// The one miss function every classifier build ([`Dpf::compile`], a
-/// [`DpfService`] install) hands the stack: a valid persisted artifact
-/// skips trie construction and codegen entirely; otherwise build, and
-/// store the result through.
-pub(crate) fn set_miss(
+/// The one classifier build, on the calling thread, through the
+/// process-wide stack: an L1 hit when the same set compiled before, a
+/// verified L2 load with a persistent tier attached (no trie, no
+/// codegen), else merge `filters` into a trie, compile it (with the
+/// overflow retry) and store the result through.
+pub(crate) fn build_set(
     filters: &[(u32, Filter)],
     opts: Options,
-) -> impl FnOnce(L2<'_, CompiledSet>) -> Result<Arc<CompiledSet>, CompileError> + '_ {
-    move |l2| l2.or_build(|| build_set(filters, opts))
-}
-
-/// The one classifier build: merge `filters` into a trie, compile it
-/// (with the overflow retry), share the result.
-fn build_set(filters: &[(u32, Filter)], opts: Options) -> Result<Arc<CompiledSet>, CompileError> {
-    compile_with_retry(&trie::build(filters), opts).map(Arc::new)
-}
-
-/// Which engine a [`Dpf`] is classifying with after
-/// [`compile`](Dpf::compile).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EngineKind {
-    /// Dynamically generated native code (the fast path).
-    Native,
-    /// The MPF bytecode interpreter, engaged because code generation
-    /// failed (graceful degradation).
-    Interpreter,
-}
-
-/// Why [`Dpf::try_classify`] has no engine matching the resident
-/// filter set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum ClassifyError {
-    /// No compile has been attempted since construction.
-    NeverCompiled,
-    /// Filters changed since the last compile: the compiled code would
-    /// classify against the *old* set (stale positives/negatives).
-    Stale {
-        /// Filters inserted since the last compile.
-        inserts: u32,
-        /// Filters removed since the last compile.
-        removes: u32,
-    },
-}
-
-impl std::fmt::Display for ClassifyError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ClassifyError::NeverCompiled => write!(f, "classifier never compiled"),
-            ClassifyError::Stale { inserts, removes } => write!(
-                f,
-                "classifier stale: {inserts} insert(s) and {removes} remove(s) since last compile"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for ClassifyError {}
-
-/// The dynamically compiled demultiplexer.
-///
-/// Filters are inserted and removed at runtime; [`Dpf::compile`] merges
-/// the resident set into a trie and generates a native classifier.
-/// Insertion/removal invalidates the compiled code until the next
-/// `compile` (the paper's system recompiled on installation into the
-/// kernel) — but classification never panics and never serves a stale
-/// set: between a filter change and the next compile,
-/// [`classify`](Dpf::classify) runs the resident [`Mpf`] interpreter, kept
-/// in sync on every insert/remove. [`try_classify`](Dpf::try_classify)
-/// is the strict variant that reports staleness as a typed error
-/// instead of degrading. For filter updates under live traffic, where
-/// each install compiles and publishes before it returns, use
-/// [`service::DpfService`].
-#[derive(Debug, Default)]
-pub struct Dpf {
-    filters: Vec<(u32, Filter)>,
-    next_id: u32,
-    opts: Options,
-    compiled: Option<Arc<CompiledSet>>,
-    /// Resident interpreter, kept in sync with `filters` on every
-    /// insert/remove (ids match the compiled engine's): classification
-    /// always has a correct engine to run on.
-    resident: Mpf,
-    /// The last compile degraded to the interpreter (codegen failed).
-    degraded: bool,
-    /// Filters inserted/removed since the last compile attempt; nonzero
-    /// means `compiled`/`degraded` no longer describe `filters`.
-    stale_inserts: u32,
-    /// See `stale_inserts`.
-    stale_removes: u32,
-    /// A compile has been attempted at least once.
-    ever_compiled: bool,
-}
-
-impl Dpf {
-    /// Creates an empty engine with default compilation options.
-    pub fn new() -> Dpf {
-        Dpf::default()
-    }
-
-    /// Creates an engine with explicit dispatch-strategy options (the
-    /// ablation knobs).
-    pub fn with_options(opts: Options) -> Dpf {
-        Dpf {
-            opts,
-            ..Dpf::default()
-        }
-    }
-
-    /// Installs a filter, returning its id. Invalidates compiled code;
-    /// until the next compile, classification runs the resident
-    /// interpreter over the *new* set (the freshly inserted filter
-    /// matches immediately).
-    pub fn insert(&mut self, f: Filter) -> u32 {
-        let id = self.next_id;
-        self.next_id += 1;
-        self.resident.insert_as(id, &f);
-        self.filters.push((id, f));
-        self.compiled = None;
-        self.degraded = false;
-        self.stale_inserts += 1;
-        id
-    }
-
-    /// Removes a filter by id; returns whether it existed. Invalidates
-    /// compiled code; until the next compile, classification runs the
-    /// resident interpreter over the *new* set — the removed id is
-    /// never returned again (no stale positives).
-    pub fn remove(&mut self, id: u32) -> bool {
-        let n = self.filters.len();
-        self.filters.retain(|(i, _)| *i != id);
-        let removed = self.filters.len() != n;
-        if removed {
-            self.resident.remove(id);
-            self.compiled = None;
-            self.degraded = false;
-            self.stale_removes += 1;
-        }
-        removed
-    }
-
-    /// Number of resident filters.
-    pub fn len(&self) -> usize {
-        self.filters.len()
-    }
-
-    /// `true` when no filters are installed.
-    pub fn is_empty(&self) -> bool {
-        self.filters.is_empty()
-    }
-
-    /// Merges the resident filters and generates the native classifier,
-    /// degrading gracefully when generation fails.
-    ///
-    /// The ladder: on a storage [`Overflow`](vcode::Error::Overflow)
-    /// the compile is retried once with a doubled buffer; if generation
-    /// still fails (or executable memory cannot be obtained at all),
-    /// the engine falls back to the MPF bytecode interpreter over the
-    /// same filter set — classification keeps working, only slower.
-    /// [`engine`](Self::engine) reports which path is active.
-    ///
-    /// Note one semantic caveat of degraded mode: the compiled trie
-    /// resolves overlapping filters by longest match, the interpreter
-    /// by first match. Disjoint filter sets (the common demultiplexing
-    /// case) classify identically on both.
-    ///
-    /// # Errors
-    ///
-    /// [`CompileError`] only if even the interpreter cannot be built —
-    /// which cannot currently happen, so callers may treat `Ok` as
-    /// "classification is available".
-    pub fn compile(&mut self) -> Result<(), CompileError> {
-        // An explicit code_capacity is a harness knob (fault injection /
-        // overflow drills): those compiles are bespoke, never cached.
-        // The cached path waits boundedly on a racing build: a stalled
-        // `Building` slot (builder died without unwinding) degrades to
-        // the interpreter like any other generation failure instead of
-        // blocking the caller forever.
-        let compiled = if self.opts.code_capacity.is_some() {
-            build_set(&self.filters, self.opts).ok()
-        } else {
-            stack()
-                .get_or_build(&self.cache_key(), set_miss(&self.filters, self.opts))
-                .ok()
-        };
-        self.adopt(compiled);
-        Ok(())
-    }
-
-    /// Compiles the resident filters bypassing the process-wide cache
-    /// (always a cold compile, and the result is not shared). Same
-    /// degradation ladder as [`compile`](Self::compile); benchmarks use
-    /// this for the cold side of the amortization table.
-    ///
-    /// # Errors
-    ///
-    /// [`CompileError`] only if even the interpreter cannot be built —
-    /// which cannot currently happen (see [`compile`](Self::compile)).
-    pub fn compile_uncached(&mut self) -> Result<(), CompileError> {
-        self.adopt(build_set(&self.filters, self.opts).ok());
-        Ok(())
-    }
-
-    /// Records the outcome of a compile attempt over the current
-    /// filters: staleness resets, and `None` (generation failed)
-    /// degrades to the resident interpreter, which already holds the
-    /// same filters under the same ids.
-    fn adopt(&mut self, compiled: Option<Arc<CompiledSet>>) {
-        self.ever_compiled = true;
-        self.stale_inserts = 0;
-        self.stale_removes = 0;
-        self.degraded = compiled.is_none();
-        self.compiled = compiled;
-    }
-
-    /// Content key of the resident configuration (see [`cache_key`]).
-    fn cache_key(&self) -> CacheKey {
-        cache_key(&self.filters, self.opts)
-    }
-
-    /// Classifies a message: compiled engine when current, otherwise
-    /// the resident [`Mpf`] interpreter (which is kept in sync on every
-    /// insert/remove). Never panics and never consults a stale compiled
-    /// set — after a `remove` without recompile, the removed id is not
-    /// returned. Use [`try_classify`](Self::try_classify) to observe
-    /// staleness as a typed error instead of degrading.
-    #[inline]
-    pub fn classify(&self, msg: &[u8]) -> Option<u32> {
-        if let Some(set) = self.compiled.as_ref() {
-            return set.classify(msg);
-        }
-        self.resident.classify(msg)
-    }
-
-    /// Strict classification: `Err` when no engine matches the resident
-    /// filter set (never compiled, or filters changed since the last
-    /// compile), instead of silently running the interpreter.
-    ///
-    /// # Errors
-    ///
-    /// [`ClassifyError::NeverCompiled`] before the first compile
-    /// attempt; [`ClassifyError::Stale`] when filters changed since the
-    /// last one.
-    #[inline]
-    pub fn try_classify(&self, msg: &[u8]) -> Result<Option<u32>, ClassifyError> {
-        if let Some(set) = self.compiled.as_ref() {
-            return Ok(set.classify(msg));
-        }
-        if self.degraded {
-            return Ok(self.resident.classify(msg));
-        }
-        if self.ever_compiled {
-            Err(ClassifyError::Stale {
-                inserts: self.stale_inserts,
-                removes: self.stale_removes,
-            })
-        } else {
-            Err(ClassifyError::NeverCompiled)
-        }
-    }
-
-    /// Classifies a batch of messages, amortizing the engine dispatch
-    /// over the whole slice. Same engine choice as
-    /// [`classify`](Self::classify).
-    pub fn classify_batch(&self, msgs: &[&[u8]]) -> Vec<Option<u32>> {
-        let mut out = Vec::with_capacity(msgs.len());
-        match self.compiled.as_ref() {
-            Some(set) => out.extend(msgs.iter().map(|m| set.classify(m))),
-            None => out.extend(msgs.iter().map(|m| self.resident.classify(m))),
-        }
-        out
-    }
-
-    /// `true` when filters changed since the last compile attempt (the
-    /// compiled engine, if any, no longer describes the resident set).
-    pub fn is_stale(&self) -> bool {
-        self.stale_inserts != 0 || self.stale_removes != 0
-    }
-
-    /// The compiled classifier, if current.
-    pub fn compiled(&self) -> Option<&CompiledSet> {
-        self.compiled.as_deref()
-    }
-
-    /// Which engine classification runs on: `None` before
-    /// [`compile`](Self::compile) (or after a filter change), otherwise
-    /// native or degraded-interpreter.
-    pub fn engine(&self) -> Option<EngineKind> {
-        if self.compiled.is_some() {
-            Some(EngineKind::Native)
-        } else if self.degraded {
-            Some(EngineKind::Interpreter)
-        } else {
-            None
-        }
-    }
+) -> Result<Arc<CompiledSet>, CacheError<CompileError>> {
+    stack().get_or_build(&cache_key(filters, opts), |l2| {
+        l2.or_build(|| compile_with_retry(&trie::build(filters), opts).map(Arc::new))
+    })
 }
 
 /// Content key of a filter configuration: the exact (id, filter) list
@@ -441,8 +154,8 @@ impl Dpf {
 /// ids never alias; an explicit `code_capacity` is likewise encoded so
 /// capacity-limited builds (the fault-injection knob) never alias
 /// default-sized ones. The encoding is length-prefixed and tagged
-/// (injective), and deliberately cheap: building this key is the whole
-/// cost of a warm `compile()` hit.
+/// (injective), and deliberately cheap: building this key is most of
+/// the cost of an install whose set is already in the L1.
 pub(crate) fn cache_key(filters: &[(u32, Filter)], opts: Options) -> CacheKey {
     let mut bytes = Vec::with_capacity(16 + filters.len() * 64);
     bytes.push(u8::from(opts.use_jump_tables));
@@ -540,5 +253,33 @@ impl Pathfinder {
     #[inline]
     pub fn classify(&self, msg: &[u8]) -> Option<u32> {
         self.trie.classify(msg, 0)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use vcode::ArtifactCodec;
+
+    /// What the persistent tier stores of a set is what it loads back:
+    /// the same code bytes, dispatch counts and instruction count.
+    #[test]
+    fn the_codec_round_trips_a_set_bit_identically() {
+        let filters: Vec<(u32, Filter)> = (0..).zip(packet::port_filter_set(6, 4000)).collect();
+        let opts = Options {
+            use_jump_tables: false,
+            use_hashing: false,
+            ..Options::default()
+        };
+        let set = Arc::new(compile::compile(&trie::build(&filters), opts).unwrap());
+        let artifact = SetCodec
+            .to_artifact(&cache_key(&filters, opts), &set)
+            .unwrap();
+        let back = SetCodec.from_artifact(&artifact.view()).unwrap();
+        assert_eq!(back.code_bytes(), set.code_bytes());
+        assert_eq!(
+            (back.strategies, back.vcode_insns),
+            (set.strategies, set.vcode_insns)
+        );
     }
 }

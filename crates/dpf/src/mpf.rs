@@ -121,11 +121,11 @@ impl Mpf {
         id
     }
 
-    /// Installs a filter under a caller-chosen id. Used by the [`Dpf`]
-    /// interpreter fallback so the ids reported by interpreted
-    /// classification match the ids the compiled engine assigned.
+    /// Installs a filter under a caller-chosen id, so an MPF baseline
+    /// reports the ids another engine (a [`DpfService`]) assigned to the
+    /// same set.
     ///
-    /// [`Dpf`]: crate::Dpf
+    /// [`DpfService`]: crate::DpfService
     pub fn insert_as(&mut self, id: u32, f: &Filter) {
         self.programs.push((id, Program::from_filter(f)));
         self.next_id = self.next_id.max(id + 1);

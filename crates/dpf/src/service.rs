@@ -1,10 +1,7 @@
 //! # Live-updatable packet classification (`DpfService`)
 //!
 //! The paper's DPF compiles filters *at install time*, while traffic is
-//! running (§4.2). [`crate::Dpf`] is stop-the-world: every insert or
-//! remove invalidates the compiled set and classification degrades to
-//! the interpreter until the owner recompiles. `DpfService` closes that
-//! gap with an RCU-style hot swap:
+//! running (§4.2). `DpfService` does that with an RCU-style hot swap:
 //!
 //! - **Readers never lock.** Each [`DpfReader`] owns a registered epoch
 //!   slot; entering a classification (or a whole
@@ -14,25 +11,23 @@
 //! - **Writers build, then publish once.** `insert`/`remove` compile the
 //!   *new* filter set on the calling (control-plane) thread, through the
 //!   process-wide classifier stack, and swap the finished immutable
-//!   [`Generation`] in with a single pointer store. Readers keep the
-//!   previous native generation until the swap: a build costs tens of
+//!   `Generation` in with a single pointer store;
+//!   [`insert_all`](DpfService::insert_all) does so once for a whole
+//!   batch. Readers keep the previous native generation until the
+//!   swap: a build costs tens of
 //!   microseconds, less than waking a worker to do it (DESIGN.md "Live
 //!   classifier updates"), and is paid once, by the thread that asked.
 //! - **A failed build degrades, never lies.** If the native build of
-//!   the new set fails, the generation published for it classifies
-//!   with an [`Mpf`] interpreter over the same filters (correct ids,
-//!   only slower) and the service keeps a typed [`BuildFailure`];
+//!   the new set fails, the generation published for it interprets the
+//!   merged trie the native code is compiled from (PATHFINDER's walk:
+//!   the same ids and the same longest-match answers, only slower) and
+//!   the service keeps a typed [`BuildFailure`];
 //!   [`poll_upgrade`](DpfService::poll_upgrade) retries no sooner than
 //!   its backoff, and the next mutation supersedes it.
 //! - **Reclamation is epoch-deferred.** A replaced generation is freed
 //!   (and its [`CodePin`] on the compiled mapping released) only once
 //!   every active reader entered at or after the retire epoch — a
 //!   reader mid-batch on the old code keeps it mapped and executable.
-//!
-//! Semantic caveat, inherited from the degradation ladder: the compiled
-//! trie resolves overlapping filters by longest match, the interpreter
-//! by first match. Disjoint filter sets (the common demultiplexing
-//! case) classify identically on both.
 //!
 //! ```
 //! use dpf::packet::{self, PacketSpec};
@@ -50,8 +45,8 @@
 
 use crate::compile::{CompileError, CompiledSet};
 use crate::lang::Filter;
-use crate::mpf::Mpf;
-use crate::{cache_key, set_miss, stack, Options};
+use crate::trie::{self, Level};
+use crate::{build_set, Options};
 use std::cell::Cell;
 use std::marker::PhantomData;
 // Synchronization via vcode's `vsync` facade, and the epoch-RCU cell
@@ -80,10 +75,10 @@ enum Classifier {
         set: Arc<CompiledSet>,
         _pin: CodePin,
     },
-    /// The interpreter over the same filters (same ids): the set's
+    /// The merged trie of the same filters, interpreted: the set's
     /// native build failed (or the set is the empty one a service
     /// starts with).
-    Interpreter(Mpf),
+    Interpreter(Level),
 }
 
 impl Classifier {
@@ -93,11 +88,7 @@ impl Classifier {
     }
 
     fn interpreter(filters: &[(u32, Filter)]) -> Classifier {
-        let mut mpf = Mpf::new();
-        for (id, f) in filters {
-            mpf.insert_as(*id, f);
-        }
-        Classifier::Interpreter(mpf)
+        Classifier::Interpreter(trie::build(filters))
     }
 }
 
@@ -164,19 +155,6 @@ struct Writer {
     failure: Option<(BuildFailure, Instant)>,
 }
 
-impl Writer {
-    /// The one build: the native classifier of `filters`, through the
-    /// process-wide stack — an L1 hit when the same set compiled before,
-    /// an L2 load with a persistent tier attached, else trie build +
-    /// compile on this thread.
-    fn build(
-        &self,
-        filters: &[(u32, Filter)],
-    ) -> Result<Arc<CompiledSet>, CacheError<CompileError>> {
-        stack().get_or_build(&cache_key(filters, self.opts), set_miss(filters, self.opts))
-    }
-}
-
 struct Shared {
     rcu: Rcu<Generation>,
     writer: Mutex<Writer>,
@@ -216,7 +194,7 @@ impl Shared {
     /// Nothing is committed before the build returns, so a build that
     /// unwinds leaves the list, `seq` and what readers see in agreement.
     fn install(&self, w: &mut Writer, filters: Vec<(u32, Filter)>) {
-        let built = w.build(&filters);
+        let built = build_set(&filters, w.opts);
         w.filters = filters;
         w.seq += 1;
         match built {
@@ -267,8 +245,8 @@ pub struct ServiceSnapshot {
 }
 
 /// A live-updatable, batch-classifying packet-filter service: the
-/// RCU-style hot-swap layer over [`crate::Dpf`]'s compiler. See the
-/// [module docs](self) for the protocol.
+/// compiled classifier of the resident filters behind an RCU-style hot
+/// swap. See the [module docs](self) for the protocol.
 ///
 /// `DpfService` is `Send + Sync`; share it behind an `Arc` (or plain
 /// references) and give each classification thread its own
@@ -333,19 +311,29 @@ impl DpfService {
     /// classifications (on any reader) already see it, natively. Readers
     /// are served by the previous generation meanwhile.
     pub fn insert(&self, f: Filter) -> u32 {
+        self.insert_all([f])[0]
+    }
+
+    /// Installs a batch of filters under consecutive ids (in iteration
+    /// order, from the next free id) with one build and one published
+    /// generation for the whole batch, where an [`insert`](Self::insert)
+    /// per filter costs a build each. An empty batch publishes nothing.
+    pub fn insert_all(&self, filters: impl IntoIterator<Item = Filter>) -> Vec<u32> {
+        let batch: Vec<Filter> = filters.into_iter().collect();
         let mut w = lock(&self.shared.writer);
-        let id = w.next_id;
-        let mut filters = w.filters.clone();
-        filters.push((id, f));
-        self.shared.install(&mut w, filters);
-        w.next_id += 1;
-        id
+        let ids: Vec<u32> = (w.next_id..).take(batch.len()).collect();
+        if !ids.is_empty() {
+            let mut set = w.filters.clone();
+            set.extend(ids.iter().copied().zip(batch));
+            self.shared.install(&mut w, set);
+            w.next_id += ids.len() as u32;
+        }
+        ids
     }
 
     /// Removes a filter and publishes a generation without it before
     /// returning: once this returns, no reader classification started
-    /// afterwards can return `id` (no stale positives — the guarantee
-    /// the plain [`crate::Dpf`] only regains at its next compile).
+    /// afterwards can return `id` (no stale positives).
     pub fn remove(&self, id: u32) -> bool {
         let mut w = lock(&self.shared.writer);
         let filters: Vec<_> = w
@@ -406,7 +394,7 @@ impl DpfService {
             let mut w = lock(&self.shared.writer);
             let due = w.failure.as_ref().filter(|(_, at)| Instant::now() >= *at);
             if let Some(prior) = due.map(|(f, _)| f.failures) {
-                match w.build(&w.filters) {
+                match build_set(&w.filters, w.opts) {
                     Ok(set) => {
                         w.failure = None;
                         self.shared.publish(&w, Classifier::native(set));
@@ -497,9 +485,9 @@ impl DpfReader {
         let g = self.shared.rcu.enter(&self.slot);
         match &g.classifier {
             Classifier::Native { set, .. } => set.classify(msg),
-            Classifier::Interpreter(mpf) => {
+            Classifier::Interpreter(trie) => {
                 self.shared.degraded_calls.fetch_add(1, Ordering::Relaxed);
-                mpf.classify(msg)
+                trie.classify(msg, 0)
             }
         }
     }
@@ -526,11 +514,16 @@ impl DpfReader {
         let seq = g.seq;
         match &g.classifier {
             Classifier::Native { set, .. } => out.extend(msgs.iter().map(|m| set.classify(m))),
-            Classifier::Interpreter(mpf) => {
+            Classifier::Interpreter(trie) => {
                 self.shared
                     .degraded_calls
                     .fetch_add(msgs.len() as u64, Ordering::Relaxed);
-                out.extend(msgs.iter().map(|m| mpf.classify(m)));
+                // A push loop, not `extend`: beside a second `extend`,
+                // the native loop above spent two moves a packet on a
+                // spilled length (EXPERIMENTS.md "One DPF front door").
+                for m in msgs {
+                    out.push(trie.classify(m, 0));
+                }
             }
         }
         drop(g);

@@ -4,22 +4,31 @@
 
 use dpf::mpf::Mpf;
 use dpf::packet::{self, PacketSpec};
-use dpf::{Dpf, DpfService, FieldSize, Filter, FilterBuilder, Options, Pathfinder};
+use dpf::{CompiledSet, DpfService, FieldSize, Filter, FilterBuilder, Options, Pathfinder};
 use vcode::regress::XorShift;
+
+/// The compiled classifier of `filters` under ids 0, 1, ..., built the
+/// way the frozen benchmark builds one: `compile` itself, no cache and
+/// no retry ladder behind it.
+fn compiled(filters: &[Filter], opts: Options) -> CompiledSet {
+    let set: Vec<(u32, Filter)> = (0..).zip(filters.iter().cloned()).collect();
+    dpf::compile::compile(&dpf::trie::build(&set), opts).expect("compiles")
+}
 
 /// Runs all engines over a message set and asserts agreement with the
 /// reference semantics (first-match for MPF; trie engines use
 /// longest-match, so agreement is asserted only for disjoint sets).
 fn check_all(filters: &[Filter], messages: &[Vec<u8>]) {
-    let mut dpf = Dpf::new();
+    let dpf = DpfService::new();
     let mut mpf = Mpf::new();
     let mut pf = Pathfinder::new();
+    dpf.insert_all(filters.iter().cloned());
     for f in filters {
-        dpf.insert(f.clone());
         mpf.insert(f);
         pf.insert(f.clone());
     }
-    dpf.compile().expect("compiles");
+    assert!(dpf.is_native(), "{:?}", dpf.build_failure());
+    let dpf = dpf.reader();
     for (k, msg) in messages.iter().enumerate() {
         let reference = filters
             .iter()
@@ -98,12 +107,7 @@ fn sparse_ports_use_bst_dispatch() {
         .iter()
         .map(|&p| packet::tcp_port_filter(0x0a00_0002, p).unwrap())
         .collect();
-    let mut dpf = Dpf::new();
-    for f in &filters {
-        dpf.insert(f.clone());
-    }
-    dpf.compile().unwrap();
-    assert!(dpf.compiled().unwrap().strategies.bst >= 1);
+    assert!(compiled(&filters, Options::default()).strategies.bst >= 1);
     let mut msgs = Vec::new();
     for p in [7u16, 8, 113, 8080, 40000, 40001, 12345] {
         msgs.push(packet::build(&PacketSpec {
@@ -117,12 +121,8 @@ fn sparse_ports_use_bst_dispatch() {
 #[test]
 fn dense_ports_use_jump_table() {
     let filters = packet::port_filter_set(10, 1000);
-    let mut dpf = Dpf::new();
-    for f in &filters {
-        dpf.insert(f.clone());
-    }
-    dpf.compile().unwrap();
-    let s = dpf.compiled().unwrap().strategies;
+    let dpf = compiled(&filters, Options::default());
+    let s = dpf.strategies;
     assert_eq!(s.table, 1, "dense 10-port set dispatches indirectly: {s:?}");
     // All ten still classify correctly through the table.
     for (i, _) in filters.iter().enumerate() {
@@ -155,12 +155,8 @@ fn many_sparse_ports_use_perfect_hash() {
         .iter()
         .map(|&p| packet::tcp_port_filter(0x0a00_0002, p).unwrap())
         .collect();
-    let mut dpf = Dpf::new();
-    for f in &filters {
-        dpf.insert(f.clone());
-    }
-    dpf.compile().unwrap();
-    let s = dpf.compiled().unwrap().strategies;
+    let dpf = compiled(&filters, Options::default());
+    let s = dpf.strategies;
     assert_eq!(s.hash, 1, "24 sparse keys hash-dispatch: {s:?}");
     for (i, &p) in ports.iter().enumerate() {
         let msg = packet::build(&PacketSpec {
@@ -233,26 +229,6 @@ fn masked_dispatch() {
 }
 
 #[test]
-fn insert_remove_recompile() {
-    let mut dpf = Dpf::new();
-    let a = dpf.insert(packet::tcp_port_filter(0x0a00_0002, 80).unwrap());
-    let b = dpf.insert(packet::tcp_port_filter(0x0a00_0002, 81).unwrap());
-    dpf.compile().unwrap();
-    let p80 = packet::build(&PacketSpec::default());
-    assert_eq!(dpf.classify(&p80), Some(a));
-    assert!(dpf.remove(a));
-    assert!(dpf.compiled().is_none(), "removal invalidates code");
-    dpf.compile().unwrap();
-    assert_eq!(dpf.classify(&p80), None);
-    let p81 = packet::build(&PacketSpec {
-        dst_port: 81,
-        ..PacketSpec::default()
-    });
-    assert_eq!(dpf.classify(&p81), Some(b));
-    assert_eq!(dpf.len(), 1);
-}
-
-#[test]
 fn ablation_options_disable_strategies() {
     let filters = packet::port_filter_set(10, 1000);
     let opts = Options {
@@ -261,12 +237,8 @@ fn ablation_options_disable_strategies() {
         elide_bounds_checks: false,
         ..Options::default()
     };
-    let mut dpf = Dpf::with_options(opts);
-    for f in &filters {
-        dpf.insert(f.clone());
-    }
-    dpf.compile().unwrap();
-    let s = dpf.compiled().unwrap().strategies;
+    let dpf = compiled(&filters, opts);
+    let s = dpf.strategies;
     assert_eq!(s.table, 0);
     assert_eq!(s.hash, 0);
     assert!(s.bst >= 1, "falls back to binary search: {s:?}");
@@ -283,10 +255,9 @@ fn ablation_options_disable_strategies() {
 fn prefix_filter_longest_match_in_trie_engines() {
     let ip_only = FilterBuilder::new().eq_u16(12, 0x0800).build().unwrap();
     let f80 = packet::tcp_port_filter(0x0a00_0002, 80).unwrap();
-    let mut dpf = Dpf::new();
+    let dpf = DpfService::new();
     let id_ip = dpf.insert(ip_only);
     let id_80 = dpf.insert(f80);
-    dpf.compile().unwrap();
     let p80 = packet::build(&PacketSpec::default());
     let p99 = packet::build(&PacketSpec {
         dst_port: 99,
@@ -294,6 +265,37 @@ fn prefix_filter_longest_match_in_trie_engines() {
     });
     assert_eq!(dpf.classify(&p80), Some(id_80), "specific filter wins");
     assert_eq!(dpf.classify(&p99), Some(id_ip), "prefix is the fallback");
+}
+
+/// A generation whose native build failed answers as native code does:
+/// with the IP-only filter a prefix of the port filter, both pick the
+/// port filter for port 80 and the prefix for port 99. (The interpreter
+/// generation used to run MPF, whose first match answered the prefix on
+/// port 80.)
+#[test]
+fn a_degraded_generation_answers_as_native_code_does() {
+    let native = DpfService::new();
+    let degraded = DpfService::with_options(Options {
+        code_capacity: Some(16),
+        ..Options::default()
+    });
+    for svc in [&native, &degraded] {
+        svc.insert(FilterBuilder::new().eq_u16(12, 0x0800).build().unwrap());
+        svc.insert(packet::tcp_port_filter(0x0a00_0002, 80).unwrap());
+    }
+    assert!(native.is_native());
+    assert!(!degraded.is_native());
+    for port in [80, 99] {
+        let msg = packet::build(&PacketSpec {
+            dst_port: port,
+            ..PacketSpec::default()
+        });
+        assert_eq!(
+            degraded.classify(&msg),
+            native.classify(&msg),
+            "port {port}"
+        );
+    }
 }
 
 #[test]
@@ -344,23 +346,28 @@ fn fuzz_random_filters_and_messages_agree() {
 
 #[test]
 fn empty_filter_set_compiles_and_rejects() {
-    let mut dpf = Dpf::new();
-    dpf.compile().unwrap();
-    assert!(dpf.is_empty());
     let msg = packet::build(&PacketSpec::default());
+    let dpf = compiled(&[], Options::default());
     assert_eq!(dpf.classify(&msg), None);
     assert_eq!(dpf.classify(&[]), None);
+    let svc = DpfService::new();
+    assert!(svc.is_empty());
+    assert_eq!(svc.classify(&msg), None);
 }
 
 #[test]
 fn large_mixed_filter_set_uses_multiple_strategies() {
     let mut rng = XorShift::new(99);
-    let mut dpf = Dpf::new();
+    let mut filters: Vec<Filter> = Vec::new();
     let mut expected: Vec<(Vec<u8>, u32)> = Vec::new();
+    let mut insert = |f: Filter| {
+        filters.push(f);
+        filters.len() as u32 - 1
+    };
     // Dense port block → jump table.
     for i in 0..12u16 {
         let f = packet::tcp_port_filter(0x0a00_0002, 2000 + i).unwrap();
-        let id = dpf.insert(f);
+        let id = insert(f);
         let msg = packet::build(&PacketSpec {
             dst_port: 2000 + i,
             ..PacketSpec::default()
@@ -378,7 +385,7 @@ fn large_mixed_filter_set_uses_multiple_strategies() {
     }
     for &p in &sparse {
         let f = packet::tcp_port_filter(0x0a00_0003, p).unwrap();
-        let id = dpf.insert(f);
+        let id = insert(f);
         let msg = packet::build(&PacketSpec {
             dst_ip: 0x0a00_0003,
             dst_port: p,
@@ -394,7 +401,7 @@ fn large_mixed_filter_set_uses_multiple_strategies() {
             .eq_u16(36, 7000 + i)
             .build()
             .unwrap();
-        let id = dpf.insert(f);
+        let id = insert(f);
         let msg = packet::build(&PacketSpec {
             proto: packet::IPPROTO_UDP,
             dst_port: 7000 + i,
@@ -402,8 +409,8 @@ fn large_mixed_filter_set_uses_multiple_strategies() {
         });
         expected.push((msg, id));
     }
-    dpf.compile().unwrap();
-    let s = dpf.compiled().unwrap().strategies;
+    let dpf = compiled(&filters, Options::default());
+    let s = dpf.strategies;
     assert!(s.table >= 1, "{s:?}");
     assert!(s.hash + s.bst >= 1, "{s:?}");
     for (msg, id) in &expected {
@@ -433,19 +440,16 @@ fn large_mixed_filter_set_uses_multiple_strategies() {
 fn forced_codegen_failure_degrades_to_interpreter() {
     // A code capacity of 16 bytes cannot even hold the prologue: the
     // compile overflows, the doubled retry overflows too, and the
-    // engine must degrade to the MPF interpreter — classification stays
-    // correct (the filter set is disjoint, so first-match and
-    // longest-match agree).
+    // service must publish an interpreter generation — classification
+    // stays correct.
     let filters = packet::port_filter_set(6, 3000);
-    let mut dpf = Dpf::with_options(dpf::Options {
+    let dpf = DpfService::with_options(dpf::Options {
         code_capacity: Some(16),
         ..dpf::Options::default()
     });
-    let ids: Vec<u32> = filters.iter().map(|f| dpf.insert(f.clone())).collect();
-    assert_eq!(dpf.engine(), None, "not compiled yet");
-    dpf.compile().expect("degraded compile still succeeds");
-    assert_eq!(dpf.engine(), Some(dpf::EngineKind::Interpreter));
-    assert!(dpf.compiled().is_none());
+    let ids = dpf.insert_all(filters);
+    assert!(!dpf.is_native());
+    assert!(dpf.build_failure().is_some());
     for (i, id) in ids.iter().enumerate() {
         let msg = packet::build(&PacketSpec {
             dst_port: 3000 + i as u16,
@@ -468,15 +472,12 @@ fn overflow_retry_with_doubled_buffer_recovers() {
     // 2 KiB is too small for this set's first attempt but the doubled
     // retry fits: the ladder stops at Native without degrading.
     let filters = packet::port_filter_set(10, 1000);
-    let mut dpf = Dpf::with_options(dpf::Options {
+    let dpf = DpfService::with_options(dpf::Options {
         code_capacity: Some(2048),
         ..dpf::Options::default()
     });
-    let ids: Vec<u32> = filters.iter().map(|f| dpf.insert(f.clone())).collect();
-    dpf.compile().expect("compiles");
-    if dpf.engine() == Some(dpf::EngineKind::Native) {
-        assert!(dpf.compiled().is_some());
-    }
+    let ids = dpf.insert_all(filters);
+    assert!(dpf.is_native());
     for (i, id) in ids.iter().enumerate() {
         let msg = packet::build(&PacketSpec {
             dst_port: 1000 + i as u16,
@@ -484,17 +485,6 @@ fn overflow_retry_with_doubled_buffer_recovers() {
         });
         assert_eq!(dpf.classify(&msg), Some(*id));
     }
-}
-
-#[test]
-fn normal_compile_reports_native_engine() {
-    let mut dpf = Dpf::new();
-    dpf.insert(packet::tcp_port_filter(0x0a00_0002, 80).unwrap());
-    dpf.compile().unwrap();
-    assert_eq!(dpf.engine(), Some(dpf::EngineKind::Native));
-    // A filter change drops back to "must recompile".
-    dpf.insert(packet::tcp_port_filter(0x0a00_0002, 81).unwrap());
-    assert_eq!(dpf.engine(), None);
 }
 
 #[test]
@@ -689,17 +679,14 @@ fn undersized_buffer_reports_overflow_not_a_fixup_error() {
             other => panic!("capacity {cap}: expected Overflow, got {other:?}"),
         }
     }
-    // And the ladder then fires: a Dpf pinned to half the needed room
-    // comes back native from the doubled retry.
-    let mut dpf = Dpf::with_options(dpf::Options {
+    // And the ladder then fires: a service pinned to half the needed
+    // room comes back native from the doubled retry.
+    let dpf = DpfService::with_options(dpf::Options {
         code_capacity: Some(32768),
         ..dpf::Options::default()
     });
-    for (_, f) in &filters {
-        dpf.insert(f.clone());
-    }
-    dpf.compile().unwrap();
-    assert_eq!(dpf.engine(), Some(dpf::EngineKind::Native));
+    dpf.insert_all(filters.into_iter().map(|(_, f)| f));
+    assert!(dpf.is_native(), "{:?}", dpf.build_failure());
 }
 
 /// The perfect-hash search is skipped only where it is hopeless, and a
@@ -863,12 +850,7 @@ fn data_dispatch_agrees_with_every_engine_on_generated_sets() {
         msgs.push(msgs[1][..packet::DST_PORT_OFF as usize + 1].to_vec());
         check_all(&filters, &msgs);
 
-        let mut dpf = Dpf::new();
-        for f in &filters {
-            dpf.insert(f.clone());
-        }
-        dpf.compile().unwrap();
-        let set = dpf.compiled().unwrap();
+        let set = compiled(&filters, Options::default());
         let s = set.strategies;
         match round % 6 {
             1 => assert_eq!((s.table, s.hash), (1, 0), "round {round}: {s:?}"),

@@ -5,10 +5,11 @@
 //! returned, and batches must be served by a single generation.
 
 use dpf::packet::{self, PacketSpec};
-use dpf::{ClassifyError, Dpf, DpfService};
+use dpf::{DpfService, Filter, Options};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
+use vcode::regress::XorShift;
 
 fn port_msg(port: u16) -> Vec<u8> {
     packet::build(&PacketSpec {
@@ -178,66 +179,84 @@ fn reader_churn_during_updates() {
     assert_eq!(st.retired_backlog, 0);
 }
 
-/// Satellite regression: the non-service `Dpf` no longer panics on a
-/// stale or never-compiled set, and `remove` without recompile is not
-/// a stale positive — the resident interpreter serves the new set.
+/// `insert_all`: a whole batch is one build and one generation, under
+/// ids consecutive from the next free one, and answers as the
+/// `Filter::matches` scan on a generated trace; an empty batch publishes
+/// nothing, and a batch whose build fails is one interpreter generation
+/// with one failure on record.
 #[test]
-fn plain_dpf_stale_set_degrades_not_panics() {
-    // Never compiled: classify is live (interpreter), try_classify is
-    // a typed error.
-    let mut d = Dpf::new();
-    assert_eq!(d.classify(&port_msg(80)), None);
+fn insert_all_is_one_build_and_one_generation() {
+    let mut rng = XorShift::new(0x1a5e_b07c);
+    let mut ports: Vec<u16> = Vec::new();
+    while ports.len() < 33 {
+        let p = rng.range(1024, 65_000) as u16;
+        if !ports.contains(&p) {
+            ports.push(p);
+        }
+    }
+    let batch: Vec<Filter> = ports
+        .iter()
+        .map(|&p| packet::tcp_port_filter(DST_IP, p).unwrap())
+        .collect();
+
+    let svc = DpfService::new();
+    let f80 = packet::tcp_port_filter(DST_IP, 80).unwrap();
+    let first = svc.insert(f80.clone());
+    let before = (svc.generation(), svc.stats().published);
+    let ids = svc.insert_all(batch.clone());
+    assert_eq!(ids, (first + 1..first + 34).collect::<Vec<u32>>());
+    let after = (svc.generation(), svc.stats().published);
+    assert_eq!(after, (before.0 + 1, before.1 + 1), "one generation");
+    assert!(svc.is_native());
+
+    let resident: Vec<(u32, Filter)> = std::iter::once((first, f80))
+        .chain(ids.iter().copied().zip(batch.iter().cloned()))
+        .collect();
+    let reader = svc.reader();
+    for k in 0..2000 {
+        let msg = packet::build(&PacketSpec {
+            dst_port: match rng.below(3) {
+                0 => ports[rng.below(33) as usize],
+                1 => 80,
+                _ => rng.next_u64() as u16,
+            },
+            dst_ip: if rng.below(8) == 0 {
+                DST_IP + 1
+            } else {
+                DST_IP
+            },
+            proto: if rng.below(8) == 0 {
+                packet::IPPROTO_UDP
+            } else {
+                packet::IPPROTO_TCP
+            },
+            ..PacketSpec::default()
+        });
+        let want = resident
+            .iter()
+            .find(|(_, f)| f.matches(&msg))
+            .map(|(id, _)| *id);
+        assert_eq!(reader.classify(&msg), want, "packet {k}");
+    }
+
+    assert_eq!(svc.insert_all(Vec::new()), Vec::<u32>::new());
     assert_eq!(
-        d.try_classify(&port_msg(80)),
-        Err(ClassifyError::NeverCompiled)
+        (svc.generation(), svc.stats().published),
+        after,
+        "empty batch"
     );
-    let a = d.insert(packet::tcp_port_filter(DST_IP, 80).unwrap());
-    let b = d.insert(packet::tcp_port_filter(DST_IP, 81).unwrap());
-    assert_eq!(d.classify(&port_msg(80)), Some(a), "live before compile");
-    assert_eq!(d.engine(), None, "no compile attempted yet");
+    assert_eq!(svc.insert_all(batch[..1].to_vec()), vec![first + 34]);
 
-    d.compile().expect("compiles");
-    assert_eq!(d.classify(&port_msg(80)), Some(a));
-    assert!(!d.is_stale());
-
-    // The headline stale-positive bug: remove then classify without
-    // recompile must not match the removed filter.
-    assert!(d.remove(a));
-    assert!(d.is_stale());
-    assert!(d.compiled().is_none(), "stale compiled set dropped");
-    assert_eq!(d.classify(&port_msg(80)), None, "stale positive");
-    assert_eq!(d.classify(&port_msg(81)), Some(b), "survivor still matches");
+    let hopeless = DpfService::with_options(Options {
+        code_capacity: Some(16),
+        ..Options::default()
+    });
+    assert_eq!(hopeless.insert_all(batch), (0..33).collect::<Vec<u32>>());
+    let st = hopeless.stats();
     assert_eq!(
-        d.try_classify(&port_msg(80)),
-        Err(ClassifyError::Stale {
-            inserts: 0,
-            removes: 1,
-        })
+        (st.published, st.degraded_publishes, st.native_publishes),
+        (1, 1, 0)
     );
-
-    // Insert is just as live, and the stale counters accumulate.
-    let c = d.insert(packet::tcp_port_filter(DST_IP, 82).unwrap());
-    assert_eq!(d.classify(&port_msg(82)), Some(c));
-    assert_eq!(
-        d.try_classify(&port_msg(82)),
-        Err(ClassifyError::Stale {
-            inserts: 1,
-            removes: 1,
-        })
-    );
-
-    // Recompile restores the strict path.
-    d.compile().expect("compiles");
-    assert!(!d.is_stale());
-    assert_eq!(d.try_classify(&port_msg(82)), Ok(Some(c)));
-    assert_eq!(d.try_classify(&port_msg(80)), Ok(None));
-
-    // Batch parity with single classification.
-    let msgs = [port_msg(80), port_msg(81), port_msg(82)];
-    let refs: Vec<&[u8]> = msgs.iter().map(|m| m.as_slice()).collect();
-    assert_eq!(
-        d.classify_batch(&refs),
-        vec![None, Some(b), Some(c)],
-        "batch parity"
-    );
+    assert_eq!(hopeless.build_failure().map(|f| f.failures), Some(1));
+    assert_eq!(hopeless.classify(&port_msg(ports[5])), Some(5));
 }

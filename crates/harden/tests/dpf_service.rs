@@ -10,7 +10,7 @@
 //! buildable set returns.
 
 use dpf::packet::{self, PacketSpec};
-use dpf::{Dpf, DpfService, Options};
+use dpf::{DpfService, Filter, Options};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -115,10 +115,9 @@ fn builder_failure_mid_swap_keeps_serving() {
     // Measure a one-filter classifier, then cap just above it.
     let f0 = packet::tcp_port_filter(DST_IP, 80).unwrap();
     let probe = {
-        let mut d = Dpf::new();
-        d.insert(f0.clone());
-        d.compile_uncached().expect("probe compile");
-        d.compiled().expect("probe is native").code_len
+        let one: [(u32, Filter); 1] = [(0, f0.clone())];
+        let set = dpf::compile::compile(&dpf::trie::build(&one), Options::default());
+        set.expect("probe compile").code_len
     };
     // Hashing off: 65 leaves behind a hash are a table lookup no longer
     // than one filter's compares, and would fit any cap that one does.

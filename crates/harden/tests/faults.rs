@@ -162,17 +162,17 @@ fn storage_exhaustion_is_typed_at_every_byte_budget() {
     });
     let mut engines_seen = (false, false);
     for &cap in &capacity_series() {
-        let mut d = dpf::Dpf::with_options(dpf::Options {
+        let d = dpf::DpfService::with_options(dpf::Options {
             code_capacity: Some(cap),
             ..dpf::Options::default()
         });
-        let ids: Vec<u32> = filters.iter().map(|f| d.insert(f.clone())).collect();
-        let r = d.compile();
-        tally.record(&r);
-        r.expect("the ladder always yields a runnable engine");
-        match d.engine().unwrap() {
-            dpf::EngineKind::Native => engines_seen.0 = true,
-            dpf::EngineKind::Interpreter => engines_seen.1 = true,
+        let ids = d.insert_all(filters.iter().cloned());
+        // The ladder always yields a runnable generation.
+        tally.record::<(), ()>(&Ok(()));
+        if d.is_native() {
+            engines_seen.0 = true;
+        } else {
+            engines_seen.1 = true;
         }
         assert_eq!(d.classify(&hit), Some(ids[3]), "capacity {cap}");
         assert_eq!(d.classify(&miss), None, "capacity {cap}");
@@ -224,17 +224,17 @@ fn malformed_packets_classify_identically_on_every_engine() {
     use dpf::packet::{self, PacketSpec};
     let filters = packet::port_filter_set(6, 4000);
 
-    let mut d = dpf::Dpf::new();
+    let svc = dpf::DpfService::new();
     let mut m = dpf::mpf::Mpf::new();
     let mut p = dpf::Pathfinder::new();
-    for f in &filters {
-        let a = d.insert(f.clone());
+    let ids = svc.insert_all(filters.iter().cloned());
+    for (f, a) in filters.iter().zip(ids) {
         let b = m.insert(f);
         let c = p.insert(f.clone());
         assert_eq!((a, b), (c, c), "id assignment must agree");
     }
-    d.compile().expect("compiles");
-    assert_eq!(d.engine(), Some(dpf::EngineKind::Native));
+    assert!(svc.is_native());
+    let d = svc.reader();
 
     let pkt = packet::build(&PacketSpec {
         dst_port: 4003,

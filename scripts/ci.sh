@@ -182,8 +182,8 @@ fi
 echo "one measurement system ok"
 
 echo "== one build path (a miss is built by the thread that asked) =="
-# `Engine::compile_cached`, `Dpf::compile` and `DpfService::insert`/
-# `remove` build on the calling thread through `CodeStack::get_or_build`;
+# `Engine::compile_cached` and `DpfService::{insert, insert_all, remove}`
+# build on the calling thread through `CodeStack::get_or_build`;
 # nothing serves a fallback while a worker compiles, because waking the
 # worker costs more than the build (DESIGN.md "Compile service"). The
 # serve-while-compiling names must not come back, and the compile
@@ -216,6 +216,34 @@ if [ -n "$second_path" ]; then
     exit 1
 fi
 echo "one build path ok"
+
+echo "== one DPF front door (DpfService serves every filter set) =="
+# A filter set is served by `DpfService`: an install builds the new set
+# and publishes it before it returns (`insert_all` a whole batch with
+# one build), and a set whose build failed is interpreted from the trie
+# its native code would be compiled from, so it answers alike (DESIGN.md
+# "Live classifier updates"). The mutate-then-compile `Dpf` that stood
+# beside it could serve a stale set, which is all `try_classify` and
+# `ClassifyError` existed to report: fail on any of the three names.
+# Looked at: code lines (not comments) of crates/*/src before each
+# file's first `#[cfg(test)]`, and of examples/.
+second_door=$(git ls-files --cached --others --exclude-standard \
+        'crates/*/src/*.rs' 'crates/*/src/**/*.rs' 'examples/*.rs' |
+    while IFS= read -r f; do
+        [ -f "$f" ] || continue
+        awk -v FILE="$f" '
+            /^[ \t]*#\[cfg\(test\)\]/ { exit }
+            /^[ \t]*\/\// { next }
+            /(^|[^[:alnum:]_])Dpf([^[:alnum:]_]|$)|ClassifyError|try_classify/ {
+                printf "%s:%d: %s\n", FILE, NR, $0
+            }' "$f"
+    done)
+if [ -n "$second_door" ]; then
+    echo "one-front-door gate: product code serves DPF beside DpfService:" >&2
+    echo "$second_door" >&2
+    exit 1
+fi
+echo "one DPF front door ok"
 
 echo "== DPF dispatch is data (a set of leaves is a table lookup) =="
 # A dispatch node whose arms all just accept a filter emits no arm and

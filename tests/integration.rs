@@ -3,7 +3,7 @@
 
 use ash::{Pipeline, Step};
 use dpf::packet::{self, PacketSpec};
-use dpf::Dpf;
+use dpf::DpfService;
 use tcc::Program;
 
 /// A C implementation of the Internet checksum, compiled at runtime by
@@ -49,12 +49,10 @@ fn three_clients_one_checksum() {
 /// the exokernel flow of paper §4.2/§4.3 end to end.
 #[test]
 fn demultiplex_then_deliver() {
-    let mut dpf = Dpf::new();
-    let ids: Vec<u32> = packet::port_filter_set(8, 5000)
-        .into_iter()
-        .map(|f| dpf.insert(f))
-        .collect();
-    dpf.compile().expect("dpf compiles");
+    let dpf = DpfService::new();
+    let ids = dpf.insert_all(packet::port_filter_set(8, 5000));
+    assert!(dpf.is_native(), "dpf compiles");
+    let dpf = dpf.reader();
     let deliver = Pipeline::compile(&[Step::Checksum]).expect("ash compiles");
 
     for (i, id) in ids.iter().enumerate() {
@@ -88,9 +86,9 @@ fn c_filter_agrees_with_dpf() {
         ",
     )
     .expect("compiles");
-    let mut dpf = Dpf::new();
+    let dpf = DpfService::new();
     let id = dpf.insert(packet::tcp_port_filter(0x0a00_0002, 443).unwrap());
-    dpf.compile().unwrap();
+    assert!(dpf.is_native());
 
     for port in [80u16, 443, 8080] {
         for proto in [packet::IPPROTO_TCP, packet::IPPROTO_UDP] {

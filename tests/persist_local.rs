@@ -154,27 +154,24 @@ fn process_local_load_failures_keep_the_artifact() {
     // DPF: CompiledSet (linear dispatch, so it persists).
     let dir = scratch_dir("enomem-dpf");
     assert!(dpf::enable_persist(&dir).unwrap());
+    // Whether the install of the set was served native.
     let compile_set = || {
-        let mut d = dpf::Dpf::with_options(dpf::Options {
+        let d = dpf::DpfService::with_options(dpf::Options {
             use_jump_tables: false,
             use_hashing: false,
             ..dpf::Options::default()
         });
         d.insert(dpf::packet::tcp_port_filter(0x0a00_0002, 80).unwrap());
-        d.compile().unwrap();
-        d.engine()
+        d.is_native()
     };
-    assert_eq!(compile_set(), Some(dpf::EngineKind::Native));
+    assert!(compile_set());
     let artifact = only_artifact(&dir);
     dpf::clear_cache();
     // The reload cannot map the artifact *or* compile afresh: the
     // filter set degrades to its interpreter, and the file survives.
-    assert_eq!(
-        with_no_new_exec_memory(compile_set),
-        Some(dpf::EngineKind::Interpreter)
-    );
+    assert!(!with_no_new_exec_memory(compile_set));
     assert!(artifact.exists(), "dpf: exec-memory failure must not evict");
-    assert_eq!(compile_set(), Some(dpf::EngineKind::Native));
+    assert!(compile_set());
     assert_eq!(
         dpf::persist_tier().unwrap().stats(),
         COLD_REFUSED_SERVED,

@@ -196,17 +196,16 @@ fn dpf_client() -> Client {
         dir,
         build: Box::new(|| {
             // Linear dispatch only: position-independent, so it persists.
-            let mut d = dpf::Dpf::with_options(dpf::Options {
+            // The set's code bytes are the codec's to compare (`SetCodec`'s
+            // round-trip unit test); what a client sees is its answers.
+            let d = dpf::DpfService::with_options(dpf::Options {
                 use_jump_tables: false,
                 use_hashing: false,
                 ..dpf::Options::default()
             });
-            for f in dpf::packet::port_filter_set(6, 4000) {
-                d.insert(f);
-            }
-            d.compile().unwrap();
-            let set = d.compiled().expect("native classifier");
-            let mut out = set.code_bytes().to_vec();
+            d.insert_all(dpf::packet::port_filter_set(6, 4000));
+            assert!(d.is_native(), "native classifier");
+            let mut out = Vec::new();
             for port in 3998..4008 {
                 let msg = dpf::packet::build(&dpf::packet::PacketSpec {
                     dst_port: port,
