@@ -11,116 +11,29 @@ use crate::{generic, reference, Step};
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 use vcode::target::Leaf;
-use vcode::{Assembler, CacheError, CacheKey, CacheStats, CodeStack, RegClass, TargetId, L2};
+use vcode::{Assembler, CacheError, CacheKey, CacheStats, LambdaCache, RegClass, TargetId};
 use vcode_x64::{ExecCode, ExecMem, X64};
 
-/// The process-wide [`CodeStack`] of fused kernels, keyed by the pipeline
+/// The process-wide cache of fused kernels, keyed by the pipeline
 /// *shape*: the generated loop depends only on which steps are present
 /// and the unroll factor, so layers composing the same shape across many
-/// message flows share one compiled kernel.
-fn stack() -> &'static CodeStack<NativeCode> {
-    static STACK: OnceLock<CodeStack<NativeCode>> = OnceLock::new();
-    STACK.get_or_init(|| CodeStack::new(16))
+/// message flows share one compiled kernel. It has no disk tier: a
+/// kernel compiles in about a microsecond, a third of what a verified
+/// load from disk costs (EXPERIMENTS.md "Persistence, measured (PR 26)").
+fn cache() -> &'static LambdaCache<NativeCode> {
+    static CACHE: OnceLock<LambdaCache<NativeCode>> = OnceLock::new();
+    CACHE.get_or_init(|| LambdaCache::new(16))
 }
 
 /// Counters for the process-wide kernel cache.
 pub fn cache_stats() -> CacheStats {
-    stack().cache().stats()
+    cache().stats()
 }
 
 /// Drops every cached kernel (live pipelines keep theirs). Benchmarks
 /// use this to measure cold compiles.
 pub fn clear_cache() {
-    stack().cache().clear();
-}
-
-impl NativeCode {
-    /// The generated machine code (execution view, exact length).
-    fn code_bytes(&self) -> &[u8] {
-        &self.code.bytes()[self.code_off..][..self.code_len]
-    }
-
-    /// Rebuilds a kernel from persisted code bytes: the bytes land in
-    /// pooled dual-mapped executable memory and are sealed before the
-    /// entry pointer is formed. Callers must have revalidated `bytes`
-    /// (differential re-decode) first.
-    ///
-    /// Fails only for want of executable memory — an `io::Error`, never
-    /// the artifact's fault.
-    fn adopt(bytes: &[u8], vcode_insns: u64) -> std::io::Result<NativeCode> {
-        let mem = ExecMem::adopt_bytes(bytes)?;
-        let code = mem.finalize()?;
-        // SAFETY: the bytes round-tripped through the artifact envelope
-        // (checksum + differential re-decode) from a kernel this same
-        // generator produced, so the entry has the declared C ABI.
-        let entry: extern "C" fn(*mut u8, *const u8, u64) -> u64 = unsafe { code.as_fn() };
-        Ok(NativeCode {
-            code,
-            entry,
-            code_off: 0,
-            code_len: bytes.len(),
-            vcode_insns,
-        })
-    }
-}
-
-/// The [`ArtifactCodec`](vcode::ArtifactCodec) for fused ASH kernels.
-/// Kernel code is always position-independent (no dispatch side
-/// tables), so every kernel persists; loads re-decode the bytes with
-/// the x86-64 length decoder before they touch executable memory.
-#[derive(Debug)]
-struct KernelCodec;
-
-impl vcode::ArtifactCodec<NativeCode> for KernelCodec {
-    fn to_artifact(
-        &self,
-        key: &CacheKey,
-        val: &Arc<NativeCode>,
-    ) -> Result<vcode::Artifact, vcode::PersistError> {
-        Ok(vcode::Artifact {
-            target: TargetId::X64,
-            args: 0,
-            insns: val.vcode_insns,
-            key: key.content().to_vec(),
-            meta: Vec::new(),
-            code: val.code_bytes().to_vec(),
-        })
-    }
-
-    fn from_artifact(
-        &self,
-        artifact: &vcode::ArtifactView<'_>,
-    ) -> Result<Arc<NativeCode>, vcode::PersistError> {
-        vcode::persist::redecode(artifact.code, &vcode_x64::declen::Decoder)?;
-        // An `io::Error` here is `PersistError::Io`: the artifact is kept.
-        Ok(Arc::new(NativeCode::adopt(artifact.code, artifact.insns)?))
-    }
-}
-
-/// Attaches a persistent L2 tier for fused kernels under `dir`: a
-/// [`Pipeline::compile`] cache miss probes the disk tier before
-/// generating code, and successful compiles store through. First call
-/// wins (`false` afterwards).
-///
-/// # Errors
-///
-/// [`vcode::PersistError::Io`] when the directory cannot be created.
-pub fn enable_persist(dir: impl Into<std::path::PathBuf>) -> Result<bool, vcode::PersistError> {
-    stack().enable_persist(dir, Box::new(KernelCodec))
-}
-
-/// The kernel persistent tier, if [`enable_persist`] was called.
-pub fn persist_tier() -> Option<&'static Arc<vcode::DiskTier<NativeCode>>> {
-    stack().persist_tier()
-}
-
-/// The miss function a kernel build hands the stack: a valid persisted
-/// artifact skips codegen; fresh kernels store through.
-fn kernel_miss(
-    steps: &[Step],
-    opts: PipelineOptions,
-) -> impl FnOnce(L2<'_, NativeCode>) -> Result<Arc<NativeCode>, PipelineError> + '_ {
-    move |l2| l2.or_build(|| Pipeline::native_with_retry(steps, opts).map(Arc::new))
+    cache().clear();
 }
 
 /// Which engine a [`Pipeline`] runs on.
@@ -218,9 +131,7 @@ pub struct Pipeline {
 pub struct NativeCode {
     code: ExecCode,
     entry: extern "C" fn(*mut u8, *const u8, u64) -> u64,
-    /// Where in `code` the kernel starts (`Finished::entry`), and its
-    /// length from there.
-    code_off: usize,
+    /// The kernel's length from its entry (`Finished::entry`).
     code_len: usize,
     vcode_insns: u64,
 }
@@ -311,8 +222,13 @@ impl Pipeline {
         let native = if opts.code_capacity.is_some() {
             Self::native_with_retry(steps, opts).map(Arc::new)
         } else {
-            stack()
-                .get_or_build(&Self::cache_key(steps, opts), kernel_miss(steps, opts))
+            let cache = cache();
+            cache
+                .get_or_build(
+                    Self::cache_key(steps, opts),
+                    || Self::native_with_retry(steps, opts).map(Arc::new),
+                    cache.stall_timeout(),
+                )
                 .map_err(|e| match e {
                     CacheError::Build(e) => e,
                     CacheError::Stalled { .. } => PipelineError::Stalled,
@@ -488,7 +404,6 @@ impl Pipeline {
         Ok(NativeCode {
             code,
             entry,
-            code_off: fin.entry,
             code_len: fin.len - fin.entry,
             vcode_insns,
         })

@@ -19,7 +19,9 @@
 //! - [`integrated`]: a hand-written fused loop (the paper's
 //!   "C integrated" row);
 //! - [`Pipeline`]: the ASH — a vcode-generated fused loop built from a
-//!   runtime list of [`Step`]s.
+//!   runtime list of [`Step`]s, compiled once per shape per process
+//!   (an in-memory cache; a kernel compiles faster than it would load
+//!   from disk, so none is persisted).
 //!
 //! ```
 //! use ash::{Pipeline, Step};
@@ -40,8 +42,7 @@ pub mod generic;
 pub mod hotloop;
 
 pub use compile::{
-    cache_stats, clear_cache, enable_persist, persist_tier, EngineKind, NativeCode, Pipeline,
-    PipelineError, PipelineOptions,
+    cache_stats, clear_cache, EngineKind, NativeCode, Pipeline, PipelineError, PipelineOptions,
 };
 
 /// A data-manipulation step a protocol layer contributes to the message

@@ -441,9 +441,8 @@ impl Iterator for Ops<'_> {
 /// the target id) keys the lambda cache.
 pub struct Program {
     /// The [`encode`](Self::encode) stream: [`HEADER`], then one
-    /// [`SHAPE`]-long run per op. Only the recording methods and
-    /// [`decode`](Self::decode) (after [`check_encoded`](Self::
-    /// check_encoded)) write it, so it is always well formed.
+    /// [`SHAPE`]-long run per op. Only the recording methods write it,
+    /// so it is always well formed.
     bytes: Vec<u8>,
     /// Ops recorded (the stream is variable-width).
     len: usize,
@@ -642,9 +641,8 @@ impl Program {
     /// 9-row table and without building anything.
     ///
     /// The stream is fixed-width per tag and every non-tag byte is a
-    /// plain operand, so a stream that checks is a program:
-    /// `check_encoded(b).is_ok()` ⇔ `decode(b).is_ok()` ⇔
-    /// `decode(b)?.encode() == b`.
+    /// plain operand, so a stream that checks is a program: its bytes,
+    /// copied, are one whose `encode()` gives them back.
     ///
     /// # Errors
     ///
@@ -653,21 +651,6 @@ impl Program {
     /// malformed offset (unknown tag, truncated operand, bad sub-tag).
     pub fn check_encoded(bytes: &[u8]) -> Result<usize, EngineError> {
         Self::scan(bytes).map(|(args, _)| args)
-    }
-
-    /// Reconstructs a program from its [`encode`](Self::encode) stream:
-    /// the check, then a copy.
-    ///
-    /// # Errors
-    ///
-    /// As [`check_encoded`](Self::check_encoded).
-    pub fn decode(bytes: &[u8]) -> Result<Program, EngineError> {
-        let (_, len) = Self::scan(bytes)?;
-        Ok(Program {
-            bytes: bytes.to_vec(),
-            len,
-            encoded: OnceLock::new(),
-        })
     }
 
     /// The memoized shared copy of the stream and its content hash,
@@ -1713,6 +1696,16 @@ mod tests {
         Ok((args, labels, ops))
     }
 
+    /// A program from its `encode()` stream: the check, then a copy.
+    fn decoded(bytes: &[u8]) -> Result<Program, EngineError> {
+        let (_, len) = Program::scan(bytes)?;
+        Ok(Program {
+            bytes: bytes.to_vec(),
+            len,
+            encoded: OnceLock::new(),
+        })
+    }
+
     #[test]
     fn encode_is_the_field_by_field_stream_and_decodes_back() {
         let mut rng = crate::regress::XorShift::new(0xe4c0de);
@@ -1727,7 +1720,7 @@ mod tests {
             assert_eq!(p.ops().collect::<Vec<_>>(), recorded, "program {n}");
             assert_eq!(p.len(), recorded.len());
             assert_eq!(p.encoded().0[..], bytes[..]);
-            let q = Program::decode(&bytes).expect("decodes");
+            let q = decoded(&bytes).expect("decodes");
             assert_eq!((&q, q.len()), (&p, p.len()), "program {n}");
             assert_eq!(Program::check_encoded(&bytes).expect("checks"), p.args());
         }
@@ -1746,14 +1739,15 @@ mod tests {
         assert_ne!(p.encoded().1, before.1);
     }
 
-    /// `check_encoded` and `decode` accept exactly the streams the
-    /// field-by-field reader does, with the same arity, the same ops and
-    /// the same error class; a stream that decodes re-encodes to itself.
+    /// `check_encoded` (and a program copied from what it accepts)
+    /// accepts exactly the streams the field-by-field reader does, with
+    /// the same arity, the same ops and the same error class; a stream
+    /// that decodes re-encodes to itself.
     #[track_caller]
     fn check_agrees_with_reference(bytes: &[u8]) {
         match (
             Program::check_encoded(bytes),
-            Program::decode(bytes),
+            decoded(bytes),
             decode_by_field(bytes),
         ) {
             (Ok(args), Ok(p), Ok((ref_args, ref_labels, ref_ops))) => {

@@ -304,7 +304,7 @@ pub struct Artifact {
     /// stream) — embedded verbatim so a misfiled artifact is caught by
     /// byte comparison, not just by hash.
     pub key: Vec<u8>,
-    /// Client metadata blob (e.g. DPF dispatch strategies).
+    /// Client metadata blob (the engine's lambdas leave it empty).
     pub meta: Vec<u8>,
     /// The native code bytes. Never mapped before revalidation.
     pub code: Vec<u8>,
@@ -638,11 +638,10 @@ pub trait CacheTier<V: ?Sized>: Send + Sync + fmt::Debug {
 }
 
 /// Translates between a cached value and its on-disk [`Artifact`].
-/// Each client supplies one: the engine's codec round-trips
-/// `dyn Lambda` via `Backend::adopt`, DPF's round-trips compiled
-/// classifier sets (dispatch strategies in the meta blob), ASH's
-/// round-trips kernel pipelines. `from_artifact` owns revalidation —
-/// it must re-decode the code bytes before mapping them.
+/// The product has one: the engine's codec round-trips `dyn Lambda` via
+/// `Backend::adopt` (DPF and ASH keep no disk tier; DESIGN.md "Code
+/// stack"). `from_artifact` owns revalidation — it must re-decode the
+/// code bytes before mapping them.
 pub trait ArtifactCodec<V: ?Sized>: Send + Sync {
     /// Serializes `val` into an artifact.
     ///

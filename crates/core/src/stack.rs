@@ -1,7 +1,10 @@
 //! The code stack: one owner of the L1 [`LambdaCache`] and the optional
-//! on-disk [`DiskTier`], and the one place a miss is routed. The engine's
-//! lambdas, DPF's classifier sets and ASH's kernels are each one
-//! [`CodeStack`].
+//! on-disk [`DiskTier`], and the one place a miss is routed. Its one
+//! product client is the [`Engine`](crate::Engine) (whose persistence
+//! the frozen `benchmark/` times). DPF's classifier sets and ASH's
+//! kernels build in less time than a store-through costs or, for ASH, a
+//! verified load takes, so each keeps a bare process-wide
+//! [`LambdaCache`] instead (DESIGN.md "Code stack").
 //!
 //! A client supplies a key, an [`ArtifactCodec`] (if it persists) and one
 //! *miss function*, which receives an [`L2`] handle and composes its

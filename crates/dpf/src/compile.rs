@@ -201,77 +201,10 @@ impl CompiledSet {
         self.code.pin()
     }
 
-    /// Whether the generated code is position-independent and can
-    /// therefore be persisted: jump-table and perfect-hash dispatch
-    /// embed absolute addresses of side tables (and of the code
-    /// itself), so only sets that used neither are artifact-eligible.
-    pub fn position_independent(&self) -> bool {
-        self._addr_tables.is_empty() && self._data_tables.is_empty()
-    }
-
-    /// The emitted machine-code bytes (the persistable image when
-    /// [`position_independent`](Self::position_independent)).
+    /// The emitted machine-code bytes (diagnostics: the classifier from
+    /// its entry, `code_len` bytes).
     pub fn code_bytes(&self) -> &[u8] {
         &self.code.bytes()[self.code_off..][..self.code_len]
-    }
-
-    /// Serializes the strategy counters into an artifact meta blob
-    /// (5 × u32 LE).
-    pub(crate) fn meta_blob(&self) -> Vec<u8> {
-        let s = &self.strategies;
-        let mut out = Vec::with_capacity(20);
-        for v in [s.single, s.linear, s.bst, s.table, s.hash] {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        out
-    }
-
-    /// Parses a [`meta_blob`](Self::meta_blob) back into counters.
-    pub(crate) fn meta_parse(blob: &[u8]) -> Option<Strategies> {
-        if blob.len() != 20 {
-            return None;
-        }
-        let u32le =
-            |at: usize| u32::from_le_bytes([blob[at], blob[at + 1], blob[at + 2], blob[at + 3]]);
-        Some(Strategies {
-            single: u32le(0),
-            linear: u32le(4),
-            bst: u32le(8),
-            table: u32le(12),
-            hash: u32le(16),
-        })
-    }
-
-    /// Re-materializes a set from revalidated artifact bytes: the code
-    /// lands in fresh pooled executable memory via
-    /// [`ExecMem::adopt_bytes`]. Only position-independent images are
-    /// ever persisted, so the adopted set carries no side tables.
-    ///
-    /// # Errors
-    ///
-    /// The `io::Error` of an executable-memory request that failed —
-    /// the only way adoption fails, and never the artifact's fault.
-    pub(crate) fn adopt(
-        bytes: &[u8],
-        strategies: Strategies,
-        vcode_insns: u64,
-    ) -> std::io::Result<CompiledSet> {
-        let mem = ExecMem::adopt_bytes(bytes)?;
-        let code = mem.finalize()?;
-        // SAFETY: the adopted bytes passed the differential re-decode
-        // and were originally emitted by `compile` for exactly this C
-        // ABI: (ptr, len) -> i64, reads bounded by `len`.
-        let entry: extern "C" fn(*const u8, u64) -> i64 = unsafe { code.as_fn() };
-        Ok(CompiledSet {
-            code,
-            entry,
-            code_off: 0,
-            _addr_tables: Vec::new(),
-            _data_tables: Vec::new(),
-            strategies,
-            code_len: bytes.len(),
-            vcode_insns,
-        })
     }
 }
 

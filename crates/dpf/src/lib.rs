@@ -15,7 +15,8 @@
 //!
 //! - [`DpfService`] — the dynamically compiled engine (via `vcode` + the
 //!   x86-64 backend), served live: an install compiles the new set and
-//!   publishes it to lock-free readers before it returns;
+//!   publishes it to lock-free readers before it returns (compiled sets
+//!   are cached in memory per exact filter set, never persisted);
 //! - [`Mpf`](mpf::Mpf) — a BPF-style bytecode interpreter run per filter;
 //! - [`Pathfinder`] — a pattern-trie interpreter with hashed cells.
 //!
@@ -48,104 +49,46 @@ pub use service::{BuildFailure, DpfReader, DpfService, ServiceSnapshot};
 
 use std::sync::{Arc, OnceLock};
 use trie::Level;
-use vcode::{CacheError, CacheKey, CacheStats, CodeStack, TargetId};
+use vcode::{CacheError, CacheKey, CacheStats, LambdaCache, TargetId};
 
-/// The process-wide [`CodeStack`] of compiled classifiers, keyed by the
-/// exact resident filter set (ids included — generated code returns
-/// them) and the dispatch-strategy options. Re-installing the same
-/// filters — the common case when identical flows come and go — reuses
-/// the finished code instead of re-running codegen.
-pub(crate) fn stack() -> &'static CodeStack<CompiledSet> {
-    static STACK: OnceLock<CodeStack<CompiledSet>> = OnceLock::new();
-    STACK.get_or_init(|| CodeStack::new(64))
+/// The process-wide cache of compiled classifiers, keyed by the exact
+/// resident filter set (ids included — generated code returns them) and
+/// the dispatch-strategy options. Re-installing the same filters — the
+/// common case when identical flows come and go — reuses the finished
+/// code instead of re-running codegen. It has no disk tier: a build is
+/// cheaper than the store every first-seen set would pay for a load
+/// only an identical restart reads (EXPERIMENTS.md "Persistence,
+/// measured (PR 26)").
+fn cache() -> &'static LambdaCache<CompiledSet> {
+    static CACHE: OnceLock<LambdaCache<CompiledSet>> = OnceLock::new();
+    CACHE.get_or_init(|| LambdaCache::new(64))
 }
 
 /// Counters for the process-wide classifier cache.
 pub fn cache_stats() -> CacheStats {
-    stack().cache().stats()
+    cache().stats()
 }
 
 /// Drops every cached classifier (callers holding compiled sets keep
 /// them). Benchmarks use this to measure cold compiles.
 pub fn clear_cache() {
-    stack().cache().clear();
+    cache().clear();
 }
 
-/// The [`ArtifactCodec`](vcode::ArtifactCodec) for compiled classifier
-/// sets: code bytes plus the dispatch-strategy counters in the meta
-/// blob. Only [position-independent](CompiledSet::position_independent)
-/// sets persist — jump-table and perfect-hash dispatch embed absolute
-/// side-table addresses that cannot survive a reload — and every load
-/// re-decodes the bytes with the x86-64 length decoder before they
-/// touch executable memory.
-#[derive(Debug)]
-struct SetCodec;
-
-impl vcode::ArtifactCodec<CompiledSet> for SetCodec {
-    fn to_artifact(
-        &self,
-        key: &CacheKey,
-        val: &Arc<CompiledSet>,
-    ) -> Result<vcode::Artifact, vcode::PersistError> {
-        if !val.position_independent() {
-            return Err(vcode::PersistError::NotPersistable(
-                "classifier uses absolute-address dispatch tables",
-            ));
-        }
-        Ok(vcode::Artifact {
-            target: TargetId::X64,
-            args: 0,
-            insns: val.vcode_insns,
-            key: key.content().to_vec(),
-            meta: val.meta_blob(),
-            code: val.code_bytes().to_vec(),
-        })
-    }
-
-    fn from_artifact(
-        &self,
-        artifact: &vcode::ArtifactView<'_>,
-    ) -> Result<Arc<CompiledSet>, vcode::PersistError> {
-        vcode::persist::redecode(artifact.code, &vcode_x64::declen::Decoder)?;
-        let strategies = CompiledSet::meta_parse(artifact.meta).ok_or(
-            vcode::PersistError::Malformed("classifier strategy meta blob"),
-        )?;
-        // Adoption fails only for want of executable memory: an
-        // `io::Error`, so `PersistError::Io` — the artifact is kept.
-        let set = CompiledSet::adopt(artifact.code, strategies, artifact.insns)?;
-        Ok(Arc::new(set))
-    }
-}
-
-/// Attaches a persistent L2 tier for compiled classifiers under `dir`:
-/// every cache miss — a [`DpfService`] install, on the calling thread —
-/// probes the disk tier before compiling and stores through after.
-/// First call wins (`false` afterwards).
-///
-/// # Errors
-///
-/// [`vcode::PersistError::Io`] when the directory cannot be created.
-pub fn enable_persist(dir: impl Into<std::path::PathBuf>) -> Result<bool, vcode::PersistError> {
-    stack().enable_persist(dir, Box::new(SetCodec))
-}
-
-/// The classifier persistent tier, if [`enable_persist`] was called.
-pub fn persist_tier() -> Option<&'static Arc<vcode::DiskTier<CompiledSet>>> {
-    stack().persist_tier()
-}
-
-/// The one classifier build, on the calling thread, through the
-/// process-wide stack: an L1 hit when the same set compiled before, a
-/// verified L2 load with a persistent tier attached (no trie, no
-/// codegen), else merge `filters` into a trie, compile it (with the
-/// overflow retry) and store the result through.
+/// The one classifier build, on the calling thread: an L1 hit when the
+/// same set compiled before, else merge `filters` into a trie and
+/// compile it (with the overflow retry). Racers on one set wait for that
+/// build, bounded by the cache's stall timeout, and share it.
 pub(crate) fn build_set(
     filters: &[(u32, Filter)],
     opts: Options,
 ) -> Result<Arc<CompiledSet>, CacheError<CompileError>> {
-    stack().get_or_build(&cache_key(filters, opts), |l2| {
-        l2.or_build(|| compile_with_retry(&trie::build(filters), opts).map(Arc::new))
-    })
+    let cache = cache();
+    cache.get_or_build(
+        cache_key(filters, opts),
+        || compile_with_retry(&trie::build(filters), opts).map(Arc::new),
+        cache.stall_timeout(),
+    )
 }
 
 /// Content key of a filter configuration: the exact (id, filter) list
@@ -253,33 +196,5 @@ impl Pathfinder {
     #[inline]
     pub fn classify(&self, msg: &[u8]) -> Option<u32> {
         self.trie.classify(msg, 0)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use vcode::ArtifactCodec;
-
-    /// What the persistent tier stores of a set is what it loads back:
-    /// the same code bytes, dispatch counts and instruction count.
-    #[test]
-    fn the_codec_round_trips_a_set_bit_identically() {
-        let filters: Vec<(u32, Filter)> = (0..).zip(packet::port_filter_set(6, 4000)).collect();
-        let opts = Options {
-            use_jump_tables: false,
-            use_hashing: false,
-            ..Options::default()
-        };
-        let set = Arc::new(compile::compile(&trie::build(&filters), opts).unwrap());
-        let artifact = SetCodec
-            .to_artifact(&cache_key(&filters, opts), &set)
-            .unwrap();
-        let back = SetCodec.from_artifact(&artifact.view()).unwrap();
-        assert_eq!(back.code_bytes(), set.code_bytes());
-        assert_eq!(
-            (back.strategies, back.vcode_insns),
-            (set.strategies, set.vcode_insns)
-        );
     }
 }

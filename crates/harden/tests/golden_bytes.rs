@@ -131,14 +131,13 @@ fn seeded_programs_run_alike_from_entry_and_from_offset_zero() {
 /// The serialized stream is the cache key and the artifact's embedded
 /// IR, and `ops()` is what the optimizer reads: both as 2fb0710 — where
 /// `ops()` was the recorded `Vec<POp>` itself — produced them, over the
-/// corpus and the seeded set; every stream decodes back to its program,
-/// and a mutation shows in the memoized form.
+/// corpus and the seeded set; every stream checks with its program's
+/// arity, and a mutation shows in the memoized form.
 #[test]
 fn program_streams_and_ops_are_what_2fb0710_recorded() {
     let (mut streams, mut ops) = (Vec::new(), String::new());
     for p in corpus().into_iter().chain(seeded()) {
         let bytes = p.encode();
-        assert_eq!(Program::decode(&bytes).expect("decodes"), p);
         assert_eq!(Program::check_encoded(&bytes).expect("checks"), p.args());
         assert_eq!(p.ops().count(), p.len());
         let (memo, hash) = p.encoded().clone();

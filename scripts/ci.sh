@@ -33,33 +33,43 @@ echo "== unsafe audit (SAFETY-comment gate) =="
 # justification; see scripts/unsafe_audit.sh.
 ./scripts/unsafe_audit.sh
 
-echo "== one stack (no hand-wired cache + disk tier) =="
+echo "== one stack (no hand-wired cache + disk tier; only the engine persists) =="
 # `vcode::stack::CodeStack` owns the L1 cache and the persistent tier,
 # and `L2::or_build` is the one function that probes and stores through
 # (DESIGN.md "Code stack"). Product source that constructs a tier (or
 # the frozen compile service, see "one build path" below) itself, or
 # calls the tier seam directly, is a second stack in the making: fail
-# on it. Looked at: code lines (not comments) of crates/*/src and src
-# before each file's first `#[cfg(test)]`. Exempt: the stack module and
-# the two modules that define the names; crates/bench, tests and
-# benchmark/ (they measure and test the parts on their own).
+# on it. The stack has one client, `Engine`: DPF sets and ASH kernels
+# build faster than a store-through costs, so they keep a bare L1
+# (EXPERIMENTS.md "Persistence, measured (PR 26)"); product code
+# outside crates/core/src that names a codec or attaches a tier is a
+# second persisting client: fail on that too. Looked at: code lines
+# (not comments) of crates/*/src, src and examples before each file's
+# first `#[cfg(test)]`. Exempt: the stack module and the two modules
+# that define the names; crates/bench, tests and benchmark/ (they
+# measure and test the parts on their own).
 second_stack=$(git ls-files --cached --others --exclude-standard \
-        'crates/*/src/*.rs' 'crates/*/src/**/*.rs' 'src/*.rs' |
+        'crates/*/src/*.rs' 'crates/*/src/**/*.rs' 'src/*.rs' 'examples/*.rs' |
     grep -v -e '^crates/bench/' \
         -e '^crates/core/src/stack\.rs$' \
         -e '^crates/core/src/persist\.rs$' \
         -e '^crates/core/src/service\.rs$' |
     while IFS= read -r f; do
         [ -f "$f" ] || continue
-        awk -v FILE="$f" '
+        case $f in
+        crates/core/src/*) core=1 ;;
+        *) core=0 ;;
+        esac
+        awk -v FILE="$f" -v CORE="$core" '
             /^[ \t]*#\[cfg\(test\)\]/ { exit }
             /^[ \t]*\/\// { next }
-            /DiskTier::new|CompileService::new|CacheTier::load|CacheTier::store/ {
+            /DiskTier::new|CompileService::new|CacheTier::load|CacheTier::store/ ||
+            (!CORE && /ArtifactCodec|enable_persist|persist_tier/) {
                 printf "%s:%d: %s\n", FILE, NR, $0
             }' "$f"
     done)
 if [ -n "$second_stack" ]; then
-    echo "one-stack gate: product source wires its own tier or service:" >&2
+    echo "one-stack gate: product source wires its own tier or service, or persists beside the engine:" >&2
     echo "$second_stack" >&2
     exit 1
 fi
@@ -183,7 +193,8 @@ echo "one measurement system ok"
 
 echo "== one build path (a miss is built by the thread that asked) =="
 # `Engine::compile_cached` and `DpfService::{insert, insert_all, remove}`
-# build on the calling thread through `CodeStack::get_or_build`;
+# build on the calling thread (`CodeStack::get_or_build`, and for DPF
+# its cache's `LambdaCache::get_or_build`);
 # nothing serves a fallback while a worker compiles, because waking the
 # worker costs more than the build (DESIGN.md "Compile service"). The
 # serve-while-compiling names must not come back, and the compile
@@ -362,15 +373,6 @@ echo "== dpf-service smoke (live-update-under-traffic gate) =="
 # did not publish exactly one generation each, or when any window of
 # either side served a packet from the interpreter.
 VCODE_SMOKE=1 cargo bench -q --offline -p vcode-bench --bench dpf_service
-
-echo "== persist smoke (persistent-cache cold/warm gate) =="
-# The persistent (L2) code cache: the bench hard-fails when a warm
-# start (artifacts on disk, L1 cleared) is not at least 2x faster to
-# first classified packet than the cold start just before it (median of
-# the pairs), when store-through writes fewer artifacts than sets
-# compiled, or when a warm pass is served by fresh compiles instead of
-# verified disk loads.
-VCODE_SMOKE=1 cargo bench -q --offline -p vcode-bench --bench persist
 
 echo "== exec-stats smoke (observability gate, pinned simulator counts) =="
 # Every backend — three simulators plus native x86-64 — must expose

@@ -1,11 +1,10 @@
-//! Workspace integration: the three clients of `vcode::CodeStack` —
-//! the engine's lambdas, DPF's classifier sets, ASH's fused kernels —
-//! through one L1 → L2 → build → store-through pipeline.
+//! Workspace integration: the one client of `vcode::CodeStack` — the
+//! engine's lambdas, on all four backends — through its L1 → L2 →
+//! build → store-through pipeline.
 //!
-//! Own process on purpose: DPF's and ASH's persistent tiers are
-//! process-wide (first `enable_persist` wins), and so is the codegen
-//! hook. Every count is read from the tier that produced it, so the
-//! tests run in parallel.
+//! Own process on purpose: the codegen hook is process-wide. Every
+//! count is read from the tier that produced it, so the tests run in
+//! parallel.
 
 use std::path::PathBuf;
 use std::sync::{Arc, Barrier, Mutex};
@@ -150,142 +149,39 @@ fn a_warm_directory_serves_a_miss_without_generating_code() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// One client of the stack, reduced to what the round trip needs:
-/// build through the stack and describe the result byte-for-byte, and
-/// forget everything the process holds in memory.
-struct Client {
-    name: String,
-    dir: PathBuf,
-    /// Builds (or reloads) and returns the observable output: code
-    /// image or size, and results over a fixed input grid.
-    build: Box<dyn Fn() -> Vec<u8>>,
-    /// Drops the L1 (the artifact directory stays).
-    forget: Box<dyn Fn()>,
-    /// The counts of the tier this client's builds go through.
-    stats: Box<dyn Fn() -> PersistStats>,
-}
-
-fn engine_client(target: TargetId) -> Client {
-    let dir = scratch_dir(&format!("rt-{target}"));
-    let slot = Arc::new(Mutex::new(engine(&dir)));
-    let (build_slot, stats_slot, forget_dir) = (Arc::clone(&slot), Arc::clone(&slot), dir.clone());
-    Client {
-        name: format!("engine/{target}"),
-        dir: dir.clone(),
-        build: Box::new(move || {
-            let e = build_slot.lock().unwrap();
-            let f = e.compile_cached(target, &sample()).unwrap();
-            let (_, mut out) = f.persist_image().expect("persistable");
-            for (x, y) in [(3, 4), (-10, 2), (0, 0), (123_456, -654_321)] {
-                out.extend_from_slice(&f.call(&[x, y]).unwrap().to_le_bytes());
-            }
-            out
-        }),
-        // A fresh engine over the same directory: nothing in memory,
-        // and a tier of its own, counting from zero.
-        forget: Box::new(move || *slot.lock().unwrap() = engine(&forget_dir)),
-        stats: Box::new(move || engine_stats(&stats_slot.lock().unwrap())),
-    }
-}
-
-fn dpf_client() -> Client {
-    let dir = scratch_dir("rt-dpf");
-    assert!(dpf::enable_persist(&dir).unwrap());
-    Client {
-        name: "dpf/CompiledSet".into(),
-        dir,
-        build: Box::new(|| {
-            // Linear dispatch only: position-independent, so it persists.
-            // The set's code bytes are the codec's to compare (`SetCodec`'s
-            // round-trip unit test); what a client sees is its answers.
-            let d = dpf::DpfService::with_options(dpf::Options {
-                use_jump_tables: false,
-                use_hashing: false,
-                ..dpf::Options::default()
-            });
-            d.insert_all(dpf::packet::port_filter_set(6, 4000));
-            assert!(d.is_native(), "native classifier");
-            let mut out = Vec::new();
-            for port in 3998..4008 {
-                let msg = dpf::packet::build(&dpf::packet::PacketSpec {
-                    dst_port: port,
-                    ..Default::default()
-                });
-                out.extend_from_slice(&d.classify(&msg).map_or(-1, i64::from).to_le_bytes());
-            }
-            out
-        }),
-        forget: Box::new(dpf::clear_cache),
-        stats: Box::new(|| dpf::persist_tier().expect("attached above").stats()),
-    }
-}
-
-fn ash_client() -> Client {
-    let dir = scratch_dir("rt-ash");
-    assert!(ash::enable_persist(&dir).unwrap());
-    Client {
-        name: "ash/NativeCode".into(),
-        dir,
-        build: Box::new(|| {
-            let p = ash::Pipeline::compile(&[ash::Step::Checksum, ash::Step::Swap]).unwrap();
-            assert_eq!(p.engine_kind(), ash::EngineKind::Native);
-            let src: Vec<u8> = (0..200u8).collect();
-            let mut dst = vec![0u8; src.len()];
-            let sum = p.run(&src, &mut dst);
-            let mut out = (p.code_len as u64).to_le_bytes().to_vec();
-            out.extend_from_slice(&p.vcode_insns.to_le_bytes());
-            out.extend_from_slice(&sum.to_le_bytes());
-            out.extend_from_slice(&dst);
-            out
-        }),
-        forget: Box::new(ash::clear_cache),
-        stats: Box::new(|| ash::persist_tier().expect("attached above").stats()),
-    }
-}
-
-/// Build → store-through → drop L1 → reload, for every codec in the
-/// workspace: the engine's `dyn Lambda` on all four backends, DPF's
-/// `CompiledSet`, ASH's `NativeCode`. The first build is exactly one
-/// L2 probe miss and one store; the rebuild after forgetting is exactly
-/// one L2 hit; a third build is an L1 hit that never reaches the tier;
-/// and all three are bit-identical.
+/// Build → store-through → drop L1 → reload, for the engine's
+/// `dyn Lambda` on every backend (the workspace's one codec; DPF and ASH
+/// keep no disk tier). The first build is exactly one L2 probe miss and
+/// one store; the rebuild by a fresh engine is exactly one L2 hit; a
+/// third build is an L1 hit that never reaches the tier; and all three
+/// are bit-identical.
 #[test]
-fn every_codec_round_trips_through_the_stack() {
-    let clients: Vec<Client> = TargetId::ALL
-        .into_iter()
-        .map(engine_client)
-        .chain([dpf_client(), ash_client()])
-        .collect();
-    for c in &clients {
-        let before = (c.stats)();
-        let fresh = (c.build)();
-        assert_eq!(
-            gained((c.stats)(), before),
-            (0, 1, 1, 0),
-            "{}: cold build",
-            c.name
-        );
+fn every_backend_round_trips_through_the_stack() {
+    // The observable output: the code image, then results over a grid.
+    let build = |e: &Engine, target| {
+        let f = e.compile_cached(target, &sample()).unwrap();
+        let (_, mut out) = f.persist_image().expect("persistable");
+        for (x, y) in [(3, 4), (-10, 2), (0, 0), (123_456, -654_321)] {
+            out.extend_from_slice(&f.call(&[x, y]).unwrap().to_le_bytes());
+        }
+        out
+    };
+    for target in TargetId::ALL {
+        let dir = scratch_dir(&format!("rt-{target}"));
+        let cold = engine(&dir);
+        let fresh = build(&cold, target);
+        assert_eq!(engine_counts(&cold), (0, 1, 1, 0), "{target}: cold build");
+        drop(cold);
 
-        (c.forget)();
-        let before = (c.stats)();
-        let reloaded = (c.build)();
-        assert_eq!(
-            gained((c.stats)(), before),
-            (1, 0, 0, 0),
-            "{}: reload",
-            c.name
-        );
-        assert_eq!(reloaded, fresh, "{}: reload must be bit-identical", c.name);
-
-        let before = (c.stats)();
-        assert_eq!((c.build)(), fresh, "{}: L1 hit", c.name);
-        assert_eq!(
-            gained((c.stats)(), before),
-            (0, 0, 0, 0),
-            "{}: L1 hit",
-            c.name
-        );
-        let _ = std::fs::remove_dir_all(&c.dir);
+        // A fresh engine over the same directory: nothing in memory, and
+        // a tier of its own, counting from zero.
+        let warm = engine(&dir);
+        let reloaded = build(&warm, target);
+        assert_eq!(engine_counts(&warm), (1, 0, 0, 0), "{target}: reload");
+        assert_eq!(reloaded, fresh, "{target}: reload must be bit-identical");
+        assert_eq!(build(&warm, target), fresh, "{target}: L1 hit");
+        assert_eq!(engine_counts(&warm), (1, 0, 0, 0), "{target}: L1 hit");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 
