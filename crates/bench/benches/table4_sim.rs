@@ -7,15 +7,15 @@
 
 use ash::generic::{self, fold_le_halfwords};
 use ash::{reference, Step};
+use vcode::Target;
 use vcode_mips::Mips;
-use vcode_sim::mips::Machine;
-use vcode_sim::Cache;
+use vcode_sim::{alpha, mips, sparc, Cache, Isa, Machine, Word};
 
 const MSG: usize = 16 * 1024;
 const STEPS: u64 = 50_000_000;
 
 struct SimSetup {
-    m: Machine,
+    m: mips::Machine,
     fused_ck: u32,
     fused_both: u32,
     copy: u32,
@@ -25,21 +25,22 @@ struct SimSetup {
     dst: u32,
 }
 
+fn gen(f: &dyn Fn(&mut [u8]) -> vcode::Finished) -> Vec<u8> {
+    let mut mem = vec![0u8; 8192];
+    let fin = f(&mut mem);
+    mem.truncate(fin.len);
+    mem
+}
+
 fn setup(cache: Option<Cache>) -> SimSetup {
-    let gen = |f: &dyn Fn(&mut [u8]) -> vcode::Finished| {
-        let mut mem = vec![0u8; 8192];
-        let fin = f(&mut mem);
-        mem.truncate(fin.len);
-        mem
-    };
     let fused_ck = gen(&|m| generic::compile_fused::<Mips>(m, &[Step::Checksum]).unwrap());
     let fused_both =
         gen(&|m| generic::compile_fused::<Mips>(m, &[Step::Checksum, Step::Swap]).unwrap());
     let copy = gen(&|m| generic::compile_copy::<Mips>(m).unwrap());
     let cksum = gen(&|m| generic::compile_cksum::<Mips>(m).unwrap());
     let swap = gen(&|m| generic::compile_swap::<Mips>(m).unwrap());
-    let mut m = Machine::new(1 << 22);
-    m.strict_load_delay = true;
+    let mut m = mips::Machine::new(1 << 22);
+    m.cpu.strict_load_delay = true;
     m.dcache = cache;
     let fused_ck = m.load_code(&fused_ck).unwrap();
     let fused_both = m.load_code(&fused_both).unwrap();
@@ -69,7 +70,7 @@ impl SimSetup {
         }
     }
 
-    fn cycles(&mut self, f: impl FnOnce(&mut Machine)) -> u64 {
+    fn cycles(&mut self, f: impl FnOnce(&mut mips::Machine)) -> u64 {
         let before = self.m.cycles();
         f(&mut self.m);
         self.m.cycles() - before
@@ -109,50 +110,32 @@ fn cross_backend_stats() {
     const N: usize = 4 * 1024;
     let data: Vec<u8> = (0..N).map(|i| (i * 31 + 7) as u8).collect();
     let want = reference::checksum(&data);
-    let steps: [Step; 2] = [Step::Checksum, Step::Swap];
-    let gen = |f: &dyn Fn(&mut [u8]) -> vcode::Finished| {
-        let mut mem = vec![0u8; 8192];
-        let fin = f(&mut mem);
-        mem.truncate(fin.len);
-        mem
-    };
 
-    let mips_stats = {
-        let code = gen(&|m| generic::compile_fused::<Mips>(m, &steps).unwrap());
-        let mut m = Machine::new(1 << 22);
+    /// The fused checksum+swap pipeline for `T`, run on `I`'s simulator.
+    fn fused<T: Target, I: Isa>(data: &[u8], want: u16) -> Machine<I> {
+        let steps = [Step::Checksum, Step::Swap];
+        let code = gen(&|m| generic::compile_fused::<T>(m, &steps).unwrap());
+        let mut m = Machine::<I>::new(1 << 22);
         m.dcache = Some(Cache::dec5000());
         let entry = m.load_code(&code).unwrap();
-        let dst = m.alloc(N, 16).unwrap();
-        let src = m.alloc(N, 16).unwrap();
-        m.write(src, &data).unwrap();
-        let sum = m.call(entry, &[dst, src, (N / 4) as u32], STEPS).unwrap();
-        assert_eq!(fold_le_halfwords(sum), want, "mips checksum");
-        m.stats()
-    };
-    let sparc_stats = {
-        let code = gen(&|m| generic::compile_fused::<vcode_sparc::Sparc>(m, &steps).unwrap());
-        let mut m = vcode_sim::sparc::Machine::new(1 << 22);
-        m.dcache = Some(Cache::dec5000());
-        let entry = m.load_code(&code).unwrap();
-        let dst = m.alloc(N, 16).unwrap();
-        let src = m.alloc(N, 16).unwrap();
-        m.write(src, &data).unwrap();
-        let sum = m.call(entry, &[dst, src, (N / 4) as u32], STEPS).unwrap();
-        assert_eq!(fold_le_halfwords(sum), want, "sparc checksum");
-        m.stats()
-    };
-    let (alpha_stats, alpha_divs) = {
-        let code = gen(&|m| generic::compile_fused::<vcode_alpha::Alpha>(m, &steps).unwrap());
-        let mut m = vcode_sim::alpha::Machine::new(1 << 22);
-        m.dcache = Some(Cache::dec5000());
-        let entry = m.load_code(&code).unwrap();
-        let dst = m.alloc(N, 16).unwrap();
-        let src = m.alloc(N, 16).unwrap();
-        m.write(src, &data).unwrap();
-        let sum = m.call(entry, &[dst, src, (N / 4) as u64], STEPS).unwrap();
-        assert_eq!(fold_le_halfwords(sum as u32), want, "alpha checksum");
-        (m.stats(), m.div_calls)
-    };
+        let dst = m.alloc(data.len(), 16).unwrap();
+        let src = m.alloc(data.len(), 16).unwrap();
+        m.write(src, data).unwrap();
+        let n = Word::wrap((data.len() / 4) as u64);
+        let sum = m.call(entry, &[dst, src, n], STEPS).unwrap();
+        assert_eq!(
+            fold_le_halfwords(sum.into() as u32),
+            want,
+            "{} checksum",
+            I::NAME
+        );
+        m
+    }
+    let mips = fused::<Mips, mips::Cpu>(&data, want);
+    let sparc = fused::<vcode_sparc::Sparc, sparc::Cpu>(&data, want);
+    let alpha = fused::<vcode_alpha::Alpha, alpha::Cpu>(&data, want);
+    let (mips_stats, sparc_stats, alpha_stats) = (mips.stats(), sparc.stats(), alpha.stats());
+    let alpha_divs = alpha.cpu.div_calls;
 
     println!("\n=== Fused pipeline, every simulated backend (DEC5000 dcache, 4 KiB msg) ===");
     println!(

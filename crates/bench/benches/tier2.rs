@@ -56,9 +56,8 @@ fn mips_tier2(p: &Program) -> Vec<u8> {
 fn sim_run(code: &[u8], input: &[i32]) -> (i64, u64) {
     let mut m = vcode_sim::mips::Machine::new(1 << 21);
     let entry = m.load_code(code).expect("load");
-    let args: Vec<u32> = input.iter().map(|&v| v as u32).collect();
-    let r = m.call(entry, &args, FUEL).expect("sim run");
-    (i64::from(r as i32), m.stats().cycles)
+    let r = m.call_i32(entry, input, FUEL).expect("sim run");
+    (r, m.stats().cycles)
 }
 
 /// Best-of-rounds wall time per call of `f`, in nanoseconds.

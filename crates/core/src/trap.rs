@@ -19,8 +19,8 @@ use std::time::Duration;
 
 /// Machine-independent classification of an execution trap.
 ///
-/// Simulator traps (e.g. `vcode_sim::mips::Trap`) and native traps
-/// (`vcode_x64::NativeTrap`) all convert into this taxonomy.
+/// The simulators (`vcode_sim::Machine`) raise [`Trap`]s of this kind
+/// directly; native traps (`vcode_x64::NativeTrap`) convert into it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum TrapKind {

@@ -12,6 +12,7 @@ use ash::{generic, reference, Step};
 use harden::{bit_positions, capacity_series, flip_bit, Tally, XorShift};
 use vcode::target::{Leaf, Target};
 use vcode::{Assembler, RegClass, Trap, TrapKind};
+use vcode_sim::{alpha, mips, sparc, Isa, Machine, MemError, Word};
 
 /// The injected program: the fused checksum+swap pipeline
 /// `fn(dst: %p, src: %p, nwords: %i) -> %u`, generated through the
@@ -30,47 +31,19 @@ fn pattern(n: usize) -> Vec<u8> {
     (0..n).map(|i| (i * 131 + 7) as u8).collect()
 }
 
-/// Runs `code` on the MIPS simulator; returns (sum, dst bytes).
-fn run_mips(code: &[u8], data: &[u8], steps: u64) -> Result<(u64, Vec<u8>), Trap> {
-    let mut m = vcode_sim::mips::Machine::new(1 << 21);
+/// Runs `code` on `I`'s simulator; returns (sum, dst bytes).
+fn run<I: Isa>(code: &[u8], data: &[u8], steps: u64) -> Result<(u64, Vec<u8>), Trap> {
+    let mut m = Machine::<I>::new(1 << 21);
     let entry = m.load_code(code).expect("code fits");
     let dst = m.alloc(data.len().max(4), 8).expect("heap fits");
     let src = m.alloc(data.len().max(4), 8).expect("heap fits");
     m.write(src, data).expect("in range");
-    let sum = m
-        .call(entry, &[dst, src, (data.len() / 4) as u32], steps)
-        .map_err(Trap::from)?;
+    let n = Word::wrap((data.len() / 4) as u64);
+    let sum = m.call(entry, &[dst, src, n], steps)?;
     Ok((
-        u64::from(sum),
+        sum.into(),
         m.read(dst, data.len()).expect("in range").to_vec(),
     ))
-}
-
-fn run_sparc(code: &[u8], data: &[u8], steps: u64) -> Result<(u64, Vec<u8>), Trap> {
-    let mut m = vcode_sim::sparc::Machine::new(1 << 21);
-    let entry = m.load_code(code).expect("code fits");
-    let dst = m.alloc(data.len().max(4), 8).expect("heap fits");
-    let src = m.alloc(data.len().max(4), 8).expect("heap fits");
-    m.write(src, data).expect("in range");
-    let sum = m
-        .call(entry, &[dst, src, (data.len() / 4) as u32], steps)
-        .map_err(Trap::from)?;
-    Ok((
-        u64::from(sum),
-        m.read(dst, data.len()).expect("in range").to_vec(),
-    ))
-}
-
-fn run_alpha(code: &[u8], data: &[u8], steps: u64) -> Result<(u64, Vec<u8>), Trap> {
-    let mut m = vcode_sim::alpha::Machine::new(1 << 21);
-    let entry = m.load_code(code).expect("code fits");
-    let dst = m.alloc(data.len().max(4), 8).expect("heap fits");
-    let src = m.alloc(data.len().max(4), 8).expect("heap fits");
-    m.write(src, data).expect("in range");
-    let sum = m
-        .call(entry, &[dst, src, (data.len() / 4) as u64], steps)
-        .map_err(Trap::from)?;
-    Ok((sum, m.read(dst, data.len()).expect("in range").to_vec()))
 }
 
 type SimRunner = fn(&[u8], &[u8], u64) -> Result<(u64, Vec<u8>), Trap>;
@@ -86,9 +59,9 @@ fn bitflipped_code_traps_or_completes_on_every_simulator() {
     let want_dst = reference::swapped(&data);
 
     let backends: [(&str, Vec<u8>, SimRunner); 3] = [
-        ("mips", gen::<vcode_mips::Mips>(), run_mips),
-        ("sparc", gen::<vcode_sparc::Sparc>(), run_sparc),
-        ("alpha", gen::<vcode_alpha::Alpha>(), run_alpha),
+        ("mips", gen::<vcode_mips::Mips>(), run::<mips::Cpu>),
+        ("sparc", gen::<vcode_sparc::Sparc>(), run::<sparc::Cpu>),
+        ("alpha", gen::<vcode_alpha::Alpha>(), run::<alpha::Cpu>),
     ];
 
     let mut tally = Tally::new();
@@ -504,119 +477,94 @@ fn curated_native_faults_trap_under_guard() {
 
 /// Host-facing simulator memory APIs (`load_code` / `alloc` / `write` /
 /// `read`) under a misuse corpus: out-of-range addresses, oversized
-/// images, overflowing and exhausting allocations. Every case must come
-/// back as a typed [`vcode_sim::MemError`] — these paths used to panic
+/// images and images that would reach the heap (an `alloc` used to hand
+/// out addresses inside them), overflowing and exhausting allocations.
+/// Every case must come back as a typed [`MemError`] — these paths used to panic
 /// (slice out of bounds, `at + size` overflow, bare asserts) — and the
 /// machine must stay fully usable afterwards.
 #[test]
 fn sim_memory_api_misuse_is_typed_on_every_simulator() {
-    use vcode_sim::MemError;
-
     const MEM: usize = 1 << 20;
 
     // (addr, len) misuse corpus shared by write/read; u32::MAX-based
     // cases also exercise the 32-bit machines' widest addresses.
-    let ranges: [(u64, usize); 6] = [
+    const RANGES: [(u64, usize); 6] = [
         (MEM as u64, 1),                  // one past the end
         (MEM as u64 - 1, 2),              // straddles the end
-        (u64::from(u32::MAX), 1),         // widest 32-bit address
-        (u64::from(u32::MAX) - 3, 8),     // end wraps past u32
+        (u32::MAX as u64, 1),             // widest 32-bit address
+        (u32::MAX as u64 - 3, 8),         // end wraps past u32
         (0, MEM + 1),                     // len alone too large
         (MEM as u64 / 2, usize::MAX / 2), // addr + len overflows
     ];
     // (size, align) alloc misuse corpus.
-    let allocs: [(usize, usize); 4] = [
+    const ALLOCS: [(usize, usize); 4] = [
         (MEM, 8),            // exhausts the heap
         (usize::MAX - 4, 8), // at + size overflows
         (usize::MAX, 1),     // size alone overflows
         (8, usize::MAX),     // align rounds past usize
     ];
 
-    let mut cases = 0usize;
-
-    macro_rules! misuse {
-        ($name:literal, $mk:expr, $good:expr) => {{
-            let mut m = $mk;
-            for &(addr, len) in &ranges {
-                let addr = addr.try_into().unwrap_or_default();
-                assert!(
-                    matches!(m.read(addr, len), Err(MemError::OutOfRange { .. }))
-                        || u64::from(addr) + (len as u64) <= MEM as u64,
-                    "{}: read({addr:#x}, {len})",
-                    $name
-                );
-                let data = vec![0u8; len.min(16)];
-                // Rebuild the out-of-range property for the clamped
-                // write length before asserting.
-                if u64::from(addr) + (data.len() as u64) > MEM as u64 {
-                    assert!(
-                        matches!(m.write(addr, &data), Err(MemError::OutOfRange { .. })),
-                        "{}: write({addr:#x}, {})",
-                        $name,
-                        data.len()
-                    );
-                }
-                cases += 2;
-            }
-            let huge = vec![0u8; MEM + 1];
+    /// The corpus on `I`'s simulator, which must then still run the real
+    /// pipeline; returns the number of cases.
+    fn corpus<T: Target, I: Isa>() -> usize {
+        let name = I::NAME;
+        let mut m = Machine::<I>::new(MEM);
+        let mut cases = 0;
+        for (addr, len) in RANGES {
+            let addr = I::Word::wrap(addr);
+            let end = addr.into() + len as u64;
             assert!(
-                matches!(m.load_code(&huge), Err(MemError::OutOfRange { .. })),
-                "{}: oversized load_code",
-                $name
+                matches!(m.read(addr, len), Err(MemError::OutOfRange { .. })) || end <= MEM as u64,
+                "{name}: read({addr:#x}, {len})"
             );
-            for &(size, align) in &allocs {
+            // Rebuild the out-of-range property for the clamped write
+            // length before asserting.
+            let data = vec![0u8; len.min(16)];
+            if addr.into() + data.len() as u64 > MEM as u64 {
                 assert!(
-                    matches!(m.alloc(size, align), Err(MemError::OutOfMemory { .. })),
-                    "{}: alloc({size:#x}, {align:#x})",
-                    $name
+                    matches!(m.write(addr, &data), Err(MemError::OutOfRange { .. })),
+                    "{name}: write({addr:#x}, {})",
+                    data.len()
                 );
-                cases += 1;
             }
+            cases += 2;
+        }
+        let huge = vec![0u8; MEM + 1];
+        assert!(
+            matches!(m.load_code(&huge), Err(MemError::OutOfRange { .. })),
+            "{name}: oversized load_code"
+        );
+        // Code may not reach the heap, which starts at half of memory.
+        assert!(
+            matches!(
+                m.load_code(&huge[..MEM / 2]),
+                Err(MemError::OutOfRange { .. })
+            ),
+            "{name}: load_code reaching the heap"
+        );
+        for (size, align) in ALLOCS {
+            assert!(
+                matches!(m.alloc(size, align), Err(MemError::OutOfMemory { .. })),
+                "{name}: alloc({size:#x}, {align:#x})"
+            );
             cases += 1;
-            // The machine survives the misuse: generate and run the
-            // real pipeline on it.
-            $good(&mut m);
-        }};
+        }
+        cases += 2;
+        // The machine survives the misuse: generate and run the real
+        // pipeline on it.
+        let code = gen::<T>();
+        let entry = m.load_code(&code).expect("fits");
+        let dst = m.alloc(64, 8).expect("fits");
+        let src = m.alloc(64, 8).expect("fits");
+        m.write(src, &pattern(40)).expect("in range");
+        m.call(entry, &[dst, src, Word::wrap(10)], 500_000)
+            .expect("runs");
+        cases
     }
 
-    let data = pattern(40);
-    misuse!(
-        "mips",
-        vcode_sim::mips::Machine::new(MEM),
-        |m: &mut vcode_sim::mips::Machine| {
-            let code = gen::<vcode_mips::Mips>();
-            let entry = m.load_code(&code).expect("fits");
-            let dst = m.alloc(64, 8).expect("fits");
-            let src = m.alloc(64, 8).expect("fits");
-            m.write(src, &data).expect("in range");
-            m.call(entry, &[dst, src, 10], 500_000).expect("runs");
-        }
-    );
-    misuse!(
-        "sparc",
-        vcode_sim::sparc::Machine::new(MEM),
-        |m: &mut vcode_sim::sparc::Machine| {
-            let code = gen::<vcode_sparc::Sparc>();
-            let entry = m.load_code(&code).expect("fits");
-            let dst = m.alloc(64, 8).expect("fits");
-            let src = m.alloc(64, 8).expect("fits");
-            m.write(src, &data).expect("in range");
-            m.call(entry, &[dst, src, 10], 500_000).expect("runs");
-        }
-    );
-    misuse!(
-        "alpha",
-        vcode_sim::alpha::Machine::new(MEM),
-        |m: &mut vcode_sim::alpha::Machine| {
-            let code = gen::<vcode_alpha::Alpha>();
-            let entry = m.load_code(&code).expect("fits");
-            let dst = m.alloc(64, 8).expect("fits");
-            let src = m.alloc(64, 8).expect("fits");
-            m.write(src, &data).expect("in range");
-            m.call(entry, &[dst, src, 10], 500_000).expect("runs");
-        }
-    );
-
+    let cases = corpus::<vcode_mips::Mips, mips::Cpu>()
+        + corpus::<vcode_sparc::Sparc, sparc::Cpu>()
+        + corpus::<vcode_alpha::Alpha, alpha::Cpu>();
     assert!(cases >= 50, "only {cases} misuse cases ran");
     println!("memory-api misuse: {cases} cases, all typed");
 }

@@ -7,14 +7,12 @@
 //! hardware has no integer divide (paper §5.2), and they follow the
 //! special convention of preserving every caller-saved register.
 
-use crate::{host_range, merge_stats, Cache, MemError};
-use std::fmt;
-use vcode::obs::{ExecStats, TraceRecord};
+use crate::{Isa, HALT};
+use vcode::{Trap, TrapKind};
 
-/// Base address code is loaded at.
-pub const CODE_BASE: u64 = 0x1_0000;
-/// Return-address sentinel.
-pub const HALT: u64 = 0xffff_fff0;
+/// The simulated Alpha machine.
+pub type Machine = crate::Machine<Cpu>;
+
 /// Division support routines live at `0xd000 + 8k` (below the code).
 pub const DIV_BASE: u64 = 0xd000;
 
@@ -22,318 +20,98 @@ pub const DIV_BASE: u64 = 0xd000;
 /// the era ran on the order of dozens of instructions).
 pub const DIV_COST: u64 = 40;
 
-/// Abnormal stop.
-#[derive(Debug, Clone, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum Trap {
-    /// PC outside loaded code.
-    BadPc(u64),
-    /// Bad memory access.
-    BadAccess(u64),
-    /// Misaligned access.
-    Unaligned(u64),
-    /// Unknown encoding.
-    BadInsn {
-        /// PC.
-        pc: u64,
-        /// Instruction word.
-        word: u32,
-    },
-    /// Step limit exceeded.
-    StepLimit,
-}
-
-impl From<Trap> for vcode::Trap {
-    fn from(t: Trap) -> vcode::Trap {
-        use vcode::TrapKind;
-        let backend = "alpha";
-        match t {
-            Trap::BadPc(pc) => vcode::Trap::at(TrapKind::BadPc, pc, backend),
-            Trap::BadAccess(a) => vcode::Trap::at(TrapKind::BadAccess, a, backend),
-            Trap::Unaligned(a) => vcode::Trap::at(TrapKind::Unaligned, a, backend),
-            Trap::BadInsn { pc, .. } => vcode::Trap::at(TrapKind::IllegalInsn, pc, backend),
-            Trap::StepLimit => vcode::Trap::new(TrapKind::FuelExhausted, backend),
-        }
-    }
-}
-
-impl fmt::Display for Trap {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Trap::BadPc(pc) => write!(f, "pc {pc:#x} outside code"),
-            Trap::BadAccess(a) => write!(f, "bad access at {a:#x}"),
-            Trap::Unaligned(a) => write!(f, "unaligned access at {a:#x}"),
-            Trap::BadInsn { pc, word } => write!(f, "bad instruction {word:#010x} at {pc:#x}"),
-            Trap::StepLimit => write!(f, "step limit exceeded"),
-        }
-    }
-}
-
-impl std::error::Error for Trap {}
-
-/// The simulated machine.
-pub struct Machine {
+/// The Alpha register file.
+#[derive(Debug, Clone, Default)]
+pub struct Cpu {
     /// Integer registers (`$31` reads as zero).
     pub regs: [u64; 32],
     /// FP registers as raw T-format (f64) bits; `$f31` reads as zero.
     pub fregs: [u64; 32],
-    mem: Vec<u8>,
-    code_end: u64,
-    data_brk: u64,
-    stats: ExecStats,
-    /// Division-routine invocations (Alpha-specific; the routines'
-    /// instruction cost is charged into `stats` as [`DIV_COST`] retired
-    /// instructions per call).
+    /// Division-routine invocations over the machine's lifetime
+    /// (`reset_stats` leaves it alone; each call is charged into the
+    /// stats as [`DIV_COST`] retired instructions).
     pub div_calls: u64,
-    /// Optional data-cache model; hits/misses/stalls fold into
-    /// [`stats`](Self::stats).
-    pub dcache: Option<Cache>,
-    trace: Option<crate::TraceSink>,
 }
 
-impl fmt::Debug for Machine {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("alpha::Machine")
-            .field("stats", &self.stats)
-            .field("div_calls", &self.div_calls)
-            .finish()
-    }
-}
+impl Isa for Cpu {
+    type Word = u64;
+    const NAME: &'static str = "alpha";
+    const CODE_BASE: u64 = 0x1_0000;
+    const CODE_ALIGN: usize = 16;
+    const MIN_MEM: usize = 256 * 1024;
+    const STACK_GAP: usize = 256;
+    const DELAY_SLOT_NOP: Option<u32> = None;
 
-impl Machine {
-    /// Creates a machine with `mem_size` bytes of memory.
-    pub fn new(mem_size: usize) -> Machine {
-        assert!(mem_size >= 128 * 1024);
-        Machine {
-            regs: [0; 32],
-            fregs: [0; 32],
-            mem: vec![0; mem_size],
-            code_end: CODE_BASE,
-            data_brk: (mem_size / 2) as u64,
-            stats: ExecStats::default(),
-            div_calls: 0,
-            dcache: None,
-            trace: None,
+    #[inline]
+    fn step(m: &mut Machine, pc: u64, word: u32, _npc: u64) -> Result<u64, Trap> {
+        m.step(pc, word)
+    }
+
+    /// The division support routines (paper §5.2): arguments in
+    /// `t10`/`t11`, result in `t12`/`pv`, return through `t9`; every
+    /// other register is preserved.
+    fn runtime_call(m: &mut Machine, pc: u64) -> Option<u64> {
+        if !(DIV_BASE..DIV_BASE + 0x40).contains(&pc) {
+            return None;
         }
+        m.cpu.div_calls += 1;
+        m.stats.insns_retired += DIV_COST;
+        let r = &mut m.cpu.regs;
+        r[27] = div_routine((pc - DIV_BASE) / 8, r[24], r[25]);
+        Some(r[23])
     }
 
-    /// Loads code, returning the entry address.
-    ///
-    /// # Errors
-    ///
-    /// [`MemError::OutOfRange`] if the image does not fit in simulated
-    /// memory.
-    pub fn load_code(&mut self, code: &[u8]) -> Result<u64, MemError> {
-        let at = (self.code_end as usize).div_ceil(16) * 16;
-        let end = at
-            .checked_add(code.len())
-            .filter(|&e| e <= self.mem.len())
-            .ok_or(MemError::OutOfRange {
-                addr: at as u64,
-                len: code.len(),
-                size: self.mem.len(),
-            })?;
-        self.mem[at..end].copy_from_slice(code);
-        self.code_end = end as u64;
-        Ok(at as u64)
+    fn enter(&mut self, sp: u64) {
+        self.regs[26] = HALT;
+        self.regs[30] = sp;
     }
 
-    /// Allocates simulated data memory.
-    ///
-    /// # Errors
-    ///
-    /// [`MemError::OutOfMemory`] when the request exhausts (or
-    /// arithmetically overflows) the heap region.
-    pub fn alloc(&mut self, size: usize, align: usize) -> Result<u64, MemError> {
-        let align = align.max(1);
-        let enomem = MemError::OutOfMemory {
-            requested: size,
-            align,
-        };
-        let at = (self.data_brk as usize)
-            .checked_next_multiple_of(align)
-            .ok_or(enomem)?;
-        let brk = at
-            .checked_add(size)
-            .filter(|&b| b < self.mem.len().saturating_sub(64 * 1024))
-            .ok_or(enomem)?;
-        self.data_brk = brk as u64;
-        Ok(at as u64)
+    /// `$a0`–`$a5`.
+    fn int_args(&mut self) -> &mut [u64] {
+        &mut self.regs[16..22]
     }
 
-    /// Writes into simulated memory.
-    ///
-    /// # Errors
-    ///
-    /// [`MemError::OutOfRange`] if the range is out of bounds.
-    pub fn write(&mut self, addr: u64, data: &[u8]) -> Result<(), MemError> {
-        host_range(&self.mem, addr, data.len())?;
-        self.mem[addr as usize..addr as usize + data.len()].copy_from_slice(data);
-        Ok(())
+    /// `$v0`.
+    fn int_result(&self) -> u64 {
+        self.regs[0]
     }
 
-    /// Reads back.
-    ///
-    /// # Errors
-    ///
-    /// [`MemError::OutOfRange`] if the range is out of bounds.
-    pub fn read(&self, addr: u64, len: usize) -> Result<&[u8], MemError> {
-        host_range(&self.mem, addr, len)?;
-        Ok(&self.mem[addr as usize..addr as usize + len])
-    }
-
-    /// Unified execution statistics (shared across all three simulators).
-    /// Alpha has no delay slots, so `delay_slot_fills` is always zero.
-    pub fn stats(&self) -> ExecStats {
-        merge_stats(&self.stats, self.dcache.as_ref())
-    }
-
-    /// Total simulated cycles: one per retired instruction (division
-    /// routines charge [`DIV_COST`]) plus cache stalls.
-    pub fn cycles(&self) -> u64 {
-        self.stats().cycles
-    }
-
-    /// Zeroes all execution counters (including cache hit/miss totals
-    /// and `div_calls`).
-    pub fn reset_stats(&mut self) {
-        self.stats = ExecStats::default();
-        self.div_calls = 0;
-        if let Some(c) = &mut self.dcache {
-            c.hits = 0;
-            c.misses = 0;
-        }
-    }
-
-    /// Installs a per-instruction trace callback (the §6.2 debugger
-    /// stand-in): each executed instruction streams a
-    /// [`TraceRecord`] with its disassembly and first register delta.
-    pub fn set_trace(&mut self, f: impl FnMut(&TraceRecord) + Send + 'static) {
-        self.trace = Some(Box::new(f));
-    }
-
-    /// Removes the trace callback.
-    pub fn clear_trace(&mut self) {
-        self.trace = None;
-    }
-
-    fn touch(&mut self, addr: u64, len: u64) {
-        if let Some(c) = &mut self.dcache {
-            c.access_span(addr, len);
-        }
-    }
-
-    /// Calls the function at `entry` with up to six integer arguments,
-    /// returning `$v0`.
-    ///
-    /// # Errors
-    ///
-    /// Any [`Trap`].
-    pub fn call(&mut self, entry: u64, args: &[u64], max_steps: u64) -> Result<u64, Trap> {
-        assert!(args.len() <= 6);
-        for (i, &v) in args.iter().enumerate() {
-            self.regs[16 + i] = v;
-        }
-        self.run(entry, max_steps)?;
-        Ok(self.regs[0])
-    }
-
-    /// Calls with doubles in `$f16`..., returning `$f0`.
-    ///
-    /// # Errors
-    ///
-    /// Any [`Trap`].
-    pub fn call_f64(&mut self, entry: u64, args: &[f64], max_steps: u64) -> Result<f64, Trap> {
+    /// `$f16`–`$f19`.
+    fn f64_args(&mut self, args: &[f64]) {
         assert!(args.len() <= 4);
         for (i, &v) in args.iter().enumerate() {
             self.fregs[16 + i] = v.to_bits();
         }
-        self.run(entry, max_steps)?;
-        Ok(f64::from_bits(self.fregs[0]))
     }
 
-    /// Runs until the return to [`HALT`].
-    ///
-    /// # Errors
-    ///
-    /// Any [`Trap`] raised during execution (also tallied in
-    /// [`stats`](Self::stats)).
-    pub fn run(&mut self, entry: u64, max_steps: u64) -> Result<(), Trap> {
-        let mut tracer = self.trace.take();
-        let r = self.run_loop(entry, max_steps, tracer.as_mut());
-        self.trace = tracer;
-        if let Err(t) = &r {
-            self.stats.traps.record(vcode::Trap::from(t.clone()).kind);
-        }
-        r
+    /// `$f0`.
+    fn f64_result(&self) -> f64 {
+        f64::from_bits(self.fregs[0])
     }
 
-    fn run_loop(
-        &mut self,
-        entry: u64,
-        max_steps: u64,
-        mut tracer: Option<&mut crate::TraceSink>,
-    ) -> Result<(), Trap> {
-        self.regs[26] = HALT;
-        self.regs[30] = (self.mem.len() - 256) as u64;
-        let mut pc = entry;
-        let mut steps = 0u64;
-        while pc != HALT {
-            if steps >= max_steps {
-                return Err(Trap::StepLimit);
-            }
-            steps += 1;
-            // Division support (paper §5.2's runtime routines): args in
-            // t10/t11, result in t12/pv, return through t9. Preserves
-            // everything else.
-            if (DIV_BASE..DIV_BASE + 0x40).contains(&pc) {
-                self.div_calls += 1;
-                self.stats.insns_retired += DIV_COST;
-                let a = self.regs[24];
-                let b = self.regs[25];
-                let idx = (pc - DIV_BASE) / 8;
-                self.regs[27] = div_routine(idx, a, b);
-                pc = self.regs[23];
-                continue;
-            }
-            if pc < CODE_BASE || pc >= self.code_end || pc & 3 != 0 {
-                return Err(Trap::BadPc(pc));
-            }
-            let word =
-                u32::from_le_bytes(self.mem[pc as usize..pc as usize + 4].try_into().unwrap());
-            let before = tracer.as_ref().map(|_| self.regs);
-            let next = self.step(pc, word)?;
-            if let (Some(t), Some(before)) = (tracer.as_mut(), before) {
-                let delta = before
-                    .iter()
-                    .zip(self.regs.iter())
-                    .enumerate()
-                    .find(|(_, (o, n))| o != n)
-                    .map(|(i, (&o, &n))| (i as u8, o, n));
-                t(&TraceRecord {
-                    pc,
-                    disasm: disasm(word),
-                    delta,
-                });
-            }
-            pc = next;
-        }
-        Ok(())
+    fn reg_view(&self) -> [u64; 32] {
+        self.regs
     }
 
+    fn disasm(word: u32) -> String {
+        disasm(word)
+    }
+}
+
+impl Machine {
     #[inline]
     fn get(&self, r: u8) -> u64 {
         if r == 31 {
             0
         } else {
-            self.regs[r as usize]
+            self.cpu.regs[r as usize]
         }
     }
 
     #[inline]
     fn set(&mut self, r: u8, v: u64) {
         if r != 31 {
-            self.regs[r as usize] = v;
+            self.cpu.regs[r as usize] = v;
         }
     }
 
@@ -341,58 +119,17 @@ impl Machine {
         if r == 31 {
             0
         } else {
-            self.fregs[r as usize]
+            self.cpu.fregs[r as usize]
         }
     }
 
     fn fset(&mut self, r: u8, v: u64) {
         if r != 31 {
-            self.fregs[r as usize] = v;
+            self.cpu.fregs[r as usize] = v;
         }
     }
 
-    fn ldq(&self, addr: u64) -> Result<u64, Trap> {
-        if addr & 7 != 0 {
-            return Err(Trap::Unaligned(addr));
-        }
-        let a = addr as usize;
-        let b = self.mem.get(a..a + 8).ok_or(Trap::BadAccess(addr))?;
-        Ok(u64::from_le_bytes(b.try_into().unwrap()))
-    }
-
-    fn stq(&mut self, addr: u64, v: u64) -> Result<(), Trap> {
-        if addr & 7 != 0 {
-            return Err(Trap::Unaligned(addr));
-        }
-        let a = addr as usize;
-        self.mem
-            .get_mut(a..a + 8)
-            .ok_or(Trap::BadAccess(addr))?
-            .copy_from_slice(&v.to_le_bytes());
-        Ok(())
-    }
-
-    fn ldl(&self, addr: u64) -> Result<u64, Trap> {
-        if addr & 3 != 0 {
-            return Err(Trap::Unaligned(addr));
-        }
-        let a = addr as usize;
-        let b = self.mem.get(a..a + 4).ok_or(Trap::BadAccess(addr))?;
-        Ok(u32::from_le_bytes(b.try_into().unwrap()) as i32 as i64 as u64)
-    }
-
-    fn stl(&mut self, addr: u64, v: u32) -> Result<(), Trap> {
-        if addr & 3 != 0 {
-            return Err(Trap::Unaligned(addr));
-        }
-        let a = addr as usize;
-        self.mem
-            .get_mut(a..a + 4)
-            .ok_or(Trap::BadAccess(addr))?
-            .copy_from_slice(&v.to_le_bytes());
-        Ok(())
-    }
-
+    #[inline]
     #[allow(clippy::too_many_lines)]
     fn step(&mut self, pc: u64, word: u32) -> Result<u64, Trap> {
         self.stats.insns_retired += 1;
@@ -400,7 +137,7 @@ impl Machine {
         let ra = ((word >> 21) & 31) as u8;
         let rb = ((word >> 16) & 31) as u8;
         let disp16 = word as u16 as i16;
-        let bad = || Trap::BadInsn { pc, word };
+        let bad = || Self::trap(TrapKind::IllegalInsn, pc);
         let mut next = pc + 4;
         match opcode {
             0x08 => {
@@ -417,7 +154,7 @@ impl Machine {
                 self.stats.loads += 1;
                 let addr = self.get(rb).wrapping_add(disp16 as i64 as u64) & !7;
                 self.touch(addr, 8);
-                let v = self.ldq(addr)?;
+                let v = u64::from_le_bytes(self.load(addr)?);
                 self.set(ra, v);
             }
             0x0f => {
@@ -426,20 +163,20 @@ impl Machine {
                 let addr = self.get(rb).wrapping_add(disp16 as i64 as u64) & !7;
                 self.touch(addr, 8);
                 let v = self.get(ra);
-                self.stq(addr, v)?;
+                self.store(addr, v.to_le_bytes())?;
             }
             0x28 => {
                 self.stats.loads += 1;
                 let addr = self.get(rb).wrapping_add(disp16 as i64 as u64);
                 self.touch(addr, 4);
-                let v = self.ldl(addr)?;
+                let v = u32::from_le_bytes(self.load(addr)?) as i32 as i64 as u64;
                 self.set(ra, v);
             }
             0x29 => {
                 self.stats.loads += 1;
                 let addr = self.get(rb).wrapping_add(disp16 as i64 as u64);
                 self.touch(addr, 8);
-                let v = self.ldq(addr)?;
+                let v = u64::from_le_bytes(self.load(addr)?);
                 self.set(ra, v);
             }
             0x2c => {
@@ -447,26 +184,21 @@ impl Machine {
                 let addr = self.get(rb).wrapping_add(disp16 as i64 as u64);
                 self.touch(addr, 4);
                 let v = self.get(ra);
-                self.stl(addr, v as u32)?;
+                self.store(addr, (v as u32).to_le_bytes())?;
             }
             0x2d => {
                 self.stats.stores += 1;
                 let addr = self.get(rb).wrapping_add(disp16 as i64 as u64);
                 self.touch(addr, 8);
                 let v = self.get(ra);
-                self.stq(addr, v)?;
+                self.store(addr, v.to_le_bytes())?;
             }
             0x22 => {
                 // lds: load S-format (f32), widen to T-format bits.
                 self.stats.loads += 1;
                 let addr = self.get(rb).wrapping_add(disp16 as i64 as u64);
                 self.touch(addr, 4);
-                if addr & 3 != 0 {
-                    return Err(Trap::Unaligned(addr));
-                }
-                let a = addr as usize;
-                let b4 = self.mem.get(a..a + 4).ok_or(Trap::BadAccess(addr))?;
-                let s = f32::from_bits(u32::from_le_bytes(b4.try_into().unwrap()));
+                let s = f32::from_bits(u32::from_le_bytes(self.load(addr)?));
                 self.fset(ra, f64::from(s).to_bits());
             }
             0x26 => {
@@ -475,13 +207,13 @@ impl Machine {
                 let addr = self.get(rb).wrapping_add(disp16 as i64 as u64);
                 self.touch(addr, 4);
                 let s = f64::from_bits(self.fget(ra)) as f32;
-                self.stl(addr, s.to_bits())?;
+                self.store(addr, s.to_bits().to_le_bytes())?;
             }
             0x23 => {
                 self.stats.loads += 1;
                 let addr = self.get(rb).wrapping_add(disp16 as i64 as u64);
                 self.touch(addr, 8);
-                let v = self.ldq(addr)?;
+                let v = u64::from_le_bytes(self.load(addr)?);
                 self.fset(ra, v);
             }
             0x27 => {
@@ -489,7 +221,7 @@ impl Machine {
                 let addr = self.get(rb).wrapping_add(disp16 as i64 as u64);
                 self.touch(addr, 8);
                 let v = self.fget(ra);
-                self.stq(addr, v)?;
+                self.store(addr, v.to_le_bytes())?;
             }
             0x10..=0x13 => {
                 let func = ((word >> 5) & 0x7f) as u8;
@@ -845,20 +577,11 @@ impl vcode::InsnDecoder for Decoder {
     }
 }
 
-/// Disassembles a whole code buffer.
-pub fn disasm_all(code: &[u8]) -> String {
-    code.chunks_exact(4)
-        .enumerate()
-        .map(|(i, w)| {
-            let word = u32::from_le_bytes(w.try_into().unwrap());
-            format!("{:4x}:  {}\n", i * 4, disasm(word))
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Cache;
+    use vcode::TraceRecord;
 
     // addl a0, 1, v0 (literal); ret (ra)
     fn plus1_code() -> Vec<u8> {
@@ -908,11 +631,11 @@ mod tests {
         let code: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
         let mut m = Machine::new(1 << 20);
         let entry = m.load_code(&code).unwrap();
-        m.regs[24] = (-20i64) as u64;
-        m.regs[25] = 3;
+        m.cpu.regs[24] = (-20i64) as u64;
+        m.cpu.regs[25] = 3;
         let r = m.call(entry, &[DIV_BASE], 100).unwrap();
         assert_eq!(r as i64, -6);
-        assert_eq!(m.div_calls, 1);
+        assert_eq!(m.cpu.div_calls, 1);
         assert!(m.stats().insns_retired >= DIV_COST);
     }
 
@@ -939,44 +662,20 @@ mod tests {
         let code: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
         let mut m = Machine::new(1 << 20);
         let entry = m.load_code(&code).unwrap();
-        assert!(matches!(m.call(entry, &[], 10), Err(Trap::BadInsn { .. })));
+        let t = m.call(entry, &[], 10).unwrap_err();
+        assert_eq!((t.kind, t.addr), (TrapKind::IllegalInsn, Some(entry)));
         // br self = infinite loop.
         let words = [(0x30u32 << 26) | (31 << 21) | ((-1i32 as u32) & 0x1f_ffff)];
         let code: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
         let entry = m.load_code(&code).unwrap();
-        assert_eq!(m.call(entry, &[], 100), Err(Trap::StepLimit));
+        assert_eq!(
+            m.call(entry, &[], 100),
+            Err(Trap::new(TrapKind::FuelExhausted, "alpha"))
+        );
         // Both failures landed in the unified trap tally.
         let s = m.stats();
         assert_eq!(s.traps.count(vcode::TrapKind::IllegalInsn), 1);
         assert_eq!(s.traps.count(vcode::TrapKind::FuelExhausted), 1);
-    }
-
-    #[test]
-    fn host_memory_apis_return_typed_errors() {
-        let mut m = Machine::new(1 << 20);
-        assert!(matches!(
-            m.write(u64::MAX - 3, &[1, 2, 3, 4]),
-            Err(MemError::OutOfRange { .. })
-        ));
-        assert!(matches!(
-            m.read(1 << 20, 1),
-            Err(MemError::OutOfRange { .. })
-        ));
-        let huge = vec![0u8; (1 << 20) + 1];
-        assert!(matches!(
-            m.load_code(&huge),
-            Err(MemError::OutOfRange { .. })
-        ));
-        assert!(matches!(
-            m.alloc(1 << 20, 8),
-            Err(MemError::OutOfMemory { .. })
-        ));
-        assert!(matches!(
-            m.alloc(usize::MAX - 4, 8),
-            Err(MemError::OutOfMemory { .. })
-        ));
-        let entry = m.load_code(&plus1_code()).unwrap();
-        assert_eq!(m.call(entry, &[1], 100).unwrap(), 2);
     }
 
     #[test]

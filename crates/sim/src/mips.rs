@@ -11,83 +11,15 @@
 //! following instruction before transferring control, and `jal`/`bal`
 //! link to the instruction after the delay slot.
 
-use crate::cache::Cache;
-use crate::{host_range, merge_stats, MemError};
-use std::fmt;
-use vcode::obs::{ExecStats, TraceRecord};
+use crate::{Isa, HALT};
+use vcode::{Trap, TrapKind};
 
-/// Base address code is loaded at.
-pub const CODE_BASE: u32 = 0x0000_1000;
-/// Return-address sentinel that stops execution.
-pub const HALT: u32 = 0xffff_fff0;
+/// The simulated MIPS-I machine.
+pub type Machine = crate::Machine<Cpu>;
 
-/// Why the simulator stopped abnormally.
-#[derive(Debug, Clone, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum Trap {
-    /// PC left the loaded code region.
-    BadPc(u32),
-    /// Memory access outside the machine's memory.
-    BadAccess(u32),
-    /// Unaligned word or halfword access.
-    Unaligned(u32),
-    /// Encoding the decoder does not recognize.
-    BadInsn {
-        /// Program counter of the instruction.
-        pc: u32,
-        /// The word.
-        word: u32,
-    },
-    /// Ran more than the step limit (runaway loop).
-    StepLimit,
-    /// The instruction after a load read the loaded register (MIPS-I
-    /// load-delay violation; only raised in strict mode).
-    LoadDelayViolation {
-        /// Program counter of the offending instruction.
-        pc: u32,
-        /// The register still in its load shadow.
-        reg: u8,
-    },
-}
-
-impl From<Trap> for vcode::Trap {
-    fn from(t: Trap) -> vcode::Trap {
-        use vcode::TrapKind;
-        let backend = "mips";
-        match t {
-            Trap::BadPc(pc) => vcode::Trap::at(TrapKind::BadPc, u64::from(pc), backend),
-            Trap::BadAccess(a) => vcode::Trap::at(TrapKind::BadAccess, u64::from(a), backend),
-            Trap::Unaligned(a) => vcode::Trap::at(TrapKind::Unaligned, u64::from(a), backend),
-            Trap::BadInsn { pc, .. } => {
-                vcode::Trap::at(TrapKind::IllegalInsn, u64::from(pc), backend)
-            }
-            Trap::StepLimit => vcode::Trap::new(TrapKind::FuelExhausted, backend),
-            Trap::LoadDelayViolation { pc, .. } => {
-                vcode::Trap::at(TrapKind::ScheduleHazard, u64::from(pc), backend)
-            }
-        }
-    }
-}
-
-impl fmt::Display for Trap {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Trap::BadPc(pc) => write!(f, "pc {pc:#x} outside code"),
-            Trap::BadAccess(a) => write!(f, "bad memory access at {a:#x}"),
-            Trap::Unaligned(a) => write!(f, "unaligned access at {a:#x}"),
-            Trap::BadInsn { pc, word } => write!(f, "bad instruction {word:#010x} at {pc:#x}"),
-            Trap::StepLimit => write!(f, "step limit exceeded"),
-            Trap::LoadDelayViolation { pc, reg } => {
-                write!(f, "load-delay violation at {pc:#x} on ${reg}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for Trap {}
-
-/// The simulated machine.
-pub struct Machine {
+/// The MIPS-I register file.
+#[derive(Debug, Clone, Default)]
+pub struct Cpu {
     /// General-purpose registers (`$0` is forced to zero).
     pub regs: [u32; 32],
     /// Floating-point registers (raw bits; doubles are even/odd pairs,
@@ -96,309 +28,72 @@ pub struct Machine {
     hi: u32,
     lo: u32,
     fcc: bool,
-    mem: Vec<u8>,
-    code_end: u32,
-    data_brk: u32,
-    /// Live execution counters (the shared observability type; cache
-    /// and cycle fields are merged in by [`stats`](Self::stats)).
-    stats: ExecStats,
-    /// Optional data-cache model; every load/store address is run
-    /// through it when attached.
-    pub dcache: Option<Cache>,
-    /// Raise [`Trap::LoadDelayViolation`] when generated code uses a
-    /// loaded value in the load shadow (validates `raw_load` clients).
+    /// Raise a [`TrapKind::ScheduleHazard`] trap when generated code
+    /// uses a loaded value in the load shadow (validates `raw_load`
+    /// clients).
     pub strict_load_delay: bool,
     load_shadow: Option<u8>,
-    trace: Option<crate::TraceSink>,
 }
 
-impl fmt::Debug for Machine {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("mips::Machine")
-            .field("mem_bytes", &self.mem.len())
-            .field("stats", &self.stats)
-            .finish()
-    }
-}
+impl Isa for Cpu {
+    type Word = u32;
+    const NAME: &'static str = "mips";
+    const CODE_BASE: u64 = 0x1000;
+    const CODE_ALIGN: usize = 8;
+    const MIN_MEM: usize = 64 * 1024;
+    const STACK_GAP: usize = 64;
+    const DELAY_SLOT_NOP: Option<u32> = Some(0);
 
-impl Machine {
-    /// Creates a machine with `mem_size` bytes of memory (power of two
-    /// recommended; at least 64 KiB).
-    pub fn new(mem_size: usize) -> Machine {
-        assert!(mem_size >= 64 * 1024);
-        Machine {
-            regs: [0; 32],
-            fregs: [0; 32],
-            hi: 0,
-            lo: 0,
-            fcc: false,
-            mem: vec![0; mem_size],
-            code_end: CODE_BASE,
-            data_brk: (mem_size / 2) as u32,
-            stats: ExecStats::default(),
-            dcache: None,
-            strict_load_delay: false,
-            load_shadow: None,
-            trace: None,
-        }
+    #[inline]
+    fn step(m: &mut Machine, pc: u64, word: u32, npc: u64) -> Result<u64, Trap> {
+        let npc = npc as u32;
+        let mut nnext = npc.wrapping_add(4);
+        m.step(pc as u32, word, npc, &mut nnext)?;
+        Ok(u64::from(nnext))
     }
 
-    /// Loads machine code, returning its entry address. Multiple loads
-    /// append (so generated functions can call one another by absolute
-    /// address).
-    ///
-    /// # Errors
-    ///
-    /// [`MemError::OutOfRange`] when the code does not fit in simulated
-    /// memory.
-    pub fn load_code(&mut self, code: &[u8]) -> Result<u32, MemError> {
-        let at = (self.code_end as usize).div_ceil(8) * 8;
-        let end = at
-            .checked_add(code.len())
-            .filter(|&e| e <= self.mem.len() && u32::try_from(e).is_ok())
-            .ok_or(MemError::OutOfRange {
-                addr: at as u64,
-                len: code.len(),
-                size: self.mem.len(),
-            })?;
-        self.mem[at..end].copy_from_slice(code);
-        self.code_end = end as u32;
-        Ok(at as u32)
+    fn enter(&mut self, sp: u64) {
+        self.regs[31] = HALT as u32;
+        self.regs[29] = sp as u32;
+        self.load_shadow = None;
     }
 
-    /// Allocates `size` bytes of simulated data memory.
-    ///
-    /// # Errors
-    ///
-    /// [`MemError::OutOfMemory`] when the request exhausts (or
-    /// arithmetically overflows) the simulated heap; 64 KiB are always
-    /// kept in reserve for the stack.
-    pub fn alloc(&mut self, size: usize, align: usize) -> Result<u32, MemError> {
-        let align = align.max(1);
-        let enomem = MemError::OutOfMemory {
-            requested: size,
-            align,
-        };
-        let at = (self.data_brk as usize)
-            .checked_next_multiple_of(align)
-            .ok_or(enomem)?;
-        let brk = at
-            .checked_add(size)
-            .filter(|&b| b < self.mem.len().saturating_sub(64 * 1024))
-            .ok_or(enomem)?;
-        self.data_brk = brk as u32;
-        Ok(at as u32)
+    /// `$a0`–`$a3`.
+    fn int_args(&mut self) -> &mut [u32] {
+        &mut self.regs[4..8]
     }
 
-    /// Copies bytes into simulated memory.
-    ///
-    /// # Errors
-    ///
-    /// [`MemError::OutOfRange`] when the range falls outside memory.
-    pub fn write(&mut self, addr: u32, data: &[u8]) -> Result<(), MemError> {
-        host_range(&self.mem, u64::from(addr), data.len())?;
-        self.mem[addr as usize..addr as usize + data.len()].copy_from_slice(data);
-        Ok(())
+    /// `$v0`.
+    fn int_result(&self) -> u32 {
+        self.regs[2]
     }
 
-    /// Reads bytes back out of simulated memory.
-    ///
-    /// # Errors
-    ///
-    /// [`MemError::OutOfRange`] when the range falls outside memory.
-    pub fn read(&self, addr: u32, len: usize) -> Result<&[u8], MemError> {
-        host_range(&self.mem, u64::from(addr), len)?;
-        Ok(&self.mem[addr as usize..addr as usize + len])
-    }
-
-    /// Total cycles under the simple model: one per instruction plus
-    /// data-cache stalls (when a cache is attached).
-    pub fn cycles(&self) -> u64 {
-        self.stats.insns_retired + self.dcache.as_ref().map_or(0, |c| c.stall_cycles())
-    }
-
-    /// The unified execution counters: live instruction/branch/trap
-    /// tallies merged with the attached data cache's hit/miss/stall
-    /// totals, `cycles` = instructions retired + cache stalls.
-    pub fn stats(&self) -> ExecStats {
-        merge_stats(&self.stats, self.dcache.as_ref())
-    }
-
-    /// Resets every execution counter (and the cache counters, keeping
-    /// cache contents) — for measuring a region rather than a lifetime.
-    pub fn reset_stats(&mut self) {
-        self.stats = ExecStats::default();
-        if let Some(c) = &mut self.dcache {
-            c.hits = 0;
-            c.misses = 0;
-        }
-    }
-
-    /// Installs a per-instruction trace callback (the opt-in §6.2
-    /// debugger stand-in): before control transfers, each executed
-    /// instruction is streamed as disassembly plus the first register
-    /// delta it caused. Costs nothing when unset.
-    pub fn set_trace(&mut self, f: impl FnMut(&TraceRecord) + Send + 'static) {
-        self.trace = Some(Box::new(f));
-    }
-
-    /// Removes the trace callback.
-    pub fn clear_trace(&mut self) {
-        self.trace = None;
-    }
-
-    fn lw_mem(&mut self, addr: u32) -> Result<u32, Trap> {
-        if addr & 3 != 0 {
-            return Err(Trap::Unaligned(addr));
-        }
-        let a = addr as usize;
-        let b = self.mem.get(a..a + 4).ok_or(Trap::BadAccess(addr))?;
-        Ok(u32::from_le_bytes(b.try_into().unwrap()))
-    }
-
-    fn sw_mem(&mut self, addr: u32, v: u32) -> Result<(), Trap> {
-        if addr & 3 != 0 {
-            return Err(Trap::Unaligned(addr));
-        }
-        let a = addr as usize;
-        self.mem
-            .get_mut(a..a + 4)
-            .ok_or(Trap::BadAccess(addr))?
-            .copy_from_slice(&v.to_le_bytes());
-        Ok(())
-    }
-
-    fn touch(&mut self, addr: u32, len: u32) {
-        if let Some(c) = &mut self.dcache {
-            c.access_span(u64::from(addr), u64::from(len));
-        }
-    }
-
-    /// Calls the function at `entry` with up to four integer arguments in
-    /// `$a0`–`$a3`, returning `$v0`.
-    ///
-    /// # Errors
-    ///
-    /// Any [`Trap`] raised during execution.
-    pub fn call(&mut self, entry: u32, args: &[u32], max_steps: u64) -> Result<u32, Trap> {
-        assert!(args.len() <= 4);
-        for (i, &v) in args.iter().enumerate() {
-            self.regs[4 + i] = v;
-        }
-        self.run(entry, max_steps)?;
-        Ok(self.regs[2])
-    }
-
-    /// Calls with double-precision arguments in `$f12`/`$f14`, returning
-    /// the double in `$f0`/`$f1`.
-    ///
-    /// # Errors
-    ///
-    /// Any [`Trap`] raised during execution.
-    pub fn call_f64(&mut self, entry: u32, args: &[f64], max_steps: u64) -> Result<f64, Trap> {
+    /// `$f12` and `$f14`.
+    fn f64_args(&mut self, args: &[f64]) {
         assert!(args.len() <= 2);
         for (i, &v) in args.iter().enumerate() {
-            let bits = v.to_bits();
-            self.fregs[12 + i * 2] = bits as u32;
-            self.fregs[12 + i * 2 + 1] = (bits >> 32) as u32;
-        }
-        self.run(entry, max_steps)?;
-        Ok(f64::from_bits(
-            (self.fregs[0] as u64) | ((self.fregs[1] as u64) << 32),
-        ))
-    }
-
-    /// Runs from `entry` until the return to [`HALT`].
-    ///
-    /// # Errors
-    ///
-    /// Any [`Trap`] raised during execution (also tallied in
-    /// [`stats`](Self::stats)).
-    pub fn run(&mut self, entry: u32, max_steps: u64) -> Result<(), Trap> {
-        let mut tracer = self.trace.take();
-        let r = self.run_loop(entry, max_steps, tracer.as_mut());
-        self.trace = tracer;
-        if let Err(t) = &r {
-            self.stats.traps.record(vcode::Trap::from(t.clone()).kind);
-        }
-        r
-    }
-
-    fn run_loop(
-        &mut self,
-        entry: u32,
-        max_steps: u64,
-        mut tracer: Option<&mut crate::TraceSink>,
-    ) -> Result<(), Trap> {
-        self.regs[31] = HALT;
-        self.regs[29] = (self.mem.len() - 64) as u32; // stack top
-        self.load_shadow = None;
-        let mut pc = entry;
-        let mut npc = entry.wrapping_add(4);
-        let mut steps = 0u64;
-        let mut in_taken_slot = false;
-        while pc != HALT {
-            if steps >= max_steps {
-                return Err(Trap::StepLimit);
-            }
-            steps += 1;
-            if pc < CODE_BASE || pc >= self.code_end || pc & 3 != 0 {
-                return Err(Trap::BadPc(pc));
-            }
-            let word =
-                u32::from_le_bytes(self.mem[pc as usize..pc as usize + 4].try_into().unwrap());
-            // A non-nop executing in the slot of a taken transfer is a
-            // filled delay slot (the §5.3 scheduling payoff).
-            if in_taken_slot && word != 0 {
-                self.stats.delay_slot_fills += 1;
-            }
-            let next = npc;
-            let mut nnext = npc.wrapping_add(4);
-            let before = tracer.as_ref().map(|_| self.regs);
-            self.step(pc, word, npc, &mut nnext)?;
-            if let (Some(t), Some(before)) = (tracer.as_mut(), before) {
-                let delta = before
-                    .iter()
-                    .zip(self.regs.iter())
-                    .enumerate()
-                    .find(|(_, (o, n))| o != n)
-                    .map(|(i, (&o, &n))| (i as u8, u64::from(o), u64::from(n)));
-                t(&TraceRecord {
-                    pc: u64::from(pc),
-                    disasm: disasm(word),
-                    delta,
-                });
-            }
-            in_taken_slot = nnext != npc.wrapping_add(4);
-            pc = next;
-            npc = nnext;
-        }
-        Ok(())
-    }
-
-    #[inline]
-    fn set(&mut self, r: u8, v: u32) {
-        if r != 0 {
-            self.regs[r as usize] = v;
+            self.set_fd(12 + 2 * i as u8, v);
         }
     }
 
-    #[inline]
-    fn get(&mut self, pc: u32, r: u8) -> Result<u32, Trap> {
-        if self.strict_load_delay {
-            if let Some(shadow) = self.load_shadow {
-                if shadow == r && r != 0 {
-                    return Err(Trap::LoadDelayViolation { pc, reg: r });
-                }
-            }
-        }
-        Ok(self.regs[r as usize])
+    /// `$f0`/`$f1`.
+    fn f64_result(&self) -> f64 {
+        self.fd(0)
     }
 
+    fn reg_view(&self) -> [u64; 32] {
+        self.regs.map(u64::from)
+    }
+
+    fn disasm(word: u32) -> String {
+        disasm(word)
+    }
+}
+
+impl Cpu {
     fn fd(&self, f: u8) -> f64 {
-        f64::from_bits(
-            (self.fregs[f as usize] as u64) | ((self.fregs[f as usize + 1] as u64) << 32),
-        )
+        let fr = &self.fregs;
+        f64::from_bits(u64::from(fr[f as usize]) | (u64::from(fr[f as usize + 1]) << 32))
     }
 
     fn set_fd(&mut self, f: u8, v: f64) {
@@ -414,7 +109,25 @@ impl Machine {
     fn set_fs(&mut self, f: u8, v: f32) {
         self.fregs[f as usize] = v.to_bits();
     }
+}
 
+impl Machine {
+    #[inline]
+    fn set(&mut self, r: u8, v: u32) {
+        if r != 0 {
+            self.cpu.regs[r as usize] = v;
+        }
+    }
+
+    #[inline]
+    fn get(&mut self, pc: u32, r: u8) -> Result<u32, Trap> {
+        if self.cpu.strict_load_delay && r != 0 && self.cpu.load_shadow == Some(r) {
+            return Err(Self::trap(TrapKind::ScheduleHazard, pc.into()));
+        }
+        Ok(self.cpu.regs[r as usize])
+    }
+
+    #[inline]
     #[allow(clippy::too_many_lines)]
     fn step(&mut self, pc: u32, word: u32, npc: u32, nnext: &mut u32) -> Result<(), Trap> {
         self.stats.insns_retired += 1;
@@ -426,11 +139,9 @@ impl Machine {
         let funct = (word & 63) as u8;
         let imm = word as u16;
         let simm = imm as i16 as i32;
-        let bad = || Trap::BadInsn { pc, word };
+        let bad = || Self::trap(TrapKind::IllegalInsn, pc.into());
         // The load shadow only covers the very next instruction.
-        let shadow = self.load_shadow.take();
         let mut new_shadow: Option<u8> = None;
-        self.load_shadow = shadow; // visible to get() during this insn
         match op {
             0x00 => {
                 // SPECIAL
@@ -452,31 +163,31 @@ impl Machine {
                         self.set(rd, npc.wrapping_add(4));
                         *nnext = a;
                     }
-                    0x10 => self.set(rd, self.hi),
-                    0x12 => self.set(rd, self.lo),
+                    0x10 => self.set(rd, self.cpu.hi),
+                    0x12 => self.set(rd, self.cpu.lo),
                     0x18 => {
                         let p = (a as i32 as i64) * (b as i32 as i64);
-                        self.lo = p as u32;
-                        self.hi = (p >> 32) as u32;
+                        self.cpu.lo = p as u32;
+                        self.cpu.hi = (p >> 32) as u32;
                     }
                     0x19 => {
                         let p = (a as u64) * (b as u64);
-                        self.lo = p as u32;
-                        self.hi = (p >> 32) as u32;
+                        self.cpu.lo = p as u32;
+                        self.cpu.hi = (p >> 32) as u32;
                     }
                     0x1a => {
                         let (x, y) = (a as i32, b as i32);
                         if y == 0 || (x == i32::MIN && y == -1) {
-                            self.lo = 0;
-                            self.hi = x as u32;
+                            self.cpu.lo = 0;
+                            self.cpu.hi = x as u32;
                         } else {
-                            self.lo = x.wrapping_div(y) as u32;
-                            self.hi = x.wrapping_rem(y) as u32;
+                            self.cpu.lo = x.wrapping_div(y) as u32;
+                            self.cpu.hi = x.wrapping_rem(y) as u32;
                         }
                     }
                     0x1b => {
-                        self.lo = a.checked_div(b).unwrap_or(0);
-                        self.hi = a.checked_rem(b).unwrap_or(a);
+                        self.cpu.lo = a.checked_div(b).unwrap_or(0);
+                        self.cpu.hi = a.checked_rem(b).unwrap_or(a);
                     }
                     0x21 => self.set(rd, a.wrapping_add(b)),
                     0x23 => self.set(rd, a.wrapping_sub(b)),
@@ -560,30 +271,11 @@ impl Machine {
                     },
                 );
                 let v = match op {
-                    0x20 => {
-                        let b = *self.mem.get(addr as usize).ok_or(Trap::BadAccess(addr))?;
-                        b as i8 as i32 as u32
-                    }
-                    0x24 => {
-                        let b = *self.mem.get(addr as usize).ok_or(Trap::BadAccess(addr))?;
-                        u32::from(b)
-                    }
-                    0x21 | 0x25 => {
-                        if addr & 1 != 0 {
-                            return Err(Trap::Unaligned(addr));
-                        }
-                        let b = self
-                            .mem
-                            .get(addr as usize..addr as usize + 2)
-                            .ok_or(Trap::BadAccess(addr))?;
-                        let h = u16::from_le_bytes(b.try_into().unwrap());
-                        if op == 0x21 {
-                            h as i16 as i32 as u32
-                        } else {
-                            u32::from(h)
-                        }
-                    }
-                    _ => self.lw_mem(addr)?,
+                    0x20 => self.load::<1>(addr)?[0] as i8 as i32 as u32,
+                    0x24 => u32::from(self.load::<1>(addr)?[0]),
+                    0x21 => u16::from_le_bytes(self.load(addr)?) as i16 as i32 as u32,
+                    0x25 => u32::from(u16::from_le_bytes(self.load(addr)?)),
+                    _ => u32::from_le_bytes(self.load(addr)?),
                 };
                 self.set(rt, v);
                 new_shadow = Some(rt);
@@ -594,24 +286,15 @@ impl Machine {
                 let addr = base.wrapping_add(simm as u32);
                 self.stats.stores += 1;
                 self.touch(addr, 1);
-                *self
-                    .mem
-                    .get_mut(addr as usize)
-                    .ok_or(Trap::BadAccess(addr))? = v as u8;
+                self.store(addr, [v as u8])?;
             }
             0x29 => {
                 let base = self.get(pc, rs)?;
                 let v = self.get(pc, rt)?;
                 let addr = base.wrapping_add(simm as u32);
-                if addr & 1 != 0 {
-                    return Err(Trap::Unaligned(addr));
-                }
                 self.stats.stores += 1;
                 self.touch(addr, 2);
-                self.mem
-                    .get_mut(addr as usize..addr as usize + 2)
-                    .ok_or(Trap::BadAccess(addr))?
-                    .copy_from_slice(&(v as u16).to_le_bytes());
+                self.store(addr, (v as u16).to_le_bytes())?;
             }
             0x2b => {
                 let base = self.get(pc, rs)?;
@@ -619,7 +302,7 @@ impl Machine {
                 let addr = base.wrapping_add(simm as u32);
                 self.stats.stores += 1;
                 self.touch(addr, 4);
-                self.sw_mem(addr, v)?;
+                self.store(addr, v.to_le_bytes())?;
             }
             0x31 => {
                 // lwc1
@@ -627,7 +310,7 @@ impl Machine {
                 let addr = base.wrapping_add(simm as u32);
                 self.stats.loads += 1;
                 self.touch(addr, 4);
-                self.fregs[rt as usize] = self.lw_mem(addr)?;
+                self.cpu.fregs[rt as usize] = u32::from_le_bytes(self.load(addr)?);
             }
             0x39 => {
                 // swc1
@@ -635,26 +318,26 @@ impl Machine {
                 let addr = base.wrapping_add(simm as u32);
                 self.stats.stores += 1;
                 self.touch(addr, 4);
-                self.sw_mem(addr, self.fregs[rt as usize])?;
+                self.store(addr, self.cpu.fregs[rt as usize].to_le_bytes())?;
             }
             0x11 => {
                 // COP1
                 match rs {
                     0x00 => {
                         // mfc1 rt, fs
-                        self.set(rt, self.fregs[rd as usize]);
+                        self.set(rt, self.cpu.fregs[rd as usize]);
                         new_shadow = Some(rt);
                     }
                     0x04 => {
                         // mtc1 rt, fs
                         let v = self.get(pc, rt)?;
-                        self.fregs[rd as usize] = v;
+                        self.cpu.fregs[rd as usize] = v;
                     }
                     0x08 => {
                         // bc1f/bc1t
                         self.stats.branches += 1;
                         let want = rt & 1 == 1;
-                        if self.fcc == want {
+                        if self.cpu.fcc == want {
                             *nnext = npc.wrapping_add((simm << 2) as u32);
                         }
                     }
@@ -664,84 +347,84 @@ impl Machine {
                         match funct {
                             0..=3 => {
                                 if dfmt {
-                                    let (x, y) = (self.fd(fs), self.fd(ft));
+                                    let (x, y) = (self.cpu.fd(fs), self.cpu.fd(ft));
                                     let r = match funct {
                                         0 => x + y,
                                         1 => x - y,
                                         2 => x * y,
                                         _ => x / y,
                                     };
-                                    self.set_fd(fdr, r);
+                                    self.cpu.set_fd(fdr, r);
                                 } else {
-                                    let (x, y) = (self.fs(fs), self.fs(ft));
+                                    let (x, y) = (self.cpu.fs(fs), self.cpu.fs(ft));
                                     let r = match funct {
                                         0 => x + y,
                                         1 => x - y,
                                         2 => x * y,
                                         _ => x / y,
                                     };
-                                    self.set_fs(fdr, r);
+                                    self.cpu.set_fs(fdr, r);
                                 }
                             }
                             5 => {
                                 if dfmt {
-                                    let v = self.fd(fs).abs();
-                                    self.set_fd(fdr, v);
+                                    let v = self.cpu.fd(fs).abs();
+                                    self.cpu.set_fd(fdr, v);
                                 } else {
-                                    let v = self.fs(fs).abs();
-                                    self.set_fs(fdr, v);
+                                    let v = self.cpu.fs(fs).abs();
+                                    self.cpu.set_fs(fdr, v);
                                 }
                             }
                             6 => {
                                 if dfmt {
-                                    let v = self.fd(fs);
-                                    self.set_fd(fdr, v);
+                                    let v = self.cpu.fd(fs);
+                                    self.cpu.set_fd(fdr, v);
                                 } else {
-                                    self.fregs[fdr as usize] = self.fregs[fs as usize];
+                                    self.cpu.fregs[fdr as usize] = self.cpu.fregs[fs as usize];
                                 }
                             }
                             7 => {
                                 if dfmt {
-                                    let v = -self.fd(fs);
-                                    self.set_fd(fdr, v);
+                                    let v = -self.cpu.fd(fs);
+                                    self.cpu.set_fd(fdr, v);
                                 } else {
-                                    let v = -self.fs(fs);
-                                    self.set_fs(fdr, v);
+                                    let v = -self.cpu.fs(fs);
+                                    self.cpu.set_fs(fdr, v);
                                 }
                             }
                             13 => {
                                 // trunc.w.fmt
                                 let v = if dfmt {
-                                    self.fd(fs) as i32
+                                    self.cpu.fd(fs) as i32
                                 } else {
-                                    self.fs(fs) as i32
+                                    self.cpu.fs(fs) as i32
                                 };
-                                self.fregs[fdr as usize] = v as u32;
+                                self.cpu.fregs[fdr as usize] = v as u32;
                             }
                             32 => {
                                 // cvt.s.fmt
                                 let v = if dfmt {
-                                    self.fd(fs) as f32
+                                    self.cpu.fd(fs) as f32
                                 } else {
                                     return Err(bad());
                                 };
-                                self.set_fs(fdr, v);
+                                self.cpu.set_fs(fdr, v);
                             }
                             33 => {
                                 // cvt.d.s
                                 if dfmt {
                                     return Err(bad());
                                 }
-                                let v = f64::from(self.fs(fs));
-                                self.set_fd(fdr, v);
+                                let v = f64::from(self.cpu.fs(fs));
+                                self.cpu.set_fd(fdr, v);
                             }
                             0x32 | 0x3c | 0x3e => {
                                 let (x, y) = if dfmt {
-                                    (self.fd(fs), self.fd(ft))
+                                    (self.cpu.fd(fs), self.cpu.fd(ft))
                                 } else {
-                                    (f64::from(self.fs(fs)), f64::from(self.fs(ft)))
+                                    (f64::from(self.cpu.fs(fs)), f64::from(self.cpu.fs(ft)))
                                 };
-                                self.fcc = match funct {
+                                self.cpu.fcc = match funct {
                                     0x32 => x == y,
                                     0x3c => x < y,
                                     _ => x <= y,
@@ -753,10 +436,10 @@ impl Machine {
                     20 => {
                         // fmt = W: cvt.s.w / cvt.d.w
                         let (fs, fdr) = (rd, shamt);
-                        let v = self.fregs[fs as usize] as i32;
+                        let v = self.cpu.fregs[fs as usize] as i32;
                         match funct {
-                            32 => self.set_fs(fdr, v as f32),
-                            33 => self.set_fd(fdr, f64::from(v)),
+                            32 => self.cpu.set_fs(fdr, v as f32),
+                            33 => self.cpu.set_fd(fdr, f64::from(v)),
                             _ => return Err(bad()),
                         }
                     }
@@ -765,7 +448,7 @@ impl Machine {
             }
             _ => return Err(bad()),
         }
-        self.load_shadow = new_shadow;
+        self.cpu.load_shadow = new_shadow;
         Ok(())
     }
 }
@@ -879,20 +562,11 @@ impl vcode::InsnDecoder for Decoder {
     }
 }
 
-/// Disassembles a code buffer, one line per word.
-pub fn disasm_all(code: &[u8]) -> String {
-    code.chunks_exact(4)
-        .enumerate()
-        .map(|(i, w)| {
-            let word = u32::from_le_bytes(w.try_into().unwrap());
-            format!("{:4x}:  {}\n", i * 4, disasm(word))
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Cache;
+    use vcode::TraceRecord;
 
     /// Hand-assembled: addiu a0, a0, 1; or v0, a0, $0; jr ra; nop.
     const PLUS1: [u32; 4] = [0x2484_0001, 0x0080_1025, 0x03e0_0008, 0x0000_0000];
@@ -944,8 +618,12 @@ mod tests {
         let mut m = Machine::new(1 << 20);
         let entry = m.load_code(&code_bytes(&code)).unwrap();
         let _ = m.run(entry, 20);
-        assert_eq!(m.regs[31], entry + 8, "bal links to after its delay slot");
-        assert_eq!(m.regs[2], 9, "fell through to the target block");
+        assert_eq!(
+            m.cpu.regs[31],
+            entry + 8,
+            "bal links to after its delay slot"
+        );
+        assert_eq!(m.cpu.regs[2], 9, "fell through to the target block");
     }
 
     #[test]
@@ -960,13 +638,11 @@ mod tests {
         // Unaligned.
         assert_eq!(
             m.call(entry, &[addr + 1], 100),
-            Err(Trap::Unaligned(addr + 1))
+            Err(Trap::at(TrapKind::Unaligned, u64::from(addr) + 1, "mips"))
         );
         // Out of range.
-        assert!(matches!(
-            m.call(entry, &[0xfff_fff0], 100),
-            Err(Trap::BadAccess(_))
-        ));
+        let t = m.call(entry, &[0xfff_fff0], 100).unwrap_err();
+        assert_eq!(t.kind, TrapKind::BadAccess);
     }
 
     #[test]
@@ -974,13 +650,14 @@ mod tests {
         // lw v0, 0(a0); addu v0, v0, v0 (uses v0 in the shadow!)
         let code = [0x8c82_0000u32, 0x0042_1021, 0x03e0_0008, 0];
         let mut m = Machine::new(1 << 20);
-        m.strict_load_delay = true;
+        m.cpu.strict_load_delay = true;
         let entry = m.load_code(&code_bytes(&code)).unwrap();
         let addr = m.alloc(8, 8).unwrap();
-        assert!(matches!(
-            m.call(entry, &[addr], 100),
-            Err(Trap::LoadDelayViolation { .. })
-        ));
+        let t = m.call(entry, &[addr], 100).unwrap_err();
+        assert_eq!(
+            t,
+            Trap::at(TrapKind::ScheduleHazard, u64::from(entry) + 4, "mips")
+        );
         // With a nop between, fine.
         let code = [0x8c82_0000u32, 0, 0x0042_1021, 0x03e0_0008, 0];
         let entry = m.load_code(&code_bytes(&code)).unwrap();
@@ -993,7 +670,10 @@ mod tests {
         let code = [0x1000_ffffu32, 0];
         let mut m = Machine::new(1 << 20);
         let entry = m.load_code(&code_bytes(&code)).unwrap();
-        assert_eq!(m.call(entry, &[], 1000), Err(Trap::StepLimit));
+        assert_eq!(
+            m.call(entry, &[], 1000),
+            Err(Trap::new(TrapKind::FuelExhausted, "mips"))
+        );
     }
 
     #[test]
@@ -1001,7 +681,11 @@ mod tests {
         let code = [0xffff_ffffu32];
         let mut m = Machine::new(1 << 20);
         let entry = m.load_code(&code_bytes(&code)).unwrap();
-        assert!(matches!(m.call(entry, &[], 10), Err(Trap::BadInsn { .. })));
+        let t = m.call(entry, &[], 10).unwrap_err();
+        assert_eq!(
+            (t.kind, t.addr),
+            (TrapKind::IllegalInsn, Some(u64::from(entry)))
+        );
     }
 
     #[test]
@@ -1009,7 +693,7 @@ mod tests {
         assert_eq!(disasm(0x2484_0001), "addiu $4, $4, 1");
         assert_eq!(disasm(0x03e0_0008), "jr $31");
         assert_eq!(disasm(0), "nop");
-        assert!(disasm_all(&code_bytes(&PLUS1)).contains("addiu"));
+        assert!(Machine::disasm_all(&code_bytes(&PLUS1)).contains("addiu"));
     }
 
     #[test]
@@ -1029,38 +713,6 @@ mod tests {
         assert_eq!((s.cache_hits, s.cache_misses), (1, 1));
         assert_eq!(s.cycles, m.cycles());
         assert_eq!(s.cache_stall_cycles, 10);
-    }
-
-    #[test]
-    fn host_memory_apis_return_typed_errors() {
-        let mut m = Machine::new(1 << 20);
-        // Out-of-range write/read.
-        assert!(matches!(
-            m.write(u32::MAX - 3, &[1, 2, 3, 4]),
-            Err(MemError::OutOfRange { .. })
-        ));
-        assert!(matches!(
-            m.read(1 << 20, 1),
-            Err(MemError::OutOfRange { .. })
-        ));
-        // Oversized code image.
-        let huge = vec![0u8; (1 << 20) + 1];
-        assert!(matches!(
-            m.load_code(&huge),
-            Err(MemError::OutOfRange { .. })
-        ));
-        // Heap exhaustion and `at + size` overflow are both typed.
-        assert!(matches!(
-            m.alloc(1 << 20, 8),
-            Err(MemError::OutOfMemory { .. })
-        ));
-        assert!(matches!(
-            m.alloc(usize::MAX - 4, 8),
-            Err(MemError::OutOfMemory { .. })
-        ));
-        // The machine is still usable afterwards.
-        let entry = m.load_code(&code_bytes(&PLUS1)).unwrap();
-        assert_eq!(m.call(entry, &[1], 100).unwrap(), 2);
     }
 
     #[test]

@@ -5,79 +5,21 @@
 //! feeding 64/32 division, the FP condition flag with its
 //! one-instruction separation, and branch delay slots.
 
-use crate::{host_range, merge_stats, Cache, MemError};
-use std::fmt;
-use vcode::obs::{ExecStats, TraceRecord};
+use crate::{Isa, HALT};
+use vcode::{Trap, TrapKind};
 
-/// Base address code is loaded at.
-pub const CODE_BASE: u32 = 0x0000_1000;
-/// Return sentinel (`jmpl %i7+8` with `%i7 = HALT - 8` stops the run).
-pub const HALT: u32 = 0xffff_fff0;
+/// The simulated SPARC V8 machine.
+pub type Machine = crate::Machine<Cpu>;
 
 /// The SPARC `nop` encoding (`sethi 0, %g0`) — a delay slot holding
 /// anything else counts as filled.
 const NOP: u32 = 0x0100_0000;
 
-/// Abnormal stop.
-#[derive(Debug, Clone, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum Trap {
-    /// PC left the code.
-    BadPc(u32),
-    /// Out-of-range access.
-    BadAccess(u32),
-    /// Misaligned access.
-    Unaligned(u32),
-    /// Unknown encoding.
-    BadInsn {
-        /// PC.
-        pc: u32,
-        /// Word.
-        word: u32,
-    },
-    /// Step limit.
-    StepLimit,
-    /// Register-window over/underflow (recursion deeper than the
-    /// simulated window file; real systems trap to a spill handler).
-    WindowOverflow,
-}
-
-impl From<Trap> for vcode::Trap {
-    fn from(t: Trap) -> vcode::Trap {
-        use vcode::TrapKind;
-        let backend = "sparc";
-        match t {
-            Trap::BadPc(pc) => vcode::Trap::at(TrapKind::BadPc, u64::from(pc), backend),
-            Trap::BadAccess(a) => vcode::Trap::at(TrapKind::BadAccess, u64::from(a), backend),
-            Trap::Unaligned(a) => vcode::Trap::at(TrapKind::Unaligned, u64::from(a), backend),
-            Trap::BadInsn { pc, .. } => {
-                vcode::Trap::at(TrapKind::IllegalInsn, u64::from(pc), backend)
-            }
-            Trap::StepLimit => vcode::Trap::new(TrapKind::FuelExhausted, backend),
-            Trap::WindowOverflow => vcode::Trap::new(TrapKind::ScheduleHazard, backend),
-        }
-    }
-}
-
-impl fmt::Display for Trap {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Trap::BadPc(pc) => write!(f, "pc {pc:#x} outside code"),
-            Trap::BadAccess(a) => write!(f, "bad access at {a:#x}"),
-            Trap::Unaligned(a) => write!(f, "unaligned access at {a:#x}"),
-            Trap::BadInsn { pc, word } => write!(f, "bad instruction {word:#010x} at {pc:#x}"),
-            Trap::StepLimit => write!(f, "step limit exceeded"),
-            Trap::WindowOverflow => write!(f, "register window over/underflow"),
-        }
-    }
-}
-
-impl std::error::Error for Trap {}
-
 const WINDOWS: usize = 512;
 
-/// The simulated machine.
-pub struct Machine {
+/// The SPARC V8 register file.
+#[derive(Debug, Clone)]
+pub struct Cpu {
     globals: [u32; 8],
     /// Per-window out registers; window `p`'s `%i` are window `p+1`'s
     /// outs.
@@ -95,29 +37,11 @@ pub struct Machine {
     c: bool,
     /// FP compare result: 0 =, 1 <, 2 >, 3 unordered.
     fcc: u8,
-    mem: Vec<u8>,
-    code_end: u32,
-    data_brk: u32,
-    stats: ExecStats,
-    /// Optional data-cache model; hits/misses/stalls fold into
-    /// [`stats`](Self::stats).
-    pub dcache: Option<Cache>,
-    trace: Option<crate::TraceSink>,
 }
 
-impl fmt::Debug for Machine {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("sparc::Machine")
-            .field("stats", &self.stats)
-            .finish()
-    }
-}
-
-impl Machine {
-    /// Creates a machine with `mem_size` bytes of memory.
-    pub fn new(mem_size: usize) -> Machine {
-        assert!(mem_size >= 64 * 1024);
-        Machine {
+impl Default for Cpu {
+    fn default() -> Cpu {
+        Cpu {
             globals: [0; 8],
             outs: vec![[0; 8]; WINDOWS],
             locals: vec![[0; 8]; WINDOWS],
@@ -129,124 +53,68 @@ impl Machine {
             v: false,
             c: false,
             fcc: 0,
-            mem: vec![0; mem_size],
-            code_end: CODE_BASE,
-            data_brk: (mem_size / 2) as u32,
-            stats: ExecStats::default(),
-            dcache: None,
-            trace: None,
+        }
+    }
+}
+
+impl Isa for Cpu {
+    type Word = u32;
+    const NAME: &'static str = "sparc";
+    const CODE_BASE: u64 = 0x1000;
+    const CODE_ALIGN: usize = 8;
+    const MIN_MEM: usize = 64 * 1024;
+    const STACK_GAP: usize = 256;
+    const DELAY_SLOT_NOP: Option<u32> = Some(NOP);
+
+    #[inline]
+    fn step(m: &mut Machine, pc: u64, word: u32, npc: u64) -> Result<u64, Trap> {
+        let npc = npc as u32;
+        let mut nnext = npc.wrapping_add(4);
+        m.step(pc as u32, word, npc, &mut nnext)?;
+        Ok(u64::from(nnext))
+    }
+
+    /// `%o7 = HALT - 8`, so the callee's `ret` (`jmpl %i7+8`) lands on
+    /// [`HALT`].
+    fn enter(&mut self, sp: u64) {
+        self.outs[self.p][7] = (HALT as u32).wrapping_sub(8);
+        self.outs[self.p][6] = sp as u32;
+    }
+
+    /// `%o0`–`%o5`, the callee's `%i` after its `save`.
+    fn int_args(&mut self) -> &mut [u32] {
+        &mut self.outs[self.p][..6]
+    }
+
+    /// `%o0`.
+    fn int_result(&self) -> u32 {
+        self.outs[self.p][0]
+    }
+
+    /// `%f2`/`%f3` and `%f4`/`%f5`.
+    fn f64_args(&mut self, args: &[f64]) {
+        assert!(args.len() <= 2);
+        for (i, &v) in args.iter().enumerate() {
+            self.set_fd(2 + 2 * i as u8, v);
         }
     }
 
-    /// Loads code; returns the entry address.
-    ///
-    /// # Errors
-    ///
-    /// [`MemError::OutOfRange`] if the image does not fit in simulated
-    /// memory.
-    pub fn load_code(&mut self, code: &[u8]) -> Result<u32, MemError> {
-        let at = (self.code_end as usize).div_ceil(8) * 8;
-        let end = at
-            .checked_add(code.len())
-            .filter(|&e| e <= self.mem.len() && u32::try_from(e).is_ok())
-            .ok_or(MemError::OutOfRange {
-                addr: at as u64,
-                len: code.len(),
-                size: self.mem.len(),
-            })?;
-        self.mem[at..end].copy_from_slice(code);
-        self.code_end = end as u32;
-        Ok(at as u32)
+    /// `%f0`/`%f1`.
+    fn f64_result(&self) -> f64 {
+        self.fd(0)
     }
 
-    /// Allocates simulated data memory.
-    ///
-    /// # Errors
-    ///
-    /// [`MemError::OutOfMemory`] when the request exhausts (or
-    /// arithmetically overflows) the heap region.
-    pub fn alloc(&mut self, size: usize, align: usize) -> Result<u32, MemError> {
-        let align = align.max(1);
-        let enomem = MemError::OutOfMemory {
-            requested: size,
-            align,
-        };
-        let at = (self.data_brk as usize)
-            .checked_next_multiple_of(align)
-            .ok_or(enomem)?;
-        let brk = at
-            .checked_add(size)
-            .filter(|&b| b < self.mem.len().saturating_sub(64 * 1024))
-            .ok_or(enomem)?;
-        self.data_brk = brk as u32;
-        Ok(at as u32)
+    /// The current window's `%g`, `%o`, `%l` and `%i`.
+    fn reg_view(&self) -> [u64; 32] {
+        std::array::from_fn(|i| u64::from(self.get(i as u8)))
     }
 
-    /// Writes bytes into simulated memory.
-    ///
-    /// # Errors
-    ///
-    /// [`MemError::OutOfRange`] if the range is out of bounds.
-    pub fn write(&mut self, addr: u32, data: &[u8]) -> Result<(), MemError> {
-        host_range(&self.mem, u64::from(addr), data.len())?;
-        self.mem[addr as usize..addr as usize + data.len()].copy_from_slice(data);
-        Ok(())
+    fn disasm(word: u32) -> String {
+        disasm(word)
     }
+}
 
-    /// Reads bytes back.
-    ///
-    /// # Errors
-    ///
-    /// [`MemError::OutOfRange`] if the range is out of bounds.
-    pub fn read(&self, addr: u32, len: usize) -> Result<&[u8], MemError> {
-        host_range(&self.mem, u64::from(addr), len)?;
-        Ok(&self.mem[addr as usize..addr as usize + len])
-    }
-
-    /// Unified execution statistics (shared across all three simulators).
-    pub fn stats(&self) -> ExecStats {
-        merge_stats(&self.stats, self.dcache.as_ref())
-    }
-
-    /// Total simulated cycles: one per retired instruction plus cache
-    /// stalls.
-    pub fn cycles(&self) -> u64 {
-        self.stats().cycles
-    }
-
-    /// Zeroes all execution counters (including cache hit/miss totals).
-    pub fn reset_stats(&mut self) {
-        self.stats = ExecStats::default();
-        if let Some(c) = &mut self.dcache {
-            c.hits = 0;
-            c.misses = 0;
-        }
-    }
-
-    /// Installs a per-instruction trace callback (the §6.2 debugger
-    /// stand-in): each executed instruction streams a
-    /// [`TraceRecord`] with its disassembly and first register delta.
-    pub fn set_trace(&mut self, f: impl FnMut(&TraceRecord) + Send + 'static) {
-        self.trace = Some(Box::new(f));
-    }
-
-    /// Removes the trace callback.
-    pub fn clear_trace(&mut self) {
-        self.trace = None;
-    }
-
-    fn touch(&mut self, addr: u32, len: u32) {
-        if let Some(c) = &mut self.dcache {
-            c.access_span(u64::from(addr), u64::from(len));
-        }
-    }
-
-    /// Current-window view of the 32 integer registers (`%g`, `%o`,
-    /// `%l`, `%i`), as the executing instruction names them.
-    fn reg_snapshot(&self) -> [u32; 32] {
-        std::array::from_fn(|i| self.get(i as u8))
-    }
-
+impl Cpu {
     fn get(&self, r: u8) -> u32 {
         match r {
             0 => 0,
@@ -283,105 +151,6 @@ impl Machine {
         f32::from_bits(self.fregs[f as usize])
     }
 
-    /// Calls the code at `entry` with integer arguments in `%o0`–`%o5`
-    /// (the callee's `%i` after its `save`), returning `%o0`.
-    ///
-    /// # Errors
-    ///
-    /// Any [`Trap`].
-    pub fn call(&mut self, entry: u32, args: &[u32], max_steps: u64) -> Result<u32, Trap> {
-        assert!(args.len() <= 6);
-        for (i, &v) in args.iter().enumerate() {
-            self.outs[self.p][i] = v;
-        }
-        self.run(entry, max_steps)?;
-        Ok(self.outs[self.p][0])
-    }
-
-    /// Calls with double arguments in `%f2`/`%f4` pairs, returning
-    /// `%f0:%f1`.
-    ///
-    /// # Errors
-    ///
-    /// Any [`Trap`].
-    pub fn call_f64(&mut self, entry: u32, args: &[f64], max_steps: u64) -> Result<f64, Trap> {
-        assert!(args.len() <= 2);
-        for (i, &v) in args.iter().enumerate() {
-            let b = v.to_bits();
-            self.fregs[2 + i * 2] = b as u32;
-            self.fregs[3 + i * 2] = (b >> 32) as u32;
-        }
-        self.run(entry, max_steps)?;
-        Ok(self.fd(0))
-    }
-
-    /// Runs until return to [`HALT`].
-    ///
-    /// # Errors
-    ///
-    /// Any [`Trap`] raised during execution (also tallied in
-    /// [`stats`](Self::stats)).
-    pub fn run(&mut self, entry: u32, max_steps: u64) -> Result<(), Trap> {
-        let mut tracer = self.trace.take();
-        let r = self.run_loop(entry, max_steps, tracer.as_mut());
-        self.trace = tracer;
-        if let Err(t) = &r {
-            self.stats.traps.record(vcode::Trap::from(t.clone()).kind);
-        }
-        r
-    }
-
-    fn run_loop(
-        &mut self,
-        entry: u32,
-        max_steps: u64,
-        mut tracer: Option<&mut crate::TraceSink>,
-    ) -> Result<(), Trap> {
-        // %o7 = HALT - 8 so the callee's `ret` (jmpl %i7+8) lands on HALT.
-        self.outs[self.p][7] = HALT.wrapping_sub(8);
-        self.outs[self.p][6] = (self.mem.len() - 256) as u32; // %sp
-        let mut pc = entry;
-        let mut npc = entry.wrapping_add(4);
-        let mut steps = 0u64;
-        let mut in_taken_slot = false;
-        while pc != HALT {
-            if steps >= max_steps {
-                return Err(Trap::StepLimit);
-            }
-            steps += 1;
-            if pc < CODE_BASE || pc >= self.code_end || pc & 3 != 0 {
-                return Err(Trap::BadPc(pc));
-            }
-            let word =
-                u32::from_le_bytes(self.mem[pc as usize..pc as usize + 4].try_into().unwrap());
-            if in_taken_slot && word != NOP {
-                self.stats.delay_slot_fills += 1;
-            }
-            let next = npc;
-            let mut nnext = npc.wrapping_add(4);
-            let before = tracer.as_ref().map(|_| self.reg_snapshot());
-            self.step(pc, word, npc, &mut nnext)?;
-            if let (Some(t), Some(before)) = (tracer.as_mut(), before) {
-                let after = self.reg_snapshot();
-                let delta = before
-                    .iter()
-                    .zip(after.iter())
-                    .enumerate()
-                    .find(|(_, (o, n))| o != n)
-                    .map(|(i, (&o, &n))| (i as u8, u64::from(o), u64::from(n)));
-                t(&TraceRecord {
-                    pc: u64::from(pc),
-                    disasm: disasm(word),
-                    delta,
-                });
-            }
-            in_taken_slot = nnext != npc.wrapping_add(4);
-            pc = next;
-            npc = nnext;
-        }
-        Ok(())
-    }
-
     fn mem_addr(&self, rs1: u8, word: u32) -> u32 {
         let base = self.get(rs1);
         if word & (1 << 13) != 0 {
@@ -390,27 +159,6 @@ impl Machine {
         } else {
             base.wrapping_add(self.get((word & 31) as u8))
         }
-    }
-
-    fn ld32(&self, addr: u32) -> Result<u32, Trap> {
-        if addr & 3 != 0 {
-            return Err(Trap::Unaligned(addr));
-        }
-        let a = addr as usize;
-        let b = self.mem.get(a..a + 4).ok_or(Trap::BadAccess(addr))?;
-        Ok(u32::from_le_bytes(b.try_into().unwrap()))
-    }
-
-    fn st32(&mut self, addr: u32, v: u32) -> Result<(), Trap> {
-        if addr & 3 != 0 {
-            return Err(Trap::Unaligned(addr));
-        }
-        let a = addr as usize;
-        self.mem
-            .get_mut(a..a + 4)
-            .ok_or(Trap::BadAccess(addr))?
-            .copy_from_slice(&v.to_le_bytes());
-        Ok(())
     }
 
     fn icc_taken(&self, cond: u8) -> bool {
@@ -450,241 +198,8 @@ impl Machine {
         }
     }
 
-    #[allow(clippy::too_many_lines)]
-    fn step(&mut self, pc: u32, word: u32, npc: u32, nnext: &mut u32) -> Result<(), Trap> {
-        self.stats.insns_retired += 1;
-        let op = word >> 30;
-        let rd = ((word >> 25) & 31) as u8;
-        let bad = || Trap::BadInsn { pc, word };
-        match op {
-            0 => {
-                // Branches / sethi.
-                let op2 = (word >> 22) & 7;
-                match op2 {
-                    4 => self.set(rd, (word & 0x3f_ffff) << 10),
-                    2 | 6 => {
-                        self.stats.branches += 1;
-                        let cond = ((word >> 25) & 0xf) as u8;
-                        let taken = if op2 == 2 {
-                            self.icc_taken(cond)
-                        } else {
-                            self.fcc_taken(cond)
-                        };
-                        if taken {
-                            let disp = ((word & 0x3f_ffff) as i32) << 10 >> 10;
-                            *nnext = pc.wrapping_add((disp << 2) as u32);
-                        }
-                    }
-                    _ => return Err(bad()),
-                }
-            }
-            1 => {
-                // call disp30.
-                self.stats.branches += 1;
-                self.set(15, pc); // %o7
-                let disp = (word as i32) << 2 >> 2;
-                *nnext = pc.wrapping_add((disp << 2) as u32);
-            }
-            2 => {
-                let op3 = ((word >> 19) & 0x3f) as u8;
-                let rs1 = ((word >> 14) & 31) as u8;
-                let operand2 = if word & (1 << 13) != 0 {
-                    (((word & 0x1fff) as i32) << 19 >> 19) as u32
-                } else {
-                    self.get((word & 31) as u8)
-                };
-                let a = self.get(rs1);
-                match op3 {
-                    0x00 => self.set(rd, a.wrapping_add(operand2)),
-                    0x01 => self.set(rd, a & operand2),
-                    0x02 => self.set(rd, a | operand2),
-                    0x03 => self.set(rd, a ^ operand2),
-                    0x04 => self.set(rd, a.wrapping_sub(operand2)),
-                    0x07 => self.set(rd, !(a ^ operand2)),
-                    0x08 => self.set(rd, a.wrapping_add(operand2).wrapping_add(self.c as u32)),
-                    0x0a => {
-                        let p = u64::from(a) * u64::from(operand2);
-                        self.y = (p >> 32) as u32;
-                        self.set(rd, p as u32);
-                    }
-                    0x0b => {
-                        let p = i64::from(a as i32) * i64::from(operand2 as i32);
-                        self.y = (p >> 32) as u32;
-                        self.set(rd, p as u32);
-                    }
-                    0x0e => {
-                        let dividend = (u64::from(self.y) << 32) | u64::from(a);
-                        let q = if operand2 == 0 {
-                            0
-                        } else {
-                            dividend / u64::from(operand2)
-                        };
-                        self.set(rd, q as u32);
-                    }
-                    0x0f => {
-                        let dividend = ((u64::from(self.y) << 32) | u64::from(a)) as i64;
-                        let d = operand2 as i32;
-                        let q = if d == 0 {
-                            0
-                        } else {
-                            dividend.wrapping_div(i64::from(d))
-                        };
-                        self.set(rd, q as u32);
-                    }
-                    0x14 => {
-                        // subcc
-                        let r = a.wrapping_sub(operand2);
-                        self.n = (r as i32) < 0;
-                        self.z = r == 0;
-                        self.c = a < operand2;
-                        self.v = ((a ^ operand2) & (a ^ r)) >> 31 != 0;
-                        self.set(rd, r);
-                    }
-                    0x25 => self.set(rd, a.wrapping_shl(operand2 & 31)),
-                    0x26 => self.set(rd, a.wrapping_shr(operand2 & 31)),
-                    0x27 => self.set(rd, ((a as i32).wrapping_shr(operand2 & 31)) as u32),
-                    0x28 => self.set(rd, self.y),
-                    0x30 => self.y = a ^ operand2,
-                    0x34 => {
-                        // FPop1.
-                        let opf = ((word >> 5) & 0x1ff) as u16;
-                        let fs1 = rs1;
-                        let fs2 = (word & 31) as u8;
-                        self.fpop1(opf, rd, fs1, fs2).ok_or_else(bad)?;
-                    }
-                    0x35 => {
-                        let opf = ((word >> 5) & 0x1ff) as u16;
-                        let fs2 = (word & 31) as u8;
-                        match opf {
-                            0x051 => {
-                                let (x, y) = (f64::from(self.fs(rs1)), f64::from(self.fs(fs2)));
-                                self.fcc = cmp_fcc(x, y);
-                            }
-                            0x052 => {
-                                let (x, y) = (self.fd(rs1), self.fd(fs2));
-                                self.fcc = cmp_fcc(x, y);
-                            }
-                            _ => return Err(bad()),
-                        }
-                    }
-                    0x38 => {
-                        // jmpl: rd = pc, jump to rs1 + operand2.
-                        self.stats.branches += 1;
-                        let target = a.wrapping_add(operand2);
-                        self.set(rd, pc);
-                        *nnext = target;
-                    }
-                    0x3c => {
-                        // save: compute in the old window, then shift.
-                        let nsp = a.wrapping_add(operand2);
-                        if self.p == 0 {
-                            return Err(Trap::WindowOverflow);
-                        }
-                        self.p -= 1;
-                        self.set(rd, nsp);
-                    }
-                    0x3d => {
-                        // restore.
-                        let val = a.wrapping_add(operand2);
-                        if self.p + 2 >= WINDOWS {
-                            return Err(Trap::WindowOverflow);
-                        }
-                        self.p += 1;
-                        self.set(rd, val);
-                    }
-                    _ => return Err(bad()),
-                }
-                let _ = npc;
-            }
-            _ => {
-                // Memory.
-                let op3 = ((word >> 19) & 0x3f) as u8;
-                let rs1 = ((word >> 14) & 31) as u8;
-                let addr = self.mem_addr(rs1, word);
-                match op3 {
-                    0x00 => {
-                        self.stats.loads += 1;
-                        self.touch(addr, 4);
-                        let v = self.ld32(addr)?;
-                        self.set(rd, v);
-                    }
-                    0x01 | 0x09 => {
-                        self.stats.loads += 1;
-                        self.touch(addr, 1);
-                        let b = *self.mem.get(addr as usize).ok_or(Trap::BadAccess(addr))?;
-                        let v = if op3 == 0x09 {
-                            b as i8 as i32 as u32
-                        } else {
-                            u32::from(b)
-                        };
-                        self.set(rd, v);
-                    }
-                    0x02 | 0x0a => {
-                        self.stats.loads += 1;
-                        self.touch(addr, 2);
-                        if addr & 1 != 0 {
-                            return Err(Trap::Unaligned(addr));
-                        }
-                        let b = self
-                            .mem
-                            .get(addr as usize..addr as usize + 2)
-                            .ok_or(Trap::BadAccess(addr))?;
-                        let h = u16::from_le_bytes(b.try_into().unwrap());
-                        let v = if op3 == 0x0a {
-                            h as i16 as i32 as u32
-                        } else {
-                            u32::from(h)
-                        };
-                        self.set(rd, v);
-                    }
-                    0x04 => {
-                        self.stats.stores += 1;
-                        self.touch(addr, 4);
-                        let v = self.get(rd);
-                        self.st32(addr, v)?;
-                    }
-                    0x05 => {
-                        self.stats.stores += 1;
-                        self.touch(addr, 1);
-                        let v = self.get(rd);
-                        *self
-                            .mem
-                            .get_mut(addr as usize)
-                            .ok_or(Trap::BadAccess(addr))? = v as u8;
-                    }
-                    0x06 => {
-                        self.stats.stores += 1;
-                        self.touch(addr, 2);
-                        if addr & 1 != 0 {
-                            return Err(Trap::Unaligned(addr));
-                        }
-                        let v = self.get(rd);
-                        self.mem
-                            .get_mut(addr as usize..addr as usize + 2)
-                            .ok_or(Trap::BadAccess(addr))?
-                            .copy_from_slice(&(v as u16).to_le_bytes());
-                    }
-                    0x20 => {
-                        self.stats.loads += 1;
-                        self.touch(addr, 4);
-                        self.fregs[rd as usize] = self.ld32(addr)?;
-                    }
-                    0x24 => {
-                        self.stats.stores += 1;
-                        self.touch(addr, 4);
-                        let v = self.fregs[rd as usize];
-                        self.st32(addr, v)?;
-                    }
-                    _ => return Err(bad()),
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn fpop1(&mut self, opf: u16, rd: u8, _fs1: u8, fs2: u8) -> Option<()> {
+    fn fpop1(&mut self, opf: u16, rd: u8, fs1: u8, fs2: u8) -> Option<()> {
         // Binary ops take fs1/fs2; unary ones use fs2 only.
-        let fs1 = _fs1;
         match opf {
             0x001 => self.fregs[rd as usize] = self.fregs[fs2 as usize],
             0x005 => self.fregs[rd as usize] = self.fregs[fs2 as usize] ^ 0x8000_0000,
@@ -744,6 +259,230 @@ impl Machine {
             _ => return None,
         }
         Some(())
+    }
+}
+
+impl Machine {
+    #[inline]
+    #[allow(clippy::too_many_lines)]
+    fn step(&mut self, pc: u32, word: u32, npc: u32, nnext: &mut u32) -> Result<(), Trap> {
+        self.stats.insns_retired += 1;
+        let op = word >> 30;
+        let rd = ((word >> 25) & 31) as u8;
+        let bad = || Self::trap(TrapKind::IllegalInsn, pc.into());
+        match op {
+            0 => {
+                // Branches / sethi.
+                let op2 = (word >> 22) & 7;
+                match op2 {
+                    4 => self.cpu.set(rd, (word & 0x3f_ffff) << 10),
+                    2 | 6 => {
+                        self.stats.branches += 1;
+                        let cond = ((word >> 25) & 0xf) as u8;
+                        let taken = if op2 == 2 {
+                            self.cpu.icc_taken(cond)
+                        } else {
+                            self.cpu.fcc_taken(cond)
+                        };
+                        if taken {
+                            let disp = ((word & 0x3f_ffff) as i32) << 10 >> 10;
+                            *nnext = pc.wrapping_add((disp << 2) as u32);
+                        }
+                    }
+                    _ => return Err(bad()),
+                }
+            }
+            1 => {
+                // call disp30.
+                self.stats.branches += 1;
+                self.cpu.set(15, pc); // %o7
+                let disp = (word as i32) << 2 >> 2;
+                *nnext = pc.wrapping_add((disp << 2) as u32);
+            }
+            2 => {
+                let op3 = ((word >> 19) & 0x3f) as u8;
+                let rs1 = ((word >> 14) & 31) as u8;
+                let operand2 = if word & (1 << 13) != 0 {
+                    (((word & 0x1fff) as i32) << 19 >> 19) as u32
+                } else {
+                    self.cpu.get((word & 31) as u8)
+                };
+                let a = self.cpu.get(rs1);
+                match op3 {
+                    0x00 => self.cpu.set(rd, a.wrapping_add(operand2)),
+                    0x01 => self.cpu.set(rd, a & operand2),
+                    0x02 => self.cpu.set(rd, a | operand2),
+                    0x03 => self.cpu.set(rd, a ^ operand2),
+                    0x04 => self.cpu.set(rd, a.wrapping_sub(operand2)),
+                    0x07 => self.cpu.set(rd, !(a ^ operand2)),
+                    0x08 => self
+                        .cpu
+                        .set(rd, a.wrapping_add(operand2).wrapping_add(self.cpu.c as u32)),
+                    0x0a => {
+                        let p = u64::from(a) * u64::from(operand2);
+                        self.cpu.y = (p >> 32) as u32;
+                        self.cpu.set(rd, p as u32);
+                    }
+                    0x0b => {
+                        let p = i64::from(a as i32) * i64::from(operand2 as i32);
+                        self.cpu.y = (p >> 32) as u32;
+                        self.cpu.set(rd, p as u32);
+                    }
+                    0x0e => {
+                        let dividend = (u64::from(self.cpu.y) << 32) | u64::from(a);
+                        let q = if operand2 == 0 {
+                            0
+                        } else {
+                            dividend / u64::from(operand2)
+                        };
+                        self.cpu.set(rd, q as u32);
+                    }
+                    0x0f => {
+                        let dividend = ((u64::from(self.cpu.y) << 32) | u64::from(a)) as i64;
+                        let d = operand2 as i32;
+                        let q = if d == 0 {
+                            0
+                        } else {
+                            dividend.wrapping_div(i64::from(d))
+                        };
+                        self.cpu.set(rd, q as u32);
+                    }
+                    0x14 => {
+                        // subcc
+                        let r = a.wrapping_sub(operand2);
+                        self.cpu.n = (r as i32) < 0;
+                        self.cpu.z = r == 0;
+                        self.cpu.c = a < operand2;
+                        self.cpu.v = ((a ^ operand2) & (a ^ r)) >> 31 != 0;
+                        self.cpu.set(rd, r);
+                    }
+                    0x25 => self.cpu.set(rd, a.wrapping_shl(operand2 & 31)),
+                    0x26 => self.cpu.set(rd, a.wrapping_shr(operand2 & 31)),
+                    0x27 => self
+                        .cpu
+                        .set(rd, ((a as i32).wrapping_shr(operand2 & 31)) as u32),
+                    0x28 => self.cpu.set(rd, self.cpu.y),
+                    0x30 => self.cpu.y = a ^ operand2,
+                    0x34 => {
+                        // FPop1.
+                        let opf = ((word >> 5) & 0x1ff) as u16;
+                        let fs1 = rs1;
+                        let fs2 = (word & 31) as u8;
+                        self.cpu.fpop1(opf, rd, fs1, fs2).ok_or_else(bad)?;
+                    }
+                    0x35 => {
+                        let opf = ((word >> 5) & 0x1ff) as u16;
+                        let fs2 = (word & 31) as u8;
+                        match opf {
+                            0x051 => {
+                                let (x, y) =
+                                    (f64::from(self.cpu.fs(rs1)), f64::from(self.cpu.fs(fs2)));
+                                self.cpu.fcc = cmp_fcc(x, y);
+                            }
+                            0x052 => {
+                                let (x, y) = (self.cpu.fd(rs1), self.cpu.fd(fs2));
+                                self.cpu.fcc = cmp_fcc(x, y);
+                            }
+                            _ => return Err(bad()),
+                        }
+                    }
+                    0x38 => {
+                        // jmpl: rd = pc, jump to rs1 + operand2.
+                        self.stats.branches += 1;
+                        let target = a.wrapping_add(operand2);
+                        self.cpu.set(rd, pc);
+                        *nnext = target;
+                    }
+                    0x3c => {
+                        // save: compute in the old window, then shift.
+                        let nsp = a.wrapping_add(operand2);
+                        if self.cpu.p == 0 {
+                            return Err(Trap::new(TrapKind::ScheduleHazard, Cpu::NAME));
+                        }
+                        self.cpu.p -= 1;
+                        self.cpu.set(rd, nsp);
+                    }
+                    0x3d => {
+                        // restore.
+                        let val = a.wrapping_add(operand2);
+                        if self.cpu.p + 2 >= WINDOWS {
+                            return Err(Trap::new(TrapKind::ScheduleHazard, Cpu::NAME));
+                        }
+                        self.cpu.p += 1;
+                        self.cpu.set(rd, val);
+                    }
+                    _ => return Err(bad()),
+                }
+                let _ = npc;
+            }
+            _ => {
+                // Memory.
+                let op3 = ((word >> 19) & 0x3f) as u8;
+                let rs1 = ((word >> 14) & 31) as u8;
+                let addr = self.cpu.mem_addr(rs1, word);
+                match op3 {
+                    0x00 => {
+                        self.stats.loads += 1;
+                        self.touch(addr, 4);
+                        let v = u32::from_le_bytes(self.load(addr)?);
+                        self.cpu.set(rd, v);
+                    }
+                    0x01 | 0x09 => {
+                        self.stats.loads += 1;
+                        self.touch(addr, 1);
+                        let [b] = self.load(addr)?;
+                        let v = if op3 == 0x09 {
+                            b as i8 as i32 as u32
+                        } else {
+                            u32::from(b)
+                        };
+                        self.cpu.set(rd, v);
+                    }
+                    0x02 | 0x0a => {
+                        self.stats.loads += 1;
+                        self.touch(addr, 2);
+                        let h = u16::from_le_bytes(self.load(addr)?);
+                        let v = if op3 == 0x0a {
+                            h as i16 as i32 as u32
+                        } else {
+                            u32::from(h)
+                        };
+                        self.cpu.set(rd, v);
+                    }
+                    0x04 => {
+                        self.stats.stores += 1;
+                        self.touch(addr, 4);
+                        let v = self.cpu.get(rd);
+                        self.store(addr, v.to_le_bytes())?;
+                    }
+                    0x05 => {
+                        self.stats.stores += 1;
+                        self.touch(addr, 1);
+                        let v = self.cpu.get(rd);
+                        self.store(addr, [v as u8])?;
+                    }
+                    0x06 => {
+                        self.stats.stores += 1;
+                        self.touch(addr, 2);
+                        let v = self.cpu.get(rd);
+                        self.store(addr, (v as u16).to_le_bytes())?;
+                    }
+                    0x20 => {
+                        self.stats.loads += 1;
+                        self.touch(addr, 4);
+                        self.cpu.fregs[rd as usize] = u32::from_le_bytes(self.load(addr)?);
+                    }
+                    0x24 => {
+                        self.stats.stores += 1;
+                        self.touch(addr, 4);
+                        let v = self.cpu.fregs[rd as usize];
+                        self.store(addr, v.to_le_bytes())?;
+                    }
+                    _ => return Err(bad()),
+                }
+            }
+        }
+        Ok(())
     }
 }
 
@@ -890,20 +629,11 @@ impl vcode::InsnDecoder for Decoder {
     }
 }
 
-/// Disassembles a whole code buffer.
-pub fn disasm_all(code: &[u8]) -> String {
-    code.chunks_exact(4)
-        .enumerate()
-        .map(|(i, w)| {
-            let word = u32::from_le_bytes(w.try_into().unwrap());
-            format!("{:4x}:  {}\n", i * 4, disasm(word))
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Cache;
+    use vcode::TraceRecord;
 
     // Hand-assembled: save %sp,-168,%sp; add %i0,1,%i0; jmpl %i7+8,%g0;
     // restore.
@@ -928,34 +658,6 @@ mod tests {
         let entry = m.load_code(&plus1_code()).unwrap();
         assert_eq!(m.call(entry, &[41], 100).unwrap(), 42);
         assert_eq!(m.stats().insns_retired, 4);
-    }
-
-    #[test]
-    fn host_memory_apis_return_typed_errors() {
-        let mut m = Machine::new(1 << 20);
-        assert!(matches!(
-            m.write(u32::MAX - 3, &[1, 2, 3, 4]),
-            Err(MemError::OutOfRange { .. })
-        ));
-        assert!(matches!(
-            m.read(1 << 20, 1),
-            Err(MemError::OutOfRange { .. })
-        ));
-        let huge = vec![0u8; (1 << 20) + 1];
-        assert!(matches!(
-            m.load_code(&huge),
-            Err(MemError::OutOfRange { .. })
-        ));
-        assert!(matches!(
-            m.alloc(1 << 20, 8),
-            Err(MemError::OutOfMemory { .. })
-        ));
-        assert!(matches!(
-            m.alloc(usize::MAX - 4, 8),
-            Err(MemError::OutOfMemory { .. })
-        ));
-        let entry = m.load_code(&plus1_code()).unwrap();
-        assert_eq!(m.call(entry, &[1], 100).unwrap(), 2);
     }
 
     #[test]
@@ -1069,6 +771,9 @@ mod tests {
         let code: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
         let mut m = Machine::new(1 << 20);
         let entry = m.load_code(&code).unwrap();
-        assert_eq!(m.run(entry, 100_000), Err(Trap::WindowOverflow));
+        assert_eq!(
+            m.run(entry, 100_000),
+            Err(Trap::new(TrapKind::ScheduleHazard, "sparc"))
+        );
     }
 }

@@ -2,8 +2,7 @@
 //! simulator, checked against the core's reference semantics — including
 //! the paper's synthesized byte operations and software division.
 
-use vcode::regress::{self};
-use vcode::target::{JumpTarget, Leaf, Target};
+use vcode::target::{JumpTarget, Leaf};
 use vcode::{Assembler, Reg, RegClass, Sig, Ty};
 use vcode_alpha::Alpha;
 use vcode_sim::alpha::Machine;
@@ -17,17 +16,6 @@ fn generate(sig: &str, leaf: Leaf, f: impl FnOnce(&mut Assembler<'_, Alpha>)) ->
     let fin = a.end().unwrap();
     mem.truncate(fin.len);
     mem
-}
-
-fn ret_typed(a: &mut Assembler<'_, Alpha>, ty: Ty, r: Reg) {
-    match ty {
-        Ty::I => a.reti(r),
-        Ty::U => a.retu(r),
-        Ty::L => a.retl(r),
-        Ty::Ul => a.retul(r),
-        Ty::P => a.retp(r),
-        _ => panic!("int type expected"),
-    }
 }
 
 #[test]
@@ -45,127 +33,6 @@ fn figure1_plus1() {
         i64::from(i32::MIN),
         "32-bit wraparound stays canonical (sign-extended)"
     );
-}
-
-#[test]
-fn regression_binops_64bit_machine() {
-    let cases = regress::binop_cases(64, 2, 0xa1fa);
-    let mut m = Machine::new(1 << 23);
-    for c in &cases {
-        let code = generate("%l%l", Leaf::Yes, |a| {
-            let (x, y) = (a.arg(0), a.arg(1));
-            let d = a.getreg(RegClass::Temp).unwrap();
-            // 32-bit operands arrive canonical (sign-extended).
-            if matches!(c.ty, Ty::I | Ty::U) {
-                Alpha::emit_cvt(a.raw(), Ty::L, Ty::I, x, x);
-                Alpha::emit_cvt(a.raw(), Ty::L, Ty::I, y, y);
-            }
-            Alpha::emit_binop(a.raw(), c.op, c.ty, d, x, y);
-            ret_typed(a, c.ty, d);
-        });
-        let entry = m.load_code(&code).unwrap();
-        let got = m.call(entry, &[c.a, c.b], STEPS).unwrap();
-        assert_eq!(
-            regress::canon(c.ty, got, 64),
-            regress::canon(c.ty, c.expect, 64),
-            "{:?}.{:?}({:#x}, {:#x}) got {got:#x}",
-            c.op,
-            c.ty,
-            c.a,
-            c.b
-        );
-    }
-}
-
-#[test]
-fn regression_binop_immediates() {
-    let cases: Vec<_> = regress::binop_cases(64, 1, 0x77)
-        .into_iter()
-        .step_by(5)
-        .collect();
-    let mut m = Machine::new(1 << 23);
-    for c in cases {
-        let code = generate("%l", Leaf::Yes, |a| {
-            let x = a.arg(0);
-            let d = a.getreg(RegClass::Temp).unwrap();
-            if matches!(c.ty, Ty::I | Ty::U) {
-                Alpha::emit_cvt(a.raw(), Ty::L, Ty::I, x, x);
-            }
-            Alpha::emit_binop_imm(a.raw(), c.op, c.ty, d, x, c.b as i64);
-            ret_typed(a, c.ty, d);
-        });
-        let entry = m.load_code(&code).unwrap();
-        let got = m.call(entry, &[c.a], STEPS).unwrap();
-        assert_eq!(
-            regress::canon(c.ty, got, 64),
-            regress::canon(c.ty, c.expect, 64),
-            "{:?}.{:?}({:#x}, imm {:#x}) got {got:#x}",
-            c.op,
-            c.ty,
-            c.a,
-            c.b
-        );
-    }
-}
-
-#[test]
-fn regression_unops() {
-    let mut m = Machine::new(1 << 22);
-    for c in regress::unop_cases(64) {
-        let code = generate("%l", Leaf::Yes, |a| {
-            let x = a.arg(0);
-            let d = a.getreg(RegClass::Temp).unwrap();
-            if matches!(c.ty, Ty::I | Ty::U) {
-                Alpha::emit_cvt(a.raw(), Ty::L, Ty::I, x, x);
-            }
-            Alpha::emit_unop(a.raw(), c.op, c.ty, d, x);
-            ret_typed(a, c.ty, d);
-        });
-        let entry = m.load_code(&code).unwrap();
-        let got = m.call(entry, &[c.a], STEPS).unwrap();
-        assert_eq!(
-            regress::canon(c.ty, got, 64),
-            regress::canon(c.ty, c.expect, 64),
-            "{:?}.{:?}({:#x})",
-            c.op,
-            c.ty,
-            c.a
-        );
-    }
-}
-
-#[test]
-fn regression_branches() {
-    let cases: Vec<_> = regress::branch_cases(64).into_iter().step_by(7).collect();
-    let mut m = Machine::new(1 << 23);
-    for c in cases {
-        let code = generate("%l%l", Leaf::Yes, |a| {
-            let (x, y) = (a.arg(0), a.arg(1));
-            if matches!(c.ty, Ty::I | Ty::U) {
-                Alpha::emit_cvt(a.raw(), Ty::L, Ty::I, x, x);
-                Alpha::emit_cvt(a.raw(), Ty::L, Ty::I, y, y);
-            }
-            let taken = a.genlabel();
-            let r = a.getreg(RegClass::Temp).unwrap();
-            Alpha::emit_branch(a.raw(), c.cond, c.ty, x, vcode::BrOperand::R(y), taken);
-            a.seti(r, 0);
-            a.reti(r);
-            a.label(taken);
-            a.seti(r, 1);
-            a.reti(r);
-        });
-        let entry = m.load_code(&code).unwrap();
-        let got = m.call(entry, &[c.a, c.b], STEPS).unwrap();
-        assert_eq!(
-            got != 0,
-            c.taken,
-            "{:?}.{:?}({:#x}, {:#x})",
-            c.cond,
-            c.ty,
-            c.a,
-            c.b
-        );
-    }
 }
 
 #[test]
@@ -222,7 +89,7 @@ fn division_through_runtime_support() {
         let got = m.call(entry, &[x as u64, y as u64], STEPS).unwrap() as i64;
         assert_eq!(got, (x / y) * 1000 + x % y, "{x} / {y}");
     }
-    assert!(m.div_calls >= 10);
+    assert!(m.cpu.div_calls >= 10);
 }
 
 #[test]
@@ -286,14 +153,14 @@ fn float_branches() {
     });
     let mut m = Machine::new(1 << 20);
     let entry = m.load_code(&code).unwrap();
-    m.fregs[16] = 1.0f64.to_bits();
-    m.fregs[17] = 2.0f64.to_bits();
+    m.cpu.fregs[16] = 1.0f64.to_bits();
+    m.cpu.fregs[17] = 2.0f64.to_bits();
     m.run(entry, STEPS).unwrap();
-    assert_eq!(m.regs[0], 1);
-    m.fregs[16] = 2.0f64.to_bits();
-    m.fregs[17] = 1.0f64.to_bits();
+    assert_eq!(m.cpu.regs[0], 1);
+    m.cpu.fregs[16] = 2.0f64.to_bits();
+    m.cpu.fregs[17] = 1.0f64.to_bits();
     m.run(entry, STEPS).unwrap();
-    assert_eq!(m.regs[0], 0);
+    assert_eq!(m.cpu.regs[0], 0);
 }
 
 #[test]
@@ -394,10 +261,10 @@ fn float_constants_and_single_precision() {
     });
     let mut m = Machine::new(1 << 20);
     let entry = m.load_code(&code).unwrap();
-    m.fregs[16] = f64::from(3.0f32).to_bits();
-    m.fregs[17] = f64::from(4.0f32).to_bits();
+    m.cpu.fregs[16] = f64::from(3.0f32).to_bits();
+    m.cpu.fregs[17] = f64::from(4.0f32).to_bits();
     m.run(entry, STEPS).unwrap();
-    assert_eq!(f64::from_bits(m.fregs[0]), 12.5);
+    assert_eq!(f64::from_bits(m.cpu.fregs[0]), 12.5);
 }
 
 #[test]
@@ -408,7 +275,7 @@ fn disassembler_names_generated_instructions() {
         a.addii(v, v, 1);
         a.reti(v);
     });
-    let text = vcode_sim::alpha::disasm_all(&code);
+    let text = Machine::disasm_all(&code);
     for needle in [
         "lda", "ldq_u", "insbl", "mskbl", "bis", "stq_u", "addl", "ret",
     ] {

@@ -3,11 +3,11 @@
 //! the paper's automatically generated regression tests for instruction
 //! mappings and calling conventions (§3.3, §6.1).
 
-use vcode::regress::{self};
+use vcode::regress;
 use vcode::target::{JumpTarget, Leaf, Target};
 use vcode::{Assembler, Reg, RegClass, Sig, Ty};
 use vcode_mips::Mips;
-use vcode_sim::mips::{disasm_all, Machine};
+use vcode_sim::mips::Machine;
 
 const STEPS: u64 = 1_000_000;
 
@@ -20,17 +20,6 @@ fn generate(sig: &str, leaf: Leaf, f: impl FnOnce(&mut Assembler<'_, Mips>)) -> 
     mem
 }
 
-fn ret_typed(a: &mut Assembler<'_, Mips>, ty: Ty, r: Reg) {
-    match ty {
-        Ty::I => a.reti(r),
-        Ty::U => a.retu(r),
-        Ty::L => a.retl(r),
-        Ty::Ul => a.retul(r),
-        Ty::P => a.retp(r),
-        _ => panic!("int type expected"),
-    }
-}
-
 #[test]
 fn figure1_plus1_runs_in_simulation() {
     let code = generate("%i", Leaf::Yes, |a| {
@@ -39,131 +28,16 @@ fn figure1_plus1_runs_in_simulation() {
         a.reti(x);
     });
     let mut m = Machine::new(1 << 20);
-    m.strict_load_delay = true;
+    m.cpu.strict_load_delay = true;
     let entry = m.load_code(&code).unwrap();
     assert_eq!(m.call(entry, &[41], STEPS).unwrap(), 42);
     assert_eq!(m.call(entry, &[u32::MAX], STEPS).unwrap(), 0);
 }
 
 #[test]
-fn regression_binops() {
-    let cases = regress::binop_cases(32, 2, 0xfeed);
-    let mut m = Machine::new(1 << 22);
-    m.strict_load_delay = true;
-    let entries: Vec<(u32, &regress::BinCase)> = cases
-        .iter()
-        .map(|c| {
-            let code = generate("%i%i", Leaf::Yes, |a| {
-                let (x, y) = (a.arg(0), a.arg(1));
-                Mips::emit_binop(a.raw(), c.op, c.ty, x, x, y);
-                ret_typed(a, c.ty, x);
-            });
-            (m.load_code(&code).unwrap(), c)
-        })
-        .collect();
-    for (entry, c) in entries {
-        let got = m.call(entry, &[c.a as u32, c.b as u32], STEPS).unwrap();
-        assert_eq!(
-            regress::canon(c.ty, got as u64, 32),
-            c.expect,
-            "{:?}.{:?}({:#x}, {:#x})",
-            c.op,
-            c.ty,
-            c.a,
-            c.b
-        );
-    }
-}
-
-#[test]
-fn regression_binop_immediates() {
-    let cases: Vec<_> = regress::binop_cases(32, 1, 3)
-        .into_iter()
-        .step_by(3)
-        .collect();
-    let mut m = Machine::new(1 << 22);
-    m.strict_load_delay = true;
-    for c in cases {
-        let code = generate("%i", Leaf::Yes, |a| {
-            let x = a.arg(0);
-            let d = a.getreg(RegClass::Temp).unwrap();
-            Mips::emit_binop_imm(a.raw(), c.op, c.ty, d, x, c.b as i32 as i64);
-            ret_typed(a, c.ty, d);
-        });
-        let entry = m.load_code(&code).unwrap();
-        let got = m.call(entry, &[c.a as u32], STEPS).unwrap();
-        assert_eq!(
-            regress::canon(c.ty, got as u64, 32),
-            c.expect,
-            "{:?}.{:?}({:#x}, imm {:#x})\n{}",
-            c.op,
-            c.ty,
-            c.a,
-            c.b,
-            disasm_all(&code)
-        );
-    }
-}
-
-#[test]
-fn regression_unops() {
-    let mut m = Machine::new(1 << 22);
-    m.strict_load_delay = true;
-    for c in regress::unop_cases(32) {
-        let code = generate("%i", Leaf::Yes, |a| {
-            let x = a.arg(0);
-            let d = a.getreg(RegClass::Temp).unwrap();
-            Mips::emit_unop(a.raw(), c.op, c.ty, d, x);
-            ret_typed(a, c.ty, d);
-        });
-        let entry = m.load_code(&code).unwrap();
-        let got = m.call(entry, &[c.a as u32], STEPS).unwrap();
-        assert_eq!(
-            regress::canon(c.ty, got as u64, 32),
-            c.expect,
-            "{:?}.{:?}({:#x})",
-            c.op,
-            c.ty,
-            c.a
-        );
-    }
-}
-
-#[test]
-fn regression_branches() {
-    let cases: Vec<_> = regress::branch_cases(32).into_iter().step_by(5).collect();
-    let mut m = Machine::new(1 << 22);
-    m.strict_load_delay = true;
-    for c in cases {
-        let code = generate("%i%i", Leaf::Yes, |a| {
-            let (x, y) = (a.arg(0), a.arg(1));
-            let taken = a.genlabel();
-            let r = a.getreg(RegClass::Temp).unwrap();
-            Mips::emit_branch(a.raw(), c.cond, c.ty, x, vcode::BrOperand::R(y), taken);
-            a.seti(r, 0);
-            a.reti(r);
-            a.label(taken);
-            a.seti(r, 1);
-            a.reti(r);
-        });
-        let entry = m.load_code(&code).unwrap();
-        let got = m.call(entry, &[c.a as u32, c.b as u32], STEPS).unwrap();
-        assert_eq!(
-            got != 0,
-            c.taken,
-            "{:?}.{:?}({:#x}, {:#x})",
-            c.cond,
-            c.ty,
-            c.a,
-            c.b
-        );
-    }
-}
-
-#[test]
 fn regression_branch_immediates_including_zero_specials() {
     let mut m = Machine::new(1 << 22);
-    m.strict_load_delay = true;
+    m.cpu.strict_load_delay = true;
     for cond in [
         vcode::Cond::Lt,
         vcode::Cond::Le,
@@ -199,7 +73,7 @@ fn regression_branch_immediates_including_zero_specials() {
                         got != 0,
                         expect,
                         "{cond:?}.{ty:?}({aval:#x}, imm {imm:#x})\n{}",
-                        disasm_all(&code)
+                        Machine::disasm_all(&code)
                     );
                 }
             }
@@ -225,7 +99,7 @@ fn memory_all_widths_in_simulation() {
         a.retv();
     });
     let mut m = Machine::new(1 << 20);
-    m.strict_load_delay = true;
+    m.cpu.strict_load_delay = true;
     let entry = m.load_code(&code).unwrap();
     let src = m.alloc(16, 8).unwrap();
     let dst = m.alloc(16, 8).unwrap();
@@ -316,7 +190,7 @@ fn double_constants_and_conversions() {
         a.reti(r);
     });
     let mut m = Machine::new(1 << 20);
-    m.strict_load_delay = true;
+    m.cpu.strict_load_delay = true;
     let entry = m.load_code(&code).unwrap();
     assert_eq!(m.call(entry, &[10], STEPS).unwrap(), 5);
     assert_eq!(m.call(entry, &[(-9i32) as u32], STEPS).unwrap() as i32, -4);
@@ -332,13 +206,13 @@ fn unsigned_to_double_adjusts_high_bit() {
     });
     let mut m = Machine::new(1 << 20);
     let entry = m.load_code(&code).unwrap();
-    m.regs[4] = 0xffff_ffff;
+    m.cpu.regs[4] = 0xffff_ffff;
     m.run(entry, STEPS).unwrap();
-    let got = f64::from_bits((m.fregs[0] as u64) | ((m.fregs[1] as u64) << 32));
+    let got = f64::from_bits((m.cpu.fregs[0] as u64) | ((m.cpu.fregs[1] as u64) << 32));
     assert_eq!(got, 4294967295.0);
-    m.regs[4] = 7;
+    m.cpu.regs[4] = 7;
     m.run(entry, STEPS).unwrap();
-    let got = f64::from_bits((m.fregs[0] as u64) | ((m.fregs[1] as u64) << 32));
+    let got = f64::from_bits((m.cpu.fregs[0] as u64) | ((m.cpu.fregs[1] as u64) << 32));
     assert_eq!(got, 7.0);
 }
 
@@ -357,12 +231,12 @@ fn float_branches_in_simulation() {
     });
     let mut m = Machine::new(1 << 20);
     let entry = m.load_code(&code).unwrap();
-    m.fregs[12] = 0;
-    m.fregs[13] = 0x3ff0_0000; // 1.0
-    m.fregs[14] = 0;
-    m.fregs[15] = 0x4000_0000; // 2.0
+    m.cpu.fregs[12] = 0;
+    m.cpu.fregs[13] = 0x3ff0_0000; // 1.0
+    m.cpu.fregs[14] = 0;
+    m.cpu.fregs[15] = 0x4000_0000; // 2.0
     m.run(entry, STEPS).unwrap();
-    assert_eq!(m.regs[2], 1, "1.0 < 2.0");
+    assert_eq!(m.cpu.regs[2], 1, "1.0 < 2.0");
 }
 
 #[test]
@@ -428,7 +302,7 @@ fn strict_mode_accepts_all_generated_loads() {
         a.reti(t);
     });
     let mut m = Machine::new(1 << 20);
-    m.strict_load_delay = true;
+    m.cpu.strict_load_delay = true;
     let entry = m.load_code(&code).unwrap();
     let addr = m.alloc(8, 8).unwrap();
     m.write(addr, &41u32.to_le_bytes()).unwrap();
@@ -446,7 +320,7 @@ fn raw_load_with_too_small_distance_gets_nops() {
         a.reti(t);
     });
     let mut m = Machine::new(1 << 20);
-    m.strict_load_delay = true;
+    m.cpu.strict_load_delay = true;
     let entry = m.load_code(&code).unwrap();
     let addr = m.alloc(8, 8).unwrap();
     m.write(addr, &9u32.to_le_bytes()).unwrap();
@@ -469,7 +343,7 @@ fn locals_and_frame_in_simulation() {
         a.reti(t);
     });
     let mut m = Machine::new(1 << 20);
-    m.strict_load_delay = true;
+    m.cpu.strict_load_delay = true;
     let entry = m.load_code(&code).unwrap();
     assert_eq!(m.call(entry, &[6, 7], STEPS).unwrap(), 42);
 }
@@ -486,7 +360,7 @@ fn trap_when_branch_misses_delay_handling() {
         a.label(l);
         a.reti(x);
     });
-    let text = disasm_all(&code);
+    let text = Machine::disasm_all(&code);
     let lines: Vec<&str> = text.lines().collect();
     let beq_idx = lines.iter().position(|l| l.contains("beq")).unwrap();
     assert!(

@@ -1,8 +1,7 @@
 //! Cross tests: vcode-sparc generated code executed on the SPARC
 //! simulator, checked against the core's reference semantics.
 
-use vcode::regress::{self};
-use vcode::target::{JumpTarget, Leaf, Target};
+use vcode::target::{JumpTarget, Leaf};
 use vcode::{Assembler, Reg, RegClass, Sig, Ty};
 use vcode_sim::sparc::Machine;
 use vcode_sparc::Sparc;
@@ -18,17 +17,6 @@ fn generate(sig: &str, leaf: Leaf, f: impl FnOnce(&mut Assembler<'_, Sparc>)) ->
     mem
 }
 
-fn ret_typed(a: &mut Assembler<'_, Sparc>, ty: Ty, r: Reg) {
-    match ty {
-        Ty::I => a.reti(r),
-        Ty::U => a.retu(r),
-        Ty::L => a.retl(r),
-        Ty::Ul => a.retul(r),
-        Ty::P => a.retp(r),
-        _ => panic!("int type expected"),
-    }
-}
-
 #[test]
 fn figure1_plus1() {
     let code = generate("%i", Leaf::Yes, |a| {
@@ -39,112 +27,6 @@ fn figure1_plus1() {
     let mut m = Machine::new(1 << 20);
     let entry = m.load_code(&code).unwrap();
     assert_eq!(m.call(entry, &[41], STEPS).unwrap(), 42);
-}
-
-#[test]
-fn regression_binops() {
-    let cases = regress::binop_cases(32, 2, 0xace);
-    let mut m = Machine::new(1 << 22);
-    for c in &cases {
-        let code = generate("%i%i", Leaf::Yes, |a| {
-            let (x, y) = (a.arg(0), a.arg(1));
-            let d = a.getreg(RegClass::Temp).unwrap();
-            Sparc::emit_binop(a.raw(), c.op, c.ty, d, x, y);
-            ret_typed(a, c.ty, d);
-        });
-        let entry = m.load_code(&code).unwrap();
-        let got = m.call(entry, &[c.a as u32, c.b as u32], STEPS).unwrap();
-        assert_eq!(
-            regress::canon(c.ty, u64::from(got), 32),
-            c.expect,
-            "{:?}.{:?}({:#x}, {:#x})",
-            c.op,
-            c.ty,
-            c.a,
-            c.b
-        );
-    }
-}
-
-#[test]
-fn regression_binop_immediates() {
-    let cases: Vec<_> = regress::binop_cases(32, 1, 5)
-        .into_iter()
-        .step_by(4)
-        .collect();
-    let mut m = Machine::new(1 << 22);
-    for c in cases {
-        let code = generate("%i", Leaf::Yes, |a| {
-            let x = a.arg(0);
-            let d = a.getreg(RegClass::Temp).unwrap();
-            Sparc::emit_binop_imm(a.raw(), c.op, c.ty, d, x, c.b as i32 as i64);
-            ret_typed(a, c.ty, d);
-        });
-        let entry = m.load_code(&code).unwrap();
-        let got = m.call(entry, &[c.a as u32], STEPS).unwrap();
-        assert_eq!(
-            regress::canon(c.ty, u64::from(got), 32),
-            c.expect,
-            "{:?}.{:?}({:#x}, imm {:#x})",
-            c.op,
-            c.ty,
-            c.a,
-            c.b
-        );
-    }
-}
-
-#[test]
-fn regression_unops() {
-    let mut m = Machine::new(1 << 22);
-    for c in regress::unop_cases(32) {
-        let code = generate("%i", Leaf::Yes, |a| {
-            let x = a.arg(0);
-            let d = a.getreg(RegClass::Temp).unwrap();
-            Sparc::emit_unop(a.raw(), c.op, c.ty, d, x);
-            ret_typed(a, c.ty, d);
-        });
-        let entry = m.load_code(&code).unwrap();
-        let got = m.call(entry, &[c.a as u32], STEPS).unwrap();
-        assert_eq!(
-            regress::canon(c.ty, u64::from(got), 32),
-            c.expect,
-            "{:?}.{:?}({:#x})",
-            c.op,
-            c.ty,
-            c.a
-        );
-    }
-}
-
-#[test]
-fn regression_branches() {
-    let cases: Vec<_> = regress::branch_cases(32).into_iter().step_by(7).collect();
-    let mut m = Machine::new(1 << 22);
-    for c in cases {
-        let code = generate("%i%i", Leaf::Yes, |a| {
-            let (x, y) = (a.arg(0), a.arg(1));
-            let taken = a.genlabel();
-            let r = a.getreg(RegClass::Temp).unwrap();
-            Sparc::emit_branch(a.raw(), c.cond, c.ty, x, vcode::BrOperand::R(y), taken);
-            a.seti(r, 0);
-            a.reti(r);
-            a.label(taken);
-            a.seti(r, 1);
-            a.reti(r);
-        });
-        let entry = m.load_code(&code).unwrap();
-        let got = m.call(entry, &[c.a as u32, c.b as u32], STEPS).unwrap();
-        assert_eq!(
-            got != 0,
-            c.taken,
-            "{:?}.{:?}({:#x}, {:#x})",
-            c.cond,
-            c.ty,
-            c.a,
-            c.b
-        );
-    }
 }
 
 #[test]
@@ -259,10 +141,10 @@ fn float_branches() {
     fn v(m: &mut Machine, entry: u32, x: f64, y: f64) -> u32 {
         let bx = x.to_bits();
         let by = y.to_bits();
-        m.fregs[2] = bx as u32;
-        m.fregs[3] = (bx >> 32) as u32;
-        m.fregs[4] = by as u32;
-        m.fregs[5] = (by >> 32) as u32;
+        m.cpu.fregs[2] = bx as u32;
+        m.cpu.fregs[3] = (bx >> 32) as u32;
+        m.cpu.fregs[4] = by as u32;
+        m.cpu.fregs[5] = (by >> 32) as u32;
         m.call(entry, &[], STEPS).unwrap()
     }
 }
@@ -380,7 +262,7 @@ fn disassembler_names_generated_instructions() {
         a.divi(x, x, y);
         a.reti(x);
     });
-    let text = vcode_sim::sparc::disasm_all(&code);
+    let text = Machine::disasm_all(&code);
     for needle in ["save", "add", "wr", "sdiv", "jmpl", "restore"] {
         assert!(text.contains(needle), "missing {needle} in:\n{text}");
     }

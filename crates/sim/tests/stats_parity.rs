@@ -93,7 +93,9 @@ fn retired_count_matches_decoded_count_on_every_simulator() {
     macro_rules! check {
         ($simmod:ident, $code:expr, $args:expr, $want:expr) => {{
             let code = $code;
-            let decoded = vcode_sim::$simmod::disasm_all(&code).lines().count() as u64;
+            let decoded = vcode_sim::$simmod::Machine::disasm_all(&code)
+                .lines()
+                .count() as u64;
             assert_eq!(
                 decoded,
                 (code.len() / 4) as u64,
@@ -133,7 +135,7 @@ fn trace_stream_agrees_with_retirement_and_disassembly() {
         ($simmod:ident, $target:ty, $prog:expr) => {{
             let prog = $prog;
             let code = gen::<$target>(prog);
-            let listing = vcode_sim::$simmod::disasm_all(&code);
+            let listing = vcode_sim::$simmod::Machine::disasm_all(&code);
             assert_eq!(
                 listing.lines().count(),
                 code.len() / 4,

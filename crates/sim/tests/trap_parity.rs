@@ -1,11 +1,11 @@
 //! Cross-simulator trap parity: the same client-level misuse —
-//! out-of-bounds access, misaligned access, runaway loop — must
-//! classify identically on MIPS, SPARC, and Alpha once each simulator's
-//! machine-specific trap is converted into the unified
-//! [`vcode::TrapKind`] taxonomy.
+//! out-of-bounds access, misaligned access, runaway loop, a jump out of
+//! the code, an undecodable word — must raise the same [`vcode::Trap`]
+//! kind at the same address on MIPS, SPARC and Alpha.
 
 use vcode::target::Leaf;
 use vcode::{Assembler, RegClass, Target, Trap, TrapKind};
+use vcode_sim::{alpha, mips, sparc, Isa, Machine};
 
 /// The faulting programs, expressed target-independently.
 #[derive(Debug, Clone, Copy)]
@@ -16,13 +16,24 @@ enum Fault {
     Misaligned,
     /// Branch-to-self, run under a small step budget.
     RunawayLoop,
+    /// Jump through a register to [`OUTSIDE`], past the loaded code.
+    JumpOutOfCode,
+    /// A lone [`ILLEGAL`] word in place of a function.
+    IllegalWord,
 }
+
+/// An address well past the code and inside no simulated memory.
+const OUTSIDE: u64 = 0x0100_0000;
+
+/// A word no simulator decodes: primary opcode 0x3c on MIPS and Alpha,
+/// a memory op with `op3 = 0x3f` on SPARC.
+const ILLEGAL: u32 = 0xf1f8_0000;
 
 fn emit<T: Target>(a: &mut Assembler<'_, T>, fault: Fault) {
     let r = a.getreg(RegClass::Temp).expect("reg");
     match fault {
         Fault::OutOfBounds => {
-            a.seti(r, 0x0100_0000);
+            a.seti(r, OUTSIDE as i32);
             a.ldii(r, r, 0);
         }
         Fault::Misaligned => {
@@ -34,59 +45,58 @@ fn emit<T: Target>(a: &mut Assembler<'_, T>, fault: Fault) {
             a.label(top);
             a.jmp(top);
         }
+        Fault::JumpOutOfCode => {
+            a.seti(r, OUTSIDE as i32);
+            a.jmp_reg(r);
+        }
+        Fault::IllegalWord => unreachable!("not generated"),
     }
     a.reti(r);
 }
 
-fn gen<T: Target>(fault: Fault) -> Vec<u8> {
-    let mut mem = vec![0u8; 8192];
-    let mut a = Assembler::<T>::lambda(&mut mem, "%i", Leaf::Yes).expect("lambda");
-    emit(&mut a, fault);
-    let len = a.end().expect("end").len;
-    mem.truncate(len);
-    mem
-}
-
-/// Runs the faulting program on all three simulators and returns the
-/// unified traps.
-fn run_all(fault: Fault) -> [Trap; 3] {
-    const MEM: usize = 1 << 21;
+/// Runs the faulting program on `I`'s simulator: the trap and the entry.
+fn run<T: Target, I: Isa>(fault: Fault) -> (Trap, u64) {
+    let code = match fault {
+        Fault::IllegalWord => ILLEGAL.to_le_bytes().to_vec(),
+        _ => {
+            let mut mem = vec![0u8; 8192];
+            let mut a = Assembler::<T>::lambda(&mut mem, "%i", Leaf::Yes).expect("lambda");
+            emit(&mut a, fault);
+            let len = a.end().expect("end").len;
+            mem.truncate(len);
+            mem
+        }
+    };
     let steps = match fault {
         Fault::RunawayLoop => 10_000,
         _ => 1_000_000,
     };
-    let mut mips = vcode_sim::mips::Machine::new(MEM);
-    let e = mips.load_code(&gen::<vcode_mips::Mips>(fault)).unwrap();
-    let mt: Trap = mips
-        .call(e, &[0], steps)
-        .expect_err("mips must trap")
-        .into();
-    let mut sparc = vcode_sim::sparc::Machine::new(MEM);
-    let e = sparc.load_code(&gen::<vcode_sparc::Sparc>(fault)).unwrap();
-    let st: Trap = sparc
-        .call(e, &[0], steps)
-        .expect_err("sparc must trap")
-        .into();
-    let mut alpha = vcode_sim::alpha::Machine::new(MEM);
-    let e = alpha.load_code(&gen::<vcode_alpha::Alpha>(fault)).unwrap();
-    let at: Trap = alpha
-        .call(e, &[0], steps)
-        .expect_err("alpha must trap")
-        .into();
-    [mt, st, at]
+    let mut m = Machine::<I>::new(1 << 21);
+    let entry = m.load_code(&code).unwrap();
+    let t = m.call_i32(entry, &[0], steps).expect_err(I::NAME);
+    (t, entry.into())
+}
+
+/// The faulting program on all three simulators.
+fn run_all(fault: Fault) -> [(Trap, u64); 3] {
+    [
+        run::<vcode_mips::Mips, mips::Cpu>(fault),
+        run::<vcode_sparc::Sparc, sparc::Cpu>(fault),
+        run::<vcode_alpha::Alpha, alpha::Cpu>(fault),
+    ]
 }
 
 #[test]
 fn out_of_bounds_access_is_bad_access_everywhere() {
-    for t in run_all(Fault::OutOfBounds) {
+    for (t, _) in run_all(Fault::OutOfBounds) {
         assert_eq!(t.kind, TrapKind::BadAccess, "{t}");
-        assert_eq!(t.addr, Some(0x0100_0000), "{t}");
+        assert_eq!(t.addr, Some(OUTSIDE), "{t}");
     }
 }
 
 #[test]
 fn misaligned_access_is_unaligned_everywhere() {
-    for t in run_all(Fault::Misaligned) {
+    for (t, _) in run_all(Fault::Misaligned) {
         assert_eq!(t.kind, TrapKind::Unaligned, "{t}");
         assert_eq!(t.addr, Some(2), "{t}");
     }
@@ -94,16 +104,29 @@ fn misaligned_access_is_unaligned_everywhere() {
 
 #[test]
 fn runaway_loop_is_fuel_exhausted_everywhere() {
-    for t in run_all(Fault::RunawayLoop) {
+    for (t, _) in run_all(Fault::RunawayLoop) {
         assert_eq!(t.kind, TrapKind::FuelExhausted, "{t}");
     }
 }
 
 #[test]
+fn jump_out_of_code_is_bad_pc_everywhere() {
+    for (t, _) in run_all(Fault::JumpOutOfCode) {
+        assert_eq!(t.kind, TrapKind::BadPc, "{t}");
+        assert_eq!(t.addr, Some(OUTSIDE), "{t}");
+    }
+}
+
+#[test]
+fn undecodable_word_is_illegal_insn_everywhere() {
+    for (t, entry) in run_all(Fault::IllegalWord) {
+        assert_eq!(t.kind, TrapKind::IllegalInsn, "{t}");
+        assert_eq!(t.addr, Some(entry), "{t}");
+    }
+}
+
+#[test]
 fn backend_names_distinguish_reporters() {
-    let names: Vec<&str> = run_all(Fault::OutOfBounds)
-        .iter()
-        .map(|t| t.backend)
-        .collect();
+    let names = run_all(Fault::OutOfBounds).map(|(t, _)| t.backend);
     assert_eq!(names, ["mips", "sparc", "alpha"]);
 }

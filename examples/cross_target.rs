@@ -7,10 +7,12 @@
 //! cargo run --example cross_target
 //! ```
 
+use std::error::Error;
 use vcode::target::Leaf;
 use vcode::{Assembler, RegClass, Target};
 use vcode_alpha::Alpha;
 use vcode_mips::Mips;
+use vcode_sim::{alpha, mips, sparc, Isa, Machine};
 use vcode_sparc::Sparc;
 use vcode_x64::{ExecMem, X64};
 
@@ -40,8 +42,8 @@ fn generate<T: Target>() -> Vec<u8> {
     mem
 }
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let cases = [(48u32, 36u32), (1071, 462), (17, 5), (270, 192)];
+fn main() -> Result<(), Box<dyn Error>> {
+    let cases = [(48, 36), (1071, 462), (17, 5), (270, 192)];
 
     // Native x86-64.
     let mut mem = ExecMem::new(4096)?;
@@ -53,37 +55,35 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("x86-64 (native):    {} bytes", fin.len);
 
     // The three paper platforms, simulated.
-    let mips_code = generate::<Mips>();
-    let sparc_code = generate::<Sparc>();
-    let alpha_code = generate::<Alpha>();
-    println!("MIPS   (simulated): {} bytes", mips_code.len());
-    println!("SPARC  (simulated): {} bytes", sparc_code.len());
-    println!("Alpha  (simulated): {} bytes", alpha_code.len());
-
-    let mut mips = vcode_sim::mips::Machine::new(1 << 20);
-    let mips_entry = mips.load_code(&mips_code)?;
-    let mut sparc = vcode_sim::sparc::Machine::new(1 << 20);
-    let sparc_entry = sparc.load_code(&sparc_code)?;
-    let mut alpha = vcode_sim::alpha::Machine::new(1 << 20);
-    let alpha_entry = alpha.load_code(&alpha_code)?;
+    let mips = simulate::<Mips, mips::Cpu>(&cases)?;
+    let sparc = simulate::<Sparc, sparc::Cpu>(&cases)?;
+    let alpha = simulate::<Alpha, alpha::Cpu>(&cases)?;
 
     println!("\n  a      b    x86-64   MIPS  SPARC  Alpha");
-    for (x, y) in cases {
-        let n = native(x as i32, y as i32);
-        let m = mips.call(mips_entry, &[x, y], 100_000)?;
-        let s = sparc.call(sparc_entry, &[x, y], 100_000)?;
-        let al = alpha.call(alpha_entry, &[u64::from(x), u64::from(y)], 100_000)?;
+    for (i, &(x, y)) in cases.iter().enumerate() {
+        let n = i64::from(native(x, y));
+        let (m, s, al) = (mips.0[i], sparc.0[i], alpha.0[i]);
         println!("{x:5} {y:6} {n:9} {m:6} {s:6} {al:6}");
-        assert_eq!(n as u32, m);
-        assert_eq!(n as u32, s);
-        assert_eq!(n as u64, al);
+        assert_eq!([n, n, n], [m, s, al]);
     }
     println!(
         "\nall four targets agree; simulated instruction counts: \
          MIPS {}  SPARC {}  Alpha {}",
-        mips.stats().insns_retired,
-        sparc.stats().insns_retired,
-        alpha.stats().insns_retired
+        mips.1, sparc.1, alpha.1
     );
     Ok(())
+}
+
+/// Runs every case on `I`'s simulator: the results and the instructions
+/// retired in all.
+fn simulate<T: Target, I: Isa>(cases: &[(i32, i32)]) -> Result<(Vec<i64>, u64), Box<dyn Error>> {
+    let code = generate::<T>();
+    println!("{:6} (simulated): {} bytes", I::NAME, code.len());
+    let mut m = Machine::<I>::new(1 << 20);
+    let entry = m.load_code(&code)?;
+    let got = cases
+        .iter()
+        .map(|&(x, y)| m.call_i32(entry, &[x, y], 100_000))
+        .collect::<Result<_, _>>()?;
+    Ok((got, m.stats().insns_retired))
 }

@@ -34,7 +34,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     a.reti(x);
     let fin = a.end()?;
     println!("\nthe same VCODE retargeted to MIPS ({} bytes):", fin.len);
-    print!("{}", vcode_sim::mips::disasm_all(&mips_mem[..fin.len]));
+    print!(
+        "{}",
+        vcode_sim::mips::Machine::disasm_all(&mips_mem[..fin.len])
+    );
 
     // And executed on the simulator.
     let mut m = vcode_sim::mips::Machine::new(1 << 20);

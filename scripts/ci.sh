@@ -256,6 +256,36 @@ if [ -n "$second_door" ]; then
 fi
 echo "one DPF front door ok"
 
+echo "== one simulator shell (each ISA keeps its registers, step and ABI) =="
+# MIPS, SPARC and Alpha run inside one `Machine<I: Isa>`: the memory
+# image and its host API, the counters, cache and trace, and the run
+# loop are written once in crates/sim/src/lib.rs, and every trap is a
+# `vcode::Trap` (DESIGN.md "One simulator shell"). A second definition
+# of a shell entry point, or a per-ISA trap enum, is a second shell:
+# fail on either. Looked at: code lines (not comments) of
+# crates/sim/src before each file's first `#[cfg(test)]`.
+shell=$(git ls-files --cached --others --exclude-standard 'crates/sim/src/*.rs' |
+    while IFS= read -r f; do
+        [ -f "$f" ] || continue
+        awk -v FILE="$f" '
+            /^[ \t]*#\[cfg\(test\)\]/ { exit }
+            /^[ \t]*\/\// { next }
+            { printf "%s:%d: %s\n", FILE, NR, $0 }' "$f"
+    done)
+second_shell=$(
+    for name in load_code alloc write read reset_stats set_trace disasm_all; do
+        defs=$(grep -E "fn $name[^[:alnum:]_]" <<<"$shell" || true)
+        [ "$(grep -c . <<<"$defs")" = 1 ] || echo "fn $name defined other than once:${defs:+$'\n'}$defs"
+    done
+    grep -E "enum Trap([^[:alnum:]_]|$)" <<<"$shell" || true
+)
+if [ -n "$second_shell" ]; then
+    echo "one-simulator-shell gate: the shell is written more than once:" >&2
+    echo "$second_shell" >&2
+    exit 1
+fi
+echo "one simulator shell ok"
+
 echo "== DPF dispatch is data (a set of leaves is a table lookup) =="
 # A dispatch node whose arms all just accept a filter emits no arm and
 # no indirect jump: the hash (or the dense index) selects a table entry,

@@ -6,6 +6,7 @@
 use vcode::regress::XorShift;
 use vcode::target::Leaf;
 use vcode::{Assembler, Reg, RegClass, Target};
+use vcode_sim::{alpha, mips, sparc, Isa, Machine};
 use vcode_x64::ExecMem;
 
 /// One step of a random straight-line program over three int registers.
@@ -94,42 +95,23 @@ fn run_all(steps: &[Step], x: i32, y: i32) -> (i32, i32, i32, i32) {
     // SAFETY: the buffer holds a complete emitted function matching this signature.
     let f: extern "C" fn(i32, i32) -> i32 = unsafe { code.as_fn() };
     let native = f(x, y);
-    // Simulated.
-    let gen = |steps: &[Step]| -> (Vec<u8>, Vec<u8>, Vec<u8>) {
-        let mut m1 = vec![0u8; 64 * 1024];
-        let mut a = Assembler::<vcode_mips::Mips>::lambda(&mut m1, "%i%i", Leaf::Yes).unwrap();
-        emit(&mut a, steps);
-        let l1 = a.end().unwrap().len;
-        m1.truncate(l1);
-        let mut m2 = vec![0u8; 64 * 1024];
-        let mut a = Assembler::<vcode_sparc::Sparc>::lambda(&mut m2, "%i%i", Leaf::Yes).unwrap();
-        emit(&mut a, steps);
-        let l2 = a.end().unwrap().len;
-        m2.truncate(l2);
-        let mut m3 = vec![0u8; 64 * 1024];
-        let mut a = Assembler::<vcode_alpha::Alpha>::lambda(&mut m3, "%i%i", Leaf::Yes).unwrap();
-        emit(&mut a, steps);
-        let l3 = a.end().unwrap().len;
-        m3.truncate(l3);
-        (m1, m2, m3)
-    };
-    let (mc, sc, ac) = gen(steps);
-    let mut mips = vcode_sim::mips::Machine::new(1 << 21);
-    let e = mips.load_code(&mc).unwrap();
-    let mv = mips
-        .call(e, &[x as u32, y as u32], 1_000_000)
-        .expect("mips") as i32;
-    let mut sparc = vcode_sim::sparc::Machine::new(1 << 21);
-    let e = sparc.load_code(&sc).unwrap();
-    let sv = sparc
-        .call(e, &[x as u32, y as u32], 1_000_000)
-        .expect("sparc") as i32;
-    let mut alpha = vcode_sim::alpha::Machine::new(1 << 21);
-    let e = alpha.load_code(&ac).unwrap();
-    let av = alpha
-        .call(e, &[i64::from(x) as u64, i64::from(y) as u64], 1_000_000)
-        .expect("alpha") as i32;
-    (native, mv, sv, av)
+    (
+        native,
+        on_sim::<vcode_mips::Mips, mips::Cpu>(steps, x, y),
+        on_sim::<vcode_sparc::Sparc, sparc::Cpu>(steps, x, y),
+        on_sim::<vcode_alpha::Alpha, alpha::Cpu>(steps, x, y),
+    )
+}
+
+/// Emits the program for `T` and runs it on `I`'s simulator.
+fn on_sim<T: Target, I: Isa>(steps: &[Step], x: i32, y: i32) -> i32 {
+    let mut mem = vec![0u8; 64 * 1024];
+    let mut a = Assembler::<T>::lambda(&mut mem, "%i%i", Leaf::Yes).unwrap();
+    emit(&mut a, steps);
+    let len = a.end().unwrap().len;
+    let mut m = Machine::<I>::new(1 << 21);
+    let e = m.load_code(&mem[..len]).unwrap();
+    m.call_i32(e, &[x, y], 1_000_000).expect(I::NAME) as i32
 }
 
 #[test]

@@ -167,78 +167,41 @@ fn generic_pipeline_on_all_simulated_targets() {
     let want_swapped = ash::reference::swapped(&data);
     let steps = [Step::Checksum, Step::Swap];
 
-    // MIPS.
-    {
+    // The three simulators, through one generic function.
+    fn on_sim<T: vcode::Target, I: vcode_sim::Isa>(
+        mut m: vcode_sim::Machine<I>,
+        data: &[u8],
+        steps: &[Step],
+    ) -> (u16, Vec<u8>) {
         let mut mem = vec![0u8; 8192];
-        let fin = ash::generic::compile_fused::<vcode_mips::Mips>(&mut mem, &steps).unwrap();
+        let fin = ash::generic::compile_fused::<T>(&mut mem, steps).unwrap();
         mem.truncate(fin.len);
-        let mut m = vcode_sim::mips::Machine::new(1 << 20);
-        m.strict_load_delay = true;
         let entry = m.load_code(&mem).unwrap();
         let src = m.alloc(data.len(), 8).unwrap();
         let dst = m.alloc(data.len(), 8).unwrap();
-        m.write(src, &data).unwrap();
-        let sum = m
-            .call(entry, &[dst, src, (data.len() / 4) as u32], 1_000_000)
-            .unwrap();
-        assert_eq!(
-            ash::generic::fold_le_halfwords(sum),
-            want_ck,
-            "mips checksum"
-        );
-        assert_eq!(
-            m.read(dst, data.len()).unwrap(),
-            &want_swapped[..],
-            "mips swap"
-        );
+        m.write(src, data).unwrap();
+        let n = vcode_sim::Word::wrap((data.len() / 4) as u64);
+        let sum = m.call(entry, &[dst, src, n], 1_000_000).unwrap();
+        let out = m.read(dst, data.len()).unwrap().to_vec();
+        (ash::generic::fold_le_halfwords(sum.into() as u32), out)
     }
-    // SPARC.
-    {
-        let mut mem = vec![0u8; 8192];
-        let fin = ash::generic::compile_fused::<vcode_sparc::Sparc>(&mut mem, &steps).unwrap();
-        mem.truncate(fin.len);
-        let mut m = vcode_sim::sparc::Machine::new(1 << 20);
-        let entry = m.load_code(&mem).unwrap();
-        let src = m.alloc(data.len(), 8).unwrap();
-        let dst = m.alloc(data.len(), 8).unwrap();
-        m.write(src, &data).unwrap();
-        let sum = m
-            .call(entry, &[dst, src, (data.len() / 4) as u32], 1_000_000)
-            .unwrap();
-        assert_eq!(
-            ash::generic::fold_le_halfwords(sum),
-            want_ck,
-            "sparc checksum"
-        );
-        assert_eq!(
-            m.read(dst, data.len()).unwrap(),
-            &want_swapped[..],
-            "sparc swap"
-        );
-    }
-    // Alpha.
-    {
-        let mut mem = vec![0u8; 8192];
-        let fin = ash::generic::compile_fused::<vcode_alpha::Alpha>(&mut mem, &steps).unwrap();
-        mem.truncate(fin.len);
-        let mut m = vcode_sim::alpha::Machine::new(1 << 20);
-        let entry = m.load_code(&mem).unwrap();
-        let src = m.alloc(data.len(), 8).unwrap();
-        let dst = m.alloc(data.len(), 8).unwrap();
-        m.write(src, &data).unwrap();
-        let sum = m
-            .call(entry, &[dst, src, (data.len() / 4) as u64], 1_000_000)
-            .unwrap();
-        assert_eq!(
-            ash::generic::fold_le_halfwords(sum as u32),
-            want_ck,
-            "alpha checksum"
-        );
-        assert_eq!(
-            m.read(dst, data.len()).unwrap(),
-            &want_swapped[..],
-            "alpha swap"
-        );
+    let mut mips = vcode_sim::mips::Machine::new(1 << 20);
+    mips.cpu.strict_load_delay = true;
+    let sparc = vcode_sim::sparc::Machine::new(1 << 20);
+    let alpha = vcode_sim::alpha::Machine::new(1 << 20);
+    for (name, (ck, out)) in [
+        ("mips", on_sim::<vcode_mips::Mips, _>(mips, &data, &steps)),
+        (
+            "sparc",
+            on_sim::<vcode_sparc::Sparc, _>(sparc, &data, &steps),
+        ),
+        (
+            "alpha",
+            on_sim::<vcode_alpha::Alpha, _>(alpha, &data, &steps),
+        ),
+    ] {
+        assert_eq!(ck, want_ck, "{name} checksum");
+        assert_eq!(out, want_swapped, "{name} swap");
     }
     // x86-64 (native, through the same generic generator).
     {
