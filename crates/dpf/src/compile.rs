@@ -244,18 +244,21 @@ fn swap_val(v: u32, size: FieldSize) -> u32 {
 }
 
 impl<'m> Cg<'m> {
-    /// Emits the length check dominating a field access, unless elided.
-    fn bounds(&mut self, offset: u32, size: FieldSize, st: &mut PathState, fail: Label) {
-        let need = offset + size.bytes();
+    /// Emits the length check dominating `node`'s field access, unless
+    /// elided. Where one is due on a static path it checks the length
+    /// the node's whole subtree needs ([`need`]), so the checks below it
+    /// are elided too.
+    fn bounds(&mut self, node: &Node, st: &mut PathState, fail: Label) {
+        let field_end = field_end(node.key);
         if st.shifted {
-            // Dynamic base: check base + need <= len at runtime.
-            self.a.adduli(self.tmp, self.base, i64::from(need));
+            // Dynamic base: check base + field_end <= len at runtime.
+            self.a.adduli(self.tmp, self.base, i64::from(field_end));
             self.a.bgtul(self.tmp, self.len, fail);
-        } else if !self.opts.elide_bounds_checks || need > st.checked {
-            self.a.bltuli(self.len, i64::from(need), fail);
-            if self.opts.elide_bounds_checks {
-                st.checked = need;
-            }
+        } else if !self.opts.elide_bounds_checks {
+            self.a.bltuli(self.len, i64::from(field_end), fail);
+        } else if field_end > st.checked {
+            st.checked = need(node);
+            self.a.bltuli(self.len, i64::from(st.checked), fail);
         }
     }
 
@@ -320,7 +323,7 @@ impl<'m> Cg<'m> {
     fn gen_node(&mut self, node: &Node, node_fail: Label, mut st: PathState) {
         match node.key {
             Key::Cmp { offset, size, mask } => {
-                self.bounds(offset, size, &mut st, node_fail);
+                self.bounds(node, &mut st, node_fail);
                 self.load_field(offset, size, st);
                 if mask != size.full_mask() {
                     // Mask in the load domain: byte-swapping commutes
@@ -336,7 +339,7 @@ impl<'m> Cg<'m> {
                 mask,
                 shift,
             } => {
-                self.bounds(offset, size, &mut st, node_fail);
+                self.bounds(node, &mut st, node_fail);
                 self.load_field(offset, size, st);
                 self.emit_value_domain(size);
                 self.a.andui(self.field, self.field, i64::from(mask));
@@ -625,6 +628,38 @@ impl<'m> Cg<'m> {
     }
 }
 
+/// The least message length with which `node` can accept: below it,
+/// every outcome of the node is its failure. A node needs its own field
+/// and the least any of its arms needs; a level that accepts needs
+/// nothing, and one that does not, the least of its nodes. A `Shift`
+/// node has no arms, so it is charged only its own field: what follows
+/// it is checked against the shifted base.
+fn need(node: &Node) -> u32 {
+    let arms = node.arms.iter().map(|arm| level_need(&arm.next)).min();
+    arms.unwrap_or(0).max(field_end(node.key))
+}
+
+/// Where the field a node loads ends, from the current base.
+fn field_end(key: Key) -> u32 {
+    let (Key::Cmp { offset, size, .. } | Key::Shift { offset, size, .. }) = key;
+    offset + size.bytes()
+}
+
+/// [`need`] of a level.
+fn level_need(level: &Level) -> u32 {
+    match level.accept {
+        Some(_) => 0,
+        None => level.nodes.iter().map(need).min().unwrap_or(0),
+    }
+}
+
+/// Whether any node of the trie shifts the base.
+fn has_shift(level: &Level) -> bool {
+    level.nodes.iter().any(|n| {
+        matches!(n.key, Key::Shift { .. }) || n.arms.iter().any(|arm| has_shift(&arm.next))
+    })
+}
+
 /// The id in a data-dispatch table entry that no key owns. Not a filter
 /// id: the classifier returns ids as `i64`, negative meaning no match
 /// ([`CompiledSet::classify`]), so an id above `i32::MAX` never was one.
@@ -667,14 +702,24 @@ pub fn compile(root: &Level, opts: Options) -> Result<CompiledSet, CompileError>
     let mut a = Assembler::<X64>::lambda(&mut mem.as_mut_slice()[..cap], "%p%ul", Leaf::Yes)?;
     let msg = a.arg(0);
     let len = a.arg(1);
-    let field = a.getreg(RegClass::Temp).ok_or(CompileError::TooManyTemps)?;
-    let ptr = a.getreg(RegClass::Temp).ok_or(CompileError::TooManyTemps)?;
-    let base = a.getreg(RegClass::Temp).ok_or(CompileError::TooManyTemps)?;
-    let tmp = a.getreg(RegClass::Temp).ok_or(CompileError::TooManyTemps)?;
-    let tmp2 = a.getreg(RegClass::Temp).ok_or(CompileError::TooManyTemps)?;
+    let mut temp = || a.getreg(RegClass::Temp).ok_or(CompileError::TooManyTemps);
+    let field = temp()?;
+    // The running base and the pointer it makes exist only for a trie
+    // that shifts; without them the classifier needs no callee-saved
+    // register, so it is a frameless leaf. (Unshifted code never reads
+    // them, so they stand as `msg` there.)
+    let (ptr, base) = if has_shift(root) {
+        (temp()?, temp()?)
+    } else {
+        (msg, msg)
+    };
+    let tmp = temp()?;
+    let tmp2 = temp()?;
     let fail = a.genlabel();
-    a.setul(base, 0);
-    a.movp(ptr, msg);
+    if base != msg {
+        a.setul(base, 0);
+        a.movp(ptr, msg);
+    }
     let mut cg = Cg {
         a,
         msg,

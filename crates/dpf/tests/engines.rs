@@ -715,31 +715,63 @@ fn perfect_hash_search_runs_where_it_can_succeed() {
     }
 }
 
-/// The packet-to-id path of a set of leaves is data: the 33 sparse ports
-/// of the benchmark's resident set compile to the shared header checks,
-/// one hash, one key compare and one id load — 33 VCODE instructions
-/// whatever the ports are, no indirect jump and no per-port code.
-#[test]
-fn a_set_of_leaves_is_dispatched_by_data() {
+/// The decoded instructions of a compiled classifier, from its entry.
+fn decoded(set: &CompiledSet) -> Vec<(Vec<u8>, vcode::verify::DecodedInsn)> {
     use vcode::verify::InsnDecoder;
-    let (ports, filters) = sparse_port_set(33);
-    let set = dpf::compile::compile(&dpf::trie::build(&filters), dpf::Options::default()).unwrap();
-    assert_eq!(set.vcode_insns, 33);
-    assert!(set.code_len <= 241, "{} bytes", set.code_len);
-    assert_eq!(set.code_bytes().len(), set.code_len);
-    assert_eq!(set.strategies.hash, 1, "{:?}", set.strategies);
-    // Decoded from its first instruction, the only control transfer
-    // without an encoded target is the final `ret`.
     let code = set.code_bytes();
-    let (mut at, mut indirect) = (0, 0);
+    let mut insns = Vec::new();
+    let mut at = 0;
     while at < code.len() {
         let insn = vcode_x64::declen::Decoder
             .decode(code, at)
             .unwrap_or_else(|| panic!("undecodable at {at:#x}"));
-        indirect += usize::from(insn.control && insn.target.is_none());
+        insns.push((code[at..at + insn.len].to_vec(), insn));
         at += insn.len;
     }
-    assert_eq!((at, indirect), (code.len(), 1));
+    assert_eq!(at, code.len());
+    insns
+}
+
+/// How many of a classifier's instructions compare the message length
+/// (`rsi`) with a constant: `cmp rsi, imm8` or `cmp rsi, imm32`.
+fn length_checks(set: &CompiledSet) -> usize {
+    decoded(set)
+        .iter()
+        .filter(|(b, _)| {
+            b.len() >= 3 && b[0] == 0x48 && (b[1] == 0x83 || b[1] == 0x81) && b[2] == 0xfe
+        })
+        .count()
+}
+
+/// The packet-to-id path of a set of leaves is data: the 33 sparse ports
+/// of the benchmark's resident set compile to one length check, the
+/// shared header compares, one hash, one key compare and one id load —
+/// 27 VCODE instructions whatever the ports are, no indirect jump, no
+/// per-port code, and no frame: the classifier is a leaf that saves
+/// nothing, so it has no `push rbp` or `leave`, and each of its two
+/// returns is a `ret` in place.
+#[test]
+fn a_set_of_leaves_is_dispatched_by_data() {
+    let (ports, filters) = sparse_port_set(33);
+    let set = dpf::compile::compile(&dpf::trie::build(&filters), dpf::Options::default()).unwrap();
+    assert_eq!(set.vcode_insns, 27);
+    assert!(set.code_len <= 150, "{} bytes", set.code_len);
+    assert_eq!(set.code_bytes().len(), set.code_len);
+    assert_eq!(set.strategies.hash, 1, "{:?}", set.strategies);
+    assert_eq!(length_checks(&set), 1);
+    // Decoded from its first instruction, the only control transfers
+    // without an encoded target are the two `ret`s.
+    let insns = decoded(&set);
+    let indirect: Vec<&[u8]> = insns
+        .iter()
+        .filter(|(_, i)| i.control && i.target.is_none())
+        .map(|(b, _)| &b[..])
+        .collect();
+    assert_eq!(indirect, [[0xc3], [0xc3]]);
+    assert!(
+        insns.iter().all(|(b, _)| b[0] != 0x55 && b[0] != 0xc9),
+        "push rbp / leave"
+    );
     for (i, &p) in ports.iter().enumerate() {
         let msg = packet::build(&PacketSpec {
             dst_port: p,
@@ -749,13 +781,121 @@ fn a_set_of_leaves_is_dispatched_by_data() {
     }
 }
 
+/// One length check covers what a node's whole subtree needs, so it has
+/// to fail exactly the packets the node could not accept. Every packet of
+/// each set, cut at every length, classifies alike compiled, by the
+/// `Filter::matches` scan, by MPF and by PATHFINDER — on sets where a
+/// level accepts above deeper nodes (the shared header alone), where the
+/// root dispatches IP beside ARP and has a sibling node, and where a
+/// `Shift` makes the checks below it dynamic. Without elision the
+/// classifier checks once per field instead, and answers the same.
+#[test]
+fn every_truncation_classifies_alike_with_one_check_per_subtree() {
+    let port = |port: u16| {
+        packet::build(&PacketSpec {
+            dst_port: port,
+            ..PacketSpec::default()
+        })
+    };
+    let header = || {
+        FilterBuilder::new()
+            .eq_u16(packet::ETH_TYPE_OFF, packet::ETHERTYPE_IP)
+            .eq_u8(packet::IP_PROTO_OFF, packet::IPPROTO_TCP)
+    };
+    let arp = |op: u8| {
+        let mut m = port(80);
+        m[13] = 0x06;
+        m[21] = op;
+        m
+    };
+    let mut stretched = port(443);
+    stretched[14] = 0x46;
+    stretched.splice(34..34, [0; 4]);
+    // (filters, messages, length checks elided and not)
+    let sets = vec![
+        // Ports, then their shared header alone: the level after the
+        // protocol accepts above the address node, so 24 bytes may
+        // accept and 38 may match a port.
+        (
+            [80, 81, 443, 8080]
+                .map(|p| packet::tcp_port_filter(0x0a00_0002, p).unwrap())
+                .into_iter()
+                .chain([FilterBuilder::new()
+                    .eq_u16(packet::ETH_TYPE_OFF, packet::ETHERTYPE_IP)
+                    .masked(packet::ETH_LEN, FieldSize::U8, 0xf0, 0x40)
+                    .eq_u8(packet::IP_PROTO_OFF, packet::IPPROTO_TCP)
+                    .build()
+                    .unwrap()])
+                .collect(),
+            vec![port(80), port(8080), port(99)],
+            2,
+            5,
+        ),
+        // IP beside ARP at the root's one node, and a second root node
+        // on the first byte of the destination MAC.
+        (
+            vec![
+                packet::tcp_port_filter(0x0a00_0002, 80).unwrap(),
+                FilterBuilder::new()
+                    .eq_u16(packet::ETH_TYPE_OFF, 0x0806)
+                    .eq_u8(21, 2)
+                    .build()
+                    .unwrap(),
+                FilterBuilder::new().eq_u8(0, 0x33).build().unwrap(),
+            ],
+            vec![port(80), arp(1), arp(2), {
+                let mut m = arp(3);
+                m[0] = 0x33;
+                m
+            }],
+            3,
+            7,
+        ),
+        // Shifts, and the header alone.
+        (
+            [80, 443]
+                .map(|p| packet::tcp_port_filter_var_ihl(p).unwrap())
+                .into_iter()
+                .chain([header().build().unwrap()])
+                .collect(),
+            vec![port(80), port(443), stretched, port(99)],
+            1,
+            3,
+        ),
+    ];
+    for (k, (filters, full, elided, every)) in sets.into_iter().enumerate() {
+        let msgs: Vec<Vec<u8>> = full
+            .iter()
+            .flat_map(|m| (0..=m.len()).map(|n| m[..n].to_vec()))
+            .collect();
+        check_all(&filters, &msgs);
+        let set = compiled(&filters, Options::default());
+        let unelided = compiled(
+            &filters,
+            Options {
+                elide_bounds_checks: false,
+                ..Options::default()
+            },
+        );
+        assert_eq!(
+            (length_checks(&set), length_checks(&unelided)),
+            (elided, every),
+            "set {k}"
+        );
+        for m in &msgs {
+            assert_eq!(unelided.classify(m), set.classify(m), "set {k}: {m:?}");
+        }
+    }
+}
+
 /// Generated sets on each side of the data dispatch — every arm a leaf
 /// behind a hash (16-bit, masked and 32-bit fields, and behind a
 /// `Shift`), every arm a leaf in a dense range with holes, and one arm
 /// that is not a leaf (the whole node stays code) — classify alike in
 /// all three engines and the `Filter::matches` scan, on every key, on
 /// random misses, and on the fields an empty table slot could hold: the
-/// lowest few values as loaded, single high bits, and all ones. (The scan takes the first
+/// lowest few values as loaded, single high bits, and all ones, and on
+/// truncated packets. (The scan takes the first
 /// match and the tries the longest, which agree while the one filter
 /// that is a prefix of the others comes last.)
 #[test]
@@ -842,12 +982,17 @@ fn data_dispatch_agrees_with_every_engine_on_generated_sets() {
                 .map(port_msg)
                 .collect()
         };
-        // A stretched IP header for the `Shift` sets, and a truncation.
+        // A stretched IP header for the `Shift` sets, and every cut of
+        // it and of the first key's packet.
         let mut long = msgs[0].clone();
         long[14] = 0x46;
         long.splice(34..34, [0; 4]);
+        let cuts: Vec<Vec<u8>> = [&msgs[0], &long]
+            .iter()
+            .flat_map(|m| (0..m.len()).map(|n| m[..n].to_vec()))
+            .collect();
         msgs.push(long);
-        msgs.push(msgs[1][..packet::DST_PORT_OFF as usize + 1].to_vec());
+        msgs.extend(cuts);
         check_all(&filters, &msgs);
 
         let set = compiled(&filters, Options::default());

@@ -387,7 +387,8 @@ fn pooled_execmem_exhaustion_is_typed() {
 
 /// Curated native crash programs under [`vcode_x64::GuardedCall`]:
 /// each historically-fatal fault (null deref, wild store, illegal
-/// opcode, runaway loop, straight-line runoff) becomes a typed
+/// opcode, runaway loop, straight-line runoff, a wild load in a
+/// frameless leaf) becomes a typed
 /// [`vcode_x64::NativeTrap`] carrying the faulting address.
 #[test]
 fn curated_native_faults_trap_under_guard() {
@@ -471,8 +472,33 @@ fn curated_native_faults_trap_under_guard() {
     assert_eq!(t.kind, TrapKind::BadAccess);
     assert_eq!(t.addr, Some(code.addr() + len as u64));
 
-    assert_eq!(tally.total(), 5);
-    assert_eq!(tally.trapped, 5);
+    // A wild load inside a frameless leaf: no prologue (the whole
+    // reservation is filler) and a bare `ret`, so the trap unwinds no
+    // frame of its own. Trapped entered at offset 0 and at its entry,
+    // and the same code then runs to completion from both.
+    let mut mem = ExecMem::new(4096).expect("map");
+    let mut a = Assembler::<X64>::lambda(mem.as_mut_slice(), "%p:%i", Leaf::Yes).expect("lambda");
+    let p = a.arg(0);
+    let t = a.getreg(RegClass::Temp).expect("reg");
+    a.ldii(t, p, 8);
+    a.reti(t);
+    let fin = a.end().expect("end");
+    let code = mem.finalize().expect("finalize");
+    assert!(code.bytes()[2..fin.entry].iter().all(|&b| b == 0x90));
+    assert_eq!(code.bytes()[fin.len - 1], 0xc3);
+    let words = [0i32, 0, 42, 0];
+    for entry in [0, fin.entry] {
+        let at = code.addr() + entry as u64;
+        let out = guard.call_entry(at, [0xdead_b000, 0, 0, 0]);
+        tally.record(&out);
+        let t = Trap::from(out.expect_err("wild load must trap"));
+        assert_eq!((t.kind, t.addr), (TrapKind::BadAccess, Some(0xdead_b008)));
+        let ok = guard.call_entry(at, [words.as_ptr() as u64, 0, 0, 0]);
+        assert_eq!(ok.expect("a good pointer runs") as u32, 42);
+    }
+
+    assert_eq!(tally.total(), 7);
+    assert_eq!(tally.trapped, 7);
 }
 
 /// Host-facing simulator memory APIs (`load_code` / `alloc` / `write` /

@@ -8,12 +8,14 @@
 //! digests below were computed at 393b495, before `engine::replay` and
 //! `tier2::replay_opt` were folded onto one lowering loop, and must not
 //! move without a `persist::FORMAT_VERSION` bump. The x86-64 digests
-//! moved once since, at PR 24: the prologue sits at the end of its
-//! reservation behind a short jump from offset 0, and a jump to the
-//! next byte is retracted. No bump went with it — an artifact an older
-//! build stored is a whole function entered at its first byte, loads
-//! and runs as before, and is as much longer than a new one as its
-//! prologue left unused. The seeded set — 1024
+//! moved twice since: once when the prologue moved to the end of its
+//! reservation behind a short jump from offset 0 and a jump to the next
+//! byte came to be retracted, and once when a leaf that saves no
+//! register and keeps no local lost its frame (its epilogue is a bare
+//! `ret`, which replaces every `jmp` to it). No bump went with either — an artifact an
+//! older build stored is a whole function entered at its first byte,
+//! loads and runs as before, and is as much longer than a new one as its
+//! prologue and epilogue were. The seeded set — 1024
 //! programs in the shape of the benchmark's generator — and the
 //! `Program` stream pins were computed at 2fb0710, while `Program` still
 //! held a `Vec<POp>` and lowering dispatched per op.
@@ -75,24 +77,34 @@ fn pinned<T: Target>(corpus: &[Program], pinned_at: &str, tier1: u64, tier2: u64
     );
 }
 
-/// The literals are what 393b495 emitted (x86-64: PR 24).
+/// The literals are what 393b495 emitted (x86-64: after leaves lost their frame).
 #[test]
 fn emitted_bytes_match_the_parent_commit_on_every_target() {
     let c = corpus();
     pinned::<Mips>(&c, "393b495", 0xef99_8af7_c851_9014, 0xdd9f_f6ed_e536_ba58);
     pinned::<Sparc>(&c, "393b495", 0x0c8d_49d7_264a_91a7, 0xbf0c_d593_4b57_3c04);
     pinned::<Alpha>(&c, "393b495", 0xf1d1_7a02_0ce3_15cd, 0xf91a_9e10_ec5e_2ea5);
-    pinned::<X64>(&c, "PR 24", 0x081c_f3a9_bebb_8192, 0xa283_d9d5_e530_69f8);
+    pinned::<X64>(
+        &c,
+        "the frameless-leaf backend",
+        0xa171_1d92_0fe0_da80,
+        0x5956_e547_30cf_94f7,
+    );
 }
 
-/// The literals are what 2fb0710 emitted (x86-64: PR 24).
+/// The literals are what 2fb0710 emitted (x86-64: after leaves lost their frame).
 #[test]
 fn seeded_programs_emit_the_bytes_2fb0710_did_on_every_target() {
     let s = seeded();
     pinned::<Mips>(&s, "2fb0710", 0x7373_9554_02f0_d5d6, 0xeb96_08ed_d643_7fea);
     pinned::<Sparc>(&s, "2fb0710", 0x9d61_6121_6072_4d10, 0x2596_90cc_b616_d400);
     pinned::<Alpha>(&s, "2fb0710", 0x4fbb_d624_39dc_5c2b, 0xca5a_b43e_431c_559d);
-    pinned::<X64>(&s, "PR 24", 0xabad_c48c_53d9_8cc6, 0xb14a_19cc_6f2b_5512);
+    pinned::<X64>(
+        &s,
+        "the frameless-leaf backend",
+        0xabad_c48c_53d9_8cc6,
+        0x36b7_6dca_3b20_63ca,
+    );
 }
 
 /// A finished x86-64 function has two entries, and 1024 seeded programs

@@ -149,6 +149,14 @@ const FRAME_INSNS: [u8; 7] = [0x55, 0x48, 0x89, 0xe5, 0x48, 0x81, 0xec];
 /// Bytes `begin` reserves for the prologue: the frame set-up, its imm32
 /// and a save of every register in [`CALLEE_SAVED`].
 const PROLOGUE_MAX: usize = FRAME_INSNS.len() + 4 + CALLEE_SAVED.len() * SAVE_INSN;
+/// [`Fixup::kind`] of a `jmp rel32`'s displacement (every other fixup
+/// is 0).
+const JMP: u8 = 1;
+/// [`vcode::target::TargetScratch::flags`] bit: the epilogue is a bare
+/// `ret`.
+const BARE_RET: u32 = 1;
+/// What `patch` writes over a `jmp rel32` to a bare `ret`.
+const RET_FOR_JMP: [u8; 5] = [0xc3, 0x90, 0x90, 0x90, 0x90];
 
 #[inline]
 fn is64(ty: Ty) -> bool {
@@ -278,6 +286,35 @@ impl X64 {
         encode::mov_ri(&mut a.buf, SCRATCH, imm);
         Self::emit_binop(a, op, ty, rd, rs, Reg::int(SCRATCH));
     }
+
+    /// The deferred prologue — frame set-up with the activation-record
+    /// size (rsp kept 16-aligned), then the saves of `used` — patched in
+    /// so that it ends where the reservation does; its length. (After a
+    /// buffer overflow the reservation may be truncated; a patch past the
+    /// cursor is dropped and `end` reports the latched overflow.)
+    fn patch_prologue(a: &mut Asm<'_>, used: u64) -> usize {
+        let frame = (SAVE_AREA + a.locals_bytes).div_ceil(16) * 16;
+        let mut prologue = [0u8; PROLOGUE_MAX];
+        let mut len = FRAME_INSNS.len() + 4;
+        prologue[..FRAME_INSNS.len()].copy_from_slice(&FRAME_INSNS);
+        prologue[FRAME_INSNS.len()..len].copy_from_slice(&(frame as u32).to_le_bytes());
+        for (slot, &reg) in CALLEE_SAVED.iter().enumerate() {
+            if used & (1 << reg) != 0 {
+                // mov [rbp - 8*(slot+1)], reg
+                let rexb = if reg >= 8 { 0x4c } else { 0x48 };
+                let disp = (-8 * (slot as i32 + 1)) as u8;
+                prologue[len..len + SAVE_INSN].copy_from_slice(&[
+                    rexb,
+                    0x89,
+                    0x45 | (reg & 7) << 3,
+                    disp,
+                ]);
+                len += SAVE_INSN;
+            }
+        }
+        a.buf.patch_slice(PROLOGUE_MAX - len, &prologue[..len]);
+        len
+    }
 }
 
 impl Target for X64 {
@@ -388,37 +425,22 @@ impl Target for X64 {
     }
 
     fn end(a: &mut Asm<'_>) -> Result<(), Error> {
-        // The deferred prologue — frame set-up with the activation-record
-        // size (rsp kept 16-aligned), then the saves — patched in so that
-        // it ends where the reservation does. (After a buffer overflow
-        // the reservation may be truncated; a patch past the cursor is
-        // dropped and end() reports the latched overflow.)
+        // A leaf that saves no register and keeps no local needs no
+        // frame (paper §5.2): it starts at the end of the reservation,
+        // and its epilogue is a bare `ret`, which `patch` copies into
+        // every jump to it.
         let used = a.ra.callee_used(vcode::Bank::Int);
-        let frame = (SAVE_AREA + a.locals_bytes).div_ceil(16) * 16;
-        let mut prologue = [0u8; PROLOGUE_MAX];
-        let mut len = FRAME_INSNS.len() + 4;
-        prologue[..FRAME_INSNS.len()].copy_from_slice(&FRAME_INSNS);
-        prologue[FRAME_INSNS.len()..len].copy_from_slice(&(frame as u32).to_le_bytes());
-        for (slot, &reg) in CALLEE_SAVED.iter().enumerate() {
-            if used & (1 << reg) != 0 {
-                // mov [rbp - 8*(slot+1)], reg
-                let rexb = if reg >= 8 { 0x4c } else { 0x48 };
-                let disp = (-8 * (slot as i32 + 1)) as u8;
-                prologue[len..len + SAVE_INSN].copy_from_slice(&[
-                    rexb,
-                    0x89,
-                    0x45 | (reg & 7) << 3,
-                    disp,
-                ]);
-                len += SAVE_INSN;
-            }
-        }
-        let entry = PROLOGUE_MAX - len;
-        a.buf.patch_slice(entry, &prologue[..len]);
+        let frameless = a.leaf == Leaf::Yes && used == 0 && a.locals_bytes == 0;
+        let len = if frameless {
+            0
+        } else {
+            Self::patch_prologue(a, used)
+        };
         // The function starts at `entry`, and whoever can enters there
         // (`Finished::entry`). Offset 0 stays an entry for clients that
         // call the first byte of what they emitted into: one short jump
         // over the unused filler.
+        let entry = PROLOGUE_MAX - len;
         a.ts.entry = entry;
         if entry >= 2 {
             a.buf.patch_slice(0, &[0xeb, (entry - 2) as u8]);
@@ -427,24 +449,37 @@ impl Target for X64 {
         // here is taken back rather than left jumping to the next byte.
         let here = a.bind_site(a.epilogue);
         a.labels.bind(a.epilogue, here);
-        for (slot, &reg) in CALLEE_SAVED.iter().enumerate() {
-            if used & (1 << reg) != 0 {
-                encode::load(
-                    &mut a.buf,
-                    true,
-                    reg,
-                    Mem::bd(r::RBP, -8 * (slot as i32 + 1)),
-                );
+        if frameless {
+            a.ts.flags |= BARE_RET;
+        } else {
+            for (slot, &reg) in CALLEE_SAVED.iter().enumerate() {
+                if used & (1 << reg) != 0 {
+                    encode::load(
+                        &mut a.buf,
+                        true,
+                        reg,
+                        Mem::bd(r::RBP, -8 * (slot as i32 + 1)),
+                    );
+                }
             }
+            encode::leave(&mut a.buf);
         }
-        encode::leave(&mut a.buf);
         encode::ret(&mut a.buf);
         Ok(())
     }
 
     #[inline]
     fn patch(a: &mut Asm<'_>, fixup: Fixup, dest: usize) {
-        // Every x86-64 fixup is a rel32 displacement field:
+        // A `jmp` to a bare-`ret` epilogue becomes that `ret`, padded
+        // to the jump's length with `nop`s, so nothing else moves.
+        if fixup.kind == JMP
+            && a.ts.flags & BARE_RET != 0
+            && a.labels.offset(a.epilogue) == Some(dest)
+        {
+            a.buf.patch_slice(fixup.at - 1, &RET_FOR_JMP);
+            return;
+        }
+        // Every other x86-64 fixup is a rel32 displacement field:
         // disp = dest - (field_end).
         let disp = dest as i64 - (fixup.at as i64 + 4);
         a.buf.patch_u32(fixup.at, disp as i32 as u32);
@@ -664,7 +699,7 @@ impl Target for X64 {
         match t {
             JumpTarget::Label(l) => {
                 let at = encode::jmp_rel(&mut a.buf);
-                a.fixup_at(at, FixupTarget::Label(l), 0);
+                a.fixup_at(at, FixupTarget::Label(l), JMP);
                 // One opcode byte and the rel32: `Asm::bind_site` takes
                 // it back if `l` is bound right behind it.
                 a.jump = (at - 1, at + 4);

@@ -896,12 +896,13 @@ fn interrupt_handler_reclassification() {
 /// for byte; the finished record and the bytes of the first.
 fn emit3(
     sig: &str,
+    leaf: Leaf,
     f: impl Fn(&mut Assembler<'_, X64>) -> Vec<vcode::Label>,
 ) -> (vcode::target::Finished, Vec<u8>, Vec<vcode::Label>) {
     let emit = |verify: bool, path: vcode::EmitPath| {
         let mut mem = vec![0u8; 512];
         let mut a =
-            Assembler::<X64>::lambda_sig_path(&mut mem, Sig::parse(sig).unwrap(), Leaf::Yes, path)
+            Assembler::<X64>::lambda_sig_path(&mut mem, Sig::parse(sig).unwrap(), leaf, path)
                 .unwrap();
         if verify {
             a.enable_verifier();
@@ -965,8 +966,8 @@ fn a_jump_to_the_next_byte_is_retracted_unless_a_label_sits_behind_it() {
             vec![x, l]
         }
     };
-    let (gone, gone_code, gone_labels) = emit3("%l", body(false));
-    let (kept, kept_code, kept_labels) = emit3("%l", body(true));
+    let (gone, gone_code, gone_labels) = emit3("%l", Leaf::Yes, body(false));
+    let (kept, kept_code, kept_labels) = emit3("%l", Leaf::Yes, body(true));
     assert_eq!(gone.insns, kept.insns);
     assert_eq!(kept.len, gone.len + 5, "one `jmp rel32`");
     let (x, l) = (kept_labels[0], kept_labels[1]);
@@ -983,36 +984,132 @@ fn a_jump_to_the_next_byte_is_retracted_unless_a_label_sits_behind_it() {
     }
 }
 
+/// `f(x) = x + 1`, returned by a final `ret` with `x` bound in front of
+/// it, or behind it when `label_behind`, so that the `ret`'s jump to the
+/// epilogue stays (`x` is only ever reached with the argument in hand).
+fn final_ret(label_behind: bool) -> impl Fn(&mut Assembler<'_, X64>) -> Vec<vcode::Label> {
+    move |a| {
+        let x = a.genlabel();
+        let arg = a.arg(0);
+        a.beqli(arg, 7, x);
+        a.addli(arg, arg, 1);
+        if label_behind {
+            a.retl(arg);
+            a.label(x);
+        } else {
+            a.label(x);
+            a.retl(arg);
+        }
+        vec![x]
+    }
+}
+
 /// The last `ret`'s jump to the epilogue is retracted at `end` like any
 /// other jump to the next byte — unless a label was bound behind it,
-/// which then resolves to the epilogue's first byte.
+/// which then resolves to the epilogue's first byte. Not a leaf, the
+/// function keeps its frame, and the epilogue is `leave; ret`.
 #[test]
 fn a_final_ret_falls_into_the_epilogue_unless_a_label_sits_behind_it() {
-    let body = |label_behind: bool| {
-        move |a: &mut Assembler<'_, X64>| {
-            let x = a.genlabel();
-            let arg = a.arg(0);
-            // `x` is only ever reached with the argument in hand.
-            a.beqli(arg, 7, x);
-            a.addli(arg, arg, 1);
-            if label_behind {
-                a.retl(arg);
-                a.label(x);
-            } else {
-                a.label(x);
-                a.retl(arg);
-            }
-            vec![x]
-        }
-    };
-    let (gone, gone_code, _) = emit3("%l", body(false));
-    let (kept, kept_code, kept_labels) = emit3("%l", body(true));
+    let (gone, gone_code, _) = emit3("%l", Leaf::No, final_ret(false));
+    let (kept, kept_code, kept_labels) = emit3("%l", Leaf::No, final_ret(true));
     assert_eq!(kept.len, gone.len + 5, "one `jmp rel32`");
-    // leave; ret
+    // jmp +0; leave; ret
+    assert_eq!(kept_code[kept.len - 7..], [0xe9, 0, 0, 0, 0, 0xc9, 0xc3]);
     assert_eq!(kept.label_offset(kept_labels[0]), Some(kept.len - 2));
     assert_eq!(run1(&gone_code, gone.entry, 7), 7);
     assert_eq!(run1(&gone_code, gone.entry, 1), 2);
     assert_eq!(run1(&kept_code, kept.entry, 1), 2);
     // Through `x`: straight to the epilogue, rax as the caller left it.
     run1(&kept_code, kept.entry, 7);
+}
+
+/// A leaf without a frame ends in a bare `ret`, and a jump to it that
+/// stays (a label sits behind it) becomes that `ret`, padded with `nop`s
+/// to the jump's length so no label moves.
+#[test]
+fn a_jump_to_a_bare_ret_becomes_that_ret() {
+    let (gone, gone_code, _) = emit3("%l", Leaf::Yes, final_ret(false));
+    let (kept, kept_code, kept_labels) = emit3("%l", Leaf::Yes, final_ret(true));
+    assert_eq!(kept.len, gone.len + 5, "the jump's five bytes");
+    assert_eq!(gone_code[gone.len - 1], 0xc3);
+    assert_eq!(
+        kept_code[kept.len - 6..],
+        [0xc3, 0x90, 0x90, 0x90, 0x90, 0xc3]
+    );
+    assert_eq!(kept.label_offset(kept_labels[0]), Some(kept.len - 1));
+    for (fin, code) in [(&gone, &gone_code), (&kept, &kept_code)] {
+        for entry in [0, fin.entry] {
+            assert_eq!(run1(code, entry, 1), 2);
+        }
+    }
+    assert_eq!(run1(&gone_code, gone.entry, 7), 7);
+    run1(&kept_code, kept.entry, 7);
+}
+
+/// `end` drops the frame of a leaf that saves no register and keeps no
+/// local, and of nothing else: a leaf that uses `rbx` or a local, and a
+/// function that is not a leaf, keep `push rbp; mov rbp, rsp; sub rsp,
+/// N`, their saves and `leave; ret` byte for byte. Every one computes
+/// `x + 1` from offset 0 and from its entry, and its image from the
+/// entry passes the L2 loader's re-decode.
+#[test]
+fn only_a_leaf_that_saves_nothing_drops_its_frame() {
+    const FRAME: [u8; 7] = [0x55, 0x48, 0x89, 0xe5, 0x48, 0x81, 0xec];
+    #[derive(Clone, Copy)]
+    enum Via {
+        Temp,
+        Rbx,
+        Local,
+    }
+    let body = |via: Via| {
+        move |a: &mut Assembler<'_, X64>| {
+            let x = a.arg(0);
+            let class = match via {
+                Via::Rbx => RegClass::Persistent,
+                _ => RegClass::Temp,
+            };
+            let r = a.getreg(class).unwrap();
+            a.addli(r, x, 1);
+            if let Via::Local = via {
+                let slot = a.local(Ty::L);
+                a.st_slot(slot, r);
+                a.ld_slot(r, slot);
+            }
+            a.retl(r);
+            vec![]
+        }
+    };
+    /// The prologue's frame size and saves; `None`: no frame.
+    type Frame = Option<(u32, &'static [u8])>;
+    let cases: [(Leaf, Via, Frame); 4] = [
+        (Leaf::Yes, Via::Temp, None),
+        (Leaf::Yes, Via::Rbx, Some((0x50, &[0x48, 0x89, 0x5d, 0xf8]))),
+        (Leaf::Yes, Via::Local, Some((0x60, &[]))),
+        (Leaf::No, Via::Temp, Some((0x50, &[]))),
+    ];
+    for (leaf, via, frame) in cases {
+        let (fin, code, _) = emit3("%l", leaf, body(via));
+        // The reservation is 51 bytes; a prologue ends where it does.
+        match frame {
+            None => {
+                assert_eq!(fin.entry, 51, "no prologue");
+                assert_eq!(code[fin.len - 1], 0xc3, "a bare `ret`");
+                assert_ne!(code[fin.len - 2], 0xc9, "no `leave`");
+            }
+            Some((size, saves)) => {
+                let mut prologue = FRAME.to_vec();
+                prologue.extend_from_slice(&size.to_le_bytes());
+                prologue.extend_from_slice(saves);
+                assert_eq!(fin.entry + prologue.len(), 51);
+                assert_eq!(code[fin.entry..51], prologue[..]);
+                assert_eq!(code[fin.len - 2..], [0xc9, 0xc3]);
+            }
+        }
+        assert_eq!(code[..2], [0xeb, fin.entry as u8 - 2]);
+        vcode::persist::redecode(&code[fin.entry..fin.len], &vcode_x64::declen::Decoder)
+            .unwrap_or_else(|e| panic!("{e}"));
+        for entry in [0, fin.entry] {
+            assert_eq!(run1(&code, entry, 41), 42);
+        }
+    }
 }

@@ -291,16 +291,19 @@ echo "== DPF dispatch is data (a set of leaves is a table lookup) =="
 # no indirect jump: the hash (or the dense index) selects a table entry,
 # one compare checks its key, the id is loaded and returned (DESIGN.md
 # "Classification by data"). Exact, in release as the benchmark runs it:
-# the 33-port set is 33 VCODE instructions in at most 241 bytes whose
-# only transfer without an encoded target is the final `ret`; and over
-# generated sets on both sides of the choice (hash and dense with holes,
-# 16-bit, masked and 32-bit fields, behind a `Shift`, one non-leaf arm)
-# the compiled classifier, the `Filter::matches` scan, MPF and
-# PATHFINDER agree on every key, on misses, and on the values an empty
-# slot holds.
+# the 33-port set is 27 VCODE instructions in at most 150 bytes, with one
+# length check, no frame, and no transfer without an encoded target but
+# its two `ret`s; over generated sets on both sides of the choice (hash
+# and dense with holes, 16-bit, masked and 32-bit fields, behind a
+# `Shift`, one non-leaf arm) the compiled classifier, the
+# `Filter::matches` scan, MPF and PATHFINDER agree on every key, on
+# misses, on the values an empty slot holds and on truncated packets;
+# and they agree on every truncation of sets whose one length check
+# covers a subtree, with one check per field when elision is off.
 cargo test -q --release -p dpf --offline --test engines -- \
     a_set_of_leaves_is_dispatched_by_data \
-    data_dispatch_agrees_with_every_engine_on_generated_sets
+    data_dispatch_agrees_with_every_engine_on_generated_sets \
+    every_truncation_classifies_alike_with_one_check_per_subtree
 
 echo "== exec pool steady state (a cold compile makes no syscalls) =="
 # 4096 first-sight programs through `compile_cached` on a full 256-entry
