@@ -862,16 +862,6 @@ impl Target for Alpha {
     }
 }
 
-vcode::code_backend!(
-    /// Runtime-selectable engine adapter for the Alpha target: replays a
-    /// recorded [`vcode::engine::Program`] through `Assembler<Alpha>` and
-    /// returns the finished image as a simulator-executable
-    /// [`vcode::engine::CodeImage`].
-    AlphaBackend,
-    Alpha,
-    vcode::engine::TargetId::Alpha
-);
-
 #[cfg(test)]
 mod tests {
     use super::*;

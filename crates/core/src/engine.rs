@@ -14,11 +14,12 @@
 //!   path ([`replay`]) at full speed.
 //! - [`Backend`] — an object-safe adapter wrapping one monomorphized
 //!   `Assembler<T>` path behind a uniform `compile(&Program)` surface.
-//!   The four backend crates each export an implementation
-//!   (`vcode_mips::MipsBackend`, ..., `vcode_x64::X64Backend`).
+//!   `vcode_x64::X64Backend` is the native one; the simulated ISAs'
+//!   (`vcode_sim::engine::MipsBackend`, ...) live beside their
+//!   simulators.
 //! - [`Lambda`] — finished, executable code behind a uniform `call`
-//!   surface: native code calls straight in; simulated-ISA code routes
-//!   through a process-wide [`SimExecutor`] installed by `vcode-sim`.
+//!   surface: native code calls straight in; simulated-ISA code runs on
+//!   the simulator its backend owns.
 //! - [`Engine`] — a registry of backends selectable by [`TargetId`] or
 //!   name at runtime, fronted by a sharded, content-addressed
 //!   [`LambdaCache`](crate::cache::LambdaCache) so repeated compiles of
@@ -47,19 +48,15 @@ use crate::ty::Ty;
 use crate::vsync::{Arc, OnceLock};
 use crate::{Assembler, Error, Label, Reg, RegClass};
 use std::fmt;
-use std::sync::RwLock;
 use std::time::Duration;
 
 /// The largest argument count a [`Program`] may declare: the smallest
 /// per-target integer-argument limit in the workspace (MIPS `$a0`–`$a3`).
 pub const MAX_PROGRAM_ARGS: usize = 4;
 
-/// Simulator fuel for one [`Lambda::call`] on a simulated backend.
-const SIM_FUEL: u64 = 50_000_000;
-
 /// A backend selectable at runtime.
 ///
-/// The discriminants are stable: they index executor slots and salt
+/// The discriminants are stable: they index backend slots and salt
 /// cache keys, so code compiled for one target can never alias another's
 /// cache entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -83,7 +80,7 @@ impl TargetId {
         TargetId::X64,
     ];
 
-    /// Stable small index (cache-key salt, executor-slot index).
+    /// Stable small index (cache-key salt, backend-slot index).
     pub fn index(self) -> usize {
         match self {
             TargetId::Mips => 0,
@@ -151,9 +148,6 @@ pub enum EngineError {
         /// Arguments the caller supplied.
         got: usize,
     },
-    /// A simulated-ISA lambda was called but no [`SimExecutor`] is
-    /// installed for its target (see `vcode_sim::engine::install`).
-    NoExecutor(TargetId),
     /// Executable memory or simulator execution failed.
     Exec(String),
     /// A racing build held the key's `Building` slot past the cache's
@@ -184,7 +178,6 @@ impl fmt::Display for EngineError {
             EngineError::BadArgs { expected, got } => {
                 write!(f, "lambda takes {expected} arguments, got {got}")
             }
-            EngineError::NoExecutor(t) => write!(f, "no executor installed for target {t}"),
             EngineError::Exec(m) => write!(f, "execution failed: {m}"),
             EngineError::BuildStalled { waited } => {
                 write!(
@@ -1016,7 +1009,7 @@ pub trait Lambda: Send + Sync + fmt::Debug {
     /// # Errors
     ///
     /// [`EngineError::BadArgs`] on arity mismatch; simulated targets
-    /// also surface executor absence and runtime traps.
+    /// also surface runtime traps.
     fn call(&self, args: &[i32]) -> Result<i64, EngineError>;
 
     /// The `(args, code bytes)` image the persistent cache serializes,
@@ -1026,99 +1019,6 @@ pub trait Lambda: Send + Sync + fmt::Debug {
     fn persist_image(&self) -> Option<(usize, Vec<u8>)> {
         None
     }
-}
-
-/// A compiled program for a simulated ISA: raw code bytes plus the
-/// metadata needed to run them through the installed [`SimExecutor`].
-///
-/// The three RISC backend crates produce these (via the
-/// [`code_backend!`](crate::code_backend) adapter macro); `vcode-sim`
-/// installs the executor that gives them a `call` path.
-#[derive(Debug, Clone)]
-pub struct CodeImage {
-    target: TargetId,
-    args: usize,
-    bytes: Vec<u8>,
-    insns: u64,
-}
-
-impl CodeImage {
-    /// Wraps finished code bytes for `target`.
-    pub fn new(target: TargetId, args: usize, bytes: Vec<u8>, insns: u64) -> CodeImage {
-        CodeImage {
-            target,
-            args,
-            bytes,
-            insns,
-        }
-    }
-
-    /// The machine-code bytes.
-    pub fn bytes(&self) -> &[u8] {
-        &self.bytes
-    }
-}
-
-impl Lambda for CodeImage {
-    fn target(&self) -> TargetId {
-        self.target
-    }
-
-    fn code_len(&self) -> usize {
-        self.bytes.len()
-    }
-
-    fn insns(&self) -> u64 {
-        self.insns
-    }
-
-    fn call(&self, args: &[i32]) -> Result<i64, EngineError> {
-        if args.len() != self.args {
-            return Err(EngineError::BadArgs {
-                expected: self.args,
-                got: args.len(),
-            });
-        }
-        let exec = executor(self.target).ok_or(EngineError::NoExecutor(self.target))?;
-        exec.run(self.target, &self.bytes, args, SIM_FUEL)
-    }
-
-    fn persist_image(&self) -> Option<(usize, Vec<u8>)> {
-        Some((self.args, self.bytes.clone()))
-    }
-}
-
-/// Executes finished code for a simulated ISA. Installed process-wide by
-/// `vcode_sim::engine::install()`; the indirection keeps the dependency
-/// graph acyclic (backend crates know nothing about the simulators).
-pub trait SimExecutor: Send + Sync + fmt::Debug {
-    /// Loads `code` into a fresh machine for `target` and calls it with
-    /// `args`, bounded by `fuel` simulated steps.
-    ///
-    /// # Errors
-    ///
-    /// Typed [`EngineError::Exec`] on load failures and runtime traps.
-    fn run(
-        &self,
-        target: TargetId,
-        code: &[u8],
-        args: &[i32],
-        fuel: u64,
-    ) -> Result<i64, EngineError>;
-}
-
-static EXECUTORS: RwLock<[Option<Arc<dyn SimExecutor>>; 4]> = RwLock::new([const { None }; 4]);
-
-/// Installs the executor for `target`, replacing any previous one.
-pub fn set_executor(target: TargetId, exec: Arc<dyn SimExecutor>) {
-    let mut slots = EXECUTORS.write().unwrap_or_else(|e| e.into_inner());
-    slots[target.index()] = Some(exec);
-}
-
-/// The installed executor for `target`, if any.
-pub fn executor(target: TargetId) -> Option<Arc<dyn SimExecutor>> {
-    let slots = EXECUTORS.read().unwrap_or_else(|e| e.into_inner());
-    slots[target.index()].clone()
 }
 
 /// An object-safe adapter over one monomorphized `Assembler<T>` path:
@@ -1149,8 +1049,8 @@ pub trait Backend: Send + Sync + fmt::Debug {
     ///
     /// Typed by what failed — the tier evicts an artifact only when its
     /// *bytes* were refused: [`PersistError::Revalidation`] when they
-    /// fail the re-decode, [`PersistError::NoDecoder`] when this process
-    /// has no decoder (or this backend no adoption path) for them,
+    /// fail the re-decode, [`PersistError::NoDecoder`] when this backend
+    /// has no adoption path for them,
     /// [`PersistError::Io`] when executable memory cannot be obtained.
     fn adopt(&self, artifact: &ArtifactView<'_>) -> Result<Arc<dyn Lambda>, PersistError> {
         Err(PersistError::NoDecoder(artifact.target))
@@ -1214,73 +1114,6 @@ pub fn lower_in_scratch<L>(
         SCRATCH.set(buf);
     }
     result
-}
-
-/// Generates a [`Backend`] adapter for a simulated-ISA target: lowers
-/// the recorded program through the ordinary monomorphized
-/// `Assembler<$target>` path ([`lower_in_scratch`]) and wraps a copy of
-/// the finished bytes in a [`CodeImage`].
-///
-/// This is the shared registration boilerplate the three RISC backend
-/// crates previously would have had to duplicate; the native x86-64
-/// adapter is the same two steps with an executable mapping as the
-/// install target.
-#[macro_export]
-macro_rules! code_backend {
-    ($(#[$meta:meta])* $adapter:ident, $target:ty, $id:expr) => {
-        $(#[$meta])*
-        #[derive(Debug, Clone, Copy, Default)]
-        pub struct $adapter;
-
-        impl $crate::engine::Backend for $adapter {
-            fn id(&self) -> $crate::engine::TargetId {
-                $id
-            }
-
-            fn word_bits(&self) -> u32 {
-                <$target as $crate::Target>::WORD_BITS
-            }
-
-            fn compile(
-                &self,
-                prog: &$crate::engine::Program,
-            ) -> Result<
-                ::std::sync::Arc<dyn $crate::engine::Lambda>,
-                $crate::engine::EngineError,
-            > {
-                $crate::engine::lower_in_scratch(
-                    prog,
-                    $crate::engine::replay::<$target>,
-                    |code, insns| {
-                        Ok(::std::sync::Arc::new($crate::engine::CodeImage::new(
-                            $id,
-                            prog.args(),
-                            code.to_vec(),
-                            insns,
-                        )) as _)
-                    },
-                )
-            }
-
-            fn adopt(
-                &self,
-                artifact: &$crate::persist::ArtifactView<'_>,
-            ) -> Result<
-                ::std::sync::Arc<dyn $crate::engine::Lambda>,
-                $crate::persist::PersistError,
-            > {
-                let dec = $crate::persist::decoder($id)
-                    .ok_or($crate::persist::PersistError::NoDecoder($id))?;
-                $crate::persist::redecode(artifact.code, &*dec)?;
-                Ok(::std::sync::Arc::new($crate::engine::CodeImage::new(
-                    $id,
-                    artifact.args as usize,
-                    artifact.code.to_vec(),
-                    artifact.insns,
-                )))
-            }
-        }
-    };
 }
 
 // ---------------------------------------------------------------------------
@@ -1966,27 +1799,6 @@ mod tests {
         assert!(matches!(
             engine.backend_by_name("mips"),
             Err(EngineError::UnregisteredBackend(TargetId::Mips))
-        ));
-    }
-
-    #[test]
-    fn code_image_without_executor_is_typed() {
-        // FakeTarget has no TargetId; borrow mips's slot but do not
-        // install an executor for it in this process... other tests in
-        // the workspace may install one, so use a CodeImage for a target
-        // and accept either NoExecutor or a load failure — the assertion
-        // is "typed error, no panic".
-        let img = CodeImage::new(TargetId::Sparc, 0, vec![0u8; 4], 1);
-        match img.call(&[]) {
-            Err(EngineError::NoExecutor(TargetId::Sparc) | EngineError::Exec(_)) => {}
-            other => panic!("expected typed failure, got {other:?}"),
-        }
-        assert!(matches!(
-            img.call(&[1]),
-            Err(EngineError::BadArgs {
-                expected: 0,
-                got: 1
-            })
         ));
     }
 }

@@ -68,7 +68,7 @@ use std::fs;
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{OnceLock, RwLock};
+use std::sync::OnceLock;
 
 use crate::cache::CacheKey;
 use crate::engine::TargetId;
@@ -217,9 +217,10 @@ pub enum PersistError {
     /// The native bytes failed revalidation: the differential re-decode
     /// or the client codec rejected them before mapping.
     Revalidation(String),
-    /// No differential decoder (or backend) is registered in this
-    /// process for the artifact's target, so its bytes cannot be
-    /// revalidated and are refused; the file is kept for one that has.
+    /// No backend for the artifact's target is registered with the
+    /// engine (or the one registered cannot adopt), so its bytes cannot
+    /// be revalidated and are refused; the file is kept for an engine
+    /// that has one.
     NoDecoder(TargetId),
     /// The value cannot be serialized (e.g. position-dependent code
     /// holding absolute jump-table addresses). Store paths treat this
@@ -269,7 +270,7 @@ impl fmt::Display for PersistError {
                 write!(f, "artifact failed revalidation: {why}")
             }
             PersistError::NoDecoder(t) => {
-                write!(f, "no differential decoder registered for {}", t.name())
+                write!(f, "no backend registered to revalidate {}", t.name())
             }
             PersistError::NotPersistable(why) => {
                 write!(f, "value not persistable: {why}")
@@ -581,32 +582,6 @@ pub fn redecode<D: InsnDecoder + ?Sized>(code: &[u8], dec: &D) -> Result<u64, Pe
         }
     }
     Ok(n)
-}
-
-// ---------------------------------------------------------------------
-// Differential-decoder registry
-// ---------------------------------------------------------------------
-
-/// Decoder registry slots, one per [`TargetId`]. Mirrors the engine's
-/// executor registry: a const-initialized `std` lock (init-once
-/// registration, no protocol to model — the vsync facade is for
-/// modeled modules).
-static DECODERS: RwLock<[Option<Arc<dyn InsnDecoder + Send + Sync>>; 4]> =
-    RwLock::new([const { None }; 4]);
-
-/// Registers the differential decoder for `target`, replacing any
-/// previous registration. `vcode_sim::engine::install()` registers the
-/// three simulator decoders; the x86-64 backend supplies its own
-/// length decoder directly.
-pub fn set_decoder(target: TargetId, dec: Arc<dyn InsnDecoder + Send + Sync>) {
-    let mut slots = DECODERS.write().unwrap_or_else(|e| e.into_inner());
-    slots[target.index()] = Some(dec);
-}
-
-/// The registered differential decoder for `target`, if any.
-pub fn decoder(target: TargetId) -> Option<Arc<dyn InsnDecoder + Send + Sync>> {
-    let slots = DECODERS.read().unwrap_or_else(|e| e.into_inner());
-    slots[target.index()].clone()
 }
 
 // ---------------------------------------------------------------------
@@ -1010,8 +985,8 @@ impl<V: ?Sized> DiskTier<V> {
 ///
 /// Rejections that describe *this process*, not the bytes, are
 /// exempt: `Io` (a transient read failure, or no executable memory
-/// for the codec) and `NoDecoder` (no decoder or backend registered
-/// here). A better-equipped load still gets the file.
+/// for the codec) and `NoDecoder` (no backend registered for the
+/// target). A better-equipped load still gets the file.
 fn evict_rejected(path: &Path, err: &PersistError) {
     if !matches!(err, PersistError::Io(_) | PersistError::NoDecoder(_)) {
         let _ = fs::remove_file(path);

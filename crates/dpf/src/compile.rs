@@ -192,15 +192,6 @@ impl CompiledSet {
         self.code.addr() + self.code_off as u64
     }
 
-    /// Pins the underlying executable mapping (see
-    /// [`vcode_x64::CodePin`]): the code stays mapped and executable
-    /// until the pin drops, even if this set is dropped first. The DPF
-    /// hot-swap service holds one pin per published generation and
-    /// releases it only when the generation's last reader retires.
-    pub fn pin(&self) -> vcode_x64::CodePin {
-        self.code.pin()
-    }
-
     /// The emitted machine-code bytes (diagnostics: the classifier from
     /// its entry, `code_len` bytes).
     pub fn code_bytes(&self) -> &[u8] {

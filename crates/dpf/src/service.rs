@@ -25,9 +25,9 @@
 //!   [`poll_upgrade`](DpfService::poll_upgrade) retries no sooner than
 //!   its backoff, and the next mutation supersedes it.
 //! - **Reclamation is epoch-deferred.** A replaced generation is freed
-//!   (and its [`CodePin`] on the compiled mapping released) only once
-//!   every active reader entered at or after the retire epoch — a
-//!   reader mid-batch on the old code keeps it mapped and executable.
+//!   (and its `Arc` on the compiled set dropped) only once every active
+//!   reader entered at or after the retire epoch — a reader mid-batch on
+//!   the old code keeps it mapped and executable.
 //!
 //! ```
 //! use dpf::packet::{self, PacketSpec};
@@ -57,7 +57,6 @@ use std::marker::PhantomData;
 use vcode::rcu::Rcu;
 use vcode::vsync::{Arc, AtomicBool, AtomicU64, Duration, Instant, Mutex, MutexGuard, Ordering};
 use vcode::CacheError;
-use vcode_x64::CodePin;
 
 /// First-failure retry backoff of a failed native build; doubles per
 /// consecutive failure on the same set, up to [`RETRY_CAP`].
@@ -67,14 +66,11 @@ const RETRY_CAP: Duration = Duration::from_secs(5);
 
 /// What a generation classifies with.
 enum Classifier {
-    /// The compiled classifier. The pin on its mapping is released only
-    /// when the generation is reclaimed, i.e. after its last reader
-    /// epoch retires — a reader mid-batch keeps the old code executable
-    /// even if the cache evicts and drops the `CompiledSet` meanwhile.
-    Native {
-        set: Arc<CompiledSet>,
-        _pin: CodePin,
-    },
+    /// The compiled classifier. The `Arc` is dropped only when the
+    /// generation is reclaimed, i.e. after its last reader epoch retires
+    /// — a reader mid-batch keeps the old code executable even if the
+    /// cache evicts its own `Arc` to the set meanwhile.
+    Native(Arc<CompiledSet>),
     /// The merged trie of the same filters, interpreted: the set's
     /// native build failed (or the set is the empty one a service
     /// starts with).
@@ -82,11 +78,6 @@ enum Classifier {
 }
 
 impl Classifier {
-    fn native(set: Arc<CompiledSet>) -> Classifier {
-        let _pin = set.pin();
-        Classifier::Native { set, _pin }
-    }
-
     fn interpreter(filters: &[(u32, Filter)]) -> Classifier {
         Classifier::Interpreter(trie::build(filters))
     }
@@ -173,7 +164,7 @@ struct Shared {
 impl Shared {
     /// Publishes a generation for the writer's current filter set.
     fn publish(&self, w: &Writer, classifier: Classifier) {
-        let is_native = matches!(classifier, Classifier::Native { .. });
+        let is_native = matches!(classifier, Classifier::Native(_));
         let freed = self.rcu.publish(Generation {
             seq: w.seq,
             classifier,
@@ -200,7 +191,7 @@ impl Shared {
         match built {
             Ok(set) => {
                 w.failure = None;
-                self.publish(w, Classifier::native(set));
+                self.publish(w, Classifier::Native(set));
             }
             // Degraded, never wrong: the interpreter serves the new set.
             Err(e) => {
@@ -230,7 +221,7 @@ pub struct ServiceSnapshot {
     pub native_publishes: u64,
     /// Publications whose native build failed: interpreter generations.
     pub degraded_publishes: u64,
-    /// Retired generations reclaimed (their code pins released).
+    /// Retired generations reclaimed (their compiled sets released).
     pub retired: u64,
     /// Classifications served by the interpreter.
     pub degraded_calls: u64,
@@ -397,7 +388,7 @@ impl DpfService {
                 match build_set(&w.filters, w.opts) {
                     Ok(set) => {
                         w.failure = None;
-                        self.shared.publish(&w, Classifier::native(set));
+                        self.shared.publish(&w, Classifier::Native(set));
                     }
                     Err(e) => w.failure = Some(BuildFailure::after(prior, &e)),
                 }
@@ -484,7 +475,7 @@ impl DpfReader {
         // being reclaimed until it drops.
         let g = self.shared.rcu.enter(&self.slot);
         match &g.classifier {
-            Classifier::Native { set, .. } => set.classify(msg),
+            Classifier::Native(set) => set.classify(msg),
             Classifier::Interpreter(trie) => {
                 self.shared.degraded_calls.fetch_add(1, Ordering::Relaxed);
                 trie.classify(msg, 0)
@@ -513,7 +504,7 @@ impl DpfReader {
         let g = self.shared.rcu.enter(&self.slot);
         let seq = g.seq;
         match &g.classifier {
-            Classifier::Native { set, .. } => out.extend(msgs.iter().map(|m| set.classify(m))),
+            Classifier::Native(set) => out.extend(msgs.iter().map(|m| set.classify(m))),
             Classifier::Interpreter(trie) => {
                 self.shared
                     .degraded_calls
@@ -672,11 +663,58 @@ mod tests {
         });
     }
 
+    /// Serializes the tests that reason about the process-wide
+    /// classifier cache: one empties it, another shares a build through
+    /// it.
+    static CACHE_USERS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    #[test]
+    fn published_code_is_kept_alive_by_its_generation() {
+        let _serial = CACHE_USERS.lock().unwrap_or_else(|e| e.into_inner());
+        let svc = DpfService::new();
+        let reader = svc.reader();
+        let ids: Vec<u32> = packet::port_filter_set(8, 5100)
+            .into_iter()
+            .map(|f| svc.insert(f))
+            .collect();
+        // The cache lets go of the set and the pool of every parked
+        // mapping: the published generation's `Arc` is what keeps the
+        // code mapped.
+        crate::clear_cache();
+        vcode_x64::drain_pool();
+        assert!(svc.is_native());
+        assert_eq!(reader.classify(&port_msg(5103)), Some(ids[3]));
+        assert_eq!(reader.classify(&port_msg(5108)), None);
+
+        // A reader inside its epoch keeps the generation it entered, and
+        // its code, through a superseding insert, a clear and a drain.
+        let msgs: Vec<Vec<u8>> = (5100..5110).map(port_msg).collect();
+        let in_flight = |c: &Classifier| match c {
+            Classifier::Native(set) => msgs.iter().map(|m| set.classify(m)).collect::<Vec<_>>(),
+            Classifier::Interpreter(_) => panic!("buildable set interpreted"),
+        };
+        let g = svc.shared.rcu.enter(&reader.slot);
+        let before = in_flight(&g.classifier);
+        assert_eq!(
+            before[..8],
+            ids.iter().map(|&id| Some(id)).collect::<Vec<_>>()
+        );
+        let extra = svc.insert(packet::tcp_port_filter(0x0a00_0002, 5108).unwrap());
+        crate::clear_cache();
+        vcode_x64::drain_pool();
+        assert_eq!(in_flight(&g.classifier), before);
+        drop(g);
+        assert_eq!(reader.classify(&port_msg(5108)), Some(extra));
+        svc.poll_upgrade();
+        assert_eq!(svc.stats().retired_backlog, 0);
+    }
+
     #[test]
     fn a_herd_on_one_filter_set_shares_one_compiled_set() {
         // Eight services racing the same cold filter set through
         // `get_or_build`: one of them builds, and they all end up
         // serving that one compiled classifier.
+        let _serial = CACHE_USERS.lock().unwrap_or_else(|e| e.into_inner());
         let filters = packet::port_filter_set(4, 7600);
         let probe = port_msg(7602);
         let start = std::sync::Barrier::new(8);
@@ -693,7 +731,7 @@ mod tests {
                         let reader = svc.reader();
                         let g = svc.shared.rcu.enter(&reader.slot);
                         match &g.classifier {
-                            Classifier::Native { set, .. } => Arc::clone(set),
+                            Classifier::Native(set) => Arc::clone(set),
                             Classifier::Interpreter(_) => panic!("buildable set interpreted"),
                         }
                     })

@@ -10,9 +10,8 @@ use vcode::engine::{Backend, Engine, Lambda, Program, TargetId};
 use vcode::{BinOp, CacheKey, EngineError, LambdaCache};
 
 fn engine(capacity: usize) -> Engine {
-    vcode_sim::engine::install();
     let mut e = Engine::new(capacity);
-    e.register(Arc::new(vcode_mips::MipsBackend));
+    e.register(Arc::new(vcode_sim::engine::MipsBackend::default()));
     e.register(Arc::new(vcode_x64::X64Backend));
     e
 }

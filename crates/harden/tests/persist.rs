@@ -25,12 +25,11 @@ fn scratch_dir(tag: &str) -> PathBuf {
 }
 
 fn engine(dir: &Path) -> Engine {
-    vcode_sim::engine::install();
     let mut e = Engine::new(32);
     let backends: Vec<Arc<dyn Backend>> = vec![
-        Arc::new(vcode_mips::MipsBackend),
-        Arc::new(vcode_sparc::SparcBackend),
-        Arc::new(vcode_alpha::AlphaBackend),
+        Arc::new(vcode_sim::engine::MipsBackend::default()),
+        Arc::new(vcode_sim::engine::SparcBackend::default()),
+        Arc::new(vcode_sim::engine::AlphaBackend::default()),
         Arc::new(vcode_x64::X64Backend),
     ];
     for b in backends {

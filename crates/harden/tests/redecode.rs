@@ -114,7 +114,6 @@ fn damage<D: InsnDecoder>(code: &[u8], dec: &D, what: &str, rng: &mut XorShift, 
 }
 
 fn images(backend: &dyn Backend) -> Vec<Vec<u8>> {
-    vcode_sim::engine::install();
     harden::regress_programs()
         .iter()
         .map(|p| {
@@ -160,17 +159,26 @@ fn corpus_agrees<D: InsnDecoder>(backend: &dyn Backend, dec: &D) {
 
 #[test]
 fn mips_corpus_agrees() {
-    corpus_agrees(&vcode_mips::MipsBackend, &vcode_sim::mips::Decoder);
+    corpus_agrees(
+        &vcode_sim::engine::MipsBackend::default(),
+        &vcode_sim::mips::Decoder,
+    );
 }
 
 #[test]
 fn sparc_corpus_agrees() {
-    corpus_agrees(&vcode_sparc::SparcBackend, &vcode_sim::sparc::Decoder);
+    corpus_agrees(
+        &vcode_sim::engine::SparcBackend::default(),
+        &vcode_sim::sparc::Decoder,
+    );
 }
 
 #[test]
 fn alpha_corpus_agrees() {
-    corpus_agrees(&vcode_alpha::AlphaBackend, &vcode_sim::alpha::Decoder);
+    corpus_agrees(
+        &vcode_sim::engine::AlphaBackend::default(),
+        &vcode_sim::alpha::Decoder,
+    );
 }
 
 #[test]

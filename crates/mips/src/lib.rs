@@ -849,16 +849,6 @@ impl Target for Mips {
     }
 }
 
-vcode::code_backend!(
-    /// Runtime-selectable engine adapter for the MIPS target: replays a
-    /// recorded [`vcode::engine::Program`] through `Assembler<Mips>` and
-    /// returns the finished image as a simulator-executable
-    /// [`vcode::engine::CodeImage`].
-    MipsBackend,
-    Mips,
-    vcode::engine::TargetId::Mips
-);
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -734,16 +734,6 @@ impl Target for Sparc {
     }
 }
 
-vcode::code_backend!(
-    /// Runtime-selectable engine adapter for the SPARC target: replays a
-    /// recorded [`vcode::engine::Program`] through `Assembler<Sparc>` and
-    /// returns the finished image as a simulator-executable
-    /// [`vcode::engine::CodeImage`].
-    SparcBackend,
-    Sparc,
-    vcode::engine::TargetId::Sparc
-);
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -76,7 +76,7 @@
 use std::fmt;
 use std::io;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 const SYS_CLOSE: i64 = 3;
 const SYS_MMAP: i64 = 9;
@@ -520,8 +520,8 @@ impl ExecMem {
 
     /// Obtains dual-mapped storage pre-filled with `bytes` — the
     /// adoption path for revalidated persistent-cache artifacts, so
-    /// deserialized code lands in the same pooled, guarded, pinnable
-    /// memory as freshly emitted code. The caller must have revalidated
+    /// deserialized code lands in the same pooled, guarded memory as
+    /// freshly emitted code. The caller must have revalidated
     /// `bytes` (differential re-decode) before adoption; this function
     /// only places them.
     ///
@@ -609,10 +609,6 @@ impl ExecMem {
             rw: self.rw,
             len: self.len,
             dirty: written,
-            pins: Arc::new(Mutex::new(PinInner {
-                count: 0,
-                orphaned: false,
-            })),
         };
         std::mem::forget(self);
         Ok(code)
@@ -645,16 +641,15 @@ unsafe impl Send for ExecMem {}
 /// faults — under [`GuardedCall`](crate::GuardedCall) it surfaces as a
 /// [`NativeTrap`](crate::NativeTrap); on a bare call it is a crash.
 /// Keep the `ExecCode` alive for as long as any pointer obtained from it
-/// may be invoked (see the `drop_unmaps_code` test) — or take a
-/// [`pin`](Self::pin), which keeps the mapping mapped and executable even
-/// if the `ExecCode` itself is dropped.
+/// may be invoked (see the `drop_unmaps_code` test): code shared between
+/// owners is shared by `Arc`, and the last owner's drop releases it.
 ///
 /// # Pooling and liveness
 ///
-/// Live code is never *in* the pool: [`pool_put`] only runs from `Drop`
-/// (deferred past the last [`CodePin`]), so [`drain_pool`] can only ever
-/// release parked, unreferenced mappings — a cached lambda holding its
-/// `ExecCode` (or a pin) survives any number of drains.
+/// Live code is never *in* the pool: [`pool_put`] only runs from `Drop`,
+/// so [`drain_pool`] can only ever release parked, unreferenced mappings
+/// — a cached lambda holding its `ExecCode` survives any number of
+/// drains.
 pub struct ExecCode {
     /// Start of the scaffold mapping (low guard page).
     map: *mut u8,
@@ -668,96 +663,6 @@ pub struct ExecCode {
     /// Nothing at or past this offset was written since the region was
     /// handed out zeroed: what parking has to scrub.
     dirty: usize,
-    /// Shared pin state; release of the mapping is deferred to the last
-    /// pin when any are outstanding at drop.
-    pins: Arc<Mutex<PinInner>>,
-}
-
-#[derive(Debug)]
-struct PinInner {
-    /// Outstanding [`CodePin`]s.
-    count: usize,
-    /// The owning `ExecCode` was dropped while pinned; the last pin to
-    /// drop releases the mapping.
-    orphaned: bool,
-}
-
-/// A liveness pin on an [`ExecCode`] mapping (see [`ExecCode::pin`]).
-///
-/// While any pin exists the mapping stays mapped and executable: raw
-/// function pointers from [`ExecCode::as_fn`] remain callable even if
-/// the `ExecCode` is dropped, and the mapping cannot re-enter the pool
-/// (so [`drain_pool`] and pool eviction can never free it). The last pin
-/// of an orphaned mapping releases it.
-#[derive(Debug)]
-pub struct CodePin {
-    /// Scaffold start, stored as an address (the pin never dereferences).
-    map: usize,
-    /// Write-alias start, likewise address-only.
-    rw: usize,
-    /// Entry address of the executable region.
-    addr: u64,
-    /// Executable-region length (guards excluded).
-    len: usize,
-    /// The owning `ExecCode`'s dirty bound, for the release.
-    dirty: usize,
-    state: Arc<Mutex<PinInner>>,
-}
-
-impl CodePin {
-    /// Entry address of the pinned code.
-    pub fn addr(&self) -> u64 {
-        self.addr
-    }
-
-    /// Length of the pinned executable region.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the pinned region holds zero bytes; false for every
-    /// constructible value, computed honestly from `len`.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-}
-
-impl Clone for CodePin {
-    fn clone(&self) -> CodePin {
-        let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        st.count += 1;
-        drop(st);
-        CodePin {
-            map: self.map,
-            rw: self.rw,
-            addr: self.addr,
-            len: self.len,
-            dirty: self.dirty,
-            state: Arc::clone(&self.state),
-        }
-    }
-}
-
-impl Drop for CodePin {
-    fn drop(&mut self) {
-        let release = {
-            let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
-            st.count -= 1;
-            st.count == 0 && st.orphaned
-        };
-        if release {
-            // SAFETY: the owning `ExecCode` is gone (orphaned) and this
-            // was the last pin, so nothing references the region.
-            unsafe {
-                pool_put(
-                    self.map as *mut u8,
-                    self.rw as *mut u8,
-                    self.len,
-                    self.dirty,
-                )
-            };
-        }
-    }
 }
 
 impl fmt::Debug for ExecCode {
@@ -889,46 +794,17 @@ impl ExecCode {
         let f: extern "C" fn(u64, u64, u64, u64) -> u64 = unsafe { self.as_fn() };
         f(a, b, c, d)
     }
-
-    /// Pins the mapping: it stays mapped and executable until both this
-    /// `ExecCode` and every [`CodePin`] are dropped. Takers of raw
-    /// function pointers ([`as_fn`](Self::as_fn)) hold a pin to make the
-    /// drop hazard impossible instead of merely documented.
-    pub fn pin(&self) -> CodePin {
-        let mut st = self.pins.lock().unwrap_or_else(|e| e.into_inner());
-        st.count += 1;
-        drop(st);
-        CodePin {
-            map: self.map as usize,
-            rw: self.rw as usize,
-            addr: self.ptr as u64,
-            len: self.len,
-            dirty: self.dirty,
-            state: Arc::clone(&self.pins),
-        }
-    }
 }
 
 impl Drop for ExecCode {
     fn drop(&mut self) {
-        let deferred = {
-            let mut st = self.pins.lock().unwrap_or_else(|e| e.into_inner());
-            if st.count > 0 {
-                st.orphaned = true;
-            }
-            st.count > 0
-        };
-        if !deferred {
-            // SAFETY: releasing a region we own (both views) with no
-            // outstanding pins. The caller upholds the drop hazard
-            // documented on the type: no generated function may be
-            // executing or called after this. Parking zeroes the region
-            // through the write alias, so a use-after-drop call runs
-            // into zeros and faults (see `pool_put`) rather than
-            // executing stale code.
-            unsafe { pool_put(self.map, self.rw, self.len, self.dirty) };
-        }
-        // Otherwise the last CodePin releases the mapping.
+        // SAFETY: releasing a region we own (both views). The caller
+        // upholds the drop hazard documented on the type: no generated
+        // function may be executing or called after this. Parking zeroes
+        // the region through the write alias, so a use-after-drop call
+        // runs into zeros and faults (see `pool_put`) rather than
+        // executing stale code.
+        unsafe { pool_put(self.map, self.rw, self.len, self.dirty) };
     }
 }
 
@@ -1112,47 +988,6 @@ mod tests {
         // even though the parked mapping held executable code.
         let mut mem = ExecMem::new(2 * PAGE).unwrap();
         assert!(mem.as_mut_slice().iter().all(|&b| b == 0));
-    }
-
-    #[test]
-    fn pinned_code_survives_exec_code_drop_and_drain() {
-        let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-        let mut mem = ExecMem::new(2 * PAGE).unwrap();
-        // mov rax, rdi; add rax, 1; ret
-        let code_bytes = [0x48, 0x89, 0xf8, 0x48, 0x83, 0xc0, 0x01, 0xc3];
-        mem.as_mut_slice()[..code_bytes.len()].copy_from_slice(&code_bytes);
-        let code = mem.finalize().unwrap();
-        let pin = code.pin();
-        let pin2 = pin.clone();
-        assert_eq!(pin.addr(), code.addr());
-        assert_eq!(pin.len(), code.len());
-        assert!(!pin.is_empty());
-        // SAFETY: the buffer holds a complete emitted function matching this signature.
-        let f: extern "C" fn(u64) -> u64 = unsafe { code.as_fn() };
-        drop(code); // pinned: must NOT park or unmap the mapping
-        drain_pool(); // and draining the pool must not touch it either
-        assert_eq!(f(41), 42);
-        drop(pin);
-        assert_eq!(f(6), 7); // second pin still holds the mapping
-        let before = pool_stats();
-        drop(pin2); // last pin of an orphaned mapping releases it
-        let after = pool_stats();
-        assert!(after.parked > before.parked || after.evicted > before.evicted);
-    }
-
-    #[test]
-    fn unpinned_drop_is_unchanged_and_pin_after_use_is_free() {
-        let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-        let mut mem = ExecMem::new(2 * PAGE).unwrap();
-        mem.as_mut_slice()[0] = 0xc3; // ret
-        let code = mem.finalize().unwrap();
-        let pin = code.pin();
-        // Dropping the pin while the ExecCode is alive releases nothing.
-        drop(pin);
-        let before = pool_stats();
-        drop(code);
-        let after = pool_stats();
-        assert!(after.parked > before.parked || after.evicted > before.evicted);
     }
 
     #[test]

@@ -40,9 +40,7 @@ pub mod encode;
 pub mod exec;
 pub mod guard;
 
-pub use exec::{
-    drain_pool, pool_stats, CodePin, ExecCode, ExecMem, PoolStats, GUARD_BYTES, MAX_POOL_PAGES,
-};
+pub use exec::{drain_pool, pool_stats, ExecCode, ExecMem, PoolStats, GUARD_BYTES, MAX_POOL_PAGES};
 pub use guard::{exec_stats, guarded_call_count, GuardedCall, NativeTrap};
 
 use encode::{cc, r, sse, Alu, Mem, Op2};

@@ -119,14 +119,14 @@ echo "one counter per event ok"
 echo "== one install path (no capacity-sized mapping or image) =="
 # Every engine backend lowers into `engine::lower_in_scratch`'s heap
 # buffer and installs the finished bytes once, so what a cached lambda
-# keeps — an executable mapping's size class, a `CodeImage`'s
+# keeps — an executable mapping's size class, a simulator image's
 # allocation — is sized by what was written, not by the 4-8x worst case
 # of `Program::code_capacity()` (DESIGN.md "Pooled, dual-mapped
 # executable memory"). Product source that maps executable memory at
 # the capacity bound, or trims a capacity-sized image, brings the class
 # mix back: fail on it.
 capacity_sized=$(grep -rn 'ExecMem::new(.*code_capacity' crates/*/src || true
-    grep -n 'truncate(fin.len)' crates/core/src/engine.rs || true)
+    grep -n 'truncate(fin.len)' crates/core/src/engine.rs crates/sim/src/engine.rs || true)
 if [ -n "$capacity_sized" ]; then
     echo "one-install-path gate: storage a lambda keeps is sized by the capacity bound:" >&2
     echo "$capacity_sized" >&2
@@ -286,6 +286,37 @@ if [ -n "$second_shell" ]; then
 fi
 echo "one simulator shell ok"
 
+echo "== code is owned, not registered (no process-wide executor or decoder) =="
+# A simulated target's engine backend (`vcode_sim::engine::SimBackend`)
+# owns its emitter, its `Machine<I>` and its decoder, so registering it
+# with an `Engine` is the whole setup; and executable code lives exactly
+# as long as the `Arc`s of its owners (DESIGN.md "Engine layer"). The
+# process-wide slots a process had to fill before a simulated lambda
+# could run or load (`vcode_sim::engine::install`, the executor and
+# decoder registries, the `code_backend!` adapters) and the second
+# refcount on sealed code (`CodePin`) must not come back: fail on any of
+# their names. Looked at: code lines (not comments) of crates/*/src
+# before each file's first `#[cfg(test)]`, of examples/, and README.md.
+registry_names='SimExecutor|set_executor|set_decoder|CodePin|code_backend!|engine::install'
+registered=$(
+    git ls-files --cached --others --exclude-standard \
+        'crates/*/src/*.rs' 'crates/*/src/**/*.rs' 'examples/*.rs' |
+        while IFS= read -r f; do
+            [ -f "$f" ] || continue
+            awk -v FILE="$f" -v NAMES="$registry_names" '
+                /^[ \t]*#\[cfg\(test\)\]/ { exit }
+                /^[ \t]*\/\// { next }
+                $0 ~ NAMES { printf "%s:%d: %s\n", FILE, NR, $0 }' "$f"
+        done
+    grep -nHE "$registry_names" README.md || true
+)
+if [ -n "$registered" ]; then
+    echo "owned-code gate: code is reached through a process-wide registry, or pinned beside its owner:" >&2
+    echo "$registered" >&2
+    exit 1
+fi
+echo "code is owned, not registered ok"
+
 echo "== DPF dispatch is data (a set of leaves is a table lookup) =="
 # A dispatch node whose arms all just accept a filter emits no arm and
 # no indirect jump: the hash (or the dense index) selects a table entry,
@@ -317,7 +348,7 @@ cargo test -q --release -p harden --offline --test pool_steady_state -- --nocapt
 echo "== allocation count (a warm thread allocates what a compile hands out) =="
 # `replay::<X64>` and a first-sight `compile_cached` + `call` over a
 # seeded pool, counted by a `#[global_allocator]` in a process of its
-# own, in release as the benchmark runs them: 1 and 7 allocations per
+# own, in release as the benchmark runs them: 1 and 6 allocations per
 # call (14.3 and 21.3 before PR 20). The test asserts the numbers
 # reached; the line it measured is echoed for the log.
 cargo test -q --release --offline --test alloc_free_compile -- --nocapture |

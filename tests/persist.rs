@@ -18,15 +18,14 @@ use vcode::{BinOp, Cond, PersistStats, UnOp};
 
 fn all_backends() -> Vec<Arc<dyn Backend>> {
     vec![
-        Arc::new(vcode_mips::MipsBackend),
-        Arc::new(vcode_sparc::SparcBackend),
-        Arc::new(vcode_alpha::AlphaBackend),
+        Arc::new(vcode_sim::engine::MipsBackend::default()),
+        Arc::new(vcode_sim::engine::SparcBackend::default()),
+        Arc::new(vcode_sim::engine::AlphaBackend::default()),
         Arc::new(vcode_x64::X64Backend),
     ]
 }
 
 fn engine(capacity: usize) -> Engine {
-    vcode_sim::engine::install();
     let mut e = Engine::new(capacity);
     for b in all_backends() {
         e.register(b);

@@ -1,10 +1,8 @@
 //! A load that fails for a reason local to *this process* must not
 //! delete a valid artifact.
 //!
-//! Own process, one test: the first half needs a process in which
-//! `vcode_sim::engine::install()` has not run yet (the decoder registry
-//! is process-wide and has no "unregister"), and the second half lowers
-//! a process-wide resource limit for the span of each load.
+//! Own process, one test: the second half lowers a process-wide
+//! resource limit for the span of each load.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -85,52 +83,47 @@ fn with_no_new_exec_memory<T>(f: impl FnOnce() -> T) -> T {
 
 #[test]
 fn process_local_load_failures_keep_the_artifact() {
-    // ---- (a) no decoder / no backend registered in this process ----
+    // ---- (a) no backend registered for the artifact's target ----
     let dir = scratch_dir("nodecoder");
     let p = sample();
     let all: [Arc<dyn Backend>; 2] = [
-        Arc::new(vcode_mips::MipsBackend),
+        Arc::new(vcode_sim::engine::MipsBackend::default()),
         Arc::new(vcode_x64::X64Backend),
     ];
     let key = key_for(&p, TargetId::Mips);
-    // Compiling for a simulated target needs no simulator; the store
-    // goes through.
     let writer = engine(&dir, &all);
     writer.compile_cached(TargetId::Mips, &p).unwrap();
     let path = writer.persist_tier().unwrap().path_for(&key);
     assert!(path.exists(), "store-through wrote the artifact");
     drop(writer);
 
-    // A process that never installed the simulators has no MIPS
-    // decoder to revalidate with...
-    let unequipped = engine(&dir, &all);
-    let tier = unequipped.persist_tier().unwrap();
-    let err = tier.load(&key).expect_err("no decoder registered yet");
+    // An engine that registered MIPS only after (or never before)
+    // `enable_persist` has no backend to revalidate and adopt with.
+    let x64_only = engine(&dir, &all[1..]);
+    let unequipped = x64_only.persist_tier().unwrap();
+    let err = unequipped.load(&key).expect_err("no backend");
     assert_eq!(err, PersistError::NoDecoder(TargetId::Mips));
     assert!(path.exists(), "NoDecoder must not evict a valid artifact");
-    // ...and an engine that registered MIPS only after (or never
-    // before) `enable_persist` has no backend to adopt with.
-    let x64_only = engine(&dir, &all[1..]);
-    let err = x64_only
-        .persist_tier()
-        .unwrap()
-        .load(&key)
-        .expect_err("no backend");
-    assert_eq!(err, PersistError::NoDecoder(TargetId::Mips));
-    assert!(path.exists(), "a missing backend must not evict either");
 
-    // Properly equipped, the very same file loads.
-    vcode_sim::engine::install();
-    let f = unequipped.compile_cached(TargetId::Mips, &p).unwrap();
+    // An engine that registers the MIPS backend loads the very same file.
+    let equipped = engine(&dir, &all);
+    let f = equipped.compile_cached(TargetId::Mips, &p).unwrap();
     assert_eq!(f.call(&[5, 1]).unwrap(), 42);
+    // Counts are per tier: one refusal there, then the kept artifact
+    // serves the equipped load here; nothing is rewritten.
     assert_eq!(
-        tier.stats(),
+        unequipped.stats(),
         PersistStats {
-            hits: 1,
             rejects: 1,
             ..PersistStats::default()
-        },
-        "one refusal, then the kept artifact serves the equipped load; nothing is rewritten"
+        }
+    );
+    assert_eq!(
+        equipped.persist_tier().unwrap().stats(),
+        PersistStats {
+            hits: 1,
+            ..PersistStats::default()
+        }
     );
     let _ = std::fs::remove_dir_all(&dir);
 

@@ -17,12 +17,11 @@ use vcode::{BinOp, CacheKey, Cond, PersistStats, UnOp};
 static HOOK: Mutex<()> = Mutex::new(());
 
 fn engine(dir: &std::path::Path) -> Engine {
-    vcode_sim::engine::install();
     let mut e = Engine::new(16);
     let backends: [Arc<dyn Backend>; 4] = [
-        Arc::new(vcode_mips::MipsBackend),
-        Arc::new(vcode_sparc::SparcBackend),
-        Arc::new(vcode_alpha::AlphaBackend),
+        Arc::new(vcode_sim::engine::MipsBackend::default()),
+        Arc::new(vcode_sim::engine::SparcBackend::default()),
+        Arc::new(vcode_sim::engine::AlphaBackend::default()),
         Arc::new(vcode_x64::X64Backend),
     ];
     for b in backends {

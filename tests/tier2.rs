@@ -18,13 +18,14 @@
 //! unit tests in `vcode::tier2` and the simulator cases here.
 
 use std::sync::Arc;
-use vcode::engine::{replay, CodeImage, Lambda, POp, Program, TargetId};
+use vcode::engine::{replay, Lambda, POp, Program, TargetId};
 use vcode::regress::XorShift;
 use vcode::target::Finished;
 use vcode::tier2::{optimize, replay_opt};
 use vcode::{BinOp, Cond, EngineError, UnOp};
 use vcode_alpha::Alpha;
 use vcode_mips::Mips;
+use vcode_sim::engine::{AlphaBackend, MipsBackend, SparcBackend};
 use vcode_sparc::Sparc;
 use vcode_x64::{X64Backend, X64};
 
@@ -41,16 +42,14 @@ fn lowerings(id: TargetId) -> (Lower, Lower) {
 }
 
 /// A callable lambda of `p` on `id` from `lower`'s bytes: executable
-/// memory on x86-64, a [`CodeImage`] for the simulators.
+/// memory on x86-64, a simulator image for the other three.
 fn build(id: TargetId, p: &Program, lower: Lower) -> Result<Arc<dyn Lambda>, EngineError> {
-    if id == TargetId::X64 {
-        return X64Backend.compile_with(p, lower);
+    match id {
+        TargetId::Mips => MipsBackend::default().compile_with(p, lower),
+        TargetId::Sparc => SparcBackend::default().compile_with(p, lower),
+        TargetId::Alpha => AlphaBackend::default().compile_with(p, lower),
+        TargetId::X64 => X64Backend.compile_with(p, lower),
     }
-    vcode_sim::engine::install();
-    let mut mem = vec![0u8; p.code_capacity()];
-    let fin = lower(p, &mut mem)?;
-    mem.truncate(fin.len);
-    Ok(Arc::new(CodeImage::new(id, p.args(), mem, fin.insns)))
 }
 
 /// `|x + y| * 3`: arithmetic, an immediate form, a branch, a temp.
