@@ -6,12 +6,17 @@
 //! Each [`Step`](crate::Step) contributes its word transformation to the
 //! loop body; the generated loop makes exactly one pass over the message
 //! no matter how many layers composed.
+//!
+//! This module serves that loop natively: [`Pipeline`] emits
+//! [`generic::compile_fused`] for x86-64 into executable memory, caches
+//! the kernel per shape, and degrades to [`generic::run_fused`] when
+//! code generation fails. The loop itself is written once, in
+//! [`generic`], for every target.
 
 use crate::{generic, reference, Step};
 use std::fmt;
 use std::sync::{Arc, OnceLock};
-use vcode::target::Leaf;
-use vcode::{Assembler, CacheError, CacheKey, CacheStats, LambdaCache, RegClass, TargetId};
+use vcode::{CacheError, CacheKey, CacheStats, LambdaCache, TargetId};
 use vcode_x64::{ExecCode, ExecMem, X64};
 
 /// The process-wide cache of fused kernels, keyed by the pipeline
@@ -301,101 +306,15 @@ impl Pipeline {
         }
     }
 
-    /// The native-codegen rung of the ladder.
+    /// The native-codegen rung of the ladder: the generic loop for X64.
     fn native(steps: &[Step], opts: PipelineOptions) -> Result<NativeCode, PipelineError> {
-        let unroll = opts.unroll;
-        let do_cksum = steps.contains(&Step::Checksum);
-        let do_swap = steps.contains(&Step::Swap);
         let est = opts.code_capacity.unwrap_or(4096);
         let mut mem = ExecMem::new(est).map_err(PipelineError::Exec)?;
         // The mapping rounds up to whole pages; honor sub-page
         // capacities so the harness can force overflows.
         let cap = est.min(mem.len());
-        let mut a =
-            Assembler::<X64>::lambda(&mut mem.as_mut_slice()[..cap], "%p%p%ul:%ul", Leaf::Yes)?;
-        let dst = a.arg(0);
-        let src = a.arg(1);
-        let n = a.arg(2);
-        let acc = a.getreg(RegClass::Temp).expect("reg");
-        // A second accumulator halves the add-latency dependency chain.
-        let acc2 = a.getreg(RegClass::Temp).expect("reg");
-        let w = a.getreg(RegClass::Temp).expect("reg");
-        let t = a.getreg(RegClass::Temp).expect("reg");
-        let end = a.getreg(RegClass::Temp).expect("reg");
-        let end_main = a.getreg(RegClass::Temp).expect("reg");
-        a.setul(acc, 0);
-        a.setul(acc2, 0);
-        a.addp(end, src, n);
-        let chunk = i64::from(unroll) * 4;
-        // end_main = src + (n & !(chunk - 1))
-        a.anduli(end_main, n, !(chunk - 1));
-        a.addp(end_main, src, end_main);
-
-        // One 64-bit word of the fused body: the per-layer steps
-        // contributed their transformations and the loop makes a single
-        // pass. (The ones-complement sum may be accumulated over any
-        // word width — 2^32 ≡ 1 (mod 65535) — but 64-bit lanes could
-        // overflow the accumulator on long messages, so the two 32-bit
-        // halves are added separately.)
-        let body64 = |a: &mut Assembler<'_, X64>, off: i32, sum: vcode::Reg| {
-            a.lduli(w, src, off);
-            if do_cksum {
-                a.movu(t, w); // 32-bit move zero-extends: the low lane
-                a.addul(sum, sum, t);
-                a.rshuli(t, w, 32);
-                a.addul(sum, sum, t);
-            }
-            if do_swap {
-                // Swap bytes within each halfword of the 64-bit word.
-                a.anduli(t, w, 0x00ff_00ff_00ff_00ff);
-                a.lshuli(t, t, 8);
-                a.rshuli(w, w, 8);
-                a.anduli(w, w, 0x00ff_00ff_00ff_00ff);
-                a.orul(w, w, t);
-            }
-            a.stuli(w, dst, off);
-        };
-        let body32 = |a: &mut Assembler<'_, X64>, off: i32| {
-            a.ldui(w, src, off);
-            if do_cksum {
-                a.addul(acc, acc, w);
-            }
-            if do_swap {
-                a.andui(t, w, 0x00ff_00ff);
-                a.lshui(t, t, 8);
-                a.rshui(w, w, 8);
-                a.andui(w, w, 0x00ff_00ff);
-                a.oru(w, w, t);
-            }
-            a.stui(w, dst, off);
-        };
-
-        let main_top = a.genlabel();
-        let tail_top = a.genlabel();
-        let done = a.genlabel();
-        a.label(main_top);
-        a.bgep(src, end_main, tail_top);
-        for k in 0..unroll / 2 {
-            body64(&mut a, k * 8, if k % 2 == 0 { acc } else { acc2 });
-        }
-        if unroll % 2 == 1 {
-            body32(&mut a, (unroll - 1) * 4);
-        }
-        a.addpi(src, src, chunk);
-        a.addpi(dst, dst, chunk);
-        a.jmp(main_top);
-        // Tail: single 32-bit words.
-        a.label(tail_top);
-        a.bgep(src, end, done);
-        body32(&mut a, 0);
-        a.addpi(src, src, 4);
-        a.addpi(dst, dst, 4);
-        a.jmp(tail_top);
-        a.label(done);
-        a.addul(acc, acc, acc2);
-        a.retul(acc);
-        let vcode_insns = a.insn_count();
-        let fin = a.end()?;
+        let fin =
+            generic::compile_fused::<X64>(&mut mem.as_mut_slice()[..cap], steps, opts.unroll)?;
         let code = mem.finalize().map_err(PipelineError::Exec)?;
         // SAFETY: the generated function has the declared C ABI and only
         // touches dst[..n] / src[..n].
@@ -405,7 +324,7 @@ impl Pipeline {
             code,
             entry,
             code_len: fin.len - fin.entry,
-            vcode_insns,
+            vcode_insns: fin.insns,
         })
     }
 

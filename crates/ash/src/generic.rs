@@ -1,145 +1,169 @@
-//! Target-generic pipeline generation, for reproducing Table 4 on the
-//! *simulated* paper machines.
+//! The ASH loop generator: one fused copy loop for every [`Target`].
 //!
-//! The native [`Pipeline`](crate::Pipeline) is specialized for x86-64
-//! wall-clock runs. This module generates the same fused loop — and the
-//! separate-pass baselines — through the portable VCODE surface for any
-//! [`Target`], so the MIPS simulator with the DECstation cache models
-//! can replay the experiment in deterministic cycles (see the
-//! `table4_sim` bench).
+//! [`compile_fused`] writes the loop that [`Pipeline`](crate::Pipeline)
+//! runs natively (`compile_fused::<X64>`) and the loop the `table4_sim`
+//! bench runs on the simulated MIPS, SPARC and Alpha, so the simulators'
+//! exact cycles and the native nanoseconds measure the same code. The
+//! separate-pass baselines come from it too: a copy pass is
+//! `compile_fused(&[])`, a swap pass is the fused swap run in place
+//! (`dst == src`), and [`compile_cksum`] is the one variant that stores
+//! nothing.
 //!
-//! All functions use 32-bit words and halfword checksum accumulation
-//! (sum of 16-bit fields in a 32-bit register cannot overflow for
-//! messages under 256 KiB), so they run unchanged on 32- and 64-bit
-//! targets.
+//! The loop walks machine words (`ul`): 64 bits on x86-64 and Alpha, 32
+//! on MIPS and SPARC. An unrolled main loop takes `unroll` words per
+//! iteration and a tail loop the 32-bit words left over; each ends in one
+//! conditional back edge, and both bump `src` and `dst` against an end
+//! pointer. The swap mask is set into a register once, before the loop.
 
 use crate::Step;
 use vcode::target::Leaf;
-use vcode::{Assembler, Error, Finished, Reg, RegClass, Target};
+use vcode::{Assembler, BrOperand, Cond, Error, Finished, Label, Reg, RegClass, Target, Ty};
 
-/// Emits the per-word checksum accumulation (two halfword adds).
-fn cksum_word<T: Target>(a: &mut Assembler<'_, T>, acc: Reg, w: Reg, t: Reg) {
-    a.andui(t, w, 0xffff);
-    a.addu(acc, acc, t);
-    a.rshui(t, w, 16);
-    a.addu(acc, acc, t);
-}
-
-/// Emits the per-word halfword byte swap.
-fn swap_word<T: Target>(a: &mut Assembler<'_, T>, w: Reg, t: Reg) {
-    a.andui(t, w, 0x00ff_00ff);
-    a.lshui(t, t, 8);
-    a.rshui(w, w, 8);
-    a.andui(w, w, 0x00ff_00ff);
-    a.oru(w, w, t);
-}
-
-/// Generates the fused pipeline
-/// `fn(dst: p, src: p, nwords: i) -> u` (partial halfword sum; fold
-/// with [`crate::reference::fold`] after a final byte swap — the sum is
-/// over little-endian halfwords).
+/// Generates the fused pipeline `fn(dst: p, src: p, nbytes: ul) -> ul`:
+/// copies `nbytes` from `src` to `dst`, swapping the bytes of every
+/// halfword when `steps` has [`Step::Swap`], and returns the unfolded
+/// little-endian sum of the source when it has [`Step::Checksum`] (0
+/// otherwise; fold with
+/// [`reference::fold_le_words`](crate::reference::fold_le_words)).
+///
+/// `nbytes` must be a multiple of 4 and `src` and `dst` aligned to the
+/// target's word. `dst == src` runs the pipeline in place.
+///
+/// The checksum keeps two accumulators: one adds each whole word, the
+/// other its upper half, and after the loop `lo - (hi << half) + hi` is
+/// the sum of every word's two half-word fields. On a 64-bit target the
+/// fields are 32 bits wide and no message can overflow the sum. On a
+/// 32-bit target they are halfwords and the sum is exact up to 65 537
+/// of them: every message of at most 128 KiB (131 072 bytes) folds
+/// correctly, and 131 076 bytes of `0xff` overflow it.
 ///
 /// # Errors
 ///
-/// Any code-generation error.
-pub fn compile_fused<T: Target>(mem: &mut [u8], steps: &[Step]) -> Result<Finished, Error> {
-    let do_cksum = steps.contains(&Step::Checksum);
-    let do_swap = steps.contains(&Step::Swap);
-    let mut a = Assembler::<T>::lambda(mem, "%p%p%i:%u", Leaf::Yes)?;
-    let (dst, src, n) = (a.arg(0), a.arg(1), a.arg(2));
-    let acc = a.getreg(RegClass::Temp).expect("reg");
-    let w = a.getreg(RegClass::Temp).expect("reg");
-    let t = a.getreg(RegClass::Temp).expect("reg");
-    let i = a.getreg(RegClass::Temp).expect("reg");
-    let off = a.getreg(RegClass::Temp).expect("reg");
-    a.setu(acc, 0);
-    a.seti(i, 0);
-    let (top, done) = (a.genlabel(), a.genlabel());
-    a.label(top);
-    a.bgei(i, n, done);
-    a.lshii(off, i, 2);
-    a.ldu(w, src, off);
-    if do_cksum {
-        cksum_word(&mut a, acc, w, t);
+/// [`Error::BadOperands`] unless `unroll` is in `1..=16`; otherwise any
+/// code-generation error.
+pub fn compile_fused<T: Target>(
+    mem: &mut [u8],
+    steps: &[Step],
+    unroll: i32,
+) -> Result<Finished, Error> {
+    emit::<T>(mem, steps, unroll, true)
+}
+
+/// Generates the checksum pass `fn(buf: p, nbytes: ul) -> ul`: the
+/// fused loop of [`compile_fused`] with `[Step::Checksum]`, storing
+/// nothing.
+///
+/// # Errors
+///
+/// As [`compile_fused`].
+pub fn compile_cksum<T: Target>(mem: &mut [u8], unroll: i32) -> Result<Finished, Error> {
+    emit::<T>(mem, &[Step::Checksum], unroll, false)
+}
+
+fn emit<T: Target>(
+    mem: &mut [u8],
+    steps: &[Step],
+    unroll: i32,
+    store: bool,
+) -> Result<Finished, Error> {
+    if !(1..=16).contains(&unroll) {
+        return Err(Error::BadOperands("unroll factor outside 1..=16"));
     }
-    if do_swap {
-        swap_word(&mut a, w, t);
+    let cksum = steps.contains(&Step::Checksum);
+    let swap = steps.contains(&Step::Swap);
+    let bytes = T::WORD_BITS as i32 / 8;
+    let half = i64::from(T::WORD_BITS / 2);
+    let chunk = unroll * bytes;
+    let sig = if store { "%p%p%ul:%ul" } else { "%p%ul:%ul" };
+    let mut a = Assembler::<T>::lambda(mem, sig, Leaf::Yes)?;
+    let (dst, src, n) = if store {
+        (Some(a.arg(0)), a.arg(1), a.arg(2))
+    } else {
+        (None, a.arg(0), a.arg(1))
+    };
+    let mut reg = || a.getreg(RegClass::Temp).expect("reg");
+    let (lo, hi, t, end, mask) = (reg(), reg(), reg(), reg(), reg());
+    let ws = [reg(), reg()];
+    a.setul(lo, 0);
+    a.setul(hi, 0);
+    if swap {
+        a.setul(mask, 0x00ff_00ff_00ff_00ff >> (64 - T::WORD_BITS));
     }
-    a.stu(w, dst, off);
-    a.addii(i, i, 1);
-    a.jmp(top);
+
+    // The steps' work on the word loaded into `w` from `off`: a whole
+    // `ul`, or a `u` in the tail of a 64-bit target, where the 32-bit
+    // word is a single checksum field.
+    let work = |a: &mut Assembler<'_, T>, w: Reg, off: i32, whole: bool| {
+        if cksum {
+            if whole {
+                a.rshuli(t, w, half);
+                a.addul(hi, hi, t);
+            } else {
+                a.cvu2ul(w, w);
+            }
+            a.addul(lo, lo, w);
+        }
+        if swap {
+            a.andul(t, w, mask);
+            a.lshuli(t, t, 8);
+            a.rshuli(w, w, 8);
+            a.andul(w, w, mask);
+            a.orul(w, w, t);
+        }
+        match (dst, whole) {
+            (Some(dst), true) => a.stuli(w, dst, off),
+            (Some(dst), false) => a.stui(w, dst, off),
+            (None, _) => {}
+        }
+    };
+    // Bumps both pointers by `step` (the second in the back edge's delay
+    // slot) and branches to `top` while `src cond limit`.
+    let next = |a: &mut Assembler<'_, T>, step: i32, cond: Cond, limit: Reg, top: Label| {
+        let step = i64::from(step);
+        a.addpi(src, src, step);
+        let back = |a: &mut Assembler<'_, T>| a.branch(cond, Ty::P, src, BrOperand::R(limit), top);
+        match dst {
+            Some(dst) => a.schedule_delay(back, |a| a.addpi(dst, dst, step)),
+            None => back(a),
+        }
+    };
+
+    let (main, tail, tail_top, done) = (a.genlabel(), a.genlabel(), a.genlabel(), a.genlabel());
+    a.addp(end, src, n);
+    a.bltuli(n, i64::from(chunk), tail);
+    // From here `n` is the last address a whole chunk starts at.
+    a.subpi(n, end, i64::from(chunk));
+    a.label(main);
+    // Word k is loaded before word k - 1 is worked, so that work, not a
+    // `nop`, fills the load delay (MIPS).
+    for k in 0..=unroll {
+        if k < unroll {
+            let ahead = u32::from(k > 0 || unroll > 1);
+            a.raw_load(|a| a.lduli(ws[k as usize % 2], src, k * bytes), ahead);
+        }
+        if k > 0 {
+            work(&mut a, ws[(k - 1) as usize % 2], (k - 1) * bytes, true);
+        }
+    }
+    next(&mut a, chunk, Cond::Le, n, main);
+    a.label(tail);
+    a.bgep(src, end, done);
+    a.label(tail_top);
+    if bytes == 4 {
+        a.lduli(ws[0], src, 0);
+    } else {
+        a.ldui(ws[0], src, 0);
+    }
+    work(&mut a, ws[0], 0, bytes == 4);
+    next(&mut a, 4, Cond::Lt, end, tail_top);
     a.label(done);
-    a.retu(acc);
+    if cksum {
+        a.lshuli(t, hi, half);
+        a.subul(lo, lo, t);
+        a.addul(lo, lo, hi);
+    }
+    a.retul(lo);
     a.end()
-}
-
-/// Generates a bare copy pass `fn(dst, src, nwords)`.
-///
-/// # Errors
-///
-/// Any code-generation error.
-pub fn compile_copy<T: Target>(mem: &mut [u8]) -> Result<Finished, Error> {
-    compile_fused::<T>(mem, &[])
-}
-
-/// Generates a checksum-only pass `fn(buf: p, nwords: i) -> u`.
-///
-/// # Errors
-///
-/// Any code-generation error.
-pub fn compile_cksum<T: Target>(mem: &mut [u8]) -> Result<Finished, Error> {
-    let mut a = Assembler::<T>::lambda(mem, "%p%i:%u", Leaf::Yes)?;
-    let (buf, n) = (a.arg(0), a.arg(1));
-    let acc = a.getreg(RegClass::Temp).expect("reg");
-    let w = a.getreg(RegClass::Temp).expect("reg");
-    let t = a.getreg(RegClass::Temp).expect("reg");
-    let i = a.getreg(RegClass::Temp).expect("reg");
-    let off = a.getreg(RegClass::Temp).expect("reg");
-    a.setu(acc, 0);
-    a.seti(i, 0);
-    let (top, done) = (a.genlabel(), a.genlabel());
-    a.label(top);
-    a.bgei(i, n, done);
-    a.lshii(off, i, 2);
-    a.ldu(w, buf, off);
-    cksum_word(&mut a, acc, w, t);
-    a.addii(i, i, 1);
-    a.jmp(top);
-    a.label(done);
-    a.retu(acc);
-    a.end()
-}
-
-/// Generates an in-place byte-swap pass `fn(buf: p, nwords: i)`.
-///
-/// # Errors
-///
-/// Any code-generation error.
-pub fn compile_swap<T: Target>(mem: &mut [u8]) -> Result<Finished, Error> {
-    let mut a = Assembler::<T>::lambda(mem, "%p%i", Leaf::Yes)?;
-    let (buf, n) = (a.arg(0), a.arg(1));
-    let w = a.getreg(RegClass::Temp).expect("reg");
-    let t = a.getreg(RegClass::Temp).expect("reg");
-    let i = a.getreg(RegClass::Temp).expect("reg");
-    let off = a.getreg(RegClass::Temp).expect("reg");
-    a.seti(i, 0);
-    let (top, done) = (a.genlabel(), a.genlabel());
-    a.label(top);
-    a.bgei(i, n, done);
-    a.lshii(off, i, 2);
-    a.ldu(w, buf, off);
-    swap_word(&mut a, w, t);
-    a.stu(w, buf, off);
-    a.addii(i, i, 1);
-    a.jmp(top);
-    a.label(done);
-    a.retv();
-    a.end()
-}
-
-/// Folds a little-endian halfword sum into the Internet checksum.
-pub fn fold_le_halfwords(sum: u32) -> u16 {
-    crate::reference::fold_le_words(u64::from(sum))
 }
 
 /// Scalar host execution of the fused pipeline semantics — the engine
@@ -179,7 +203,6 @@ pub fn run_fused(steps: &[Step], src: &[u8], dst: &mut [u8]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reference;
     use vcode::fake::FakeTarget;
 
     #[test]
@@ -191,20 +214,15 @@ mod tests {
             vec![Step::Swap],
             vec![Step::Checksum, Step::Swap],
         ] {
-            let fin = compile_fused::<FakeTarget>(&mut mem, &steps).unwrap();
-            assert!(fin.len > 0, "{steps:?}");
+            for unroll in [1, 3, 16] {
+                let fin = compile_fused::<FakeTarget>(&mut mem, &steps, unroll).unwrap();
+                assert!(fin.len > 0, "{steps:?} unroll {unroll}");
+            }
         }
-        assert!(compile_cksum::<FakeTarget>(&mut mem).unwrap().len > 0);
-        assert!(compile_swap::<FakeTarget>(&mut mem).unwrap().len > 0);
-    }
-
-    #[test]
-    fn halfword_fold_matches_reference() {
-        let data: Vec<u8> = (0..64).map(|i| (i * 37 + 3) as u8).collect();
-        let mut sum: u32 = 0;
-        for h in data.chunks_exact(2) {
-            sum += u32::from(u16::from_le_bytes([h[0], h[1]]));
+        assert!(compile_cksum::<FakeTarget>(&mut mem, 8).unwrap().len > 0);
+        for unroll in [0, 17] {
+            let e = compile_fused::<FakeTarget>(&mut mem, &[], unroll).unwrap_err();
+            assert!(matches!(e, Error::BadOperands(_)), "{e}");
         }
-        assert_eq!(fold_le_halfwords(sum), reference::checksum(&data));
     }
 }

@@ -10,8 +10,7 @@
 //! that moves means the executed instruction stream or the cache model
 //! changed.
 
-use ash::generic::{self, fold_le_halfwords};
-use ash::{reference, Step};
+use ash::{generic, reference, PipelineOptions, Step};
 use vcode::target::Leaf;
 use vcode::{Assembler, ExecStats, RegClass, TrapKind};
 use vcode_bench::snapshot;
@@ -25,9 +24,9 @@ const STEPS: u64 = 50_000_000;
 /// pipeline over [`N`] bytes, per simulator. Re-pin beside the golden
 /// digests when a change to the emitters or the cache model is meant.
 const PINNED: [(&str, u64, u64); 3] = [
-    ("mips", 25_615, 33_295),
-    ("sparc", 24_589, 32_269),
-    ("alpha", 30_730, 38_410),
+    ("mips", 10_777, 18_457),
+    ("sparc", 10_775, 18_455),
+    ("alpha", 5_400, 13_080),
 ];
 
 fn gen_code(f: &dyn Fn(&mut [u8]) -> vcode::Finished) -> Vec<u8> {
@@ -63,6 +62,7 @@ fn main() {
     let data: Vec<u8> = (0..N).map(|i| (i * 31 + 7) as u8).collect();
     let want = reference::checksum(&data);
     let steps: [Step; 2] = [Step::Checksum, Step::Swap];
+    let unroll = PipelineOptions::default().unroll;
 
     println!("=== ExecStats schema smoke: all four backends ===");
     println!(
@@ -84,16 +84,16 @@ fn main() {
 
     macro_rules! sim_stats {
         ($simmod:ident, $target:ty, $addr:ty) => {{
-            let code = gen_code(&|m| generic::compile_fused::<$target>(m, &steps).unwrap());
+            let code = gen_code(&|m| generic::compile_fused::<$target>(m, &steps, unroll).unwrap());
             let mut m = vcode_sim::$simmod::Machine::new(1 << 22);
             m.dcache = Some(Cache::dec5000());
             let entry = m.load_code(&code).unwrap();
             let dst = m.alloc(N, 16).unwrap();
             let src = m.alloc(N, 16).unwrap();
             m.write(src, &data).unwrap();
-            let sum = m.call(entry, &[dst, src, (N / 4) as $addr], STEPS).unwrap();
+            let sum = m.call(entry, &[dst, src, N as $addr], STEPS).unwrap();
             assert_eq!(
-                fold_le_halfwords(sum as u32),
+                reference::fold_le_words(sum.into()),
                 want,
                 concat!(stringify!($simmod), " checksum")
             );

@@ -15,14 +15,15 @@ use vcode::{Assembler, RegClass, Trap, TrapKind};
 use vcode_sim::{alpha, mips, sparc, Isa, Machine, MemError, Word};
 
 /// The injected program: the fused checksum+swap pipeline
-/// `fn(dst: %p, src: %p, nwords: %i) -> %u`, generated through the
+/// `fn(dst: %p, src: %p, nbytes: %ul) -> %ul`, generated through the
 /// portable surface so the identical client program exists on every
 /// backend.
 const STEPS: [Step; 2] = [Step::Checksum, Step::Swap];
+const UNROLL: i32 = 8;
 
 fn gen<T: Target>() -> Vec<u8> {
     let mut mem = vec![0u8; 8192];
-    let fin = generic::compile_fused::<T>(&mut mem, &STEPS).expect("pipeline generates");
+    let fin = generic::compile_fused::<T>(&mut mem, &STEPS, UNROLL).expect("pipeline generates");
     mem.truncate(fin.len);
     mem
 }
@@ -38,7 +39,7 @@ fn run<I: Isa>(code: &[u8], data: &[u8], steps: u64) -> Result<(u64, Vec<u8>), T
     let dst = m.alloc(data.len().max(4), 8).expect("heap fits");
     let src = m.alloc(data.len().max(4), 8).expect("heap fits");
     m.write(src, data).expect("in range");
-    let n = Word::wrap((data.len() / 4) as u64);
+    let n = Word::wrap(data.len() as u64);
     let sum = m.call(entry, &[dst, src, n], steps)?;
     Ok((
         sum.into(),
@@ -71,7 +72,7 @@ fn bitflipped_code_traps_or_completes_on_every_simulator() {
         // harness that cannot tell right from wrong would also accept
         // silently wrong answers from benign-looking flips.
         let (sum, dst) = run(code, &data, 500_000).expect("pristine code runs");
-        assert_eq!(generic::fold_le_halfwords(sum as u32), want_sum, "{name}");
+        assert_eq!(reference::fold_le_words(sum), want_sum, "{name}");
         assert_eq!(dst, want_dst, "{name}");
 
         for pos in bit_positions(&mut rng, code.len() * 8, 40) {
@@ -104,18 +105,20 @@ fn storage_exhaustion_is_typed_at_every_byte_budget() {
     // Raw generation into N-byte client storage, all four targets.
     for &cap in &capacity_series() {
         let mut buf = vec![0u8; cap];
-        tally.record(&generic::compile_fused::<vcode_x64::X64>(&mut buf, &STEPS));
+        tally.record(&generic::compile_fused::<vcode_x64::X64>(
+            &mut buf, &STEPS, UNROLL,
+        ));
         let mut buf = vec![0u8; cap];
         tally.record(&generic::compile_fused::<vcode_mips::Mips>(
-            &mut buf, &STEPS,
+            &mut buf, &STEPS, UNROLL,
         ));
         let mut buf = vec![0u8; cap];
         tally.record(&generic::compile_fused::<vcode_sparc::Sparc>(
-            &mut buf, &STEPS,
+            &mut buf, &STEPS, UNROLL,
         ));
         let mut buf = vec![0u8; cap];
         tally.record(&generic::compile_fused::<vcode_alpha::Alpha>(
-            &mut buf, &STEPS,
+            &mut buf, &STEPS, UNROLL,
         ));
     }
     assert!(tally.completed > 0, "large capacities must generate");
@@ -338,16 +341,16 @@ fn reservation_faults_are_typed_at_every_capacity() {
     fn exact<T: Target>(name: &str, tally: &mut Tally, cases: &mut usize) {
         let fin_len = {
             let mut mem = vec![0u8; 8192];
-            generic::compile_fused::<T>(&mut mem, &STEPS)
+            generic::compile_fused::<T>(&mut mem, &STEPS, UNROLL)
                 .expect("pipeline generates")
                 .len
         };
         let mut mem = vec![0u8; fin_len];
-        let ok = generic::compile_fused::<T>(&mut mem, &STEPS);
+        let ok = generic::compile_fused::<T>(&mut mem, &STEPS, UNROLL);
         assert!(ok.is_ok(), "{name}: exact capacity must generate");
         tally.record(&ok);
         let mut mem = vec![0u8; fin_len - 1];
-        let err = generic::compile_fused::<T>(&mut mem, &STEPS);
+        let err = generic::compile_fused::<T>(&mut mem, &STEPS, UNROLL);
         assert!(err.is_err(), "{name}: one byte short must overflow");
         tally.record(&err);
         *cases += 2;
@@ -583,7 +586,7 @@ fn sim_memory_api_misuse_is_typed_on_every_simulator() {
         let dst = m.alloc(64, 8).expect("fits");
         let src = m.alloc(64, 8).expect("fits");
         m.write(src, &pattern(40)).expect("in range");
-        m.call(entry, &[dst, src, Word::wrap(10)], 500_000)
+        m.call(entry, &[dst, src, Word::wrap(40)], 500_000)
             .expect("runs");
         cases
     }

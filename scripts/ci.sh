@@ -317,6 +317,34 @@ if [ -n "$registered" ]; then
 fi
 echo "code is owned, not registered ok"
 
+echo "== one ASH loop generator (Pipeline runs the generic loop) =="
+# `ash::generic::compile_fused<T: Target>` writes the ASH loop for every
+# target: `Pipeline` compiles it for x86-64 and table4_sim runs it on
+# MIPS, SPARC and Alpha, so simulated cycles and native nanoseconds
+# measure the same code (DESIGN.md "One ASH loop"). An x86-64-only
+# assembler beside it, or a second definition of the generator, is a
+# second loop: fail on either. Looked at: code lines (not comments) of
+# crates/ash/src before each file's first `#[cfg(test)]`.
+ash_code=$(git ls-files --cached --others --exclude-standard 'crates/ash/src/*.rs' |
+    while IFS= read -r f; do
+        [ -f "$f" ] || continue
+        awk -v FILE="$f" '
+            /^[ \t]*#\[cfg\(test\)\]/ { exit }
+            /^[ \t]*\/\// { next }
+            { printf "%s:%d: %s\n", FILE, NR, $0 }' "$f"
+    done)
+second_loop=$(
+    grep -E "Assembler(::)?<('[a-z_]+, *)?X64>" <<<"$ash_code" || true
+    defs=$(grep -E "fn compile_fused[^[:alnum:]_]" <<<"$ash_code" || true)
+    [ "$(grep -c . <<<"$defs")" = 1 ] || echo "fn compile_fused defined other than once:${defs:+$'\n'}$defs"
+)
+if [ -n "$second_loop" ]; then
+    echo "one-ASH-loop gate: the ASH loop is written more than once:" >&2
+    echo "$second_loop" >&2
+    exit 1
+fi
+echo "one ASH loop generator ok"
+
 echo "== DPF dispatch is data (a set of leaves is a table lookup) =="
 # A dispatch node whose arms all just accept a filter emits no arm and
 # no indirect jump: the hash (or the dense index) selects a table entry,

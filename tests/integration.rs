@@ -158,65 +158,145 @@ fn vcode_calls_tcc_function() {
     assert_eq!(f(10), 31);
 }
 
-/// The generic ASH pipeline runs on every simulated paper machine and
-/// produces the right checksum and output bytes.
+/// The one ASH loop generator agrees with `ash::separate` on every
+/// backend: x86-64 natively (the bare kernel and through `Pipeline`),
+/// and MIPS, SPARC and Alpha on their simulators, for every step set,
+/// every unroll and lengths that leave each 64-bit target a tail.
 #[test]
 fn generic_pipeline_on_all_simulated_targets() {
-    let data: Vec<u8> = (0..256).map(|i| (i * 131 + 17) as u8).collect();
-    let want_ck = ash::reference::checksum(&data);
-    let want_swapped = ash::reference::swapped(&data);
-    let steps = [Step::Checksum, Step::Swap];
+    const LENS: [usize; 7] = [0, 4, 60, 64, 68, 1500, 16 * 1024];
+    let data: Vec<u8> = (0..16 * 1024).map(|i| (i * 131 + 17) as u8).collect();
 
+    /// What a kernel returned, as `ash::separate` reports it.
+    fn folded(steps: &[Step], sum: u64) -> u16 {
+        if steps.contains(&Step::Checksum) {
+            ash::reference::fold_le_words(sum)
+        } else {
+            assert_eq!(sum, 0, "{steps:?}: no checksum step returns 0");
+            0
+        }
+    }
     // The three simulators, through one generic function.
     fn on_sim<T: vcode::Target, I: vcode_sim::Isa>(
         mut m: vcode_sim::Machine<I>,
-        data: &[u8],
         steps: &[Step],
-    ) -> (u16, Vec<u8>) {
+        unroll: i32,
+        data: &[u8],
+    ) -> Vec<(u16, Vec<u8>)> {
         let mut mem = vec![0u8; 8192];
-        let fin = ash::generic::compile_fused::<T>(&mut mem, steps).unwrap();
+        let fin = ash::generic::compile_fused::<T>(&mut mem, steps, unroll).unwrap();
         mem.truncate(fin.len);
         let entry = m.load_code(&mem).unwrap();
-        let src = m.alloc(data.len(), 8).unwrap();
-        let dst = m.alloc(data.len(), 8).unwrap();
-        m.write(src, data).unwrap();
-        let n = vcode_sim::Word::wrap((data.len() / 4) as u64);
-        let sum = m.call(entry, &[dst, src, n], 1_000_000).unwrap();
-        let out = m.read(dst, data.len()).unwrap().to_vec();
-        (ash::generic::fold_le_halfwords(sum.into() as u32), out)
+        LENS.iter()
+            .map(|&len| {
+                let src = m.alloc(len.max(8), 8).unwrap();
+                let dst = m.alloc(len.max(8), 8).unwrap();
+                m.write(src, &data[..len]).unwrap();
+                let n = vcode_sim::Word::wrap(len as u64);
+                let sum = m.call(entry, &[dst, src, n], 1_000_000).unwrap();
+                let out = m.read(dst, len).unwrap().to_vec();
+                (folded(steps, sum.into()), out)
+            })
+            .collect()
     }
-    let mut mips = vcode_sim::mips::Machine::new(1 << 20);
-    mips.cpu.strict_load_delay = true;
-    let sparc = vcode_sim::sparc::Machine::new(1 << 20);
-    let alpha = vcode_sim::alpha::Machine::new(1 << 20);
-    for (name, (ck, out)) in [
-        ("mips", on_sim::<vcode_mips::Mips, _>(mips, &data, &steps)),
-        (
-            "sparc",
-            on_sim::<vcode_sparc::Sparc, _>(sparc, &data, &steps),
-        ),
-        (
-            "alpha",
-            on_sim::<vcode_alpha::Alpha, _>(alpha, &data, &steps),
-        ),
-    ] {
-        assert_eq!(ck, want_ck, "{name} checksum");
-        assert_eq!(out, want_swapped, "{name} swap");
-    }
-    // x86-64 (native, through the same generic generator).
-    {
+    // x86-64, the bare kernel through the same generic generator.
+    fn on_x64(steps: &[Step], unroll: i32, data: &[u8]) -> Vec<(u16, Vec<u8>)> {
         let mut mem = vcode_x64::ExecMem::new(8192).unwrap();
-        ash::generic::compile_fused::<vcode_x64::X64>(mem.as_mut_slice(), &steps).unwrap();
+        ash::generic::compile_fused::<vcode_x64::X64>(mem.as_mut_slice(), steps, unroll).unwrap();
         let code = mem.finalize().unwrap();
         // SAFETY: the buffer holds a complete emitted function matching this signature.
-        let f: extern "C" fn(*mut u8, *const u8, i32) -> u32 = unsafe { code.as_fn() };
-        let mut dst = vec![0u8; data.len()];
-        let sum = f(dst.as_mut_ptr(), data.as_ptr(), (data.len() / 4) as i32);
-        assert_eq!(
-            ash::generic::fold_le_halfwords(sum),
-            want_ck,
-            "x64 checksum"
-        );
-        assert_eq!(dst, want_swapped, "x64 swap");
+        let f: extern "C" fn(*mut u8, *const u8, u64) -> u64 = unsafe { code.as_fn() };
+        LENS.iter()
+            .map(|&len| {
+                let mut out = vec![0u8; len];
+                let sum = f(out.as_mut_ptr(), data.as_ptr(), len as u64);
+                (folded(steps, sum), out)
+            })
+            .collect()
     }
+    // x86-64 through `Pipeline`, which serves the same kernel.
+    fn on_pipeline(steps: &[Step], unroll: i32, data: &[u8]) -> Vec<(u16, Vec<u8>)> {
+        let p = Pipeline::compile_with_unroll(steps, unroll).unwrap();
+        assert_eq!(p.engine_kind(), ash::EngineKind::Native);
+        LENS.iter()
+            .map(|&len| {
+                let mut out = vec![0u8; len];
+                (p.run(&data[..len], &mut out), out)
+            })
+            .collect()
+    }
+
+    for steps in [
+        vec![],
+        vec![Step::Checksum],
+        vec![Step::Swap],
+        vec![Step::Checksum, Step::Swap],
+    ] {
+        let want: Vec<(u16, Vec<u8>)> = LENS
+            .iter()
+            .map(|&len| {
+                let mut out = vec![0u8; len];
+                (ash::separate(&steps, &data[..len], &mut out), out)
+            })
+            .collect();
+        for unroll in [1, 3, 8, 16] {
+            let mut mips = vcode_sim::mips::Machine::new(1 << 20);
+            mips.cpu.strict_load_delay = true;
+            let sparc = vcode_sim::sparc::Machine::new(1 << 20);
+            let alpha = vcode_sim::alpha::Machine::new(1 << 20);
+            for (name, got) in [
+                ("x64", on_x64(&steps, unroll, &data)),
+                ("pipeline", on_pipeline(&steps, unroll, &data)),
+                (
+                    "mips",
+                    on_sim::<vcode_mips::Mips, _>(mips, &steps, unroll, &data),
+                ),
+                (
+                    "sparc",
+                    on_sim::<vcode_sparc::Sparc, _>(sparc, &steps, unroll, &data),
+                ),
+                (
+                    "alpha",
+                    on_sim::<vcode_alpha::Alpha, _>(alpha, &steps, unroll, &data),
+                ),
+            ] {
+                for ((len, (ck, out)), (want_ck, want_out)) in LENS.iter().zip(&got).zip(&want) {
+                    assert_eq!(
+                        ck, want_ck,
+                        "{name} {steps:?} unroll {unroll} len {len}: checksum"
+                    );
+                    assert!(
+                        out == want_out,
+                        "{name} {steps:?} unroll {unroll} len {len}: bytes"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// On a 32-bit target the checksum is exact up to 128 KiB: 65 536
+/// halfwords of `0xffff` sum below 2^32, and four bytes more overflow.
+#[test]
+fn mips_checksum_is_exact_to_128_kib() {
+    let steps = [Step::Checksum];
+    let mut mem = vec![0u8; 8192];
+    let fin = ash::generic::compile_fused::<vcode_mips::Mips>(&mut mem, &steps, 8).unwrap();
+    mem.truncate(fin.len);
+    let mut m = vcode_sim::mips::Machine::new(1 << 20);
+    m.cpu.strict_load_delay = true;
+    let entry = m.load_code(&mem).unwrap();
+    let data = vec![0xffu8; 128 * 1024 + 4];
+    let src = m.alloc(data.len(), 8).unwrap();
+    let dst = m.alloc(data.len(), 8).unwrap();
+    m.write(src, &data).unwrap();
+    let mut fold = |len: usize| {
+        let sum = m.call(entry, &[dst, src, len as u32], 10_000_000).unwrap();
+        ash::reference::fold_le_words(sum.into())
+    };
+    assert_eq!(
+        fold(128 * 1024),
+        ash::reference::checksum(&data[..128 * 1024])
+    );
+    assert_ne!(fold(data.len()), ash::reference::checksum(&data));
 }
