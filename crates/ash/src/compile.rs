@@ -8,16 +8,16 @@
 //! no matter how many layers composed.
 //!
 //! This module serves that loop natively: [`Pipeline`] emits
-//! [`generic::compile_fused`] for x86-64 into executable memory, caches
-//! the kernel per shape, and degrades to [`generic::run_fused`] when
-//! code generation fails. The loop itself is written once, in
-//! [`generic`], for every target.
+//! [`generic::compile_fused`] for x86-64 into the lowering scratch,
+//! installs it right-sized ([`vcode_x64::emit_native`]), caches the
+//! kernel per shape, and degrades to [`generic::run_fused`] when code
+//! generation fails. The loop is written once, in [`generic`].
 
 use crate::{generic, reference, Step};
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 use vcode::{CacheError, CacheKey, CacheStats, LambdaCache, TargetId};
-use vcode_x64::{ExecCode, ExecMem, X64};
+use vcode_x64::{ExecCode, X64};
 
 /// The process-wide cache of fused kernels, keyed by the pipeline
 /// *shape*: the generated loop depends only on which steps are present
@@ -60,8 +60,8 @@ pub enum EngineKind {
 pub struct PipelineOptions {
     /// Words per unrolled main-loop iteration (1 disables unrolling).
     pub unroll: i32,
-    /// Code-buffer capacity in bytes; `None` picks a comfortable
-    /// default.
+    /// Bytes the first emission attempt may use (the retry doubles
+    /// them); `None` picks a comfortable default.
     pub code_capacity: Option<usize>,
 }
 
@@ -106,6 +106,15 @@ impl std::error::Error for PipelineError {}
 impl From<vcode::Error> for PipelineError {
     fn from(e: vcode::Error) -> PipelineError {
         PipelineError::Codegen(e)
+    }
+}
+
+impl vcode::engine::LowerError for PipelineError {
+    fn overflowed(&self) -> bool {
+        matches!(self, PipelineError::Codegen(vcode::Error::Overflow { .. }))
+    }
+    fn no_memory(e: std::io::Error) -> PipelineError {
+        PipelineError::Exec(e)
     }
 }
 
@@ -225,13 +234,13 @@ impl Pipeline {
         // `Building` slot degrades to the interpreter instead of
         // blocking the caller forever.
         let native = if opts.code_capacity.is_some() {
-            Self::native_with_retry(steps, opts).map(Arc::new)
+            Self::native(steps, opts).map(Arc::new)
         } else {
             let cache = cache();
             cache
                 .get_or_build(
                     Self::cache_key(steps, opts),
-                    || Self::native_with_retry(steps, opts).map(Arc::new),
+                    || Self::native(steps, opts).map(Arc::new),
                     cache.stall_timeout(),
                 )
                 .map_err(|e| match e {
@@ -252,7 +261,7 @@ impl Pipeline {
     /// See [`compile`](Self::compile).
     pub fn compile_uncached(steps: &[Step]) -> Result<Pipeline, PipelineError> {
         let opts = PipelineOptions::default();
-        let native = Self::native_with_retry(steps, opts).map(Arc::new);
+        let native = Self::native(steps, opts).map(Arc::new);
         Ok(Self::from_native(native, steps))
     }
 
@@ -288,38 +297,16 @@ impl Pipeline {
         CacheKey::new(TargetId::X64, bytes)
     }
 
-    /// The overflow → doubled-buffer retry rung of the ladder.
-    fn native_with_retry(
-        steps: &[Step],
-        opts: PipelineOptions,
-    ) -> Result<NativeCode, PipelineError> {
-        match Self::native(steps, opts) {
-            Ok(nc) => Ok(nc),
-            Err(PipelineError::Codegen(vcode::Error::Overflow { capacity })) => {
-                let retry = PipelineOptions {
-                    code_capacity: Some(capacity.max(1) * 2),
-                    ..opts
-                };
-                Self::native(steps, retry)
-            }
-            Err(e) => Err(e),
-        }
-    }
-
-    /// The native-codegen rung of the ladder: the generic loop for X64.
+    /// The native rungs of the ladder: the generic loop for X64, through
+    /// [`vcode_x64::emit_native`], which holds the overflow retry.
     fn native(steps: &[Step], opts: PipelineOptions) -> Result<NativeCode, PipelineError> {
-        let est = opts.code_capacity.unwrap_or(4096);
-        let mut mem = ExecMem::new(est).map_err(PipelineError::Exec)?;
-        // The mapping rounds up to whole pages; honor sub-page
-        // capacities so the harness can force overflows.
-        let cap = est.min(mem.len());
-        let fin =
-            generic::compile_fused::<X64>(&mut mem.as_mut_slice()[..cap], steps, opts.unroll)?;
-        let code = mem.finalize().map_err(PipelineError::Exec)?;
+        let capacity = opts.code_capacity.unwrap_or(4096);
+        let (code, fin) = vcode_x64::emit_native::<PipelineError>(capacity, |buf| {
+            Ok(generic::compile_fused::<X64>(buf, steps, opts.unroll)?)
+        })?;
         // SAFETY: the generated function has the declared C ABI and only
         // touches dst[..n] / src[..n].
-        let entry: extern "C" fn(*mut u8, *const u8, u64) -> u64 =
-            unsafe { code.as_fn_at(fin.entry) };
+        let entry: extern "C" fn(*mut u8, *const u8, u64) -> u64 = unsafe { code.as_fn() };
         Ok(NativeCode {
             code,
             entry,

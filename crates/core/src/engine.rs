@@ -1073,44 +1073,66 @@ thread_local! {
     static SCRATCH: std::cell::Cell<Vec<u8>> = const { std::cell::Cell::new(Vec::new()) };
 }
 
-/// The compile half of every [`Backend`] adapter: lowers `prog` with
-/// `replay` into a reusable per-thread heap scratch of
-/// [`prog.code_capacity()`](Program::code_capacity) bytes, then hands the
-/// finished bytes — from the function's first instruction
-/// ([`Finished::entry`]) on — and the instruction count to `install`,
-/// which copies them to where they will live — a right-sized `Vec` for a simulated
-/// target, a right-sized executable mapping for the native one. So the
-/// 4–8× worst-case capacity bound sizes only the scratch, never what a
-/// cached lambda keeps; emission stores go to cache-hot memory; and the
-/// assembler's over-store slack ([`MAX_OVERSTORE`](crate::buf::
-/// MAX_OVERSTORE)) never reaches the installed copy.
+/// What [`lower_in_scratch`] and a native install ask of an error type:
+/// whether it is an [`Error::Overflow`] (the one failure retried), and
+/// how to report finished code no executable memory could be had for.
+pub trait LowerError {
+    /// Whether this is a storage overflow.
+    fn overflowed(&self) -> bool;
+    /// The error for a failed mapping.
+    fn no_memory(e: std::io::Error) -> Self;
+}
+
+impl LowerError for EngineError {
+    fn overflowed(&self) -> bool {
+        matches!(self, EngineError::Codegen(Error::Overflow { .. }))
+    }
+    fn no_memory(e: std::io::Error) -> EngineError {
+        EngineError::Exec(format!("exec install: {e}"))
+    }
+}
+
+/// The one way generated code is written: `emit` writes a function (or
+/// a unit of them) into a reusable per-thread heap scratch of `capacity`
+/// bytes — once more into twice that if it overflows — and the finished
+/// bytes, from [`Finished::entry`] on, go with the report to `install`,
+/// which copies them to where they will live: a right-sized `Vec` for a
+/// simulated target, a right-sized pooled mapping for native code
+/// (`vcode_x64::emit_native`). So a capacity bound sizes only the
+/// scratch, never what a cached lambda keeps; emission stores go to
+/// cache-hot memory; and the assembler's over-store slack
+/// ([`MAX_OVERSTORE`](crate::buf::MAX_OVERSTORE)) stays behind.
 ///
 /// The scratch is not cleared between compiles: every append stores
-/// exactly the bytes it advances over (see [`crate::buf`]), so the
-/// finished prefix never shows what the buffer held before.
+/// exactly the bytes it advances over (see [`crate::buf`]), so a
+/// finished function never shows what the buffer held before; bytes a
+/// client skips between functions are its own to write.
 ///
-/// `replay` must emit position-independent code — the bytes run at
-/// whatever address `install` puts them — as everything reachable from
-/// [`POp`] does (x86-64 lowering is rel32-only; the same bytes already
-/// run relocated after every L2 load).
+/// `emit` must write position-independent code, as everything reachable
+/// from [`POp`] is (x86-64 lowering is rel32-only; the same bytes
+/// already run relocated after every L2 load): scratch offset `off`
+/// runs at `base + off - entry`.
 ///
 /// # Errors
 ///
-/// `replay`'s error or `install`'s.
-pub fn lower_in_scratch<L>(
-    prog: &Program,
-    replay: impl FnOnce(&Program, &mut [u8]) -> Result<Finished, EngineError>,
-    install: impl FnOnce(&[u8], u64) -> Result<L, EngineError>,
-) -> Result<L, EngineError> {
-    let capacity = prog.code_capacity();
+/// `emit`'s error (the retry's after an overflow) or `install`'s.
+pub fn lower_in_scratch<L, E: LowerError>(
+    capacity: usize,
+    mut emit: impl FnMut(&mut [u8]) -> Result<Finished, E>,
+    install: impl FnOnce(&[u8], Finished) -> Result<L, E>,
+) -> Result<L, E> {
     let keep = capacity <= SCRATCH_MAX;
     let mut buf = if keep { SCRATCH.take() } else { Vec::new() };
-    if buf.len() < capacity {
-        buf.resize(capacity, 0);
-    }
-    let result = replay(prog, &mut buf[..capacity])
-        .and_then(|fin| install(&buf[fin.entry..fin.len], fin.insns));
-    if keep {
+    let mut lower = |cap: usize| {
+        buf.resize(buf.len().max(cap), 0);
+        emit(&mut buf[..cap])
+    };
+    let fin = match lower(capacity) {
+        Err(e) if e.overflowed() => lower(capacity.max(1) * 2),
+        fin => fin,
+    };
+    let result = fin.and_then(|fin| install(&buf[fin.entry..fin.len], fin));
+    if keep && buf.len() <= SCRATCH_MAX {
         SCRATCH.set(buf);
     }
     result
@@ -1637,14 +1659,15 @@ mod tests {
     #[test]
     fn scratch_lowering_installs_the_bytes_a_fresh_buffer_gets() {
         let p = sample();
-        let mut fresh = vec![0u8; p.code_capacity()];
+        let cap = p.code_capacity();
+        let lower = |buf: &mut [u8]| replay::<FakeTarget>(&p, buf);
+        let mut fresh = vec![0u8; cap];
         let fin = replay::<FakeTarget>(&p, &mut fresh).unwrap();
         // Whatever the scratch held before: nothing of it shows.
-        SCRATCH.set(vec![0xa5; p.code_capacity() / 2]);
+        SCRATCH.set(vec![0xa5; cap / 2]);
         for _ in 0..2 {
             let (code, insns) =
-                lower_in_scratch(&p, replay::<FakeTarget>, |code, n| Ok((code.to_vec(), n)))
-                    .unwrap();
+                lower_in_scratch(cap, lower, |code, fin| Ok((code.to_vec(), fin.insns))).unwrap();
             assert_eq!(code, fresh[..fin.len]);
             assert_eq!(insns, fin.insns);
         }
@@ -1655,12 +1678,25 @@ mod tests {
             assert_eq!(buf.len(), want);
             SCRATCH.set(buf);
         };
-        kept(p.code_capacity());
-        let refused = |_: &Program, _: &mut [u8]| Err(EngineError::TooManyTemps { vreg: 9 });
-        assert!(lower_in_scratch(&p, refused, |_, _| Ok(())).is_err());
+        kept(cap);
+        let refused = |_: &mut [u8]| Err(EngineError::TooManyTemps { vreg: 9 });
+        assert!(lower_in_scratch(cap, refused, |_, _| Ok(())).is_err());
         let full = |_: &[u8], _| Err::<(), _>(EngineError::Exec("no memory".into()));
-        assert!(lower_in_scratch(&p, replay::<FakeTarget>, full).is_err());
-        kept(p.code_capacity());
+        assert!(lower_in_scratch(cap, lower, full).is_err());
+        kept(cap);
+        // An overflow is retried once, in twice the room; a second one
+        // is the answer.
+        let mut tried = Vec::new();
+        let short = |buf: &mut [u8]| {
+            tried.push(buf.len());
+            replay::<FakeTarget>(&p, buf)
+        };
+        let r = lower_in_scratch(fin.len / 3, short, |code, _| Ok(code.len()));
+        assert_eq!(tried, [fin.len / 3, fin.len / 3 * 2]);
+        assert!(r.is_err_and(|e| e.overflowed()));
+        let len = lower_in_scratch(fin.len - 1, lower, |code, _| Ok(code.len()));
+        assert_eq!(len.unwrap(), fin.len - fin.entry);
+        kept(cap);
         // Past the bound: a buffer of its own, freed; the scratch is
         // neither grown nor replaced.
         let mut huge = Program::new(1).unwrap();
@@ -1671,12 +1707,13 @@ mod tests {
         assert!(huge.code_capacity() > SCRATCH_MAX);
         let mut fresh = vec![0u8; huge.code_capacity()];
         let fin = replay::<FakeTarget>(&huge, &mut fresh).unwrap();
-        let len = lower_in_scratch(&huge, replay::<FakeTarget>, |code, _| {
+        let lower = |buf: &mut [u8]| replay::<FakeTarget>(&huge, buf);
+        let len = lower_in_scratch(huge.code_capacity(), lower, |code, _| {
             assert_eq!(code, &fresh[..fin.len]);
             Ok(code.len())
         });
         assert_eq!(len.unwrap(), fin.len);
-        kept(p.code_capacity());
+        kept(cap);
     }
 
     #[test]

@@ -105,7 +105,7 @@ pub struct CallFrame {
 }
 
 /// Result of finishing a function: where it starts and how long it is.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Finished {
     /// Byte offset of the function's first instruction within the client
     /// buffer. Offset 0 is always a valid entry too; on x86-64 it holds a

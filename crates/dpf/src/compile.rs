@@ -29,6 +29,10 @@
 //! Backtracking invariant: trying an alternative trie node must observe
 //! the same dynamic base offset as its siblings, so `Shift` nodes spill
 //! the running base and the fail path restores it.
+//!
+//! The classifier is emitted into the thread's lowering scratch and
+//! installed right-sized ([`vcode_x64::emit_native`]); the jump tables
+//! that hold its code addresses are filled after install.
 
 use crate::lang::FieldSize;
 use crate::trie::{Key, Level, Node};
@@ -36,7 +40,7 @@ use std::fmt;
 use vcode::regress::XorShift;
 use vcode::target::Leaf;
 use vcode::{Assembler, Label, Reg, RegClass};
-use vcode_x64::{ExecCode, ExecMem, X64};
+use vcode_x64::{ExecCode, X64};
 
 /// How many arms at most are dispatched by a linear compare chain.
 const LINEAR_MAX: usize = 4;
@@ -83,11 +87,11 @@ pub struct Options {
     pub use_hashing: bool,
     /// Elide dominated bounds checks.
     pub elide_bounds_checks: bool,
-    /// Executable-buffer capacity in bytes; `None` sizes it from the
-    /// trie's node count. Setting a too-small value exercises the
-    /// overflow → retry → interpreter-generation ladder of a
-    /// [`DpfService`](crate::DpfService) install; the fault-injection
-    /// harness uses it to force code-generation failure on demand.
+    /// Bytes the first emission attempt may use (the retry doubles
+    /// them); `None` estimates them from the trie. A too-small value
+    /// drives a [`DpfService`](crate::DpfService) install down its
+    /// overflow → retry → interpreter ladder, as the fault-injection
+    /// harness does on demand.
     pub code_capacity: Option<usize>,
 }
 
@@ -134,6 +138,15 @@ impl From<vcode::Error> for CompileError {
     }
 }
 
+impl vcode::engine::LowerError for CompileError {
+    fn overflowed(&self) -> bool {
+        matches!(self, CompileError::Codegen(vcode::Error::Overflow { .. }))
+    }
+    fn no_memory(e: std::io::Error) -> CompileError {
+        CompileError::Exec(e)
+    }
+}
+
 impl From<CompileError> for vcode::ExecError {
     fn from(e: CompileError) -> vcode::ExecError {
         match e {
@@ -155,8 +168,6 @@ impl From<CompileError> for vcode::ExecError {
 pub struct CompiledSet {
     code: ExecCode,
     entry: extern "C" fn(*const u8, u64) -> i64,
-    /// Where in `code` the classifier starts ([`Finished::entry`]).
-    code_off: usize,
     // Dispatch tables referenced by absolute address from the generated
     // code; kept alive (and unmoved — Box contents are stable) here:
     // code addresses it jumps through, and keys and filter ids it loads.
@@ -187,19 +198,14 @@ impl CompiledSet {
         u32::try_from(r).ok()
     }
 
-    /// The entry address (diagnostics).
-    pub fn entry_addr(&self) -> u64 {
-        self.code.addr() + self.code_off as u64
-    }
-
     /// The emitted machine-code bytes (diagnostics: the classifier from
     /// its entry, `code_len` bytes).
     pub fn code_bytes(&self) -> &[u8] {
-        &self.code.bytes()[self.code_off..][..self.code_len]
+        &self.code.bytes()[..self.code_len]
     }
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct PathState {
     /// Message length proven ≥ this many bytes on this path.
     checked: u32,
@@ -672,106 +678,88 @@ fn perfect_hash_is_hopeless(n: usize, slots: usize, tries: u32) -> bool {
     (n * n) as f64 / (2 * slots) as f64 > f64::from(tries).ln()
 }
 
-/// Compiles a merged trie into native code.
+/// Compiles a merged trie into native code ([`vcode_x64::emit_native`])
+/// and fills its jump tables from where it was installed.
 ///
 /// # Errors
 ///
 /// [`CompileError`] on code-generation or mapping failure.
 pub fn compile(root: &Level, opts: Options) -> Result<CompiledSet, CompileError> {
-    // Size the mapping generously: a node's field load and bounds check
+    // Size the scratch generously: a node's field load and bounds check
     // cost tens of bytes, and so does each arm (a dispatch compare plus
     // its leaf: 35-40 bytes through the branch tree, measured up to 4096
     // arms). Counting arms matters: a 1024-port set is five nodes.
     // An explicit code_capacity overrides the estimate (harness knob).
-    let est = opts
+    let capacity = opts
         .code_capacity
         .unwrap_or(4096 + root.node_count() * 512 + root.arm_count() * 64);
-    let mut mem = ExecMem::new(est).map_err(CompileError::Exec)?;
-    // The mapping rounds up to whole pages; honor a sub-page capacity
-    // override by handing the assembler only the requested prefix.
-    let cap = est.min(mem.len());
-    let mut a = Assembler::<X64>::lambda(&mut mem.as_mut_slice()[..cap], "%p%ul", Leaf::Yes)?;
-    let msg = a.arg(0);
-    let len = a.arg(1);
-    let mut temp = || a.getreg(RegClass::Temp).ok_or(CompileError::TooManyTemps);
-    let field = temp()?;
-    // The running base and the pointer it makes exist only for a trie
-    // that shifts; without them the classifier needs no callee-saved
-    // register, so it is a frameless leaf. (Unshifted code never reads
-    // them, so they stand as `msg` there.)
-    let (ptr, base) = if has_shift(root) {
-        (temp()?, temp()?)
-    } else {
-        (msg, msg)
-    };
-    let tmp = temp()?;
-    let tmp2 = temp()?;
-    let fail = a.genlabel();
-    if base != msg {
-        a.setul(base, 0);
-        a.movp(ptr, msg);
-    }
-    let mut cg = Cg {
-        a,
-        msg,
-        len,
-        field,
-        ptr,
-        base,
-        tmp,
-        tmp2,
-        opts,
-        strategies: Strategies::default(),
-        addr_tables: Vec::new(),
-        data_tables: Vec::new(),
-        rng: XorShift::new(0x5eed_cafe),
-    };
-    let st = PathState {
-        checked: 0,
-        shifted: false,
-    };
-    cg.gen_level(root, fail, st);
-    cg.a.label(fail);
-    let t = cg.tmp;
-    cg.a.seti(t, -1);
-    cg.a.reti(t);
-    let Cg {
-        a,
-        strategies,
-        addr_tables,
-        data_tables,
-        ..
-    } = cg;
-    let vcode_insns = a.insn_count();
-    let fin = a.end()?;
-    // Everything stored into `mem` went through the assembler.
-    let code = mem
-        .finalize_written(fin.len + vcode::buf::MAX_OVERSTORE)
-        .map_err(CompileError::Exec)?;
-    // Resolve dispatch-table entries now that label addresses are known.
+    let mut emitted = None;
+    let (code, fin) = vcode_x64::emit_native::<CompileError>(capacity, |buf| {
+        let mut a = Assembler::<X64>::lambda(buf, "%p%ul", Leaf::Yes)?;
+        let (msg, len) = (a.arg(0), a.arg(1));
+        let mut temp = || a.getreg(RegClass::Temp).ok_or(CompileError::TooManyTemps);
+        let field = temp()?;
+        // The running base and the pointer it makes exist only for a
+        // trie that shifts; without them the classifier needs no
+        // callee-saved register, so it is a frameless leaf. (Unshifted
+        // code never reads them, so they stand as `msg` there.)
+        let (ptr, base) = if has_shift(root) {
+            (temp()?, temp()?)
+        } else {
+            (msg, msg)
+        };
+        let (tmp, tmp2) = (temp()?, temp()?);
+        let fail = a.genlabel();
+        if base != msg {
+            a.setul(base, 0);
+            a.movp(ptr, msg);
+        }
+        let mut cg = Cg {
+            a,
+            msg,
+            len,
+            field,
+            ptr,
+            base,
+            tmp,
+            tmp2,
+            opts,
+            strategies: Strategies::default(),
+            addr_tables: Vec::new(),
+            data_tables: Vec::new(),
+            rng: XorShift::new(0x5eed_cafe),
+        };
+        cg.gen_level(root, fail, PathState::default());
+        cg.a.label(fail);
+        cg.ret_id(NO_ID);
+        let fin = cg.a.end()?;
+        emitted = Some((cg.strategies, cg.addr_tables, cg.data_tables));
+        Ok(fin)
+    })?;
+    let (strategies, addr_tables, data_tables) = emitted.expect("an installed emission finished");
+    // Resolve dispatch-table entries now that the code has an address:
+    // a label at scratch offset `off` runs at `addr + off - entry`.
     let mut tables = Vec::with_capacity(addr_tables.len());
     for (mut table, labels) in addr_tables {
         for (entry, label) in table.iter_mut().zip(labels) {
             let off = fin
                 .label_offset(label)
                 .ok_or(CompileError::Codegen(vcode::Error::UnboundLabel(label)))?;
-            *entry = code.addr() + off as u64;
+            *entry = code.addr() + (off - fin.entry) as u64;
         }
         tables.push(table);
     }
     // SAFETY: the generated function has the declared C ABI
-    // (ptr, len) -> i64 and only dereferences `msg` below `len`;
-    // `fin.entry` is where `end` put its first instruction.
-    let entry: extern "C" fn(*const u8, u64) -> i64 = unsafe { code.as_fn_at(fin.entry) };
+    // (ptr, len) -> i64 and only dereferences `msg` below `len`.
+    let entry: extern "C" fn(*const u8, u64) -> i64 = unsafe { code.as_fn() };
     Ok(CompiledSet {
         code,
         entry,
-        code_off: fin.entry,
         _addr_tables: tables,
         _data_tables: data_tables,
         strategies,
         code_len: fin.len - fin.entry,
-        vcode_insns,
+        vcode_insns: fin.insns,
     })
 }
 

@@ -86,7 +86,7 @@ pub(crate) fn build_set(
     let cache = cache();
     cache.get_or_build(
         cache_key(filters, opts),
-        || compile_with_retry(&trie::build(filters), opts).map(Arc::new),
+        || compile::compile(&trie::build(filters), opts).map(Arc::new),
         cache.stall_timeout(),
     )
 }
@@ -138,23 +138,6 @@ pub(crate) fn cache_key(filters: &[(u32, Filter)], opts: Options) -> CacheKey {
         }
     }
     CacheKey::new(TargetId::X64, bytes)
-}
-
-/// Compiles a trie with the storage-overflow retry ladder: on a
-/// [`vcode::Error::Overflow`] the compile is retried once with a doubled
-/// buffer.
-fn compile_with_retry(root: &Level, opts: Options) -> Result<CompiledSet, CompileError> {
-    match compile::compile(root, opts) {
-        Ok(set) => Ok(set),
-        Err(CompileError::Codegen(vcode::Error::Overflow { capacity })) => {
-            let retry = Options {
-                code_capacity: Some(capacity.max(1) * 2),
-                ..opts
-            };
-            compile::compile(root, retry)
-        }
-        Err(e) => Err(e),
-    }
 }
 
 /// The PATHFINDER-style baseline: the same merged trie, *interpreted* —

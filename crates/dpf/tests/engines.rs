@@ -8,8 +8,8 @@ use dpf::{CompiledSet, DpfService, FieldSize, Filter, FilterBuilder, Options, Pa
 use vcode::regress::XorShift;
 
 /// The compiled classifier of `filters` under ids 0, 1, ..., built the
-/// way the frozen benchmark builds one: `compile` itself, no cache and
-/// no retry ladder behind it.
+/// way the frozen benchmark builds one: `compile` itself, no cache
+/// behind it.
 fn compiled(filters: &[Filter], opts: Options) -> CompiledSet {
     let set: Vec<(u32, Filter)> = (0..).zip(filters.iter().cloned()).collect();
     dpf::compile::compile(&dpf::trie::build(&set), opts).expect("compiles")
@@ -615,8 +615,7 @@ fn a_writer_storm_is_served_natively_one_generation_per_update() {
 }
 
 /// Seeded sparse port sets of the sizes the benchmark sweeps, compiled
-/// the way it compiles them: `compile` itself, default options, no
-/// retry ladder behind it.
+/// the way it compiles them: `compile` itself, default options.
 fn sparse_port_set(n: usize) -> (Vec<u16>, Vec<(u32, Filter)>) {
     let mut rng = XorShift::new(0x5eeb_0000 + n as u64);
     let mut ports = std::collections::BTreeSet::new();
@@ -652,13 +651,15 @@ fn large_sparse_sets_compile_native_on_the_first_attempt() {
     }
 }
 
-/// A buffer too small for the set must fail as `Overflow` (what
-/// `compile_with_retry` doubles on), whatever the assembler was doing
-/// when it ran out — including recording a fixup past the frozen cursor.
-/// 1024 sparse ports are past what a lookup table may hold and take the
-/// 36 KB branch tree; 256 are a lookup of some 260 bytes, which a 1 KB
-/// buffer holds, so those are starved down to less than the prologue
-/// reservation.
+/// A buffer too small for the set must fail as `Overflow` (what the
+/// install path's one retry doubles on), whatever the assembler was
+/// doing when it ran out — including recording a fixup past the frozen
+/// cursor. `compile` runs the retry itself, so each capacity below is
+/// what the retry is handed: the first attempt gets half of it, and the
+/// error reports the retry's. 1024 sparse ports are past what a lookup
+/// table may hold and take the 36 KB branch tree; 256 are a lookup of
+/// some 200 bytes, which a 1 KB buffer holds, so those are starved down
+/// to less than that.
 #[test]
 fn undersized_buffer_reports_overflow_not_a_fixup_error() {
     let (_, filters) = sparse_port_set(1024);
@@ -669,7 +670,7 @@ fn undersized_buffer_reports_overflow_not_a_fixup_error() {
     let lookup_caps = [16usize, 64, 128, 200].map(|cap| (&lookup, cap));
     for (root, cap) in tree_caps.into_iter().chain(lookup_caps) {
         let opts = dpf::Options {
-            code_capacity: Some(cap),
+            code_capacity: Some(cap / 2),
             ..dpf::Options::default()
         };
         match dpf::compile::compile(root, opts) {

@@ -3,7 +3,11 @@
 //! request a compile, an L1 insert and an L1 eviction — maps nothing and
 //! unmaps nothing once the L1 is full, because every lambda is installed
 //! in a mapping sized by its *finished* code (one page here) and so the
-//! mapping each eviction parks is the one the next compile adopts.
+//! mapping each eviction parks is the one the next compile adopts. The
+//! other clients of the install path are held to the same: a DPF
+//! classifier, an ASH kernel and a tcc unit each park in the smallest
+//! class that holds their code, and a warmed DPF service's
+//! insert/remove churn maps nothing.
 //!
 //! One test, its own process: `pool_stats()` counters are process-wide.
 
@@ -11,6 +15,8 @@ use harden::XorShift;
 use vcode::engine::{Backend, Engine, Program, TargetId};
 use vcode::{BinOp, Cond, UnOp};
 use vcode_x64::{drain_pool, pool_stats, ExecMem, X64Backend};
+
+use dpf::packet::{self, PacketSpec};
 
 const PAGE: usize = 4096;
 /// L1 capacity, distinct programs (16 x the L1: by the time one comes
@@ -155,4 +161,86 @@ fn a_cold_compile_stream_makes_no_mapping_syscalls_in_steady_state() {
         "parked outside the one-page class"
     );
     assert_eq!(pool_stats().currently_parked, 0);
+
+    clients_park_in_their_smallest_class();
+    dpf_churn_is_served_by_the_pool();
+}
+
+/// Drops `owner`, the only holder of `len` bytes of installed code, and
+/// checks that its mapping parked in the smallest class that holds
+/// them: the next request of that size adopts it.
+fn parks_in_smallest_class<T>(what: &str, len: usize, owner: T) {
+    drain_pool();
+    drop(owner);
+    assert_eq!(pool_stats().currently_parked, 1, "{what}");
+    let hits = pool_stats().hits;
+    let _class = ExecMem::new(len.div_ceil(PAGE).next_power_of_two() * PAGE).unwrap();
+    assert_eq!(
+        pool_stats().hits,
+        hits + 1,
+        "{what}: {len} bytes parked outside the smallest class holding them"
+    );
+}
+
+/// The 33-port classifier of `dpf/tests/engines.rs`, one ASH kernel and
+/// one tcc unit are installed right-sized, not in a mapping their
+/// capacity estimate would have asked for.
+fn clients_park_in_their_smallest_class() {
+    let mut rng = XorShift::new(0x5eeb_0000 + 33);
+    let mut ports = std::collections::BTreeSet::new();
+    while ports.len() < 33 {
+        ports.insert(rng.range(1024, 65_000) as u16);
+    }
+    let filters: Vec<(u32, dpf::Filter)> = (0..)
+        .zip(ports)
+        .map(|(i, p)| (i, packet::tcp_port_filter(0x0a00_0002, p).unwrap()))
+        .collect();
+    let set = dpf::compile::compile(&dpf::trie::build(&filters), dpf::Options::default()).unwrap();
+    assert!(set.code_len <= 150, "{} bytes", set.code_len);
+    parks_in_smallest_class("33-port classifier", set.code_len, set);
+
+    let kernel = ash::Pipeline::compile_uncached(&[ash::Step::Checksum, ash::Step::Swap]).unwrap();
+    assert_eq!(kernel.engine_kind(), ash::EngineKind::Native);
+    parks_in_smallest_class("ASH kernel", kernel.code_len, kernel);
+
+    let unit = tcc::Program::compile(
+        "int sq(int x) { return x * x; }
+         int sum_sq(int n) { int s = 0; while (n > 0) { s = s + sq(n); n = n - 1; } return s; }",
+    )
+    .unwrap();
+    assert_eq!(unit.call_int("sum_sq", &[3]), Ok(14));
+    parks_in_smallest_class("tcc unit", unit.code_len, unit);
+}
+
+/// DPF installs as one more input: each insert compiles a set never seen
+/// before (a new id is new content), each remove republishes a set the
+/// classifier cache still holds, and the cache's evictions park what
+/// the next insert adopts. Warmed, 1 000 cycles map nothing.
+fn dpf_churn_is_served_by_the_pool() {
+    const CYCLES: u32 = 1000;
+    let svc = dpf::DpfService::new();
+    svc.insert_all(packet::port_filter_set(16, 3000));
+    let port = packet::build(&PacketSpec {
+        dst_port: 3003,
+        ..PacketSpec::default()
+    });
+    let cycle = |r: u32| {
+        let f = packet::tcp_port_filter(0x0a00_0002, 9000 + (r % 8) as u16).unwrap();
+        let id = svc.insert(f);
+        assert!(svc.remove(id), "cycle {r}");
+    };
+    (0..200).for_each(cycle);
+    let before = pool_stats();
+    (200..200 + CYCLES).for_each(cycle);
+    let after = pool_stats();
+    assert!(svc.is_native());
+    assert_eq!(svc.classify(&port), Some(3));
+    println!(
+        "pool deltas over {CYCLES} DPF insert/remove cycles: hits {} misses {} parked {} evicted {}",
+        after.hits - before.hits,
+        after.misses - before.misses,
+        after.parked - before.parked,
+        after.evicted - before.evicted,
+    );
+    assert_eq!(after.misses - before.misses, 0, "{before:?} -> {after:?}");
 }

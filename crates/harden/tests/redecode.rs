@@ -12,9 +12,11 @@
 use harden::XorShift;
 use std::collections::HashSet;
 use std::sync::Arc;
-use vcode::engine::{Backend, TargetId};
+use vcode::engine::{Backend, Program, TargetId};
 use vcode::persist::redecode;
+use vcode::BinOp;
 use vcode::{InsnDecoder, PersistError};
+use vcode_x64::X64Backend;
 
 /// `persist::redecode` as of the commit before the bitmap.
 fn redecode_hashset(code: &[u8], dec: &dyn InsnDecoder) -> Result<u64, PersistError> {
@@ -123,11 +125,123 @@ fn images(backend: &dyn Backend) -> Vec<Vec<u8>> {
         .collect()
 }
 
-fn corpus_agrees<D: InsnDecoder>(backend: &dyn Backend, dec: &D) {
+/// Fills this thread's lowering scratch with an engine compile larger
+/// than any client's below: what a client skips and fails to write
+/// shows up as this program's bytes, not as zeros.
+fn dirty_scratch() {
+    let mut p = Program::new(2).unwrap();
+    for i in 0..4000 {
+        p.bin_imm(BinOp::Add, (i % 5) as u8, ((i + 1) % 5) as u8, i);
+    }
+    p.ret(0);
+    let lambda = X64Backend.compile(&p).unwrap();
+    assert!(lambda.code_len() > 16 * 1024);
+}
+
+/// `len` bytes of installed code at `addr`, copied out.
+///
+/// # Safety
+///
+/// `addr..addr + len` must be code its owner keeps mapped.
+unsafe fn installed(addr: u64, len: usize) -> Vec<u8> {
+    // SAFETY: the caller's obligation; the execution view is readable.
+    unsafe { std::slice::from_raw_parts(addr as *const u8, len) }.to_vec()
+}
+
+/// The native code of DPF, ASH and tcc, each compiled after a larger
+/// engine compile on this thread left its bytes in the scratch.
+fn client_images() -> Vec<Vec<u8>> {
+    use dpf::packet::{tcp_port_filter, tcp_port_filter_var_ihl};
+    use dpf::{Filter, FilterBuilder, Options, Strategies};
+    let mut images = Vec::new();
+    let mut classifier = |filters: Vec<Filter>| -> Strategies {
+        let set: Vec<(u32, Filter)> = (0..).zip(filters).collect();
+        dirty_scratch();
+        let compiled = dpf::compile::compile(&dpf::trie::build(&set), Options::default());
+        let compiled = compiled.expect("set compiles");
+        images.push(compiled.code_bytes().to_vec());
+        compiled.strategies
+    };
+    // DPF: the 33-port set of dpf/tests/engines.rs (leaves, dispatched
+    // by data); a dense jump table and a hash whose arms go on to a
+    // protocol check; headers of variable length.
+    let mut rng = XorShift::new(0x5eeb_0000 + 33);
+    let mut sparse = std::collections::BTreeSet::new();
+    while sparse.len() < 33 {
+        sparse.insert(rng.range(1024, 65_000) as u16);
+    }
+    let then_proto = |port: u16, proto: u8| {
+        FilterBuilder::new()
+            .eq_u16(12, 0x0800)
+            .eq_u16(36, port)
+            .eq_u8(23, proto)
+            .build()
+            .unwrap()
+    };
+    let arms = |ports: &mut dyn Iterator<Item = u16>| -> Vec<Filter> {
+        ports
+            .flat_map(|p| [then_proto(p, 6), then_proto(p, 17)])
+            .collect()
+    };
+    let leaves = sparse
+        .iter()
+        .map(|&p| tcp_port_filter(0x0a00_0002, p).unwrap());
+    assert_eq!(classifier(leaves.collect()).hash, 1);
+    assert_eq!(classifier(arms(&mut (2000..2012))).table, 1);
+    assert_eq!(
+        classifier(arms(&mut sparse.iter().copied().take(20))).hash,
+        1
+    );
+    let shifted = [80, 443, 8080].map(|p| tcp_port_filter_var_ihl(p).unwrap());
+    assert_eq!(classifier(shifted.to_vec()).linear, 1);
+    // ASH: every step set at unroll factors on both sides of the tail
+    // loop. An explicit capacity compiles on this thread, uncached.
+    use ash::{Pipeline, PipelineOptions, Step};
+    for steps in [
+        vec![],
+        vec![Step::Checksum],
+        vec![Step::Swap],
+        vec![Step::Checksum, Step::Swap],
+    ] {
+        for unroll in [1, 3, 8, 16] {
+            dirty_scratch();
+            let opts = PipelineOptions {
+                unroll,
+                code_capacity: Some(4096),
+            };
+            let p = Pipeline::compile_with_options(&steps, opts).unwrap();
+            // SAFETY: `p` holds its kernel, `code_len` bytes from its entry.
+            images.push(unsafe { installed(p.entry_addr().expect("native"), p.code_len) });
+        }
+    }
+    // tcc: one unit of several functions, padded between them; it is
+    // installed from the entry of the first.
+    dirty_scratch();
+    let unit = tcc::Program::compile(TCC_UNIT).expect("unit compiles");
+    assert_eq!(unit.call_int("fib", &[20]), Ok(6765));
+    assert_eq!(unit.call_int("gcd_fib", &[12, 18]), Ok(8));
+    // SAFETY: `unit` holds its code, `code_len` bytes from its first entry.
+    images.push(unsafe { installed(unit.addr("fib").unwrap(), unit.code_len) });
+    images
+}
+
+/// The tcc unit of the corpus: integer and pointer code, calls between
+/// its functions, and leaves among them. (No `double`: a function that
+/// keeps a literal pool ends in data, which no instruction decoder walks.)
+const TCC_UNIT: &str = r"
+    int fib(int n) { if (n < 2) return n; return fib(n - 1) + fib(n - 2); }
+    int gcd_fib(int a, int b) { return gcd(fib(a), fib(b)); }
+    long sum(long *a, int n) { long s = 0; int i; for (i = 0; i < n; i = i + 1) s = s + a[i]; return s; }
+    int gcd(int a, int b) { while (b != 0) { int t = a % b; a = b; b = t; } return a; }
+    char low(char c) { return c | 32; }
+";
+
+fn corpus_agrees<D: InsnDecoder>(backend: &dyn Backend, dec: &D, clients: Vec<Vec<u8>>) {
     let target: TargetId = backend.id();
     let mut rng = XorShift::new(0x0dec_0de5 + target.index() as u64);
     let mut tally = Tally::default();
-    let images = images(backend);
+    let mut images = images(backend);
+    images.extend(clients);
     for (i, code) in images.iter().enumerate() {
         let what = format!("{target} image {i}");
         let clean = redecode(code, dec);
@@ -162,6 +276,7 @@ fn mips_corpus_agrees() {
     corpus_agrees(
         &vcode_sim::engine::MipsBackend::default(),
         &vcode_sim::mips::Decoder,
+        Vec::new(),
     );
 }
 
@@ -170,6 +285,7 @@ fn sparc_corpus_agrees() {
     corpus_agrees(
         &vcode_sim::engine::SparcBackend::default(),
         &vcode_sim::sparc::Decoder,
+        Vec::new(),
     );
 }
 
@@ -178,12 +294,13 @@ fn alpha_corpus_agrees() {
     corpus_agrees(
         &vcode_sim::engine::AlphaBackend::default(),
         &vcode_sim::alpha::Decoder,
+        Vec::new(),
     );
 }
 
 #[test]
 fn x64_corpus_agrees() {
-    corpus_agrees(&vcode_x64::X64Backend, &vcode_x64::declen::Decoder);
+    corpus_agrees(&X64Backend, &vcode_x64::declen::Decoder, client_images());
 }
 
 /// Branch targets around the edges of the bitmap: a run of `nop`s ended

@@ -98,11 +98,14 @@ impl<I: EngineIsa> SimBackend<I> {
     pub fn compile_with(
         &self,
         prog: &Program,
-        replay: impl FnOnce(&Program, &mut [u8]) -> Result<Finished, EngineError>,
+        replay: impl Fn(&Program, &mut [u8]) -> Result<Finished, EngineError>,
     ) -> Result<Arc<dyn Lambda>, EngineError> {
-        lower_in_scratch(prog, replay, |code, insns| {
-            Ok(CodeImage::<I>::lambda(prog.args(), code.to_vec(), insns))
-        })
+        let (capacity, args) = (prog.code_capacity(), prog.args());
+        lower_in_scratch(
+            capacity,
+            |buf| replay(prog, buf),
+            |code, fin| Ok(CodeImage::<I>::lambda(args, code.to_vec(), fin.insns)),
+        )
     }
 }
 

@@ -70,6 +70,15 @@ impl From<vcode::Error> for CcError {
     }
 }
 
+impl vcode::engine::LowerError for CcError {
+    fn overflowed(&self) -> bool {
+        matches!(self, CcError::Codegen(vcode::Error::Overflow { .. }))
+    }
+    fn no_memory(e: std::io::Error) -> CcError {
+        CcError::Exec(e)
+    }
+}
+
 /// Signature info for the function table.
 #[derive(Debug, Clone)]
 pub struct FnSig {

@@ -9,7 +9,8 @@
 //! This crate is that client for a C subset (`int`, `long`, `char`,
 //! `double`, pointers; full statement forms; recursion): source text in,
 //! directly executable native functions out — no external assembler,
-//! linker, or process involved.
+//! linker, or process involved. A unit's functions are emitted one after
+//! another and installed together ([`vcode_x64::emit_native`]).
 //!
 //! ```
 //! let prog = tcc::Program::compile(r"
@@ -36,15 +37,16 @@ pub use parse::{CType, FnDef};
 use codegen::{FnCg, FnSig};
 use std::collections::HashMap;
 use std::fmt;
-use vcode_x64::{ExecCode, ExecMem};
+use vcode_x64::ExecCode;
 
 /// A compiled translation unit: every function is native code in one
 /// executable mapping, callable through [`Program::call_int`],
 /// [`Program::call_f64`], or a raw typed pointer.
 pub struct Program {
     _code: ExecCode,
-    fns: HashMap<String, (FnSig, u64)>,
-    _table: Box<[u64]>,
+    fns: HashMap<String, FnSig>,
+    /// Entry addresses by `FnSig::index`, which calls go through.
+    table: Box<[u64]>,
     /// Total machine-code bytes generated.
     pub code_len: usize,
 }
@@ -115,38 +117,36 @@ impl Program {
                 });
             }
         }
-        // One mapping for the whole unit; size generously relative to
-        // the source (expression trees expand to a few instructions per
-        // token, plus fixed prologue overhead per function).
+        // Size the scratch generously relative to the source (expression
+        // trees expand to a few instructions per token, plus fixed
+        // prologue overhead per function).
         let est = 8192 + source.len() * 48 + defs.len() * 512;
-        let mut mem = ExecMem::new(est).map_err(CcError::Exec)?;
-        let base = mem.addr();
         let mut table: Box<[u64]> = vec![0u64; defs.len()].into_boxed_slice();
         let table_addr = table.as_ptr() as u64;
-        let mut offsets = Vec::with_capacity(defs.len());
-        let mut off = 0usize;
-        for d in &defs {
-            let chunk = &mut mem.as_mut_slice()[off..];
-            let fin = FnCg::compile(d, chunk, &fns, table_addr)?;
-            offsets.push(off + fin.entry);
-            off = (off + fin.len).div_ceil(16) * 16;
+        let (code, unit) = vcode_x64::emit_native::<CcError>(est, |buf| {
+            let mut unit = vcode::Finished::default();
+            for (d, entry) in defs.iter().zip(table.iter_mut()) {
+                // 16-byte aligned from the unit's entry; the scratch is
+                // not cleared, so the padding is written: `int3`.
+                let start = unit.entry + (unit.len - unit.entry).next_multiple_of(16);
+                let start = start.min(buf.len());
+                buf[unit.len..start].fill(0xcc);
+                let fin = FnCg::compile(d, &mut buf[start..], &fns, table_addr)?;
+                *entry = (start + fin.entry) as u64;
+                unit.entry = if unit.len == 0 { fin.entry } else { unit.entry };
+                unit.len = start + fin.len;
+                unit.insns += fin.insns;
+            }
+            Ok(unit)
+        })?;
+        for entry in table.iter_mut() {
+            *entry += code.addr() - unit.entry as u64;
         }
-        for (i, &o) in offsets.iter().enumerate() {
-            table[i] = base + o as u64;
-        }
-        let code = mem.finalize().map_err(CcError::Exec)?;
-        let fns = fns
-            .into_iter()
-            .map(|(name, sig)| {
-                let addr = base + offsets[sig.index] as u64;
-                (name, (sig, addr))
-            })
-            .collect();
         Ok(Program {
             _code: code,
             fns,
-            _table: table,
-            code_len: off,
+            table,
+            code_len: unit.len - unit.entry,
         })
     }
 
@@ -157,7 +157,7 @@ impl Program {
 
     /// The native entry address of `name`, if defined.
     pub fn addr(&self, name: &str) -> Option<u64> {
-        self.fns.get(name).map(|(_, a)| *a)
+        self.fns.get(name).map(|sig| self.table[sig.index])
     }
 
     /// Reinterprets a compiled function as a typed function pointer.
@@ -184,10 +184,11 @@ impl Program {
     ///
     /// [`CallError`] when the name, arity, or type shape does not match.
     pub fn call_int(&self, name: &str, args: &[i64]) -> Result<i64, CallError> {
-        let (sig, addr) = self
+        let sig = self
             .fns
             .get(name)
             .ok_or_else(|| CallError::Undefined(name.to_owned()))?;
+        let addr = &self.table[sig.index];
         if sig.params.len() != args.len() {
             return Err(CallError::Arity {
                 expected: sig.params.len(),
@@ -240,10 +241,11 @@ impl Program {
     ///
     /// [`CallError`] when the name, arity, or type shape does not match.
     pub fn call_f64(&self, name: &str, args: &[f64]) -> Result<f64, CallError> {
-        let (sig, addr) = self
+        let sig = self
             .fns
             .get(name)
             .ok_or_else(|| CallError::Undefined(name.to_owned()))?;
+        let addr = &self.table[sig.index];
         if sig.params.len() != args.len() {
             return Err(CallError::Arity {
                 expected: sig.params.len(),

@@ -68,7 +68,7 @@ enum Class {
     MovImm,
     /// Group 5: `jmp`/`call r/m` (only /4 and /2 are emitted).
     Group5,
-    /// `ret`.
+    /// `ret` or `int3`: control leaves, to no decodable target.
     Ret,
     /// The two-byte escape: the next byte indexes [`TWO_BYTE`].
     Escape,
@@ -114,7 +114,9 @@ const ONE_BYTE: [Class; 256] = classes(&[
     // reserved prologue-save nops).
     (&[0xeb], Class::Rel8),
     (&[0xff], Class::Group5),
-    (&[0xc3], Class::Ret),
+    // ret; int3, the padding a client writes between the functions of
+    // one unit (tcc), where nothing falls through either.
+    (&[0xc3, 0xcc], Class::Ret),
     // push/pop r; nop; cdq/cqo (cqo is REX.W + 99); leave.
     (
         &[
@@ -342,8 +344,8 @@ mod tests {
                         target: None,
                     })
                 }
-                // ret.
-                0xc3 => Some(DecodedInsn {
+                // ret; int3 (the padding between a unit's functions).
+                0xc3 | 0xcc => Some(DecodedInsn {
                     len: i,
                     control: true,
                     target: None,

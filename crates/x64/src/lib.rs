@@ -6,6 +6,11 @@
 //! [`vcode::Target`] for [`X64`] and provides [`ExecMem`] so generated
 //! code runs natively — the zero→aha path of dynamic code generation.
 //!
+//! The example below is the paper's Figure 1: a client emitting into
+//! storage it obtained itself. The workspace's own clients (the engine,
+//! DPF, ASH, tcc) call [`emit_native`] instead, which installs a
+//! right-sized copy, so only this crate maps executable memory.
+//!
 //! ```
 //! use vcode::{Assembler, Leaf};
 //! use vcode_x64::{ExecMem, X64};
@@ -953,19 +958,31 @@ impl Lambda for NativeLambda {
     }
 }
 
-/// Places finished, position-independent code in a right-sized
-/// executable mapping — the one install path, shared by a fresh build
-/// ([`X64Backend::compile_with`]) and an L2 load ([`Backend::adopt`]).
-/// The mapping's size class is decided by `code.len()`, and parking it
-/// scrubs exactly that prefix.
-fn install(code: &[u8], args: usize, insns: u64) -> std::io::Result<std::sync::Arc<dyn Lambda>> {
-    let mem = ExecMem::adopt_bytes(code)?;
-    Ok(std::sync::Arc::new(NativeLambda {
-        code: mem.finalize_written(code.len())?,
-        args,
-        len: code.len(),
-        insns,
-    }))
+/// Places finished, position-independent code in a pooled mapping sized
+/// by `code.len()` (which is also all parking scrubs): the install half
+/// of [`emit_native`], and all of an L2 load ([`Backend::adopt`]).
+fn place(code: &[u8]) -> std::io::Result<ExecCode> {
+    ExecMem::adopt_bytes(code)?.finalize_written(code.len())
+}
+
+/// The one way to native code, for the engine ([`X64Backend`]), DPF,
+/// ASH and tcc alike: `emit` writes into the thread's lowering scratch
+/// ([`vcode::engine::lower_in_scratch`], which retries an overflow
+/// once in twice `capacity`), and the finished bytes are installed in
+/// a pooled mapping sized by their length. The code starts at
+/// [`Finished::entry`], so `as_fn` calls it; scratch offset `off` runs
+/// at `code.addr() + off - entry`.
+///
+/// # Errors
+///
+/// `emit`'s error, or the mapping failure as `E`.
+pub fn emit_native<E: vcode::engine::LowerError>(
+    capacity: usize,
+    emit: impl FnMut(&mut [u8]) -> Result<Finished, E>,
+) -> Result<(ExecCode, Finished), E> {
+    vcode::engine::lower_in_scratch(capacity, emit, |code, fin| {
+        Ok((place(code).map_err(E::no_memory)?, fin))
+    })
 }
 
 // The engine's scratch bound is the pool's largest class: a lambda whose
@@ -975,24 +992,21 @@ const _: () = assert!(vcode::engine::SCRATCH_MAX == MAX_POOL_PAGES * 4096);
 /// Runtime-selectable engine adapter for the native x86-64 target:
 /// replays a recorded [`Program`] through `Assembler<X64>` into the
 /// thread's lowering scratch, then installs the finished bytes in a
-/// right-sized executable mapping and returns a [`NativeLambda`] over it.
+/// right-sized executable mapping ([`emit_native`]) and returns a
+/// [`NativeLambda`] over it.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct X64Backend;
 
 impl X64Backend {
-    /// Compiles `prog` with `replay` as the lowering
-    /// ([`vcode::engine::lower_in_scratch`]) and installs the finished
-    /// bytes in executable memory sized by what was written.
+    /// Compiles `prog` with `replay` as the lowering, through
+    /// [`emit_native`] with the program's
+    /// [`code_capacity`](Program::code_capacity).
     /// [`Backend::compile`] is this with [`vcode::engine::replay`]; tests
     /// and benches that want a callable tier-2 lambda pass
     /// `vcode::tier2::replay_opt` (over an
-    /// [`optimize`](vcode::tier2::optimize)d program).
-    ///
-    /// `replay` must emit position-independent code: the bytes are
-    /// copied out of the scratch and run wherever the mapping lands.
-    /// Everything reachable from a [`Program`]'s ops is (x86-64 lowering
-    /// is rel32-only, and the same bytes already run relocated after
-    /// every L2 load).
+    /// [`optimize`](vcode::tier2::optimize)d program). `replay` must
+    /// emit position-independent code, as everything reachable from a
+    /// [`Program`]'s ops is.
     ///
     /// # Errors
     ///
@@ -1001,12 +1015,15 @@ impl X64Backend {
     pub fn compile_with(
         &self,
         prog: &Program,
-        replay: impl FnOnce(&Program, &mut [u8]) -> Result<Finished, EngineError>,
+        replay: impl Fn(&Program, &mut [u8]) -> Result<Finished, EngineError>,
     ) -> Result<std::sync::Arc<dyn Lambda>, EngineError> {
-        vcode::engine::lower_in_scratch(prog, replay, |code, insns| {
-            install(code, prog.args(), insns)
-                .map_err(|e| EngineError::Exec(format!("exec install: {e}")))
-        })
+        let (code, fin) = emit_native(prog.code_capacity(), |buf| replay(prog, buf))?;
+        Ok(std::sync::Arc::new(NativeLambda {
+            code,
+            args: prog.args(),
+            len: fin.len - fin.entry,
+            insns: fin.insns,
+        }))
     }
 }
 
@@ -1034,10 +1051,11 @@ impl Backend for X64Backend {
         // Failing to obtain executable memory says nothing about the
         // artifact: the `io::Error` converts to `PersistError::Io`,
         // which the disk tier does not evict on.
-        Ok(install(
-            artifact.code,
-            artifact.args as usize,
-            artifact.insns,
-        )?)
+        Ok(std::sync::Arc::new(NativeLambda {
+            code: place(artifact.code)?,
+            args: artifact.args as usize,
+            len: artifact.code.len(),
+            insns: artifact.insns,
+        }))
     }
 }

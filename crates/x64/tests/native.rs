@@ -935,10 +935,13 @@ fn emit3(
 
 /// Runs finished bytes from a fresh mapping, entered at `entry`.
 fn run1(code: &[u8], entry: usize, x: u64) -> u64 {
-    let code = ExecMem::adopt_bytes(code).unwrap().finalize().unwrap();
+    let code = ExecMem::adopt_bytes(&code[entry..])
+        .unwrap()
+        .finalize()
+        .unwrap();
     // SAFETY: the callers pass one-argument integer functions and the
     // `Finished::entry` (or 0) of the bytes.
-    let f: extern "C" fn(u64) -> u64 = unsafe { code.as_fn_at(entry) };
+    let f: extern "C" fn(u64) -> u64 = unsafe { code.as_fn() };
     f(x)
 }
 
