@@ -1059,9 +1059,9 @@ pub trait Backend: Send + Sync + fmt::Debug {
 
 /// The largest lowering scratch a thread keeps between compiles: the
 /// executable-memory pool's own largest class (`vcode_x64::MAX_POOL_PAGES`
-/// pages; `vcode-x64` asserts the two agree). A program whose
-/// [`code_capacity`](Program::code_capacity) is larger lowers into a
-/// buffer of its own that is freed afterwards, so one huge program does
+/// pages; `vcode-x64` asserts the two agree). A lowering asked for more
+/// (a [`code_capacity`](Program::code_capacity), or a retry, past it)
+/// ends in a buffer that is freed afterwards, so one huge program does
 /// not pin megabytes on every thread that ever compiled one.
 pub const SCRATCH_MAX: usize = 128 * 4096;
 
