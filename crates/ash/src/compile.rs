@@ -496,6 +496,16 @@ mod tests {
     }
 
     #[test]
+    fn absurd_capacity_override_degrades_to_interpreter() {
+        let opts = PipelineOptions {
+            code_capacity: Some(usize::MAX),
+            ..PipelineOptions::default()
+        };
+        let p = Pipeline::compile_with_options(&[Step::Checksum], opts).unwrap();
+        assert_eq!(p.engine_kind(), EngineKind::Interpreter);
+    }
+
+    #[test]
     fn overflow_retry_with_doubled_buffer_recovers() {
         let steps = [Step::Checksum, Step::Swap];
         let probe = Pipeline::compile(&steps).unwrap();

@@ -1115,7 +1115,8 @@ impl LowerError for EngineError {
 ///
 /// # Errors
 ///
-/// `emit`'s error (the retry's after an overflow) or `install`'s.
+/// `emit`'s error (the retry's after an overflow), `install`'s, or
+/// [`LowerError::no_memory`] when no scratch that large can be reserved.
 pub fn lower_in_scratch<L, E: LowerError>(
     capacity: usize,
     mut emit: impl FnMut(&mut [u8]) -> Result<Finished, E>,
@@ -1124,11 +1125,15 @@ pub fn lower_in_scratch<L, E: LowerError>(
     let keep = capacity <= SCRATCH_MAX;
     let mut buf = if keep { SCRATCH.take() } else { Vec::new() };
     let mut lower = |cap: usize| {
+        // An oversized capacity is a typed error, not an allocation abort.
+        if let Err(e) = buf.try_reserve_exact(cap.saturating_sub(buf.len())) {
+            return Err(E::no_memory(e.into()));
+        }
         buf.resize(buf.len().max(cap), 0);
         emit(&mut buf[..cap])
     };
     let fin = match lower(capacity) {
-        Err(e) if e.overflowed() => lower(capacity.max(1) * 2),
+        Err(e) if e.overflowed() => lower(capacity.max(1).saturating_mul(2)),
         fin => fin,
     };
     let result = fin.and_then(|fin| install(&buf[fin.entry..fin.len], fin));
@@ -1713,6 +1718,11 @@ mod tests {
             Ok(code.len())
         });
         assert_eq!(len.unwrap(), fin.len);
+        kept(cap);
+        // An absurd capacity is a typed error, not an allocation abort.
+        let lower = |buf: &mut [u8]| replay::<FakeTarget>(&p, buf);
+        let r = lower_in_scratch(usize::MAX, lower, |code, _| Ok(code.len()));
+        assert!(matches!(r, Err(EngineError::Exec(_))), "{r:?}");
         kept(cap);
     }
 

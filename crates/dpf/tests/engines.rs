@@ -267,6 +267,19 @@ fn prefix_filter_longest_match_in_trie_engines() {
     assert_eq!(dpf.classify(&p99), Some(id_ip), "prefix is the fallback");
 }
 
+/// A capacity override no buffer can hold is a failed build the service
+/// falls back from, not an allocation abort.
+#[test]
+fn an_absurd_capacity_override_degrades_to_the_interpreter() {
+    let svc = DpfService::with_options(Options {
+        code_capacity: Some(usize::MAX),
+        ..Options::default()
+    });
+    svc.insert(packet::tcp_port_filter(0x0a00_0002, 80).unwrap());
+    assert!(!svc.is_native());
+    assert!(svc.build_failure().is_some());
+}
+
 /// A generation whose native build failed answers as native code does:
 /// with the IP-only filter a prefix of the port filter, both pick the
 /// port filter for port 80 and the prefix for port 99. (The interpreter

@@ -177,6 +177,21 @@ impl Program {
         unsafe { std::mem::transmute_copy(&addr) }
     }
 
+    /// `name`'s signature and entry address, if it takes `nargs` arguments.
+    fn lookup(&self, name: &str, nargs: usize) -> Result<(&FnSig, u64), CallError> {
+        let sig = self
+            .fns
+            .get(name)
+            .ok_or_else(|| CallError::Undefined(name.to_owned()))?;
+        if sig.params.len() != nargs {
+            return Err(CallError::Arity {
+                expected: sig.params.len(),
+                got: nargs,
+            });
+        }
+        Ok((sig, self.table[sig.index]))
+    }
+
     /// Calls an integer-family function (params and return all
     /// `int`/`long`/`char`/pointer) with up to six arguments.
     ///
@@ -184,17 +199,7 @@ impl Program {
     ///
     /// [`CallError`] when the name, arity, or type shape does not match.
     pub fn call_int(&self, name: &str, args: &[i64]) -> Result<i64, CallError> {
-        let sig = self
-            .fns
-            .get(name)
-            .ok_or_else(|| CallError::Undefined(name.to_owned()))?;
-        let addr = &self.table[sig.index];
-        if sig.params.len() != args.len() {
-            return Err(CallError::Arity {
-                expected: sig.params.len(),
-                got: args.len(),
-            });
-        }
+        let (sig, addr) = self.lookup(name, args.len())?;
         if args.len() > 6 {
             return Err(CallError::Signature("more than 6 arguments".into()));
         }
@@ -209,21 +214,21 @@ impl Program {
         // only the meaningful low bits.
         let r = unsafe {
             match a.len() {
-                0 => std::mem::transmute::<u64, extern "C" fn() -> i64>(*addr)(),
-                1 => std::mem::transmute::<u64, extern "C" fn(i64) -> i64>(*addr)(a[0]),
-                2 => std::mem::transmute::<u64, extern "C" fn(i64, i64) -> i64>(*addr)(a[0], a[1]),
-                3 => std::mem::transmute::<u64, extern "C" fn(i64, i64, i64) -> i64>(*addr)(
+                0 => std::mem::transmute::<u64, extern "C" fn() -> i64>(addr)(),
+                1 => std::mem::transmute::<u64, extern "C" fn(i64) -> i64>(addr)(a[0]),
+                2 => std::mem::transmute::<u64, extern "C" fn(i64, i64) -> i64>(addr)(a[0], a[1]),
+                3 => std::mem::transmute::<u64, extern "C" fn(i64, i64, i64) -> i64>(addr)(
                     a[0], a[1], a[2],
                 ),
-                4 => std::mem::transmute::<u64, extern "C" fn(i64, i64, i64, i64) -> i64>(*addr)(
+                4 => std::mem::transmute::<u64, extern "C" fn(i64, i64, i64, i64) -> i64>(addr)(
                     a[0], a[1], a[2], a[3],
                 ),
                 5 => std::mem::transmute::<u64, extern "C" fn(i64, i64, i64, i64, i64) -> i64>(
-                    *addr,
+                    addr,
                 )(a[0], a[1], a[2], a[3], a[4]),
                 _ => {
                     std::mem::transmute::<u64, extern "C" fn(i64, i64, i64, i64, i64, i64) -> i64>(
-                        *addr,
+                        addr,
                     )(a[0], a[1], a[2], a[3], a[4], a[5])
                 }
             }
@@ -241,17 +246,7 @@ impl Program {
     ///
     /// [`CallError`] when the name, arity, or type shape does not match.
     pub fn call_f64(&self, name: &str, args: &[f64]) -> Result<f64, CallError> {
-        let sig = self
-            .fns
-            .get(name)
-            .ok_or_else(|| CallError::Undefined(name.to_owned()))?;
-        let addr = &self.table[sig.index];
-        if sig.params.len() != args.len() {
-            return Err(CallError::Arity {
-                expected: sig.params.len(),
-                got: args.len(),
-            });
-        }
+        let (sig, addr) = self.lookup(name, args.len())?;
         if sig.params.iter().any(|t| *t != CType::Double) || sig.ret != CType::Double {
             return Err(CallError::Signature(format!(
                 "`{name}` is not an all-double function"
@@ -262,13 +257,13 @@ impl Program {
         // verified above.
         let r = unsafe {
             match a.len() {
-                0 => std::mem::transmute::<u64, extern "C" fn() -> f64>(*addr)(),
-                1 => std::mem::transmute::<u64, extern "C" fn(f64) -> f64>(*addr)(a[0]),
-                2 => std::mem::transmute::<u64, extern "C" fn(f64, f64) -> f64>(*addr)(a[0], a[1]),
-                3 => std::mem::transmute::<u64, extern "C" fn(f64, f64, f64) -> f64>(*addr)(
+                0 => std::mem::transmute::<u64, extern "C" fn() -> f64>(addr)(),
+                1 => std::mem::transmute::<u64, extern "C" fn(f64) -> f64>(addr)(a[0]),
+                2 => std::mem::transmute::<u64, extern "C" fn(f64, f64) -> f64>(addr)(a[0], a[1]),
+                3 => std::mem::transmute::<u64, extern "C" fn(f64, f64, f64) -> f64>(addr)(
                     a[0], a[1], a[2],
                 ),
-                4 => std::mem::transmute::<u64, extern "C" fn(f64, f64, f64, f64) -> f64>(*addr)(
+                4 => std::mem::transmute::<u64, extern "C" fn(f64, f64, f64, f64) -> f64>(addr)(
                     a[0], a[1], a[2], a[3],
                 ),
                 _ => return Err(CallError::Signature("more than 4 arguments".into())),

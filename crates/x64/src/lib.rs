@@ -965,6 +965,17 @@ fn place(code: &[u8]) -> std::io::Result<ExecCode> {
     ExecMem::adopt_bytes(code)?.finalize_written(code.len())
 }
 
+/// The engine's handle on installed code: `len` bytes from the mapping's
+/// start, callable with `args` integer arguments.
+fn lambda(code: ExecCode, args: usize, len: usize, insns: u64) -> std::sync::Arc<dyn Lambda> {
+    std::sync::Arc::new(NativeLambda {
+        code,
+        args,
+        len,
+        insns,
+    })
+}
+
 /// The one way to native code, for the engine ([`X64Backend`]), DPF,
 /// ASH and tcc alike: `emit` writes into the thread's lowering scratch
 /// ([`vcode::engine::lower_in_scratch`], which retries an overflow
@@ -1018,12 +1029,7 @@ impl X64Backend {
         replay: impl Fn(&Program, &mut [u8]) -> Result<Finished, EngineError>,
     ) -> Result<std::sync::Arc<dyn Lambda>, EngineError> {
         let (code, fin) = emit_native(prog.code_capacity(), |buf| replay(prog, buf))?;
-        Ok(std::sync::Arc::new(NativeLambda {
-            code,
-            args: prog.args(),
-            len: fin.len - fin.entry,
-            insns: fin.insns,
-        }))
+        Ok(lambda(code, prog.args(), fin.len - fin.entry, fin.insns))
     }
 }
 
@@ -1051,11 +1057,7 @@ impl Backend for X64Backend {
         // Failing to obtain executable memory says nothing about the
         // artifact: the `io::Error` converts to `PersistError::Io`,
         // which the disk tier does not evict on.
-        Ok(std::sync::Arc::new(NativeLambda {
-            code: place(artifact.code)?,
-            args: artifact.args as usize,
-            len: artifact.code.len(),
-            insns: artifact.insns,
-        }))
+        let (args, len) = (artifact.args as usize, artifact.code.len());
+        Ok(lambda(place(artifact.code)?, args, len, artifact.insns))
     }
 }

@@ -126,13 +126,16 @@ echo "== one install path (every client emits into the scratch; only vcode-x64 m
 # written (DESIGN.md "Pooled, dual-mapped executable memory"). A client
 # that maps executable memory itself sizes it by a guess, carries its
 # own retry and brings the class mix back; so does a capacity-sized
-# image. Fail on product source outside crates/x64/src that names
-# `ExecMem`, and on an image trimmed from capacity size. Looked at: code
-# lines (not comments) of crates/*/src before each file's first
-# `#[cfg(test)]`. Exempt: crates/bench, and examples/ (not looked at),
+# mapping or image, vcode-x64's own install path included. Fail on
+# (1) a mapping made at a capacity bound, or an image trimmed from
+# capacity size, anywhere in crates/*/src (crates/x64/src too); and
+# (2) product source outside crates/x64/src that names `ExecMem` —
+# looked at: code lines (not comments) before each file's first
+# `#[cfg(test)]`; exempt: crates/bench, and examples/ (not looked at),
 # which show the paper's Figure 1 style of a client writing into
 # storage it obtained itself.
-capacity_sized=$(git ls-files --cached --others --exclude-standard \
+capacity_sized=$(grep -rnE 'ExecMem::new\(.*capacity|truncate\(fin\.len\)' crates/*/src || true
+    git ls-files --cached --others --exclude-standard \
         'crates/*/src/*.rs' 'crates/*/src/**/*.rs' |
     grep -v -e '^crates/bench/' -e '^crates/x64/src/' |
     while IFS= read -r f; do
@@ -140,10 +143,10 @@ capacity_sized=$(git ls-files --cached --others --exclude-standard \
         awk -v FILE="$f" '
             /^[ \t]*#\[cfg\(test\)\]/ { exit }
             /^[ \t]*\/\// { next }
-            /ExecMem|truncate\(fin\.len\)/ { printf "%s:%d: %s\n", FILE, NR, $0 }' "$f"
+            /ExecMem/ { printf "%s:%d: %s\n", FILE, NR, $0 }' "$f"
     done)
 if [ -n "$capacity_sized" ]; then
-    echo "one-install-path gate: a client maps executable memory itself, or keeps a capacity-sized image:" >&2
+    echo "one-install-path gate: a client maps executable memory itself, or a mapping or image is capacity-sized:" >&2
     echo "$capacity_sized" >&2
     exit 1
 fi
