@@ -141,6 +141,7 @@ impl Alpha {
 
     /// Computes the effective address into `AT` unless it is directly
     /// encodable, returning `(base, disp)`.
+    #[inline]
     fn mem_addr(a: &mut Asm<'_>, base: Reg, off: Off) -> (u8, i16) {
         match off {
             Off::I(d) => match i16::try_from(d) {

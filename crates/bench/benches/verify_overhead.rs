@@ -1,9 +1,11 @@
 //! Cost of the streaming verifier (DESIGN.md "Static checking").
 //!
 //! A reporter, not a gate: both numbers are wall-clock on this host.
-//! - verifier **off** is the production fast path (the `codegen_cost`
-//!   emission loop plus one `Option` discriminant test per instruction);
-//!   what holds it is the `codegen_sim` workload of `benchmark/`;
+//! - verifier **off** is the production fast path: the `codegen_cost`
+//!   emission loop, where the verifier hook costs one branch per
+//!   instruction, on the sign of the instruction counter the emitter
+//!   updates anyway (the `fig2` binary counts it exactly); what holds
+//!   the wall-clock is the `codegen_sim` workload of `benchmark/`;
 //! - verifier **on** is reported so the check cost stays visible —
 //!   diagnostics formatting and mark collection are allowed to cost
 //!   what they cost.

@@ -22,7 +22,7 @@
 //! # Ok::<(), vcode::Error>(())
 //! ```
 
-use crate::buf::{CodeBuffer, EmitPath};
+use crate::buf::{CodeBuffer, EmitPath, Mark};
 use crate::error::Error;
 use crate::label::{Fixup, FixupTarget, Label, LabelMap, LiteralPool};
 use crate::op::{BinOp, Cond, Imm, UnOp};
@@ -71,8 +71,9 @@ pub struct Asm<'m> {
     /// When set, load emitters must not pad the load delay
     /// (`raw_load`, paper §5.3).
     pub raw_load: bool,
-    /// Count of VCODE instructions specified so far (statistics).
-    pub insns: u64,
+    /// VCODE instructions specified so far (`Finished::insns`), plus
+    /// [`VERIFYING`](Self::VERIFYING) while a verifier is installed.
+    insns: u64,
     /// Span `start..end` of the latest jump a backend emitted that can
     /// be taken back: an unconditional jump to a label, its fixup the
     /// last one recorded, nothing of it shared with another instruction
@@ -84,8 +85,8 @@ pub struct Asm<'m> {
     /// there is none.
     pub jump: (usize, usize),
     /// Streaming-verifier state (see [`crate::verify`]); `None` on the
-    /// fast path, where every emission site pays exactly one `Option`
-    /// discriminant test for it.
+    /// fast path, where emission tests the sign of [`insns`](Self::insns)
+    /// instead: one branch, no load.
     pub verifier: Option<Box<VerifierState>>,
 }
 
@@ -93,6 +94,17 @@ impl<'m> Asm<'m> {
     /// [`jump`](Self::jump) when no jump can be taken back: no cursor
     /// reaches its `end`.
     pub const NO_JUMP: (usize, usize) = (0, usize::MAX);
+
+    /// Added to [`insns`](Self::insns) while a verifier is installed.
+    const VERIFYING: u64 = 1 << 63;
+
+    /// Counts one VCODE instruction; `true` when the verifier must see
+    /// it. One read-modify-write, and a branch on the result's sign.
+    #[inline(always)]
+    fn count_insn(&mut self) -> bool {
+        self.insns += 1;
+        self.insns >= Self::VERIFYING
+    }
 
     /// The offset a label bound now is bound to: the cursor — moved back
     /// first over a recorded [`jump`](Self::jump) that ends here and
@@ -228,17 +240,18 @@ pub struct Assembler<'m, T: Target> {
     _t: PhantomData<T>,
 }
 
-/// Wraps one instruction emission for the streaming verifier. The fast
-/// path pays a cursor read and a single `Option` discriminant test; the
-/// instruction record itself is built inside the outlined cold call
-/// ([`Assembler::vrfy_record`]), so the emit functions stay small enough
-/// to inline and the verifier-off cost model is unchanged.
+/// Emits one VCODE instruction, counts it, and hands it to the
+/// streaming verifier when one is installed: the verifier-off cost is
+/// the counter and a branch on its sign ([`Asm::count_insn`]). The
+/// record is built in the outlined cold call from a `move` closure; one
+/// that borrowed the operands would store them to the stack on every
+/// emission, verifier on or off (Figure 2, counted).
 macro_rules! vrfy {
     ($self:ident, $emit:expr, $vi:expr) => {
-        let vrfy_start = $self.a.buf.len();
+        let vrfy_start = $self.a.buf.mark();
         $emit;
-        if $self.a.verifier.is_some() {
-            Self::vrfy_record(&mut $self.a, vrfy_start, || $vi);
+        if $self.a.count_insn() {
+            Self::vrfy_record(&mut $self.a, vrfy_start, move || $vi);
         }
     };
 }
@@ -256,7 +269,6 @@ macro_rules! binops {
                         && rs2.is_flt() == Ty::$ty.is_float()),
                 concat!("register bank mismatch in ", stringify!($name))
             );
-            self.a.insns += 1;
             vrfy!(
                 self,
                 T::emit_binop(&mut self.a, BinOp::$op, Ty::$ty, rd, rs1, rs2),
@@ -273,7 +285,6 @@ macro_rules! binops {
                 self.a.verifier.is_some() || (!rd.is_flt() && !rs.is_flt()),
                 concat!("register bank mismatch in ", stringify!($imm))
             );
-            self.a.insns += 1;
             vrfy!(
                 self,
                 T::emit_binop_imm(&mut self.a, BinOp::$op, Ty::$ty, rd, rs, imm),
@@ -297,7 +308,6 @@ macro_rules! binops_regonly {
                         && rs2.is_flt() == Ty::$ty.is_float()),
                 concat!("register bank mismatch in ", stringify!($name))
             );
-            self.a.insns += 1;
             vrfy!(
                 self,
                 T::emit_binop(&mut self.a, BinOp::$op, Ty::$ty, rd, rs1, rs2),
@@ -320,7 +330,6 @@ macro_rules! unops {
                     || (rd.is_flt() == Ty::$ty.is_float() && rs.is_flt() == Ty::$ty.is_float()),
                 concat!("register bank mismatch in ", stringify!($name))
             );
-            self.a.insns += 1;
             vrfy!(
                 self,
                 T::emit_unop(&mut self.a, UnOp::$op, Ty::$ty, rd, rs),
@@ -337,7 +346,6 @@ macro_rules! cvts {
         #[doc = concat!("Convert `", stringify!($from), "` to `", stringify!($to), "`: `rd = (", stringify!($to), ") rs`.")]
         #[inline]
         pub fn $name(&mut self, rd: Reg, rs: Reg) {
-            self.a.insns += 1;
             vrfy!(
                 self,
                 T::emit_cvt(&mut self.a, Ty::$from, Ty::$to, rd, rs),
@@ -359,7 +367,6 @@ macro_rules! mems {
                     || (rd.is_flt() == Ty::$ty.is_float() && base.is_int() && idx.is_int()),
                 concat!("register bank mismatch in ", stringify!($ld))
             );
-            self.a.insns += 1;
             vrfy!(
                 self,
                 T::emit_ld(&mut self.a, Ty::$ty, rd, base, Off::R(idx)),
@@ -378,7 +385,6 @@ macro_rules! mems {
                     || (rd.is_flt() == Ty::$ty.is_float() && base.is_int()),
                 concat!("register bank mismatch in ", stringify!($ldi))
             );
-            self.a.insns += 1;
             vrfy!(
                 self,
                 T::emit_ld(&mut self.a, Ty::$ty, rd, base, Off::I(off)),
@@ -396,7 +402,6 @@ macro_rules! mems {
                     || (src.is_flt() == Ty::$ty.is_float() && base.is_int() && idx.is_int()),
                 concat!("register bank mismatch in ", stringify!($st))
             );
-            self.a.insns += 1;
             vrfy!(
                 self,
                 T::emit_st(&mut self.a, Ty::$ty, src, base, Off::R(idx)),
@@ -415,7 +420,6 @@ macro_rules! mems {
                     || (src.is_flt() == Ty::$ty.is_float() && base.is_int()),
                 concat!("register bank mismatch in ", stringify!($sti))
             );
-            self.a.insns += 1;
             vrfy!(
                 self,
                 T::emit_st(&mut self.a, Ty::$ty, src, base, Off::I(off)),
@@ -438,7 +442,6 @@ macro_rules! branches {
                     || (rs1.is_flt() == Ty::$ty.is_float() && rs2.is_flt() == Ty::$ty.is_float()),
                 concat!("register bank mismatch in ", stringify!($name))
             );
-            self.a.insns += 1;
             vrfy!(
                 self,
                 T::emit_branch(&mut self.a, Cond::$cond, Ty::$ty, rs1, BrOperand::R(rs2), l),
@@ -451,7 +454,6 @@ macro_rules! branches {
         #[doc = concat!("Branch to `l` if `rs ", stringify!($cond), " imm` (type `", stringify!($ty), "`, immediate).")]
         #[inline]
         pub fn $imm(&mut self, rs: Reg, imm: i64, l: Label) {
-            self.a.insns += 1;
             vrfy!(
                 self,
                 T::emit_branch(&mut self.a, Cond::$cond, Ty::$ty, rs, BrOperand::I(imm), l),
@@ -469,7 +471,6 @@ macro_rules! branches_regonly {
         #[doc = concat!("Branch to `l` if `rs1 ", stringify!($cond), " rs2` (type `", stringify!($ty), "`).")]
         #[inline]
         pub fn $name(&mut self, rs1: Reg, rs2: Reg, l: Label) {
-            self.a.insns += 1;
             vrfy!(
                 self,
                 T::emit_branch(&mut self.a, Cond::$cond, Ty::$ty, rs1, BrOperand::R(rs2), l),
@@ -491,7 +492,6 @@ macro_rules! rets {
                 self.a.verifier.is_some() || rs.is_flt() == Ty::$ty.is_float(),
                 concat!("register bank mismatch in ", stringify!($name))
             );
-            self.a.insns += 1;
             vrfy!(
                 self,
                 T::emit_ret(&mut self.a, Some((Ty::$ty, rs))),
@@ -617,11 +617,11 @@ impl<'m, T: Target> Assembler<'m, T> {
     /// The verifier-on half of `vrfy!`: records the emitted byte span
     /// and streams the (lazily built) instruction record through the
     /// rule set. Outlined and cold so the emission fast path carries
-    /// only the discriminant test.
+    /// only the branch on the counter's sign.
     #[cold]
     #[inline(never)]
-    fn vrfy_record(a: &mut Asm<'m>, start: usize, mk: impl FnOnce() -> VInsn) {
-        let end = a.buf.len();
+    fn vrfy_record(a: &mut Asm<'m>, start: Mark, mk: impl FnOnce() -> VInsn) {
+        let (start, end) = (a.buf.since(start), a.buf.len());
         let vi = mk();
         if let Some(vs) = a.verifier.as_mut() {
             vs.insn(start, end, &vi);
@@ -632,6 +632,7 @@ impl<'m, T: Target> Assembler<'m, T> {
         let mut vs = Box::new(VerifierState::new(T::regfile(), T::CHECKS));
         vs.note_args(args);
         a.verifier = Some(vs);
+        a.insns |= Asm::VERIFYING;
     }
 
     /// Enables the streaming verifier for this session only, regardless
@@ -693,7 +694,7 @@ impl<'m, T: Target> Assembler<'m, T> {
             .take()
             .map(|mut vs| Box::new(vs.take_report()));
         crate::obs::emit_event(|| crate::obs::CodegenEvent::LambdaEnd {
-            insns: self.a.insns,
+            insns: self.a.insns & !Asm::VERIFYING,
             bytes: self.a.buf.len() as u64,
             overflowed: self.a.buf.overflowed(),
             spills: self.a.ra.spill_count(),
@@ -747,7 +748,7 @@ impl<'m, T: Target> Assembler<'m, T> {
                     .map(|i| self.a.labels.offset(Label(i)))
                     .collect(),
                 verify: None,
-                insns: self.a.insns,
+                insns: self.a.insns & !Asm::VERIFYING,
             }),
         }
     }
@@ -1047,7 +1048,6 @@ impl<'m, T: Target> Assembler<'m, T> {
     /// Loads a local variable: `rd = *slot`.
     #[inline]
     pub fn ld_slot(&mut self, rd: Reg, slot: StackSlot) {
-        self.a.insns += 1;
         vrfy!(
             self,
             T::emit_ld(&mut self.a, slot.ty, rd, slot.base, Off::I(slot.off)),
@@ -1061,7 +1061,6 @@ impl<'m, T: Target> Assembler<'m, T> {
     /// Stores to a local variable: `*slot = src`.
     #[inline]
     pub fn st_slot(&mut self, slot: StackSlot, src: Reg) {
-        self.a.insns += 1;
         vrfy!(
             self,
             T::emit_st(&mut self.a, slot.ty, src, slot.base, Off::I(slot.off)),
@@ -1093,7 +1092,6 @@ impl<'m, T: Target> Assembler<'m, T> {
                     && rs2.is_flt() == ty.is_float()),
             "register bank mismatch in {op}"
         );
-        self.a.insns += 1;
         vrfy!(
             self,
             T::emit_binop(&mut self.a, op, ty, rd, rs1, rs2),
@@ -1112,7 +1110,6 @@ impl<'m, T: Target> Assembler<'m, T> {
             self.a.verifier.is_some() || (!rd.is_flt() && !rs.is_flt()),
             "register bank mismatch in {op} (immediate)"
         );
-        self.a.insns += 1;
         vrfy!(
             self,
             T::emit_binop_imm(&mut self.a, op, ty, rd, rs, imm),
@@ -1128,7 +1125,6 @@ impl<'m, T: Target> Assembler<'m, T> {
                 || (rd.is_flt() == ty.is_float() && rs.is_flt() == ty.is_float()),
             "register bank mismatch in {op}"
         );
-        self.a.insns += 1;
         vrfy!(
             self,
             T::emit_unop(&mut self.a, op, ty, rd, rs),
@@ -1151,7 +1147,6 @@ impl<'m, T: Target> Assembler<'m, T> {
                 },
             "register bank mismatch in {cond}"
         );
-        self.a.insns += 1;
         vrfy!(self, T::emit_branch(&mut self.a, cond, ty, rs1, rs2, l), {
             let vi = VInsn::new(cond.name())
                 .k(MarkKind::Branch(l))
@@ -1209,7 +1204,6 @@ impl<'m, T: Target> Assembler<'m, T> {
     /// Load constant into an integer register: `rd = imm` (type `i`).
     #[inline]
     pub fn seti(&mut self, rd: Reg, imm: i32) {
-        self.a.insns += 1;
         vrfy!(
             self,
             T::emit_set(&mut self.a, Ty::I, rd, Imm::Int(imm as i64)),
@@ -1220,7 +1214,6 @@ impl<'m, T: Target> Assembler<'m, T> {
     /// Load constant (type `u`).
     #[inline]
     pub fn setu(&mut self, rd: Reg, imm: u32) {
-        self.a.insns += 1;
         vrfy!(
             self,
             T::emit_set(&mut self.a, Ty::U, rd, Imm::Int(imm as i64)),
@@ -1231,7 +1224,6 @@ impl<'m, T: Target> Assembler<'m, T> {
     /// Load constant (type `l`).
     #[inline]
     pub fn setl(&mut self, rd: Reg, imm: i64) {
-        self.a.insns += 1;
         vrfy!(
             self,
             T::emit_set(&mut self.a, Ty::L, rd, Imm::Int(imm)),
@@ -1242,7 +1234,6 @@ impl<'m, T: Target> Assembler<'m, T> {
     /// Load constant (type `ul`).
     #[inline]
     pub fn setul(&mut self, rd: Reg, imm: u64) {
-        self.a.insns += 1;
         vrfy!(
             self,
             T::emit_set(&mut self.a, Ty::Ul, rd, Imm::Int(imm as i64)),
@@ -1253,7 +1244,6 @@ impl<'m, T: Target> Assembler<'m, T> {
     /// Load a pointer constant: `rd = addr`.
     #[inline]
     pub fn setp(&mut self, rd: Reg, addr: u64) {
-        self.a.insns += 1;
         vrfy!(
             self,
             T::emit_set(&mut self.a, Ty::P, rd, Imm::Int(addr as i64)),
@@ -1265,7 +1255,6 @@ impl<'m, T: Target> Assembler<'m, T> {
     /// end of the instruction stream, paper §5.2).
     #[inline]
     pub fn setf(&mut self, rd: Reg, imm: f32) {
-        self.a.insns += 1;
         vrfy!(
             self,
             T::emit_set(&mut self.a, Ty::F, rd, Imm::F32(imm)),
@@ -1276,7 +1265,6 @@ impl<'m, T: Target> Assembler<'m, T> {
     /// Load a double-precision constant (literal pool).
     #[inline]
     pub fn setd(&mut self, rd: Reg, imm: f64) {
-        self.a.insns += 1;
         vrfy!(
             self,
             T::emit_set(&mut self.a, Ty::D, rd, Imm::F64(imm)),
@@ -1348,7 +1336,6 @@ impl<'m, T: Target> Assembler<'m, T> {
     /// Return with no value (`ret v`).
     #[inline]
     pub fn retv(&mut self) {
-        self.a.insns += 1;
         vrfy!(
             self,
             T::emit_ret(&mut self.a, None),
@@ -1359,7 +1346,6 @@ impl<'m, T: Target> Assembler<'m, T> {
     /// Unconditional jump to a label.
     #[inline]
     pub fn jmp(&mut self, l: Label) {
-        self.a.insns += 1;
         vrfy!(
             self,
             T::emit_jump(&mut self.a, JumpTarget::Label(l)),
@@ -1370,7 +1356,6 @@ impl<'m, T: Target> Assembler<'m, T> {
     /// Jump to the address in a register (computed goto / indirect jump).
     #[inline]
     pub fn jmp_reg(&mut self, r: Reg) {
-        self.a.insns += 1;
         vrfy!(
             self,
             T::emit_jump(&mut self.a, JumpTarget::Reg(r)),
@@ -1381,7 +1366,6 @@ impl<'m, T: Target> Assembler<'m, T> {
     /// Jump to an absolute address known at generation time.
     #[inline]
     pub fn jmp_abs(&mut self, addr: u64) {
-        self.a.insns += 1;
         vrfy!(
             self,
             T::emit_jump(&mut self.a, JumpTarget::Abs(addr)),
@@ -1392,7 +1376,6 @@ impl<'m, T: Target> Assembler<'m, T> {
     /// Jump-and-link to a label (raw call primitive).
     #[inline]
     pub fn jal(&mut self, l: Label) {
-        self.a.insns += 1;
         vrfy!(
             self,
             T::emit_jal(&mut self.a, JumpTarget::Label(l)),
@@ -1403,7 +1386,6 @@ impl<'m, T: Target> Assembler<'m, T> {
     /// Jump-and-link to the address in a register.
     #[inline]
     pub fn jal_reg(&mut self, r: Reg) {
-        self.a.insns += 1;
         vrfy!(
             self,
             T::emit_jal(&mut self.a, JumpTarget::Reg(r)),
@@ -1414,7 +1396,6 @@ impl<'m, T: Target> Assembler<'m, T> {
     /// Jump-and-link to an absolute address.
     #[inline]
     pub fn jal_abs(&mut self, addr: u64) {
-        self.a.insns += 1;
         vrfy!(
             self,
             T::emit_jal(&mut self.a, JumpTarget::Abs(addr)),
@@ -1425,7 +1406,6 @@ impl<'m, T: Target> Assembler<'m, T> {
     /// No-operation.
     #[inline]
     pub fn nop(&mut self) {
-        self.a.insns += 1;
         vrfy!(self, T::emit_nop(&mut self.a), VInsn::new("nop"));
     }
 
@@ -1457,7 +1437,6 @@ impl<'m, T: Target> Assembler<'m, T> {
 
     /// Supplies the `idx`-th argument of the call from `src`.
     pub fn call_arg(&mut self, cf: &mut CallFrame, idx: usize, ty: Ty, src: Reg) {
-        self.a.insns += 1;
         vrfy!(
             self,
             T::call_arg(&mut self.a, cf, idx, ty, src),
@@ -1468,7 +1447,6 @@ impl<'m, T: Target> Assembler<'m, T> {
     /// Emits the call; the return value (if the signature has one) is
     /// moved to `ret`.
     pub fn call_end(&mut self, cf: CallFrame, target: JumpTarget, ret: Option<Reg>) {
-        self.a.insns += 1;
         let ret = match (cf.sig.ret(), ret) {
             (Ty::V, _) | (_, None) => None,
             (ty, Some(r)) => Some((ty, r)),
@@ -1524,7 +1502,7 @@ impl<'m, T: Target> Assembler<'m, T> {
     /// VCODE instructions specified so far (for the code-generation cost
     /// experiments).
     pub fn insn_count(&self) -> u64 {
-        self.a.insns
+        self.a.insns & !Asm::VERIFYING
     }
 
     /// Bytes of machine code emitted so far.

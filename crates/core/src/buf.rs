@@ -14,37 +14,37 @@
 //!
 //! The paper's headline claim is raw emission speed (~6–10 host
 //! instructions per generated instruction, §1/§5.1), which is won or lost
-//! in the innermost store. Two mechanisms keep that store check-free:
+//! in the innermost store. The cursor is a pointer, and every fast path
+//! compares it with one limit, `lim`, [`WIN_MAX`] bytes below the end of
+//! storage, so one compare covers a whole instruction:
 //!
 //! - **Fixed-width appends** ([`put_u16`](CodeBuffer::put_u16) /
 //!   [`put_u32`](CodeBuffer::put_u32) / [`put_u64`](CodeBuffer::put_u64))
-//!   perform one capacity compare and then a single unaligned word store —
-//!   a RISC backend emits each instruction as exactly one `u32` store, the
+//!   perform that compare and then a single unaligned word store — a
+//!   RISC backend emits each instruction as exactly one `u32` store, the
 //!   paper's Figure 2 `_addu` discipline.
-//! - **Reservation windows** ([`window`](CodeBuffer::window)) pay one
-//!   capacity check for a whole variable-length instruction (x86-64:
+//! - **Reservation windows** ([`window`](CodeBuffer::window)) pay it once
+//!   for a whole variable-length instruction (x86-64:
 //!   prefix/REX/opcode/modrm/SIB/immediate) and hand back a [`Win`] whose
-//!   writes are *branch-free* raw-pointer stores: when the reservation
-//!   does not fit (or the buffer is in [`EmitPath::Bytewise`] mode) the
-//!   window points at an internal spill scratch instead, and the bytes
-//!   are replayed through the per-byte checked path when the window
-//!   drops — so near-capacity emission behaves exactly like the seed
-//!   per-byte implementation, without a mode test on any write.
+//!   writes are raw-pointer stores: past `lim` the window points at an
+//!   internal spill scratch instead, replayed through the per-byte
+//!   checked path when the window drops — so near-capacity emission
+//!   behaves exactly like the seed per-byte implementation.
 //!
 //! Both funnel through one generic checked/unchecked pair
 //! (`put_array` / `Win::array`), so byte order is decided in a single
-//! place. The hot paths branch on a single precomputed `cap` field —
-//! `EmitPath::Bytewise` simply sets `cap = 0`, routing every multi-byte
-//! append through the same per-byte reference code the seed used, with
-//! zero extra tests on the production path. All `unsafe` in the emission
-//! hot path is confined to this module, and every unchecked write is
-//! dominated by the window's capacity check (re-asserted in debug
-//! builds).
+//! place. `EmitPath::Bytewise` sets `lim` to null, routing every
+//! multi-byte append through the same per-byte reference code the seed
+//! used, with zero extra tests on the production path. All `unsafe` in
+//! the emission hot path is confined to this module, and every unchecked
+//! write is dominated by the `lim` compare.
 //!
 //! For differential testing, [`EmitPath::Bytewise`] forces every append —
 //! including window writes — through the per-byte checked reference path;
 //! `tests/differential.rs` proves both paths produce identical machine
 //! code over the full regression corpus on all four backends.
+
+use std::marker::PhantomData;
 
 /// Which write path a [`CodeBuffer`] uses.
 ///
@@ -91,17 +91,34 @@ pub const MAX_OVERSTORE: usize = WIN_MAX;
 /// simulated targets an ordinary `Vec<u8>`.
 #[derive(Debug)]
 pub struct CodeBuffer<'m> {
-    mem: &'m mut [u8],
-    len: usize,
-    /// Capacity as seen by the single-check fast paths: `mem.len()`
-    /// normally, 0 in [`EmitPath::Bytewise`] mode so every multi-byte
-    /// append falls through to the per-byte reference path. Encoding the
-    /// mode in the bound keeps the hot path to exactly one compare.
-    cap: usize,
+    /// The storage is `base..end`; `cur` is the instruction pointer.
+    base: *mut u8,
+    cur: *mut u8,
+    end: *mut u8,
+    /// The fast paths run while `cur <= lim`, [`WIN_MAX`] bytes below
+    /// `end`; null in [`EmitPath::Bytewise`] mode or when the storage is
+    /// shorter than that, so every append takes the checked path.
+    lim: *mut u8,
+    /// The checked path lands what fits of an append (the seed per-byte
+    /// semantics) instead of dropping the whole instruction.
+    bytewise: bool,
     overflow: bool,
     /// Scratch backing for reservations that don't fit (see [`Win`]).
     spill: [u8; WIN_MAX],
+    _mem: PhantomData<&'m mut [u8]>,
 }
+
+// SAFETY: a `CodeBuffer` is the unique borrow `&'m mut [u8]` of its
+// storage, held as raw pointers; it may move or be shared across
+// threads exactly as that borrow may.
+unsafe impl Send for CodeBuffer<'_> {}
+// SAFETY: as above; through `&CodeBuffer` the storage is only read.
+unsafe impl Sync for CodeBuffer<'_> {}
+
+/// A cursor position ([`CodeBuffer::mark`]): the pointer itself, which
+/// the emission path has loaded anyway.
+#[derive(Debug, Clone, Copy)]
+pub struct Mark(*mut u8);
 
 /// Generates the little-endian fixed-width appends for both the checked
 /// ([`CodeBuffer`]) and unchecked ([`Win`]) paths from one definition, so
@@ -145,35 +162,45 @@ impl<'m> CodeBuffer<'m> {
 
     /// Wraps client-provided storage with an explicit write path.
     pub fn with_path(mem: &'m mut [u8], path: EmitPath) -> CodeBuffer<'m> {
-        let cap = match path {
-            EmitPath::Fast => mem.len(),
-            EmitPath::Bytewise => 0,
+        let bytewise = path == EmitPath::Bytewise;
+        let base = mem.as_mut_ptr();
+        let lim = match mem.len().checked_sub(WIN_MAX) {
+            Some(room) if !bytewise => base.wrapping_add(room),
+            _ => std::ptr::null_mut(),
         };
         CodeBuffer {
-            mem,
-            len: 0,
-            cap,
+            base,
+            cur: base,
+            end: base.wrapping_add(mem.len()),
+            lim,
+            bytewise,
             overflow: false,
             spill: [0; WIN_MAX],
+            _mem: PhantomData,
         }
     }
 
     /// Bytes emitted so far.
     #[inline]
     pub fn len(&self) -> usize {
-        self.len
+        self.cur as usize - self.base as usize
     }
 
     /// `true` if nothing has been emitted.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.cur == self.base
     }
 
     /// Total capacity of the client storage.
     #[inline]
     pub fn capacity(&self) -> usize {
-        self.mem.len()
+        self.end as usize - self.base as usize
+    }
+
+    #[inline]
+    fn room(&self) -> usize {
+        self.end as usize - self.cur as usize
     }
 
     /// `true` once any write has been dropped for lack of space.
@@ -182,40 +209,60 @@ impl<'m> CodeBuffer<'m> {
         self.overflow
     }
 
+    fn mem_mut(&mut self) -> &mut [u8] {
+        // SAFETY: `base..end` is the `&'m mut [u8]` this buffer holds, and
+        // `&mut self` makes this the only access to it.
+        unsafe { std::slice::from_raw_parts_mut(self.base, self.capacity()) }
+    }
+
     /// The emitted code.
     #[inline]
     pub fn as_slice(&self) -> &[u8] {
-        &self.mem[..self.len]
+        // SAFETY: `base..cur` lies inside the storage this buffer holds.
+        unsafe { std::slice::from_raw_parts(self.base, self.len()) }
+    }
+
+    /// The cursor, for [`since`](Self::since).
+    #[inline(always)]
+    pub fn mark(&self) -> Mark {
+        Mark(self.cur)
+    }
+
+    /// The offset of a [`mark`](Self::mark).
+    pub fn since(&self, m: Mark) -> usize {
+        m.0 as usize - self.base as usize
     }
 
     /// Appends one byte. This *is* the per-byte reference path: one
     /// compare against the true capacity, identical in both emit modes.
     #[inline(always)]
     pub fn put_u8(&mut self, b: u8) {
-        if self.len < self.mem.len() {
-            // SAFETY: `len < mem.len()` was just checked.
+        if self.cur < self.end {
+            // SAFETY: `cur < end`: the byte is inside the storage.
             unsafe {
-                *self.mem.get_unchecked_mut(self.len) = b;
+                self.cur.write(b);
+                self.cur = self.cur.add(1);
             }
-            self.len += 1;
         } else {
             self.overflow = true;
         }
     }
 
-    /// Slow path of [`put_array`](Self::put_array) /
-    /// [`put_slice`](Self::put_slice) / spilled-window replay: bytewise
-    /// reference mode, a spill replay near capacity, or a true overflow.
-    /// Outlined so the append fast paths stay a compare plus a store.
+    /// Slow path of every append: bytewise mode, the last [`WIN_MAX`]
+    /// bytes, a spill replay, or a true overflow. Outlined so the append
+    /// fast paths stay a compare plus a store.
     #[cold]
     #[inline(never)]
     fn put_bytes_cold(&mut self, bytes: &[u8], whole_or_nothing: bool) {
-        if self.len + bytes.len() <= self.mem.len() {
-            // Fits in the real storage (bytewise mode, or a spilled
-            // window whose content turned out to fit).
-            self.mem[self.len..self.len + bytes.len()].copy_from_slice(bytes);
-            self.len += bytes.len();
-        } else if whole_or_nothing {
+        if bytes.len() <= self.room() {
+            // Fits in the real storage (bytewise mode, near the end, or
+            // a spilled window whose content turned out to fit).
+            let at = self.len();
+            self.mem_mut()[at..at + bytes.len()].copy_from_slice(bytes);
+            // SAFETY: `bytes.len() <= room`, so the cursor stays in
+            // `base..=end`.
+            self.cur = unsafe { self.cur.add(bytes.len()) };
+        } else if whole_or_nothing && !self.bytewise {
             // Fast-path overflow: drop the whole run (a partial
             // instruction word is never emitted) and latch.
             self.overflow = true;
@@ -227,6 +274,14 @@ impl<'m> CodeBuffer<'m> {
         }
     }
 
+    /// [`put_array`](Self::put_array)'s slow path; by value, so the fast
+    /// path never stores the bytes to the stack for it.
+    #[cold]
+    #[inline(never)]
+    fn put_array_cold<const N: usize>(&mut self, bytes: [u8; N]) {
+        self.put_bytes_cold(&bytes, true);
+    }
+
     /// Appends `N` bytes with one capacity check and one fixed-width
     /// store — the generic *checked* append every `put_u16/u32/u64`
     /// routes through ([`Win::array`] is its unchecked twin). On
@@ -235,19 +290,16 @@ impl<'m> CodeBuffer<'m> {
     /// keeps the per-byte reference semantics.
     #[inline(always)]
     pub fn put_array<const N: usize>(&mut self, bytes: [u8; N]) {
-        if self.len + N <= self.cap {
-            // SAFETY: `cap <= mem.len()`, so `len + N <= mem.len()`; the
-            // store is unaligned-safe (`*mut [u8; N]` has alignment 1).
+        const { assert!(N <= WIN_MAX) };
+        if self.cur <= self.lim {
+            // SAFETY: `cur <= lim` leaves `WIN_MAX >= N` bytes of
+            // storage; `*mut [u8; N]` has alignment 1.
             unsafe {
-                self.mem
-                    .as_mut_ptr()
-                    .add(self.len)
-                    .cast::<[u8; N]>()
-                    .write_unaligned(bytes);
+                self.cur.cast::<[u8; N]>().write_unaligned(bytes);
+                self.cur = self.cur.add(N);
             }
-            self.len += N;
         } else {
-            self.put_bytes_cold(&bytes, self.cap != 0);
+            self.put_array_cold(bytes);
         }
     }
 
@@ -256,23 +308,19 @@ impl<'m> CodeBuffer<'m> {
     /// degenerate single-store form of [`window`](Self::window) for
     /// instructions whose entire encoding fits in a `u64`. The store
     /// always writes 8 bytes (the bytes past `n` are scratch that the
-    /// next append overwrites), so the check conservatively requires 8
-    /// bytes of headroom; shorter tails fall back to the checked
-    /// per-byte path, preserving the seed near-capacity semantics.
+    /// next append overwrites), which the fast path's headroom covers;
+    /// the checked path lands only the `n` bytes, preserving the seed
+    /// near-capacity semantics.
     #[inline(always)]
     pub fn put_word(&mut self, word: u64, n: usize) {
         debug_assert!(n <= 8, "packed word longer than 8 bytes");
-        if self.len + 8 <= self.cap {
-            // SAFETY: `cap <= mem.len()`, so the full 8-byte scratch
-            // store is in-bounds; `*mut u64` unaligned store is fine.
+        if self.cur <= self.lim {
+            // SAFETY: `cur <= lim` leaves `WIN_MAX >= 8` bytes for the
+            // full scratch store; `*mut u64` unaligned store is fine.
             unsafe {
-                self.mem
-                    .as_mut_ptr()
-                    .add(self.len)
-                    .cast::<u64>()
-                    .write_unaligned(word.to_le());
+                self.cur.cast::<u64>().write_unaligned(word.to_le());
+                self.cur = self.cur.add(n);
             }
-            self.len += n;
         } else {
             let bytes = word.to_le_bytes();
             self.put_bytes_cold(&bytes[..n], false);
@@ -284,12 +332,15 @@ impl<'m> CodeBuffer<'m> {
     /// (fast mode).
     #[inline]
     pub fn put_slice(&mut self, bytes: &[u8]) {
-        let end = self.len + bytes.len();
-        if end <= self.cap {
-            self.mem[self.len..end].copy_from_slice(bytes);
-            self.len = end;
+        if !self.lim.is_null() && bytes.len() <= self.room() {
+            // SAFETY: `bytes.len() <= room`: the copy stays inside the
+            // storage, which `bytes` cannot overlap (it is borrowed here).
+            unsafe {
+                std::ptr::copy_nonoverlapping(bytes.as_ptr(), self.cur, bytes.len());
+                self.cur = self.cur.add(bytes.len());
+            }
         } else {
-            self.put_bytes_cold(bytes, self.cap != 0);
+            self.put_bytes_cold(bytes, true);
         }
     }
 
@@ -309,18 +360,28 @@ impl<'m> CodeBuffer<'m> {
     #[inline]
     pub fn window(&mut self, n: usize) -> Win<'_, 'm> {
         debug_assert!(n <= WIN_MAX, "reservation exceeds WIN_MAX");
-        let spilled = self.len + n > self.cap;
-        let base = if spilled {
-            self.spill.as_mut_ptr()
-        } else {
-            // SAFETY: `len + n <= cap <= mem.len()`, so `base + len` is
-            // in-bounds.
-            unsafe { self.mem.as_mut_ptr().add(self.len) }
-        };
+        if self.cur > self.lim {
+            return self.spilled_window(n);
+        }
+        let start = self.cur;
+        self.win(start, false, n)
+    }
+
+    /// [`window`](Self::window)'s slow path: a reservation into the
+    /// spill scratch, replayed through the checked path on drop.
+    #[cold]
+    #[inline(never)]
+    fn spilled_window(&mut self, n: usize) -> Win<'_, 'm> {
+        let start = self.spill.as_mut_ptr();
+        self.win(start, true, n)
+    }
+
+    #[inline(always)]
+    fn win(&mut self, start: *mut u8, spilled: bool, n: usize) -> Win<'_, 'm> {
         Win {
-            ptr: base,
-            base,
-            bias: self.len,
+            ptr: start,
+            start,
+            bias: self.len(),
             spilled,
             end: n,
             buf: self,
@@ -337,22 +398,22 @@ impl<'m> CodeBuffer<'m> {
     /// append overwrites them.
     #[inline]
     pub fn retract(&mut self, to: usize) {
-        debug_assert!(to <= self.len, "retract moves the cursor back");
-        debug_assert!(
-            self.len - to <= WIN_MAX,
-            "retract gives up more than one append"
-        );
-        self.len = to;
+        let len = self.len();
+        assert!(to <= len, "retract moves the cursor back");
+        debug_assert!(len - to <= WIN_MAX, "retract gives up more than one append");
+        // SAFETY: `to <= len`, so the cursor stays in `base..=end`.
+        self.cur = unsafe { self.base.add(to) };
     }
 
     /// Reserves `n` bytes (filled with `fill`) and returns the offset of
     /// the reserved region. Used to hold space for prologue code whose
     /// contents are only known when generation finishes (paper §5.2).
     pub fn reserve(&mut self, n: usize, fill: u8) -> usize {
-        let at = self.len;
-        if self.len + n <= self.cap {
-            self.mem[self.len..self.len + n].fill(fill);
-            self.len += n;
+        let at = self.len();
+        if !self.bytewise && n <= self.room() {
+            self.mem_mut()[at..at + n].fill(fill);
+            // SAFETY: `n <= room`, so the cursor stays in `base..=end`.
+            self.cur = unsafe { self.cur.add(n) };
         } else {
             for _ in 0..n {
                 self.put_u8(fill);
@@ -364,8 +425,8 @@ impl<'m> CodeBuffer<'m> {
     /// Pads with `fill` until the cursor is `align`-aligned (power of two).
     pub fn align_to(&mut self, align: usize, fill: u8) {
         debug_assert!(align.is_power_of_two());
-        while !self.len.is_multiple_of(align) {
-            if self.len == self.mem.len() {
+        while !self.len().is_multiple_of(align) {
+            if self.cur == self.end {
                 // Full and still unaligned: latch instead of spinning on
                 // a put that can no longer advance the cursor.
                 self.overflow = true;
@@ -375,31 +436,21 @@ impl<'m> CodeBuffer<'m> {
         }
     }
 
-    /// Overwrites one byte at `at` (must be below the cursor, unless the
-    /// buffer has already overflowed — then the cursor froze while
-    /// offsets kept advancing, the patch target was never emitted, and
-    /// the write is dropped; `end()` reports the overflow).
-    #[inline]
-    pub fn patch_u8(&mut self, at: usize, b: u8) {
-        debug_assert!(at < self.len || self.overflow, "patch past cursor");
-        if at < self.len {
-            self.mem[at] = b;
-        }
-    }
-
     /// Overwrites a little-endian 32-bit value at `at`.
     #[inline]
     pub fn patch_u32(&mut self, at: usize, v: u32) {
         self.patch_slice(at, &v.to_le_bytes());
     }
 
-    /// Overwrites raw bytes at `at` (same overflow tolerance as
-    /// [`patch_u8`](Self::patch_u8)).
+    /// Overwrites raw bytes at `at`, which must be below the cursor —
+    /// unless the buffer has already overflowed: then the cursor froze
+    /// while offsets kept advancing, the patch target was never emitted,
+    /// and the write is dropped (`end()` reports the overflow).
     pub fn patch_slice(&mut self, at: usize, bytes: &[u8]) {
         let end = at + bytes.len();
-        debug_assert!(end <= self.len || self.overflow, "patch past cursor");
-        if end <= self.len {
-            self.mem[at..end].copy_from_slice(bytes);
+        debug_assert!(end <= self.len() || self.overflow, "patch past cursor");
+        if end <= self.len() {
+            self.mem_mut()[at..end].copy_from_slice(bytes);
         }
     }
 
@@ -409,26 +460,14 @@ impl<'m> CodeBuffer<'m> {
     /// offsets return 0 rather than panicking (the overflow is latched
     /// and reported by `end()`).
     pub fn read_u32(&self, at: usize) -> u32 {
-        match self.mem.get(at..at + 4) {
+        match self.as_slice().get(at..at + 4) {
             Some(s) => {
                 let mut b = [0u8; 4];
                 b.copy_from_slice(s);
                 u32::from_le_bytes(b)
             }
             None => {
-                debug_assert!(self.overflow, "read past capacity");
-                0
-            }
-        }
-    }
-
-    /// Reads back one byte (same overflow tolerance as
-    /// [`read_u32`](Self::read_u32)).
-    pub fn read_u8(&self, at: usize) -> u8 {
-        match self.mem.get(at) {
-            Some(&b) => b,
-            None => {
-                debug_assert!(self.overflow, "read past capacity");
+                debug_assert!(self.overflow, "read past the cursor");
                 0
             }
         }
@@ -452,8 +491,8 @@ pub struct Win<'b, 'm> {
     /// Write cursor. Every write is `*ptr = ...; ptr += width`.
     ptr: *mut u8,
     /// Where this window's writes started (buffer cursor or spill start).
-    base: *mut u8,
-    /// Logical buffer offset at `base`, so [`len`](Self::len) is uniform
+    start: *mut u8,
+    /// Logical buffer offset at `start`, so [`len`](Self::len) is uniform
     /// across direct and spilled windows.
     bias: usize,
     /// Whether writes land in the spill scratch (replayed on drop).
@@ -468,11 +507,8 @@ impl<'b, 'm> Win<'b, 'm> {
     /// Bytes written through this window so far.
     #[inline]
     fn written(&self) -> usize {
-        // SAFETY: `ptr` is derived from `base` and stays within the same
-        // allocation (buffer or spill scratch).
-        unsafe { self.ptr.offset_from(self.base) as usize }
+        self.ptr as usize - self.start as usize
     }
-
     /// Current *logical* buffer offset (for recording fixup positions):
     /// what [`CodeBuffer::len`] will report here once the window commits.
     #[inline]
@@ -543,12 +579,11 @@ impl<'b, 'm> Drop for Win<'b, 'm> {
     /// path (landing what fits, latching overflow past capacity).
     #[inline]
     fn drop(&mut self) {
-        let n = self.written();
         if !self.spilled {
-            self.buf.len = self.bias + n;
+            self.buf.cur = self.ptr;
         } else {
             let run: [u8; WIN_MAX] = self.buf.spill;
-            self.buf.put_bytes_cold(&run[..n], false);
+            self.buf.put_bytes_cold(&run[..self.written()], false);
         }
     }
 }
@@ -826,7 +861,7 @@ mod tests {
                         }
                         _ => {
                             let at = b.reserve(n, 0xff);
-                            b.patch_u8(at, 0xfe);
+                            b.patch_slice(at, &[0xfe]);
                         }
                     }
                     if rng.below(4) == 0 {

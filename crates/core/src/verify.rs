@@ -22,8 +22,8 @@
 //! queryable through [`Finished::verify`](crate::Finished) (or
 //! [`Assembler::end_report`](crate::Assembler::end_report) when `end`
 //! itself fails). The whole pass is skipped when disabled: emission sites
-//! pay a single `Option` discriminant test and the emitted bytes are
-//! identical either way (guarded by the differential test and the
+//! pay one branch, on the sign of the instruction counter they update
+//! anyway, and the emitted bytes are identical either way (guarded by the differential test and the
 //! codegen-cost bench gate).
 //!
 //! Enable globally with [`set_enabled`] (checked once per `lambda`), or
@@ -274,7 +274,7 @@ static ORPHANS: AtomicU64 = AtomicU64::new(0);
 
 /// Globally enables or disables the streaming verifier for subsequent
 /// `lambda` calls. Off by default; when off the fast path pays one
-/// `Option` discriminant test per instruction and emits identical bytes.
+/// branch per instruction and emits identical bytes.
 pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Release);
 }

@@ -364,6 +364,98 @@ fn reservation_faults_are_typed_at_every_capacity() {
     println!("reservation: {cases} cases, {latched} capacities latched");
 }
 
+/// The same sweep one level up, through the Assembler:
+/// `codegen_cost`'s four-op mix emitted on every target into storage of
+/// every capacity from zero to eight past its full length, through the
+/// fast path and the `Bytewise` reference, each with the streaming
+/// verifier off and on. The four runs at a capacity must agree on the
+/// overflow latch and on `end()`'s typed result, and at or above the
+/// full length write the unfaulted bytes. This is where the emitters'
+/// cold halves run: the by-value slow path of a fixed-width append, a
+/// spilled window, a packed word without headroom, the verifier's
+/// outlined record call.
+#[test]
+fn assembler_faults_are_typed_at_every_capacity() {
+    use vcode::{EmitPath, Error, Sig};
+
+    const N: usize = 64;
+
+    /// Emits the mix into `mem`: the latch before `end()`, then what
+    /// `end()` returned.
+    fn mix<T: Target>(
+        mem: &mut [u8],
+        path: EmitPath,
+        verify: bool,
+    ) -> (bool, Result<usize, Error>) {
+        let sig = Sig::parse("%i%i").unwrap();
+        let mut a = Assembler::<T>::lambda_sig_path(mem, sig, Leaf::Yes, path).unwrap();
+        if verify {
+            a.enable_verifier();
+        }
+        let (x, y) = (a.arg(0), a.arg(1));
+        let t = a.getreg(RegClass::Temp).unwrap();
+        for i in 0..N {
+            match i % 4 {
+                0 => a.addi(t, x, y),
+                1 => a.subii(t, t, 3),
+                2 => a.xori(t, t, x),
+                _ => a.muli(t, t, y),
+            }
+        }
+        a.reti(t);
+        let latched = a.state().buf.overflowed();
+        (latched, a.end().map(|f| f.len))
+    }
+
+    fn sweep<T: Target>(name: &str) -> usize {
+        let mut full = vec![0u8; 4096];
+        let len = mix::<T>(&mut full, EmitPath::Fast, false).1.unwrap();
+        full.truncate(len);
+        let runs = [false, true].map(|v| [(EmitPath::Fast, v), (EmitPath::Bytewise, v)]);
+        // The cursor may peak past the finished length: x86-64 emits
+        // the final `ret`'s jump to the epilogue and takes it back when
+        // the epilogue is bound right behind it.
+        let mut need = None;
+        for cap in 0..=len + 8 {
+            let mut seen = None;
+            for (path, verify) in runs.iter().flatten().copied() {
+                let mut mem = vec![0u8; cap];
+                let got = mix::<T>(&mut mem, path, verify);
+                let case = format!("{name}, cap {cap}, {path:?}, verifier {verify}");
+                assert_eq!(
+                    *seen.get_or_insert(got.clone()),
+                    got,
+                    "{case}: runs disagree"
+                );
+                if got.1.is_ok() {
+                    need.get_or_insert(cap);
+                }
+                if need.is_some() {
+                    assert_eq!(got, (false, Ok(len)), "{case}: unfaulted past {need:?}");
+                    assert_eq!(&mem[..len], &full[..], "{case}: bytes");
+                } else {
+                    // Latched during the body, or only by `end()`'s
+                    // epilogue: either way a typed overflow.
+                    let overflow = Err(Error::Overflow { capacity: cap });
+                    assert_eq!(got.1, overflow, "{case}: typed overflow");
+                }
+            }
+        }
+        let need = need.expect("the sweep reaches a capacity that fits");
+        assert!(
+            (len..=len + 5).contains(&need),
+            "{name}: needs {need} for {len}"
+        );
+        len + 9
+    }
+
+    let caps = sweep::<vcode_x64::X64>("x64")
+        + sweep::<vcode_mips::Mips>("mips")
+        + sweep::<vcode_sparc::Sparc>("sparc")
+        + sweep::<vcode_alpha::Alpha>("alpha");
+    println!("assembler sweep: {caps} capacities x 4 runs");
+}
+
 /// Pooled executable memory under exhaustion: impossible sizes must
 /// come back as typed [`std::io::Error`]s (`ENOMEM`), and the pool must
 /// remain fully usable afterwards — a failed request may not poison a

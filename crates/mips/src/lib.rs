@@ -141,6 +141,7 @@ impl Mips {
     }
 
     /// Pads the MIPS-I load delay unless a `raw_load` is in progress.
+    #[inline]
     fn load_delay(a: &mut Asm<'_>) {
         if !a.raw_load {
             encode::nop(&mut a.buf);
@@ -149,6 +150,7 @@ impl Mips {
 
     /// Resolves a VCODE memory operand to `(base, imm16)` using `$at`
     /// when the offset is a register or does not fit 16 bits.
+    #[inline]
     fn mem(a: &mut Asm<'_>, base: Reg, off: Off) -> (u8, i16) {
         match off {
             Off::I(d) => match i16::try_from(d) {

@@ -125,6 +125,7 @@ impl Sparc {
 
     /// Resolves a memory operand into `(base, Option<imm13>, Option<idx>)`
     /// using `%g1` when needed.
+    #[inline]
     fn mem_op(a: &mut Asm<'_>, base: Reg, off: Off) -> (u8, Result<i16, u8>) {
         match off {
             Off::I(d) if (-4096..4096).contains(&d) => (base.num(), Ok(d as i16)),
@@ -136,6 +137,7 @@ impl Sparc {
         }
     }
 
+    #[inline]
     fn load(a: &mut Asm<'_>, op3v: u8, rd: u8, base: Reg, off: Off) {
         let (b, o) = Self::mem_op(a, base, off);
         match o {

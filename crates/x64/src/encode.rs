@@ -24,9 +24,9 @@ pub const MAX_INSN: usize = 16;
 
 /// A packed little-endian instruction head (prefix/REX/opcode/modrm/SIB,
 /// at most 8 bytes) assembled in a register and committed with a single
-/// [`Win::word`] store. `push_if` keeps optional bytes (prefixes, REX)
-/// branch-free: a suppressed byte ORs in as zero and leaves the cursor
-/// in place for the next byte.
+/// [`Win::word`] store. Optional bytes (REX, SIB, disp8) stay
+/// branch-free: a suppressed byte ORs in as zero and adds nothing to the
+/// length.
 #[derive(Clone, Copy)]
 struct InsnWord {
     word: u64,
@@ -34,23 +34,6 @@ struct InsnWord {
 }
 
 impl InsnWord {
-    #[inline]
-    fn new() -> InsnWord {
-        InsnWord { word: 0, n: 0 }
-    }
-
-    #[inline]
-    fn push(&mut self, b: u8) {
-        self.word |= (b as u64) << (8 * self.n);
-        self.n += 1;
-    }
-
-    #[inline]
-    fn push_if(&mut self, b: u8, cond: bool) {
-        self.word |= ((b as u64) * (cond as u64)) << (8 * self.n);
-        self.n += cond as usize;
-    }
-
     /// Builds a head whose REX byte sits at byte 0 and whose remaining
     /// bytes (`tail`, `tail_len` of them, little-endian) occupy
     /// compile-time-constant positions, then drops the REX with a single
@@ -164,13 +147,6 @@ fn rex_byte(wide: bool, reg: u8, x: u8, b: u8) -> u8 {
     0x40 | (wide as u8) << 3 | (reg >> 3) << 2 | (x >> 3) << 1 | (b >> 3)
 }
 
-/// Pushes the REX byte when it carries information (or is forced).
-#[inline]
-fn rex(iw: &mut InsnWord, wide: bool, reg: u8, x: u8, b: u8, force: bool) {
-    let byte = rex_byte(wide, reg, x, b);
-    iw.push_if(byte, byte != 0x40 || force);
-}
-
 /// The modrm byte.
 #[inline(always)]
 fn modrm_byte(md: u8, reg: u8, rm: u8) -> u8 {
@@ -203,8 +179,10 @@ fn op_rr(
     iw.commit(buf);
 }
 
-/// Emits `[prefix] [REX] opcode modrm/sib/disp` for a memory form.
-#[inline]
+/// Emits `[prefix] [REX] opcode modrm/sib/disp` for a memory form, packed
+/// like [`op_rr`]: only the SIB byte and a disp8, which an operand may
+/// or may not need, take a shift of their own.
+#[inline(always)]
 fn op_mem(
     buf: &mut CodeBuffer<'_>,
     prefix: Option<u8>,
@@ -214,13 +192,6 @@ fn op_mem(
     m: Mem,
     force_rex: bool,
 ) {
-    let mut iw = InsnWord::new();
-    iw.push_if(prefix.unwrap_or(0), prefix.is_some());
-    let x = m.index.unwrap_or(0);
-    rex(&mut iw, wide, reg, x, m.base, force_rex);
-    for &b in opc {
-        iw.push(b);
-    }
     // Pick the shortest displacement encoding. `rbp`/`r13` as base with
     // mod=00 means rip-relative/absolute, so they always need a disp.
     let need_disp = m.disp != 0 || m.base & 7 == 5;
@@ -231,22 +202,32 @@ fn op_mem(
     } else {
         0b10
     };
-    match m.index {
+    // An index, or `rsp`/`r12` as base, takes a SIB byte (scale 1;
+    // index 100 is "none").
+    let (has_sib, sib) = match m.index {
         Some(idx) => {
             debug_assert_ne!(idx & 0xf, r::RSP);
-            iw.push(modrm_byte(md, reg, 0b100));
-            // SIB: scale=1, index, base.
-            iw.push((idx & 7) << 3 | (m.base & 7));
+            (true, (idx & 7) << 3 | (m.base & 7))
         }
-        None if m.base & 7 == 4 => {
-            // rsp/r12 as base require a SIB byte.
-            iw.push(modrm_byte(md, reg, 0b100));
-            iw.push(0b10_0100 | (m.base & 7)); // index=100 (none)
-        }
-        None => iw.push(modrm_byte(md, reg, m.base)),
+        None => (m.base & 7 == 4, 0b10_0100 | (m.base & 7)),
+    };
+    let mut tail = 0u64;
+    let mut n = 0;
+    for &b in opc {
+        tail |= (b as u64) << (8 * n);
+        n += 1;
     }
+    tail |= (modrm_byte(md, reg, if has_sib { 0b100 } else { m.base }) as u64) << (8 * n);
+    tail |= (sib as u64 * has_sib as u64) << (8 * (n + 1));
+    n += 1 + has_sib as usize;
     // disp8 rides in the packed head; disp32 is its own checked store.
-    iw.push_if(m.disp as u8, md == 0b01);
+    tail |= (m.disp as u8 as u64 * (md == 0b01) as u64) << (8 * n);
+    n += (md == 0b01) as usize;
+    let rex = rex_byte(wide, reg, m.index.unwrap_or(0), m.base);
+    let mut iw = InsnWord::headed(rex, force_rex, tail, n);
+    if let Some(p) = prefix {
+        iw.prepend(p);
+    }
     iw.commit(buf);
     if md == 0b10 {
         buf.put_u32(m.disp as u32);

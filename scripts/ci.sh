@@ -457,6 +457,27 @@ echo "== codegen-cost smoke (emitted bytes and instructions, exact) =="
 # for exactly the pinned VCODE instructions, with no spills.
 VCODE_SMOKE=1 cargo bench -q --offline -p vcode-bench --bench codegen_cost
 
+echo "== exact Figure 2 count (host instructions per generated instruction) =="
+# The fig2 binary single-steps emission in a forked child and counts host
+# instructions exactly (EXPERIMENTS.md "Figure 2, counted"). Per target
+# it counts the addi-only body, codegen_cost's mix, the mix with
+# hard-coded registers (§5.3) and through DCG, plus single loads, stores
+# and immediates; `--check` fails on any count off its pin in fig2.rs's
+# `rows()`. It runs twice and fails on any difference between the runs.
+# Stack traffic back in the emission path (a `vrfy!` closure capturing
+# by reference, a length field beside the cursor) moves the pins. The
+# DCG pins include glibc's malloc and memcpy, so a new host or toolchain
+# may need a re-pin; say why beside it.
+cargo build -q --release --offline -p vcode-bench --bin fig2
+fig2_first=$(./target/release/fig2 --check)
+fig2_second=$(./target/release/fig2 --check)
+if [ "$fig2_first" != "$fig2_second" ]; then
+    echo "Figure 2 counts differ between two runs:" >&2
+    diff <(echo "$fig2_first") <(echo "$fig2_second") >&2 || true
+    exit 1
+fi
+echo "$fig2_first"
+
 echo "== cache-amortize smoke (lambda-cache gate) =="
 # Warm cache hits must stay >=5x cheaper than a cold compile, judged on
 # the median of alternating cold/warm window pairs (a hit that re-runs
