@@ -3,16 +3,16 @@
 //! Claims reproduced:
 //! - VCODE generates code at ~6–10 host instructions per generated
 //!   instruction. The `fig2` binary counts that exactly, by
-//!   single-stepping this body, and CI pins the count: 18.75 on x86-64,
+//!   single-stepping this body, and CI pins the count: 22.75 on x86-64,
 //!   17.75 on MIPS, 16.5 on SPARC and Alpha, of which 9 are this loop's
 //!   own `i % 4` dispatch and counter (EXPERIMENTS.md "Figure 2,
 //!   counted"). Here the cost is timed, in ns/instruction, for the log;
-//! - hard-coded register names (§5.3): the paper's ~2× is 1.15× here
+//! - hard-coded register names (§5.3): the paper's ~2× is 1.07× here
 //!   by count (1.03–1.04× on the RISC targets), because this body's
 //!   registers are loop-invariant and the compiler hoists their
 //!   encoding out of the loop in both versions;
 //! - VCODE is ~35× faster than DCG, which builds and consumes IR trees
-//!   at runtime (§2): 41–44× by count;
+//!   at runtime (§2): 35–44× by count;
 //! - VCODE's bookkeeping space is labels + unresolved jumps only, while
 //!   DCG's IR grows with the program (§3).
 

@@ -360,24 +360,12 @@ impl<'m> CodeBuffer<'m> {
     #[inline]
     pub fn window(&mut self, n: usize) -> Win<'_, 'm> {
         debug_assert!(n <= WIN_MAX, "reservation exceeds WIN_MAX");
-        if self.cur > self.lim {
-            return self.spilled_window(n);
-        }
-        let start = self.cur;
-        self.win(start, false, n)
-    }
-
-    /// [`window`](Self::window)'s slow path: a reservation into the
-    /// spill scratch, replayed through the checked path on drop.
-    #[cold]
-    #[inline(never)]
-    fn spilled_window(&mut self, n: usize) -> Win<'_, 'm> {
-        let start = self.spill.as_mut_ptr();
-        self.win(start, true, n)
-    }
-
-    #[inline(always)]
-    fn win(&mut self, start: *mut u8, spilled: bool, n: usize) -> Win<'_, 'm> {
+        let spilled = self.cur > self.lim;
+        let start = if spilled {
+            self.spill.as_mut_ptr()
+        } else {
+            self.cur
+        };
         Win {
             ptr: start,
             start,
