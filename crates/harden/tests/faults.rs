@@ -369,9 +369,10 @@ fn reservation_faults_are_typed_at_every_capacity() {
 /// every capacity from zero to eight past its full length, through the
 /// fast path and the `Bytewise` reference, each with the streaming
 /// verifier off and on. The four runs at a capacity must agree on the
-/// overflow latch and on `end()`'s typed result, and at or above the
-/// full length write the unfaulted bytes. This is where the emitters'
-/// cold halves run: the by-value slow path of a fixed-width append, a
+/// overflow latch and on `end()`'s typed result; every capacity below
+/// the first that fits (at most five past the full length) must be a
+/// typed overflow, and every one from it on write the unfaulted bytes.
+/// This is where the emitters' cold halves run: the by-value slow path of a fixed-width append, a
 /// spilled window, a packed word without headroom, the verifier's
 /// outlined record call.
 #[test]
