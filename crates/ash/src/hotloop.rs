@@ -8,8 +8,8 @@
 //! synthetic stream — written with the redundancy a naive
 //! specialization frontend leaves per iteration (copy chains, identity
 //! masks, re-stored loop invariants, a dead scratch store). Tier-1
-//! transliterates all of it; tier-2's peephole and linear scan exist to
-//! strip it out of the loop body.
+//! transliterates all of it; tier-2's peephole exists to strip it out
+//! of the loop body.
 
 use vcode::engine::Program;
 use vcode::{BinOp, Cond, UnOp};

@@ -19,8 +19,7 @@
 //! - `tier2/insns_eliminated_pct`: executable instructions removed from
 //!   the recorded IR by peephole + layout (exact, but not a goal);
 //! - `tier2/compile_ns_per_insn` / `tier2/tier1_compile_ns_per_insn`:
-//!   optimize + linear-scan replay, and plain replay, per source
-//!   instruction;
+//!   optimize + replay, and plain replay, per source instruction;
 //! - `tier2/x64_speedup`: native wall clock, tier-1 over tier-2 — the
 //!   number that decided the experiment (under the 1.2× bar).
 
@@ -29,7 +28,7 @@ use vcode::engine::{replay, Backend, Program};
 use vcode::tier2;
 use vcode_bench::snapshot;
 use vcode_mips::Mips;
-use vcode_x64::{X64Backend, X64};
+use vcode_x64::X64Backend;
 
 /// Simulator step budget per corpus run (largest kernel: ~256
 /// iterations of a ~40-instruction body).
@@ -43,11 +42,11 @@ fn mips_tier1(p: &Program) -> Vec<u8> {
     mem
 }
 
-/// Tier-2 MIPS image: peephole + layout + linear-scan replay.
+/// Tier-2 MIPS image: peephole + layout, then the same replay.
 fn mips_tier2(p: &Program) -> Vec<u8> {
     let (opt, _) = tier2::optimize(p);
     let mut mem = vec![0u8; opt.code_capacity()];
-    let fin = tier2::replay_opt::<Mips>(&opt, &mut mem).expect("tier-2 replay");
+    let fin = replay::<Mips>(&opt, &mut mem).expect("tier-2 replay");
     mem.truncate(fin.len);
     mem
 }
@@ -143,7 +142,7 @@ fn main() {
             || {
                 let (o, _) = tier2::optimize(prog);
                 let mut m = vec![0u8; o.code_capacity()];
-                std::hint::black_box(tier2::replay_opt::<Mips>(&o, &mut m).expect("t2"));
+                std::hint::black_box(replay::<Mips>(&o, &mut m).expect("t2"));
             },
             iters,
             rounds,
@@ -152,9 +151,7 @@ fn main() {
         // Native x86-64 wall clock for the same kernels (recorded, not
         // gated; see module docs).
         let l1 = x64.compile(prog).expect("x64 tier-1");
-        let l2 = x64
-            .compile_with(&tier2::optimize(prog).0, tier2::replay_opt::<X64>)
-            .expect("x64 tier-2");
+        let l2 = x64.compile(&tier2::optimize(prog).0).expect("x64 tier-2");
         for (l, tier) in [(&l1, 1), (&l2, 2)] {
             let got = l.call(input).unwrap_or_else(|e| panic!("{name}: x64: {e}"));
             if got != want {

@@ -123,10 +123,13 @@ pub enum EngineError {
     UnknownBackend(String),
     /// Code generation failed (typed vcode error).
     Codegen(Error),
-    /// The program asked for more virtual registers than the target's
-    /// allocator could provide.
+    /// The program keeps more virtual registers live at once than the
+    /// target's allocator could provide ([`replay`] gives a register
+    /// back after its vreg's last use, so the count that matters is
+    /// the program's pressure, not how many vregs it names).
     TooManyTemps {
-        /// The virtual register that could not be mapped.
+        /// The virtual register that found the allocator empty at its
+        /// first mention.
         vreg: u8,
     },
     /// The program binds one label at two positions
@@ -432,11 +435,37 @@ impl Iterator for Ops<'_> {
 /// bytes, and lowering, the interpreter and [`ops`](Self::ops) decode
 /// them. That form is the program's content-addressed identity: it (with
 /// the target id) keys the lambda cache.
+///
+/// Recording also keeps the program's liveness, so that lowering is one
+/// pass: per virtual register the position of its last mention, and per
+/// label the position it is bound at. A branch or `jmp` recorded to a
+/// label already bound is a back edge, and every end at or after the
+/// label moves to the branch, so a value live anywhere in a loop body
+/// stays live across its iterations. [`replay`] gives a register back
+/// to the allocator after the op at its vreg's end, so a program needs
+/// as many temporaries as it has vregs live at once. The table is not
+/// part of the stream: not of [`encode`](Self::encode), the cache key,
+/// its digest, or equality.
 pub struct Program {
-    /// The [`encode`](Self::encode) stream: [`HEADER`], then one
-    /// [`SHAPE`]-long run per op. Only the recording methods write it,
-    /// so it is always well formed.
+    /// The liveness table, then the [`encode`](Self::encode) stream:
+    /// [`HEADER`], then one [`SHAPE`]-long run per op. Only the
+    /// recording methods write it, so it is always well formed. One
+    /// allocation, so a clone makes no more of them than the stream
+    /// alone would.
+    ///
+    /// The table is `vcap` vreg ends, then `lcap` label bindings, each
+    /// a little-endian `u32` op position plus one (0: never mentioned,
+    /// never bound).
     bytes: Vec<u8>,
+    /// Vreg ends the table has room for: more than any vreg mentioned.
+    vcap: usize,
+    /// Label bindings the table has room for: more than any label
+    /// declared ([`genlabel`](Self::genlabel)).
+    lcap: usize,
+    /// Position plus one of the first binding of a label with no entry
+    /// (0: none). A hand-built program can name any label; the table
+    /// does not grow for one it did not declare.
+    stray: u32,
     /// Ops recorded (the stream is variable-width).
     len: usize,
     /// Memoized (shared copy of the stream, routing hash): computing the
@@ -444,6 +473,14 @@ pub struct Program {
     /// Invalidated by every mutator; excluded from equality and cloning.
     encoded: OnceLock<(Arc<[u8]>, u64)>,
 }
+
+/// Virtual registers a program can name (a `u8` each): the most vreg
+/// ends its liveness table holds.
+const VREGS: usize = 256;
+
+/// Vreg ends, and label bindings, a new program has room for (the
+/// table doubles when a vreg or a declared label needs more).
+const FIRST_CAP: usize = 8;
 
 impl fmt::Debug for Program {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -459,6 +496,9 @@ impl Clone for Program {
     fn clone(&self) -> Program {
         Program {
             bytes: self.bytes.clone(),
+            vcap: self.vcap,
+            lcap: self.lcap,
+            stray: self.stray,
             len: self.len,
             encoded: OnceLock::new(),
         }
@@ -467,7 +507,7 @@ impl Clone for Program {
 
 impl PartialEq for Program {
     fn eq(&self, other: &Program) -> bool {
-        self.bytes == other.bytes
+        self.stream() == other.stream()
     }
 }
 
@@ -483,16 +523,36 @@ impl Program {
         if args > MAX_PROGRAM_ARGS {
             return Err(EngineError::TooManyArgs { requested: args });
         }
+        let mut bytes = vec![0; 8 * FIRST_CAP + HEADER];
+        bytes[8 * FIRST_CAP] = args as u8;
+        // The arguments are live from entry: mentioned at position 0.
+        for end in bytes.as_chunks_mut::<4>().0.iter_mut().take(args) {
+            *end = 1u32.to_le_bytes();
+        }
         Ok(Program {
-            bytes: vec![args as u8, 0, 0],
+            bytes,
+            vcap: FIRST_CAP,
+            lcap: FIRST_CAP,
+            stray: 0,
             len: 0,
             encoded: OnceLock::new(),
         })
     }
 
+    /// Where the [`encode`](Self::encode) stream starts, behind the
+    /// liveness table.
+    fn start(&self) -> usize {
+        4 * (self.vcap + self.lcap)
+    }
+
+    /// The [`encode`](Self::encode) stream.
+    fn stream(&self) -> &[u8] {
+        &self.bytes[self.start()..]
+    }
+
     /// Declared argument count.
     pub fn args(&self) -> usize {
-        usize::from(self.bytes[0])
+        usize::from(self.stream()[0])
     }
 
     /// Recorded instruction count.
@@ -508,52 +568,135 @@ impl Program {
     /// The recorded stream, decoded op by op.
     pub fn ops(&self) -> Ops<'_> {
         Ops {
-            rest: &self.bytes[HEADER..],
+            rest: &self.stream()[HEADER..],
         }
     }
 
     /// Number of labels allocated so far (label indices are dense:
     /// `0..labels()`).
     pub fn labels(&self) -> u16 {
-        u16::from_le_bytes([self.bytes[1], self.bytes[2]])
+        let s = self.stream();
+        u16::from_le_bytes([s[1], s[2]])
     }
 
     /// Allocates a fresh label index.
     pub fn genlabel(&mut self) -> u16 {
         self.encoded.take();
         let l = self.labels();
-        self.bytes[1..HEADER].copy_from_slice(&(l + 1).to_le_bytes());
+        if usize::from(l) >= self.lcap {
+            self.grow(self.vcap, usize::from(l) + 1);
+        }
+        let at = self.start() + 1;
+        self.bytes[at..at + 2].copy_from_slice(&(l + 1).to_le_bytes());
         l
     }
 
     /// Appends one op's bytes — the caller knows its variant, so there
     /// is nothing to dispatch on — invalidating the memoized copy.
+    #[inline(always)]
     fn push<const N: usize>(&mut self, op: [u8; N]) {
         self.encoded.take();
         self.bytes.extend_from_slice(&op);
         self.len += 1;
     }
 
+    /// Rebuilds the liveness table with room for at least `vregs` vreg
+    /// ends and `labels` label bindings, and twice what it had of the
+    /// one that grows.
+    #[cold]
+    #[inline(never)]
+    fn grow(&mut self, vregs: usize, labels: usize) {
+        let (v0, l0) = (self.vcap, self.lcap);
+        let vcap = if vregs > v0 {
+            vregs.max(2 * v0).min(VREGS)
+        } else {
+            v0
+        };
+        let lcap = if labels > l0 { labels.max(2 * l0) } else { l0 };
+        let start = 4 * (vcap + lcap);
+        let mut bytes = vec![0; start + self.bytes.len() - self.start()];
+        bytes[..4 * v0].copy_from_slice(&self.bytes[..4 * v0]);
+        bytes[4 * vcap..4 * (vcap + l0)].copy_from_slice(&self.bytes[4 * v0..4 * (v0 + l0)]);
+        bytes[start..].copy_from_slice(self.stream());
+        (self.bytes, self.vcap, self.lcap) = (bytes, vcap, lcap);
+    }
+
+    /// The liveness table as 4-byte entries (vreg ends at `0..vcap`,
+    /// label bindings at `vcap..vcap + lcap`; the stream's bytes
+    /// follow).
+    #[inline(always)]
+    fn entries(&mut self) -> &mut [[u8; 4]] {
+        self.bytes.as_chunks_mut().0
+    }
+
+    /// The op just pushed mentions `vs`: their ends are here.
+    #[inline(always)]
+    fn mention<const N: usize>(&mut self, vs: [u8; N]) {
+        for v in vs {
+            if usize::from(v) >= self.vcap {
+                self.grow(usize::from(v) + 1, 0);
+            }
+        }
+        let here = (self.len as u32).to_le_bytes();
+        let entries = self.entries();
+        for v in vs {
+            entries[usize::from(v)] = here;
+        }
+    }
+
+    /// The op just pushed branches to `l`. If `l` is bound already, this
+    /// is a back edge: every end at or after the binding moves here. A
+    /// label bound while it had no entry (it was not declared) is not
+    /// known here; a branch to one without a binding takes the first
+    /// such binding for its head, which extends at least as far.
+    #[inline(always)]
+    fn branch_to(&mut self, l: u16) {
+        let (l, vcap) = (usize::from(l), self.vcap);
+        let bound = if l < self.lcap {
+            u32::from_le_bytes(self.entries()[vcap + l])
+        } else {
+            0
+        };
+        let head = if bound != 0 { bound } else { self.stray };
+        if head != 0 {
+            self.back_edge(head);
+        }
+    }
+
+    /// Moves every end at or after `head` here.
+    #[cold]
+    fn back_edge(&mut self, head: u32) {
+        let (here, vcap) = (self.len as u32, self.vcap);
+        for end in &mut self.entries()[..vcap] {
+            let e = u32::from_le_bytes(*end);
+            *end = if e >= head { here } else { e }.to_le_bytes();
+        }
+    }
+
     /// Records `v[dst] = imm`.
     pub fn set(&mut self, dst: u8, imm: i32) {
         let [i0, i1, i2, i3] = imm.to_le_bytes();
         self.push([tag::SET, dst, i0, i1, i2, i3]);
+        self.mention([dst]);
     }
 
     /// Records `v[dst] = v[a] op v[b]`.
     pub fn bin(&mut self, op: BinOp, dst: u8, a: u8, b: u8) {
         self.push([tag::BIN, op as u8, dst, a, b]);
+        self.mention([a, b, dst]);
     }
 
     /// Records `v[dst] = v[a] op imm`.
     pub fn bin_imm(&mut self, op: BinOp, dst: u8, a: u8, imm: i32) {
         let [i0, i1, i2, i3] = imm.to_le_bytes();
         self.push([tag::BIN_IMM, op as u8, dst, a, i0, i1, i2, i3]);
+        self.mention([a, dst]);
     }
 
     /// Records `v[dst] = op v[a]`.
     pub fn un(&mut self, op: UnOp, dst: u8, a: u8) {
         self.push([tag::UN, op as u8, dst, a]);
+        self.mention([a, dst]);
     }
 
     /// Binds label `l` at the current position. A label may be bound
@@ -562,12 +705,20 @@ impl Program {
     pub fn label(&mut self, l: u16) {
         let [l0, l1] = l.to_le_bytes();
         self.push([tag::LABEL, l0, l1]);
+        let (l, vcap, here) = (usize::from(l), self.vcap, self.len as u32);
+        if l < self.lcap {
+            self.entries()[vcap + l] = here.to_le_bytes();
+        } else if self.stray == 0 {
+            self.stray = here;
+        }
     }
 
     /// Records `if v[a] cond v[b] goto l`.
     pub fn br(&mut self, cond: Cond, a: u8, b: u8, l: u16) {
         let [l0, l1] = l.to_le_bytes();
         self.push([tag::BR, cond as u8, a, b, l0, l1]);
+        self.mention([a, b]);
+        self.branch_to(l);
     }
 
     /// Records `if v[a] cond imm goto l`.
@@ -575,23 +726,42 @@ impl Program {
         let [i0, i1, i2, i3] = imm.to_le_bytes();
         let [l0, l1] = l.to_le_bytes();
         self.push([tag::BR_IMM, cond as u8, a, i0, i1, i2, i3, l0, l1]);
+        self.mention([a]);
+        self.branch_to(l);
     }
 
     /// Records `goto l`.
     pub fn jmp(&mut self, l: u16) {
         let [l0, l1] = l.to_le_bytes();
         self.push([tag::JMP, l0, l1]);
+        self.branch_to(l);
     }
 
     /// Records `return v[src]`.
     pub fn ret(&mut self, src: u8) {
         self.push([tag::RET, src]);
+        self.mention([src]);
+    }
+
+    /// Records `op` through the method of its variant.
+    pub fn record(&mut self, op: POp) {
+        match op {
+            POp::Set { dst, imm } => self.set(dst, imm),
+            POp::Bin { op, dst, a, b } => self.bin(op, dst, a, b),
+            POp::BinImm { op, dst, a, imm } => self.bin_imm(op, dst, a, imm),
+            POp::Un { op, dst, a } => self.un(op, dst, a),
+            POp::Label { l } => self.label(l),
+            POp::Br { cond, a, b, l } => self.br(cond, a, b, l),
+            POp::BrImm { cond, a, imm, l } => self.br_imm(cond, a, imm, l),
+            POp::Jmp { l } => self.jmp(l),
+            POp::Ret { src } => self.ret(src),
+        }
     }
 
     /// The stream in its deterministic byte form — the program's
     /// content-addressed identity (a copy: the program is these bytes).
     pub fn encode(&self) -> Vec<u8> {
-        self.bytes.clone()
+        self.stream().to_vec()
     }
 
     /// Walks `bytes` as an [`encode`](Self::encode) stream: its declared
@@ -658,7 +828,7 @@ impl Program {
     /// artifact names and checksums — it trusts no caller's hash.
     pub fn encoded(&self) -> &(Arc<[u8]>, u64) {
         self.encoded.get_or_init(|| {
-            let bytes: Arc<[u8]> = self.bytes.as_slice().into();
+            let bytes: Arc<[u8]> = self.stream().into();
             let hash = crate::persist::digest64(&bytes);
             (bytes, hash)
         })
@@ -694,7 +864,7 @@ impl Program {
                 got: args.len(),
             });
         }
-        let code = &self.bytes[HEADER..];
+        let code = &self.stream()[HEADER..];
         // One pass up front: size the register file, and bind every
         // label to its op's offset (branches may jump backward).
         let mut max_vreg = 0;
@@ -831,95 +1001,21 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 /// cost per compile is [`lower_in_scratch`]: this lowering into a
 /// per-thread scratch plus one right-sized copy of the finished bytes.
 ///
+/// One pass, one dispatch per instruction on the op's tag — the
+/// operation inside it reaches the emitter as a value
+/// ([`Assembler::binop`] and its siblings). A vreg takes a temporary at
+/// its first mention and gives it back after the op at its end, which
+/// the program recorded (see [`Program`]).
+///
 /// # Errors
 ///
-/// Typed [`EngineError`]: codegen failures ([`Error`]) and virtual
-/// registers the target's allocator cannot supply.
+/// Typed [`EngineError`]: codegen failures ([`Error`]) and more vregs
+/// live at once than the target's allocator can supply.
 pub fn replay<T: Target>(prog: &Program, mem: &mut [u8]) -> Result<Finished, EngineError> {
-    lower::<T, FirstTouch>(prog, mem)
-}
-
-/// How the lowering loop finds the register that holds a virtual
-/// register — the one thing [`replay`] and
-/// [`tier2::replay_opt`](crate::tier2::replay_opt) do differently. The
-/// policy is a type parameter of [`lower`], so each caller gets its own
-/// copy of the loop with its policy inlined.
-pub(crate) trait VregMap: Sized {
-    /// Starts a lambda of `prog` whose arguments arrived in `args`.
-    fn new(prog: &Program, args: &[Reg]) -> Self;
-
-    /// The register holding `v`, taken from `a`'s allocator on first
-    /// need.
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::TooManyTemps`] when the allocator has none left.
-    fn reg<T: Target>(&mut self, a: &mut Assembler<'_, T>, v: u8) -> Result<Reg, EngineError>;
-
-    /// The op at stream position `pos` has been emitted: registers whose
-    /// vreg is dead from here on may go back to `a`'s allocator.
-    fn retire<T: Target>(&mut self, a: &mut Assembler<'_, T>, pos: usize);
-}
-
-/// [`replay`]'s policy: a vreg takes the first free temporary when it
-/// (or any higher-numbered vreg) is first touched and keeps it for the
-/// whole lambda, so a program with more vregs than the target has
-/// temporaries dies at `TooManyTemps` however short their lives.
-///
-/// Which is also why the map lives inline: it never holds more than the
-/// arguments plus one allocation per integer candidate.
-struct FirstTouch {
-    regs: [Reg; MAX_PROGRAM_ARGS + crate::regalloc::MAX_CANDS],
-    len: usize,
-}
-
-impl VregMap for FirstTouch {
-    fn new(_prog: &Program, args: &[Reg]) -> FirstTouch {
-        let mut regs = [Reg::int(0); MAX_PROGRAM_ARGS + crate::regalloc::MAX_CANDS];
-        regs[..args.len()].copy_from_slice(args);
-        FirstTouch {
-            regs,
-            len: args.len(),
-        }
-    }
-
-    #[inline]
-    fn reg<T: Target>(&mut self, a: &mut Assembler<'_, T>, v: u8) -> Result<Reg, EngineError> {
-        while self.len <= usize::from(v) {
-            match (a.getreg(RegClass::Temp), self.regs.get_mut(self.len)) {
-                (Some(r), Some(slot)) => *slot = r,
-                _ => return Err(EngineError::TooManyTemps { vreg: v }),
-            }
-            self.len += 1;
-        }
-        Ok(self.regs[usize::from(v)])
-    }
-
-    fn retire<T: Target>(&mut self, _a: &mut Assembler<'_, T>, _pos: usize) {}
-}
-
-thread_local! {
-    /// The tables the last lowering on this thread ended with: the next
-    /// one starts on their storage, so [`lower`] allocates only the
-    /// label offsets [`Finished`] carries out. Taken out of the cell
-    /// while in use (a re-entrant lowering starts on empty ones); a
-    /// lowering that fails drops them.
-    static TABLES: std::cell::Cell<SessionTables> =
-        const { std::cell::Cell::new(SessionTables::new()) };
-}
-
-/// The one lowering from a [`Program`]'s stream to `Assembler<T>`
-/// emitter calls, over the vreg policy `M`: one dispatch per
-/// instruction, on the op's tag — the operation inside it reaches the
-/// emitter as a value ([`Assembler::binop`] and its siblings).
-pub(crate) fn lower<T: Target, M: VregMap>(
-    prog: &Program,
-    mem: &mut [u8],
-) -> Result<Finished, EngineError> {
-    let mut tables = TABLES.take();
+    let Tables { mut asm, deaths } = TABLES.take();
     let args = &[Ty::I; MAX_PROGRAM_ARGS][..prog.args()];
-    let mut a = Assembler::<T>::lambda_on(mem, &mut tables, args, Ty::I, Leaf::Yes)?;
-    let mut map = M::new(prog, a.args());
+    let mut a = Assembler::<T>::lambda_on(mem, &mut asm, args, Ty::I, Leaf::Yes)?;
+    let mut map = Vregs::new(prog, a.args(), deaths);
     // Program label `l` is the assembler's `first + l`: the declared
     // ones are allocated here, in order, and one a hand-built program
     // references beyond them extends the same run.
@@ -983,9 +1079,116 @@ pub(crate) fn lower<T: Target, M: VregMap>(
         }
         map.retire(&mut a, pos);
     }
-    let fin = a.end_into(&mut tables)?;
-    TABLES.set(tables);
+    let fin = a.end_into(&mut asm)?;
+    TABLES.set(Tables {
+        asm,
+        deaths: map.deaths,
+    });
     Ok(fin)
+}
+
+/// The register each live vreg holds during [`replay`], and when each
+/// gives it back.
+struct Vregs {
+    /// Per vreg, the number of the integer register it holds, or
+    /// [`Vregs::NONE`] before its first mention.
+    regs: [u8; VREGS],
+    /// Every vreg the program mentions as `end << 8 | vreg`, by end (the
+    /// position after its last op, as [`Program`] recorded it), then a
+    /// sentinel no position reaches.
+    deaths: Vec<u64>,
+    /// Index in `deaths` of the next vreg to die.
+    next: usize,
+    /// Its end.
+    due: u64,
+}
+
+impl Vregs {
+    /// No register number on any target.
+    const NONE: u8 = u8::MAX;
+
+    /// Starts a lambda of `prog` whose arguments arrived in `args`, with
+    /// `deaths` as storage for the death order.
+    fn new(prog: &Program, args: &[Reg], mut deaths: Vec<u64>) -> Vregs {
+        let mut regs = [Self::NONE; VREGS];
+        for (slot, r) in regs.iter_mut().zip(args) {
+            *slot = r.num();
+        }
+        deaths.clear();
+        let (ends, _) = prog.bytes[..4 * prog.vcap].as_chunks::<4>();
+        for (v, &end) in ends.iter().enumerate() {
+            let end = u32::from_le_bytes(end);
+            if end != 0 {
+                deaths.push(u64::from(end) << 8 | v as u64);
+            }
+        }
+        deaths.sort_unstable();
+        deaths.push(u64::MAX);
+        Vregs {
+            regs,
+            due: deaths[0] >> 8,
+            deaths,
+            next: 0,
+        }
+    }
+
+    /// The register holding `v`, taken from `a`'s allocator at its first
+    /// mention.
+    ///
+    /// # Errors
+    ///
+    /// [`EngineError::TooManyTemps`] when the allocator has none left.
+    #[inline(always)]
+    fn reg<T: Target>(&mut self, a: &mut Assembler<'_, T>, v: u8) -> Result<Reg, EngineError> {
+        let slot = &mut self.regs[usize::from(v)];
+        if *slot == Self::NONE {
+            let r = a
+                .getreg(RegClass::Temp)
+                .ok_or(EngineError::TooManyTemps { vreg: v })?;
+            *slot = r.num();
+        }
+        Ok(Reg::int(*slot))
+    }
+
+    /// The op at `pos` has been emitted: the registers of the vregs that
+    /// end there go back to `a`'s allocator.
+    #[inline(always)]
+    fn retire<T: Target>(&mut self, a: &mut Assembler<'_, T>, pos: usize) {
+        if pos as u64 + 1 == self.due {
+            self.retire_due(a);
+        }
+    }
+
+    fn retire_due<T: Target>(&mut self, a: &mut Assembler<'_, T>) {
+        while self.deaths[self.next] >> 8 == self.due {
+            let v = self.deaths[self.next] as u8;
+            a.putreg(Reg::int(self.regs[usize::from(v)]));
+            self.next += 1;
+        }
+        self.due = self.deaths[self.next] >> 8;
+    }
+}
+
+/// What a lowering keeps on its thread for the next one.
+#[derive(Default)]
+struct Tables {
+    asm: SessionTables,
+    /// [`Vregs::deaths`]' storage.
+    deaths: Vec<u64>,
+}
+
+thread_local! {
+    /// The tables the last lowering on this thread ended with: the next
+    /// one starts on their storage, so [`replay`] allocates only the
+    /// label offsets [`Finished`] carries out. Taken out of the cell
+    /// while in use (a re-entrant lowering starts on empty ones); a
+    /// lowering that fails drops them.
+    static TABLES: std::cell::Cell<Tables> = const {
+        std::cell::Cell::new(Tables {
+            asm: SessionTables::new(),
+            deaths: Vec::new(),
+        })
+    };
 }
 
 // ---------------------------------------------------------------------------
@@ -1556,14 +1759,20 @@ mod tests {
         Ok((args, labels, ops))
     }
 
-    /// A program from its `encode()` stream: the check, then a copy.
+    /// A program from its `encode()` stream: the check, then its ops
+    /// recorded one by one (a copy of the bytes would have no liveness).
+    /// The label count is written as `genlabel` leaves it, in one store
+    /// rather than up to 65 535 calls.
     fn decoded(bytes: &[u8]) -> Result<Program, EngineError> {
-        let (_, len) = Program::scan(bytes)?;
-        Ok(Program {
-            bytes: bytes.to_vec(),
-            len,
-            encoded: OnceLock::new(),
-        })
+        let (args, _) = Program::scan(bytes)?;
+        let mut p = Program::new(args)?;
+        let at = p.start() + 1;
+        p.bytes[at..at + 2].copy_from_slice(&bytes[1..HEADER]);
+        Ops {
+            rest: &bytes[HEADER..],
+        }
+        .for_each(|op| p.record(op));
+        Ok(p)
     }
 
     #[test]
@@ -1659,6 +1868,127 @@ mod tests {
         let fin = replay::<FakeTarget>(&p, &mut mem).unwrap();
         assert!(fin.len > 0);
         assert_eq!(fin.insns, p.len() as u64 - 1); // `label` emits nothing
+    }
+
+    /// The ops of a counted loop over two temporaries, the second
+    /// written after the first's last use, then a long-lived one: the
+    /// back edge moves the ends of what the body uses to the branch, so
+    /// the two do not share a register.
+    fn looped() -> Vec<POp> {
+        let mut p = Program::new(2).unwrap();
+        let (top, out) = (p.genlabel(), p.genlabel());
+        p.set(2, 0);
+        p.label(top);
+        p.bin(BinOp::Mul, 3, 1, 1);
+        p.bin(BinOp::Add, 2, 2, 3);
+        p.bin_imm(BinOp::Add, 5, 1, 1);
+        p.bin(BinOp::Xor, 2, 2, 5);
+        p.bin_imm(BinOp::Sub, 1, 1, 1);
+        p.br_imm(Cond::Gt, 1, 0, top);
+        p.bin_imm(BinOp::Add, 4, 0, 7);
+        p.br(Cond::Lt, 4, 2, out);
+        p.un(UnOp::Neg, 2, 2);
+        p.label(out);
+        p.bin(BinOp::Xor, 2, 2, 4);
+        p.ret(2);
+        p.ops().collect()
+    }
+
+    /// `ops` recorded into a two-argument program with two labels.
+    fn recorded(ops: &[POp]) -> Program {
+        let mut p = Program::new(2).unwrap();
+        p.genlabel();
+        p.genlabel();
+        ops.iter().for_each(|&op| p.record(op));
+        p
+    }
+
+    /// The bytes `replay::<FakeTarget>` emits for `p`.
+    fn lowered(p: &Program) -> Vec<u8> {
+        let mut mem = vec![0u8; p.code_capacity()];
+        let fin = replay::<FakeTarget>(p, &mut mem).unwrap();
+        mem[..fin.len].to_vec()
+    }
+
+    #[test]
+    fn recording_after_a_lowering_lowers_as_one_recording_does() {
+        let ops = looped();
+        let whole = lowered(&recorded(&ops));
+        for cut in 0..=ops.len() {
+            let mut p = recorded(&ops[..cut]);
+            let mut mem = vec![0u8; p.code_capacity()];
+            let _ = replay::<FakeTarget>(&p, &mut mem);
+            let _ = p.encoded();
+            ops[cut..].iter().for_each(|&op| p.record(op));
+            assert_eq!(lowered(&p), whole, "lowered after {cut} ops");
+            assert_eq!(p, recorded(&ops));
+        }
+    }
+
+    #[test]
+    fn extending_a_clone_leaves_the_original_as_it_was() {
+        let ops = looped();
+        let p = recorded(&ops[..ops.len() - 1]);
+        let before = lowered(&recorded(&ops[..ops.len() - 1]));
+        // The clone grows a loop around everything the original holds
+        // (a back edge to its first label) and more vregs than its table
+        // had room for.
+        let mut c = p.clone();
+        let more = [
+            POp::BinImm {
+                op: BinOp::Add,
+                dst: 40,
+                a: 2,
+                imm: 1,
+            },
+            POp::BrImm {
+                cond: Cond::Ne,
+                a: 40,
+                imm: 9,
+                l: 0,
+            },
+            POp::Ret { src: 40 },
+        ];
+        more.iter().for_each(|&op| c.record(op));
+        assert_eq!(lowered(&p), before);
+        assert_eq!(p, recorded(&ops[..ops.len() - 1]));
+        let all: Vec<POp> = ops[..ops.len() - 1].iter().chain(&more).copied().collect();
+        assert_eq!(lowered(&c), lowered(&recorded(&all)));
+        assert_ne!(lowered(&c), before);
+    }
+
+    #[test]
+    fn a_loop_to_an_undeclared_label_keeps_its_values_live() {
+        // The loop's ops with its labels renamed past any the program
+        // declares or has room for: a label bound while it has no table
+        // entry still heads the loop, so what the body mentions ends no
+        // earlier than the back edge.
+        let ops = looped();
+        let back = ops.iter().position(|op| matches!(op, POp::BrImm { .. }));
+        let mut bare = Program::new(2).unwrap();
+        for op in &ops {
+            bare.record(match *op {
+                POp::Label { l } => POp::Label { l: l + 300 },
+                POp::Br { cond, a, b, l } => POp::Br {
+                    cond,
+                    a,
+                    b,
+                    l: l + 300,
+                },
+                POp::BrImm { cond, a, imm, l } => POp::BrImm {
+                    cond,
+                    a,
+                    imm,
+                    l: l + 300,
+                },
+                op => op,
+            });
+        }
+        assert_eq!((bare.labels(), bare.lcap), (0, FIRST_CAP));
+        let end = |v: usize| u32::from_le_bytes(bare.bytes.as_chunks::<4>().0[v]) as usize;
+        for v in [1, 2, 3, 5] {
+            assert!(end(v) > back.unwrap(), "v{v} ends at {}", end(v));
+        }
     }
 
     #[test]

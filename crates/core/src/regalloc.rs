@@ -28,7 +28,7 @@ struct Candidate {
 /// than 25 allocatable registers per bank; the ceiling lets the
 /// candidate lists live inline in the allocator (and therefore in every
 /// `Asm`), so building one per generated function allocates nothing.
-pub(crate) const MAX_CANDS: usize = 32;
+const MAX_CANDS: usize = 32;
 
 /// A fixed-capacity, inline candidate priority list.
 #[derive(Debug, Clone, Copy)]
@@ -254,120 +254,6 @@ impl RegAlloc {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Live intervals (tier-2 linear scan)
-// ---------------------------------------------------------------------------
-
-/// One value's live range over a linear instruction stream, as inclusive
-/// `[start, end]` positions. The tier-2 replay
-/// ([`tier2`](crate::tier2)) computes one interval per virtual register
-/// from the recorded stream and frees each physical register at its
-/// interval's end — the linear-scan discipline — instead of pinning every
-/// virtual register for the whole lambda the way one-pass transliteration
-/// must.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Interval {
-    /// First position (instruction index) that mentions the value.
-    pub start: u32,
-    /// Last position that mentions the value, after loop extension.
-    pub end: u32,
-}
-
-/// Live intervals for a set of numbered slots (virtual registers),
-/// built by scanning a linear stream front to back.
-///
-/// Intervals over a *linear* order are a sound over-approximation of
-/// liveness for forward control flow: a value only exists in its slot's
-/// register between its first and last mention, and no position outside
-/// that window touches it. Backward branches (loops) are the one case
-/// linear order gets wrong — a value last mentioned *inside* a loop body
-/// is re-read on the next iteration — so each backward edge reported via
-/// [`extend_loop`](Self::extend_loop) stretches every interval it
-/// intersects to cover the whole body.
-#[derive(Debug, Clone)]
-pub struct LiveIntervals {
-    by_slot: Vec<Option<Interval>>,
-}
-
-impl LiveIntervals {
-    /// Empty interval set over `slots` numbered slots.
-    pub fn new(slots: usize) -> LiveIntervals {
-        LiveIntervals {
-            by_slot: vec![None; slots],
-        }
-    }
-
-    /// Records that `slot` is mentioned (defined or used) at `pos`.
-    /// Positions must be fed in non-decreasing order.
-    pub fn mention(&mut self, slot: usize, pos: u32) {
-        if slot >= self.by_slot.len() {
-            self.by_slot.resize(slot + 1, None);
-        }
-        match &mut self.by_slot[slot] {
-            Some(iv) => iv.end = iv.end.max(pos),
-            none => {
-                *none = Some(Interval {
-                    start: pos,
-                    end: pos,
-                })
-            }
-        }
-    }
-
-    /// Applies one backward branch: an edge from position `back` to a
-    /// label bound at position `head <= back`. Every interval that
-    /// intersects `[head, back]` is extended to end no earlier than
-    /// `back`, so values live anywhere in the loop body stay in their
-    /// registers across iterations.
-    ///
-    /// Feeding edges in ascending `back` order reaches a fixpoint in one
-    /// pass: an extension only moves ends *forward*, and any
-    /// newly-created intersection with an earlier edge would demand an
-    /// end the interval already exceeds.
-    pub fn extend_loop(&mut self, head: u32, back: u32) {
-        for iv in self.by_slot.iter_mut().flatten() {
-            if iv.start <= back && iv.end >= head {
-                iv.end = iv.end.max(back);
-            }
-        }
-    }
-
-    /// The interval recorded for `slot`, if it was ever mentioned.
-    pub fn get(&self, slot: usize) -> Option<Interval> {
-        self.by_slot.get(slot).copied().flatten()
-    }
-
-    /// Whether `slot`'s interval ends exactly at `pos` — the linear-scan
-    /// trigger to return its physical register to the allocator.
-    pub fn ends_at(&self, slot: usize, pos: u32) -> bool {
-        self.get(slot).is_some_and(|iv| iv.end == pos)
-    }
-
-    /// Number of tracked slots.
-    pub fn slots(&self) -> usize {
-        self.by_slot.len()
-    }
-
-    /// The largest number of intervals simultaneously live at any single
-    /// position — the stream's true register pressure (diagnostics; a
-    /// stream whose pressure exceeds the target's temp count still fails
-    /// allocation, but only then).
-    pub fn max_pressure(&self) -> usize {
-        let mut events: Vec<(u32, i32)> = Vec::with_capacity(self.by_slot.len() * 2);
-        for iv in self.by_slot.iter().flatten() {
-            events.push((iv.start, 1));
-            events.push((iv.end + 1, -1));
-        }
-        events.sort_unstable();
-        let (mut live, mut peak) = (0i32, 0i32);
-        for (_, d) in events {
-            live += d;
-            peak = peak.max(live);
-        }
-        peak.max(0) as usize
-    }
-}
-
 fn kind_matches(kind: RegKind, class: RegClass, stand_in: bool, leaf: bool) -> bool {
     match (class, kind) {
         (_, RegKind::Reserved) => false,
@@ -536,45 +422,5 @@ mod tests {
         ra.take(Reg::int(16));
         assert_eq!(ra.callee_used(Bank::Int), 1 << 16);
         assert_eq!(ra.getreg(Bank::Int, RegClass::Persistent), None);
-    }
-
-    #[test]
-    fn intervals_span_first_to_last_mention() {
-        let mut iv = LiveIntervals::new(3);
-        iv.mention(0, 0);
-        iv.mention(1, 2);
-        iv.mention(0, 5);
-        assert_eq!(iv.get(0), Some(Interval { start: 0, end: 5 }));
-        assert_eq!(iv.get(1), Some(Interval { start: 2, end: 2 }));
-        assert_eq!(iv.get(2), None);
-        assert!(iv.ends_at(0, 5));
-        assert!(!iv.ends_at(0, 4));
-    }
-
-    #[test]
-    fn loop_extension_keeps_body_values_live_across_the_back_edge() {
-        let mut iv = LiveIntervals::new(3);
-        iv.mention(0, 1); // last mention inside the loop body...
-        iv.mention(1, 8); // ...another value, mentioned only near the end
-        iv.mention(2, 20); // outside the loop entirely
-        iv.extend_loop(0, 10); // backward edge 10 -> 0
-        assert_eq!(iv.get(0).unwrap().end, 10);
-        assert_eq!(iv.get(1).unwrap().end, 10);
-        // Started after the back edge: untouched.
-        assert_eq!(iv.get(2).unwrap().end, 20);
-    }
-
-    #[test]
-    fn max_pressure_counts_simultaneous_overlap() {
-        let mut iv = LiveIntervals::new(4);
-        // Three disjoint one-position intervals: pressure 1.
-        iv.mention(0, 0);
-        iv.mention(1, 1);
-        iv.mention(2, 2);
-        assert_eq!(iv.max_pressure(), 1);
-        // One long interval under them: pressure 2.
-        iv.mention(3, 0);
-        iv.mention(3, 3);
-        assert_eq!(iv.max_pressure(), 2);
     }
 }

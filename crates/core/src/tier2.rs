@@ -3,9 +3,8 @@
 //!
 //! The paper's one-pass transliteration compiles in a handful of host
 //! instructions per generated instruction, but concedes the output is
-//! naive: every virtual register is pinned to a physical register for
-//! the whole lambda, and redundant moves survive into the code. This
-//! module measures what undoing that buys:
+//! naive: redundant moves and foldable arithmetic survive into the code.
+//! This module measures what undoing that buys:
 //!
 //! 1. **Peephole + constant folding** ([`optimize`]) — removes
 //!    `mov d,d` and collapses move chains, folds `add 0`/`mul 1`-style
@@ -15,32 +14,29 @@
 //!    dropped). Trapping operations (`div`/`mod` with a possibly-zero
 //!    divisor) are never folded away — tier-2 code must fault exactly
 //!    where tier-1 code does.
-//! 2. **Linear-scan register allocation** ([`replay_opt`]) — computes a
-//!    live interval per virtual register from the stream
-//!    ([`LiveIntervals`]), conservatively extended across backward
-//!    branches, and returns each physical register to the allocator at
-//!    its interval's end. Programs whose *pressure* (not vreg count)
-//!    fits the target compile where the pinned tier-1 mapping reports
-//!    [`EngineError::TooManyTemps`].
+//! 2. **Register allocation** is not tier-2's any more: the one lowering,
+//!    [`replay`], gives each register back after its vreg's last use
+//!    from the liveness the program kept while it was recorded
+//!    (loop-extended at back edges), so what needs registers is the
+//!    stream's *pressure*, not its vreg count. [`replay_opt`] is that
+//!    same function under its old name.
 //!
-//! Both halves preserve the word-portable `i32` semantics of
+//! [`optimize`] preserves the word-portable `i32` semantics of
 //! [`Program::interpret`] bit for bit; the differential suite holds
-//! tier-2 output equal to tier-1 and to the interpreter on every
-//! backend.
+//! optimized code equal to unoptimized code and to the interpreter on
+//! every backend.
 //!
 //! Nothing serves traffic from here. The result that counts is exact:
 //! 27 % fewer simulated cycles on the DPF/ASH hot loops, for 7× the
 //! compile cost per instruction and 1.07–1.13× on the one target that
 //! runs natively — under the 1.2× bar set for keeping a second serving
-//! tier, so the engine hands out tier-1 code only (DESIGN.md "Tier-2: a
-//! measured experiment"). Callers that want optimized code build it from
-//! the two functions themselves: `replay_opt::<T>(&optimize(p).0, mem)`.
+//! tier, so the engine hands out unoptimized code only (DESIGN.md
+//! "Tier-2: a measured experiment"). Callers that want optimized code
+//! lower it themselves: `replay::<T>(&optimize(p).0, mem)`.
 
-use crate::engine::{lower, EngineError, POp, Program, VregMap};
+use crate::engine::{replay, EngineError, POp, Program};
 use crate::op::{BinOp, Cond, UnOp};
-use crate::regalloc::LiveIntervals;
 use crate::target::{Finished, Target};
-use crate::{Assembler, Reg, RegClass};
 use std::collections::{HashMap, HashSet};
 
 /// What one [`optimize`] run did, in executable (non-label) instruction
@@ -613,141 +609,24 @@ pub fn optimize(prog: &Program) -> (Program, OptStats) {
         out.genlabel();
     }
     for &op in &ops {
-        match op {
-            POp::Set { dst, imm } => out.set(dst, imm),
-            POp::Bin { op, dst, a, b } => out.bin(op, dst, a, b),
-            POp::BinImm { op, dst, a, imm } => out.bin_imm(op, dst, a, imm),
-            POp::Un { op, dst, a } => out.un(op, dst, a),
-            POp::Label { l } => out.label(l),
-            POp::Br { cond, a, b, l } => out.br(cond, a, b, l),
-            POp::BrImm { cond, a, imm, l } => out.br_imm(cond, a, imm, l),
-            POp::Jmp { l } => out.jmp(l),
-            POp::Ret { src } => out.ret(src),
-        }
+        out.record(op);
     }
     (out, stats)
 }
 
-/// Live intervals for every virtual register of `prog`, from a linear
-/// scan of the stream with backward branches extending every interval
-/// they span (see [`LiveIntervals`]). Argument registers are live from
-/// entry.
-fn intervals(prog: &Program) -> LiveIntervals {
-    let mut iv = LiveIntervals::new(256);
-    for v in 0..prog.args() {
-        iv.mention(v, 0);
-    }
-    let mention = |iv: &mut LiveIntervals, v: u8, pos: usize| {
-        iv.mention(usize::from(v), pos as u32);
-    };
-    for (i, op) in prog.ops().enumerate() {
-        match op {
-            POp::Set { dst, .. } => mention(&mut iv, dst, i),
-            POp::Bin { dst, a, b, .. } => {
-                mention(&mut iv, a, i);
-                mention(&mut iv, b, i);
-                mention(&mut iv, dst, i);
-            }
-            POp::BinImm { dst, a, .. } | POp::Un { dst, a, .. } => {
-                mention(&mut iv, a, i);
-                mention(&mut iv, dst, i);
-            }
-            POp::Br { a, b, .. } => {
-                mention(&mut iv, a, i);
-                mention(&mut iv, b, i);
-            }
-            POp::BrImm { a, .. } => mention(&mut iv, a, i),
-            POp::Ret { src } => mention(&mut iv, src, i),
-            POp::Label { .. } | POp::Jmp { .. } => {}
-        }
-    }
-    // Backward edges, in ascending branch position (one pass reaches the
-    // fixpoint — see LiveIntervals::extend_loop).
-    let mut bound: HashMap<u16, usize> = HashMap::new();
-    for (i, op) in prog.ops().enumerate() {
-        if let POp::Label { l } = op {
-            bound.insert(l, i);
-        }
-    }
-    for (i, op) in prog.ops().enumerate() {
-        if let POp::Br { l, .. } | POp::BrImm { l, .. } | POp::Jmp { l } = op {
-            if let Some(&p) = bound.get(&l) {
-                if p <= i {
-                    iv.extend_loop(p as u32, i as u32);
-                }
-            }
-        }
-    }
-    iv
-}
-
-/// Replays a recorded [`Program`] with **linear-scan register
-/// allocation**: each virtual register holds a physical register only
-/// for its live interval, and registers are returned to the allocator at
-/// last use — so register pressure is the stream's *simultaneous* live
-/// count, not its total vreg count.
-///
-/// This is the tier-2 counterpart of [`replay`](crate::engine::replay) —
-/// the same lowering loop under a different vreg policy; run
-/// [`optimize`] first for the full pipeline.
+/// [`replay`], under the name it had while it was a second lowering,
+/// for callers written then.
 ///
 /// # Errors
 ///
-/// Typed [`EngineError`], as [`replay`](crate::engine::replay) — but
-/// `TooManyTemps` only when true pressure exceeds the register file.
+/// As [`replay`].
 pub fn replay_opt<T: Target>(prog: &Program, mem: &mut [u8]) -> Result<Finished, EngineError> {
-    lower::<T, LinearScan>(prog, mem)
-}
-
-/// [`replay_opt`]'s vreg policy: a vreg takes a register at its first
-/// mention and gives it back after the last position of its live
-/// interval.
-struct LinearScan {
-    phys: Vec<Option<Reg>>,
-    /// Per stream position, the vregs whose interval ends there.
-    ends: Vec<Vec<u8>>,
-}
-
-impl VregMap for LinearScan {
-    fn new(prog: &Program, args: &[Reg]) -> LinearScan {
-        let iv = intervals(prog);
-        let mut ends: Vec<Vec<u8>> = vec![Vec::new(); prog.len()];
-        for slot in 0..iv.slots() {
-            if let Some(r) = iv.get(slot) {
-                let pos = (r.end as usize).min(prog.len().saturating_sub(1));
-                if !prog.is_empty() {
-                    ends[pos].push(slot as u8);
-                }
-            }
-        }
-        let mut phys: Vec<Option<Reg>> = vec![None; 256];
-        for (v, &r) in args.iter().enumerate() {
-            phys[v] = Some(r);
-        }
-        LinearScan { phys, ends }
-    }
-
-    fn reg<T: Target>(&mut self, a: &mut Assembler<'_, T>, v: u8) -> Result<Reg, EngineError> {
-        let slot = &mut self.phys[usize::from(v)];
-        if slot.is_none() {
-            *slot = a.getreg(RegClass::Temp);
-        }
-        slot.ok_or(EngineError::TooManyTemps { vreg: v })
-    }
-
-    fn retire<T: Target>(&mut self, a: &mut Assembler<'_, T>, pos: usize) {
-        for &v in &self.ends[pos] {
-            if let Some(r) = self.phys[usize::from(v)].take() {
-                a.putreg(r);
-            }
-        }
-    }
+    replay::<T>(prog, mem)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::replay;
     use crate::fake::FakeTarget;
 
     /// Interpret original and optimized on the same inputs; both sides
@@ -914,9 +793,11 @@ mod tests {
     }
 
     #[test]
-    fn linear_scan_survives_pressure_that_pins_tier1() {
-        // Forty short-lived temporaries: pinned allocation exhausts
-        // FakeTarget's register file, linear scan tops out at pressure 3.
+    fn pressure_not_vreg_count_decides_what_fits() {
+        // Forty short-lived temporaries on FakeTarget: the lowering
+        // gives each register back after its vreg's last use, so the
+        // program never holds more than three, and its code answers
+        // what the interpreter does.
         let mut p = Program::new(1).unwrap();
         let acc = 1u8;
         p.set(acc, 0);
@@ -927,14 +808,21 @@ mod tests {
         }
         p.ret(acc);
         let mut mem = vec![0u8; p.code_capacity()];
+        let fin = replay::<FakeTarget>(&p, &mut mem).unwrap();
+        assert!(fin.len > 0);
+        // Forty vregs live at once do not fit.
+        let mut q = Program::new(1).unwrap();
+        for t in 1..=40u8 {
+            q.set(t, i32::from(t));
+        }
+        for t in 1..=40u8 {
+            q.bin(BinOp::Add, 0, 0, t);
+        }
+        q.ret(0);
         assert!(matches!(
-            replay::<FakeTarget>(&p, &mut mem),
+            replay::<FakeTarget>(&q, &mut mem),
             Err(EngineError::TooManyTemps { .. })
         ));
-        let iv = intervals(&p);
-        assert!(iv.max_pressure() <= 4, "pressure {}", iv.max_pressure());
-        let fin = replay_opt::<FakeTarget>(&p, &mut mem).unwrap();
-        assert!(fin.len > 0);
     }
 
     #[test]
@@ -953,7 +841,7 @@ mod tests {
         let f1 = replay::<FakeTarget>(&p, &mut m1).unwrap();
         let (q, stats) = optimize(&p);
         let mut m2 = vec![0u8; q.code_capacity()];
-        let f2 = replay_opt::<FakeTarget>(&q, &mut m2).unwrap();
+        let f2 = replay::<FakeTarget>(&q, &mut m2).unwrap();
         assert!(
             f2.insns < f1.insns,
             "tier-2 {} insns vs tier-1 {} ({stats:?})",
@@ -981,7 +869,7 @@ mod tests {
         for r in [
             p.interpret(&[], 100),
             q.interpret(&[], 100),
-            replay_opt::<FakeTarget>(&q, &mut mem).map(|_| 0),
+            replay::<FakeTarget>(&q, &mut mem).map(|_| 0),
         ] {
             assert!(matches!(r, Err(EngineError::LabelBoundTwice { label }) if label == l));
         }

@@ -4,21 +4,31 @@
 //! build would have emitted" only while the lowering from `Program` to
 //! machine code emits the same bytes. Nothing else in the tree compares
 //! bytes *between* commits (`crates/bench/tests/differential.rs` holds
-//! the fast path to the bytewise path within one build), so the RISC
-//! digests below were computed at 393b495, before `engine::replay` and
-//! `tier2::replay_opt` were folded onto one lowering loop, and must not
-//! move without a `persist::FORMAT_VERSION` bump. The x86-64 digests
-//! moved twice since: once when the prologue moved to the end of its
-//! reservation behind a short jump from offset 0 and a jump to the next
-//! byte came to be retracted, and once when a leaf that saves no
-//! register and keeps no local lost its frame (its epilogue is a bare
-//! `ret`, which replaces every `jmp` to it). No bump went with either — an artifact an
+//! the fast path to the bytewise path within one build), so the digests
+//! below are literals from earlier commits.
+//!
+//! The `optimize` + `replay_opt` digests: the RISC ones were computed at
+//! 393b495, before `engine::replay` and `tier2::replay_opt` were folded
+//! onto one lowering loop. The x86-64 ones moved twice since: once when
+//! the prologue moved to the end of its reservation behind a short jump
+//! from offset 0 and a jump to the next byte came to be retracted, and
+//! once when a leaf that saves no register and keeps no local lost its
+//! frame (its epilogue is a bare `ret`, which replaces every `jmp` to
+//! it). The seeded set — 1024 programs in the shape of the benchmark's
+//! generator — and the `Program` stream pins were computed at 2fb0710,
+//! while `Program` still held a `Vec<POp>` and lowering dispatched per
+//! op.
+//!
+//! The `replay` digests are what `replay_opt` emitted for the same,
+//! unoptimized, programs at 1588d22, the last commit with two vreg
+//! policies: since then `replay` gives a register back after its vreg's
+//! last use, as `replay_opt`'s linear scan did, and no longer keeps one
+//! per vreg for the whole lambda. None of these moves came with a
+//! `persist::FORMAT_VERSION` bump, and none needs one: an artifact an
 //! older build stored is a whole function entered at its first byte,
-//! loads and runs as before, and is as much longer than a new one as its
-//! prologue and epilogue were. The seeded set — 1024
-//! programs in the shape of the benchmark's generator — and the
-//! `Program` stream pins were computed at 2fb0710, while `Program` still
-//! held a `Vec<POp>` and lowering dispatched per op.
+//! re-decoded before it is mapped, that computes what its embedded
+//! program computes; it loads and runs as before, and differs from a
+//! new build's only in which registers it uses and how long it is.
 
 use vcode::engine::{replay, EngineError, Program};
 use vcode::persist::digest64;
@@ -61,48 +71,54 @@ fn seeded() -> Vec<Program> {
         .collect()
 }
 
-fn pinned<T: Target>(corpus: &[Program], pinned_at: &str, tier1: u64, tier2: u64) {
+/// `tier1` pins `replay` on the programs, `tier2` pins `optimize` +
+/// `replay_opt`; `tier2_at` names the commit the second is from.
+fn pinned<T: Target>(corpus: &[Program], tier2_at: &str, tier1: u64, tier2: u64) {
     assert_eq!(
         digest_of(corpus, replay::<T>),
         tier1,
-        "{}: replay emits different bytes than {pinned_at} did",
+        "{}: replay emits different bytes than 1588d22's replay_opt did",
         T::NAME
     );
     let optimized: Vec<Program> = corpus.iter().map(|p| optimize(p).0).collect();
     assert_eq!(
         digest_of(&optimized, replay_opt::<T>),
         tier2,
-        "{}: optimize + replay_opt emit different bytes than {pinned_at} did",
+        "{}: optimize + replay_opt emit different bytes than {tier2_at} did",
         T::NAME
     );
 }
 
-/// The literals are what 393b495 emitted (x86-64: after leaves lost their frame).
+/// The `replay` literals are what `replay_opt` emitted at 1588d22; the
+/// `optimize` + `replay_opt` ones, what 393b495 emitted (x86-64: after
+/// leaves lost their frame).
 #[test]
 fn emitted_bytes_match_the_parent_commit_on_every_target() {
     let c = corpus();
-    pinned::<Mips>(&c, "393b495", 0xef99_8af7_c851_9014, 0xdd9f_f6ed_e536_ba58);
-    pinned::<Sparc>(&c, "393b495", 0x0c8d_49d7_264a_91a7, 0xbf0c_d593_4b57_3c04);
-    pinned::<Alpha>(&c, "393b495", 0xf1d1_7a02_0ce3_15cd, 0xf91a_9e10_ec5e_2ea5);
+    pinned::<Mips>(&c, "393b495", 0xe013_3980_78a4_f7fc, 0xdd9f_f6ed_e536_ba58);
+    pinned::<Sparc>(&c, "393b495", 0xb902_a540_e27d_0eb9, 0xbf0c_d593_4b57_3c04);
+    pinned::<Alpha>(&c, "393b495", 0x266e_ab04_6db6_b995, 0xf91a_9e10_ec5e_2ea5);
     pinned::<X64>(
         &c,
         "the frameless-leaf backend",
-        0xa171_1d92_0fe0_da80,
+        0x9678_0bff_5e4e_a5fe,
         0x5956_e547_30cf_94f7,
     );
 }
 
-/// The literals are what 2fb0710 emitted (x86-64: after leaves lost their frame).
+/// The `replay` literals are what `replay_opt` emitted at 1588d22; the
+/// `optimize` + `replay_opt` ones, what 2fb0710 emitted (x86-64: after
+/// leaves lost their frame).
 #[test]
 fn seeded_programs_emit_the_bytes_2fb0710_did_on_every_target() {
     let s = seeded();
-    pinned::<Mips>(&s, "2fb0710", 0x7373_9554_02f0_d5d6, 0xeb96_08ed_d643_7fea);
-    pinned::<Sparc>(&s, "2fb0710", 0x9d61_6121_6072_4d10, 0x2596_90cc_b616_d400);
-    pinned::<Alpha>(&s, "2fb0710", 0x4fbb_d624_39dc_5c2b, 0xca5a_b43e_431c_559d);
+    pinned::<Mips>(&s, "2fb0710", 0xc288_f360_4a8a_8de4, 0xeb96_08ed_d643_7fea);
+    pinned::<Sparc>(&s, "2fb0710", 0x7f97_8cce_5927_1a0b, 0x2596_90cc_b616_d400);
+    pinned::<Alpha>(&s, "2fb0710", 0xad79_40ae_b1d7_5412, 0xca5a_b43e_431c_559d);
     pinned::<X64>(
         &s,
         "the frameless-leaf backend",
-        0xabad_c48c_53d9_8cc6,
+        0xbcd4_915f_05af_94eb,
         0x36b7_6dca_3b20_63ca,
     );
 }
@@ -195,28 +211,33 @@ fn forty_short_lived_temps() -> Program {
     p
 }
 
-/// First touch keeps a register per vreg for the whole lambda and gives
-/// up at the vreg that finds the file empty; linear scan hands registers
-/// back at last use and never holds more than three here.
-fn pressure<T: Target>(exhausted_at: u8) {
-    let p = forty_short_lived_temps();
-    let mut mem = vec![0u8; p.code_capacity()];
-    match replay::<T>(&p, &mut mem) {
-        Err(EngineError::TooManyTemps { vreg }) => {
-            assert_eq!(vreg, exhausted_at, "{}", T::NAME);
-        }
-        other => panic!("{}: first touch must exhaust, got {other:?}", T::NAME),
-    }
-    let fin = replay_opt::<T>(&p, &mut mem)
-        .unwrap_or_else(|e| panic!("{}: linear scan must fit: {e}", T::NAME));
-    assert!(fin.len > 0);
-}
-
-/// The literals are where `replay` gave up at 393b495.
+/// Forty short-lived temporaries compile on every target, and the code
+/// answers what the interpreter does: natively on x86-64, on the
+/// simulators for the other three. (Until 1588d22 `replay` kept a
+/// register per vreg and gave up at v20 on MIPS and Alpha, v22 on
+/// SPARC and v10 on x86-64.)
 #[test]
-fn first_touch_exhausts_where_it_did_and_linear_scan_still_fits() {
-    pressure::<Mips>(20);
-    pressure::<Sparc>(22);
-    pressure::<Alpha>(20);
-    pressure::<X64>(10);
+fn forty_short_lived_temps_compile_and_agree_on_every_target() {
+    use vcode::engine::{Backend, TargetId};
+    use vcode_sim::engine::{AlphaBackend, MipsBackend, SparcBackend};
+    let p = forty_short_lived_temps();
+    let backends: [Box<dyn Backend>; 4] = [
+        Box::new(MipsBackend::default()),
+        Box::new(SparcBackend::default()),
+        Box::new(AlphaBackend::default()),
+        Box::new(vcode_x64::X64Backend),
+    ];
+    for (backend, id) in backends.iter().zip(TargetId::ALL) {
+        assert_eq!(backend.id(), id);
+        let lambda = backend
+            .compile(&p)
+            .unwrap_or_else(|e| panic!("{id}: the forty temps must fit: {e}"));
+        for x in [0, 1, -7, 12345, i32::MIN, i32::MAX] {
+            assert_eq!(
+                lambda.call(&[x]).unwrap(),
+                p.interpret(&[x], 1_000).unwrap(),
+                "{id} on {x}"
+            );
+        }
+    }
 }

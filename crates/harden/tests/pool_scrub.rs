@@ -76,14 +76,14 @@ fn parked_mappings_read_zero_whatever_parked_them() {
         assert_parks_zeroed(&format!("program {i}, Engine::compile"), || {
             engine.compile(TargetId::X64, p).unwrap().code_len()
         });
-        // Emitted in place, as direct `Assembler` clients do; linear-scan
-        // output over-stores differently from first-touch output and
-        // parks through the same dirty-prefix scrub.
+        // Emitted in place, as direct `Assembler` clients do; optimized
+        // output over-stores differently from the program's own and parks
+        // through the same dirty-prefix scrub.
         let (opt, _) = vcode::tier2::optimize(p);
         let capacity = opt.code_capacity();
         assert_parks_zeroed(&format!("program {i}, tier 2"), || {
             let mut mem = ExecMem::new(capacity).unwrap();
-            let fin = vcode::tier2::replay_opt::<X64>(&opt, mem.as_mut_slice()).unwrap();
+            let fin = vcode::engine::replay::<X64>(&opt, mem.as_mut_slice()).unwrap();
             drop(mem.finalize_written(fin.len + vcode::buf::MAX_OVERSTORE));
             capacity
         });

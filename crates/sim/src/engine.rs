@@ -32,7 +32,7 @@ use std::fmt;
 use std::marker::PhantomData;
 use std::sync::Arc;
 use vcode::engine::{lower_in_scratch, replay, Backend, EngineError, Lambda, Program, TargetId};
-use vcode::{ArtifactView, Finished, InsnDecoder, PersistError, Target};
+use vcode::{ArtifactView, InsnDecoder, PersistError, Target};
 
 /// Guest memory given to each one-shot machine (2 MiB: code + stack).
 const MEM_SIZE: usize = 1 << 21;
@@ -84,31 +84,6 @@ pub type SparcBackend = SimBackend<sparc::Cpu>;
 /// The Alpha engine backend.
 pub type AlphaBackend = SimBackend<alpha::Cpu>;
 
-impl<I: EngineIsa> SimBackend<I> {
-    /// Compiles `prog` with `replay` as the lowering
-    /// ([`lower_in_scratch`]) and keeps a copy of the finished bytes.
-    /// [`Backend::compile`] is this with [`replay`]; tests and benches
-    /// that want a callable tier-2 lambda pass
-    /// `vcode::tier2::replay_opt` (over an
-    /// [`optimize`](vcode::tier2::optimize)d program).
-    ///
-    /// # Errors
-    ///
-    /// `replay`'s error.
-    pub fn compile_with(
-        &self,
-        prog: &Program,
-        replay: impl Fn(&Program, &mut [u8]) -> Result<Finished, EngineError>,
-    ) -> Result<Arc<dyn Lambda>, EngineError> {
-        let (capacity, args) = (prog.code_capacity(), prog.args());
-        lower_in_scratch(
-            capacity,
-            |buf| replay(prog, buf),
-            |code, fin| Ok(CodeImage::<I>::lambda(args, code.to_vec(), fin.insns)),
-        )
-    }
-}
-
 impl<I: EngineIsa> Backend for SimBackend<I> {
     fn id(&self) -> TargetId {
         I::ID
@@ -119,7 +94,12 @@ impl<I: EngineIsa> Backend for SimBackend<I> {
     }
 
     fn compile(&self, prog: &Program) -> Result<Arc<dyn Lambda>, EngineError> {
-        self.compile_with(prog, replay::<I::Target>)
+        let args = prog.args();
+        lower_in_scratch(
+            prog.code_capacity(),
+            |buf| replay::<I::Target>(prog, buf),
+            |code, fin| Ok(CodeImage::<I>::lambda(args, code.to_vec(), fin.insns)),
+        )
     }
 
     fn adopt(&self, artifact: &ArtifactView<'_>) -> Result<Arc<dyn Lambda>, PersistError> {

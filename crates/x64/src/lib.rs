@@ -1008,31 +1008,6 @@ const _: () = assert!(vcode::engine::SCRATCH_MAX == MAX_POOL_PAGES * 4096);
 #[derive(Debug, Clone, Copy, Default)]
 pub struct X64Backend;
 
-impl X64Backend {
-    /// Compiles `prog` with `replay` as the lowering, through
-    /// [`emit_native`] with the program's
-    /// [`code_capacity`](Program::code_capacity).
-    /// [`Backend::compile`] is this with [`vcode::engine::replay`]; tests
-    /// and benches that want a callable tier-2 lambda pass
-    /// `vcode::tier2::replay_opt` (over an
-    /// [`optimize`](vcode::tier2::optimize)d program). `replay` must
-    /// emit position-independent code, as everything reachable from a
-    /// [`Program`]'s ops is.
-    ///
-    /// # Errors
-    ///
-    /// `replay`'s error, or [`EngineError::Exec`] when executable memory
-    /// cannot be obtained.
-    pub fn compile_with(
-        &self,
-        prog: &Program,
-        replay: impl Fn(&Program, &mut [u8]) -> Result<Finished, EngineError>,
-    ) -> Result<std::sync::Arc<dyn Lambda>, EngineError> {
-        let (code, fin) = emit_native(prog.code_capacity(), |buf| replay(prog, buf))?;
-        Ok(lambda(code, prog.args(), fin.len - fin.entry, fin.insns))
-    }
-}
-
 impl Backend for X64Backend {
     fn id(&self) -> TargetId {
         TargetId::X64
@@ -1043,7 +1018,9 @@ impl Backend for X64Backend {
     }
 
     fn compile(&self, prog: &Program) -> Result<std::sync::Arc<dyn Lambda>, EngineError> {
-        self.compile_with(prog, vcode::engine::replay::<X64>)
+        let replay = |buf: &mut [u8]| vcode::engine::replay::<X64>(prog, buf);
+        let (code, fin) = emit_native(prog.code_capacity(), replay)?;
+        Ok(lambda(code, prog.args(), fin.len - fin.entry, fin.insns))
     }
 
     fn adopt(

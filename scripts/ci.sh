@@ -153,7 +153,7 @@ fi
 echo "one install path ok"
 
 echo "== one dispatch per instruction (lowering matches on the tag only) =="
-# `engine::lower` dispatches once per recorded instruction, on its tag,
+# `engine::replay` dispatches once per recorded instruction, on its tag,
 # and hands the operation inside it to the assembler as a value
 # (`Assembler::{binop, binop_imm, unop, branch}`); the x86-64 emitters
 # select among instructions that differ in a constant from tables. A
@@ -362,6 +362,36 @@ if [ -n "$second_loop" ]; then
     exit 1
 fi
 echo "one ASH loop generator ok"
+
+echo "== one lowering (liveness kept while a Program is recorded) =="
+# `engine::replay` is the one lowering from a recorded `Program`: a
+# vreg takes a register at its first mention and gives it back after
+# the op at its end, which the program recorded (DESIGN.md "One
+# lowering loop"). A second vreg policy, a separate interval pass, or a
+# backend hook to choose between lowerings is a second lowering in the
+# making: fail on product source that names the removed ones or defines
+# `fn compile_with(` (ASH's `compile_with_options` and
+# `compile_with_unroll` are other names). Looked at: code lines (not
+# comments) of crates/*/src, src and examples before each file's first
+# `#[cfg(test)]`.
+second_lowering=$(git ls-files --cached --others --exclude-standard \
+        'crates/*/src/*.rs' 'crates/*/src/**/*.rs' 'src/*.rs' 'examples/*.rs' |
+    while IFS= read -r f; do
+        [ -f "$f" ] || continue
+        awk -v FILE="$f" '
+            /^[ \t]*#\[cfg\(test\)\]/ { exit }
+            /^[ \t]*\/\// { next }
+            /(^|[^[:alnum:]_])(VregMap|FirstTouch|LinearScan|LiveIntervals)([^[:alnum:]_]|$)/ ||
+            /fn[ \t]+compile_with[ \t]*[(<]/ {
+                printf "%s:%d: %s\n", FILE, NR, $0
+            }' "$f"
+    done)
+if [ -n "$second_lowering" ]; then
+    echo "one-lowering gate: product source keeps a second vreg policy or lowering hook:" >&2
+    echo "$second_lowering" >&2
+    exit 1
+fi
+echo "one lowering ok"
 
 echo "== DPF dispatch is data (a set of leaves is a table lookup) =="
 # A dispatch node whose arms all just accept a filter emits no arm and

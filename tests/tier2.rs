@@ -1,15 +1,16 @@
 //! Workspace integration: tier-2 as a library (`vcode::tier2`).
 //!
-//! Differential contract, four columns per backend (x86-64 natively,
+//! Differential contract, three columns per backend (x86-64 natively,
 //! MIPS/SPARC/Alpha on their simulators): `Program::interpret` =
-//! `replay(p)` = `replay_opt(p)` = `replay_opt(optimize(p))`. The third
-//! column runs linear scan on the *un*optimized stream, so a register
-//! mapper bug cannot hide behind (or be blamed on) the optimizer. The
-//! corpus is fixed kernels plus generated programs with bounded loops,
-//! nested to depth two, and forward skips inside them.
+//! `replay(p)` = `replay(optimize(p))`. The corpus is fixed kernels
+//! plus generated programs with bounded loops, nested to depth two, and
+//! forward skips inside them: their back edges are where the liveness a
+//! program keeps while it is recorded moves the ends of the values a
+//! loop uses to the loop's branch, so a register given back too early
+//! shows here as a wrong answer.
 //!
-//! The engine serves tier-1 code only, so the lambdas here are built from
-//! the two library functions directly.
+//! The engine serves unoptimized code only, so the optimized lambdas
+//! here are compiled from `optimize`'s output directly.
 //!
 //! Generated programs keep divisors provably nonzero (`| 1` masking or
 //! nonzero immediates): the native x86-64 engine path is unguarded, so
@@ -18,37 +19,21 @@
 //! unit tests in `vcode::tier2` and the simulator cases here.
 
 use std::sync::Arc;
-use vcode::engine::{replay, Lambda, POp, Program, TargetId};
+use vcode::engine::{Backend, Lambda, POp, Program, TargetId};
 use vcode::regress::XorShift;
-use vcode::target::Finished;
-use vcode::tier2::{optimize, replay_opt};
+use vcode::tier2::optimize;
 use vcode::{BinOp, Cond, EngineError, UnOp};
-use vcode_alpha::Alpha;
-use vcode_mips::Mips;
 use vcode_sim::engine::{AlphaBackend, MipsBackend, SparcBackend};
-use vcode_sparc::Sparc;
-use vcode_x64::{X64Backend, X64};
+use vcode_x64::X64Backend;
 
-type Lower = fn(&Program, &mut [u8]) -> Result<Finished, EngineError>;
-
-/// The two lowerings of one target: first touch, linear scan.
-fn lowerings(id: TargetId) -> (Lower, Lower) {
-    match id {
-        TargetId::Mips => (replay::<Mips>, replay_opt::<Mips>),
-        TargetId::Sparc => (replay::<Sparc>, replay_opt::<Sparc>),
-        TargetId::Alpha => (replay::<Alpha>, replay_opt::<Alpha>),
-        TargetId::X64 => (replay::<X64>, replay_opt::<X64>),
-    }
-}
-
-/// A callable lambda of `p` on `id` from `lower`'s bytes: executable
+/// A callable lambda of `p` on `id` from `replay`'s bytes: executable
 /// memory on x86-64, a simulator image for the other three.
-fn build(id: TargetId, p: &Program, lower: Lower) -> Result<Arc<dyn Lambda>, EngineError> {
+fn build(id: TargetId, p: &Program) -> Result<Arc<dyn Lambda>, EngineError> {
     match id {
-        TargetId::Mips => MipsBackend::default().compile_with(p, lower),
-        TargetId::Sparc => SparcBackend::default().compile_with(p, lower),
-        TargetId::Alpha => AlphaBackend::default().compile_with(p, lower),
-        TargetId::X64 => X64Backend.compile_with(p, lower),
+        TargetId::Mips => MipsBackend::default().compile(p),
+        TargetId::Sparc => SparcBackend::default().compile(p),
+        TargetId::Alpha => AlphaBackend::default().compile(p),
+        TargetId::X64 => X64Backend.compile(p),
     }
 }
 
@@ -169,8 +154,8 @@ impl Gen<'_> {
 
     /// One straight-line instruction — or, one time in ten, none: a
     /// register is forgotten (never read again unless rewritten), so
-    /// live ranges end mid-program, inside loops too, and linear scan has
-    /// machine registers to hand on to the vregs defined after.
+    /// live ranges end mid-program, inside loops too, and the lowering
+    /// has machine registers to hand on to the vregs defined after.
     fn simple(&mut self, fresh: bool) {
         match self.rng.below(10) {
             9 if self.init.len() > 2 => {
@@ -266,9 +251,9 @@ impl Gen<'_> {
 
 /// A random terminating two-argument program: straight-line ops over six
 /// registers, forward skips, and bounded counted loops nested up to
-/// depth two with skips inside — so the linear scan's loop extension
-/// (`LiveIntervals::extend_loop`) meets generated back edges, not just
-/// the fixed corpus's.
+/// depth two with skips inside — so the loop extension `Program` applies
+/// when it records a back edge meets generated loops, not just the
+/// fixed corpus's.
 fn random_program(rng: &mut XorShift) -> Program {
     let mut g = Gen {
         p: Program::new(2).unwrap(),
@@ -324,25 +309,19 @@ fn fixed_corpus() -> Vec<(&'static str, Program, Vec<Vec<i32>>)> {
 }
 
 /// The differential core: for one program on one backend, the
-/// interpreter and the three compiled columns agree on every argument
+/// interpreter and the two compiled columns agree on every argument
 /// tuple.
 fn assert_columns_agree(id: TargetId, name: &str, p: &Program, cases: &[Vec<i32>]) {
-    let (first_touch, linear_scan) = lowerings(id);
     let (opt, _) = optimize(p);
-    let columns = [
-        ("replay", p, first_touch),
-        ("replay_opt", p, linear_scan),
-        ("optimize + replay_opt", &opt, linear_scan),
-    ]
-    .map(|(col, p, lower)| {
-        let l = build(id, p, lower).unwrap_or_else(|er| panic!("{name}/{id} {col}: {er}"));
+    let columns = [("replay", p), ("optimize + replay", &opt)].map(|(col, p)| {
+        let l = build(id, p).unwrap_or_else(|er| panic!("{name}/{id} {col}: {er}"));
         (col, l)
     });
     assert!(
-        columns[2].1.insns() <= columns[0].1.insns(),
+        columns[1].1.insns() <= columns[0].1.insns(),
         "{name}/{id}: tier-2 grew the code ({} -> {} insns)",
         columns[0].1.insns(),
-        columns[2].1.insns()
+        columns[1].1.insns()
     );
     for args in cases {
         let want = p
@@ -403,9 +382,8 @@ fn simulated_div_by_zero_behaves_identically_in_both_tiers() {
     p.bin(BinOp::Div, 2, 0, 1);
     p.ret(2);
     for id in [TargetId::Mips, TargetId::Sparc, TargetId::Alpha] {
-        let (first_touch, linear_scan) = lowerings(id);
-        let t1 = build(id, &p, first_touch).unwrap();
-        let t2 = build(id, &optimize(&p).0, linear_scan).unwrap();
+        let t1 = build(id, &p).unwrap();
+        let t2 = build(id, &optimize(&p).0).unwrap();
         assert_eq!(t1.call(&[10, 2]).unwrap(), 5, "{id}");
         assert_eq!(t2.call(&[10, 2]).unwrap(), 5, "{id}");
         match (t1.call(&[10, 0]), t2.call(&[10, 0])) {
