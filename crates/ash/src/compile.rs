@@ -51,29 +51,6 @@ pub enum EngineKind {
     Interpreter,
 }
 
-/// Compilation options.
-///
-/// [`code_capacity`](Self::code_capacity) exists for the fault-injection
-/// harness: forcing a tiny buffer exercises the overflow → retry →
-/// degrade ladder deterministically.
-#[derive(Debug, Clone, Copy)]
-pub struct PipelineOptions {
-    /// Words per unrolled main-loop iteration (1 disables unrolling).
-    pub unroll: i32,
-    /// Bytes the first emission attempt may use (the retry doubles
-    /// them); `None` picks a comfortable default.
-    pub code_capacity: Option<usize>,
-}
-
-impl Default for PipelineOptions {
-    fn default() -> PipelineOptions {
-        PipelineOptions {
-            unroll: UNROLL,
-            code_capacity: None,
-        }
-    }
-}
-
 /// Error from compiling a pipeline.
 #[derive(Debug)]
 pub enum PipelineError {
@@ -174,18 +151,18 @@ impl fmt::Debug for Pipeline {
     }
 }
 
-/// Words per unrolled main-loop iteration.
-const UNROLL: i32 = 8;
+/// Words per unrolled main-loop iteration of [`Pipeline::compile`].
+pub const UNROLL: i32 = 8;
 
 impl Pipeline {
     /// Dynamically composes and compiles the pipeline for `steps`,
     /// degrading gracefully when generation fails.
     ///
-    /// The ladder: on a storage [`Overflow`](vcode::Error::Overflow)
-    /// the compile is retried once with a doubled buffer; if generation
-    /// still fails (or executable memory cannot be obtained at all),
-    /// the pipeline falls back to the scalar [`generic`] interpreter —
-    /// [`run`](Self::run) produces identical output on either engine.
+    /// The kernel is emitted into the thread's lowering scratch, which
+    /// grows until the code fits; if generation still fails, or
+    /// executable memory cannot be obtained, the pipeline falls back to
+    /// the scalar [`generic`] interpreter — [`run`](Self::run) produces
+    /// identical output on either engine.
     ///
     /// # Errors
     ///
@@ -193,11 +170,11 @@ impl Pipeline {
     /// which cannot currently happen, so callers may treat `Ok` as
     /// "the pipeline is runnable".
     pub fn compile(steps: &[Step]) -> Result<Pipeline, PipelineError> {
-        Self::compile_with_options(steps, PipelineOptions::default())
+        Self::compile_with_unroll(steps, UNROLL)
     }
 
     /// Compiles with an explicit unroll factor (ablation knob; `1`
-    /// disables unrolling). Same degradation ladder as
+    /// disables unrolling). Same degradation as
     /// [`compile`](Self::compile).
     ///
     /// # Errors
@@ -205,63 +182,35 @@ impl Pipeline {
     /// [`PipelineError::Unroll`] unless `unroll` is in `1..=16`;
     /// otherwise see [`compile`](Self::compile).
     pub fn compile_with_unroll(steps: &[Step], unroll: i32) -> Result<Pipeline, PipelineError> {
-        Self::compile_with_options(
-            steps,
-            PipelineOptions {
-                unroll,
-                ..PipelineOptions::default()
-            },
-        )
-    }
-
-    /// Compiles with explicit [`PipelineOptions`]. Same degradation
-    /// ladder as [`compile`](Self::compile).
-    ///
-    /// # Errors
-    ///
-    /// [`PipelineError::Unroll`] unless `opts.unroll` is in `1..=16`;
-    /// otherwise see [`compile`](Self::compile).
-    pub fn compile_with_options(
-        steps: &[Step],
-        opts: PipelineOptions,
-    ) -> Result<Pipeline, PipelineError> {
-        if !(1..=16).contains(&opts.unroll) {
-            return Err(PipelineError::Unroll(opts.unroll));
+        if !(1..=16).contains(&unroll) {
+            return Err(PipelineError::Unroll(unroll));
         }
-        // An explicit code_capacity is a harness knob (fault injection /
-        // overflow drills): those compiles are bespoke, never cached.
-        // The cached path waits boundedly on a racing build: a stalled
-        // `Building` slot degrades to the interpreter instead of
-        // blocking the caller forever.
-        let native = if opts.code_capacity.is_some() {
-            Self::native(steps, opts).map(Arc::new)
-        } else {
-            let cache = cache();
-            cache
-                .get_or_build(
-                    Self::cache_key(steps, opts),
-                    || Self::native(steps, opts).map(Arc::new),
-                    cache.stall_timeout(),
-                )
-                .map_err(|e| match e {
-                    CacheError::Build(e) => e,
-                    CacheError::Stalled { .. } => PipelineError::Stalled,
-                })
-        };
+        // A stalled `Building` slot degrades to the interpreter instead
+        // of blocking the caller forever.
+        let cache = cache();
+        let native = cache
+            .get_or_build(
+                Self::cache_key(steps, unroll),
+                || Self::native(steps, unroll).map(Arc::new),
+                cache.stall_timeout(),
+            )
+            .map_err(|e| match e {
+                CacheError::Build(e) => e,
+                CacheError::Stalled { .. } => PipelineError::Stalled,
+            });
         Ok(Self::from_native(native, steps))
     }
 
     /// Compiles bypassing the process-wide kernel cache (always a cold
-    /// compile, and the result is not shared). Same degradation ladder
-    /// as [`compile`](Self::compile); benchmarks use this for the cold
+    /// compile, and the result is not shared). Same degradation as
+    /// [`compile`](Self::compile); benchmarks use this for the cold
     /// side of the amortization table.
     ///
     /// # Errors
     ///
     /// See [`compile`](Self::compile).
     pub fn compile_uncached(steps: &[Step]) -> Result<Pipeline, PipelineError> {
-        let opts = PipelineOptions::default();
-        let native = Self::native(steps, opts).map(Arc::new);
+        let native = Self::native(steps, UNROLL).map(Arc::new);
         Ok(Self::from_native(native, steps))
     }
 
@@ -286,23 +235,22 @@ impl Pipeline {
     /// Content key of a pipeline shape. The generated loop depends only
     /// on which step kinds are present and the unroll factor, not on the
     /// step order or multiplicity (`native` probes with `contains`).
-    fn cache_key(steps: &[Step], opts: PipelineOptions) -> CacheKey {
+    fn cache_key(steps: &[Step], unroll: i32) -> CacheKey {
         let bytes = format!(
             "ash|ck={}|sw={}|u={}",
             steps.contains(&Step::Checksum),
             steps.contains(&Step::Swap),
-            opts.unroll
+            unroll
         )
         .into_bytes();
         CacheKey::new(TargetId::X64, bytes)
     }
 
-    /// The native rungs of the ladder: the generic loop for X64, through
-    /// [`vcode_x64::emit_native`], which holds the overflow retry.
-    fn native(steps: &[Step], opts: PipelineOptions) -> Result<NativeCode, PipelineError> {
-        let capacity = opts.code_capacity.unwrap_or(4096);
-        let (code, fin) = vcode_x64::emit_native::<PipelineError>(capacity, |buf| {
-            Ok(generic::compile_fused::<X64>(buf, steps, opts.unroll)?)
+    /// The native kernel: the generic loop for X64, through
+    /// [`vcode_x64::emit_native`].
+    fn native(steps: &[Step], unroll: i32) -> Result<NativeCode, PipelineError> {
+        let (code, fin) = vcode_x64::emit_native::<PipelineError>(|buf| {
+            Ok(generic::compile_fused::<X64>(buf, steps, unroll)?)
         })?;
         // SAFETY: the generated function has the declared C ABI and only
         // touches dst[..n] / src[..n].
@@ -419,12 +367,6 @@ mod tests {
         for unroll in [0, 17] {
             let e = Pipeline::compile_with_unroll(&[Step::Swap], unroll).unwrap_err();
             assert!(matches!(e, PipelineError::Unroll(n) if n == unroll), "{e}");
-            let opts = PipelineOptions {
-                unroll,
-                code_capacity: Some(4096),
-            };
-            let e = Pipeline::compile_with_options(&[Step::Swap], opts).unwrap_err();
-            assert!(matches!(e, PipelineError::Unroll(n) if n == unroll), "{e}");
         }
         for unroll in [1, 16] {
             Pipeline::compile_with_unroll(&[Step::Swap], unroll).unwrap();
@@ -461,68 +403,5 @@ mod tests {
         assert_eq!(p.steps(), &[Step::Checksum, Step::Swap]);
         assert_eq!(p.engine_kind(), EngineKind::Native);
         assert!(p.entry_addr().is_some());
-    }
-
-    #[test]
-    fn forced_codegen_failure_degrades_to_interpreter() {
-        for steps in [
-            vec![],
-            vec![Step::Checksum],
-            vec![Step::Swap],
-            vec![Step::Checksum, Step::Swap],
-        ] {
-            let p = Pipeline::compile_with_options(
-                &steps,
-                PipelineOptions {
-                    code_capacity: Some(16), // retry doubles to 32: still hopeless
-                    ..PipelineOptions::default()
-                },
-            )
-            .unwrap();
-            assert_eq!(p.engine_kind(), EngineKind::Interpreter, "{steps:?}");
-            assert_eq!(p.code_len, 0);
-            assert_eq!(p.entry_addr(), None);
-            // Degraded mode must be semantically invisible.
-            for n in [0usize, 4, 16, 100, 1024] {
-                let src = data(n);
-                let mut d_deg = vec![0u8; n];
-                let mut d_sep = vec![0u8; n];
-                let c_deg = p.run(&src, &mut d_deg);
-                let c_sep = separate(&steps, &src, &mut d_sep);
-                assert_eq!(d_deg, d_sep, "{steps:?} n={n}");
-                assert_eq!(c_deg, c_sep, "{steps:?} n={n}");
-            }
-        }
-    }
-
-    #[test]
-    fn absurd_capacity_override_degrades_to_interpreter() {
-        let opts = PipelineOptions {
-            code_capacity: Some(usize::MAX),
-            ..PipelineOptions::default()
-        };
-        let p = Pipeline::compile_with_options(&[Step::Checksum], opts).unwrap();
-        assert_eq!(p.engine_kind(), EngineKind::Interpreter);
-    }
-
-    #[test]
-    fn overflow_retry_with_doubled_buffer_recovers() {
-        let steps = [Step::Checksum, Step::Swap];
-        let probe = Pipeline::compile(&steps).unwrap();
-        // One byte short forces the overflow; the doubled retry fits.
-        let p = Pipeline::compile_with_options(
-            &steps,
-            PipelineOptions {
-                code_capacity: Some(probe.code_len - 1),
-                ..PipelineOptions::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(p.engine_kind(), EngineKind::Native);
-        let src = data(256);
-        let mut d1 = vec![0u8; 256];
-        let mut d2 = vec![0u8; 256];
-        assert_eq!(p.run(&src, &mut d1), probe.run(&src, &mut d2));
-        assert_eq!(d1, d2);
     }
 }

@@ -42,7 +42,7 @@ pub mod generic;
 pub mod hotloop;
 
 pub use compile::{
-    cache_stats, clear_cache, EngineKind, NativeCode, Pipeline, PipelineError, PipelineOptions,
+    cache_stats, clear_cache, EngineKind, NativeCode, Pipeline, PipelineError, UNROLL,
 };
 
 /// A data-manipulation step a protocol layer contributes to the message

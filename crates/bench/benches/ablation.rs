@@ -81,7 +81,6 @@ fn bench(c: &mut Criterion) {
                 use_jump_tables: false,
                 use_hashing: false,
                 elide_bounds_checks: false,
-                ..Options::default()
             },
         ),
     ];

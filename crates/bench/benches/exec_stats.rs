@@ -10,7 +10,7 @@
 //! that moves means the executed instruction stream or the cache model
 //! changed.
 
-use ash::{generic, reference, PipelineOptions, Step};
+use ash::{generic, reference, Step, UNROLL};
 use vcode::target::Leaf;
 use vcode::{Assembler, ExecStats, RegClass, TrapKind};
 use vcode_bench::snapshot;
@@ -62,7 +62,7 @@ fn main() {
     let data: Vec<u8> = (0..N).map(|i| (i * 31 + 7) as u8).collect();
     let want = reference::checksum(&data);
     let steps: [Step; 2] = [Step::Checksum, Step::Swap];
-    let unroll = PipelineOptions::default().unroll;
+    let unroll = UNROLL;
 
     println!("=== ExecStats schema smoke: all four backends ===");
     println!(

@@ -10,7 +10,7 @@
 //! Alpha: the loop overhead is the copy (`[]`), the checksum is
 //! `[Checksum]` − `[]` and the swap `[Checksum, Swap]` − `[Checksum]`.
 
-use ash::{generic, reference, separate, PipelineOptions, Step};
+use ash::{generic, reference, separate, Step, UNROLL};
 use vcode::{Error, Finished, Target};
 use vcode_bench::snapshot;
 use vcode_mips::Mips;
@@ -45,7 +45,7 @@ fn cycles<I: Isa>(m: &mut Machine<I>, cold: bool, f: impl FnOnce(&mut Machine<I>
 /// The paper's Table 4 on MIPS: separate passes (copy, then checksum,
 /// then an in-place swap) against the fused loop, cold and warm.
 fn table4(cache: Cache) -> Vec<(&'static str, [u64; 2])> {
-    let unroll = PipelineOptions::default().unroll;
+    let unroll = UNROLL;
     let mut m = mips::Machine::new(1 << 22);
     m.cpu.strict_load_delay = true;
     m.dcache = Some(cache);
@@ -102,7 +102,7 @@ fn table4(cache: Cache) -> Vec<(&'static str, [u64; 2])> {
 /// `[Checksum, Swap]` on `I`'s simulator, cold and warm, each run
 /// checked against `ash::separate`.
 fn layers<T: Target, I: Isa>(cache: Cache) -> [[u64; 2]; 3] {
-    let unroll = PipelineOptions::default().unroll;
+    let unroll = UNROLL;
     let data = message();
     let sets: [&[Step]; 3] = [&[], &[Step::Checksum], &[Step::Checksum, Step::Swap]];
     sets.map(|steps| {

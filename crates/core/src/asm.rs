@@ -168,7 +168,8 @@ impl<'m> Asm<'m> {
     /// backends' offsets keep advancing, so *every* later fixup lands
     /// past it: that is the overflow's doing, not a client bug, and it
     /// latches [`Error::Overflow`] — the error `end()` would report, and
-    /// the one the clients' grow-and-retry ladders key on.
+    /// the one [`lower_in_scratch`](crate::engine::lower_in_scratch)
+    /// grows its scratch on.
     pub fn fixup_at(&mut self, at: usize, target: FixupTarget, kind: u8) {
         if at > self.buf.len() {
             if self.buf.overflowed() {
@@ -600,9 +601,6 @@ impl<'m, T: Target> Assembler<'m, T> {
         };
         T::begin(&mut a, &sig, leaf, &mut args)?;
         a.sig = sig;
-        if crate::verify::enabled() {
-            Self::install_verifier(&mut a, &args);
-        }
         crate::obs::emit_event(|| crate::obs::CodegenEvent::LambdaBegin {
             args: args.len(),
             leaf: matches!(leaf, Leaf::Yes),
@@ -635,10 +633,9 @@ impl<'m, T: Target> Assembler<'m, T> {
         a.insns |= Asm::VERIFYING;
     }
 
-    /// Enables the streaming verifier for this session only, regardless
-    /// of the global [`verify::set_enabled`](crate::verify::set_enabled)
-    /// switch. Idempotent; instructions emitted before the call are not
-    /// retroactively checked.
+    /// Enables the streaming verifier for this session (it is off by
+    /// default). Idempotent; instructions emitted before the call are
+    /// not retroactively checked.
     pub fn enable_verifier(&mut self) {
         if self.a.verifier.is_none() {
             Self::install_verifier(&mut self.a, &self.args);

@@ -836,7 +836,9 @@ impl Program {
 
     /// A generous code-buffer size for replaying this program on any
     /// workspace target (worst case: every instruction synthesizes a
-    /// large immediate, plus prologue/epilogue save areas).
+    /// large immediate, plus prologue/epilogue save areas), for a client
+    /// that brings its own buffer. The backends size nothing: their
+    /// lowering grows until the code fits ([`lower_in_scratch`]).
     pub fn code_capacity(&self) -> usize {
         (self.len * 32 + 512).max(4096)
     }
@@ -1262,14 +1264,16 @@ pub trait Backend: Send + Sync + fmt::Debug {
 
 /// The largest lowering scratch a thread keeps between compiles: the
 /// executable-memory pool's own largest class (`vcode_x64::MAX_POOL_PAGES`
-/// pages; `vcode-x64` asserts the two agree). A lowering asked for more
-/// (a [`code_capacity`](Program::code_capacity), or a retry, past it)
-/// ends in a buffer that is freed afterwards, so one huge program does
-/// not pin megabytes on every thread that ever compiled one.
-pub const SCRATCH_MAX: usize = 128 * 4096;
+/// pages; `vcode-x64` asserts the two agree). A lowering that grows past
+/// it ends in a buffer that is freed afterwards, so one huge program
+/// does not pin megabytes on every thread that ever compiled one.
+pub const SCRATCH_MAX: usize = 128 * PAGE;
+
+/// The scratch a thread starts from: one page.
+const PAGE: usize = 4096;
 
 thread_local! {
-    /// This thread's lowering scratch, grown on demand up to
+    /// This thread's lowering scratch, grown on demand and kept up to
     /// [`SCRATCH_MAX`]. Taken out of the cell while in use, so a
     /// re-entrant compile gets a buffer of its own instead of a borrow
     /// panic.
@@ -1277,12 +1281,13 @@ thread_local! {
 }
 
 /// What [`lower_in_scratch`] and a native install ask of an error type:
-/// whether it is an [`Error::Overflow`] (the one failure retried), and
-/// how to report finished code no executable memory could be had for.
+/// whether it is an [`Error::Overflow`] (the one failure that grows the
+/// scratch), and how to report a scratch or executable memory that
+/// could not be had.
 pub trait LowerError {
     /// Whether this is a storage overflow.
     fn overflowed(&self) -> bool;
-    /// The error for a failed mapping.
+    /// The error for a failed allocation or mapping.
     fn no_memory(e: std::io::Error) -> Self;
 }
 
@@ -1296,18 +1301,21 @@ impl LowerError for EngineError {
 }
 
 /// The one way generated code is written: `emit` writes a function (or
-/// a unit of them) into a reusable per-thread heap scratch of `capacity`
-/// bytes — once more into twice that if it overflows — and the finished
+/// a unit of them) into a reusable per-thread heap scratch — one page
+/// on a fresh thread — and every time it overflows the scratch doubles
+/// and `emit` runs again, until the code fits. Nothing is sized in
+/// advance: the overflow latch (§5.1) is the measurement. The finished
 /// bytes, from [`Finished::entry`] on, go with the report to `install`,
 /// which copies them to where they will live: a right-sized `Vec` for a
 /// simulated target, a right-sized pooled mapping for native code
-/// (`vcode_x64::emit_native`). So a capacity bound sizes only the
-/// scratch, never what a cached lambda keeps; emission stores go to
-/// cache-hot memory; and the assembler's over-store slack
+/// (`vcode_x64::emit_native`). So the scratch never sizes what a cached
+/// lambda keeps; emission stores go to cache-hot memory; and the
+/// assembler's over-store slack
 /// ([`MAX_OVERSTORE`](crate::buf::MAX_OVERSTORE)) stays behind.
 ///
-/// The scratch is not cleared between compiles: every append stores
-/// exactly the bytes it advances over (see [`crate::buf`]), so a
+/// `emit` may run more than once and must write the same code each
+/// time. The scratch is not cleared between compiles: every append
+/// stores exactly the bytes it advances over (see [`crate::buf`]), so a
 /// finished function never shows what the buffer held before; bytes a
 /// client skips between functions are its own to write.
 ///
@@ -1318,32 +1326,46 @@ impl LowerError for EngineError {
 ///
 /// # Errors
 ///
-/// `emit`'s error (the retry's after an overflow), `install`'s, or
-/// [`LowerError::no_memory`] when no scratch that large can be reserved.
+/// `emit`'s error other than an overflow, `install`'s, or
+/// [`LowerError::no_memory`] when the doubled scratch cannot be had.
 pub fn lower_in_scratch<L, E: LowerError>(
-    capacity: usize,
     mut emit: impl FnMut(&mut [u8]) -> Result<Finished, E>,
     install: impl FnOnce(&[u8], Finished) -> Result<L, E>,
 ) -> Result<L, E> {
-    let keep = capacity <= SCRATCH_MAX;
-    let mut buf = if keep { SCRATCH.take() } else { Vec::new() };
-    let mut lower = |cap: usize| {
-        // An oversized capacity is a typed error, not an allocation abort.
-        if let Err(e) = buf.try_reserve_exact(cap.saturating_sub(buf.len())) {
-            return Err(E::no_memory(e.into()));
+    let mut buf = SCRATCH.take();
+    let mut len = buf.len().max(PAGE);
+    let fin = loop {
+        if buf.len() < len {
+            drop(std::mem::take(&mut buf)); // freed before its successor is had
+            buf = zeroed(len).map_err(E::no_memory)?;
         }
-        buf.resize(buf.len().max(cap), 0);
-        emit(&mut buf[..cap])
-    };
-    let fin = match lower(capacity) {
-        Err(e) if e.overflowed() => lower(capacity.max(1).saturating_mul(2)),
-        fin => fin,
+        match emit(&mut buf) {
+            Err(e) if e.overflowed() => len = len.saturating_mul(2),
+            fin => break fin,
+        }
     };
     let result = fin.and_then(|fin| install(&buf[fin.entry..fin.len], fin));
-    if keep && buf.len() <= SCRATCH_MAX {
+    if buf.len() <= SCRATCH_MAX {
         SCRATCH.set(buf);
     }
     result
+}
+
+/// `len` zero bytes, or the allocator's refusal as an error (never an
+/// abort). The allocator zeroes them (fresh pages already are), so a
+/// page emission never reaches is never touched: a scratch doubled past
+/// what the code needs costs address space, not memory.
+fn zeroed(len: usize) -> std::io::Result<Vec<u8>> {
+    let refused = || std::io::Error::from(std::io::ErrorKind::OutOfMemory);
+    let layout = std::alloc::Layout::array::<u8>(len.max(1)).map_err(|_| refused())?;
+    // SAFETY: `layout` has a non-zero size.
+    let ptr = unsafe { std::alloc::alloc_zeroed(layout) };
+    if ptr.is_null() {
+        return Err(refused());
+    }
+    // SAFETY: `ptr` came from the global allocator with `layout` (size =
+    // capacity, alignment 1), and its first `len` bytes are zero.
+    Ok(unsafe { Vec::from_raw_parts(ptr, len, layout.size()) })
 }
 
 // ---------------------------------------------------------------------------
@@ -1991,69 +2013,125 @@ mod tests {
         }
     }
 
+    /// The scratch as this thread holds it between compiles.
+    fn kept() -> usize {
+        let buf = SCRATCH.take();
+        let len = buf.len();
+        SCRATCH.set(buf);
+        len
+    }
+
     #[test]
     fn scratch_lowering_installs_the_bytes_a_fresh_buffer_gets() {
         let p = sample();
-        let cap = p.code_capacity();
         let lower = |buf: &mut [u8]| replay::<FakeTarget>(&p, buf);
-        let mut fresh = vec![0u8; cap];
+        let mut fresh = vec![0u8; p.code_capacity()];
         let fin = replay::<FakeTarget>(&p, &mut fresh).unwrap();
         // Whatever the scratch held before: nothing of it shows.
-        SCRATCH.set(vec![0xa5; cap / 2]);
+        SCRATCH.set(vec![0xa5; 2 * PAGE]);
         for _ in 0..2 {
             let (code, insns) =
-                lower_in_scratch(cap, lower, |code, fin| Ok((code.to_vec(), fin.insns))).unwrap();
+                lower_in_scratch(lower, |code, fin| Ok((code.to_vec(), fin.insns))).unwrap();
             assert_eq!(code, fresh[..fin.len]);
             assert_eq!(insns, fin.insns);
         }
-        // The scratch grew to the capacity asked of it and is kept; a
-        // failed lowering or install keeps it too.
-        let kept = |want: usize| {
-            let buf = SCRATCH.take();
-            assert_eq!(buf.len(), want);
-            SCRATCH.set(buf);
-        };
-        kept(cap);
+        // A failed lowering or install keeps the scratch too.
+        assert_eq!(kept(), 2 * PAGE);
         let refused = |_: &mut [u8]| Err(EngineError::TooManyTemps { vreg: 9 });
-        assert!(lower_in_scratch(cap, refused, |_, _| Ok(())).is_err());
+        assert!(lower_in_scratch(refused, |_, _| Ok(())).is_err());
         let full = |_: &[u8], _| Err::<(), _>(EngineError::Exec("no memory".into()));
-        assert!(lower_in_scratch(cap, lower, full).is_err());
-        kept(cap);
-        // An overflow is retried once, in twice the room; a second one
-        // is the answer.
-        let mut tried = Vec::new();
-        let short = |buf: &mut [u8]| {
-            tried.push(buf.len());
-            replay::<FakeTarget>(&p, buf)
-        };
-        let r = lower_in_scratch(fin.len / 3, short, |code, _| Ok(code.len()));
-        assert_eq!(tried, [fin.len / 3, fin.len / 3 * 2]);
-        assert!(r.is_err_and(|e| e.overflowed()));
-        let len = lower_in_scratch(fin.len - 1, lower, |code, _| Ok(code.len()));
-        assert_eq!(len.unwrap(), fin.len - fin.entry);
-        kept(cap);
-        // Past the bound: a buffer of its own, freed; the scratch is
-        // neither grown nor replaced.
+        assert!(lower_in_scratch(lower, full).is_err());
+        assert_eq!(kept(), 2 * PAGE);
+        // A program past the bound is lowered in a buffer that is freed
+        // afterwards: the thread starts from a page again.
         let mut huge = Program::new(1).unwrap();
-        for _ in 0..SCRATCH_MAX / 32 {
+        for _ in 0..SCRATCH_MAX / 4 {
             huge.bin_imm(BinOp::Add, 0, 0, 1);
         }
         huge.ret(0);
-        assert!(huge.code_capacity() > SCRATCH_MAX);
         let mut fresh = vec![0u8; huge.code_capacity()];
         let fin = replay::<FakeTarget>(&huge, &mut fresh).unwrap();
+        assert!(fin.len > SCRATCH_MAX);
         let lower = |buf: &mut [u8]| replay::<FakeTarget>(&huge, buf);
-        let len = lower_in_scratch(huge.code_capacity(), lower, |code, _| {
+        let len = lower_in_scratch(lower, |code, _| {
             assert_eq!(code, &fresh[..fin.len]);
             Ok(code.len())
         });
         assert_eq!(len.unwrap(), fin.len);
-        kept(cap);
-        // An absurd capacity is a typed error, not an allocation abort.
-        let lower = |buf: &mut [u8]| replay::<FakeTarget>(&p, buf);
-        let r = lower_in_scratch(usize::MAX, lower, |code, _| Ok(code.len()));
+        assert_eq!(kept(), 0);
+    }
+
+    /// An `emit` that needs `n` bytes: it overflows a smaller buffer,
+    /// and otherwise writes `n` bytes of its own pattern.
+    fn needs(n: usize, tried: &mut Vec<usize>, buf: &mut [u8]) -> Result<Finished, EngineError> {
+        tried.push(buf.len());
+        if buf.len() < n {
+            return Err(EngineError::Codegen(Error::Overflow {
+                capacity: buf.len(),
+            }));
+        }
+        for (i, b) in buf[..n].iter_mut().enumerate() {
+            *b = (i * 7 + n) as u8;
+        }
+        Ok(Finished {
+            len: n,
+            ..Finished::default()
+        })
+    }
+
+    #[test]
+    fn the_scratch_doubles_until_the_code_fits() {
+        SCRATCH.set(Vec::new());
+        let mut sizes: Vec<usize> = (1..=16).collect();
+        let mut p = PAGE / 2;
+        while p <= 4 * SCRATCH_MAX {
+            sizes.extend([p - 1, p, p + 1]);
+            p *= 2;
+        }
+        for n in sizes {
+            let before = kept();
+            let mut tried = Vec::new();
+            let code = lower_in_scratch(
+                |buf: &mut [u8]| needs(n, &mut tried, buf),
+                |code, _| Ok(code.to_vec()),
+            )
+            .unwrap();
+            let want: Vec<u8> = (0..n).map(|i| (i * 7 + n) as u8).collect();
+            assert_eq!(code, want, "{n} bytes installed");
+            // The first attempt gets what the thread kept (a page on a
+            // fresh thread); each retry twice the last.
+            assert_eq!(tried[0], before.max(PAGE), "n = {n}");
+            assert!(tried.windows(2).all(|w| w[1] == 2 * w[0]), "{tried:?}");
+            let last = *tried.last().unwrap();
+            assert!(
+                last == tried[0] || last / 2 < n,
+                "grown past the need: {tried:?}"
+            );
+            assert_eq!(
+                kept(),
+                if last <= SCRATCH_MAX { last } else { 0 },
+                "n = {n}"
+            );
+            assert!(kept() <= SCRATCH_MAX);
+        }
+    }
+
+    #[test]
+    fn an_emit_that_never_fits_is_a_typed_no_memory() {
+        let mut tries = 0u32;
+        let r = lower_in_scratch(
+            |buf: &mut [u8]| {
+                tries += 1;
+                Err(EngineError::Codegen(Error::Overflow {
+                    capacity: buf.len(),
+                }))
+            },
+            |code, _| Ok(code.len()),
+        );
         assert!(matches!(r, Err(EngineError::Exec(_))), "{r:?}");
-        kept(cap);
+        // At most one try per doubling of a page below `isize::MAX`.
+        assert!(tries < usize::BITS, "{tries} tries");
+        assert_eq!(kept(), 0);
     }
 
     #[test]

@@ -26,14 +26,13 @@
 //! anyway, and the emitted bytes are identical either way (guarded by the differential test and the
 //! codegen-cost bench gate).
 //!
-//! Enable globally with [`set_enabled`] (checked once per `lambda`), or
-//! per session with
+//! Enable per session with
 //! [`Assembler::enable_verifier`](crate::Assembler::enable_verifier).
 
 use crate::label::{Fixup, FixupTarget, Label, LabelMap};
 use crate::reg::{Bank, Reg, RegFile, RegKind};
 use crate::target::{Finished, StackSlot};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 // ---------------------------------------------------------------------------
 // Diagnostics
@@ -266,24 +265,10 @@ pub struct TargetChecks {
 }
 
 // ---------------------------------------------------------------------------
-// Enablement
+// Orphaned sessions
 // ---------------------------------------------------------------------------
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
 static ORPHANS: AtomicU64 = AtomicU64::new(0);
-
-/// Globally enables or disables the streaming verifier for subsequent
-/// `lambda` calls. Off by default; when off the fast path pays one
-/// branch per instruction and emits identical bytes.
-pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::Release);
-}
-
-/// Whether the global verifier switch is on.
-#[inline]
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
 
 /// Number of verified generation sessions dropped without `end` — the
 /// unbalanced-`lambda` detector. Monotonic over the process lifetime.

@@ -30,16 +30,17 @@
 //! the same dynamic base offset as its siblings, so `Shift` nodes spill
 //! the running base and the fail path restores it.
 //!
-//! The classifier is emitted into the thread's lowering scratch and
-//! installed right-sized ([`vcode_x64::emit_native`]); the jump tables
-//! that hold its code addresses are filled after install.
+//! [`emit`] writes the classifier into any buffer; [`compile`] emits it
+//! into the thread's lowering scratch, installs it right-sized
+//! ([`vcode_x64::emit_native`]) and fills the jump tables that hold its
+//! code addresses after install.
 
 use crate::lang::FieldSize;
 use crate::trie::{Key, Level, Node};
 use std::fmt;
 use vcode::regress::XorShift;
 use vcode::target::Leaf;
-use vcode::{Assembler, Label, Reg, RegClass};
+use vcode::{Assembler, Finished, Label, Reg, RegClass};
 use vcode_x64::{ExecCode, X64};
 
 /// How many arms at most are dispatched by a linear compare chain.
@@ -87,12 +88,6 @@ pub struct Options {
     pub use_hashing: bool,
     /// Elide dominated bounds checks.
     pub elide_bounds_checks: bool,
-    /// Bytes the first emission attempt may use (the retry doubles
-    /// them); `None` estimates them from the trie. A too-small value
-    /// drives a [`DpfService`](crate::DpfService) install down its
-    /// overflow → retry → interpreter ladder, as the fault-injection
-    /// harness does on demand.
-    pub code_capacity: Option<usize>,
 }
 
 impl Default for Options {
@@ -101,7 +96,6 @@ impl Default for Options {
             use_jump_tables: true,
             use_hashing: true,
             elide_bounds_checks: true,
-            code_capacity: None,
         }
     }
 }
@@ -678,68 +672,95 @@ fn perfect_hash_is_hopeless(n: usize, slots: usize, tries: u32) -> bool {
     (n * n) as f64 / (2 * slots) as f64 > f64::from(tries).ln()
 }
 
-/// Compiles a merged trie into native code ([`vcode_x64::emit_native`])
-/// and fills its jump tables from where it was installed.
+/// A classifier written into a caller's buffer by [`emit`]: the
+/// assembler's report, and the tables its code addresses.
+#[derive(Debug)]
+pub struct Emitted {
+    /// The finished function within the buffer.
+    pub fin: Finished,
+    /// Strategy usage.
+    pub strategies: Strategies,
+    // Tables of code addresses, each with the label every entry resolves
+    // to; [`compile`] fills them once the code has an address.
+    addr_tables: Vec<(Box<[u64]>, Vec<Label>)>,
+    // Keys and filter ids, complete at emission.
+    data_tables: Vec<Box<[u32]>>,
+}
+
+/// Writes the classifier for a merged trie into `buf`, as a function
+/// `(msg: %p, len: %ul) -> %l` starting at [`Finished::entry`]. Its code
+/// reads the returned tables by absolute address: they must outlive it,
+/// and the code-address tables hold nothing until filled from where the
+/// code is installed (which [`compile`] does). Deterministic: the same
+/// trie and options write the same code, whatever `buf` held.
+///
+/// # Errors
+///
+/// [`CompileError::Codegen`] (an [`Overflow`](vcode::Error::Overflow)
+/// when `buf` is too small) or [`CompileError::TooManyTemps`].
+pub fn emit(root: &Level, opts: Options, buf: &mut [u8]) -> Result<Emitted, CompileError> {
+    let mut a = Assembler::<X64>::lambda(buf, "%p%ul", Leaf::Yes)?;
+    let (msg, len) = (a.arg(0), a.arg(1));
+    let mut temp = || a.getreg(RegClass::Temp).ok_or(CompileError::TooManyTemps);
+    let field = temp()?;
+    // The running base and the pointer it makes exist only for a trie
+    // that shifts; without them the classifier needs no callee-saved
+    // register, so it is a frameless leaf. (Unshifted code never reads
+    // them, so they stand as `msg` there.)
+    let (ptr, base) = if has_shift(root) {
+        (temp()?, temp()?)
+    } else {
+        (msg, msg)
+    };
+    let (tmp, tmp2) = (temp()?, temp()?);
+    let fail = a.genlabel();
+    if base != msg {
+        a.setul(base, 0);
+        a.movp(ptr, msg);
+    }
+    let mut cg = Cg {
+        a,
+        msg,
+        len,
+        field,
+        ptr,
+        base,
+        tmp,
+        tmp2,
+        opts,
+        strategies: Strategies::default(),
+        addr_tables: Vec::new(),
+        data_tables: Vec::new(),
+        rng: XorShift::new(0x5eed_cafe),
+    };
+    cg.gen_level(root, fail, PathState::default());
+    cg.a.label(fail);
+    cg.ret_id(NO_ID);
+    Ok(Emitted {
+        fin: cg.a.end()?,
+        strategies: cg.strategies,
+        addr_tables: cg.addr_tables,
+        data_tables: cg.data_tables,
+    })
+}
+
+/// Compiles a merged trie into native code: [`emit`] through
+/// [`vcode_x64::emit_native`], then fills the code-address tables from
+/// where the code was installed.
 ///
 /// # Errors
 ///
 /// [`CompileError`] on code-generation or mapping failure.
 pub fn compile(root: &Level, opts: Options) -> Result<CompiledSet, CompileError> {
-    // Size the scratch generously: a node's field load and bounds check
-    // cost tens of bytes, and so does each arm (a dispatch compare plus
-    // its leaf: 35-40 bytes through the branch tree, measured up to 4096
-    // arms). Counting arms matters: a 1024-port set is five nodes.
-    // An explicit code_capacity overrides the estimate (harness knob).
-    let capacity = opts
-        .code_capacity
-        .unwrap_or(4096 + root.node_count() * 512 + root.arm_count() * 64);
-    let mut emitted = None;
-    let (code, fin) = vcode_x64::emit_native::<CompileError>(capacity, |buf| {
-        let mut a = Assembler::<X64>::lambda(buf, "%p%ul", Leaf::Yes)?;
-        let (msg, len) = (a.arg(0), a.arg(1));
-        let mut temp = || a.getreg(RegClass::Temp).ok_or(CompileError::TooManyTemps);
-        let field = temp()?;
-        // The running base and the pointer it makes exist only for a
-        // trie that shifts; without them the classifier needs no
-        // callee-saved register, so it is a frameless leaf. (Unshifted
-        // code never reads them, so they stand as `msg` there.)
-        let (ptr, base) = if has_shift(root) {
-            (temp()?, temp()?)
-        } else {
-            (msg, msg)
-        };
-        let (tmp, tmp2) = (temp()?, temp()?);
-        let fail = a.genlabel();
-        if base != msg {
-            a.setul(base, 0);
-            a.movp(ptr, msg);
-        }
-        let mut cg = Cg {
-            a,
-            msg,
-            len,
-            field,
-            ptr,
-            base,
-            tmp,
-            tmp2,
-            opts,
-            strategies: Strategies::default(),
-            addr_tables: Vec::new(),
-            data_tables: Vec::new(),
-            rng: XorShift::new(0x5eed_cafe),
-        };
-        cg.gen_level(root, fail, PathState::default());
-        cg.a.label(fail);
-        cg.ret_id(NO_ID);
-        let fin = cg.a.end()?;
-        emitted = Some((cg.strategies, cg.addr_tables, cg.data_tables));
-        Ok(fin)
+    let mut tables = None;
+    let (code, fin) = vcode_x64::emit_native::<CompileError>(|buf| {
+        let e = emit(root, opts, buf)?;
+        tables = Some((e.strategies, e.addr_tables, e.data_tables));
+        Ok(e.fin)
     })?;
-    let (strategies, addr_tables, data_tables) = emitted.expect("an installed emission finished");
-    // Resolve dispatch-table entries now that the code has an address:
-    // a label at scratch offset `off` runs at `addr + off - entry`.
-    let mut tables = Vec::with_capacity(addr_tables.len());
+    let (strategies, addr_tables, data_tables) = tables.expect("an installed emission finished");
+    // A label at scratch offset `off` runs at `addr + off - entry`.
+    let mut filled = Vec::with_capacity(addr_tables.len());
     for (mut table, labels) in addr_tables {
         for (entry, label) in table.iter_mut().zip(labels) {
             let off = fin
@@ -747,7 +768,7 @@ pub fn compile(root: &Level, opts: Options) -> Result<CompiledSet, CompileError>
                 .ok_or(CompileError::Codegen(vcode::Error::UnboundLabel(label)))?;
             *entry = code.addr() + (off - fin.entry) as u64;
         }
-        tables.push(table);
+        filled.push(table);
     }
     // SAFETY: the generated function has the declared C ABI
     // (ptr, len) -> i64 and only dereferences `msg` below `len`.
@@ -755,7 +776,7 @@ pub fn compile(root: &Level, opts: Options) -> Result<CompiledSet, CompileError>
     Ok(CompiledSet {
         code,
         entry,
-        _addr_tables: tables,
+        _addr_tables: filled,
         _data_tables: data_tables,
         strategies,
         code_len: fin.len - fin.entry,

@@ -77,7 +77,7 @@ pub fn clear_cache() {
 
 /// The one classifier build, on the calling thread: an L1 hit when the
 /// same set compiled before, else merge `filters` into a trie and
-/// compile it (with the overflow retry). Racers on one set wait for that
+/// compile it. Racers on one set wait for that
 /// build, bounded by the cache's stall timeout, and share it.
 pub(crate) fn build_set(
     filters: &[(u32, Filter)],
@@ -94,9 +94,7 @@ pub(crate) fn build_set(
 /// Content key of a filter configuration: the exact (id, filter) list
 /// plus the ablation knobs. Ids are part of the content — the generated
 /// code returns them — so two sets with the same patterns but different
-/// ids never alias; an explicit `code_capacity` is likewise encoded so
-/// capacity-limited builds (the fault-injection knob) never alias
-/// default-sized ones. The encoding is length-prefixed and tagged
+/// ids never alias. The encoding is length-prefixed and tagged
 /// (injective), and deliberately cheap: building this key is most of
 /// the cost of an install whose set is already in the L1.
 pub(crate) fn cache_key(filters: &[(u32, Filter)], opts: Options) -> CacheKey {
@@ -104,13 +102,6 @@ pub(crate) fn cache_key(filters: &[(u32, Filter)], opts: Options) -> CacheKey {
     bytes.push(u8::from(opts.use_jump_tables));
     bytes.push(u8::from(opts.use_hashing));
     bytes.push(u8::from(opts.elide_bounds_checks));
-    match opts.code_capacity {
-        None => bytes.push(0),
-        Some(cap) => {
-            bytes.push(1);
-            bytes.extend_from_slice(&(cap as u64).to_le_bytes());
-        }
-    }
     for (id, f) in filters {
         bytes.extend_from_slice(&id.to_le_bytes());
         let atoms = f.atoms();

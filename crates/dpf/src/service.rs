@@ -268,9 +268,7 @@ impl DpfService {
     }
 
     /// Creates an empty service with explicit dispatch-strategy options
-    /// (the ablation and fault-injection knobs — a deliberately tiny
-    /// `code_capacity` forces every native build to fail, pinning the
-    /// service to its interpreter generations).
+    /// (the ablation knobs).
     pub fn with_options(opts: Options) -> DpfService {
         let shared = Shared {
             rcu: Rcu::new(Generation {
@@ -556,13 +554,6 @@ mod tests {
         })
     }
 
-    fn hopeless() -> Options {
-        Options {
-            code_capacity: Some(16), // every build overflows, retry included
-            ..Options::default()
-        }
-    }
-
     #[test]
     fn an_insert_returns_native_and_publishes_once() {
         let svc = DpfService::new();
@@ -745,38 +736,5 @@ mod tests {
                 "the herd must share one compiled set"
             );
         }
-    }
-
-    #[test]
-    fn forced_codegen_failure_pins_interpreter_service() {
-        let svc = DpfService::with_options(hopeless());
-        let id = svc.insert(packet::tcp_port_filter(0x0a00_0002, 90).unwrap());
-        let reader = svc.reader();
-        // Still serving, still correct, and the failure is typed.
-        assert_eq!(reader.classify(&port_msg(90)), Some(id));
-        assert!(!svc.is_native());
-        let first = svc.build_failure().expect("the failed build is on record");
-        assert_eq!(first.failures, 1);
-        assert!(!first.last_error.is_empty(), "the record carries the error");
-        assert!(first.retry_in <= RETRY_BASE);
-
-        // Inside the backoff `poll_upgrade` does not rebuild; once it
-        // has run out it does, and a second failure doubles the wait.
-        assert!(!svc.poll_upgrade());
-        assert_eq!(svc.build_failure().unwrap().failures, 1, "retried early");
-        std::thread::sleep(RETRY_BASE);
-        assert!(!svc.flush(Duration::ZERO));
-        let second = svc.build_failure().unwrap();
-        assert_eq!(second.failures, 2);
-        assert!(second.retry_in > RETRY_BASE, "backoff did not double");
-
-        assert_eq!(reader.classify(&port_msg(90)), Some(id));
-        let st = svc.stats();
-        assert_eq!(st.degraded_calls, 2);
-        assert_eq!(
-            (st.published, st.degraded_publishes),
-            (1, 1),
-            "a failed retry republishes nothing"
-        );
     }
 }

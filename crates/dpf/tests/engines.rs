@@ -235,7 +235,6 @@ fn ablation_options_disable_strategies() {
         use_jump_tables: false,
         use_hashing: false,
         elide_bounds_checks: false,
-        ..Options::default()
     };
     let dpf = compiled(&filters, opts);
     let s = dpf.strategies;
@@ -265,50 +264,6 @@ fn prefix_filter_longest_match_in_trie_engines() {
     });
     assert_eq!(dpf.classify(&p80), Some(id_80), "specific filter wins");
     assert_eq!(dpf.classify(&p99), Some(id_ip), "prefix is the fallback");
-}
-
-/// A capacity override no buffer can hold is a failed build the service
-/// falls back from, not an allocation abort.
-#[test]
-fn an_absurd_capacity_override_degrades_to_the_interpreter() {
-    let svc = DpfService::with_options(Options {
-        code_capacity: Some(usize::MAX),
-        ..Options::default()
-    });
-    svc.insert(packet::tcp_port_filter(0x0a00_0002, 80).unwrap());
-    assert!(!svc.is_native());
-    assert!(svc.build_failure().is_some());
-}
-
-/// A generation whose native build failed answers as native code does:
-/// with the IP-only filter a prefix of the port filter, both pick the
-/// port filter for port 80 and the prefix for port 99. (The interpreter
-/// generation used to run MPF, whose first match answered the prefix on
-/// port 80.)
-#[test]
-fn a_degraded_generation_answers_as_native_code_does() {
-    let native = DpfService::new();
-    let degraded = DpfService::with_options(Options {
-        code_capacity: Some(16),
-        ..Options::default()
-    });
-    for svc in [&native, &degraded] {
-        svc.insert(FilterBuilder::new().eq_u16(12, 0x0800).build().unwrap());
-        svc.insert(packet::tcp_port_filter(0x0a00_0002, 80).unwrap());
-    }
-    assert!(native.is_native());
-    assert!(!degraded.is_native());
-    for port in [80, 99] {
-        let msg = packet::build(&PacketSpec {
-            dst_port: port,
-            ..PacketSpec::default()
-        });
-        assert_eq!(
-            degraded.classify(&msg),
-            native.classify(&msg),
-            "port {port}"
-        );
-    }
 }
 
 #[test]
@@ -446,57 +401,6 @@ fn large_mixed_filter_set_uses_multiple_strategies() {
             ..PacketSpec::default()
         });
         let _ = dpf.classify(&msg);
-    }
-}
-
-#[test]
-fn forced_codegen_failure_degrades_to_interpreter() {
-    // A code capacity of 16 bytes cannot even hold the prologue: the
-    // compile overflows, the doubled retry overflows too, and the
-    // service must publish an interpreter generation — classification
-    // stays correct.
-    let filters = packet::port_filter_set(6, 3000);
-    let dpf = DpfService::with_options(dpf::Options {
-        code_capacity: Some(16),
-        ..dpf::Options::default()
-    });
-    let ids = dpf.insert_all(filters);
-    assert!(!dpf.is_native());
-    assert!(dpf.build_failure().is_some());
-    for (i, id) in ids.iter().enumerate() {
-        let msg = packet::build(&PacketSpec {
-            dst_port: 3000 + i as u16,
-            ..PacketSpec::default()
-        });
-        assert_eq!(dpf.classify(&msg), Some(*id), "port {}", 3000 + i);
-    }
-    // Misses still miss, truncated packets still classify as no-match.
-    let miss = packet::build(&PacketSpec {
-        dst_port: 9999,
-        ..PacketSpec::default()
-    });
-    assert_eq!(dpf.classify(&miss), None);
-    assert_eq!(dpf.classify(&miss[..11]), None);
-    assert_eq!(dpf.classify(&[]), None);
-}
-
-#[test]
-fn overflow_retry_with_doubled_buffer_recovers() {
-    // 2 KiB is too small for this set's first attempt but the doubled
-    // retry fits: the ladder stops at Native without degrading.
-    let filters = packet::port_filter_set(10, 1000);
-    let dpf = DpfService::with_options(dpf::Options {
-        code_capacity: Some(2048),
-        ..dpf::Options::default()
-    });
-    let ids = dpf.insert_all(filters);
-    assert!(dpf.is_native());
-    for (i, id) in ids.iter().enumerate() {
-        let msg = packet::build(&PacketSpec {
-            dst_port: 1000 + i as u16,
-            ..PacketSpec::default()
-        });
-        assert_eq!(dpf.classify(&msg), Some(*id));
     }
 }
 
@@ -644,12 +548,12 @@ fn sparse_port_set(n: usize) -> (Vec<u16>, Vec<(u32, Filter)>) {
     (ports, filters)
 }
 
-/// Sets of 256 filters and more never compiled natively: five trie
+/// Sets of 256 filters and more once never compiled natively: five trie
 /// nodes sized a 6.5 KB buffer for 9-36 KB of code, and the overflow
-/// then reported itself as `FixupOutOfRange`, which no retry ladder
-/// keys on. The estimate counts arms now, so the first attempt fits.
+/// then reported itself as `FixupOutOfRange`, which nothing grows a
+/// buffer on. Nothing estimates now: the scratch grows until they fit.
 #[test]
-fn large_sparse_sets_compile_native_on_the_first_attempt() {
+fn large_sparse_sets_compile_native() {
     for n in [256usize, 512, 1024] {
         let (ports, filters) = sparse_port_set(n);
         let set = dpf::compile::compile(&dpf::trie::build(&filters), dpf::Options::default())
@@ -665,14 +569,13 @@ fn large_sparse_sets_compile_native_on_the_first_attempt() {
 }
 
 /// A buffer too small for the set must fail as `Overflow` (what the
-/// install path's one retry doubles on), whatever the assembler was
-/// doing when it ran out — including recording a fixup past the frozen
-/// cursor. `compile` runs the retry itself, so each capacity below is
-/// what the retry is handed: the first attempt gets half of it, and the
-/// error reports the retry's. 1024 sparse ports are past what a lookup
-/// table may hold and take the 36 KB branch tree; 256 are a lookup of
-/// some 200 bytes, which a 1 KB buffer holds, so those are starved down
-/// to less than that.
+/// install path grows its scratch on), whatever the assembler was doing
+/// when it ran out — including recording a fixup past the frozen
+/// cursor. Each classifier is written by `emit` into half of a capacity
+/// below. 1024 sparse ports are past what a lookup table may hold and
+/// take the 36 KB branch tree; 256 are a lookup of some 200 bytes,
+/// which a 1 KB buffer holds, so those are starved down to less than
+/// that.
 #[test]
 fn undersized_buffer_reports_overflow_not_a_fixup_error() {
     let (_, filters) = sparse_port_set(1024);
@@ -682,25 +585,38 @@ fn undersized_buffer_reports_overflow_not_a_fixup_error() {
     let tree_caps = [64usize, 1024, 4096, 6656].map(|cap| (&root, cap));
     let lookup_caps = [16usize, 64, 128, 200].map(|cap| (&lookup, cap));
     for (root, cap) in tree_caps.into_iter().chain(lookup_caps) {
-        let opts = dpf::Options {
-            code_capacity: Some(cap / 2),
-            ..dpf::Options::default()
-        };
-        match dpf::compile::compile(root, opts) {
+        let mut buf = vec![0u8; cap / 2];
+        match dpf::compile::emit(root, dpf::Options::default(), &mut buf) {
             Err(dpf::CompileError::Codegen(vcode::Error::Overflow { capacity })) => {
-                assert_eq!(capacity, cap);
+                assert_eq!(capacity, cap / 2);
             }
             other => panic!("capacity {cap}: expected Overflow, got {other:?}"),
         }
     }
-    // And the ladder then fires: a service pinned to half the needed
-    // room comes back native from the doubled retry.
-    let dpf = DpfService::with_options(dpf::Options {
-        code_capacity: Some(32768),
-        ..dpf::Options::default()
-    });
-    dpf.insert_all(filters.into_iter().map(|(_, f)| f));
-    assert!(dpf.is_native(), "{:?}", dpf.build_failure());
+}
+
+/// On a fresh thread the lowering scratch is one page: the 1024-port
+/// classifier (the 36 KB branch tree) grows it until the code fits, and
+/// a second compile on the grown scratch writes the same bytes.
+#[test]
+fn a_classifier_past_one_page_compiles_on_a_fresh_thread() {
+    let (ports, filters) = sparse_port_set(1024);
+    std::thread::spawn(move || {
+        let root = dpf::trie::build(&filters);
+        let first = dpf::compile::compile(&root, Options::default()).unwrap();
+        let second = dpf::compile::compile(&root, Options::default()).unwrap();
+        assert!(first.code_len > 8 * 4096, "{} bytes", first.code_len);
+        assert_eq!(first.code_bytes(), second.code_bytes());
+        for (i, &p) in ports.iter().enumerate().step_by(97) {
+            let msg = packet::build(&PacketSpec {
+                dst_port: p,
+                ..PacketSpec::default()
+            });
+            assert_eq!(second.classify(&msg), Some(i as u32), "port {p}");
+        }
+    })
+    .join()
+    .expect("compiles on a fresh thread");
 }
 
 /// The perfect-hash search is skipped only where it is hopeless, and a

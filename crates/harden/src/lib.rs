@@ -10,8 +10,8 @@
 //! hang, or a silently wrong answer on an unfaulted path.
 //!
 //! This library holds the reusable machinery (bit flips, capacity
-//! series, outcome tallies) so other crates' tests can inject the same
-//! faults.
+//! series, outcome tallies, refused executable memory) so other crates'
+//! tests can inject the same faults.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -313,6 +313,66 @@ pub fn capacity_series() -> Vec<usize> {
         0, 1, 2, 3, 4, 5, 6, 7, 8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512, 1024, 2048,
         4096,
     ]
+}
+
+// The two libc calls `with_no_new_exec_memory` needs (std links libc;
+// the workspace has no `libc` crate to name them through).
+#[repr(C)]
+struct RLimit {
+    cur: u64,
+    max: u64,
+}
+const RLIMIT_FSIZE: i32 = 1;
+const SIGXFSZ: i32 = 25;
+const SIG_IGN: usize = 1;
+extern "C" {
+    fn getrlimit(resource: i32, rlim: *mut RLimit) -> i32;
+    fn setrlimit(resource: i32, rlim: *const RLimit) -> i32;
+    fn signal(signum: i32, handler: usize) -> usize;
+}
+
+/// Runs `f` with the process unable to grow any file — which is how
+/// executable memory is obtained (`memfd_create` + `ftruncate`), so
+/// every fresh `ExecMem` request inside `f` fails with `EFBIG` while
+/// reads, the heap and already-mapped code are untouched. The pool is
+/// drained first (parked regions would satisfy a request without a
+/// syscall), and the limit is restored when `f` returns or unwinds.
+///
+/// The limit is process-wide, and refuses every write that grows a file
+/// — a test harness's output too, when it goes to one: call this from
+/// the only test of its binary.
+///
+/// # Panics
+///
+/// Panics if the limit cannot be read or set.
+pub fn with_no_new_exec_memory<T>(f: impl FnOnce() -> T) -> T {
+    struct Restore(RLimit);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            // SAFETY: restores the limits read below. Raising the soft
+            // limit back to its old value, under the unchanged hard
+            // one, cannot fail.
+            unsafe { setrlimit(RLIMIT_FSIZE, &self.0) };
+        }
+    }
+    let mut old = RLimit { cur: 0, max: 0 };
+    // SAFETY: `old` is a valid, writable `struct rlimit` (two 64-bit
+    // words on x86-64 Linux); ignoring SIGXFSZ — sent on the refused
+    // `ftruncate` — installs no handler code at all.
+    unsafe {
+        signal(SIGXFSZ, SIG_IGN);
+        assert_eq!(getrlimit(RLIMIT_FSIZE, &mut old), 0);
+    }
+    let none = RLimit {
+        cur: 0,
+        max: old.max,
+    };
+    // SAFETY: `none` is a valid `struct rlimit`; only the soft limit is
+    // lowered, so it can be raised back.
+    assert_eq!(unsafe { setrlimit(RLIMIT_FSIZE, &none) }, 0);
+    let _restore = Restore(old);
+    vcode_x64::drain_pool();
+    f()
 }
 
 /// Counts fault-case outcomes. Every recorded case by construction

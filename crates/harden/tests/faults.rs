@@ -92,12 +92,12 @@ fn bitflipped_code_traps_or_completes_on_every_simulator() {
 }
 
 /// Storage exhaustion at byte N for the standard capacity series, on
-/// all four code generators plus the DPF and ASH degradation ladders —
-/// 144 cases. Generation into a too-small buffer must latch
-/// [`vcode::Error::Overflow`]; the engine ladders must keep producing
-/// *correct* answers by degrading, never a panic (this exact series is
-/// what exposed the backpatch-past-cursor and save-area-underflow
-/// panics fixed in this PR).
+/// all four code generators plus two DPF classifiers — 144 cases.
+/// Generation into a too-small buffer must latch
+/// [`vcode::Error::Overflow`], never panic (this exact series is what
+/// exposed the backpatch-past-cursor and save-area-underflow panics).
+/// What an engine does with a failed build is checked against a real
+/// failure, refused executable memory (`tests/no_exec_memory.rs`).
 #[test]
 fn storage_exhaustion_is_typed_at_every_byte_budget() {
     let mut tally = Tally::new();
@@ -124,62 +124,38 @@ fn storage_exhaustion_is_typed_at_every_byte_budget() {
     assert!(tally.completed > 0, "large capacities must generate");
     assert!(tally.trapped > 0, "small capacities must overflow");
 
-    // The DPF ladder: classification stays correct at every capacity,
-    // on whichever engine the ladder lands on.
-    use dpf::packet::{self, PacketSpec};
-    let filters = packet::port_filter_set(5, 3000);
-    let hit = packet::build(&PacketSpec {
-        dst_port: 3003,
-        ..PacketSpec::default()
-    });
-    let miss = packet::build(&PacketSpec {
-        dst_port: 9,
-        ..PacketSpec::default()
-    });
-    let mut engines_seen = (false, false);
-    for &cap in &capacity_series() {
-        let d = dpf::DpfService::with_options(dpf::Options {
-            code_capacity: Some(cap),
-            ..dpf::Options::default()
-        });
-        let ids = d.insert_all(filters.iter().cloned());
-        // The ladder always yields a runnable generation.
-        tally.record::<(), ()>(&Ok(()));
-        if d.is_native() {
-            engines_seen.0 = true;
-        } else {
-            engines_seen.1 = true;
+    // The DPF classifier written into N-byte client storage
+    // (`dpf::compile::emit`), on two trie shapes: five port filters, and
+    // one filter that follows the IP header length through a `Shift`.
+    use dpf::packet;
+    let shapes = [
+        packet::port_filter_set(5, 3000),
+        vec![packet::tcp_port_filter_var_ihl(80).unwrap()],
+    ];
+    for filters in shapes {
+        let filters: Vec<(u32, dpf::Filter)> = (0..).zip(filters).collect();
+        let root = dpf::trie::build(&filters);
+        let before = tally;
+        for &cap in &capacity_series() {
+            let mut buf = vec![0u8; cap];
+            let r = dpf::compile::emit(&root, dpf::Options::default(), &mut buf);
+            if let Err(e) = &r {
+                assert!(
+                    matches!(e, dpf::CompileError::Codegen(vcode::Error::Overflow { .. })),
+                    "capacity {cap}: {e}"
+                );
+            }
+            tally.record(&r);
         }
-        assert_eq!(d.classify(&hit), Some(ids[3]), "capacity {cap}");
-        assert_eq!(d.classify(&miss), None, "capacity {cap}");
+        assert!(
+            tally.completed > before.completed,
+            "large capacities must emit"
+        );
+        assert!(
+            tally.trapped > before.trapped,
+            "small capacities must overflow"
+        );
     }
-    assert!(engines_seen.0, "comfortable capacities must compile native");
-    assert!(engines_seen.1, "hopeless capacities must degrade");
-
-    // The ASH ladder, same contract.
-    let src = pattern(256);
-    let mut engines_seen = (false, false);
-    for &cap in &capacity_series() {
-        let p = ash::Pipeline::compile_with_options(
-            &STEPS,
-            ash::PipelineOptions {
-                code_capacity: Some(cap),
-                ..ash::PipelineOptions::default()
-            },
-        )
-        .expect("the ladder always yields a runnable pipeline");
-        match p.engine_kind() {
-            ash::EngineKind::Native => engines_seen.0 = true,
-            ash::EngineKind::Interpreter => engines_seen.1 = true,
-        }
-        let mut dst = vec![0u8; src.len()];
-        let ck = p.run(&src, &mut dst);
-        assert_eq!(ck, reference::checksum(&src), "capacity {cap}");
-        assert_eq!(dst, reference::swapped(&src), "capacity {cap}");
-        tally.record::<(), ()>(&Ok(()));
-    }
-    assert!(engines_seen.0, "comfortable capacities must compile native");
-    assert!(engines_seen.1, "hopeless capacities must degrade");
 
     tally.assert_covered(140);
     println!(

@@ -195,8 +195,8 @@ fn client_images() -> Vec<Vec<u8>> {
     let shifted = [80, 443, 8080].map(|p| tcp_port_filter_var_ihl(p).unwrap());
     assert_eq!(classifier(shifted.to_vec()).linear, 1);
     // ASH: every step set at unroll factors on both sides of the tail
-    // loop. An explicit capacity compiles on this thread, uncached.
-    use ash::{Pipeline, PipelineOptions, Step};
+    // loop. An emptied kernel cache compiles on this thread.
+    use ash::{Pipeline, Step};
     for steps in [
         vec![],
         vec![Step::Checksum],
@@ -205,11 +205,8 @@ fn client_images() -> Vec<Vec<u8>> {
     ] {
         for unroll in [1, 3, 8, 16] {
             dirty_scratch();
-            let opts = PipelineOptions {
-                unroll,
-                code_capacity: Some(4096),
-            };
-            let p = Pipeline::compile_with_options(&steps, opts).unwrap();
+            ash::clear_cache();
+            let p = Pipeline::compile_with_unroll(&steps, unroll).unwrap();
             // SAFETY: `p` holds its kernel, `code_len` bytes from its entry.
             images.push(unsafe { installed(p.entry_addr().expect("native"), p.code_len) });
         }

@@ -96,7 +96,6 @@ impl<I: EngineIsa> Backend for SimBackend<I> {
     fn compile(&self, prog: &Program) -> Result<Arc<dyn Lambda>, EngineError> {
         let args = prog.args();
         lower_in_scratch(
-            prog.code_capacity(),
             |buf| replay::<I::Target>(prog, buf),
             |code, fin| Ok(CodeImage::<I>::lambda(args, code.to_vec(), fin.insns)),
         )

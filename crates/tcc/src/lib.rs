@@ -117,13 +117,11 @@ impl Program {
                 });
             }
         }
-        // Size the scratch generously relative to the source (expression
-        // trees expand to a few instructions per token, plus fixed
-        // prologue overhead per function).
-        let est = 8192 + source.len() * 48 + defs.len() * 512;
         let mut table: Box<[u64]> = vec![0u64; defs.len()].into_boxed_slice();
         let table_addr = table.as_ptr() as u64;
-        let (code, unit) = vcode_x64::emit_native::<CcError>(est, |buf| {
+        // Each attempt (the scratch grows until the unit fits) writes
+        // every entry again.
+        let (code, unit) = vcode_x64::emit_native::<CcError>(|buf| {
             let mut unit = vcode::Finished::default();
             for (d, entry) in defs.iter().zip(table.iter_mut()) {
                 // 16-byte aligned from the unit's entry; the scratch is

@@ -601,3 +601,50 @@ fn array_misuse_is_rejected() {
         other => panic!("expected semantic error, got {other:?}"),
     }
 }
+
+/// A unit of many functions needs several pages: on a fresh thread the
+/// lowering scratch starts at one page and grows until the unit fits,
+/// and a second compile on the grown scratch writes the same bytes. (No
+/// function calls another: a call loads its target from the unit's
+/// function table, whose address differs between the two units.)
+#[test]
+fn a_unit_past_one_page_compiles_on_a_fresh_thread() {
+    std::thread::spawn(|| {
+        let src: String = (0..64)
+            .map(|i| {
+                format!(
+                    "int f{i}(int a, int b) {{ int s = 0; \
+                     while (a < b) {{ s = s + a * {i} - (b >> 1); a = a + 1; }} \
+                     return s ^ {i}; }}\n"
+                )
+            })
+            .collect();
+        let (first, second) = (compile(&src), compile(&src));
+        assert!(first.code_len > 2 * 4096, "{} bytes", first.code_len);
+        let bytes = |p: &Program| {
+            // SAFETY: `p` keeps its unit mapped, `code_len` bytes from the
+            // entry of its first function.
+            unsafe { std::slice::from_raw_parts(p.addr("f0").unwrap() as *const u8, p.code_len) }
+                .to_vec()
+        };
+        assert_eq!(bytes(&first), bytes(&second));
+        for i in 0..64i64 {
+            let f = |a: i64, b: i64| {
+                let (mut a, mut s) = (a, 0i64);
+                while a < b {
+                    s = s + a * i - (b >> 1);
+                    a += 1;
+                }
+                s ^ i
+            };
+            let name = format!("f{i}");
+            assert_eq!(
+                second.call_int(&name, &[3, 11]).unwrap(),
+                f(3, 11),
+                "{name}"
+            );
+        }
+    })
+    .join()
+    .expect("compiles on a fresh thread");
+}

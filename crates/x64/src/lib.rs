@@ -978,26 +978,25 @@ fn lambda(code: ExecCode, args: usize, len: usize, insns: u64) -> std::sync::Arc
 
 /// The one way to native code, for the engine ([`X64Backend`]), DPF,
 /// ASH and tcc alike: `emit` writes into the thread's lowering scratch
-/// ([`vcode::engine::lower_in_scratch`], which retries an overflow
-/// once in twice `capacity`), and the finished bytes are installed in
-/// a pooled mapping sized by their length. The code starts at
-/// [`Finished::entry`], so `as_fn` calls it; scratch offset `off` runs
-/// at `code.addr() + off - entry`.
+/// ([`vcode::engine::lower_in_scratch`], which grows it until the code
+/// fits), and the finished bytes are installed in a pooled mapping
+/// sized by their length. The code starts at [`Finished::entry`], so
+/// `as_fn` calls it; scratch offset `off` runs at
+/// `code.addr() + off - entry`.
 ///
 /// # Errors
 ///
-/// `emit`'s error, or the mapping failure as `E`.
+/// `emit`'s error, or the allocation or mapping failure as `E`.
 pub fn emit_native<E: vcode::engine::LowerError>(
-    capacity: usize,
     emit: impl FnMut(&mut [u8]) -> Result<Finished, E>,
 ) -> Result<(ExecCode, Finished), E> {
-    vcode::engine::lower_in_scratch(capacity, emit, |code, fin| {
+    vcode::engine::lower_in_scratch(emit, |code, fin| {
         Ok((place(code).map_err(E::no_memory)?, fin))
     })
 }
 
-// The engine's scratch bound is the pool's largest class: a lambda whose
-// capacity fits the scratch would also fit the pool.
+// The engine keeps a scratch up to the pool's largest class: code that
+// fits a kept scratch also fits the pool.
 const _: () = assert!(vcode::engine::SCRATCH_MAX == MAX_POOL_PAGES * 4096);
 
 /// Runtime-selectable engine adapter for the native x86-64 target:
@@ -1019,7 +1018,7 @@ impl Backend for X64Backend {
 
     fn compile(&self, prog: &Program) -> Result<std::sync::Arc<dyn Lambda>, EngineError> {
         let replay = |buf: &mut [u8]| vcode::engine::replay::<X64>(prog, buf);
-        let (code, fin) = emit_native(prog.code_capacity(), replay)?;
+        let (code, fin) = emit_native(replay)?;
         Ok(lambda(code, prog.args(), fin.len - fin.entry, fin.insns))
     }
 

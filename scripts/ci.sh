@@ -118,8 +118,8 @@ echo "one counter per event ok"
 
 echo "== one install path (every client emits into the scratch; only vcode-x64 maps) =="
 # Generated code is written once, into the thread's lowering scratch
-# (`engine::lower_in_scratch`, which also holds the one overflow
-# retry), and kept as a right-sized copy: a simulated target's image is
+# (`engine::lower_in_scratch`, which grows it until the code fits), and
+# kept as a right-sized copy: a simulated target's image is
 # a `Vec` of the finished bytes, and native code — the engine's, DPF's
 # classifiers, ASH's kernels, tcc's units — goes through
 # `vcode_x64::emit_native` into a pooled mapping sized by what was
@@ -151,6 +151,41 @@ if [ -n "$capacity_sized" ]; then
     exit 1
 fi
 echo "one install path ok"
+
+echo "== one sizing (code sizes itself; nothing guesses a capacity) =="
+# `engine::lower_in_scratch` hands `emit` the whole per-thread scratch
+# and doubles it on every overflow until the code fits (DESIGN.md
+# "Scratch lowering"): the overflow latch is the measurement. A client
+# that estimates a size before it emits, or a knob that overrides one,
+# is a second sizing policy whose only new behaviours are failures (an
+# estimate too small, a capacity no buffer holds). Fail on (1) product
+# source outside crates/core/src/engine.rs that names `code_capacity`
+# (`Program::code_capacity` stays for the frozen benchmark and for tests
+# that bring their own buffers), and (2) a `lower_in_scratch` or
+# `emit_native` signature that takes a capacity. Looked at: code lines
+# (not comments) of crates/*/src, src and examples before each file's
+# first `#[cfg(test)]`; exempt: crates/bench.
+second_sizing=$(git ls-files --cached --others --exclude-standard \
+        'crates/*/src/*.rs' 'crates/*/src/**/*.rs' 'src/*.rs' 'examples/*.rs' |
+    grep -v -e '^crates/bench/' |
+    while IFS= read -r f; do
+        [ -f "$f" ] || continue
+        awk -v FILE="$f" '
+            /^[ \t]*#\[cfg\(test\)\]/ { exit }
+            /^[ \t]*\/\// { next }
+            FILE != "crates/core/src/engine.rs" && /code_capacity/ {
+                printf "%s:%d: %s\n", FILE, NR, $0
+            }
+            /fn[ \t]+(lower_in_scratch|emit_native)[ \t]*[(<]/ { sig = 1 }
+            sig && /capacity|:[ \t]*usize/ { printf "%s:%d: %s\n", FILE, NR, $0 }
+            sig && /\{[ \t]*$/ { sig = 0 }' "$f"
+    done)
+if [ -n "$second_sizing" ]; then
+    echo "one-sizing gate: code is sized by a guess or a capacity parameter:" >&2
+    echo "$second_sizing" >&2
+    exit 1
+fi
+echo "one sizing ok"
 
 echo "== one dispatch per instruction (lowering matches on the tag only) =="
 # `engine::replay` dispatches once per recorded instruction, on its tag,

@@ -37,50 +37,6 @@ fn key_for(p: &Program, target: TargetId) -> CacheKey {
     CacheKey::from_encoded(target, Arc::clone(bytes), *hash)
 }
 
-// The two libc calls the second half needs (std links libc; the
-// workspace has no `libc` crate to name them through).
-#[repr(C)]
-struct RLimit {
-    cur: u64,
-    max: u64,
-}
-const RLIMIT_FSIZE: i32 = 1;
-const SIGXFSZ: i32 = 25;
-const SIG_IGN: usize = 1;
-extern "C" {
-    fn getrlimit(resource: i32, rlim: *mut RLimit) -> i32;
-    fn setrlimit(resource: i32, rlim: *const RLimit) -> i32;
-    fn signal(signum: i32, handler: usize) -> usize;
-}
-
-/// Runs `f` with the process unable to grow any file — which is how
-/// executable memory is obtained (`memfd_create` + `ftruncate`), so
-/// every fresh `ExecMem` request inside `f` fails with `EFBIG` while
-/// reads, the heap and already-mapped code are untouched.
-fn with_no_new_exec_memory<T>(f: impl FnOnce() -> T) -> T {
-    let mut old = RLimit { cur: 0, max: 0 };
-    // SAFETY: `old` is a valid, writable `struct rlimit` (two 64-bit
-    // words on x86-64 Linux); ignoring SIGXFSZ — sent on the refused
-    // `ftruncate` — installs no handler code at all.
-    unsafe {
-        signal(SIGXFSZ, SIG_IGN);
-        assert_eq!(getrlimit(RLIMIT_FSIZE, &mut old), 0);
-    }
-    let none = RLimit {
-        cur: 0,
-        max: old.max,
-    };
-    // SAFETY: `none` is a valid `struct rlimit`; only the soft limit is
-    // lowered, so it can be raised back below.
-    assert_eq!(unsafe { setrlimit(RLIMIT_FSIZE, &none) }, 0);
-    // Parked regions would satisfy the request without a syscall.
-    vcode_x64::drain_pool();
-    let out = f();
-    // SAFETY: restores the limits read above.
-    assert_eq!(unsafe { setrlimit(RLIMIT_FSIZE, &old) }, 0);
-    out
-}
-
 #[test]
 fn process_local_load_failures_keep_the_artifact() {
     // ---- (a) no backend registered for the artifact's target ----
@@ -134,7 +90,7 @@ fn process_local_load_failures_keep_the_artifact() {
     e.compile_cached(TargetId::X64, &p).unwrap();
     let tier = Arc::clone(e.persist_tier().unwrap());
     let path = tier.path_for(&key);
-    let err = with_no_new_exec_memory(|| tier.load(&key)).expect_err("no exec memory");
+    let err = harden::with_no_new_exec_memory(|| tier.load(&key)).expect_err("no exec memory");
     assert!(matches!(err, PersistError::Io(_)), "engine codec: {err}");
     assert!(path.exists(), "engine: exec-memory failure must not evict");
     assert!(
