@@ -9,37 +9,14 @@
 //!
 //! This module serves that loop natively: [`Pipeline`] emits
 //! [`generic::compile_fused`] for x86-64 into the lowering scratch,
-//! installs it right-sized ([`vcode_x64::emit_native`]), caches the
-//! kernel per shape, and degrades to [`generic::run_fused`] when code
-//! generation fails. The loop is written once, in [`generic`].
+//! installs it right-sized ([`vcode_x64::emit_native`]), owns the
+//! kernel, and degrades to [`generic::run_fused`] when code generation
+//! fails. The loop is written once, in [`generic`]. Nothing is cached: a
+//! kernel compiles in about a microsecond, when the pipeline is composed.
 
 use crate::{generic, reference, Step};
 use std::fmt;
-use std::sync::{Arc, OnceLock};
-use vcode::{CacheError, CacheKey, CacheStats, LambdaCache, TargetId};
 use vcode_x64::{ExecCode, X64};
-
-/// The process-wide cache of fused kernels, keyed by the pipeline
-/// *shape*: the generated loop depends only on which steps are present
-/// and the unroll factor, so layers composing the same shape across many
-/// message flows share one compiled kernel. It has no disk tier: a
-/// kernel compiles in about a microsecond, a third of what a verified
-/// load from disk costs (EXPERIMENTS.md "Persistence, measured (PR 26)").
-fn cache() -> &'static LambdaCache<NativeCode> {
-    static CACHE: OnceLock<LambdaCache<NativeCode>> = OnceLock::new();
-    CACHE.get_or_init(|| LambdaCache::new(16))
-}
-
-/// Counters for the process-wide kernel cache.
-pub fn cache_stats() -> CacheStats {
-    cache().stats()
-}
-
-/// Drops every cached kernel (live pipelines keep theirs). Benchmarks
-/// use this to measure cold compiles.
-pub fn clear_cache() {
-    cache().clear();
-}
 
 /// Which engine a [`Pipeline`] runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,10 +35,6 @@ pub enum PipelineError {
     Codegen(vcode::Error),
     /// Could not obtain executable memory.
     Exec(std::io::Error),
-    /// A racing build held the kernel cache's `Building` slot past its
-    /// stall timeout (the builder thread most likely died without
-    /// unwinding). The slot was vacated; this compile degraded.
-    Stalled,
     /// The requested unroll factor is outside `1..=16`; nothing was
     /// compiled.
     Unroll(i32),
@@ -72,7 +45,6 @@ impl fmt::Display for PipelineError {
         match self {
             PipelineError::Codegen(e) => write!(f, "{e}"),
             PipelineError::Exec(e) => write!(f, "executable memory: {e}"),
-            PipelineError::Stalled => f.write_str("in-flight kernel build stalled"),
             PipelineError::Unroll(n) => write!(f, "unroll factor {n} is outside 1..=16"),
         }
     }
@@ -116,9 +88,9 @@ pub struct Pipeline {
 }
 
 /// One fused, finished kernel: the live mapping plus its entry pointer
-/// and size metadata. Shared (via `Arc`) between every pipeline with the
-/// same shape and the process-wide cache; the mapping stays executable
-/// until the last holder drops.
+/// and size metadata. Owned by its [`Pipeline`]; the mapping stays
+/// executable until the pipeline drops, and then parks in the
+/// executable-memory pool.
 pub struct NativeCode {
     code: ExecCode,
     entry: extern "C" fn(*mut u8, *const u8, u64) -> u64,
@@ -137,7 +109,7 @@ impl fmt::Debug for NativeCode {
 }
 
 enum Engine {
-    Native(Arc<NativeCode>),
+    Native(NativeCode),
     Interpreter,
 }
 
@@ -185,37 +157,7 @@ impl Pipeline {
         if !(1..=16).contains(&unroll) {
             return Err(PipelineError::Unroll(unroll));
         }
-        // A stalled `Building` slot degrades to the interpreter instead
-        // of blocking the caller forever.
-        let cache = cache();
-        let native = cache
-            .get_or_build(
-                Self::cache_key(steps, unroll),
-                || Self::native(steps, unroll).map(Arc::new),
-                cache.stall_timeout(),
-            )
-            .map_err(|e| match e {
-                CacheError::Build(e) => e,
-                CacheError::Stalled { .. } => PipelineError::Stalled,
-            });
-        Ok(Self::from_native(native, steps))
-    }
-
-    /// Compiles bypassing the process-wide kernel cache (always a cold
-    /// compile, and the result is not shared). Same degradation as
-    /// [`compile`](Self::compile); benchmarks use this for the cold
-    /// side of the amortization table.
-    ///
-    /// # Errors
-    ///
-    /// See [`compile`](Self::compile).
-    pub fn compile_uncached(steps: &[Step]) -> Result<Pipeline, PipelineError> {
-        let native = Self::native(steps, UNROLL).map(Arc::new);
-        Ok(Self::from_native(native, steps))
-    }
-
-    fn from_native(native: Result<Arc<NativeCode>, PipelineError>, steps: &[Step]) -> Pipeline {
-        match native {
+        Ok(match Self::native(steps, unroll) {
             Ok(nc) => Pipeline {
                 code_len: nc.code_len,
                 vcode_insns: nc.vcode_insns,
@@ -229,21 +171,7 @@ impl Pipeline {
                 code_len: 0,
                 vcode_insns: 0,
             },
-        }
-    }
-
-    /// Content key of a pipeline shape. The generated loop depends only
-    /// on which step kinds are present and the unroll factor, not on the
-    /// step order or multiplicity (`native` probes with `contains`).
-    fn cache_key(steps: &[Step], unroll: i32) -> CacheKey {
-        let bytes = format!(
-            "ash|ck={}|sw={}|u={}",
-            steps.contains(&Step::Checksum),
-            steps.contains(&Step::Swap),
-            unroll
-        )
-        .into_bytes();
-        CacheKey::new(TargetId::X64, bytes)
+        })
     }
 
     /// The native kernel: the generic loop for X64, through

@@ -19,9 +19,9 @@
 //! - [`integrated`]: a hand-written fused loop (the paper's
 //!   "C integrated" row);
 //! - [`Pipeline`]: the ASH — a vcode-generated fused loop built from a
-//!   runtime list of [`Step`]s, compiled once per shape per process
-//!   (an in-memory cache; a kernel compiles faster than it would load
-//!   from disk, so none is persisted).
+//!   runtime list of [`Step`]s, compiled when the pipeline is composed
+//!   and owned by it (a kernel compiles in about a microsecond, so
+//!   nothing is cached or persisted).
 //!
 //! ```
 //! use ash::{Pipeline, Step};
@@ -41,9 +41,7 @@ mod compile;
 pub mod generic;
 pub mod hotloop;
 
-pub use compile::{
-    cache_stats, clear_cache, EngineKind, NativeCode, Pipeline, PipelineError, UNROLL,
-};
+pub use compile::{EngineKind, NativeCode, Pipeline, PipelineError, UNROLL};
 
 /// A data-manipulation step a protocol layer contributes to the message
 /// pipeline.

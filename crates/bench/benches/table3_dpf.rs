@@ -11,7 +11,7 @@ use dpf::packet::{self, PacketSpec};
 use dpf::{trie, DpfReader, DpfService, Filter, Options, Pathfinder};
 use std::hint::black_box;
 use std::time::Instant;
-use vcode_bench::{criterion_group, criterion_main, Criterion, Throughput};
+use vcode_bench::{criterion_group, criterion_main, snapshot, Criterion, Throughput};
 
 /// Packets a batch: every engine classifies a batch at a time, and the
 /// service's reader enters its generation once a batch.
@@ -93,8 +93,7 @@ fn bench(c: &mut Criterion) {
     println!("  PATHFINDER {ns_pf:8.1}    {:8.1}x", ns_pf / ns_dpf);
     println!("  DPF        {ns_dpf:8.1}         1x");
     let filters: Vec<(u32, Filter)> = (0..).zip(packet::port_filter_set(10, 1000)).collect();
-    let cold = || dpf::compile::compile(&trie::build(&filters), Options::default());
-    let c = cold().expect("compiles");
+    let c = dpf::compile::compile(&trie::build(&filters), Options::default()).expect("compiles");
     println!(
         "  (DPF: {} bytes of code from {} vcode insns, dispatch {:?})",
         c.code_len, c.vcode_insns, c.strategies
@@ -109,41 +108,22 @@ fn bench(c: &mut Criterion) {
         xs.traps.total()
     );
 
-    // Amortization row: per-flow setup cost with and without the
-    // classifier cache. A cold compile pays trie merge + full codegen;
-    // a fresh service installing a resident filter set is a cache hit
-    // that shares the finished classifier (the many-flows-few-filter-sets
-    // shape the engine's lambda cache exists for).
-    const SETUPS: usize = 200;
-    let cold_ns = {
+    // Per-flow install row: a fresh service installing the resident set
+    // merges the trie, compiles it on this thread and publishes it. What
+    // a flow pays to start; nothing is cached between installs.
+    const INSTALLS: usize = 200;
+    let install_ns = {
         let t = Instant::now();
-        for _ in 0..SETUPS {
-            black_box(cold().expect("compiles"));
+        for _ in 0..INSTALLS {
+            let svc = DpfService::new();
+            svc.insert_all(filters.iter().map(|(_, f)| f.clone()));
+            assert!(svc.is_native());
+            black_box(svc);
         }
-        t.elapsed().as_secs_f64() * 1e9 / SETUPS as f64
+        t.elapsed().as_secs_f64() * 1e9 / INSTALLS as f64
     };
-    let install = || {
-        let svc = DpfService::new();
-        svc.insert_all(filters.iter().map(|(_, f)| f.clone()));
-        assert!(svc.is_native());
-        svc
-    };
-    // `setup` installed this set: every install below is a hit.
-    let warm_ns = {
-        let t = Instant::now();
-        for _ in 0..SETUPS {
-            black_box(install());
-        }
-        t.elapsed().as_secs_f64() * 1e9 / SETUPS as f64
-    };
-    let cs = dpf::cache_stats();
-    println!("  per-flow setup: cold compile {cold_ns:.0} ns, warm cache hit {warm_ns:.0} ns");
-    println!(
-        "  ({:.0}x amortization; classifier cache: {} hits, {} misses)",
-        cold_ns / warm_ns,
-        cs.hits,
-        cs.misses
-    );
+    println!("  per-flow install (fresh service, one build of the set): {install_ns:.0} ns");
+    snapshot::record("table3_dpf/install_ns", install_ns);
 }
 
 criterion_group!(benches, bench);

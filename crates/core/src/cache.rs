@@ -8,7 +8,7 @@
 //!
 //! - **Content-addressed.** A [`CacheKey`] is (target id, key bytes):
 //!   either the serialized vcode stream (`Program::encode`) or a client
-//!   key (DPF filter shape, ASH pipeline shape). The stored hash
+//!   key ([`CacheKey::from_client_hash`]). The stored hash
 //!   ([`digest64`](crate::persist::digest64) of the bytes, mixed with
 //!   the target) just *routes* (shard choice, bucket probe); equality is
 //!   decided on the full bytes, so hash collisions can never alias two
@@ -408,11 +408,6 @@ impl<V: ?Sized> LambdaCache<V> {
         self
     }
 
-    /// The configured stall timeout.
-    pub fn stall_timeout(&self) -> Duration {
-        self.stall
-    }
-
     fn shard(&self, key: &CacheKey) -> MutexGuard<'_, ShardState<V>> {
         let idx = (key.hash as usize) % self.shards.len();
         self.shards[idx].lock().unwrap_or_else(|e| e.into_inner())
@@ -491,7 +486,7 @@ impl<V: ?Sized> LambdaCache<V> {
     ) -> Result<Arc<V>, E> {
         let mut build = Some(build);
         loop {
-            match self.attempt(&key, &mut build, self.stall) {
+            match self.attempt(&key, &mut build) {
                 Attempt::Done(result) => return result,
                 // The stuck slot was vacated; retry — this thread
                 // becomes the next builder unless someone beat it.
@@ -500,11 +495,13 @@ impl<V: ?Sized> LambdaCache<V> {
         }
     }
 
-    /// [`get_or_insert_with`](Self::get_or_insert_with) with an explicit
-    /// wait bound and a typed stall outcome: a caller that would rather
-    /// degrade (serve a fallback) than keep waiting uses this entry
-    /// point. On [`CacheError::Stalled`] the stuck `Building` slot has
-    /// already been vacated, so a later retry can compile.
+    /// [`get_or_insert_with`](Self::get_or_insert_with) with a typed
+    /// stall outcome: a caller that would rather report a stuck build
+    /// than take it over uses this entry point. The wait is bounded by
+    /// the cache's one stall timeout
+    /// ([`with_stall_timeout`](Self::with_stall_timeout)). On
+    /// [`CacheError::Stalled`] the stuck `Building` slot has already been
+    /// vacated, so a later retry can compile.
     ///
     /// Pass the key by reference and a hit clones nothing.
     ///
@@ -512,15 +509,14 @@ impl<V: ?Sized> LambdaCache<V> {
     ///
     /// [`CacheError::Build`] wraps the builder's typed error;
     /// [`CacheError::Stalled`] reports a builder that made no progress
-    /// for the whole `stall` window.
+    /// for the whole stall window.
     pub fn get_or_build<E>(
         &self,
         key: impl std::borrow::Borrow<CacheKey>,
         build: impl FnOnce() -> Result<Arc<V>, E>,
-        stall: Duration,
     ) -> Result<Arc<V>, CacheError<E>> {
         let mut build = Some(build);
-        match self.attempt(key.borrow(), &mut build, stall) {
+        match self.attempt(key.borrow(), &mut build) {
             Attempt::Done(result) => result.map_err(CacheError::Build),
             Attempt::Stalled { waited } => Err(CacheError::Stalled { waited }),
         }
@@ -533,7 +529,6 @@ impl<V: ?Sized> LambdaCache<V> {
         &self,
         key: &CacheKey,
         build: &mut Option<F>,
-        stall: Duration,
     ) -> Attempt<V, E> {
         let mut waited = false;
         loop {
@@ -578,9 +573,9 @@ impl<V: ?Sized> LambdaCache<V> {
             }
             waited = true;
             // Bounded wait: the window restarts per build slot — a
-            // stall means *this* builder made no progress for `stall`.
+            // stall means *this* builder made no progress for the window.
             let start = Instant::now();
-            let deadline = start + stall;
+            let deadline = start + self.stall;
             let mut st = wait_on.state.lock().unwrap_or_else(|e| e.into_inner());
             st.awaited = true;
             loop {
@@ -1033,7 +1028,8 @@ mod tests {
 
     #[test]
     fn building_counter_tracks_every_transition() {
-        let c: Arc<LambdaCache<u32>> = Arc::new(LambdaCache::new(16));
+        let c: Arc<LambdaCache<u32>> =
+            Arc::new(LambdaCache::new(16).with_stall_timeout(Duration::from_millis(10)));
         assert_eq!(building(&c), 0);
         // Claim -> publish, observed from inside the builder.
         c.get_or_insert_with::<Infallible>(key(1), || {
@@ -1057,7 +1053,7 @@ mod tests {
         // Wedged slot -> stall-vacate by a bounded waiter.
         wedge(&c, &key(4));
         assert_eq!(building(&c), 1);
-        let err = c.get_or_build::<&str>(key(4), || Ok(Arc::new(4)), Duration::from_millis(10));
+        let err = c.get_or_build::<&str>(key(4), || Ok(Arc::new(4)));
         assert!(matches!(err, Err(CacheError::Stalled { .. })));
         assert_eq!(building(&c), 0);
         // A stale generation resolving late moves nothing.
@@ -1120,10 +1116,10 @@ mod tests {
 
     #[test]
     fn stalled_build_surfaces_typed_error_and_vacates() {
-        let c: LambdaCache<u32> = LambdaCache::new(8);
+        let c: LambdaCache<u32> = LambdaCache::new(8).with_stall_timeout(Duration::from_millis(20));
         wedge(&c, &key(1));
         let err = c
-            .get_or_build::<&str>(key(1), || Ok(Arc::new(1)), Duration::from_millis(20))
+            .get_or_build::<&str>(key(1), || Ok(Arc::new(1)))
             .unwrap_err();
         match err {
             CacheError::Stalled { waited } => assert!(waited >= Duration::from_millis(20)),
@@ -1131,9 +1127,7 @@ mod tests {
         }
         assert_eq!(c.stats().stalls, 1);
         // The dead slot was vacated: the key is immediately buildable.
-        let v = c
-            .get_or_build::<&str>(key(1), || Ok(Arc::new(5)), Duration::from_millis(20))
-            .unwrap();
+        let v = c.get_or_build::<&str>(key(1), || Ok(Arc::new(5))).unwrap();
         assert_eq!(*v, 5);
     }
 
@@ -1176,12 +1170,12 @@ mod tests {
         // of a colliding key: the next cold build on that shard is over
         // the cap and must bypass (compile uncached), not queue behind
         // the cap or grow the shard.
-        let c: LambdaCache<u32> = LambdaCache::new(8);
+        let c: LambdaCache<u32> = LambdaCache::new(8).with_stall_timeout(Duration::from_millis(50));
         let ka = CacheKey::with_hash(TargetId::Mips, vec![1], 0);
         let kb = CacheKey::with_hash(TargetId::Mips, vec![2], 8); // same shard
         wedge(&c, &ka);
         let v = c
-            .get_or_build::<&str>(kb.clone(), || Ok(Arc::new(2)), Duration::from_millis(50))
+            .get_or_build::<&str>(kb.clone(), || Ok(Arc::new(2)))
             .unwrap();
         assert_eq!(*v, 2);
         assert_eq!(c.stats().bypasses, 1);
@@ -1254,16 +1248,15 @@ mod tests {
 
     #[test]
     fn dropped_ticket_vacates_and_wakes_waiters() {
-        let c: Arc<LambdaCache<u32>> = Arc::new(LambdaCache::new(8));
+        let c: Arc<LambdaCache<u32>> =
+            Arc::new(LambdaCache::new(8).with_stall_timeout(Duration::from_secs(5)));
         let ticket = match c.begin_build(&key(5)) {
             Probe::Claimed(t) => t,
             other => panic!("expected Claimed, got {other:?}"),
         };
         let waiter = {
             let c = Arc::clone(&c);
-            std::thread::spawn(move || {
-                c.get_or_build::<&str>(key(5), || Ok(Arc::new(55)), Duration::from_secs(5))
-            })
+            std::thread::spawn(move || c.get_or_build::<&str>(key(5), || Ok(Arc::new(55))))
         };
         std::thread::sleep(Duration::from_millis(10));
         drop(ticket); // abandoned implicitly — waiters must not stall

@@ -2,9 +2,8 @@
 //! on-disk [`DiskTier`], and the one place a miss is routed. Its one
 //! product client is the [`Engine`](crate::Engine) (whose persistence
 //! the frozen `benchmark/` times). DPF's classifier sets and ASH's
-//! kernels build in less time than a store-through costs or, for ASH, a
-//! verified load takes, so each keeps a bare process-wide
-//! [`LambdaCache`] instead (DESIGN.md "Code stack").
+//! kernels are compiled when they are installed and owned by what
+//! installed them: nothing caches them (DESIGN.md "Code stack").
 //!
 //! A client supplies a key, an [`ArtifactCodec`] (if it persists) and one
 //! *miss function*, which receives an [`L2`] handle and composes its
@@ -83,9 +82,8 @@ impl<V: ?Sized + Send + Sync + 'static> CodeStack<V> {
     ) -> Result<Arc<V>, CacheError<E>> {
         // Looked up by the builder, not before it: a hit never asks.
         let tier = || self.l2.get().map(|t| &**t);
-        let stall = self.cache.stall_timeout();
         self.cache
-            .get_or_build(key, || miss(L2 { tier: tier(), key }), stall)
+            .get_or_build(key, || miss(L2 { tier: tier(), key }))
     }
 
     /// The L1 cache (direct keying, invalidation, counters).

@@ -110,6 +110,11 @@ pub enum CompileError {
     /// The classifier generator exhausted the target's temp register
     /// file (the `TooManyTemps` discipline: surface it, never panic).
     TooManyTemps,
+    /// A filter id above `i32::MAX`. The classifier returns ids as a
+    /// sign-extended 32-bit value, so native code would report this id
+    /// as no match; nothing is emitted, and a service serves the set
+    /// from its interpreter, which returns it.
+    IdOutOfRange(u32),
 }
 
 impl fmt::Display for CompileError {
@@ -119,6 +124,12 @@ impl fmt::Display for CompileError {
             CompileError::Exec(e) => write!(f, "executable memory: {e}"),
             CompileError::TooManyTemps => {
                 write!(f, "classifier generation exhausted the temp register file")
+            }
+            CompileError::IdOutOfRange(id) => {
+                write!(
+                    f,
+                    "filter id {id} is above i32::MAX, out of the classifier's range"
+                )
             }
         }
     }
@@ -149,6 +160,9 @@ impl From<CompileError> for vcode::ExecError {
             CompileError::TooManyTemps => vcode::ExecError::Codegen(vcode::Error::BadOperands(
                 "classifier generation exhausted the temp register file",
             )),
+            CompileError::IdOutOfRange(_) => {
+                vcode::ExecError::Codegen(vcode::Error::BadOperands("filter id above i32::MAX"))
+            }
         }
     }
 }
@@ -644,6 +658,18 @@ fn level_need(level: &Level) -> u32 {
     }
 }
 
+/// The first accepting id in the trie that native code cannot return:
+/// one above `i32::MAX` ([`CompileError::IdOutOfRange`]).
+fn wide_id(level: &Level) -> Option<u32> {
+    let wide = level.accept.filter(|&id| i32::try_from(id).is_err());
+    wide.or_else(|| {
+        level.nodes.iter().find_map(|n| {
+            let next = n.arms.iter().map(|a| &a.next);
+            next.chain(n.next.as_deref()).find_map(wide_id)
+        })
+    })
+}
+
 /// Whether any node of the trie shifts the base.
 fn has_shift(level: &Level) -> bool {
     level.nodes.iter().any(|n| {
@@ -653,7 +679,8 @@ fn has_shift(level: &Level) -> bool {
 
 /// The id in a data-dispatch table entry that no key owns. Not a filter
 /// id: the classifier returns ids as `i64`, negative meaning no match
-/// ([`CompiledSet::classify`]), so an id above `i32::MAX` never was one.
+/// ([`CompiledSet::classify`]), so [`emit`] refuses any id above
+/// `i32::MAX`.
 const NO_ID: u32 = u32::MAX;
 
 /// The multiplicative hash the perfect-hash dispatches emit: the top
@@ -697,8 +724,12 @@ pub struct Emitted {
 /// # Errors
 ///
 /// [`CompileError::Codegen`] (an [`Overflow`](vcode::Error::Overflow)
-/// when `buf` is too small) or [`CompileError::TooManyTemps`].
+/// when `buf` is too small), [`CompileError::TooManyTemps`], or
+/// [`CompileError::IdOutOfRange`] before anything is written.
 pub fn emit(root: &Level, opts: Options, buf: &mut [u8]) -> Result<Emitted, CompileError> {
+    if let Some(id) = wide_id(root) {
+        return Err(CompileError::IdOutOfRange(id));
+    }
     let mut a = Assembler::<X64>::lambda(buf, "%p%ul", Leaf::Yes)?;
     let (msg, len) = (a.arg(0), a.arg(1));
     let mut temp = || a.getreg(RegClass::Temp).ok_or(CompileError::TooManyTemps);

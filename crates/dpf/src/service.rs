@@ -9,9 +9,9 @@
 //!   stores and two loads — no mutex, no reference-count contention on
 //!   the generation itself.
 //! - **Writers build, then publish once.** `insert`/`remove` compile the
-//!   *new* filter set on the calling (control-plane) thread, through the
-//!   process-wide classifier stack, and swap the finished immutable
-//!   `Generation` in with a single pointer store;
+//!   *new* filter set on the calling (control-plane) thread and swap the
+//!   finished immutable `Generation`, which owns the compiled set, in
+//!   with a single pointer store;
 //!   [`insert_all`](DpfService::insert_all) does so once for a whole
 //!   batch. Readers keep the previous native generation until the
 //!   swap: a build costs tens of
@@ -25,9 +25,10 @@
 //!   [`poll_upgrade`](DpfService::poll_upgrade) retries no sooner than
 //!   its backoff, and the next mutation supersedes it.
 //! - **Reclamation is epoch-deferred.** A replaced generation is freed
-//!   (and its `Arc` on the compiled set dropped) only once every active
-//!   reader entered at or after the retire epoch — a reader mid-batch on
-//!   the old code keeps it mapped and executable.
+//!   (and its compiled set's mapping parked in the executable-memory
+//!   pool for the next install) only once every active reader entered at
+//!   or after the retire epoch — a reader mid-batch on the old code keeps
+//!   it mapped and executable.
 //!
 //! ```
 //! use dpf::packet::{self, PacketSpec};
@@ -43,10 +44,9 @@
 //! # Ok::<(), dpf::FilterError>(())
 //! ```
 
-use crate::compile::{CompileError, CompiledSet};
+use crate::compile::{self, CompileError, CompiledSet, Options};
 use crate::lang::Filter;
 use crate::trie::{self, Level};
-use crate::{build_set, Options};
 use std::cell::Cell;
 use std::marker::PhantomData;
 // Synchronization via vcode's `vsync` facade, and the epoch-RCU cell
@@ -56,7 +56,6 @@ use std::marker::PhantomData;
 // concurrency").
 use vcode::rcu::Rcu;
 use vcode::vsync::{Arc, AtomicBool, AtomicU64, Duration, Instant, Mutex, MutexGuard, Ordering};
-use vcode::CacheError;
 
 /// First-failure retry backoff of a failed native build; doubles per
 /// consecutive failure on the same set, up to [`RETRY_CAP`].
@@ -66,11 +65,10 @@ const RETRY_CAP: Duration = Duration::from_secs(5);
 
 /// What a generation classifies with.
 enum Classifier {
-    /// The compiled classifier. The `Arc` is dropped only when the
-    /// generation is reclaimed, i.e. after its last reader epoch retires
-    /// — a reader mid-batch keeps the old code executable even if the
-    /// cache evicts its own `Arc` to the set meanwhile.
-    Native(Arc<CompiledSet>),
+    /// The compiled classifier, owned: it is dropped only when the
+    /// generation is reclaimed, i.e. after its last reader epoch retires,
+    /// so a reader mid-batch keeps the old code executable.
+    Native(CompiledSet),
     /// The merged trie of the same filters, interpreted: the set's
     /// native build failed (or the set is the empty one a service
     /// starts with).
@@ -81,6 +79,12 @@ impl Classifier {
     fn interpreter(filters: &[(u32, Filter)]) -> Classifier {
         Classifier::Interpreter(trie::build(filters))
     }
+}
+
+/// The one classifier build, on the calling thread: merge `filters`
+/// into a trie and compile it.
+fn build(filters: &[(u32, Filter)], opts: Options) -> Result<CompiledSet, CompileError> {
+    compile::compile(&trie::build(filters), opts)
 }
 
 /// One published classifier generation: an immutable snapshot serving
@@ -120,7 +124,7 @@ pub struct BuildFailure {
 impl BuildFailure {
     /// The record after one more failed build (`prior` before it), and
     /// when its backoff runs out.
-    fn after(prior: u32, error: &CacheError<CompileError>) -> (BuildFailure, Instant) {
+    fn after(prior: u32, error: &CompileError) -> (BuildFailure, Instant) {
         let failures = prior.saturating_add(1);
         let retry_in = RETRY_BASE
             .saturating_mul(1 << (failures - 1).min(16))
@@ -185,7 +189,7 @@ impl Shared {
     /// Nothing is committed before the build returns, so a build that
     /// unwinds leaves the list, `seq` and what readers see in agreement.
     fn install(&self, w: &mut Writer, filters: Vec<(u32, Filter)>) {
-        let built = build_set(&filters, w.opts);
+        let built = build(&filters, w.opts);
         w.filters = filters;
         w.seq += 1;
         match built {
@@ -383,7 +387,7 @@ impl DpfService {
             let mut w = lock(&self.shared.writer);
             let due = w.failure.as_ref().filter(|(_, at)| Instant::now() >= *at);
             if let Some(prior) = due.map(|(f, _)| f.failures) {
-                match build_set(&w.filters, w.opts) {
+                match build(&w.filters, w.opts) {
                     Ok(set) => {
                         w.failure = None;
                         self.shared.publish(&w, Classifier::Native(set));
@@ -654,31 +658,23 @@ mod tests {
         });
     }
 
-    /// Serializes the tests that reason about the process-wide
-    /// classifier cache: one empties it, another shares a build through
-    /// it.
-    static CACHE_USERS: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
     #[test]
     fn published_code_is_kept_alive_by_its_generation() {
-        let _serial = CACHE_USERS.lock().unwrap_or_else(|e| e.into_inner());
         let svc = DpfService::new();
         let reader = svc.reader();
         let ids: Vec<u32> = packet::port_filter_set(8, 5100)
             .into_iter()
             .map(|f| svc.insert(f))
             .collect();
-        // The cache lets go of the set and the pool of every parked
-        // mapping: the published generation's `Arc` is what keeps the
-        // code mapped.
-        crate::clear_cache();
+        // The pool lets go of every parked mapping: the published
+        // generation is what keeps the code mapped.
         vcode_x64::drain_pool();
         assert!(svc.is_native());
         assert_eq!(reader.classify(&port_msg(5103)), Some(ids[3]));
         assert_eq!(reader.classify(&port_msg(5108)), None);
 
         // A reader inside its epoch keeps the generation it entered, and
-        // its code, through a superseding insert, a clear and a drain.
+        // its code, through a superseding insert and a drain.
         let msgs: Vec<Vec<u8>> = (5100..5110).map(port_msg).collect();
         let in_flight = |c: &Classifier| match c {
             Classifier::Native(set) => msgs.iter().map(|m| set.classify(m)).collect::<Vec<_>>(),
@@ -691,50 +687,11 @@ mod tests {
             ids.iter().map(|&id| Some(id)).collect::<Vec<_>>()
         );
         let extra = svc.insert(packet::tcp_port_filter(0x0a00_0002, 5108).unwrap());
-        crate::clear_cache();
         vcode_x64::drain_pool();
         assert_eq!(in_flight(&g.classifier), before);
         drop(g);
         assert_eq!(reader.classify(&port_msg(5108)), Some(extra));
         svc.poll_upgrade();
         assert_eq!(svc.stats().retired_backlog, 0);
-    }
-
-    #[test]
-    fn a_herd_on_one_filter_set_shares_one_compiled_set() {
-        // Eight services racing the same cold filter set through
-        // `get_or_build`: one of them builds, and they all end up
-        // serving that one compiled classifier.
-        let _serial = CACHE_USERS.lock().unwrap_or_else(|e| e.into_inner());
-        let filters = packet::port_filter_set(4, 7600);
-        let probe = port_msg(7602);
-        let start = std::sync::Barrier::new(8);
-        let sets: Vec<Arc<CompiledSet>> = std::thread::scope(|s| {
-            let herd: Vec<_> = (0..8)
-                .map(|_| {
-                    s.spawn(|| {
-                        let svc = DpfService::new();
-                        start.wait();
-                        for f in &filters {
-                            svc.insert(f.clone());
-                        }
-                        assert_eq!(svc.classify(&probe), Some(2));
-                        let reader = svc.reader();
-                        let g = svc.shared.rcu.enter(&reader.slot);
-                        match &g.classifier {
-                            Classifier::Native(set) => Arc::clone(set),
-                            Classifier::Interpreter(_) => panic!("buildable set interpreted"),
-                        }
-                    })
-                })
-                .collect();
-            herd.into_iter().map(|t| t.join().unwrap()).collect()
-        });
-        for w in sets.windows(2) {
-            assert!(
-                Arc::ptr_eq(&w[0], &w[1]),
-                "the herd must share one compiled set"
-            );
-        }
     }
 }

@@ -937,3 +937,57 @@ fn data_dispatch_agrees_with_every_engine_on_generated_sets() {
         assert_eq!(set.vcode_insns > 50, round % 6 == 2, "round {round}");
     }
 }
+
+/// Native code returns a filter id as a sign-extended 32-bit value, so
+/// an id above `i32::MAX` would read as no match while the interpreter
+/// returns it. Compilation refuses such a set with a typed error (a
+/// service then serves it from the interpreter, correctly), on the
+/// single-compare path and on the id-table path alike; `i32::MAX` itself
+/// is in range and classified natively.
+#[test]
+fn a_filter_id_above_i32_max_is_refused_not_misclassified() {
+    let port = |p: u16| {
+        packet::build(&PacketSpec {
+            dst_port: p,
+            ..PacketSpec::default()
+        })
+    };
+    let ids_from = |first: u32, n: u16| -> Vec<(u32, Filter)> {
+        (first..).zip(packet::port_filter_set(n, 4000)).collect()
+    };
+    // One filter: a single compare, then the id returned as an immediate.
+    for id in [0x8000_0000, 0xffff_fffe] {
+        let set = ids_from(id, 1);
+        let root = dpf::trie::build(&set);
+        match dpf::compile::compile(&root, Options::default()) {
+            Err(dpf::CompileError::IdOutOfRange(got)) => assert_eq!(got, id),
+            other => panic!("id {id:#x}: expected IdOutOfRange, got {other:?}"),
+        }
+        assert_eq!(root.classify(&port(4000), 0), Some(id));
+    }
+    // Twenty dense ports: the id is loaded from a table.
+    let set = ids_from(0x8000_0000, 20);
+    let root = dpf::trie::build(&set);
+    assert!(matches!(
+        dpf::compile::compile(&root, Options::default()),
+        Err(dpf::CompileError::IdOutOfRange(0x8000_0000))
+    ));
+    assert_eq!(root.classify(&port(4019), 0), Some(0x8000_0013));
+    // The boundary: ids up to `i32::MAX` classify natively on both paths.
+    for (first, n) in [(0x7fff_ffff, 1), (0x7fff_ffff - 19, 20)] {
+        let set = ids_from(first, n);
+        let native = dpf::compile::compile(&dpf::trie::build(&set), Options::default())
+            .expect("ids up to i32::MAX compile");
+        let table = native.strategies.table;
+        assert_eq!(
+            table,
+            u32::from(n > 1),
+            "{first:#x}: {:?}",
+            native.strategies
+        );
+        for (id, p) in (first..).zip(4000..4000 + n) {
+            assert_eq!(native.classify(&port(p)), Some(id), "port {p}");
+        }
+        assert_eq!(native.classify(&port(4000 + n)), None);
+    }
+}

@@ -34,13 +34,9 @@ fn every_client_degrades_without_exec_memory_and_heals_with_it() {
     an_engine_compile_is_a_typed_error();
 }
 
-/// Runs `f` with no new executable memory and no cached classifier or
-/// kernel to fall back on, so every native build inside it fails. The
-/// caches are emptied first: code they drop parks in the pool, which
-/// the refusal then drains.
+/// Runs `f` with no new executable memory, so every native build inside
+/// it fails: nothing caches a classifier or kernel to fall back on.
 fn refused<T>(f: impl FnOnce() -> T) -> T {
-    dpf::clear_cache();
-    ash::clear_cache();
     harden::with_no_new_exec_memory(f)
 }
 
@@ -264,7 +260,6 @@ fn an_ash_pipeline_falls_back_to_the_interpreter() {
             );
             assert_eq!(got, want, "{steps:?} n={n}");
         }
-        ash::clear_cache();
         let p = Pipeline::compile(&steps).unwrap();
         assert_eq!(p.engine_kind(), EngineKind::Native, "{steps:?}");
     }

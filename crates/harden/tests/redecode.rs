@@ -195,7 +195,7 @@ fn client_images() -> Vec<Vec<u8>> {
     let shifted = [80, 443, 8080].map(|p| tcp_port_filter_var_ihl(p).unwrap());
     assert_eq!(classifier(shifted.to_vec()).linear, 1);
     // ASH: every step set at unroll factors on both sides of the tail
-    // loop. An emptied kernel cache compiles on this thread.
+    // loop, each compiled on this thread.
     use ash::{Pipeline, Step};
     for steps in [
         vec![],
@@ -205,7 +205,6 @@ fn client_images() -> Vec<Vec<u8>> {
     ] {
         for unroll in [1, 3, 8, 16] {
             dirty_scratch();
-            ash::clear_cache();
             let p = Pipeline::compile_with_unroll(&steps, unroll).unwrap();
             // SAFETY: `p` holds its kernel, `code_len` bytes from its entry.
             images.push(unsafe { installed(p.entry_addr().expect("native"), p.code_len) });

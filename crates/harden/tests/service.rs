@@ -62,11 +62,15 @@ fn panicking_builders_never_escape_and_quarantine() {
 
 #[test]
 fn deadline_overrun_vacates_slot_for_sync_claim() {
-    let sv = service(ServiceConfig {
-        workers: 1,
-        deadline: Duration::from_millis(20),
-        ..cfg()
-    });
+    let cache = LambdaCache::new(64).with_stall_timeout(Duration::from_secs(5));
+    let sv = CompileService::new(
+        Arc::new(cache),
+        ServiceConfig {
+            workers: 1,
+            deadline: Duration::from_millis(20),
+            ..cfg()
+        },
+    );
     let plan = FaultPlan::new(vec![BuildFault::SleepMs(80)]);
     let p = Arc::clone(&plan);
     assert!(matches!(
@@ -95,7 +99,7 @@ fn deadline_overrun_vacates_slot_for_sync_claim() {
     }
     let v = sv
         .cache()
-        .get_or_build::<String>(key(100), || Ok(Arc::new(7)), Duration::from_secs(5))
+        .get_or_build::<String>(key(100), || Ok(Arc::new(7)))
         .expect("sync claim after vacate");
     assert_eq!(*v, 7);
 }

@@ -164,7 +164,8 @@ pub mod programs {
     /// interleaving — while the hung builder still completes once its
     /// sleep expires.
     pub fn cache_stalled_path() {
-        let cache: Arc<LambdaCache<u64>> = Arc::new(LambdaCache::new(4));
+        let cache: Arc<LambdaCache<u64>> =
+            Arc::new(LambdaCache::new(4).with_stall_timeout(Duration::from_millis(10)));
         let claimed = Arc::new((Mutex::new(false), Condvar::new()));
         let builder = {
             let cache = Arc::clone(&cache);
@@ -190,11 +191,7 @@ pub mod programs {
                 g = cv.wait(g).unwrap_or_else(|e| e.into_inner());
             }
         }
-        let r = cache.get_or_build(
-            key(0xD00D),
-            || Ok::<_, ()>(Arc::new(2u64)),
-            Duration::from_millis(10),
-        );
+        let r = cache.get_or_build(key(0xD00D), || Ok::<_, ()>(Arc::new(2u64)));
         assert!(
             matches!(r, Err(CacheError::Stalled { .. })),
             "bounded waiter did not surface the stall: {r:?}"

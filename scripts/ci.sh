@@ -33,21 +33,25 @@ echo "== unsafe audit (SAFETY-comment gate) =="
 # justification; see scripts/unsafe_audit.sh.
 ./scripts/unsafe_audit.sh
 
-echo "== one stack (no hand-wired cache + disk tier; only the engine persists) =="
+echo "== one stack (no hand-wired cache + disk tier; only the engine persists or caches) =="
 # `vcode::stack::CodeStack` owns the L1 cache and the persistent tier,
 # and `L2::or_build` is the one function that probes and stores through
 # (DESIGN.md "Code stack"). Product source that constructs a tier (or
 # the frozen compile service, see "one build path" below) itself, or
 # calls the tier seam directly, is a second stack in the making: fail
-# on it. The stack has one client, `Engine`: DPF sets and ASH kernels
-# build faster than a store-through costs, so they keep a bare L1
-# (EXPERIMENTS.md "Persistence, measured (PR 26)"); product code
-# outside crates/core/src that names a codec or attaches a tier is a
-# second persisting client: fail on that too. Looked at: code lines
-# (not comments) of crates/*/src, src and examples before each file's
-# first `#[cfg(test)]`. Exempt: the stack module and the two modules
-# that define the names; crates/bench, tests and benchmark/ (they
-# measure and test the parts on their own).
+# on it. The stack has one client, `Engine`: product code outside
+# crates/core/src that names a codec or attaches a tier is a second
+# persisting client, and ("one cache client") product code there that
+# names `LambdaCache` is a second caching client: fail on both. DPF sets
+# and ASH kernels are compiled when installed and owned by what
+# installed them; a process-wide cache of them mapped superseded code
+# no metric read (EXPERIMENTS.md "Code is owned, not cached"). Looked
+# at: code lines (not comments) of crates/*/src, src and examples
+# before each file's first `#[cfg(test)]`. Exempt: the stack module and
+# the two modules that define the names; crates/bench, tests and
+# benchmark/ (they measure and test the parts on their own), and, for
+# `LambdaCache` only, crates/mcheck (its model programs run the cache's
+# own protocol).
 second_stack=$(git ls-files --cached --others --exclude-standard \
         'crates/*/src/*.rs' 'crates/*/src/**/*.rs' 'src/*.rs' 'examples/*.rs' |
     grep -v -e '^crates/bench/' \
@@ -60,16 +64,21 @@ second_stack=$(git ls-files --cached --others --exclude-standard \
         crates/core/src/*) core=1 ;;
         *) core=0 ;;
         esac
-        awk -v FILE="$f" -v CORE="$core" '
+        case $f in
+        crates/mcheck/*) model=1 ;;
+        *) model=0 ;;
+        esac
+        awk -v FILE="$f" -v CORE="$core" -v MODEL="$model" '
             /^[ \t]*#\[cfg\(test\)\]/ { exit }
             /^[ \t]*\/\// { next }
             /DiskTier::new|CompileService::new|CacheTier::load|CacheTier::store/ ||
-            (!CORE && /ArtifactCodec|enable_persist|persist_tier/) {
+            (!CORE && /ArtifactCodec|enable_persist|persist_tier/) ||
+            (!CORE && !MODEL && /LambdaCache/) {
                 printf "%s:%d: %s\n", FILE, NR, $0
             }' "$f"
     done)
 if [ -n "$second_stack" ]; then
-    echo "one-stack gate: product source wires its own tier or service, or persists beside the engine:" >&2
+    echo "one-stack gate: product source wires its own tier or service, or persists or caches beside the engine:" >&2
     echo "$second_stack" >&2
     exit 1
 fi
@@ -247,7 +256,7 @@ echo "one measurement system ok"
 echo "== one build path (a miss is built by the thread that asked) =="
 # `Engine::compile_cached` and `DpfService::{insert, insert_all, remove}`
 # build on the calling thread (`CodeStack::get_or_build`, and for DPF
-# its cache's `LambdaCache::get_or_build`);
+# `dpf::compile::compile` itself, with nothing cached);
 # nothing serves a fallback while a worker compiles, because waking the
 # worker costs more than the build (DESIGN.md "Compile service"). The
 # serve-while-compiling names must not come back, and the compile
