@@ -16,7 +16,8 @@
 //! - [`DpfService`] — the dynamically compiled engine (via `vcode` + the
 //!   x86-64 backend), served live: an install compiles the new set and
 //!   publishes it to lock-free readers before it returns (each published
-//!   generation owns its compiled set: nothing is cached or persisted);
+//!   generation owns its compiled set, one image of code and the tables
+//!   it reads: nothing is cached, persisted or patched after install);
 //! - [`Mpf`](mpf::Mpf) — a BPF-style bytecode interpreter run per filter;
 //! - [`Pathfinder`] — a pattern-trie interpreter with hashed cells.
 //!

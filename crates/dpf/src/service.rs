@@ -44,7 +44,7 @@
 //! # Ok::<(), dpf::FilterError>(())
 //! ```
 
-use crate::compile::{self, CompileError, CompiledSet, Options};
+use crate::compile::{self, CompileError, CompiledSet, Options, NO_ID};
 use crate::lang::Filter;
 use crate::trie::{self, Level};
 use std::cell::Cell;
@@ -307,19 +307,22 @@ impl DpfService {
         self.insert_all([f])[0]
     }
 
-    /// Installs a batch of filters under consecutive ids (in iteration
-    /// order, from the next free id) with one build and one published
-    /// generation for the whole batch, where an [`insert`](Self::insert)
-    /// per filter costs a build each. An empty batch publishes nothing.
+    /// Installs a batch of filters under the next free ids (in iteration
+    /// order, counting up, wrapping to 0 before `u32::MAX`, which means no
+    /// match) with one build and one published generation for the whole
+    /// batch, where an [`insert`](Self::insert) per filter costs a build
+    /// each. An empty batch publishes nothing.
     pub fn insert_all(&self, filters: impl IntoIterator<Item = Filter>) -> Vec<u32> {
         let batch: Vec<Filter> = filters.into_iter().collect();
         let mut w = lock(&self.shared.writer);
-        let ids: Vec<u32> = (w.next_id..).take(batch.len()).collect();
-        if !ids.is_empty() {
+        let free = |id: &u32| !w.filters.iter().any(|&(live, _)| live == *id);
+        let order = (w.next_id..NO_ID).chain(0..w.next_id);
+        let ids: Vec<u32> = order.filter(free).take(batch.len()).collect();
+        if let Some(&last) = ids.last() {
             let mut set = w.filters.clone();
             set.extend(ids.iter().copied().zip(batch));
             self.shared.install(&mut w, set);
-            w.next_id += ids.len() as u32;
+            w.next_id = (last + 1) % NO_ID;
         }
         ids
     }
@@ -579,6 +582,29 @@ mod tests {
         assert_eq!((st.seq, st.native_publishes), (8, 8));
         assert_eq!(st.degraded_calls, before, "no filter set was interpreted");
         assert_eq!(svc.build_failure(), None);
+    }
+
+    /// Ids run past `i32::MAX` natively, wrap before `NO_ID` (which
+    /// native code reports as no match), and skip one still installed.
+    #[test]
+    fn ids_wrap_before_no_id_and_skip_live_ones() {
+        let svc = DpfService::new();
+        let filter = |p| packet::tcp_port_filter(0x0a00_0002, p).unwrap();
+        let mut ids = vec![svc.insert(filter(6000))];
+        for start in [i32::MAX as u32 - 1, NO_ID - 2] {
+            lock(&svc.shared.writer).next_id = start;
+            for _ in 0..3 {
+                let id = svc.insert(filter(6000 + ids.len() as u16));
+                assert!(svc.is_native(), "{id:#x}: {:?}", svc.build_failure());
+                assert!(id != NO_ID && !ids.contains(&id), "{id:#x} after {ids:x?}");
+                ids.push(id);
+                for (&id, p) in ids.iter().zip(6000..) {
+                    assert_eq!(svc.classify(&port_msg(p)), Some(id), "port {p}");
+                }
+            }
+        }
+        let want = [0, 0x7fff_fffe, 0x7fff_ffff, 0x8000_0000];
+        assert_eq!(ids, [&want[..], &[0xffff_fffd, 0xffff_fffe, 1]].concat());
     }
 
     #[test]

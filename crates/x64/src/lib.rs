@@ -958,9 +958,12 @@ impl Lambda for NativeLambda {
     }
 }
 
-/// Places finished, position-independent code in a pooled mapping sized
-/// by `code.len()` (which is also all parking scrubs): the install half
-/// of [`emit_native`], and all of an L2 load ([`Backend::adopt`]).
+/// Places finished, position-independent code — with any data it
+/// carries after it, as a DPF classifier carries its tables — in a
+/// pooled mapping sized by `code.len()` (which is also all parking
+/// scrubs): the install half of [`emit_native`], and all of an L2 load
+/// ([`Backend::adopt`]). Every client's code is position-independent but
+/// tcc's, whose unit reaches its function table by absolute address.
 fn place(code: &[u8]) -> std::io::Result<ExecCode> {
     ExecMem::adopt_bytes(code)?.finalize_written(code.len())
 }

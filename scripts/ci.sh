@@ -196,6 +196,39 @@ if [ -n "$second_sizing" ]; then
 fi
 echo "one sizing ok"
 
+echo "== code carries its data (generated code names no host address) =="
+# A DPF classifier is one image: the code, then the tables it reads at
+# fixed offsets from a data-base argument, with jump-table entries as
+# code offsets from that base (DESIGN.md "Classification by data").
+# Nothing is patched after install, the same trie compiles to the same
+# bytes, and the image runs wherever it is copied. A host address baked
+# into generated code ties it to this process's heap and to one mapping.
+# Fail on code that loads one (`setp(`), jumps or calls to one
+# (`jmp_abs(`, `jal_abs(`), or takes one from a Rust buffer
+# (`.as_ptr() as u64`). Looked at: code lines (not comments) of
+# crates/dpf/src, crates/ash/src and crates/core/src/engine.rs before
+# each file's first `#[cfg(test)]`. tcc is the one client not looked at:
+# its unit's function table is still reached by absolute address, until
+# it carries its data too (ROADMAP item 5).
+host_addresses=$(git ls-files --cached --others --exclude-standard \
+        'crates/dpf/src/*.rs' 'crates/dpf/src/**/*.rs' 'crates/ash/src/*.rs' \
+        'crates/ash/src/**/*.rs' 'crates/core/src/engine.rs' |
+    while IFS= read -r f; do
+        [ -f "$f" ] || continue
+        awk -v FILE="$f" '
+            /^[ \t]*#\[cfg\(test\)\]/ { exit }
+            /^[ \t]*\/\// { next }
+            /setp\(|jmp_abs\(|jal_abs\(|\.as_ptr\(\) as u64/ {
+                printf "%s:%d: %s\n", FILE, NR, $0
+            }' "$f"
+    done)
+if [ -n "$host_addresses" ]; then
+    echo "code-carries-its-data gate: generated code names a host address:" >&2
+    echo "$host_addresses" >&2
+    exit 1
+fi
+echo "code carries its data ok"
+
 echo "== one dispatch per instruction (lowering matches on the tag only) =="
 # `engine::replay` dispatches once per recorded instruction, on its tag,
 # and hands the operation inside it to the assembler as a value
@@ -442,7 +475,7 @@ echo "== DPF dispatch is data (a set of leaves is a table lookup) =="
 # no indirect jump: the hash (or the dense index) selects a table entry,
 # one compare checks its key, the id is loaded and returned (DESIGN.md
 # "Classification by data"). Exact, in release as the benchmark runs it:
-# the 33-port set is 27 VCODE instructions in at most 150 bytes, with one
+# the 33-port set is 26 VCODE instructions in at most 150 bytes, with one
 # length check, no frame, and no transfer without an encoded target but
 # its two `ret`s; over generated sets on both sides of the choice (hash
 # and dense with holes, 16-bit, masked and 32-bit fields, behind a
