@@ -10,7 +10,7 @@
 //!   the values concurrently-active filters expect is lowered the way
 //!   optimizing compilers treat C `switch` statements: a small set is
 //!   searched directly, sparse values by binary search, dense ranges by
-//!   an indirect jump through a table;
+//!   indexing a table;
 //! - **hash-function selection** — for large sparse sets DPF picks a
 //!   multiplier that hashes the *known* keys perfectly, "and then encodes
 //!   the chosen function directly in the instruction stream";
@@ -18,11 +18,11 @@
 //!   code-generation time and the chosen hash is collision-free among
 //!   them, no chain walking is ever emitted (one compare remains to
 //!   reject values that are not keys at all);
-//! - **classification by data** — when every value such a dispatch
-//!   selects among just accepts a filter, there is nothing to jump to:
-//!   the hash (or the dense index) selects a table entry, the one compare
-//!   checks its key, and the id is loaded and returned, so which filter a
-//!   packet matches is never a branch for the predictor to miss;
+//! - **one table, two tails** — the dense index or the hash selects one
+//!   table entry. When every arm just accepts a filter, the entry is its
+//!   id and is returned, so which filter a packet matches is never a
+//!   branch for the predictor to miss; otherwise it is the distance of
+//!   the arm's code back from the tables, and the dispatch jumps there;
 //! - **bounds-check elision** — a field load's length check is dropped
 //!   when a check already performed on the path dominates it.
 //!
@@ -37,7 +37,7 @@
 //! ([`vcode_x64::emit_native`]); nothing is written after that.
 
 use crate::lang::FieldSize;
-use crate::trie::{Key, Level, Node};
+use crate::trie::{Arm, Key, Level, Node};
 use std::fmt;
 use vcode::regress::XorShift;
 use vcode::target::Leaf;
@@ -49,20 +49,20 @@ const LINEAR_MAX: usize = 4;
 /// Above this arm count a sparse set uses hashing instead of a branch
 /// tree.
 const HASH_MIN: usize = 16;
-/// Multipliers [`Cg::gen_hash`] draws before giving up on a perfect hash.
-const HASH_TRIES: u32 = 10_000;
-/// Multipliers [`Cg::gen_hash_lookup`] draws per table size. It starts at
-/// four slots a key, where tens of draws find a perfect multiplier for
-/// the few dozen keys a node usually has, and doubles the table rather
-/// than search on.
+/// Multipliers [`Cg::gen_hash`] draws per table size. It starts at four
+/// slots a key, where tens of draws find a perfect multiplier for the
+/// few dozen keys a node usually has, and doubles the table rather than
+/// search on.
 const LOOKUP_TRIES: u32 = 64;
-/// Most slots (8 bytes each) of a [`Cg::gen_hash_lookup`] table. One
-/// multiplier hashes `n` keys perfectly only into about n²/8 slots, so
-/// the table, and the time to fill it, grow with the square of the set:
-/// the cap is where a compile starts to cost more in table than in code
-/// (DESIGN.md "Classification by data" has the sweep). Larger sets
-/// dispatch through code as before.
-const LOOKUP_MAX_SLOTS: usize = 1 << 16;
+/// Most slots of a [`Cg::gen_hash`] table. One multiplier hashes `n`
+/// keys perfectly only into about n²/8 slots, so the table, and the time
+/// to fill it, grow with the square of the set. At 8 bytes a slot the
+/// largest table is half the largest lowering scratch, which is also the
+/// executable-memory pool's largest class: the table and its code are
+/// emitted and installed without a mapping outside either (DESIGN.md
+/// "Classification by data" has the sweep). Larger sets dispatch through
+/// the branch tree.
+const LOOKUP_MAX_SLOTS: usize = vcode::engine::SCRATCH_MAX / 16;
 
 /// Dispatch-strategy usage counts (for tests and the ablation bench).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -73,7 +73,7 @@ pub struct Strategies {
     pub linear: u32,
     /// Binary-search branch trees.
     pub bst: u32,
-    /// Indirect jump tables.
+    /// Dense-range table dispatches.
     pub table: u32,
     /// Perfect-hash dispatches.
     pub hash: u32,
@@ -83,7 +83,7 @@ pub struct Strategies {
 /// ablation knobs; defaults enable everything).
 #[derive(Debug, Clone, Copy)]
 pub struct Options {
-    /// Allow indirect jump tables for dense value sets.
+    /// Allow table dispatch for dense value sets.
     pub use_jump_tables: bool,
     /// Allow perfect-hash dispatch for large sparse sets.
     pub use_hashing: bool,
@@ -211,9 +211,21 @@ struct Cg<'m> {
     strategies: Strategies,
     /// The tables the code reads, as the words from the data base.
     tables: Vec<u32>,
-    /// The table words that hold the offset of a label from the data base.
+    /// The table words that hold the distance of a label back from the
+    /// data base.
     targets: Vec<(usize, Label)>,
     rng: XorShift,
+}
+
+/// What a table dispatch selects for a key.
+#[derive(Debug, Clone, Copy)]
+enum Entry {
+    /// The id of the filter that every arm of the node just accepts:
+    /// the entry is returned.
+    Id(u32),
+    /// The arm's code: the entry is its distance back from the data base,
+    /// which [`emit`] writes once the label is placed.
+    Code(Label),
 }
 
 fn swap_val(v: u32, size: FieldSize) -> u32 {
@@ -254,8 +266,8 @@ impl<'m> Cg<'m> {
     }
 
     /// Converts `self.field` from raw little-endian load to the
-    /// big-endian value domain (needed by table/hash dispatch, which
-    /// relies on numeric ordering/density of the real values).
+    /// big-endian value domain (needed by the dense table, which relies
+    /// on the density of the real values, and by a `Shift`'s arithmetic).
     fn emit_value_domain(&mut self, size: FieldSize) {
         match size {
             FieldSize::U8 => {}
@@ -350,50 +362,37 @@ impl<'m> Cg<'m> {
         let values = || node.arms.iter().map(|a| a.value);
         let min = values().min().unwrap_or(0);
         let span = (values().max().unwrap_or(0) - min) as usize + 1;
-        let table = self.opts.use_jump_tables && span <= (4 * n).max(16) && span <= 4096;
+        let table =
+            n > LINEAR_MAX && self.opts.use_jump_tables && span <= (4 * n).max(16) && span <= 4096;
         let hash = !table && self.opts.use_hashing && n >= HASH_MIN;
-        if n > LINEAR_MAX && (table || hash) {
-            // Every arm a leaf: the arms are data, not code.
-            let ids: Option<Vec<(u32, u32)>> = node
-                .arms
-                .iter()
-                .map(|a| Some((a.value, a.next.accept.filter(|_| a.next.nodes.is_empty())?)))
-                .collect();
-            if let Some(ids) = ids {
-                if table {
-                    self.strategies.table += 1;
-                    self.gen_id_table(size, &ids, min, span, fail);
-                    return;
-                }
-                if self.gen_hash_lookup(size, &ids, fail) {
-                    self.strategies.hash += 1;
-                    return;
-                }
-            }
-        }
         let arm_labels: Vec<Label> = node.arms.iter().map(|_| self.a.genlabel()).collect();
         let vals: Vec<(u32, Label)> = values().zip(arm_labels.iter().copied()).collect();
-        if n == 1 {
-            self.strategies.single += 1;
-            let v = swap_val(node.arms[0].value, size);
-            self.a.bneui(self.field, i64::from(v), fail);
-            // Fall through into the single arm body (its label binds
-            // immediately after).
-        } else if n <= LINEAR_MAX {
-            self.strategies.linear += 1;
-            for &(v, l) in &vals {
-                self.a.bequi(self.field, i64::from(swap_val(v, size)), l);
-            }
-            self.a.jmp(fail);
-        } else if table {
+        // Every arm a leaf: a table's entries are the ids, not code.
+        let leaves = node
+            .arms
+            .iter()
+            .all(|a| a.next.nodes.is_empty() && a.next.accept.is_some());
+        let entries = || -> Vec<(u32, Entry)> {
+            let entry = |(a, &l): (&Arm, _)| match a.next.accept {
+                Some(id) if leaves => (a.value, Entry::Id(id)),
+                _ => (a.value, Entry::Code(l)),
+            };
+            node.arms.iter().zip(&arm_labels).map(entry).collect()
+        };
+        let by_table = if table {
             self.strategies.table += 1;
-            self.gen_jump_table(size, &vals, min, span, fail);
-        } else if hash {
+            self.gen_table(size, &entries(), min, span, fail);
+            true
+        } else if hash && self.gen_hash(size, &entries(), fail) {
             self.strategies.hash += 1;
-            self.gen_hash(size, &vals, fail);
+            true
         } else {
-            self.strategies.bst += 1;
-            self.gen_bst_swapped(size, &vals, fail);
+            self.gen_branches(size, &vals, fail);
+            false
+        };
+        if by_table && leaves {
+            // The arms are the table: there is no code to emit for them.
+            return;
         }
         for (arm, &l) in node.arms.iter().zip(&arm_labels) {
             self.a.label(l);
@@ -401,142 +400,112 @@ impl<'m> Cg<'m> {
         }
     }
 
-    /// Appends a table of `len` entries, each `fill` to start with, to
-    /// the image, 8-byte aligned so an entry of two words is one load:
-    /// where it is read from the data base, and its entries.
-    fn table<const W: usize>(&mut self, len: usize, fill: [u32; W]) -> (i32, &mut [[u32; W]]) {
+    /// The branch strategies: one compare, a linear chain of them, or a
+    /// balanced tree, over the keys as loaded.
+    fn gen_branches(&mut self, size: FieldSize, vals: &[(u32, Label)], fail: Label) {
+        if let [(v, _)] = *vals {
+            self.strategies.single += 1;
+            self.a.bneui(self.field, i64::from(swap_val(v, size)), fail);
+            // Fall through into the single arm body (its label binds
+            // immediately after).
+        } else if vals.len() <= LINEAR_MAX {
+            self.strategies.linear += 1;
+            for &(v, l) in vals {
+                self.a.bequi(self.field, i64::from(swap_val(v, size)), l);
+            }
+            self.a.jmp(fail);
+        } else {
+            self.strategies.bst += 1;
+            self.gen_bst_swapped(size, vals, fail);
+        }
+    }
+
+    /// Appends a table of `len` entries of `W` words, each `fill` to
+    /// start with, to the image, 8-byte aligned so an entry of two words
+    /// is one load: the index of its first word.
+    fn table<const W: usize>(&mut self, len: usize, fill: [u32; W]) -> usize {
         if self.tables.len() % 2 == 1 {
             self.tables.push(0);
         }
         let first = self.tables.len();
         self.tables.extend(std::iter::repeat_n(fill, len).flatten());
-        let entries = self.tables[first..].as_chunks_mut().0;
-        // Wraps only past `i32::MAX` bytes, an image `emit` refuses.
-        ((4 * first) as i32, entries)
+        first
     }
 
-    /// Makes word `word` of each two-word entry of the table at `at` the
-    /// offset from the data base of its label, once `end` has placed it.
-    fn code_offsets(&mut self, at: i32, word: usize, labels: Vec<Label>) {
-        let first = at as usize / 4 + word;
-        let entries = labels.into_iter().enumerate();
-        self.targets
-            .extend(entries.map(|(i, l)| (first + 2 * i, l)));
+    /// Sets table word `word` to `entry`: an id now, a code distance once
+    /// [`emit`] has placed the label.
+    fn put(&mut self, word: usize, entry: Entry) {
+        match entry {
+            Entry::Id(id) => self.tables[word] = id,
+            Entry::Code(l) => self.targets.push((word, l)),
+        }
     }
 
-    /// Dense range, first half: the field to the true value domain,
-    /// rebased to the range's minimum, values outside the range to `fail`.
-    fn emit_table_index(&mut self, size: FieldSize, min: u32, span: usize, fail: Label) {
+    /// Ends a table dispatch with the selected entry in `tmp`: an id is
+    /// returned; a code entry is the distance of the arm back from the
+    /// data base, so the jump goes to `data - entry` (computed in `field`,
+    /// dead by now, so that no operand is also the result).
+    fn tail(&mut self, ids: bool) {
+        if ids {
+            self.a.reti(self.tmp);
+        } else {
+            self.a.subp(self.field, self.data, self.tmp);
+            self.a.jmp_reg(self.field);
+        }
+    }
+
+    /// Dense range: the field, in the true value domain and rebased to
+    /// the range's minimum, indexes a table of one 32-bit entry a value;
+    /// values outside the range go to `fail`. A value no arm has holds
+    /// `fail`'s code, or among ids one no filter has, which one compare,
+    /// emitted only if the range has holes, sends to `fail`.
+    fn gen_table(
+        &mut self,
+        size: FieldSize,
+        entries: &[(u32, Entry)],
+        min: u32,
+        span: usize,
+        fail: Label,
+    ) {
         self.emit_value_domain(size);
         if min != 0 {
             self.a.subui(self.field, self.field, i64::from(min));
         }
         self.a.bgtui(self.field, i64::from(span as u32 - 1), fail);
-    }
-
-    /// Dense range: subtract the base, bound-check, and jump indirect
-    /// through a table of code offsets from the data base. Code precedes
-    /// its tables, so every offset is negative: an entry is the 32-bit
-    /// offset [`emit`] writes under a high word of ones.
-    fn gen_jump_table(
-        &mut self,
-        size: FieldSize,
-        vals: &[(u32, Label)],
-        min: u32,
-        span: usize,
-        fail: Label,
-    ) {
-        self.emit_table_index(size, min, span, fail);
-        let mut labels = vec![fail; span];
-        for &(v, l) in vals {
-            labels[(v - min) as usize] = l;
+        let ids = matches!(entries[0].1, Entry::Id(_));
+        let hole = if ids {
+            Entry::Id(NO_ID)
+        } else {
+            Entry::Code(fail)
+        };
+        let mut slots = vec![hole; span];
+        for &(v, entry) in entries {
+            slots[(v - min) as usize] = entry;
         }
-        let (at, _) = self.table(span, [0, u32::MAX]);
-        self.code_offsets(at, 0, labels);
-        self.a.lshuli(self.field, self.field, 3);
-        self.a.addp(self.field, self.field, self.data);
-        self.a.lduli(self.tmp, self.field, at);
-        self.a.addp(self.tmp, self.tmp, self.data);
-        self.a.jmp_reg(self.tmp);
-    }
-
-    /// Dense range of leaves: subtract the base, bound-check, and return
-    /// the filter id the table holds for the value; a hole in the range
-    /// holds an id no filter has and goes to `fail`.
-    fn gen_id_table(
-        &mut self,
-        size: FieldSize,
-        ids: &[(u32, u32)],
-        min: u32,
-        span: usize,
-        fail: Label,
-    ) {
-        self.emit_table_index(size, min, span, fail);
-        let (at, table) = self.table(span, [NO_ID]);
-        for &(v, id) in ids {
-            table[(v - min) as usize] = [id];
+        let first = self.table(span, [NO_ID]);
+        for (i, entry) in slots.into_iter().enumerate() {
+            self.put(first + i, entry);
         }
-        let holes = table.contains(&[NO_ID]);
         self.a.lshuli(self.field, self.field, 2);
         self.a.addp(self.field, self.field, self.data);
-        self.a.ldui(self.tmp, self.field, at);
-        if holes {
+        self.a.ldui(self.tmp, self.field, displacement(first));
+        if ids && span > entries.len() {
             self.a.bequi(self.tmp, i64::from(NO_ID), fail);
         }
-        self.a.reti(self.tmp);
+        self.tail(ids);
     }
 
-    /// Draws up to `tries` multipliers for one that scatters `keys` over
-    /// `1 << bits` slots without a collision — none when not one of the
-    /// draws is expected to ([`perfect_hash_is_hopeless`]).
-    fn perfect_multiplier(&mut self, keys: &[u32], bits: u32, tries: u32) -> Option<u32> {
-        let slots = 1usize << bits;
-        if perfect_hash_is_hopeless(keys.len(), slots, tries) {
-            return None;
-        }
-        let mut seen = vec![false; slots];
-        (0..tries).find_map(|_| {
+    /// Draws up to [`LOOKUP_TRIES`] multipliers for one that scatters
+    /// `keys` over `1 << bits` slots without a collision.
+    fn perfect_multiplier(&mut self, keys: &[u32], bits: u32) -> Option<u32> {
+        let mut seen = vec![false; 1 << bits];
+        (0..LOOKUP_TRIES).find_map(|_| {
             let m = (self.rng.next_u64() as u32) | 1;
             seen.fill(false);
             keys.iter()
                 .all(|&k| !std::mem::replace(&mut seen[hash_slot(k, m, bits)], true))
                 .then_some(m)
         })
-    }
-
-    /// Sparse large set: select a perfect multiplicative hash over the
-    /// known keys and encode it directly in the instruction stream. The
-    /// slot it selects holds a `[key, offset]` pair: the offset from the
-    /// data base of the arm's code, negative as in
-    /// [`gen_jump_table`](Self::gen_jump_table).
-    fn gen_hash(&mut self, size: FieldSize, vals: &[(u32, Label)], fail: Label) {
-        let n = vals.len();
-        let bits = usize::BITS - (2 * n - 1).leading_zeros();
-        let slots = 1usize << bits;
-        let values: Vec<u32> = vals.iter().map(|&(v, _)| v).collect();
-        let Some(mult) = self.perfect_multiplier(&values, bits, HASH_TRIES) else {
-            // No perfect multiplier (none looked for, or an unlucky
-            // search near the bound): dispatch through the branch tree.
-            self.strategies.hash -= 1;
-            self.strategies.bst += 1;
-            self.gen_bst_swapped(size, vals, fail);
-            return;
-        };
-        // Unused slots jump to fail (their keys never match, but keep the
-        // table total).
-        let (at, table) = self.table(slots, [u32::MAX, 0]);
-        let mut labels = vec![fail; slots];
-        for &(v, l) in vals {
-            let slot = hash_slot(v, mult, bits);
-            table[slot][0] = v;
-            labels[slot] = l;
-        }
-        self.code_offsets(at, 1, labels);
-        self.emit_value_domain(size);
-        self.probe(mult, bits, at, fail);
-        self.a.rshli(self.tmp, self.tmp, 32);
-        self.a.addp(self.tmp, self.tmp, self.data);
-        self.a.jmp_reg(self.tmp);
     }
 
     /// Loads into `tmp` the `[key, value]` pair that the perfect hash of
@@ -555,32 +524,35 @@ impl<'m> Cg<'m> {
         self.a.bneu(self.tmp, self.field, fail);
     }
 
-    /// Sparse large set of leaves: the perfect hash of
-    /// [`gen_hash`](Self::gen_hash), taken of the field as loaded (keys
-    /// are stored byte-swapped instead), selects a `[key, id]` pair of
-    /// one table; one compare rejects what is not a key, and the id is
-    /// returned. `false`, with nothing emitted, when no table of up to
-    /// [`LOOKUP_MAX_SLOTS`] has a perfect multiplier.
-    fn gen_hash_lookup(&mut self, size: FieldSize, ids: &[(u32, u32)], fail: Label) -> bool {
-        let keys: Vec<u32> = ids.iter().map(|&(v, _)| swap_val(v, size)).collect();
-        let first = usize::BITS - (4 * keys.len() - 1).leading_zeros();
-        let found = (first..=LOOKUP_MAX_SLOTS.ilog2())
-            .find_map(|bits| Some((self.perfect_multiplier(&keys, bits, LOOKUP_TRIES)?, bits)));
+    /// Sparse large set: selects a multiplicative hash that is perfect
+    /// over the known keys and encodes it directly in the instruction
+    /// stream. It is taken of the field as loaded (the keys are stored
+    /// byte-swapped instead) and selects a `[key, entry]` pair of one
+    /// table; one compare rejects what is not a key. `false`, with
+    /// nothing emitted, when no table of up to [`LOOKUP_MAX_SLOTS`] has a
+    /// perfect multiplier.
+    fn gen_hash(&mut self, size: FieldSize, entries: &[(u32, Entry)], fail: Label) -> bool {
+        let keys: Vec<u32> = entries.iter().map(|&(v, _)| swap_val(v, size)).collect();
+        let found = search_sizes(keys.len())
+            .find_map(|bits| Some((self.perfect_multiplier(&keys, bits)?, bits)));
         let Some((mult, bits)) = found else {
             return false;
         };
         // A packet's field reaches a slot only by hashing to it, so an
         // empty slot is safe behind the key compare exactly when its key
         // hashes to some other slot: zero hashes to slot 0, and
-        // 1 << (32 - bits) to the low bits of the (odd) multiplier.
-        let (at, table) = self.table(1 << bits, [0, NO_ID]);
-        table[0][0] = 1 << (32 - bits);
-        for (&key, &(_, id)) in keys.iter().zip(ids) {
-            table[hash_slot(key, mult, bits)] = [key, id];
+        // 1 << (32 - bits) to the low bits of the (odd) multiplier. Its
+        // entry is never read.
+        let first = self.table(1 << bits, [0, NO_ID]);
+        self.tables[first] = 1 << (32 - bits);
+        for (&key, &(_, entry)) in keys.iter().zip(entries) {
+            let word = first + 2 * hash_slot(key, mult, bits);
+            self.tables[word] = key;
+            self.put(word + 1, entry);
         }
-        self.probe(mult, bits, at, fail);
+        self.probe(mult, bits, displacement(first), fail);
         self.a.rshuli(self.tmp, self.tmp, 32);
-        self.a.reti(self.tmp);
+        self.tail(matches!(entries[0].1, Entry::Id(_)));
         true
     }
 
@@ -657,14 +629,24 @@ fn hash_slot(key: u32, mult: u32, bits: u32) -> usize {
     (key.wrapping_mul(mult) >> (32 - bits)) as usize
 }
 
-/// Whether a search for a perfect multiplier should not even start. A
-/// random multiplier scatters `n` keys over `slots` cells without a
-/// collision with probability about exp(-n²/(2·slots)) (the birthday
-/// bound): ~2 % at 16 keys in 32 slots, e⁻¹⁶ at 64 keys in 128. When not
-/// even one of `tries` draws is expected to succeed, the search is
-/// skipped instead of run to exhaustion.
-fn perfect_hash_is_hopeless(n: usize, slots: usize, tries: u32) -> bool {
-    (n * n) as f64 / (2 * slots) as f64 > f64::from(tries).ln()
+/// The table sizes, as bits of slot index, at which the perfect-hash
+/// search over `n` keys draws, in order: from four slots a key, doubling
+/// up to [`LOOKUP_MAX_SLOTS`], skipping each size where not one of the
+/// [`LOOKUP_TRIES`] draws is expected to succeed. A random multiplier
+/// scatters `n` keys over `slots` cells without a collision with
+/// probability about exp(-n²/(2·slots)) (the birthday bound): e⁻² at 32
+/// keys in 256 slots, e⁻⁸ at 64 keys in 256.
+fn search_sizes(n: usize) -> impl Iterator<Item = u32> {
+    let first = usize::BITS - (4 * n - 1).leading_zeros();
+    let hopeless =
+        move |bits: u32| (n * n) as f64 / (2usize << bits) as f64 > f64::from(LOOKUP_TRIES).ln();
+    (first..=LOOKUP_MAX_SLOTS.ilog2()).filter(move |&bits| !hopeless(bits))
+}
+
+/// Where table word `word` is read from the data base. Wraps only past
+/// `i32::MAX` bytes, an image [`emit`] refuses.
+fn displacement(word: usize) -> i32 {
+    (4 * word) as i32
 }
 
 /// A classifier written into a caller's buffer by [`emit`]: one image,
@@ -742,8 +724,8 @@ pub fn emit(root: &Level, opts: Options, buf: &mut [u8]) -> Result<Emitted, Comp
     let code_end = fin.len;
     let data_at = fin.entry + (code_end - fin.entry).next_multiple_of(8);
     fin.len = data_at + 4 * tables.len();
-    // Every displacement into the tables and every code offset from them
-    // is shorter than the image.
+    // Every displacement into the tables and every code distance from
+    // them is shorter than the image.
     let (at, dest, capacity) = (data_at, fin.len, buf.len());
     if fin.len > i32::MAX as usize {
         return Err(vcode::Error::BranchOutOfRange { at, dest }.into());
@@ -754,7 +736,8 @@ pub fn emit(root: &Level, opts: Options, buf: &mut [u8]) -> Result<Emitted, Comp
         let off = fin
             .label_offset(label)
             .ok_or(vcode::Error::UnboundLabel(label))?;
-        tables[word] = (off as i64 - data_at as i64) as u32;
+        // Code precedes its tables: the distance back is positive.
+        tables[word] = (data_at - off) as u32;
     }
     buf[code_end..data_at].fill(0);
     let image = buf[data_at..fin.len].chunks_exact_mut(4);
@@ -803,25 +786,29 @@ pub fn compile(root: &Level, opts: Options) -> Result<CompiledSet, CompileError>
 mod tests {
     use super::*;
 
-    fn slots_for(n: usize) -> usize {
-        1 << (usize::BITS - (2 * n - 1).leading_zeros())
+    /// The size of four slots a key, where every search starts.
+    fn first_size(n: usize) -> u32 {
+        usize::BITS - (4 * n - 1).leading_zeros()
     }
 
     #[test]
     fn hash_search_is_skipped_only_where_it_cannot_succeed() {
         // Every key count the 33-filter workloads (and anything up to 40
-        // keys) can present keeps its search: their code must not change.
+        // keys) can present draws at its first size: their code must not
+        // change.
         for n in HASH_MIN..=40 {
-            assert!(
-                !perfect_hash_is_hopeless(n, slots_for(n), HASH_TRIES),
-                "n = {n}"
-            );
+            assert_eq!(search_sizes(n).next(), Some(first_size(n)), "n = {n}");
         }
-        // 64 keys in 128 slots: e⁻¹⁶ per draw, 10 000 draws.
-        assert!(perfect_hash_is_hopeless(64, slots_for(64), HASH_TRIES));
-        // Right above a power of two the table doubles and the search
-        // is worth running again.
-        assert!(!perfect_hash_is_hopeless(65, slots_for(65), HASH_TRIES));
-        assert!(perfect_hash_is_hopeless(1024, slots_for(1024), HASH_TRIES));
+        // 64 keys in 256 slots: e⁻⁸ per draw, 64 draws; 512 slots are
+        // searched.
+        assert_eq!(search_sizes(64).next(), Some(first_size(64) + 1));
+        // The cap: n²/2¹⁶ stays under ln 64 up to 522 keys, so 512 draw
+        // at 2¹⁵ slots only (e⁻⁴ a draw) and 523 take the branch tree
+        // without a draw.
+        assert_eq!(LOOKUP_MAX_SLOTS, 1 << 15);
+        assert_eq!(search_sizes(512).collect::<Vec<_>>(), [15]);
+        assert_eq!(search_sizes(522).count(), 1);
+        assert_eq!(search_sizes(523).count(), 0);
+        assert_eq!(search_sizes(1024).count(), 0);
     }
 }

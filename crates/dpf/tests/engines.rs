@@ -619,11 +619,10 @@ fn a_classifier_past_one_page_compiles_on_a_fresh_thread() {
     .expect("compiles on a fresh thread");
 }
 
-/// The perfect-hash search is skipped only where it is hopeless, and a
-/// set of leaves looks in tables of four slots a key and up instead of
-/// 10 000 times in one of two: 64 keys, which 128 slots never held and
-/// which took the branch tree, hash like 16, 33 and 40 do (the policy
-/// itself is unit-tested beside `gen_hash`).
+/// The perfect-hash search is skipped only where it is hopeless, and it
+/// looks in tables of four slots a key and up: 64 keys, which 128 slots
+/// never held and which took the branch tree, hash like 16, 33 and 40 do
+/// (the policy itself is unit-tested beside `gen_hash`).
 #[test]
 fn perfect_hash_search_runs_where_it_can_succeed() {
     for n in [16usize, 33, 40] {
@@ -642,6 +641,63 @@ fn perfect_hash_search_runs_where_it_can_succeed() {
             ..PacketSpec::default()
         });
         assert_eq!(set.classify(&msg), Some(i as u32), "port {p}");
+    }
+}
+
+/// A node with one arm that is not a leaf hashes like a set of leaves:
+/// the one search finds a multiplier for its 64 keys, and the table
+/// holds each arm's distance back from the data base instead of an id.
+/// (Code dispatch had a search of its own, over two slots a key, which
+/// gave up on 64 keys and took the branch tree.) The classifier answers
+/// like the `Filter::matches` scan, MPF, PATHFINDER and the trie on every
+/// key, on the code arm's packet with its second field matching and not,
+/// on random misses, and on the fields an empty slot may hold.
+#[test]
+fn a_sparse_node_with_one_code_arm_hashes() {
+    let (ports, _) = sparse_port_set(64);
+    let code_arm = ports[32];
+    let filters: Vec<Filter> = ports
+        .iter()
+        .map(|&p| {
+            let f = FilterBuilder::new()
+                .eq_u16(packet::ETH_TYPE_OFF, packet::ETHERTYPE_IP)
+                .eq_u8(packet::IP_PROTO_OFF, packet::IPPROTO_TCP)
+                .eq_u16(packet::DST_PORT_OFF, p);
+            let f = if p == code_arm {
+                f.eq_u8(packet::DST_PORT_OFF + 10, 0x50)
+            } else {
+                f
+            };
+            f.build().unwrap()
+        })
+        .collect();
+    let port_msg = |port: u16| {
+        packet::build(&PacketSpec {
+            dst_port: port,
+            ..PacketSpec::default()
+        })
+    };
+    let mut rng = XorShift::new(0xc0de_0a53);
+    let mut msgs: Vec<Vec<u8>> = ports
+        .iter()
+        .copied()
+        .chain((0..64u16).map(u16::swap_bytes))
+        .chain([0xffff])
+        .chain((0..200).map(|_| rng.next_u64() as u16))
+        .map(port_msg)
+        .collect();
+    let mut long_header = port_msg(code_arm);
+    long_header[packet::DST_PORT_OFF as usize + 10] = 0x60;
+    msgs.push(long_header);
+    check_all(&filters, &msgs);
+
+    let set: Vec<(u32, Filter)> = (0..).zip(filters).collect();
+    let root = dpf::trie::build(&set);
+    let native = dpf::compile::compile(&root, Options::default()).unwrap();
+    let s = native.strategies;
+    assert_eq!((s.hash, s.bst), (1, 0), "{s:?}");
+    for (k, m) in msgs.iter().enumerate() {
+        assert_eq!(native.classify(m), root.classify(m, 0), "msg {k}");
     }
 }
 
@@ -822,13 +878,14 @@ fn every_truncation_classifies_alike_with_one_check_per_subtree() {
 /// Generated sets on each side of the data dispatch — every arm a leaf
 /// behind a hash (16-bit, masked and 32-bit fields, and behind a
 /// `Shift`), every arm a leaf in a dense range with holes, and one arm
-/// that is not a leaf (the whole node stays code) — classify alike in
-/// all three engines and the `Filter::matches` scan, on every key, on
-/// random misses, and on the fields an empty table slot could hold: the
-/// lowest few values as loaded, single high bits, and all ones, and on
-/// truncated packets. (The scan takes the first
-/// match and the tries the longest, which agree while the one filter
-/// that is a prefix of the others comes last.)
+/// that is not a leaf behind a hash and in a dense range (the table holds
+/// the arms' code) — classify alike in all three engines and the
+/// `Filter::matches` scan, on every key, on random misses, and on the
+/// fields an empty table slot could hold: the lowest few values as
+/// loaded, single high bits, and all ones, and on truncated packets.
+/// (The scan takes the first match and the tries the longest, which
+/// agree while the one filter that is a prefix of the others comes
+/// last.)
 #[test]
 fn data_dispatch_agrees_with_every_engine_on_generated_sets() {
     let mut rng = XorShift::new(0xda7a_d15b);
@@ -838,13 +895,13 @@ fn data_dispatch_agrees_with_every_engine_on_generated_sets() {
             ..PacketSpec::default()
         })
     };
-    for round in 0..30 {
+    for round in 0..42 {
         let n = rng.range(17, 90) as usize;
         let mut keys: Vec<u16> = Vec::new();
         while keys.len() < n {
-            let k = match round % 6 {
+            let k = match round % 7 {
                 // Dense with holes: two ports in three of a short range.
-                1 => 2000 + rng.below(3 * n as u64 / 2) as u16,
+                1 | 6 => 2000 + rng.below(3 * n as u64 / 2) as u16,
                 // Distinct under the mask 0x0ff0.
                 4 => (rng.below(256) as u16) << 4,
                 _ => rng.next_u64() as u16,
@@ -861,9 +918,9 @@ fn data_dispatch_agrees_with_every_engine_on_generated_sets() {
         let mut filters: Vec<Filter> = keys
             .iter()
             .enumerate()
-            .map(|(i, &k)| match round % 6 {
+            .map(|(i, &k)| match round % 7 {
                 // One arm goes on to the TCP data-offset byte.
-                2 if i == n / 2 => header()
+                2 | 6 if i == n / 2 => header()
                     .eq_u16(packet::DST_PORT_OFF, k)
                     .eq_u8(packet::DST_PORT_OFF + 10, 0x50)
                     .build(),
@@ -882,13 +939,13 @@ fn data_dispatch_agrees_with_every_engine_on_generated_sets() {
             .unwrap();
         // Half the sets end with a filter of the shared header alone: a
         // miss in the table has to come back for it, not return.
-        if round >= 12 {
+        if round >= 21 {
             filters.push(header().build().unwrap());
         }
         // What an empty slot may hold is a small value as loaded, i.e.
         // byte-swapped on the wire.
         let edge16 = (0..64u16).map(u16::swap_bytes).chain([0xffff]);
-        let mut msgs: Vec<Vec<u8>> = if round % 6 == 3 {
+        let mut msgs: Vec<Vec<u8>> = if round % 7 == 3 {
             let ip_msg = |ip: u32| {
                 packet::build(&PacketSpec {
                     dst_ip: ip,
@@ -928,14 +985,19 @@ fn data_dispatch_agrees_with_every_engine_on_generated_sets() {
 
         let set = compiled(&filters, Options::default());
         let s = set.strategies;
-        match round % 6 {
-            1 => assert_eq!((s.table, s.hash), (1, 0), "round {round}: {s:?}"),
-            // Code dispatch hashes into two slots a key, or gives up.
-            2 => assert_eq!((s.table, s.hash + s.bst), (0, 1), "round {round}: {s:?}"),
-            _ => assert_eq!((s.table, s.hash), (0, 1), "round {round}: {s:?}"),
-        }
+        let want = if matches!(round % 7, 1 | 6) {
+            (1, 0)
+        } else {
+            (0, 1)
+        };
+        assert_eq!(
+            (s.table, s.hash, s.bst),
+            (want.0, want.1, 0),
+            "round {round}: {s:?}"
+        );
         // Per-arm code is what tells the mixed node from the others.
-        assert_eq!(set.vcode_insns > 50, round % 6 == 2, "round {round}");
+        let mixed = matches!(round % 7, 2 | 6);
+        assert_eq!(set.vcode_insns > 50, mixed, "round {round}");
     }
 }
 
@@ -991,10 +1053,11 @@ fn a_filter_id_above_i32_max_classifies_natively() {
 /// data base it is passed, so the same trie compiled twice is the same
 /// code, whichever mapping each copy sits in. Both copies are kept
 /// alive, and each classifies like the trie interpreter. The sets use
-/// every table: a lookup (33 sparse ports) and an id table (20 dense
-/// ports) whose arms are leaves, and, with each port followed by a
-/// protocol check, a jump table (12 dense ports) and a perfect hash
-/// (20 sparse ports) whose code dispatches through an indirect `jmp`.
+/// every table: a hash (33 sparse ports) and a dense table (20 dense
+/// ports) that hold ids, and, with each port followed by a protocol
+/// check, a dense table (12 dense ports) and hashes (20 and 64 sparse
+/// ports) that hold the distances of the arms' code, to which the
+/// dispatch jumps through an indirect `jmp`.
 #[test]
 fn a_classifier_is_one_relocatable_image() {
     let (sparse, _) = sparse_port_set(33);
@@ -1012,11 +1075,19 @@ fn a_classifier_is_one_relocatable_image() {
     };
     let dense: Vec<u16> = (4000..4020).collect();
     let (dense12, sparse20) = (&dense[..12], &sparse[..20]);
-    let sets: [(_, _, &[u16], Uses, _); 4] = [
-        ("lookup", leaves(&sparse), &sparse, |s| s.hash == 1, 0),
+    let (sparse64, _) = sparse_port_set(64);
+    let sets: [(_, _, &[u16], Uses, _); 5] = [
+        ("id hash", leaves(&sparse), &sparse, |s| s.hash == 1, 0),
         ("id table", leaves(&dense), &dense, |s| s.table == 1, 0),
-        ("jump table", arms(dense12), dense12, |s| s.table == 1, 1),
-        ("hash", arms(sparse20), sparse20, |s| s.hash == 1, 1),
+        ("code table", arms(dense12), dense12, |s| s.table == 1, 1),
+        ("code hash", arms(sparse20), sparse20, |s| s.hash == 1, 1),
+        (
+            "code hash, 64 keys",
+            arms(&sparse64),
+            &sparse64,
+            |s| s.hash == 1,
+            1,
+        ),
     ];
     for (name, filters, ports, strategy, jumps) in sets {
         let set: Vec<(u32, Filter)> = (0..).zip(filters).collect();

@@ -4,10 +4,10 @@
 //! unmaps nothing once the L1 is full, because every lambda is installed
 //! in a mapping sized by its *finished* code (one page here) and so the
 //! mapping each eviction parks is the one the next compile adopts. The
-//! other clients of the install path are held to the same: a DPF
-//! classifier, an ASH kernel and a tcc unit each park in the smallest
-//! class that holds their code, and a warmed DPF service's
-//! insert/remove churn maps nothing.
+//! other clients of the install path are held to the same: DPF
+//! classifiers, an ASH kernel and a tcc unit each park in the smallest
+//! class that holds what they installed (a classifier's code and its
+//! tables), and a warmed DPF service's insert/remove churn maps nothing.
 //!
 //! One test, its own process: `pool_stats()` counters are process-wide.
 
@@ -182,22 +182,35 @@ fn parks_in_smallest_class<T>(what: &str, len: usize, owner: T) {
     );
 }
 
-/// The 33-port classifier of `dpf/tests/engines.rs`, one ASH kernel and
-/// one tcc unit are installed right-sized, not in a mapping their
-/// capacity estimate would have asked for.
+/// The 33- and 64-port classifiers of `dpf/tests/engines.rs`, one ASH
+/// kernel and one tcc unit are installed right-sized, not in a mapping
+/// their capacity estimate would have asked for. A classifier's mapping
+/// holds its image, the code and the tables after it, as `emit` writes
+/// it: 33 ports fit one page, and the 64-port table needs more.
 fn clients_park_in_their_smallest_class() {
-    let mut rng = XorShift::new(0x5eeb_0000 + 33);
-    let mut ports = std::collections::BTreeSet::new();
-    while ports.len() < 33 {
-        ports.insert(rng.range(1024, 65_000) as u16);
+    for n in [33, 64] {
+        let mut rng = XorShift::new(0x5eeb_0000 + n as u64);
+        let mut ports = std::collections::BTreeSet::new();
+        while ports.len() < n {
+            ports.insert(rng.range(1024, 65_000) as u16);
+        }
+        let filters: Vec<(u32, dpf::Filter)> = (0..)
+            .zip(ports)
+            .map(|(i, p)| (i, packet::tcp_port_filter(0x0a00_0002, p).unwrap()))
+            .collect();
+        let root = dpf::trie::build(&filters);
+        let mut buf = vec![0u8; 1 << 20];
+        let image = dpf::compile::emit(&root, dpf::Options::default(), &mut buf).unwrap();
+        let image_len = image.fin.len - image.fin.entry;
+        let set = dpf::compile::compile(&root, dpf::Options::default()).unwrap();
+        assert!(set.code_len <= 150, "{} bytes", set.code_len);
+        assert_eq!(
+            image_len > PAGE,
+            n == 64,
+            "{n} ports: a {image_len}-byte image"
+        );
+        parks_in_smallest_class(&format!("{n}-port classifier"), image_len, set);
     }
-    let filters: Vec<(u32, dpf::Filter)> = (0..)
-        .zip(ports)
-        .map(|(i, p)| (i, packet::tcp_port_filter(0x0a00_0002, p).unwrap()))
-        .collect();
-    let set = dpf::compile::compile(&dpf::trie::build(&filters), dpf::Options::default()).unwrap();
-    assert!(set.code_len <= 150, "{} bytes", set.code_len);
-    parks_in_smallest_class("33-port classifier", set.code_len, set);
 
     let kernel = ash::Pipeline::compile(&[ash::Step::Checksum, ash::Step::Swap]).unwrap();
     assert_eq!(kernel.engine_kind(), ash::EngineKind::Native);

@@ -198,8 +198,9 @@ echo "one sizing ok"
 
 echo "== code carries its data (generated code names no host address) =="
 # A DPF classifier is one image: the code, then the tables it reads at
-# fixed offsets from a data-base argument, with jump-table entries as
-# code offsets from that base (DESIGN.md "Classification by data").
+# fixed offsets from a data-base argument, with a table entry that
+# selects code holding that code's distance back from the base
+# (DESIGN.md "Classification by data").
 # Nothing is patched after install, the same trie compiles to the same
 # bytes, and the image runs wherever it is copied. A host address baked
 # into generated code ties it to this process's heap and to one mapping.
@@ -479,14 +480,17 @@ echo "== DPF dispatch is data (a set of leaves is a table lookup) =="
 # length check, no frame, and no transfer without an encoded target but
 # its two `ret`s; over generated sets on both sides of the choice (hash
 # and dense with holes, 16-bit, masked and 32-bit fields, behind a
-# `Shift`, one non-leaf arm) the compiled classifier, the
-# `Filter::matches` scan, MPF and PATHFINDER agree on every key, on
-# misses, on the values an empty slot holds and on truncated packets;
-# and they agree on every truncation of sets whose one length check
-# covers a subtree, with one check per field when elision is off.
+# `Shift`, one non-leaf arm behind a hash and in a dense range) the
+# compiled classifier, the `Filter::matches` scan, MPF and PATHFINDER
+# agree on every key, on misses, on the values an empty slot holds and
+# on truncated packets; a 64-key node with one non-leaf arm hashes (its
+# table holds code distances) and agrees with them and the trie; and
+# they agree on every truncation of sets whose one length check covers
+# a subtree, with one check per field when elision is off.
 cargo test -q --release -p dpf --offline --test engines -- \
     a_set_of_leaves_is_dispatched_by_data \
     data_dispatch_agrees_with_every_engine_on_generated_sets \
+    a_sparse_node_with_one_code_arm_hashes \
     every_truncation_classifies_alike_with_one_check_per_subtree
 
 echo "== exec pool steady state (a cold compile makes no syscalls) =="
@@ -494,8 +498,9 @@ echo "== exec pool steady state (a cold compile makes no syscalls) =="
 # L1, in release as the benchmark runs them: the executable-memory pool
 # must serve every allocation and take every release (hits = parked =
 # 4096, misses = evicted = 0; 3820/276/3820/276 before PR 18). Then the
-# other native clients: a DPF classifier, an ASH kernel and a tcc unit
-# each park in the smallest class holding their code, and 1 000
+# other native clients: two DPF classifiers (one image of one page, one
+# of more), an ASH kernel and a tcc unit each park in the smallest class
+# holding what they installed, and 1 000
 # insert/remove cycles on a warmed DPF service make no pool miss. The
 # test asserts it; the lines it measured are echoed for the log.
 cargo test -q --release -p harden --offline --test pool_steady_state -- --nocapture |
