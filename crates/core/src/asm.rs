@@ -1072,7 +1072,8 @@ impl<'m, T: Target> Assembler<'m, T> {
     //
     // One emission site per instruction *shape*, taking the operation
     // as a value: what a client that holds its instructions as data (the
-    // engine's lowering loop, DCG's tree walker) calls, in place of a
+    // engine's lowering loop, DCG's tree walker, tcc's expression
+    // lowering, which maps each C operator once) calls, in place of a
     // `match` over the per-op methods below that would cost a second
     // unpredictable branch per instruction. They count and verify an
     // instruction exactly as those methods do (the verifier reads the

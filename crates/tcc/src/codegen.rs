@@ -14,8 +14,8 @@ use crate::lex::ParseError;
 use crate::parse::{CType, Expr, FnDef, Stmt};
 use std::collections::HashMap;
 use std::fmt;
-use vcode::target::{Finished, JumpTarget, Leaf, StackSlot};
-use vcode::{Assembler, Label, Reg, RegClass, Sig, Ty};
+use vcode::target::{BrOperand, Finished, JumpTarget, Leaf, StackSlot};
+use vcode::{Assembler, BinOp, Cond, Label, Reg, RegClass, Sig, Ty, UnOp};
 use vcode_x64::X64;
 
 /// Compilation error.
@@ -107,6 +107,55 @@ fn slot_ty(t: &CType) -> Ty {
         CType::Char => Ty::C,
         other => vty(other),
     }
+}
+
+/// The type a negation, `~`, `!` or truth test of a value of C type `t`
+/// runs at: a pointer's at `L`, every other type's at its own.
+fn op_ty(t: &CType) -> Ty {
+    match vty(t) {
+        Ty::P => Ty::L,
+        ty => ty,
+    }
+}
+
+/// A C operator as the VCODE operation it lowers to.
+enum COp {
+    Arith(BinOp),
+    Cmp(Cond),
+    Un(UnOp),
+}
+
+/// Each C operator's lowering, named once. `unary` reads `-`, `~` and
+/// `!` as prefix operators.
+fn c_op(op: &str, unary: bool) -> Option<COp> {
+    Some(if unary {
+        COp::Un(match op {
+            "-" => UnOp::Neg,
+            "~" => UnOp::Com,
+            "!" => UnOp::Not,
+            _ => return None,
+        })
+    } else {
+        match op {
+            "+" => COp::Arith(BinOp::Add),
+            "-" => COp::Arith(BinOp::Sub),
+            "*" => COp::Arith(BinOp::Mul),
+            "/" => COp::Arith(BinOp::Div),
+            "%" => COp::Arith(BinOp::Mod),
+            "&" => COp::Arith(BinOp::And),
+            "|" => COp::Arith(BinOp::Or),
+            "^" => COp::Arith(BinOp::Xor),
+            "<<" => COp::Arith(BinOp::Lsh),
+            ">>" => COp::Arith(BinOp::Rsh),
+            "==" => COp::Cmp(Cond::Eq),
+            "!=" => COp::Cmp(Cond::Ne),
+            "<" => COp::Cmp(Cond::Lt),
+            "<=" => COp::Cmp(Cond::Le),
+            ">" => COp::Cmp(Cond::Gt),
+            ">=" => COp::Cmp(Cond::Ge),
+            _ => return None,
+        }
+    })
 }
 
 #[derive(Debug, Clone)]
@@ -524,8 +573,8 @@ impl<'m, 'ctx> FnCg<'m, 'ctx> {
                 let p = self.lvalue(inner)?;
                 let target = self.place_type(&p);
                 let (cur, curt) = self.load_place(&p)?;
-                let step = self.step_of(&target)?;
-                let (res, rest) = self.binop(op, cur, curt.clone(), step, step_type(&target))?;
+                let step = self.step()?;
+                let (res, rest) = self.binop(op, cur, curt, step, CType::Int)?;
                 let res = self.convert(res, &rest, &target)?;
                 self.store_place(&p, res);
                 self.free_place(p);
@@ -536,59 +585,38 @@ impl<'m, 'ctx> FnCg<'m, 'ctx> {
                 let target = self.place_type(&p);
                 let (old, oldt) = self.load_place(&p)?;
                 let (cur, curt) = self.load_place(&p)?;
-                let step = self.step_of(&target)?;
-                let (res, rest) = self.binop(op, cur, curt, step, step_type(&target))?;
+                let step = self.step()?;
+                let (res, rest) = self.binop(op, cur, curt, step, CType::Int)?;
                 let res = self.convert(res, &rest, &target)?;
                 self.store_place(&p, res);
                 self.a.putreg(res);
                 self.free_place(p);
                 Ok((old, oldt))
             }
-            Expr::Un("-", inner) => {
+            Expr::Un(op, inner) => {
+                let Some(COp::Un(uop)) = c_op(op, true) else {
+                    return Err(self.sem(format!("unsupported unary `{op}`")));
+                };
                 let (r, t) = self.rvalue(inner)?;
-                match vty(&t) {
-                    Ty::D => self.a.negd(r, r),
-                    Ty::L | Ty::P => self.a.negl(r, r),
-                    _ => self.a.negi(r, r),
-                }
-                Ok((r, promote(&t)))
-            }
-            Expr::Un("~", inner) => {
-                let (r, t) = self.rvalue(inner)?;
-                if !t.is_integral() {
-                    return Err(self.sem("~ needs an integer"));
-                }
-                if vty(&t) == Ty::L {
-                    self.a.coml(r, r);
-                } else {
-                    self.a.comi(r, r);
-                }
-                Ok((r, promote(&t)))
-            }
-            Expr::Un("!", inner) => {
-                let (r, t) = self.rvalue(inner)?;
-                if t == CType::Double {
-                    let z = self.alloc(true)?;
-                    self.a.setd(z, 0.0);
-                    let out = self.alloc(false)?;
-                    let yes = self.a.genlabel();
-                    self.a.seti(out, 1);
-                    self.a.beqd(r, z, yes);
-                    self.a.seti(out, 0);
-                    self.a.label(yes);
-                    self.a.putreg(r);
-                    self.a.putreg(z);
-                    Ok((out, CType::Int))
-                } else {
-                    if vty(&t) == Ty::L || t.is_ptr() {
-                        self.a.notl(r, r);
-                    } else {
-                        self.a.noti(r, r);
+                match (uop, &t) {
+                    // `!d` is `d == 0.0`.
+                    (UnOp::Not, CType::Double) => {
+                        let z = self.alloc(true)?;
+                        self.a.setd(z, 0.0);
+                        return self.compare(Cond::Eq, r, CType::Double, z, CType::Double);
                     }
-                    Ok((r, CType::Int))
+                    (UnOp::Com, t) if !t.is_integral() => {
+                        return Err(self.sem("~ needs an integer"));
+                    }
+                    _ => self.a.unop(uop, op_ty(&t), r, r),
                 }
+                let t = if uop == UnOp::Not {
+                    CType::Int
+                } else {
+                    promote(&t)
+                };
+                Ok((r, t))
             }
-            Expr::Un(op, _) => Err(self.sem(format!("unsupported unary `{op}`"))),
             Expr::Bin("&&", l, r) => self.logical(l, r, true),
             Expr::Bin("||", l, r) => self.logical(l, r, false),
             Expr::Bin(op, l, r) => {
@@ -630,10 +658,11 @@ impl<'m, 'ctx> FnCg<'m, 'ctx> {
         }
     }
 
-    fn step_of(&mut self, t: &CType) -> CcResult<Reg> {
+    /// The int `1` that `++` and `--` add and subtract; `binop` converts
+    /// it to the operand's type.
+    fn step(&mut self) -> CcResult<Reg> {
         let r = self.alloc(false)?;
         self.a.seti(r, 1);
-        let _ = t;
         Ok(r)
     }
 
@@ -661,76 +690,37 @@ impl<'m, 'ctx> FnCg<'m, 'ctx> {
         rv: Reg,
         rt: CType,
     ) -> CcResult<(Reg, CType)> {
-        // Comparisons produce int.
-        if matches!(op, "==" | "!=" | "<" | "<=" | ">" | ">=") {
-            return self.compare(op, lv, lt, rv, rt);
-        }
-        // Pointer arithmetic.
+        let bop = match c_op(op, false) {
+            // Comparisons produce int.
+            Some(COp::Cmp(cond)) => return self.compare(cond, lv, lt, rv, rt),
+            Some(COp::Arith(bop)) => bop,
+            _ => return Err(self.sem(format!("unsupported operator `{op}`"))),
+        };
         if lt.is_ptr() || rt.is_ptr() {
-            return self.ptr_arith(op, lv, lt, rv, rt);
+            return self.ptr_arith(op, bop, lv, lt, rv, rt);
         }
         let ct = self.common_type(&lt, &rt);
         let lv = self.convert(lv, &lt, &ct)?;
         let rv = self.convert(rv, &rt, &ct)?;
-        match vty(&ct) {
-            Ty::D => {
-                match op {
-                    "+" => self.a.addd(lv, lv, rv),
-                    "-" => self.a.subd(lv, lv, rv),
-                    "*" => self.a.muld(lv, lv, rv),
-                    "/" => self.a.divd(lv, lv, rv),
-                    _ => return Err(self.sem(format!("`{op}` needs integer operands"))),
-                }
-                self.a.putreg(rv);
-                Ok((lv, CType::Double))
-            }
-            Ty::L => {
-                match op {
-                    "+" => self.a.addl(lv, lv, rv),
-                    "-" => self.a.subl(lv, lv, rv),
-                    "*" => self.a.mull(lv, lv, rv),
-                    "/" => self.a.divl(lv, lv, rv),
-                    "%" => self.a.modl(lv, lv, rv),
-                    "&" => self.a.andl(lv, lv, rv),
-                    "|" => self.a.orl(lv, lv, rv),
-                    "^" => self.a.xorl(lv, lv, rv),
-                    "<<" => self.a.lshl(lv, lv, rv),
-                    ">>" => self.a.rshl(lv, lv, rv),
-                    _ => return Err(self.sem(format!("unsupported operator `{op}`"))),
-                }
-                self.a.putreg(rv);
-                Ok((lv, CType::Long))
-            }
-            _ => {
-                match op {
-                    "+" => self.a.addi(lv, lv, rv),
-                    "-" => self.a.subi(lv, lv, rv),
-                    "*" => self.a.muli(lv, lv, rv),
-                    "/" => self.a.divi(lv, lv, rv),
-                    "%" => self.a.modi(lv, lv, rv),
-                    "&" => self.a.andi(lv, lv, rv),
-                    "|" => self.a.ori(lv, lv, rv),
-                    "^" => self.a.xori(lv, lv, rv),
-                    "<<" => self.a.lshi(lv, lv, rv),
-                    ">>" => self.a.rshi(lv, lv, rv),
-                    _ => return Err(self.sem(format!("unsupported operator `{op}`"))),
-                }
-                self.a.putreg(rv);
-                Ok((lv, CType::Int))
-            }
+        if !bop.accepts(vty(&ct)) {
+            return Err(self.sem(format!("`{op}` needs integer operands")));
         }
+        self.a.binop(bop, vty(&ct), lv, lv, rv);
+        self.a.putreg(rv);
+        Ok((lv, ct))
     }
 
     fn ptr_arith(
         &mut self,
         op: &str,
+        bop: BinOp,
         lv: Reg,
         lt: CType,
         rv: Reg,
         rt: CType,
     ) -> CcResult<(Reg, CType)> {
-        match (op, lt.is_ptr(), rt.is_ptr()) {
-            ("-", true, true) => {
+        match (bop, lt.is_ptr(), rt.is_ptr()) {
+            (BinOp::Sub, true, true) => {
                 if lt != rt {
                     return Err(self.sem("subtracting incompatible pointers"));
                 }
@@ -745,7 +735,7 @@ impl<'m, 'ctx> FnCg<'m, 'ctx> {
                 }
                 Ok((lv, CType::Long))
             }
-            ("+", true, false) | ("-", true, false) => {
+            (BinOp::Add | BinOp::Sub, true, false) => {
                 let CType::Ptr(elem) = &lt else {
                     unreachable!()
                 };
@@ -758,22 +748,18 @@ impl<'m, 'ctx> FnCg<'m, 'ctx> {
                         self.a.mulli(rv, rv, size);
                     }
                 }
-                if op == "+" {
-                    self.a.addp(lv, lv, rv);
-                } else {
-                    self.a.subp(lv, lv, rv);
-                }
+                self.a.binop(bop, Ty::P, lv, lv, rv);
                 self.a.putreg(rv);
                 Ok((lv, lt))
             }
-            ("+", false, true) => self.ptr_arith(op, rv, rt, lv, lt),
+            (BinOp::Add, false, true) => self.ptr_arith(op, bop, rv, rt, lv, lt),
             _ => Err(self.sem(format!("unsupported pointer operation `{op}`"))),
         }
     }
 
     fn compare(
         &mut self,
-        op: &str,
+        cond: Cond,
         lv: Reg,
         lt: CType,
         rv: Reg,
@@ -785,40 +771,7 @@ impl<'m, 'ctx> FnCg<'m, 'ctx> {
         let out = self.alloc(false)?;
         let yes = self.a.genlabel();
         self.a.seti(out, 1);
-        match vty(&ct) {
-            Ty::D => match op {
-                "==" => self.a.beqd(lv, rv, yes),
-                "!=" => self.a.bned(lv, rv, yes),
-                "<" => self.a.bltd(lv, rv, yes),
-                "<=" => self.a.bled(lv, rv, yes),
-                ">" => self.a.bgtd(lv, rv, yes),
-                _ => self.a.bged(lv, rv, yes),
-            },
-            Ty::L => match op {
-                "==" => self.a.beql(lv, rv, yes),
-                "!=" => self.a.bnel(lv, rv, yes),
-                "<" => self.a.bltl(lv, rv, yes),
-                "<=" => self.a.blel(lv, rv, yes),
-                ">" => self.a.bgtl(lv, rv, yes),
-                _ => self.a.bgel(lv, rv, yes),
-            },
-            Ty::P => match op {
-                "==" => self.a.beqp(lv, rv, yes),
-                "!=" => self.a.bnep(lv, rv, yes),
-                "<" => self.a.bltp(lv, rv, yes),
-                "<=" => self.a.blep(lv, rv, yes),
-                ">" => self.a.bgtp(lv, rv, yes),
-                _ => self.a.bgep(lv, rv, yes),
-            },
-            _ => match op {
-                "==" => self.a.beqi(lv, rv, yes),
-                "!=" => self.a.bnei(lv, rv, yes),
-                "<" => self.a.blti(lv, rv, yes),
-                "<=" => self.a.blei(lv, rv, yes),
-                ">" => self.a.bgti(lv, rv, yes),
-                _ => self.a.bgei(lv, rv, yes),
-            },
-        }
+        self.a.branch(cond, vty(&ct), lv, BrOperand::R(rv), yes);
         self.a.seti(out, 0);
         self.a.label(yes);
         self.a.putreg(lv);
@@ -883,31 +836,18 @@ impl<'m, 'ctx> FnCg<'m, 'ctx> {
     /// `when_true` is false). Comparison expressions branch directly.
     fn branch_if(&mut self, e: &Expr, target: Label, when_true: bool) -> CcResult<()> {
         let (r, t) = self.rvalue(e)?;
-        match vty(&t) {
-            Ty::D => {
-                let z = self.alloc(true)?;
-                self.a.setd(z, 0.0);
-                if when_true {
-                    self.a.bned(r, z, target);
-                } else {
-                    self.a.beqd(r, z, target);
-                }
-                self.a.putreg(z);
-            }
-            Ty::L | Ty::P => {
-                if when_true {
-                    self.a.bneli(r, 0, target);
-                } else {
-                    self.a.beqli(r, 0, target);
-                }
-            }
-            _ => {
-                if when_true {
-                    self.a.bneii(r, 0, target);
-                } else {
-                    self.a.beqii(r, 0, target);
-                }
-            }
+        let cond = if when_true { Cond::Ne } else { Cond::Eq };
+        // A double meets 0.0 in a register; the integer types an immediate.
+        let zero = if t == CType::Double {
+            let z = self.alloc(true)?;
+            self.a.setd(z, 0.0);
+            BrOperand::R(z)
+        } else {
+            BrOperand::I(0)
+        };
+        self.a.branch(cond, op_ty(&t), r, zero, target);
+        if let BrOperand::R(z) = zero {
+            self.a.putreg(z);
         }
         self.a.putreg(r);
         Ok(())
@@ -1077,6 +1017,109 @@ fn promote(t: &CType) -> CType {
     }
 }
 
-fn step_type(_t: &CType) -> CType {
-    CType::Int
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every operator on every type the lowering distinguishes: int, long,
+    /// char, double and pointer arithmetic, the six comparisons on each,
+    /// `-`, `~` and `!`, `++`/`--`, `&&`/`||`, and truth tests in every
+    /// statement that branches.
+    const CORPUS: &str = r"
+        int iarith(int a, int b) {
+            int x = a + b; x = x - a; x = x * b; x = x / (b | 1); x = x % (a | 1);
+            x = x & a; x = x | b; x = x ^ a; x = x << 2; x = x >> 1;
+            x += a; x -= b; x *= 3; x /= 2; x %= 7; x <<= 1; x >>= 1;
+            x++; x--; ++x; --x;
+            return -x + ~a + !b;
+        }
+        long larith(long a, long b, int i) {
+            long x = a + b; x = x - a; x = x * b; x = x / (b | 1); x = x % (a | 1);
+            x = x & a; x = x | b; x = x ^ a; x = x << 2; x = x >> i;
+            x += i; x -= b; x *= 3; x /= 2; x %= 7; x <<= 1; x >>= 1;
+            x++; x--; ++x; --x;
+            return -x + ~a + !b + (i + a) - -(long)i;
+        }
+        int carith(char c, char d) {
+            char e = c + d; e = e - 1; e = e * d; e = e / 3; e = e % 5;
+            e = e & c; e = e | d; e = e ^ 7; e = e << 1; e = e >> 1;
+            e += c; e -= 2; e++; e--; ++e; --e;
+            return -e + ~c + !d + -(char)c + ~(char)d + !(char)e;
+        }
+        double darith(double a, double b, int i, long l) {
+            double x = a + b; x = x - a; x = x * b; x = x / b;
+            x += 1.5; x -= i; x *= l; x /= 2;
+            x++; x--; ++x; --x;
+            x = x + i + l;
+            return -x + !a + (a && b) + (a || b) + (int)x + (long)b;
+        }
+        long parith(long *p, long *q, char *s, int i) {
+            long *r = p + 2; r = r - 1; r = 1 + r; r = r + i; r += 1; r -= 1;
+            r++; r--; ++r; --r;
+            char *t = s + 3; t++; t = t - i;
+            long n = q - p;
+            long m = (long)-p + !p + !q + (p && q) + (p || s) + *r + *t;
+            return n + m + (t - s) + r[1] + p[i];
+        }
+        int icmp(int a, int b) {
+            return (a == b) + (a != b) + (a < b) + (a <= b) + (a > b) + (a >= b);
+        }
+        int lcmp(long a, long b) {
+            return (a == b) + (a != b) + (a < b) + (a <= b) + (a > b) + (a >= b) + (a < 1);
+        }
+        int ccmp(char a, char b) {
+            return (a == b) + (a != b) + (a < b) + (a <= b) + (a > b) + (a >= b);
+        }
+        int dcmp(double a, double b) {
+            return (a == b) + (a != b) + (a < b) + (a <= b) + (a > b) + (a >= b) + (a < 1);
+        }
+        int pcmp(long *a, long *b) {
+            return (a == b) + (a != b) + (a < b) + (a <= b) + (a > b) + (a >= b);
+        }
+        int truth(int i, long l, char c, double d, long *p) {
+            int n = 0;
+            if (i) n++; if (l) n++; if (c) n++; if (d) n++; if (p) n++;
+            if (!i) n++; if (!l) n++; if (!c) n++; if (!d) n++; if (!p) n++;
+            if (i < l && d > 0.5 || p != 0) n += 2;
+            while (i && l) { i--; l--; if (n > 100) break; }
+            while (d || p) { d = d - 1; if (d < 0) break; continue; }
+            do { n--; } while (c && n > 0);
+            for (; c; c--) n++;
+            for (int k = 0; k < i || k < l; k++) n += k;
+            return n + (i && d) + (l || p) + (c && !d);
+        }
+        void clear(long *p, int n) { for (int k = 0; k < n; k++) p[k] = 0; }
+        int calls(int a, long b, double d, long *p) {
+            clear(p, a);
+            return icmp(a, b) + lcmp(b, a) + dcmp(d, d * 2) + truth(a, b, a, d, p)
+                + (int)darith(d, d, a, b) + iarith(a, calls(a - 1, b, d, p));
+        }
+    ";
+
+    /// `digest64` of every function of `CORPUS` as emitted, one after
+    /// another, each into its own zeroed buffer with the function table
+    /// at address 0 (a unit's call sites bake in its table's address).
+    #[test]
+    fn every_operator_emits_its_pinned_bytes() {
+        let defs = crate::parse::parse(CORPUS).expect("corpus parses");
+        assert_eq!(defs.len(), 13);
+        let fns: HashMap<String, FnSig> = defs
+            .iter()
+            .enumerate()
+            .map(|(index, d)| {
+                let params = d.params.iter().map(|(t, _)| t.clone()).collect();
+                let ret = d.ret.clone();
+                (d.name.clone(), FnSig { index, ret, params })
+            })
+            .collect();
+        let mut code = Vec::new();
+        for d in &defs {
+            let mut buf = vec![0u8; 1 << 16];
+            let fin =
+                FnCg::compile(d, &mut buf, &fns, 0).unwrap_or_else(|e| panic!("`{}`: {e}", d.name));
+            code.extend_from_slice(&buf[..fin.len]);
+        }
+        let digest = vcode::persist::digest64(&code);
+        assert_eq!(digest, 0x8b62_0ffb_1033_388c, "digest {digest:#018x}");
+    }
 }

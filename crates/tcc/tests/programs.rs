@@ -429,6 +429,24 @@ fn semantic_errors_are_reported() {
 }
 
 #[test]
+fn integer_only_operators_on_doubles_keep_their_messages() {
+    for (src, msg) in [
+        (
+            "double f(double a) { return a % 2.0; }",
+            "`%` needs integer operands",
+        ),
+        ("double f(double a) { return ~a; }", "~ needs an integer"),
+    ] {
+        match Program::compile(src) {
+            Err(CcError::Sem { func, msg: got }) => {
+                assert_eq!((func.as_str(), got.as_str()), ("f", msg), "{src}");
+            }
+            other => panic!("{src}: expected a semantic error, got {other:?}"),
+        }
+    }
+}
+
+#[test]
 fn parse_errors_are_reported() {
     assert!(matches!(
         Program::compile("int f( {"),

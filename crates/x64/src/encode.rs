@@ -156,15 +156,7 @@ fn modrm_byte(md: u8, reg: u8, rm: u8) -> u8 {
 /// Emits `[prefix] [REX] opcode modrm(reg, rm)` for a register-register
 /// form — one reservation, one packed store.
 #[inline(always)]
-fn op_rr(
-    buf: &mut CodeBuffer<'_>,
-    prefix: Option<u8>,
-    opc: &[u8],
-    wide: bool,
-    reg: u8,
-    rm: u8,
-    force_rex: bool,
-) {
+fn op_rr(buf: &mut CodeBuffer<'_>, prefix: Option<u8>, opc: &[u8], wide: bool, reg: u8, rm: u8) {
     let mut tail = 0u64;
     let mut sh = 0;
     for &b in opc {
@@ -172,7 +164,7 @@ fn op_rr(
         sh += 8;
     }
     tail |= (modrm_byte(0b11, reg, rm) as u64) << sh;
-    let mut iw = InsnWord::headed(rex_byte(wide, reg, 0, rm), force_rex, tail, opc.len() + 1);
+    let mut iw = InsnWord::headed(rex_byte(wide, reg, 0, rm), false, tail, opc.len() + 1);
     if let Some(p) = prefix {
         iw.prepend(p);
     }
@@ -265,7 +257,7 @@ impl Alu {
 /// `op rm, reg` (e.g. `add rdi, rsi`).
 #[inline(always)]
 pub fn alu_rr(buf: &mut CodeBuffer<'_>, op: Alu, w: bool, rm: u8, reg: u8) {
-    op_rr(buf, None, &[op as u8], w, reg, rm, false);
+    op_rr(buf, None, &[op as u8], w, reg, rm);
 }
 
 /// `op rm, imm` as a packed word: the sign-extended-imm8 form (`83`)
@@ -451,7 +443,7 @@ pub fn mov_ri32(buf: &mut CodeBuffer<'_>, rd: u8, imm: u32) {
 /// unsigned product).
 #[inline(always)]
 pub fn imul_rr(buf: &mut CodeBuffer<'_>, w: bool, reg: u8, rm: u8) {
-    op_rr(buf, None, &[0x0f, 0xaf], w, reg, rm, false);
+    op_rr(buf, None, &[0x0f, 0xaf], w, reg, rm);
 }
 
 /// `imul reg, rm, imm32`.
@@ -499,32 +491,13 @@ pub fn cqo(buf: &mut CodeBuffer<'_>) {
 /// `movsxd reg64, rm32`.
 #[inline]
 pub fn movsxd(buf: &mut CodeBuffer<'_>, reg: u8, rm: u8) {
-    op_rr(buf, None, &[0x63], true, reg, rm, false);
-}
-
-/// `movsx reg32, rm8`.
-#[inline]
-pub fn movsx8_rr(buf: &mut CodeBuffer<'_>, reg: u8, rm: u8) {
-    // sil/dil/bpl/spl need a REX prefix to mean the low byte.
-    op_rr(buf, None, &[0x0f, 0xbe], false, reg, rm, rm >= 4);
-}
-
-/// `movzx reg32, rm8`.
-#[inline]
-pub fn movzx8_rr(buf: &mut CodeBuffer<'_>, reg: u8, rm: u8) {
-    op_rr(buf, None, &[0x0f, 0xb6], false, reg, rm, rm >= 4);
-}
-
-/// `movsx reg32, rm16`.
-#[inline]
-pub fn movsx16_rr(buf: &mut CodeBuffer<'_>, reg: u8, rm: u8) {
-    op_rr(buf, None, &[0x0f, 0xbf], false, reg, rm, false);
+    op_rr(buf, None, &[0x63], true, reg, rm);
 }
 
 /// `movzx reg32, rm16`.
 #[inline]
 pub fn movzx16_rr(buf: &mut CodeBuffer<'_>, reg: u8, rm: u8) {
-    op_rr(buf, None, &[0x0f, 0xb7], false, reg, rm, false);
+    op_rr(buf, None, &[0x0f, 0xb7], false, reg, rm);
 }
 
 // ---- loads/stores ----
@@ -577,26 +550,9 @@ pub fn store8(buf: &mut CodeBuffer<'_>, reg: u8, m: Mem) {
     op_mem(buf, None, &[0x88], false, reg, m, reg >= 4);
 }
 
-/// `lea reg, [mem]`.
-#[inline]
-pub fn lea(buf: &mut CodeBuffer<'_>, w: bool, reg: u8, m: Mem) {
-    op_mem(buf, None, &[0x8d], w, reg, m, false);
-}
-
-/// RIP-relative load `mov reg, [rip+disp32]` (w), returning the buffer
-/// offset of the disp32 field for fixup. Disp is `dest - (field + 4)`.
-#[inline]
-pub fn load_rip(buf: &mut CodeBuffer<'_>, wide: bool, reg: u8) -> usize {
-    let mut w = buf.window(MAX_INSN);
-    let tail = 0x8b | (modrm_byte(0b00, reg, 0b101) as u64) << 8;
-    InsnWord::headed(rex_byte(wide, reg, 0, 0), false, tail, 2).commit_win(&mut w);
-    let at = w.len();
-    w.u32(0);
-    at
-}
-
 /// RIP-relative SSE load (`movss`/`movsd xmm, [rip+disp32]`), returning
-/// the disp32 fixup offset.
+/// the buffer offset of the disp32 field for fixup. Disp is
+/// `dest - (field + 4)`.
 #[inline]
 pub fn sse_load_rip(buf: &mut CodeBuffer<'_>, prefix: u8, reg: u8) -> usize {
     let mut w = buf.window(MAX_INSN);
@@ -722,7 +678,7 @@ pub mod sse {
 /// `[prefix] 0F op xmm_reg, xmm_rm` (addss/mulsd/sqrtss/movss...).
 #[inline]
 pub fn sse_rr(buf: &mut CodeBuffer<'_>, prefix: Option<u8>, op: u8, reg: u8, rm: u8) {
-    op_rr(buf, prefix, &[0x0f, op], false, reg, rm, false);
+    op_rr(buf, prefix, &[0x0f, op], false, reg, rm);
 }
 
 /// `[prefix] 0F op xmm_reg, [mem]`.
@@ -753,13 +709,13 @@ pub fn cvtt2si(buf: &mut CodeBuffer<'_>, prefix: u8, wide: bool, gpr: u8, xmm: u
 #[inline]
 pub fn ucomis(buf: &mut CodeBuffer<'_>, prefix66: bool, reg: u8, rm: u8) {
     let p = if prefix66 { Some(0x66) } else { None };
-    op_rr(buf, p, &[0x0f, 0x2e], false, reg, rm, false);
+    op_rr(buf, p, &[0x0f, 0x2e], false, reg, rm);
 }
 
 /// `xorps xmm, xmm` (used for float negation via sign-mask).
 #[inline]
 pub fn xorps(buf: &mut CodeBuffer<'_>, reg: u8, rm: u8) {
-    op_rr(buf, None, &[0x0f, 0x57], false, reg, rm, false);
+    op_rr(buf, None, &[0x0f, 0x57], false, reg, rm);
 }
 
 #[cfg(test)]
@@ -845,11 +801,6 @@ mod tests {
     fn widening_moves() {
         // movsxd rax, edi
         assert_eq!(emit(|b| movsxd(b, r::RAX, r::RDI)), [0x48, 0x63, 0xc7]);
-        // movzx eax, sil — needs REX for sil
-        assert_eq!(
-            emit(|b| movzx8_rr(b, r::RAX, r::RSI)),
-            [0x40, 0x0f, 0xb6, 0xc6]
-        );
         // movzx eax, r9w
         assert_eq!(
             emit(|b| movzx16_rr(b, r::RAX, r::R9)),
@@ -962,11 +913,9 @@ mod tests {
         let mut mem = [0u8; 64];
         let mut buf = CodeBuffer::new(&mut mem);
         nop(&mut buf);
-        let at = load_rip(&mut buf, true, r::RAX);
-        assert_eq!(at, 1 + 3); // nop + REX/op/modrm
+        let at = sse_load_rip(&mut buf, sse::SD, 2);
+        assert_eq!(at, 1 + 4); // nop + prefix/0F/10/modrm
         assert_eq!(buf.len(), at + 4);
-        let at2 = sse_load_rip(&mut buf, sse::SD, 2);
-        assert_eq!(buf.len(), at2 + 4);
     }
 
     #[test]
@@ -978,11 +927,6 @@ mod tests {
         assert_eq!(emit(cdq), [0x99]);
         assert_eq!(emit(cqo), [0x48, 0x99]);
         assert_eq!(emit(|b| ror16_imm(b, r::RAX, 8)), [0x66, 0xc1, 0xc8, 0x08]);
-        // lea rax, [rdi+rsi]
-        assert_eq!(
-            emit(|b| lea(b, true, r::RAX, Mem::bi(r::RDI, r::RSI))),
-            [0x48, 0x8d, 0x04, 0x37]
-        );
     }
 
     #[test]

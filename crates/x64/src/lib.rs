@@ -212,14 +212,14 @@ impl X64 {
     /// `op rd, rs2` as one fused emission (operands exchanged when `rd`
     /// is `rs2` and the operation commutes), so which of the cases an
     /// instruction is costs no branch. Only `rd = rs1 - rd` — nothing
-    /// to exchange, and the `mov` would clobber `rs2` — goes through the
-    /// scratch register.
+    /// to exchange, and the `mov` would clobber `rs2` — keeps a branch:
+    /// Sub is the one operation here that does not commute, and it is
+    /// `neg rd; add rd, rs1`.
     #[inline(always)]
     fn op3(a: &mut Asm<'_>, op: Op2, w: bool, commutes: bool, rd: u8, rs1: u8, rs2: u8) {
         if !commutes && rd == rs2 && rd != rs1 {
-            encode::mov_rr(&mut a.buf, w, SCRATCH, rs1);
-            encode::mov_op_rr(&mut a.buf, op, w, SCRATCH, SCRATCH, rs2);
-            encode::mov_rr(&mut a.buf, w, rd, SCRATCH);
+            encode::mov_unary(&mut a.buf, 3, w, rd, rd);
+            encode::mov_op_rr(&mut a.buf, Op2::alu(Alu::Add), w, rd, rd, rs1);
             return;
         }
         let (from, src) = if rd == rs2 { (rd, rs1) } else { (rs1, rs2) };

@@ -4,7 +4,7 @@
 
 use vcode::regress::{self, BinCase, BranchCase, UnCase};
 use vcode::target::{JumpTarget, Leaf, Target};
-use vcode::{Assembler, BinOp, Cond, Reg, RegClass, Sig, Ty};
+use vcode::{Assembler, BinOp, Cond, Reg, RegClass, Sig, Ty, UnOp};
 use vcode_x64::{ExecCode, ExecMem, X64};
 
 /// Builds one function into a fresh mapping and finalizes it.
@@ -220,6 +220,59 @@ fn regression_binops_rd_equals_rs2() {
             "{:?}.{:?}({:#x}, {:#x}) rd==rs2",
             c.op, c.ty, c.a, c.b
         );
+    }
+}
+
+/// `rd = rs1 - rd` has nothing to exchange, and Sub does not commute:
+/// it is `neg rd; add rd, rs1`, two instructions and no scratch register,
+/// at both widths and with registers that need a REX prefix. The result
+/// agrees with the interpreter (32-bit) and the reference semantics.
+#[test]
+fn sub_into_the_subtrahend_is_neg_then_add() {
+    use vcode_x64::encode::r;
+    let cases: [(Ty, u8, u8, &[u8]); 4] = [
+        (Ty::I, r::RSI, r::RDI, &[0xf7, 0xde, 0x01, 0xfe]),
+        (Ty::L, r::RSI, r::RDI, &[0x48, 0xf7, 0xde, 0x48, 0x01, 0xfe]),
+        (Ty::I, r::R8, r::R9, &[0x41, 0xf7, 0xd8, 0x45, 0x01, 0xc8]),
+        (Ty::L, r::R8, r::R9, &[0x49, 0xf7, 0xd8, 0x4d, 0x01, 0xc8]),
+    ];
+    let values = [
+        (0, 0),
+        (7, 3),
+        (3, 7),
+        (u64::MAX, 1),
+        (1 << 31, 1),
+        (1 << 63, 1),
+        (0x1234_5678_9abc_def0, 0xfedc_ba98_7654_3210),
+    ];
+    let mut sub = vcode::Program::new(2).unwrap();
+    sub.bin(BinOp::Sub, 1, 0, 1);
+    sub.ret(1);
+    for (ty, rd, rs1, want) in cases {
+        let mut emitted = Vec::new();
+        let code = build("%l%l", |a| {
+            let (x, y) = (a.arg(0), a.arg(1));
+            let (rd, rs1) = (Reg::int(rd), Reg::int(rs1));
+            X64::emit_unop(a.raw(), UnOp::Mov, Ty::L, rs1, x);
+            X64::emit_unop(a.raw(), UnOp::Mov, Ty::L, rd, y);
+            let start = a.state().buf.len();
+            X64::emit_binop(a.raw(), BinOp::Sub, ty, rd, rs1, rd);
+            emitted = a.state().buf.as_slice()[start..].to_vec();
+            ret_typed(a, ty, rd);
+        });
+        assert_eq!(emitted, want, "{ty:?} r{rd} = r{rs1} - r{rd}");
+        // SAFETY: the buffer holds a complete emitted function matching this signature.
+        let f: extern "C" fn(u64, u64) -> u64 = unsafe { code.as_fn() };
+        for (a, b) in values {
+            let got = regress::canon(ty, f(a, b), 64);
+            let expect = regress::eval_binop(BinOp::Sub, ty, a, b, 64).unwrap();
+            assert_eq!(got, expect, "{ty:?} {a:#x} - {b:#x}");
+            if ty == Ty::I {
+                let args = [a as i32, b as i32];
+                let interpreted = sub.interpret(&args, 16).unwrap();
+                assert_eq!(got as i32, interpreted as i32, "{a:#x} - {b:#x}");
+            }
+        }
     }
 }
 

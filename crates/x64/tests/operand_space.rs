@@ -10,20 +10,20 @@
 //! single-instruction encoders (`encode::mov_rr`, `alu_rr`, `alu_imm`,
 //! `imul_rr`, `shift_imm`, `unary_rm`, `jcc`) produce when composed by
 //! the three-address → two-address case analysis the backend used before
-//! the fusion (2fb0710). Those encoders are themselves pinned, over
-//! their whole operand space, to a plain byte-pushing encoder written
-//! from the instruction-set manual's tables.
+//! the fusion (2fb0710), with `rd = rs1 - rd` as `neg rd; add rd, rs1`
+//! where that analysis went through a scratch register. Those encoders
+//! are themselves pinned, over their whole operand space, to a plain
+//! byte-pushing encoder written from the instruction-set manual's
+//! tables.
 
 use vcode::asm::Asm;
 use vcode::buf::{CodeBuffer, EmitPath};
 use vcode::target::{BrOperand, Leaf, Target};
 use vcode::{Assembler, BinOp, Cond, Label, Reg, Sig, Ty, UnOp};
-use vcode_x64::encode::{self, cc, r, Alu};
+use vcode_x64::encode::{self, cc, Alu};
 use vcode_x64::X64;
 
 const PATHS: [EmitPath; 2] = [EmitPath::Fast, EmitPath::Bytewise];
-/// The backend's instruction-synthesis scratch register.
-const SCRATCH: u8 = r::R11;
 const ALU_OPS: [(BinOp, Alu); 5] = [
     (BinOp::Add, Alu::Add),
     (BinOp::Sub, Alu::Sub),
@@ -113,9 +113,9 @@ fn three_address(
     } else if rd == rs2 && commutes {
         op(b, rd, rs1);
     } else if rd == rs2 {
-        encode::mov_rr(b, w, SCRATCH, rs1);
-        op(b, SCRATCH, rs2);
-        encode::mov_rr(b, w, rd, SCRATCH);
+        // `rd = rs1 - rd`, the one operation here that does not commute.
+        encode::unary_rm(b, 3, w, rd);
+        encode::alu_rr(b, Alu::Add, w, rd, rs1);
     } else {
         encode::mov_rr(b, w, rd, rs1);
         op(b, rd, rs2);

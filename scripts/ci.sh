@@ -239,20 +239,31 @@ echo "== one dispatch per instruction (lowering matches on the tag only) =="
 # is a second unpredictable branch per instruction, and a `Program` that
 # holds its ops beside its bytes pays the `encode` dispatch again
 # (DESIGN.md "Engine layer"; EXPERIMENTS.md "Cold miss"). Fail on
-# either. Looked at: code lines (not comments) of engine.rs before its
-# first `#[cfg(test)]`.
-second_dispatch=$(awk '
+# either. tcc holds its operators as data too: it maps each C operator
+# to a `BinOp`, `Cond` or `UnOp` once and emits through the same entry
+# points, so a per-type branch, negate, complement or not method
+# (`self.a.beqd(..)`, `negl`, `comi`, `notl`) there is a per-type table
+# back (DESIGN.md "One dispatch per instruction"). Looked at: code lines
+# (not comments) of engine.rs and tcc's codegen.rs before their first
+# `#[cfg(test)]`.
+code_lines='
     /^[ \t]*#\[cfg\(test\)\]/ { exit }
-    /^[ \t]*\/\// { next }
+    /^[ \t]*\/\// { next }'
+second_dispatch=$(awk "$code_lines"'
     /a\.((add|sub|mul|div|mod|and|or|xor|lsh|rsh|com|not|mov|neg)|b(lt|le|gt|ge|eq|ne))(i|u|l|ul|p|f|d)i?\(/ {
         printf "crates/core/src/engine.rs:%d: %s\n", NR, $0
     }
     /^pub struct Program \{/ { in_program = 1 }
     in_program && /Vec<POp>/ { printf "crates/core/src/engine.rs:%d: %s\n", NR, $0 }
     in_program && /^\}/ { in_program = 0 }
-    ' crates/core/src/engine.rs)
+    ' crates/core/src/engine.rs
+    awk "$code_lines"'
+    /\.(b(eq|ne|lt|le|gt|ge)|neg|com|not)(i|u|l|ul|p|f|d)i?\(/ {
+        printf "crates/tcc/src/codegen.rs:%d: %s\n", NR, $0
+    }
+    ' crates/tcc/src/codegen.rs)
 if [ -n "$second_dispatch" ]; then
-    echo "one-dispatch gate: the engine dispatches per operation, or keeps its ops twice:" >&2
+    echo "one-dispatch gate: the engine or tcc dispatches per operation, or the engine keeps its ops twice:" >&2
     echo "$second_dispatch" >&2
     exit 1
 fi
