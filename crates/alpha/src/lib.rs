@@ -128,6 +128,8 @@ const F_CALLEE: [u8; 4] = [2, 3, 4, 5];
 
 /// Fixup kind: 21-bit branch displacement.
 const FIX_BR21: u8 = 0;
+/// Fixup kind: an `image_base` ([`Alpha::patch_base`]).
+const FIX_BASE: u8 = 1;
 
 fn is32(ty: Ty) -> bool {
     matches!(ty, Ty::I | Ty::U)
@@ -137,6 +139,19 @@ impl Alpha {
     fn branch_to(a: &mut Asm<'_>, l: Label, opcode: u8, ra: u8) {
         a.fixup_here(FixupTarget::Label(l), FIX_BR21);
         encode::branch(&mut a.buf, opcode, ra, 0);
+    }
+
+    /// Patches an `image_base`'s `lda` from a register holding its own
+    /// address with the byte distance from there to `dest`.
+    #[cold]
+    fn patch_base(a: &mut Asm<'_>, fixup: Fixup, dest: usize) {
+        let Ok(disp) = i16::try_from(dest as i64 - fixup.at as i64) else {
+            a.record_err(Error::BranchOutOfRange { at: fixup.at, dest });
+            return;
+        };
+        let old = a.buf.read_u32(fixup.at);
+        a.buf
+            .patch_u32(fixup.at, (old & 0xffff_0000) | u32::from(disp as u16));
     }
 
     /// Computes the effective address into `AT` unless it is directly
@@ -370,6 +385,9 @@ impl Target for Alpha {
 
     #[inline]
     fn patch(a: &mut Asm<'_>, fixup: Fixup, dest: usize) {
+        if fixup.kind == FIX_BASE {
+            return Self::patch_base(a, fixup, dest);
+        }
         let disp = (dest as i64 - (fixup.at as i64 + 4)) / 4;
         if !(-(1 << 20)..(1 << 20)).contains(&disp) {
             a.record_err(Error::BranchOutOfRange { at: fixup.at, dest });
@@ -776,6 +794,15 @@ impl Target for Alpha {
     #[inline]
     fn emit_nop(a: &mut Asm<'_>) {
         encode::nop(&mut a.buf);
+    }
+
+    /// `br rd, .+4; lda rd, disp(rd)`: two instructions, the base within
+    /// 32 KiB of the `lda`, whose address `br` leaves in `rd`. No link
+    /// register is written, so a leaf may use it.
+    fn emit_image_base(a: &mut Asm<'_>, rd: Reg) {
+        encode::branch(&mut a.buf, br::BR, rd.num(), 0);
+        a.fixup_here(FixupTarget::Base, FIX_BASE);
+        encode::mem(&mut a.buf, m::LDA, rd.num(), rd.num(), 0);
     }
 
     fn call_begin(a: &mut Asm<'_>, sig: &Sig) -> CallFrame {

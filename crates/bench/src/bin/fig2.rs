@@ -36,6 +36,7 @@ use dcg::Fun;
 use std::collections::BTreeMap;
 use std::hint::black_box;
 use vcode::engine::{replay, POp, Program};
+use vcode::persist::digest64;
 use vcode::target::{Leaf, Target};
 use vcode::{Assembler, BinOp, Cond, Reg, RegClass, Ty, UnOp};
 use vcode_alpha::Alpha;
@@ -58,10 +59,13 @@ type Body = fn(&mut [u8], usize) -> usize;
 /// binary, counted with rustc 1.95.0). They move when the emission
 /// path's code or the compiler does, never with the host's load; the
 /// DCG row also moves with the C library's `malloc` and `memcpy`.
+/// `bytes` pins what the bodies emit at `n = 512`, so a moved count says
+/// whether the emission moved or only the host code.
 struct Row {
     class: &'static str,
     bodies: [Body; 4],
     pinned: [u64; 4],
+    bytes: u64,
 }
 
 /// Opens a session with two integer arguments and an allocated temp,
@@ -214,31 +218,37 @@ fn rows() -> [Row; 8] {
             class: "addi (binop, reg)",
             bodies: four!(addi),
             pinned: [4096, 2560, 2560, 2560],
+            bytes: 0xd328_1f3b_72c2_69ea,
         },
         Row {
             class: "addii (binop, imm)",
             bodies: four!(addii),
             pinned: [3840, 2560, 2560, 2560],
+            bytes: 0xf095_f1a0_1b8d_2f5d,
         },
         Row {
             class: "ldii (load, imm)",
             bodies: four!(ldii),
             pinned: [2560, 4352, 2560, 2560],
+            bytes: 0xa3a2_5c70_3b49_23d6,
         },
         Row {
             class: "stii (store, imm)",
             bodies: four!(stii),
             pinned: [2560, 2560, 2560, 2560],
+            bytes: 0xe3c0_71b3_849d_2497,
         },
         Row {
             class: "mix",
             bodies: four!(mixed),
             pinned: [5824, 4544, 4224, 4224],
+            bytes: 0xba0b_e8d3_1ff0_1065,
         },
         Row {
             class: "mix, hard regs",
             bodies: [hard_x64, hard_mips, hard_sparc, hard_alpha],
             pinned: [5440, 4352, 4096, 4096],
+            bytes: 0xba0b_e8d3_1ff0_1065,
         },
         // x86-64 took 202356 before `rd = rs1 - rd` became `neg; add`.
         // The mix emits the same bytes (it never hits that case); the
@@ -247,6 +257,7 @@ fn rows() -> [Row; 8] {
             class: "mix through DCG",
             bodies: four!(dcg),
             pinned: [202484, 185524, 185012, 187444],
+            bytes: 0xca3b_c28d_29c4_fe83,
         },
         // 1588d22, whose `replay` kept a register per vreg for the whole
         // lambda, took [96144, 83928, 82680, 88480]: 1.04x, 1.12x, 1.13x
@@ -254,11 +265,14 @@ fn rows() -> [Row; 8] {
         // `lambda` stopped loading a process-wide verifier switch:
         // [100184, 93736, 93696, 98328]. x86-64 took 100168 before
         // `rd = rs1 - rd` became `neg; add`, with the same bytes, as the
-        // DCG row above.
+        // DCG row above. [99760, 93720, 93680, 98312] before `end` laid
+        // out the literal pool's tables and base, with the same bytes:
+        // this row ends a session every 32 ops, the others once.
         Row {
             class: "record + lower",
             bodies: four!(record_lower),
-            pinned: [99760, 93720, 93680, 98312],
+            pinned: [99896, 93880, 93888, 98472],
+            bytes: 0x921f_70bf_0a94_c723,
         },
     ]
 }
@@ -604,7 +618,8 @@ fn measure(row: usize, k: usize, attr: bool) {
     if want_ips {
         attribute(row.class, TARGETS[k], &ips);
     }
-    println!("steps {steps}");
+    let len = (row.bodies[k])(&mut mem, N[1]).min(mem.len());
+    println!("steps {steps} {}", digest64(&mem[..len]));
 }
 
 /// [`measure`] for one corpus (`--corpus <k>`): `steps <record> <lower>`.
@@ -673,30 +688,37 @@ fn main() {
     let mut bad = Vec::new();
     let mut notes = String::new();
     for (i, row) in rows().iter().enumerate() {
-        let mut steps = [0u64; 4];
-        for (k, target) in TARGETS.iter().enumerate() {
+        let (mut steps, mut digests) = ([0u64; 4], [0u64; 4]);
+        for k in 0..4 {
             let (body_notes, got) =
                 child(&exe, &["--body".into(), i.to_string(), k.to_string()], attr);
-            steps[k] = got[0];
+            (steps[k], digests[k]) = (got[0], got[1]);
             notes.push_str(&body_notes);
-            if steps[k] != row.pinned[k] {
-                bad.push(format!(
-                    "{} on {target}: {} steps, pinned {}",
-                    row.class, steps[k], row.pinned[k]
-                ));
-            }
+        }
+        let bytes = digest64(&digests.map(u64::to_le_bytes).concat());
+        if steps != row.pinned || bytes != row.bytes {
+            let what = if bytes == row.bytes {
+                "emitted bytes as pinned: only the host code moved".to_string()
+            } else {
+                format!("emitted bytes moved: {bytes:#x}, pinned {:#x}", row.bytes)
+            };
+            let class = row.class;
+            bad.push(format!(
+                "{class}: {steps:?} steps, pinned {:?}; {what}",
+                row.pinned
+            ));
         }
         let per = steps.map(|s| s as f64 / UNIT);
         line(row.class, per);
-        counted.push((row.class, steps, per));
+        counted.push((row.class, steps, per, bytes));
     }
     let per = |class: &str| counted.iter().find(|r| r.0 == class).unwrap().2;
     let (m, h, d) = (per("mix"), per("mix, hard regs"), per("mix through DCG"));
     line("§5.3: mix / hard", [0, 1, 2, 3].map(|k| m[k] / h[k]));
     line("DCG / mix", [0, 1, 2, 3].map(|k| d[k] / m[k]));
     println!("pins (steps from n={} to n={}):", N[0], N[1]);
-    for (class, steps, _) in &counted {
-        println!("  {class:<20} {steps:?}");
+    for (class, steps, _, bytes) in &counted {
+        println!("  {class:<20} {steps:?} bytes {bytes:#x}");
     }
     println!(
         "=== record + lower on x86-64 over a corpus, per recorded op ===\n\
@@ -735,8 +757,8 @@ fn main() {
             eprintln!("  {b}");
         }
         eprintln!(
-            "re-pin `rows()` in crates/bench/src/bin/fig2.rs if the emission \
-             change is meant, and record why; `corpora()` holds a bar, not a pin"
+            "re-pin `rows()` in crates/bench/src/bin/fig2.rs if the change is \
+             meant, and record why; `corpora()` holds a bar, not a pin"
         );
         std::process::exit(1);
     }

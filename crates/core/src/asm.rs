@@ -49,7 +49,7 @@ pub struct Asm<'m> {
     pub labels: LabelMap,
     /// Unresolved jump/branch/literal references.
     pub fixups: Vec<Fixup>,
-    /// Floating-point literal pool (paper §5.2).
+    /// The data section: literals and tables (paper §5.2).
     pub lits: LiteralPool,
     /// The register allocator.
     pub ra: RegAlloc,
@@ -651,7 +651,7 @@ impl<'m, T: Target> Assembler<'m, T> {
 
     /// Ends code generation (the paper's `v_end`): emits the deferred
     /// epilogue and prologue register saves, backpatches the activation
-    /// record size, emits the literal pool, and links all recorded jumps.
+    /// record size, lays out the literal pool, and links all recorded jumps.
     ///
     /// # Errors
     ///
@@ -717,14 +717,19 @@ impl<'m, T: Target> Assembler<'m, T> {
             }
         }
         ended?;
-        self.a.lits.emit(&mut self.a.buf);
+        let code_end = self.a.buf.len();
+        let data_at = match self.a.lits.is_empty() {
+            true => code_end,
+            false => (self.a.lits).emit(&mut self.a.buf, self.a.ts.entry, &self.a.labels)?,
+        };
         // Out of `a` while `patch` borrows it, then back: the list's
         // storage outlives the session (`SessionTables`).
         let fixups = std::mem::take(&mut self.a.fixups);
         let linked: Result<(), Error> = fixups.iter().try_for_each(|&f| {
             let dest = match f.target {
                 FixupTarget::Label(l) => self.a.labels.offset(l).ok_or(Error::UnboundLabel(l))?,
-                FixupTarget::Lit(id) => self.a.lits.offset(id),
+                FixupTarget::Lit(id) => data_at + self.a.lits.offset(id),
+                FixupTarget::Base => data_at,
             };
             T::patch(&mut self.a, f, dest);
             Ok(())
@@ -740,6 +745,8 @@ impl<'m, T: Target> Assembler<'m, T> {
             Some(e) => Err(e),
             None => Ok(Finished {
                 entry: self.a.ts.entry,
+                code_end,
+                data_at,
                 len: self.a.buf.len(),
                 label_offsets: (0..self.a.labels.len() as u32)
                     .map(|i| self.a.labels.offset(Label(i)))
@@ -1247,6 +1254,24 @@ impl<'m, T: Target> Assembler<'m, T> {
             T::emit_set(&mut self.a, Ty::P, rd, Imm::Int(addr as i64)),
             VInsn::new("setp").w(rd, false).i(addr as i64)
         );
+    }
+
+    /// `rd` = the run-time address of the literal pool's base
+    /// ([`Finished::data_at`]), from where the code runs
+    /// ([`Target::emit_image_base`]).
+    #[inline]
+    pub fn image_base(&mut self, rd: Reg) {
+        self.a.lits.place_base();
+        vrfy!(
+            self,
+            T::emit_image_base(&mut self.a, rd),
+            VInsn::new("image_base").w(rd, false)
+        );
+    }
+
+    /// The function's literal pool, laid out after the code by `end`.
+    pub fn pool(&mut self) -> &mut LiteralPool {
+        &mut self.a.lits
     }
 
     /// Load a single-precision constant (goes to the literal pool at the

@@ -1319,13 +1319,11 @@ impl LowerError for EngineError {
 /// finished function never shows what the buffer held before; bytes a
 /// client skips between functions are its own to write.
 ///
-/// `emit` must write position-independent code, as everything reachable
-/// from [`POp`] is (x86-64 lowering is rel32-only; the same bytes
-/// already run relocated after every L2 load), and as every client's is
-/// but tcc's, whose unit still reaches its function table by absolute
-/// address: scratch offset `off` runs at `base + off - entry`. Data the
-/// code reads travels in the same bytes: a DPF classifier's tables follow
-/// its code, and it is passed their address (`dpf::compile::emit`).
+/// `emit` must write position-independent code, as every client's is
+/// (x86-64 lowering is rel32-only; the same bytes already run relocated
+/// after every L2 load): scratch offset `off` runs at
+/// `base + off - entry`. Data the code reads is its literal pool, in the
+/// same bytes ([`Finished::data_at`]).
 ///
 /// # Errors
 ///

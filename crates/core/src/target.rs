@@ -114,12 +114,18 @@ pub struct Finished {
     /// call and those bytes (the code is position-independent). 0 on the
     /// RISC targets.
     pub entry: usize,
+    /// Where the code ends and the literal pool's zero pad begins.
+    pub code_end: usize,
+    /// The literal pool's base, a multiple of 8 bytes past `entry`
+    /// (`code_end` when the pool is empty).
+    pub data_at: usize,
     /// Total bytes emitted, including prologue, epilogue and literal pool.
     pub len: usize,
     /// Resolved byte offset of every label, indexed by
-    /// [`Label::index`](crate::Label::index). Clients use these to build
-    /// dispatch tables for indirect jumps (e.g. DPF's dense-range
-    /// demultiplexing) after generation completes.
+    /// [`Label::index`](crate::Label::index), for checks after generation
+    /// (the verifier's branch targets). A dispatch table of code
+    /// distances is built in the literal pool instead
+    /// ([`LiteralPool::set_label`](crate::label::LiteralPool::set_label)).
     pub label_offsets: Vec<Option<usize>>,
     /// The streaming-verifier report, when the verifier was enabled for
     /// this generation session (`None` on the fast path — see
@@ -290,5 +296,14 @@ pub trait Target: Sized {
     fn emit_ext_unop(a: &mut Asm<'_>, op: crate::ext::ExtUnOp, ty: Ty, rd: Reg, rs: Reg) -> bool {
         let _ = (a, op, ty, rd, rs);
         false
+    }
+
+    /// [`Assembler::image_base`](crate::Assembler::image_base), through a
+    /// [`FixupTarget::Base`](crate::label::FixupTarget::Base) fixup. It
+    /// has no portable form; a form that cannot reach the base, or would
+    /// clobber a link register a leaf returns through, latches an error.
+    fn emit_image_base(a: &mut Asm<'_>, rd: Reg) {
+        let _ = rd;
+        a.record_err(Error::BadOperands("image_base on this target"));
     }
 }

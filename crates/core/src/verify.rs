@@ -1004,6 +1004,8 @@ mod tests {
         };
         let fin = Finished {
             entry: 0,
+            code_end: 16,
+            data_at: 16,
             len: 16,
             label_offsets: Vec::new(),
             verify: None,

@@ -3,7 +3,7 @@
 //! external property-testing dependency, so tier-1 runs offline).
 
 use vcode::buf::CodeBuffer;
-use vcode::label::LiteralPool;
+use vcode::label::{LabelMap, LiteralPool};
 use vcode::reg::{Reg, RegClass, RegDesc, RegFile, RegKind};
 use vcode::regalloc::RegAlloc;
 use vcode::regress::{canon, eval_binop, eval_cond, eval_unop, XorShift};
@@ -87,9 +87,9 @@ fn literal_pool_offsets_are_faithful() {
         let mut mem = vec![0u8; 16 + vals.len() * 8];
         let mut buf = CodeBuffer::new(&mut mem);
         buf.put_u32(0); // misalign a little
-        pool.emit(&mut buf);
+        let base = pool.emit(&mut buf, 0, &LabelMap::new()).unwrap();
         for (id, v) in ids.iter().zip(&vals) {
-            let off = pool.offset(*id);
+            let off = base + pool.offset(*id);
             assert_eq!(off % 8, 0, "doubles are 8-aligned");
             let got = f64::from_bits(
                 u64::from(buf.read_u32(off)) | (u64::from(buf.read_u32(off + 4)) << 32),

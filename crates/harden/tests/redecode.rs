@@ -210,20 +210,21 @@ fn client_images() -> Vec<Vec<u8>> {
             images.push(unsafe { installed(p.entry_addr().expect("native"), p.code_len) });
         }
     }
-    // tcc: one unit of several functions, padded between them; it is
-    // installed from the entry of the first.
+    // tcc: one unit of several functions, each function's code without
+    // the literal pool after it (a call reads its callee's distance from
+    // there): data, which no instruction decoder walks.
     dirty_scratch();
     let unit = tcc::Program::compile(TCC_UNIT).expect("unit compiles");
     assert_eq!(unit.call_int("fib", &[20]), Ok(6765));
     assert_eq!(unit.call_int("gcd_fib", &[12, 18]), Ok(8));
-    // SAFETY: `unit` holds its code, `code_len` bytes from its first entry.
-    images.push(unsafe { installed(unit.addr("fib").unwrap(), unit.code_len) });
+    let mut names: Vec<&str> = unit.functions().collect();
+    names.sort_unstable();
+    images.extend(names.iter().map(|f| unit.code_bytes(f).unwrap().to_vec()));
     images
 }
 
 /// The tcc unit of the corpus: integer and pointer code, calls between
-/// its functions, and leaves among them. (No `double`: a function that
-/// keeps a literal pool ends in data, which no instruction decoder walks.)
+/// its functions, and leaves among them.
 const TCC_UNIT: &str = r"
     int fib(int n) { if (n < 2) return n; return fib(n - 1) + fib(n - 2); }
     int gcd_fib(int a, int b) { return gcd(fib(a), fib(b)); }

@@ -119,6 +119,8 @@ const F_CALLEE: [u8; 6] = [20, 22, 24, 26, 28, 30];
 
 /// Fixup kind: patch the low 16 bits with the branch word displacement.
 const FIX_BR16: u8 = 0;
+/// Fixup kind: an `image_base` ([`Mips::patch_base`]).
+const FIX_BASE: u8 = 1;
 
 fn is_flt(ty: Ty) -> bool {
     ty.is_float()
@@ -138,6 +140,19 @@ impl Mips {
     /// Branch-always (`beq $0, $0`) with delay handling.
     fn goto(a: &mut Asm<'_>, l: Label) {
         Self::branch(a, l, |a| encode::beq(&mut a.buf, r::ZERO, r::ZERO, 0));
+    }
+
+    /// Patches an `image_base`'s `addiu` from `$ra`, which holds its own
+    /// address, with the byte distance from there to `dest`.
+    #[cold]
+    fn patch_base(a: &mut Asm<'_>, fixup: Fixup, dest: usize) {
+        let Ok(disp) = i16::try_from(dest as i64 - fixup.at as i64) else {
+            a.record_err(Error::BranchOutOfRange { at: fixup.at, dest });
+            return;
+        };
+        let old = a.buf.read_u32(fixup.at);
+        a.buf
+            .patch_u32(fixup.at, (old & 0xffff_0000) | u32::from(disp as u16));
     }
 
     /// Pads the MIPS-I load delay unless a `raw_load` is in progress.
@@ -348,6 +363,9 @@ impl Target for Mips {
 
     #[inline]
     fn patch(a: &mut Asm<'_>, fixup: Fixup, dest: usize) {
+        if fixup.kind == FIX_BASE {
+            return Self::patch_base(a, fixup, dest);
+        }
         // Branch displacement is in words, relative to the delay slot.
         let disp = (dest as i64 - (fixup.at as i64 + 4)) / 4;
         if i16::try_from(disp).is_err() {
@@ -728,6 +746,21 @@ impl Target for Mips {
     #[inline]
     fn emit_nop(a: &mut Asm<'_>) {
         encode::nop(&mut a.buf);
+    }
+
+    /// `bal .+8; nop; addiu rd, $ra, disp`: three instructions, the base
+    /// within 32 KiB of the `addiu`, whose address `bal` leaves in `$ra`.
+    /// A leaf returns through `$ra` without saving it, so there it
+    /// latches [`Error::CallInLeaf`].
+    fn emit_image_base(a: &mut Asm<'_>, rd: Reg) {
+        if a.leaf == Leaf::Yes {
+            a.record_err(Error::CallInLeaf);
+            return;
+        }
+        encode::bal(&mut a.buf, 1);
+        encode::nop(&mut a.buf);
+        a.fixup_here(FixupTarget::Base, FIX_BASE);
+        encode::addiu(&mut a.buf, rd.num(), r::RA, 0);
     }
 
     fn call_begin(a: &mut Asm<'_>, sig: &Sig) -> CallFrame {

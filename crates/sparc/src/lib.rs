@@ -55,6 +55,9 @@ const MIN_FRAME: i32 = ABI_AREA + STAGE_AREA + SCRATCH_AREA;
 /// Fixup kinds.
 const FIX_B22: u8 = 0;
 const FIX_CALL30: u8 = 1;
+/// An `add` from `%o7`, which holds the address of the `call` two words
+/// back: its simm13 is the byte distance from there.
+const FIX_BASE: u8 = 2;
 
 // %o registers: clobbered by calls (the callee's window aliases them),
 // so they are the temporaries. %l registers are window-local, preserved
@@ -327,6 +330,15 @@ impl Target for Sparc {
                 }
                 a.buf
                     .patch_u32(fixup.at, (old & 0xffc0_0000) | (disp as u32 & 0x3f_ffff));
+            }
+            FIX_BASE => {
+                let d = dest as i64 - (fixup.at as i64 - 8);
+                if !(-(1 << 12)..(1 << 12)).contains(&d) {
+                    a.record_err(Error::BranchOutOfRange { at: fixup.at, dest });
+                    return;
+                }
+                a.buf
+                    .patch_u32(fixup.at, (old & !0x1fff) | (d as u32 & 0x1fff));
             }
             _ => {
                 a.buf
@@ -644,6 +656,17 @@ impl Target for Sparc {
     #[inline]
     fn emit_nop(a: &mut Asm<'_>) {
         encode::nop(&mut a.buf);
+    }
+
+    /// `call .+8; nop; add %o7, disp, rd`: three instructions, the base
+    /// within 4 KiB of the `call`, whose address it leaves in `%o7`. Every
+    /// function's `save` gives it a window of its own, so `%o7` is free
+    /// in a leaf too.
+    fn emit_image_base(a: &mut Asm<'_>, rd: Reg) {
+        encode::call(&mut a.buf, 2);
+        encode::nop(&mut a.buf);
+        a.fixup_here(FixupTarget::Base, FIX_BASE);
+        encode::f3_ri(&mut a.buf, op3::ADD, rd.num(), r::O7, 0);
     }
 
     fn call_begin(a: &mut Asm<'_>, sig: &Sig) -> CallFrame {

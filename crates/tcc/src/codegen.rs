@@ -7,8 +7,9 @@
 //! conventions." The backend is a straightforward one-pass tree walk:
 //! variables live in stack slots, expressions in allocator temporaries,
 //! calls are marshaled with the `call_begin`/`call_arg`/`call_end`
-//! interface, and inter-function references go through a function table
-//! so forward references and recursion need no link step.
+//! interface, and a call reads its callee's distance from the caller's
+//! literal pool, filled in once the unit is placed, so forward references
+//! and recursion need no link step.
 
 use crate::lex::ParseError;
 use crate::parse::{CType, Expr, FnDef, Stmt};
@@ -79,10 +80,10 @@ impl vcode::engine::LowerError for CcError {
     }
 }
 
-/// Signature info for the function table.
+/// Signature info for the unit's functions.
 #[derive(Debug, Clone)]
 pub struct FnSig {
-    /// Index into the function table.
+    /// Position of the function in the unit.
     pub index: usize,
     /// Return type.
     pub ret: CType,
@@ -193,21 +194,22 @@ pub(crate) struct FnCg<'m, 'ctx> {
     ret: CType,
     scopes: Vec<HashMap<String, VarInfo>>,
     fns: &'ctx HashMap<String, FnSig>,
-    table_addr: u64,
+    /// Each callee's index, and the pool word of its entry.
+    callees: Vec<(usize, usize)>,
     loops: Vec<(Label, Label)>, // (continue target, break target)
 }
 
 type CcResult<T> = Result<T, CcError>;
 
 impl<'m, 'ctx> FnCg<'m, 'ctx> {
-    /// Compiles one function definition into `mem`, returning the number
-    /// of bytes emitted.
+    /// Compiles one function definition into `mem`, returning it and each
+    /// callee's index with the pool word that must hold the callee's
+    /// entry's distance from [`Finished::data_at`], as an `i64`.
     pub(crate) fn compile(
         def: &FnDef,
         mem: &'m mut [u8],
         fns: &'ctx HashMap<String, FnSig>,
-        table_addr: u64,
-    ) -> CcResult<Finished> {
+    ) -> CcResult<(Finished, Vec<(usize, usize)>)> {
         let leaf = if def.body.iter().any(stmt_has_call) {
             Leaf::No
         } else {
@@ -224,7 +226,7 @@ impl<'m, 'ctx> FnCg<'m, 'ctx> {
             ret: def.ret.clone(),
             scopes: vec![HashMap::new()],
             fns,
-            table_addr,
+            callees: Vec::new(),
             loops: Vec::new(),
         };
         // Home every parameter in a stack slot and release its register:
@@ -250,7 +252,7 @@ impl<'m, 'ctx> FnCg<'m, 'ctx> {
                 cg.emit_ret(r, &t);
             }
         }
-        Ok(cg.a.end()?)
+        Ok((cg.a.end()?, cg.callees))
     }
 
     fn sem(&self, msg: impl Into<String>) -> CcError {
@@ -805,10 +807,21 @@ impl<'m, 'ctx> FnCg<'m, 'ctx> {
             self.a.putreg(r);
             slots.push(slot);
         }
-        // Load the function pointer from the table.
+        // The callee is the pool base plus its entry there.
+        let word = match self.callees.iter().find(|&&(c, _)| c == fi.index) {
+            Some(&(_, word)) => word,
+            None => {
+                let word = self.a.pool().table(1, [0, 0]);
+                self.callees.push((fi.index, word));
+                word
+            }
+        };
         let fptr = self.alloc(false)?;
-        self.a.setp(fptr, self.table_addr + 8 * fi.index as u64);
-        self.a.ldpi(fptr, fptr, 0);
+        let dist = self.alloc(false)?;
+        self.a.image_base(fptr);
+        self.a.ldli(dist, fptr, 4 * word as i32);
+        self.a.addp(fptr, fptr, dist);
+        self.a.putreg(dist);
         // Marshal.
         let sig = Sig::new(fi.params.iter().map(vty).collect(), vty(&fi.ret));
         let mut cf = self.a.call_begin(&sig);
@@ -1097,8 +1110,8 @@ mod tests {
     ";
 
     /// `digest64` of every function of `CORPUS` as emitted, one after
-    /// another, each into its own zeroed buffer with the function table
-    /// at address 0 (a unit's call sites bake in its table's address).
+    /// another, each into its own zeroed buffer, its callee entries left
+    /// zero.
     #[test]
     fn every_operator_emits_its_pinned_bytes() {
         let defs = crate::parse::parse(CORPUS).expect("corpus parses");
@@ -1115,11 +1128,11 @@ mod tests {
         let mut code = Vec::new();
         for d in &defs {
             let mut buf = vec![0u8; 1 << 16];
-            let fin =
-                FnCg::compile(d, &mut buf, &fns, 0).unwrap_or_else(|e| panic!("`{}`: {e}", d.name));
+            let (fin, _) =
+                FnCg::compile(d, &mut buf, &fns).unwrap_or_else(|e| panic!("`{}`: {e}", d.name));
             code.extend_from_slice(&buf[..fin.len]);
         }
         let digest = vcode::persist::digest64(&code);
-        assert_eq!(digest, 0x8b62_0ffb_1033_388c, "digest {digest:#018x}");
+        assert_eq!(digest, 0xd096_4fdf_d9b9_387e, "digest {digest:#018x}");
     }
 }

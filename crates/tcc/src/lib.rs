@@ -10,7 +10,8 @@
 //! `double`, pointers; full statement forms; recursion): source text in,
 //! directly executable native functions out — no external assembler,
 //! linker, or process involved. A unit's functions are emitted one after
-//! another and installed together ([`vcode_x64::emit_native`]).
+//! another and installed together ([`vcode_x64::emit_native`]) as one
+//! position-independent image.
 //!
 //! ```
 //! let prog = tcc::Program::compile(r"
@@ -43,10 +44,11 @@ use vcode_x64::ExecCode;
 /// executable mapping, callable through [`Program::call_int`],
 /// [`Program::call_f64`], or a raw typed pointer.
 pub struct Program {
-    _code: ExecCode,
+    code: ExecCode,
     fns: HashMap<String, FnSig>,
-    /// Entry addresses by `FnSig::index`, which calls go through.
-    table: Box<[u64]>,
+    /// Each function's entry in `code` and the length of its code, by
+    /// `FnSig::index`.
+    table: Vec<(usize, usize)>,
     /// Total machine-code bytes generated.
     pub code_len: usize,
 }
@@ -117,34 +119,43 @@ impl Program {
                 });
             }
         }
-        let mut table: Box<[u64]> = vec![0u64; defs.len()].into_boxed_slice();
-        let table_addr = table.as_ptr() as u64;
+        let mut table = vec![(0, 0); defs.len()];
         // Each attempt (the scratch grows until the unit fits) writes
-        // every entry again.
+        // every byte again.
         let (code, unit) = vcode_x64::emit_native::<CcError>(|buf| {
             let mut unit = vcode::Finished::default();
-            for (d, entry) in defs.iter().zip(table.iter_mut()) {
-                // 16-byte aligned from the unit's entry; the scratch is
-                // not cleared, so the padding is written: `int3`.
-                let start = unit.entry + (unit.len - unit.entry).next_multiple_of(16);
-                let start = start.min(buf.len());
-                buf[unit.len..start].fill(0xcc);
-                let fin = FnCg::compile(d, &mut buf[start..], &fns, table_addr)?;
-                *entry = (start + fin.entry) as u64;
-                unit.entry = if unit.len == 0 { fin.entry } else { unit.entry };
-                unit.len = start + fin.len;
+            let mut calls = Vec::new();
+            for (d, entry) in defs.iter().zip(&mut table) {
+                // Each function is emitted at a 16-byte boundary and its
+                // code moved down from its entry, so its pool, aligned
+                // from there, is too. (The scratch is not cleared, so the
+                // padding is written: `int3`.)
+                let at = unit.len.next_multiple_of(16).min(buf.len());
+                buf[unit.len..at].fill(0xcc);
+                let (fin, callees) = FnCg::compile(d, &mut buf[at..], &fns)?;
+                buf.copy_within(at + fin.entry..at + fin.len, at);
+                let base = at + fin.data_at - fin.entry;
+                calls.extend(
+                    callees
+                        .into_iter()
+                        .map(|(c, word)| (c, base, base + 4 * word)),
+                );
+                *entry = (at, fin.code_end - fin.entry);
+                unit.len = at + fin.len - fin.entry;
                 unit.insns += fin.insns;
+            }
+            // Data, written before install: no code byte changes.
+            for (callee, base, at) in calls {
+                let dist = table[callee].0 as i64 - base as i64;
+                buf[at..at + 8].copy_from_slice(&dist.to_le_bytes());
             }
             Ok(unit)
         })?;
-        for entry in table.iter_mut() {
-            *entry += code.addr() - unit.entry as u64;
-        }
         Ok(Program {
-            _code: code,
+            code,
             fns,
             table,
-            code_len: unit.len - unit.entry,
+            code_len: unit.len,
         })
     }
 
@@ -155,7 +166,15 @@ impl Program {
 
     /// The native entry address of `name`, if defined.
     pub fn addr(&self, name: &str) -> Option<u64> {
-        self.fns.get(name).map(|sig| self.table[sig.index])
+        let sig = self.fns.get(name)?;
+        Some(self.code.addr() + self.table[sig.index].0 as u64)
+    }
+
+    /// The machine code of `name`, without the literal pool after it
+    /// (diagnostics).
+    pub fn code_bytes(&self, name: &str) -> Option<&[u8]> {
+        let (at, len) = self.table[self.fns.get(name)?.index];
+        Some(&self.code.bytes()[at..at + len])
     }
 
     /// Reinterprets a compiled function as a typed function pointer.
@@ -187,7 +206,7 @@ impl Program {
                 got: nargs,
             });
         }
-        Ok((sig, self.table[sig.index]))
+        Ok((sig, self.addr(name).expect("defined")))
     }
 
     /// Calls an integer-family function (params and return all

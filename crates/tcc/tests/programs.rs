@@ -620,11 +620,35 @@ fn array_misuse_is_rejected() {
     }
 }
 
+/// A unit's bytes, from the entry of its first function `first`.
+fn unit_bytes(p: &Program, first: &str) -> Vec<u8> {
+    // SAFETY: `p` keeps its unit mapped, `code_len` bytes from the entry
+    // of its first function.
+    unsafe { std::slice::from_raw_parts(p.addr(first).unwrap() as *const u8, p.code_len) }.to_vec()
+}
+
+/// A unit names no host address: a call reads its callee's distance from
+/// the caller's pool, so the same source compiles to the same bytes
+/// however many units are alive, and each runs where it is mapped.
+#[test]
+fn a_unit_with_calls_is_the_same_bytes_every_time() {
+    let src = r"
+        int twice(int x) { return helper(x) + helper(x); }
+        int fib(int n) { if (n < 2) return n; return fib(n - 1) + fib(n - 2); }
+        int helper(int x) { return x * 3 + fib(x); }
+    ";
+    let (first, second) = (compile(src), compile(src));
+    assert_ne!(first.addr("twice"), second.addr("twice"));
+    assert_eq!(unit_bytes(&first, "twice"), unit_bytes(&second, "twice"));
+    for p in [&first, &second] {
+        assert_eq!(p.call_int("twice", &[10]).unwrap(), 2 * (30 + 55));
+        assert_eq!(p.call_int("fib", &[15]).unwrap(), 610);
+    }
+}
+
 /// A unit of many functions needs several pages: on a fresh thread the
 /// lowering scratch starts at one page and grows until the unit fits,
-/// and a second compile on the grown scratch writes the same bytes. (No
-/// function calls another: a call loads its target from the unit's
-/// function table, whose address differs between the two units.)
+/// and a second compile on the grown scratch writes the same bytes.
 #[test]
 fn a_unit_past_one_page_compiles_on_a_fresh_thread() {
     std::thread::spawn(|| {
@@ -639,13 +663,7 @@ fn a_unit_past_one_page_compiles_on_a_fresh_thread() {
             .collect();
         let (first, second) = (compile(&src), compile(&src));
         assert!(first.code_len > 2 * 4096, "{} bytes", first.code_len);
-        let bytes = |p: &Program| {
-            // SAFETY: `p` keeps its unit mapped, `code_len` bytes from the
-            // entry of its first function.
-            unsafe { std::slice::from_raw_parts(p.addr("f0").unwrap() as *const u8, p.code_len) }
-                .to_vec()
-        };
-        assert_eq!(bytes(&first), bytes(&second));
+        assert_eq!(unit_bytes(&first, "f0"), unit_bytes(&second, "f0"));
         for i in 0..64i64 {
             let f = |a: i64, b: i64| {
                 let (mut a, mut s) = (a, 0i64);

@@ -550,6 +550,18 @@ pub fn store8(buf: &mut CodeBuffer<'_>, reg: u8, m: Mem) {
     op_mem(buf, None, &[0x88], false, reg, m, reg >= 4);
 }
 
+/// `lea reg, [rip+disp32]`, returning the buffer offset of the disp32
+/// field for fixup, as [`sse_load_rip`] does.
+#[inline]
+pub fn lea_rip(buf: &mut CodeBuffer<'_>, reg: u8) -> usize {
+    let mut w = buf.window(MAX_INSN);
+    let tail = 0x8d | (modrm_byte(0b00, reg, 0b101) as u64) << 8;
+    InsnWord::headed(rex_byte(true, reg, 0, 0), false, tail, 2).commit_win(&mut w);
+    let at = w.len();
+    w.u32(0);
+    at
+}
+
 /// RIP-relative SSE load (`movss`/`movsd xmm, [rip+disp32]`), returning
 /// the buffer offset of the disp32 field for fixup. Disp is
 /// `dest - (field + 4)`.

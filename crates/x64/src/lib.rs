@@ -842,6 +842,13 @@ impl Target for X64 {
         }
     }
 
+    /// `lea rd, [rip+disp32]`: 7 bytes, one instruction, through the
+    /// rip-relative fixup the literal loads use.
+    fn emit_image_base(a: &mut Asm<'_>, rd: Reg) {
+        let at = encode::lea_rip(&mut a.buf, rd.num());
+        a.fixup_at(at, FixupTarget::Base, 0);
+    }
+
     #[inline]
     fn emit_ext_unop(a: &mut Asm<'_>, op: ExtUnOp, ty: Ty, rd: Reg, rs: Reg) -> bool {
         match (op, ty) {
@@ -962,8 +969,7 @@ impl Lambda for NativeLambda {
 /// carries after it, as a DPF classifier carries its tables — in a
 /// pooled mapping sized by `code.len()` (which is also all parking
 /// scrubs): the install half of [`emit_native`], and all of an L2 load
-/// ([`Backend::adopt`]). Every client's code is position-independent but
-/// tcc's, whose unit reaches its function table by absolute address.
+/// ([`Backend::adopt`]). Every client's code is position-independent.
 fn place(code: &[u8]) -> std::io::Result<ExecCode> {
     ExecMem::adopt_bytes(code)?.finalize_written(code.len())
 }

@@ -406,6 +406,37 @@ fn float_constants_from_literal_pool() {
     assert_eq!(g(), 3.75);
 }
 
+/// A literal is 8-byte aligned where it runs: the pool is aligned from
+/// the function's entry, which is where `emit_native` installs from — a
+/// frameless leaf (entry 51), a frame (entry 40) and a frame saving one
+/// register (entry 36) alike.
+#[test]
+fn pool_entries_are_aligned_at_their_installed_address() {
+    const V: f64 = 1234.5678;
+    for (saved, entry) in [(None, 51), (Some(0), 40), (Some(1), 36)] {
+        let emit = |buf: &mut [u8]| {
+            let mut a = Assembler::<X64>::lambda(buf, "", Leaf::Yes)?;
+            let t = a.getreg_f(RegClass::Temp).unwrap();
+            match saved {
+                Some(0) => drop(a.local(Ty::D)),
+                Some(_) => drop(a.getreg(RegClass::Persistent)),
+                None => {}
+            }
+            a.setd(t, V);
+            a.retd(t);
+            Ok::<_, vcode::engine::EngineError>(a.end()?)
+        };
+        let (code, fin) = vcode_x64::emit_native(emit).unwrap();
+        assert_eq!(fin.entry, entry, "{saved:?}");
+        let at = code.bytes().windows(8).position(|w| w == V.to_le_bytes());
+        let addr = code.addr() + at.expect("the literal is installed") as u64;
+        assert_eq!(addr % 8, 0, "{saved:?}: entry {}", fin.entry);
+        // SAFETY: the code is a complete `() -> f64` function.
+        let f: extern "C" fn() -> f64 = unsafe { code.as_fn() };
+        assert_eq!(f(), V);
+    }
+}
+
 #[test]
 fn float_branches() {
     let conds: [DoubleCondCase; 6] = [

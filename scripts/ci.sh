@@ -197,23 +197,23 @@ fi
 echo "one sizing ok"
 
 echo "== code carries its data (generated code names no host address) =="
-# A DPF classifier is one image: the code, then the tables it reads at
-# fixed offsets from a data-base argument, with a table entry that
-# selects code holding that code's distance back from the base
-# (DESIGN.md "Classification by data").
-# Nothing is patched after install, the same trie compiles to the same
-# bytes, and the image runs wherever it is copied. A host address baked
-# into generated code ties it to this process's heap and to one mapping.
-# Fail on code that loads one (`setp(`), jumps or calls to one
+# Generated code carries its data in its literal pool, after the code
+# (DESIGN.md "One image"): a DPF classifier's tables, read from a
+# data-base argument, with a table entry that selects code holding that
+# code's distance back from the base (DESIGN.md "Classification by
+# data"), and a tcc call's callee distance, read through `image_base`.
+# Nothing is patched after install, the same source compiles to the
+# same bytes, and the image runs wherever it is copied. A host address
+# baked into generated code ties it to this process's heap and to one
+# mapping. Fail on code that loads one (`setp(`), jumps or calls to one
 # (`jmp_abs(`, `jal_abs(`), or takes one from a Rust buffer
 # (`.as_ptr() as u64`). Looked at: code lines (not comments) of
-# crates/dpf/src, crates/ash/src and crates/core/src/engine.rs before
-# each file's first `#[cfg(test)]`. tcc is the one client not looked at:
-# its unit's function table is still reached by absolute address, until
-# it carries its data too (ROADMAP item 5).
+# crates/dpf/src, crates/ash/src, crates/tcc/src and
+# crates/core/src/engine.rs before each file's first `#[cfg(test)]`.
 host_addresses=$(git ls-files --cached --others --exclude-standard \
         'crates/dpf/src/*.rs' 'crates/dpf/src/**/*.rs' 'crates/ash/src/*.rs' \
-        'crates/ash/src/**/*.rs' 'crates/core/src/engine.rs' |
+        'crates/ash/src/**/*.rs' 'crates/tcc/src/*.rs' 'crates/tcc/src/**/*.rs' \
+        'crates/core/src/engine.rs' |
     while IFS= read -r f; do
         [ -f "$f" ] || continue
         awk -v FILE="$f" '
