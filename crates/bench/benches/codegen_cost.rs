@@ -19,7 +19,7 @@
 use dcg::Fun;
 use std::hint::black_box;
 use std::time::Instant;
-use vcode::target::Leaf;
+use vcode::target::{Finished, Leaf};
 use vcode::{Assembler, BinOp, Reg, RegClass, Ty};
 use vcode_bench::BODY_INSNS;
 use vcode_bench::{criterion_group, criterion_main, snapshot, BatchSize, Criterion, Throughput};
@@ -33,8 +33,9 @@ use vcode_x64::X64;
 /// saves nothing lost its frame: the epilogue is `ret`, not `leave; ret`.)
 const PINNED: (u64, u64, u64, usize, usize) = (257, 1143, 0, 1143, 1017);
 
-/// Emits `n` VCODE instructions using allocator-assigned registers.
-fn emit_vcode(mem: &mut [u8], n: usize) -> usize {
+/// Emits `n` VCODE instructions using allocator-assigned registers;
+/// the finished image and the allocator's spills.
+fn emit_vcode(mem: &mut [u8], n: usize) -> (Finished, u64) {
     let mut a = Assembler::<X64>::lambda(mem, "%i%i", Leaf::Yes).unwrap();
     let (x, y) = (a.arg(0), a.arg(1));
     let t = a.getreg(RegClass::Temp).unwrap();
@@ -47,7 +48,8 @@ fn emit_vcode(mem: &mut [u8], n: usize) -> usize {
         }
     }
     a.reti(t);
-    a.end().unwrap().len
+    let spills = a.state().ra.spill_count();
+    (a.end().unwrap(), spills)
 }
 
 /// The same body with hard-coded register names (paper §5.3): constant
@@ -96,7 +98,7 @@ fn bench(c: &mut Criterion) {
     let mut mem = vec![0u8; 64 * 1024];
 
     group.bench_function("vcode", |b| {
-        b.iter(|| black_box(emit_vcode(&mut mem, BODY_INSNS)))
+        b.iter(|| black_box(emit_vcode(&mut mem, BODY_INSNS).0.len))
     });
     group.bench_function("vcode_hard_regs", |b| {
         b.iter(|| black_box(emit_vcode_hard(&mut mem, BODY_INSNS)))
@@ -130,7 +132,7 @@ fn bench(c: &mut Criterion) {
         }
         best * 1e9 / f64::from(reps) / BODY_INSNS as f64
     };
-    let ns_vcode = measure(&|m, n| emit_vcode(m, n));
+    let ns_vcode = measure(&|m, n| emit_vcode(m, n).0.len);
     let ns_hard = measure(&|m, n| emit_vcode_hard(m, n));
     let ns_dcg = measure(&|m, n| emit_dcg(m, n));
     println!("\n=== Codegen cost (ns per generated VCODE instruction) ===");
@@ -144,38 +146,20 @@ fn bench(c: &mut Criterion) {
         ns_dcg / ns_vcode
     );
 
-    // Codegen event stream (the obs hook): the LambdaEnd metrics of one
-    // emission. These are deterministic counters — instructions
-    // specified, bytes emitted, allocator spills — so they are the gate:
-    // a change to what the emitters write moves them, and nothing about
-    // the host does.
-    let agg = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
-    let sink = std::sync::Arc::clone(&agg);
-    vcode::obs::set_hook(move |ev| {
-        if let vcode::CodegenEvent::LambdaEnd {
-            insns,
-            bytes,
-            spills,
-            ..
-        } = *ev
-        {
-            sink.lock().unwrap().push((insns, bytes, spills));
-        }
-    });
-    let len_vcode = emit_vcode(&mut mem, BODY_INSNS);
-    vcode::obs::clear_hook();
-    let events = agg.lock().unwrap();
-    assert_eq!(events.len(), 1, "one lambda/end session observed");
-    let (insns, bytes, spills) = events[0];
+    // What one emission made: instructions specified and bytes emitted
+    // (its `Finished`), allocator spills (its `RegAlloc`). These are
+    // deterministic counters, so they are the gate: a change to what the
+    // emitters write moves them, and nothing about the host does.
+    let (fin, spills) = emit_vcode(&mut mem, BODY_INSNS);
+    let (insns, bytes) = (fin.insns, fin.len as u64);
     let len_hard = emit_vcode_hard(&mut mem, BODY_INSNS);
     let len_dcg = emit_dcg(&mut mem, BODY_INSNS);
-    println!("\n=== Codegen events (one {BODY_INSNS}-insn emission, obs hook) ===");
+    println!("\n=== Codegen counts (one {BODY_INSNS}-insn emission) ===");
     println!(
         "  vcode insns {insns}, bytes {bytes}, spills {spills} \
          ({:.2} machine bytes per vcode insn); hard regs {len_hard} bytes, dcg {len_dcg} bytes",
         bytes as f64 / insns as f64
     );
-    assert_eq!(len_vcode as u64, bytes, "the hook reports what was written");
     assert_eq!(
         (insns, bytes, spills, len_hard, len_dcg),
         PINNED,

@@ -8,7 +8,8 @@
 //! difference is the cost of 256 of them: `lambda`, `end` and the stops'
 //! own instructions cancel. Every body is counted in a fresh process of
 //! this binary (`--body <row> <target>`), so no count depends on what
-//! ran before it. A syscall is one step (the kernel's work is
+//! ran before it, and at a fixed stack address (`child`), so none depends
+//! on where the stack landed. A syscall is one step (the kernel's work is
 //! invisible), and so is each iteration of a `rep` string instruction.
 //! A binary, not a libtest test: forking inside a threaded harness is
 //! unsafe.
@@ -260,18 +261,21 @@ fn rows() -> [Row; 8] {
             bytes: 0xca3b_c28d_29c4_fe83,
         },
         // 1588d22, whose `replay` kept a register per vreg for the whole
-        // lambda, took [96144, 83928, 82680, 88480]: 1.04x, 1.12x, 1.13x
-        // and 1.11x of it here. 16 steps fewer on every target since
+        // lambda, took [96144, 83928, 82680, 88480]: 1.02x, 1.09x, 1.11x
+        // and 1.09x of it here. 16 steps fewer on every target since
         // `lambda` stopped loading a process-wide verifier switch:
         // [100184, 93736, 93696, 98328]. x86-64 took 100168 before
         // `rd = rs1 - rd` became `neg; add`, with the same bytes, as the
         // DCG row above. [99760, 93720, 93680, 98312] before `end` laid
         // out the literal pool's tables and base, with the same bytes:
         // this row ends a session every 32 ops, the others once.
+        // [99896, 93880, 93888, 98472] while `end` copied the label
+        // table into `Finished` (an allocation and a loop per session),
+        // with the same bytes.
         Row {
             class: "record + lower",
             bodies: four!(record_lower),
-            pinned: [99896, 93880, 93888, 98472],
+            pinned: [97608, 91592, 91528, 96208],
             bytes: 0x921f_70bf_0a94_c723,
         },
     ]
@@ -635,12 +639,41 @@ fn measure_corpus(k: usize, attr: bool) {
 
 /// Runs this binary with `args` (plus `--attribute` with `attr`) and
 /// returns what it printed before its last line, and the counts on it.
-fn child(exe: &std::path::Path, args: &[String], attr: bool) -> (String, Vec<u64>) {
-    let out = std::process::Command::new(exe)
+///
+/// The child's stack starts at the same address in every run: address
+/// randomisation is off for it alone (`personality`, as `setarch -R`
+/// does), and what the kernel copies above the stack is the same bytes
+/// wherever the binary lives and whatever the environment holds (the
+/// path it runs as, `/proc/self/exe`; its `argv[0]`; no environment).
+/// A copy of the assembler state takes a different number of steps at a
+/// different alignment, so with the stack left to move one body read one
+/// of two counts from run to run.
+fn child(args: &[String], attr: bool) -> (String, Vec<u64>) {
+    use std::os::unix::process::CommandExt;
+    extern "C" {
+        fn personality(persona: std::ffi::c_ulong) -> std::ffi::c_int;
+    }
+    /// `ADDR_NO_RANDOMIZE` from `<sys/personality.h>`.
+    const ADDR_NO_RANDOMIZE: std::ffi::c_ulong = 0x0004_0000;
+    /// Asks `personality` for the current persona without setting it.
+    const QUERY: std::ffi::c_ulong = 0xffff_ffff;
+    let mut cmd = std::process::Command::new("/proc/self/exe");
+    cmd.arg0("fig2")
         .args(args)
         .args(attr.then_some("--attribute"))
-        .output()
-        .expect("run this binary on one body");
+        .env_clear();
+    // SAFETY: the hook runs in the forked child before `exec` and makes
+    // two `personality` calls, which are plain system calls: async-signal
+    // safe, no allocation, no lock, nothing of the parent's touched.
+    unsafe {
+        cmd.pre_exec(|| {
+            match personality(personality(QUERY) as std::ffi::c_ulong | ADDR_NO_RANDOMIZE) {
+                -1 => Err(std::io::Error::last_os_error()),
+                _ => Ok(()),
+            }
+        });
+    }
+    let out = cmd.output().expect("run this binary on one body");
     let text = String::from_utf8_lossy(&out.stdout);
     let (notes, last) = text.trim_end().rsplit_once('\n').unwrap_or(("", &text));
     let steps: Option<Vec<u64>> = last.trim().strip_prefix("steps ").and_then(|counts| {
@@ -674,7 +707,6 @@ fn main() {
         measure_corpus(k, attr);
         return;
     }
-    let exe = std::env::current_exe().expect("this binary's path");
     println!(
         "=== Figure 2, counted: host instructions per generated instruction \
          (steps of n={} minus n={}, over {UNIT}) ===",
@@ -690,8 +722,7 @@ fn main() {
     for (i, row) in rows().iter().enumerate() {
         let (mut steps, mut digests) = ([0u64; 4], [0u64; 4]);
         for k in 0..4 {
-            let (body_notes, got) =
-                child(&exe, &["--body".into(), i.to_string(), k.to_string()], attr);
+            let (body_notes, got) = child(&["--body".into(), i.to_string(), k.to_string()], attr);
             (steps[k], digests[k]) = (got[0], got[1]);
             notes.push_str(&body_notes);
         }
@@ -726,7 +757,7 @@ fn main() {
         "corpus", "ops", "record", "lower", "sum"
     );
     for (k, corpus) in corpora().iter().enumerate() {
-        let (body_notes, got) = child(&exe, &["--corpus".into(), k.to_string()], attr);
+        let (body_notes, got) = child(&["--corpus".into(), k.to_string()], attr);
         notes.push_str(&body_notes);
         let ops: usize = (corpus.programs)().iter().map(Program::len).sum();
         let per = |s: u64| s as f64 / ops as f64;

@@ -601,10 +601,6 @@ impl<'m, T: Target> Assembler<'m, T> {
         };
         T::begin(&mut a, &sig, leaf, &mut args)?;
         a.sig = sig;
-        crate::obs::emit_event(|| crate::obs::CodegenEvent::LambdaBegin {
-            args: args.len(),
-            leaf: matches!(leaf, Leaf::Yes),
-        });
         Ok(Assembler {
             a,
             args,
@@ -644,7 +640,7 @@ impl<'m, T: Target> Assembler<'m, T> {
 
     /// Diagnostics the verifier has collected so far (empty when the
     /// verifier is off). The full report comes back through
-    /// [`Finished::verify`] at [`end`](Self::end).
+    /// [`end_report`](Self::end_report).
     pub fn verify_diags(&self) -> &[crate::verify::Diag] {
         self.a.verifier.as_deref().map_or(&[], |vs| vs.diags())
     }
@@ -665,17 +661,14 @@ impl<'m, T: Target> Assembler<'m, T> {
     /// [`end`](Self::end), handing the session's tables back in `tables`
     /// for the next [`lambda_on`](Self::lambda_on).
     pub fn end_into(self, tables: &mut SessionTables) -> Result<Finished, Error> {
-        let (r, report) = self.finish(tables);
-        r.map(|mut f| {
-            f.verify = report;
-            f
-        })
+        self.finish(tables).0
     }
 
-    /// Like [`end`](Self::end), but hands back the verifier report even
-    /// when generation failed — a latched [`Error`] and the collected
-    /// diagnostics usually describe the same client bug, and the bad-client
-    /// test corpus asserts on the diagnostics.
+    /// [`end`](Self::end), also handing back the verifier report (`None`
+    /// when the verifier was off), whether or not generation succeeded: a
+    /// latched [`Error`] and the collected diagnostics usually describe
+    /// the same client bug, and the bad-client test corpus asserts on the
+    /// diagnostics.
     pub fn end_report(self) -> (Result<Finished, Error>, Option<Box<VerifyReport>>) {
         self.finish(&mut SessionTables::new())
     }
@@ -690,12 +683,6 @@ impl<'m, T: Target> Assembler<'m, T> {
             .verifier
             .take()
             .map(|mut vs| Box::new(vs.take_report()));
-        crate::obs::emit_event(|| crate::obs::CodegenEvent::LambdaEnd {
-            insns: self.a.insns & !Asm::VERIFYING,
-            bytes: self.a.buf.len() as u64,
-            overflowed: self.a.buf.overflowed(),
-            spills: self.a.ra.spill_count(),
-        });
         *tables = SessionTables {
             labels: self.a.labels,
             fixups: self.a.fixups,
@@ -748,10 +735,6 @@ impl<'m, T: Target> Assembler<'m, T> {
                 code_end,
                 data_at,
                 len: self.a.buf.len(),
-                label_offsets: (0..self.a.labels.len() as u32)
-                    .map(|i| self.a.labels.offset(Label(i)))
-                    .collect(),
-                verify: None,
                 insns: self.a.insns & !Asm::VERIFYING,
             }),
         }

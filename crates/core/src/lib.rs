@@ -79,7 +79,7 @@ pub use cache::{CacheError, CacheKey, CacheStats, LambdaCache};
 pub use engine::{Backend, Engine, EngineError, Lambda, Program, TargetId};
 pub use error::Error;
 pub use label::Label;
-pub use obs::{CodegenEvent, ExecStats, TraceRecord, TrapCounts};
+pub use obs::{ExecStats, TraceRecord, TrapCounts};
 pub use op::{BinOp, Cond, Imm, UnOp};
 pub use persist::{
     Artifact, ArtifactCodec, ArtifactView, CacheTier, DiskTier, PersistError, PersistStats,

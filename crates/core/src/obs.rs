@@ -1,4 +1,4 @@
-//! Execution and code-generation observability.
+//! Execution observability.
 //!
 //! The paper's own evaluation is counter-driven: instructions per
 //! generated instruction in Figure 2, cycle and cache ratios in
@@ -11,11 +11,6 @@
 //!   from their retired-instruction/cache models, while the native
 //!   x86-64 path maps executable-memory pool behaviour and guarded-call
 //!   trap tallies onto the same shape.
-//! - [`CodegenEvent`] + the process-wide hook ([`set_hook`] /
-//!   [`clear_hook`]) — a zero-cost-when-disabled event stream the
-//!   [`Assembler`](crate::Assembler) fires at `lambda`/`end`, carrying
-//!   instructions emitted, bytes emitted, overflow-latch trips, and
-//!   register-allocator spills.
 //! - [`TraceRecord`] — the record streamed by the simulators'
 //!   per-instruction trace mode (`disasm()` text plus register deltas),
 //!   the §6.2 debugger stand-in.
@@ -23,12 +18,13 @@
 //! What is *not* here: event counts. A count lives on the instance that
 //! produces it (`LambdaCache::stats`, `CompileService::stats`,
 //! `DiskTier::stats`, `DpfService::stats`) and nowhere else, so two
-//! engines in one process can be told apart; `scripts/ci.sh` keeps this
-//! module free of counter statics.
+//! engines in one process can be told apart; a generation session's own
+//! figures (instructions and bytes emitted) are its
+//! [`Finished`](crate::Finished), and its spills its allocator's
+//! ([`RegAlloc::spill_count`](crate::regalloc::RegAlloc::spill_count)).
+//! `scripts/ci.sh` keeps this module free of statics.
 
 use crate::trap::TrapKind;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
 
 /// Number of distinct [`TrapKind`] variants tracked by [`TrapCounts`].
 pub const TRAP_KINDS: usize = 7;
@@ -169,78 +165,9 @@ pub struct TraceRecord {
     pub delta: Option<(u8, u64, u64)>,
 }
 
-/// A code-generation event fired by [`Assembler`](crate::Assembler).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CodegenEvent {
-    /// `lambda` opened a generation session.
-    LambdaBegin {
-        /// Number of declared arguments.
-        args: usize,
-        /// Whether the function was declared a leaf.
-        leaf: bool,
-    },
-    /// `end` closed a generation session (fired whether or not it
-    /// succeeded — `overflowed` reports the storage-overflow latch).
-    LambdaEnd {
-        /// VCODE instructions specified during the session.
-        insns: u64,
-        /// Machine-code bytes emitted (buffer cursor at `end`).
-        bytes: u64,
-        /// Whether the storage-overflow latch tripped (paper §3's
-        /// client-storage discipline).
-        overflowed: bool,
-        /// Register-allocator exhaustions (`getreg` returning `None` —
-        /// the client fell back to stack slots, the paper's "spill").
-        spills: u64,
-    },
-}
-
-static HOOK_ENABLED: AtomicBool = AtomicBool::new(false);
-#[allow(clippy::type_complexity)]
-static HOOK: Mutex<Option<Box<dyn Fn(&CodegenEvent) + Send>>> = Mutex::new(None);
-
-/// Installs the process-wide codegen event hook, replacing any previous
-/// one. The hook runs inline in `lambda`/`end`; keep it cheap.
-pub fn set_hook(f: impl Fn(&CodegenEvent) + Send + 'static) {
-    *HOOK.lock().unwrap() = Some(Box::new(f));
-    HOOK_ENABLED.store(true, Ordering::Release);
-}
-
-/// Removes the codegen event hook; emission returns to a single
-/// relaxed atomic load per event site.
-pub fn clear_hook() {
-    HOOK_ENABLED.store(false, Ordering::Release);
-    *HOOK.lock().unwrap() = None;
-}
-
-/// Whether a codegen hook is installed.
-#[inline]
-pub fn hook_enabled() -> bool {
-    HOOK_ENABLED.load(Ordering::Relaxed)
-}
-
-/// Fires `ev` at the installed hook. The event is built lazily so a
-/// disabled hook costs one relaxed load and no construction work —
-/// the zero-cost-when-disabled contract emission sites rely on.
-#[inline]
-pub fn emit_event(ev: impl FnOnce() -> CodegenEvent) {
-    if hook_enabled() {
-        emit_event_slow(&ev());
-    }
-}
-
-#[cold]
-fn emit_event_slow(ev: &CodegenEvent) {
-    if let Some(hook) = HOOK.lock().unwrap().as_ref() {
-        hook(ev);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
-    use std::sync::Arc;
 
     #[test]
     fn trap_counts_record_and_total() {
@@ -276,33 +203,5 @@ mod tests {
         };
         assert_eq!(s.cache_hit_ratio(), Some(0.75));
         assert_eq!(s.cycles_per_insn(), Some(2.5));
-    }
-
-    #[test]
-    fn hook_fires_only_while_installed() {
-        // Sentinel value: other tests in this crate run assemblers (and
-        // so fire real events) concurrently; count only our own.
-        const MARK: u64 = 0x00c0_ffee;
-        let n = Arc::new(AtomicU64::new(0));
-        let n2 = Arc::clone(&n);
-        set_hook(move |ev| {
-            if matches!(ev, CodegenEvent::LambdaEnd { insns: MARK, .. }) {
-                n2.fetch_add(1, Ordering::SeqCst);
-            }
-        });
-        emit_event(|| CodegenEvent::LambdaEnd {
-            insns: MARK,
-            bytes: 4,
-            overflowed: false,
-            spills: 0,
-        });
-        clear_hook();
-        emit_event(|| CodegenEvent::LambdaEnd {
-            insns: MARK,
-            bytes: 4,
-            overflowed: false,
-            spills: 0,
-        });
-        assert_eq!(n.load(Ordering::SeqCst), 1);
     }
 }

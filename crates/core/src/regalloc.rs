@@ -247,8 +247,8 @@ impl RegAlloc {
     }
 
     /// Number of exhausted allocations (`getreg` returning `None`): each
-    /// is a client fallback to stack storage — the paper's spill. Reported
-    /// through [`CodegenEvent::LambdaEnd`](crate::obs::CodegenEvent).
+    /// is a client fallback to stack storage — the paper's spill. Read it
+    /// through [`Assembler::state`](crate::Assembler::state) before `end`.
     pub fn spill_count(&self) -> u64 {
         self.spills
     }

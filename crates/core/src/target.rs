@@ -104,8 +104,11 @@ pub struct CallFrame {
     pub misc: u64,
 }
 
-/// Result of finishing a function: where it starts and how long it is.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// Result of finishing a function: the image's layout, where it starts
+/// and how long it is. Labels and unresolved jumps are session state
+/// (paper §3) and stay behind; a verified session's label table comes
+/// back in its [`VerifyReport`](crate::verify::VerifyReport).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Finished {
     /// Byte offset of the function's first instruction within the client
     /// buffer. Offset 0 is always a valid entry too; on x86-64 it holds a
@@ -121,31 +124,11 @@ pub struct Finished {
     pub data_at: usize,
     /// Total bytes emitted, including prologue, epilogue and literal pool.
     pub len: usize,
-    /// Resolved byte offset of every label, indexed by
-    /// [`Label::index`](crate::Label::index), for checks after generation
-    /// (the verifier's branch targets). A dispatch table of code
-    /// distances is built in the literal pool instead
-    /// ([`LiteralPool::set_label`](crate::label::LiteralPool::set_label)).
-    pub label_offsets: Vec<Option<usize>>,
-    /// The streaming-verifier report, when the verifier was enabled for
-    /// this generation session (`None` on the fast path — see
-    /// [`crate::verify`]).
-    pub verify: Option<Box<crate::verify::VerifyReport>>,
     /// VCODE instructions emitted into this function (the assembler's
     /// session counter at `end`). The engine layer reports this per
     /// cached lambda: a warm cache hit reuses the finished code without
     /// re-emitting any of them.
     pub insns: u64,
-}
-
-impl Finished {
-    /// The resolved byte offset of `l`, if it was bound.
-    pub fn label_offset(&self, l: crate::label::Label) -> Option<usize> {
-        self.label_offsets
-            .get(l.index() as usize)
-            .copied()
-            .flatten()
-    }
 }
 
 /// Scratch fields backends stash per-function state in (patch sites for

@@ -19,9 +19,9 @@
 //!   against the recorded vcode stream.
 //!
 //! Diagnostics are typed ([`Diag`]), *collected not panicked*, and
-//! queryable through [`Finished::verify`](crate::Finished) (or
-//! [`Assembler::end_report`](crate::Assembler::end_report) when `end`
-//! itself fails). The whole pass is skipped when disabled: emission sites
+//! come back with the resolved label table in a [`VerifyReport`] from
+//! [`Assembler::end_report`](crate::Assembler::end_report), whether or
+//! not `end` itself fails. The whole pass is skipped when disabled: emission sites
 //! pay one branch, on the sign of the instruction counter they update
 //! anyway, and the emitted bytes are identical either way (guarded by the differential test and the
 //! codegen-cost bench gate).
@@ -31,7 +31,7 @@
 
 use crate::label::{Fixup, FixupTarget, Label, LabelMap};
 use crate::reg::{Bank, Reg, RegFile, RegKind};
-use crate::target::{Finished, StackSlot};
+use crate::target::StackSlot;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 // ---------------------------------------------------------------------------
@@ -292,6 +292,9 @@ pub struct VerifyReport {
     pub vcode_insns: u64,
     /// Buffer cursor when the session finished.
     pub code_len: usize,
+    /// Resolved byte offset of every label at `end`, indexed by
+    /// [`Label::index`] (the branch targets [`cross_check`] checks).
+    pub labels: Vec<Option<usize>>,
 }
 
 impl VerifyReport {
@@ -309,6 +312,11 @@ impl VerifyReport {
     /// Whether any diagnostic with `rule` fired.
     pub fn has(&self, rule: Rule) -> bool {
         self.count(rule) > 0
+    }
+
+    /// The byte offset `l` was bound to at `end`, if it was bound.
+    pub fn label_offset(&self, l: Label) -> Option<usize> {
+        self.labels.get(l.index() as usize).copied().flatten()
     }
 
     /// Diagnostics at or above `min`.
@@ -604,6 +612,9 @@ impl VerifierState {
     pub fn finish(&mut self, labels: &LabelMap, fixups: &[Fixup], code_len: usize) {
         self.ended = true;
         self.report.code_len = code_len;
+        self.report.labels = (0..labels.len() as u32)
+            .map(|i| labels.offset(Label(i)))
+            .collect();
         for f in fixups {
             if let FixupTarget::Label(l) = f.target {
                 if labels.offset(l).is_none() {
@@ -692,7 +703,6 @@ pub trait InsnDecoder {
 pub fn cross_check(
     code: &[u8],
     report: &VerifyReport,
-    finished: &Finished,
     dec: &dyn InsnDecoder,
     checks: &TargetChecks,
 ) -> Vec<Diag> {
@@ -788,7 +798,7 @@ pub fn cross_check(
     // Branch targets from the resolved label table.
     for m in &report.marks {
         if let MarkKind::Branch(l) = m.kind {
-            if let Some(off) = finished.label_offset(l) {
+            if let Some(off) = report.label_offset(l) {
                 if off % checks.insn_align != 0 || (in_marks(off) && !boundaries.contains(&off)) {
                     push(
                         Rule::BranchTargetMisaligned,
@@ -1001,21 +1011,13 @@ mod tests {
             vcode_insns: 3,
             code_len: 16,
             diags: Vec::new(),
-        };
-        let fin = Finished {
-            entry: 0,
-            code_end: 16,
-            data_at: 16,
-            len: 16,
-            label_offsets: Vec::new(),
-            verify: None,
-            insns: 3,
+            labels: Vec::new(),
         };
         let checks = TargetChecks {
             branch_delay_slots: 1,
             ..CHECKS
         };
-        let diags = cross_check(&code, &report, &fin, &Words, &checks);
+        let diags = cross_check(&code, &report, &Words, &checks);
         assert!(diags.iter().any(|d| d.rule == Rule::DelaySlotHazard));
         assert!(diags.iter().any(|d| d.rule == Rule::DecodeError));
     }

@@ -4,7 +4,7 @@
 //! machine-code checker must pass the re-decode on real emitted code.
 
 use vcode::target::{Finished, JumpTarget, Leaf, Target};
-use vcode::verify::{self, Rule, Severity};
+use vcode::verify::{self, MarkKind, Rule, Severity};
 use vcode::{
     regress, Assembler, BinOp, Cond, Error, InsnDecoder, Reg, RegClass, RegKind, Sig, StackSlot,
     Ty, UnOp, VerifyReport,
@@ -641,10 +641,9 @@ fn bytes_identical_off_and_on<T: Target>() {
         a.ld_slot(t, slot);
         a.putreg(t);
         a.reti(t);
-        let fin = a.end().unwrap();
-        let had_report = fin.verify.is_some();
-        mem.truncate(fin.len);
-        (mem, had_report)
+        let (fin, report) = a.end_report();
+        mem.truncate(fin.unwrap().len);
+        (mem, report.is_some())
     };
     let (off, off_report) = build(false);
     let (on, on_report) = build(true);
@@ -678,8 +677,8 @@ fn bytes_identical_x64() {
 // ---------------------------------------------------------------------------
 
 /// Builds a representative program (arith, immediates, a loop, locals,
-/// floats) and returns its code, report and finish record.
-fn representative<T: Target>() -> (Vec<u8>, VerifyReport, Finished) {
+/// floats) and returns its code and report.
+fn representative<T: Target>() -> (Vec<u8>, VerifyReport) {
     let mut mem = vec![0u8; MEM];
     let mut a = Assembler::<T>::lambda(&mut mem, "%i%i", Leaf::Yes).unwrap();
     a.enable_verifier();
@@ -705,15 +704,14 @@ fn representative<T: Target>() -> (Vec<u8>, VerifyReport, Finished) {
     a.putreg(f);
     a.putreg(t);
     a.reti(acc);
-    let fin = a.end().unwrap();
-    let report = *fin.verify.clone().unwrap();
-    mem.truncate(fin.len);
-    (mem, report, fin)
+    let (fin, report) = a.end_report();
+    mem.truncate(fin.unwrap().len);
+    (mem, *report.expect("verifier was enabled"))
 }
 
 fn cross_checks_green<T: Target>(dec: &dyn InsnDecoder) {
-    let (code, report, fin) = representative::<T>();
-    let diags = vcode::cross_check(&code, &report, &fin, dec, &T::CHECKS);
+    let (code, report) = representative::<T>();
+    let diags = vcode::cross_check(&code, &report, dec, &T::CHECKS);
     assert!(diags.is_empty(), "differential check found: {diags:#?}");
     assert_eq!(report.marks.len() as u64, report.vcode_insns);
 }
@@ -741,16 +739,10 @@ fn cross_check_green_x64() {
 /// Corrupting bytes inside a recorded span is caught by the re-decode.
 #[test]
 fn cross_check_catches_corruption() {
-    let (mut code, report, fin) = representative::<Mips>();
+    let (mut code, report) = representative::<Mips>();
     let m = report.marks[report.marks.len() / 2];
     code[m.start..m.start + 4].copy_from_slice(&0xffff_ffffu32.to_le_bytes());
-    let diags = vcode::cross_check(
-        &code,
-        &report,
-        &fin,
-        &vcode_sim::mips::Decoder,
-        &Mips::CHECKS,
-    );
+    let diags = vcode::cross_check(&code, &report, &vcode_sim::mips::Decoder, &Mips::CHECKS);
     assert!(
         diags.iter().any(|d| d.rule == Rule::DecodeError),
         "{diags:#?}"
@@ -761,16 +753,10 @@ fn cross_check_catches_corruption() {
 /// mismatch.
 #[test]
 fn cross_check_catches_split_spans() {
-    let (code, mut report, fin) = representative::<Mips>();
+    let (code, mut report) = representative::<Mips>();
     let k = report.marks.len() / 2;
     report.marks[k].end -= 2; // cut into the middle of a word
-    let diags = vcode::cross_check(
-        &code,
-        &report,
-        &fin,
-        &vcode_sim::mips::Decoder,
-        &Mips::CHECKS,
-    );
+    let diags = vcode::cross_check(&code, &report, &vcode_sim::mips::Decoder, &Mips::CHECKS);
     assert!(
         diags
             .iter()
@@ -782,17 +768,38 @@ fn cross_check_catches_split_spans() {
 /// Losing a mark makes the instruction accounting disagree.
 #[test]
 fn cross_check_catches_count_mismatch() {
-    let (code, mut report, fin) = representative::<Mips>();
+    let (code, mut report) = representative::<Mips>();
     report.marks.pop();
-    let diags = vcode::cross_check(
-        &code,
-        &report,
-        &fin,
-        &vcode_sim::mips::Decoder,
-        &Mips::CHECKS,
-    );
+    let diags = vcode::cross_check(&code, &report, &vcode_sim::mips::Decoder, &Mips::CHECKS);
     assert!(
         diags.iter().any(|d| d.rule == Rule::InsnCountMismatch),
         "{diags:#?}"
+    );
+}
+
+/// A branch whose label the resolved table puts inside a word is caught
+/// from the table, whatever the machine encoding says.
+#[test]
+fn cross_check_catches_a_label_inside_an_instruction() {
+    let (code, mut report) = representative::<Mips>();
+    let check = |report: &VerifyReport| {
+        vcode::cross_check(&code, report, &vcode_sim::mips::Decoder, &Mips::CHECKS)
+    };
+    assert!(check(&report).is_empty());
+    let (at, l) = report
+        .marks
+        .iter()
+        .find_map(|m| match m.kind {
+            MarkKind::Branch(l) => Some((m.start, l)),
+            _ => None,
+        })
+        .expect("the loop branches");
+    let off = report.label_offset(l).expect("bound");
+    report.labels[l.index() as usize] = Some(off + 2);
+    let diags = check(&report);
+    assert_eq!(diags.len(), 1, "{diags:#?}");
+    assert_eq!(
+        (diags[0].rule, diags[0].pc),
+        (Rule::BranchTargetMisaligned, at)
     );
 }

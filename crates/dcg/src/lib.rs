@@ -640,7 +640,9 @@ mod tests {
             Assembler::<FakeTarget>::lambda_sig(&mut mem, f.sig.clone(), Leaf::Yes).unwrap();
         a.enable_verifier();
         f.reduce(&mut a).unwrap();
-        let report = a.end().unwrap().verify.expect("verified session");
+        let (fin, report) = a.end_report();
+        fin.unwrap();
+        let report = report.expect("verified session");
         assert_eq!((report.vcode_insns, report.marks.len()), (2, 2));
         assert!(report.is_clean(), "{:?}", report.diags);
     }

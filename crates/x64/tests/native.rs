@@ -977,12 +977,13 @@ fn interrupt_handler_reclassification() {
 
 /// One function emitted three ways — plain, with the streaming verifier
 /// on, and through the bytewise reference path — which must agree byte
-/// for byte; the finished record and the bytes of the first.
+/// for byte; the finished record and the bytes of the first, and where
+/// the verified run's report resolved each label `f` returns.
 fn emit3(
     sig: &str,
     leaf: Leaf,
     f: impl Fn(&mut Assembler<'_, X64>) -> Vec<vcode::Label>,
-) -> (vcode::target::Finished, Vec<u8>, Vec<vcode::Label>) {
+) -> (vcode::target::Finished, Vec<u8>, Vec<Option<usize>>) {
     let emit = |verify: bool, path: vcode::EmitPath| {
         let mut mem = vec![0u8; 512];
         let mut a =
@@ -992,29 +993,27 @@ fn emit3(
             a.enable_verifier();
         }
         let labels = f(&mut a);
-        let fin = a.end().unwrap();
-        if let Some(report) = &fin.verify {
+        let (fin, report) = a.end_report();
+        let fin = fin.unwrap();
+        let offsets = report.map(|report| {
             assert!(report.is_clean(), "{:?}", report.diags);
             let diags = vcode::verify::cross_check(
                 &mem[..fin.len],
-                report,
-                &fin,
+                &report,
                 &vcode_x64::declen::Decoder,
                 &X64::CHECKS,
             );
             assert!(diags.is_empty(), "{diags:?}");
-        }
+            labels.iter().map(|&l| report.label_offset(l)).collect()
+        });
         mem.truncate(fin.len);
-        (fin, mem, labels)
+        (fin, mem, offsets)
     };
-    let plain = emit(false, vcode::EmitPath::Fast);
-    assert_eq!(emit(true, vcode::EmitPath::Fast).1, plain.1, "verifier on");
-    assert_eq!(
-        emit(false, vcode::EmitPath::Bytewise).1,
-        plain.1,
-        "bytewise"
-    );
-    plain
+    let (fin, plain, _) = emit(false, vcode::EmitPath::Fast);
+    let (_, verified, offsets) = emit(true, vcode::EmitPath::Fast);
+    assert_eq!(verified, plain, "verifier on");
+    assert_eq!(emit(false, vcode::EmitPath::Bytewise).1, plain, "bytewise");
+    (fin, plain, offsets.expect("the verifier was on"))
 }
 
 /// Runs finished bytes from a fresh mapping, entered at `entry`.
@@ -1053,16 +1052,12 @@ fn a_jump_to_the_next_byte_is_retracted_unless_a_label_sits_behind_it() {
             vec![x, l]
         }
     };
-    let (gone, gone_code, gone_labels) = emit3("%l", Leaf::Yes, body(false));
-    let (kept, kept_code, kept_labels) = emit3("%l", Leaf::Yes, body(true));
+    let (gone, gone_code, gone_at) = emit3("%l", Leaf::Yes, body(false));
+    let (kept, kept_code, kept_at) = emit3("%l", Leaf::Yes, body(true));
     assert_eq!(gone.insns, kept.insns);
     assert_eq!(kept.len, gone.len + 5, "one `jmp rel32`");
-    let (x, l) = (kept_labels[0], kept_labels[1]);
-    assert_eq!(kept.label_offset(x), kept.label_offset(l));
-    assert_eq!(
-        kept.label_offset(l).unwrap(),
-        gone.label_offset(gone_labels[1]).unwrap() + 5
-    );
+    assert_eq!(kept_at[0], kept_at[1], "x and l");
+    assert_eq!(kept_at[1].unwrap(), gone_at[1].unwrap() + 5);
     for (fin, code) in [(&gone, &gone_code), (&kept, &kept_code)] {
         for entry in [0, fin.entry] {
             assert_eq!(run1(code, entry, 0), 1);
@@ -1098,11 +1093,11 @@ fn final_ret(label_behind: bool) -> impl Fn(&mut Assembler<'_, X64>) -> Vec<vcod
 #[test]
 fn a_final_ret_falls_into_the_epilogue_unless_a_label_sits_behind_it() {
     let (gone, gone_code, _) = emit3("%l", Leaf::No, final_ret(false));
-    let (kept, kept_code, kept_labels) = emit3("%l", Leaf::No, final_ret(true));
+    let (kept, kept_code, kept_at) = emit3("%l", Leaf::No, final_ret(true));
     assert_eq!(kept.len, gone.len + 5, "one `jmp rel32`");
     // jmp +0; leave; ret
     assert_eq!(kept_code[kept.len - 7..], [0xe9, 0, 0, 0, 0, 0xc9, 0xc3]);
-    assert_eq!(kept.label_offset(kept_labels[0]), Some(kept.len - 2));
+    assert_eq!(kept_at[0], Some(kept.len - 2));
     assert_eq!(run1(&gone_code, gone.entry, 7), 7);
     assert_eq!(run1(&gone_code, gone.entry, 1), 2);
     assert_eq!(run1(&kept_code, kept.entry, 1), 2);
@@ -1116,14 +1111,14 @@ fn a_final_ret_falls_into_the_epilogue_unless_a_label_sits_behind_it() {
 #[test]
 fn a_jump_to_a_bare_ret_becomes_that_ret() {
     let (gone, gone_code, _) = emit3("%l", Leaf::Yes, final_ret(false));
-    let (kept, kept_code, kept_labels) = emit3("%l", Leaf::Yes, final_ret(true));
+    let (kept, kept_code, kept_at) = emit3("%l", Leaf::Yes, final_ret(true));
     assert_eq!(kept.len, gone.len + 5, "the jump's five bytes");
     assert_eq!(gone_code[gone.len - 1], 0xc3);
     assert_eq!(
         kept_code[kept.len - 6..],
         [0xc3, 0x90, 0x90, 0x90, 0x90, 0xc3]
     );
-    assert_eq!(kept.label_offset(kept_labels[0]), Some(kept.len - 1));
+    assert_eq!(kept_at[0], Some(kept.len - 1));
     for (fin, code) in [(&gone, &gone_code), (&kept, &kept_code)] {
         for entry in [0, fin.entry] {
             assert_eq!(run1(code, entry, 1), 2);

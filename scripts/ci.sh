@@ -106,16 +106,15 @@ echo "one digest ok"
 echo "== one counter per event (no process-global mirror of a count) =="
 # A count lives on the instance that produces it — `LambdaCache::stats`,
 # `DiskTier::stats`, `DpfService::stats` — and `vcode::obs` holds what
-# really is per execution or per process: `ExecStats`, trace records and
-# the codegen hook (DESIGN.md "Observability"). A process-wide copy cannot
-# tell two engines apart and makes every test that reads it depend on
-# every test that moves it: fail on an `obs::note_*` call in product
-# source, and on any static in obs.rs (before its first `#[cfg(test)]`)
-# other than the hook's two.
+# really is per execution: `ExecStats` and trace records (DESIGN.md
+# "Observability"). A process-wide copy cannot tell two engines apart and
+# makes every test that reads it depend on every test that moves it:
+# fail on an `obs::note_*` call in product source, and on any static in
+# obs.rs (before its first `#[cfg(test)]`).
 mirrors=$(grep -rn 'obs::note_' crates/*/src || true
     awk '
         /^[ \t]*#\[cfg\(test\)\]/ { exit }
-        /^[ \t]*(pub(\([a-z]+\))?[ \t]+)?static[ \t]/ && !/static (HOOK_ENABLED|HOOK):/ {
+        /^[ \t]*(pub(\([a-z]+\))?[ \t]+)?static[ \t]/ {
             printf "crates/core/src/obs.rs:%d: %s\n", NR, $0
         }' crates/core/src/obs.rs)
 if [ -n "$mirrors" ]; then
@@ -520,7 +519,7 @@ cargo test -q --release -p harden --offline --test pool_steady_state -- --nocapt
 echo "== allocation count (a warm thread allocates what a compile hands out) =="
 # `replay::<X64>` and a first-sight `compile_cached` + `call` over a
 # seeded pool, counted by a `#[global_allocator]` in a process of its
-# own, in release as the benchmark runs them: 1 and 6 allocations per
+# own, in release as the benchmark runs them: 0 and 5 allocations per
 # call (14.3 and 21.3 before PR 20). The test asserts the numbers
 # reached; the line it measured is echoed for the log.
 cargo test -q --release --offline --test alloc_free_compile -- --nocapture |
@@ -586,7 +585,10 @@ echo "== exact Figure 2 count (host instructions per generated instruction) =="
 # it counts the addi-only body, codegen_cost's mix, the mix with
 # hard-coded registers (§5.3) and through DCG, plus single loads, stores
 # and immediates; `--check` fails on any count off its pin in fig2.rs's
-# `rows()`. It runs twice and fails on any difference between the runs.
+# `rows()`. It runs twice and fails on any difference between the runs;
+# each body's process starts at one stack address (no address
+# randomisation, one exec path, no environment), so runs and checkouts
+# agree.
 # Stack traffic back in the emission path (a `vrfy!` closure capturing
 # by reference, a length field beside the cursor) moves the pins. The
 # DCG pins include glibc's malloc and memcpy, so a new host or toolchain

@@ -2,33 +2,92 @@
 //! engine's lambdas, on all four backends — through its L1 → L2 →
 //! build → store-through pipeline.
 //!
-//! Own process on purpose: the codegen hook is process-wide. Every
-//! count is read from the tier that produced it, so the tests run in
-//! parallel.
+//! Every count is read from the instance that produced it (a tier, a
+//! backend), so the tests run in parallel.
 
 use std::path::PathBuf;
-use std::sync::{Arc, Barrier, Mutex};
-use vcode::engine::{Backend, Engine, Program, TargetId};
-use vcode::obs::{self, CodegenEvent};
-use vcode::{BinOp, CacheKey, Cond, PersistStats, UnOp};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Barrier};
+use vcode::engine::{Backend, Engine, EngineError, Lambda, Program, TargetId};
+use vcode::{ArtifactView, BinOp, CacheKey, Cond, PersistError, PersistStats, UnOp};
 
-/// `obs::set_hook` replaces the process's one hook: a test that installs
-/// it holds this lock for as long as it is installed.
-static HOOK: Mutex<()> = Mutex::new(());
-
-fn engine(dir: &std::path::Path) -> Engine {
-    let mut e = Engine::new(16);
-    let backends: [Arc<dyn Backend>; 4] = [
+fn backends() -> [Arc<dyn Backend>; 4] {
+    [
         Arc::new(vcode_sim::engine::MipsBackend::default()),
         Arc::new(vcode_sim::engine::SparcBackend::default()),
         Arc::new(vcode_sim::engine::AlphaBackend::default()),
         Arc::new(vcode_x64::X64Backend),
-    ];
+    ]
+}
+
+fn engine(dir: &std::path::Path) -> Engine {
+    engine_over(dir, backends())
+}
+
+fn engine_over(
+    dir: &std::path::Path,
+    backends: impl IntoIterator<Item = Arc<dyn Backend>>,
+) -> Engine {
+    let mut e = Engine::new(16);
     for b in backends {
         e.register(b);
     }
     assert!(e.enable_persist(dir).expect("tier attaches"));
     e
+}
+
+/// A real backend that counts the programs it compiles.
+#[derive(Debug)]
+struct Counting {
+    inner: Arc<dyn Backend>,
+    compiled: AtomicU64,
+}
+
+impl Backend for Counting {
+    fn id(&self) -> TargetId {
+        self.inner.id()
+    }
+
+    fn word_bits(&self) -> u32 {
+        self.inner.word_bits()
+    }
+
+    fn compile(&self, prog: &Program) -> Result<Arc<dyn Lambda>, EngineError> {
+        self.compiled.fetch_add(1, Ordering::Relaxed);
+        self.inner.compile(prog)
+    }
+
+    fn adopt(&self, artifact: &ArtifactView<'_>) -> Result<Arc<dyn Lambda>, PersistError> {
+        self.inner.adopt(artifact)
+    }
+}
+
+/// An engine over `dir` whose backends count their compiles, and those
+/// backends.
+fn counted_engine(dir: &std::path::Path) -> (Engine, Vec<Arc<Counting>>) {
+    let counted: Vec<_> = backends()
+        .into_iter()
+        .map(|inner| {
+            Arc::new(Counting {
+                inner,
+                compiled: AtomicU64::new(0),
+            })
+        })
+        .collect();
+    let e = engine_over(
+        dir,
+        counted.iter().map(|b| Arc::clone(b) as Arc<dyn Backend>),
+    );
+    (e, counted)
+}
+
+/// Programs the backend for `target` among `counted` has compiled.
+fn compiles(counted: &[Arc<Counting>], target: TargetId) -> u64 {
+    let b = counted
+        .iter()
+        .find(|b| b.id() == target)
+        .expect("registered");
+    b.compiled.load(Ordering::Relaxed)
 }
 
 fn scratch_dir(tag: &str) -> PathBuf {
@@ -40,16 +99,7 @@ fn scratch_dir(tag: &str) -> PathBuf {
 /// `fn f(x, y) = |x + y| * 3`: arithmetic, an immediate form, a branch
 /// and a temporary.
 fn sample() -> Program {
-    padded_sample(0)
-}
-
-/// [`sample`] behind `pad` additions of zero: the same function, in a
-/// stream as long as the caller likes.
-fn padded_sample(pad: usize) -> Program {
     let mut p = Program::new(2).unwrap();
-    for _ in 0..pad {
-        p.bin_imm(BinOp::Add, 0, 0, 0);
-    }
     p.bin(BinOp::Add, 2, 0, 1);
     let skip = p.genlabel();
     p.br_imm(Cond::Ge, 2, 0, skip);
@@ -86,33 +136,14 @@ fn engine_counts(e: &Engine) -> (u64, u64, u64, u64) {
 
 /// A miss reaches the persistent tier: a cold `compile_cached` leaves an
 /// artifact behind, and a fresh engine over that directory serves the
-/// same request from disk — one persist hit, and not one instruction
-/// generated.
-///
-/// The hook hears every code generator in the process, the other tests'
-/// too, so this one compiles a stream of a length nothing else here has
-/// and counts sessions of that length only — learned from the cold
-/// build, which must be heard exactly once.
+/// same request from disk — one persist hit, and not one program
+/// compiled.
 #[test]
 fn a_warm_directory_serves_a_miss_without_generating_code() {
-    let _hook = HOOK.lock().unwrap_or_else(|e| e.into_inner());
-    let sessions = Arc::new(Mutex::new(Vec::new()));
-    let heard = Arc::clone(&sessions);
-    obs::set_hook(move |ev| {
-        if let CodegenEvent::LambdaEnd { insns, .. } = ev {
-            heard.lock().unwrap().push(*insns);
-        }
-    });
-    // Sessions of `mark` instructions heard since the last call.
-    let generated = |mark: u64| {
-        let heard = std::mem::take(&mut *sessions.lock().unwrap());
-        heard.into_iter().filter(|&insns| insns == mark).count()
-    };
-
     let dir = scratch_dir("warm");
-    let p = padded_sample(211);
+    let p = sample();
     for target in [TargetId::X64, TargetId::Mips] {
-        let cold = engine(&dir);
+        let (cold, counted) = counted_engine(&dir);
         let f = cold.compile_cached(target, &p).unwrap();
         assert_eq!(f.call(&[-10, 2]).unwrap(), 24);
         assert_eq!(
@@ -120,9 +151,7 @@ fn a_warm_directory_serves_a_miss_without_generating_code() {
             (0, 1, 1, 0),
             "{target}: probe miss, store"
         );
-        let mark = f.insns();
-        assert!(mark > 200, "{target}: {mark} instructions is no mark");
-        assert_eq!(generated(mark), 1, "{target}: the cold build is heard");
+        assert_eq!(compiles(&counted, target), 1, "{target}: one cold build");
         let tier = cold.persist_tier().expect("tier attached");
         assert!(
             tier.path_for(&key_for(&p, target)).exists(),
@@ -130,7 +159,7 @@ fn a_warm_directory_serves_a_miss_without_generating_code() {
         );
         drop(cold);
 
-        let warm = engine(&dir);
+        let (warm, counted) = counted_engine(&dir);
         let f = warm.compile_cached(target, &p).unwrap();
         assert_eq!(
             engine_counts(&warm),
@@ -138,13 +167,12 @@ fn a_warm_directory_serves_a_miss_without_generating_code() {
             "{target}: served from disk"
         );
         assert_eq!(
-            generated(mark),
+            compiles(&counted, target),
             0,
             "{target}: a warm directory must not generate code"
         );
         assert_eq!(f.call(&[-10, 2]).unwrap(), 24);
     }
-    obs::clear_hook();
     let _ = std::fs::remove_dir_all(&dir);
 }
 
